@@ -35,8 +35,7 @@ from repro.backends import EvalBackend, backend_unavailable_reason, list_backend
 from repro.core.config import CACHE_COST, CACHE_LRU, EiresConfig
 from repro.core.framework import EIRES
 from repro.core.multi import MultiQueryEIRES, QuerySpec
-from repro.core.pipeline import RunResult
-from repro.runtime import RuntimeBuilder
+from repro.runtime import RunResult, RuntimeBuilder
 from repro.engine.engine import GREEDY, NON_GREEDY
 from repro.events.event import Event, EventSchema
 from repro.events.stream import Stream

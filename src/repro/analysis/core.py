@@ -91,11 +91,12 @@ class Rule:
 _REGISTRY: dict[str, Rule] = {}
 
 
-def register(cls: type[Rule]) -> type[Rule]:
-    """Class decorator: instantiate and register a rule by its ID."""
-    rule = cls()
+def register(cls):
+    """Register a rule by its ID: a class (decorator form, instantiated
+    without arguments) or an already-built instance (table-driven rules)."""
+    rule = cls() if isinstance(cls, type) else cls
     if not rule.id:
-        raise ValueError(f"rule {cls.__name__} has no id")
+        raise ValueError(f"rule {type(rule).__name__} has no id")
     if rule.id in _REGISTRY:
         raise ValueError(f"duplicate rule id {rule.id!r}")
     _REGISTRY[rule.id] = rule

@@ -1,30 +1,32 @@
-"""A1–A3: the runtime-layer architecture rules (legacy R1–R3).
+"""A1–A7: the architecture rules (A1–A3 are the legacy R1–R3).
 
 Migrated from ``tools/check_architecture.py`` (which is now a thin shim
 over this module).  The finding messages deliberately keep the legacy
 ``R1``/``R2``/``R3`` wording so CI logs and the architecture test suite
 read the same before and after the migration.
 
-These rules only apply to modules *inside* the repro package (or a scratch
-tree scanned with an explicit package root): benchmarks and scripts live
-above the architecture and receive their runtime through the facades.
+A1–A3 only apply to modules *inside* the repro package (or a scratch tree
+scanned with an explicit package root): benchmarks and scripts live above
+the architecture and receive their runtime through the facades.
+
+A2, A5, A6 and A7 all say "these constructors are called only under these
+packages"; they are rows of :data:`CONFINEMENTS`, checked by the one
+:class:`ConfinementRule`.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Mapping, NamedTuple
 
 from repro.analysis.core import Finding, Rule, register
 from repro.analysis.index import Module, ModuleIndex
 
 __all__ = [
     "EngineLayeringRule",
-    "CompositionRootRule",
     "ShadowAssemblyRule",
     "TransportShimRule",
-    "SheddingCompositionRule",
+    "ConfinementRule",
     "BackendCompositionRule",
-    "FleetCompositionRule",
 ]
 
 # A1 (R1): packages of the evaluation core, and the prefixes they must not
@@ -32,14 +34,13 @@ __all__ = [
 CORE_PACKAGES = ("engine", "nfa", "backends")
 FORBIDDEN_FOR_CORE = ("repro.strategies", "repro.core", "repro.runtime")
 
-# A2/A3 (R2/R3): substrate constructors, by group.
+# A3 (R3): substrate constructors, by group.
 SUBSTRATE_GROUPS = {
     "Transport": "transport",
     "LRUCache": "cache",
     "CostBasedCache": "cache",
     "Tracer": "tracer",
 }
-ROOT_ONLY = {"Transport", "LRUCache", "CostBasedCache"}
 DEFINING_MODULES = {
     "Transport": ("remote/transport.py",),
     "LRUCache": ("cache/lru.py",),
@@ -52,34 +53,8 @@ COMPOSITION_ROOT = "runtime/"
 # definitions or as call sites, anywhere in the tree.
 TRANSPORT_SHIMS = ("fetch_blocking", "fetch_async")
 
-# A5: the shedding plane's constructors, callable only by the composition
-# root and inside the plane itself.
-SHEDDING_CONSTRUCTORS = ("LoadShedder", "OverloadDetector", "make_shedding_policy")
-SHEDDING_PACKAGE = "shedding/"
-
-# A6: evaluation-backend construction entry points, callable only by the
-# composition root and inside the backends package; and the single module
-# allowed to import NumPy.
-BACKEND_CONSTRUCTORS = (
-    "Engine",
-    "TreeEngine",
-    "ReferenceBackend",
-    "TreeBackend",
-    "VectorizedBackend",
-    "make_backend",
-    "get_backend",
-)
-BACKEND_DEFINING_MODULES = {
-    "Engine": ("engine/engine.py",),
-    "TreeEngine": ("engine/tree.py",),
-}
-BACKEND_PACKAGE = "backends/"
+# A6: the single module allowed to import NumPy.
 NUMPY_ALLOWED_MODULE = "backends/vectorized.py"
-
-# A7: the serving plane's internals, constructed only inside repro.serving
-# itself — everything else composes fleets via FleetBuilder.
-SERVING_CONSTRUCTORS = ("Fleet", "TokenBucket")
-SERVING_PACKAGE = "serving/"
 
 
 @register
@@ -101,29 +76,6 @@ loaded."""
             if any(name == bad or name.startswith(bad + ".") for bad in FORBIDDEN_FOR_CORE):
                 yield self.finding(
                     module, line, f"R1 layering: core package imports {name}"
-                )
-
-
-@register
-class CompositionRootRule(Rule):
-    id = "A2"
-    title = "composition root: substrate classes built only in repro.runtime"
-    explain = """\
-(Legacy R2.)  Only repro.runtime (and the defining modules themselves) may
-construct the shared substrate classes Transport, LRUCache, and
-CostBasedCache.  Everything else — facades, CLI, benchmarks — receives an
-assembled runtime from RuntimeBuilder, so fault tolerance, tracing, and
-metrics wiring cannot silently diverge between entry points."""
-
-    def check(self, module: Module, index: ModuleIndex) -> Iterator[Finding]:
-        pkg = module.pkg
-        if pkg is None or pkg.startswith(COMPOSITION_ROOT):
-            return
-        for name, line in module.constructed:
-            if name in ROOT_ONLY and pkg not in DEFINING_MODULES[name]:
-                yield self.finding(
-                    module, line,
-                    f"R2 composition root: constructs {name} outside repro.runtime",
                 )
 
 
@@ -186,11 +138,51 @@ Transport).  Build a FetchRequest and go through submit()."""
                 )
 
 
-@register
-class SheddingCompositionRule(Rule):
-    id = "A5"
-    title = "shedding plane constructed only by the composition root"
-    explain = """\
+class Confinement(NamedTuple):
+    """One "constructed only under these packages" rule."""
+
+    id: str
+    title: str
+    constructors: tuple[str, ...]
+    #: package-path prefixes whose modules may call the constructors.
+    allowed: tuple[str, ...]
+    #: finding text; ``{name}`` is the constructor called.
+    message: str
+    explain: str
+    #: constructor -> modules that define it (and may therefore call it).
+    defining: Mapping[str, tuple[str, ...]] = {}
+    #: whether modules outside the repro package (benchmarks, scripts) are
+    #: exempt — the legacy R2 reading — or checked like everything else.
+    package_only: bool = False
+
+
+CONFINEMENTS = (
+    Confinement(
+        id="A2",
+        title="composition root: substrate classes built only in repro.runtime",
+        constructors=("Transport", "LRUCache", "CostBasedCache"),
+        allowed=(COMPOSITION_ROOT,),
+        defining=DEFINING_MODULES,
+        package_only=True,
+        message="R2 composition root: constructs {name} outside repro.runtime",
+        explain="""\
+(Legacy R2.)  Only repro.runtime (and the defining modules themselves) may
+construct the shared substrate classes Transport, LRUCache, and
+CostBasedCache.  Everything else — facades, CLI, benchmarks — receives an
+assembled runtime from RuntimeBuilder, so fault tolerance, tracing, and
+metrics wiring cannot silently diverge between entry points.""",
+    ),
+    Confinement(
+        id="A5",
+        title="shedding plane constructed only by the composition root",
+        constructors=("LoadShedder", "OverloadDetector", "make_shedding_policy"),
+        allowed=(COMPOSITION_ROOT, "shedding/"),
+        package_only=True,
+        message=(
+            "shedding composition: constructs {name} outside repro.runtime; "
+            "sessions get their LoadShedder from RuntimeBuilder"
+        ),
+        explain="""\
 Load shedding silently trades recall for latency, so whether it is active
 must be decided in exactly one place.  Only repro.runtime (the composition
 root) and repro.shedding itself may construct the plane's entry points —
@@ -199,27 +191,28 @@ Everything else receives an assembled session from RuntimeBuilder; a
 strategy, facade, or benchmark wiring its own shedder could drop events or
 runs without the config, counters, and trace records that make every drop
 accountable (and would break the guarantee that shed_policy='none' is
-byte-identical to a build without the plane)."""
-
-    def check(self, module: Module, index: ModuleIndex) -> Iterator[Finding]:
-        pkg = module.pkg
-        if pkg is None or pkg.startswith((COMPOSITION_ROOT, SHEDDING_PACKAGE)):
-            return
-        for name, line in module.constructed:
-            if name in SHEDDING_CONSTRUCTORS:
-                yield self.finding(
-                    module, line,
-                    f"shedding composition: constructs {name} outside "
-                    "repro.runtime; sessions get their LoadShedder from "
-                    "RuntimeBuilder",
-                )
-
-
-@register
-class BackendCompositionRule(Rule):
-    id = "A6"
-    title = "backends built only via the registry; NumPy confined to vectorized"
-    explain = """\
+byte-identical to a build without the plane).""",
+    ),
+    Confinement(
+        id="A6",
+        title="backends built only via the registry; NumPy confined to vectorized",
+        constructors=(
+            "Engine",
+            "TreeEngine",
+            "ReferenceBackend",
+            "TreeBackend",
+            "VectorizedBackend",
+            "make_backend",
+            "get_backend",
+        ),
+        allowed=(COMPOSITION_ROOT, "backends/"),
+        defining={"Engine": ("engine/engine.py",), "TreeEngine": ("engine/tree.py",)},
+        message=(
+            "backend composition: constructs {name} outside repro.runtime; "
+            "name a backend in the QuerySpec and let RuntimeBuilder build it "
+            "via the registry"
+        ),
+        explain="""\
 Which engine evaluates a query decides cost accounting, capability limits,
 and byte-identity guarantees, so it must be chosen in exactly one place.
 Only repro.runtime (the composition root) and repro.backends itself may
@@ -233,11 +226,59 @@ NumPy is an optional dependency serving exactly one purpose: batch guard
 evaluation inside backends/vectorized.py.  Importing it anywhere else would
 silently make core behaviour depend on an extra that plain installs (and
 the REPRO_DISABLE_NUMPY CI leg) do not have.  Fix by moving the numeric
-kernel into the vectorized backend or writing it dependency-free."""
+kernel into the vectorized backend or writing it dependency-free.""",
+    ),
+    Confinement(
+        id="A7",
+        title="fleets composed only via FleetBuilder",
+        constructors=("Fleet", "TokenBucket"),
+        allowed=("serving/",),
+        message=(
+            "serving composition: constructs {name} outside repro.serving; "
+            "declare TenantSpecs and compose the fleet via FleetBuilder"
+        ),
+        explain="""\
+The serving plane's placement, rate limiting, metric scoping, and trace
+records all hang off FleetBuilder.build(): it validates tenant specs, labels
+each tenant with a shard, adds every tenant's queries to one RuntimeBuilder
+— a fleet is a single Runtime, with one clock, one remote-data plane, and
+fleet-wide priority order — and wires per-tenant token buckets and quotas
+into the shedding plane.  Constructing the plane's internals — Fleet or
+TokenBucket — anywhere outside repro.serving would bypass that validation
+and produce fleets whose admission decisions carry no provenance, so only
+the serving package itself may build them.  Everything else declares
+TenantSpecs and calls FleetBuilder.""",
+    ),
+)
+
+
+class ConfinementRule(Rule):
+    """Checks one :class:`Confinement` row."""
+
+    def __init__(self, row: Confinement) -> None:
+        self.row = row
+        self.id = row.id
+        self.title = row.title
+        self.explain = row.explain
 
     def check(self, module: Module, index: ModuleIndex) -> Iterator[Finding]:
+        row = self.row
         pkg = module.pkg
-        if pkg != NUMPY_ALLOWED_MODULE:
+        if pkg is None:
+            if row.package_only:
+                return
+        elif pkg.startswith(row.allowed):
+            return
+        for name, line in module.constructed:
+            if name in row.constructors and pkg not in row.defining.get(name, ()):
+                yield self.finding(module, line, row.message.format(name=name))
+
+
+class BackendCompositionRule(ConfinementRule):
+    """A6: the backend confinement row plus NumPy-import confinement."""
+
+    def check(self, module: Module, index: ModuleIndex) -> Iterator[Finding]:
+        if module.pkg != NUMPY_ALLOWED_MODULE:
             for name, line in module.imports:
                 if name == "numpy" or name.startswith("numpy."):
                     yield self.finding(
@@ -246,44 +287,9 @@ kernel into the vectorized backend or writing it dependency-free."""
                         "[vector] extra must stay confined to the vectorized "
                         "backend",
                     )
-        if pkg is not None and pkg.startswith((COMPOSITION_ROOT, BACKEND_PACKAGE)):
-            return
-        for name, line in module.constructed:
-            if name in BACKEND_CONSTRUCTORS and (
-                pkg not in BACKEND_DEFINING_MODULES.get(name, ())
-            ):
-                yield self.finding(
-                    module, line,
-                    f"backend composition: constructs {name} outside "
-                    "repro.runtime; name a backend in the QuerySpec and let "
-                    "RuntimeBuilder build it via the registry",
-                )
+        yield from super().check(module, index)
 
 
-@register
-class FleetCompositionRule(Rule):
-    id = "A7"
-    title = "fleets composed only via FleetBuilder"
-    explain = """\
-The serving plane's placement, rate limiting, metric scoping, and trace
-records all hang off FleetBuilder.build(): it validates tenant specs, maps
-tenants onto shards, builds one Runtime per shard on a single SharedPlane,
-and wires per-tenant token buckets and quotas into the shedding plane.
-Constructing the plane's internals — Fleet or TokenBucket — anywhere
-outside repro.serving would bypass that validation and produce fleets whose
-admission decisions carry no provenance, so only the serving package itself
-may build them.  Everything else declares TenantSpecs and calls
-FleetBuilder."""
-
-    def check(self, module: Module, index: ModuleIndex) -> Iterator[Finding]:
-        pkg = module.pkg
-        if pkg is not None and pkg.startswith(SERVING_PACKAGE):
-            return
-        for name, line in module.constructed:
-            if name in SERVING_CONSTRUCTORS:
-                yield self.finding(
-                    module, line,
-                    f"serving composition: constructs {name} outside "
-                    "repro.serving; declare TenantSpecs and compose the fleet "
-                    "via FleetBuilder",
-                )
+for _row in CONFINEMENTS:
+    _rule_class = BackendCompositionRule if _row.id == "A6" else ConfinementRule
+    register(_rule_class(_row))

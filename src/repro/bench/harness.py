@@ -16,9 +16,9 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.config import EiresConfig
 from repro.core.framework import EIRES
-from repro.core.pipeline import RunResult
 from repro.metrics.reporting import format_comparison, format_table
 from repro.obs.trace import Tracer
+from repro.runtime import RunResult
 from repro.workloads.base import Workload
 
 __all__ = [

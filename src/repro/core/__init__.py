@@ -8,14 +8,13 @@ thin public facades over it.
 from repro.core.config import CACHE_COST, CACHE_LRU, EiresConfig
 from repro.core.framework import EIRES
 from repro.core.multi import MultiQueryEIRES, QuerySpec
-from repro.core.pipeline import Pipeline, RunResult
+from repro.runtime import RunResult
 
 __all__ = [
     "EIRES",
     "MultiQueryEIRES",
     "QuerySpec",
     "EiresConfig",
-    "Pipeline",
     "RunResult",
     "CACHE_LRU",
     "CACHE_COST",

@@ -22,13 +22,12 @@ store.  Typical use::
 from __future__ import annotations
 
 from repro.core.config import EiresConfig
-from repro.core.pipeline import RunResult
 from repro.events.stream import Stream
 from repro.obs.trace import Tracer
 from repro.query.ast import Query
 from repro.remote.store import RemoteStore
 from repro.remote.transport import LatencyModel
-from repro.runtime.builder import RuntimeBuilder
+from repro.runtime import RunResult, RuntimeBuilder
 from repro.strategies.base import FetchStrategy
 
 __all__ = ["EIRES"]

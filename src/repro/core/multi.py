@@ -26,13 +26,12 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.config import EiresConfig
-from repro.core.pipeline import RunResult
 from repro.events.stream import Stream
 from repro.obs.trace import Tracer
 from repro.remote.store import RemoteStore
 from repro.remote.transport import LatencyModel
+from repro.runtime import QuerySession, QuerySpec, RunResult
 from repro.runtime.builder import CACHE_ALWAYS, RuntimeBuilder
-from repro.runtime.session import QuerySession, QuerySpec
 
 __all__ = ["MultiQueryEIRES", "QuerySpec"]
 
@@ -68,15 +67,6 @@ class MultiQueryEIRES:
     def sessions(self) -> list[QuerySession]:
         """The per-query sessions, in descending priority order."""
         return self.runtime.sessions
-
-    # Historical aliases, kept for callers of the pre-runtime-layer surface.
-    @property
-    def _runtimes(self) -> list[QuerySession]:
-        return self.runtime.sessions
-
-    def _shared_utility(self, key) -> float:
-        """Priority-weighted sum of the per-query utilities (Eq. 3 weights)."""
-        return self.runtime.shared_utility(key)
 
     def run(self, stream: Stream, smoothing_window: int = 1) -> dict[str, RunResult]:
         """Replay ``stream`` through every query; results keyed by query name."""

@@ -295,12 +295,6 @@ class Transport:
         self.tracer: Tracer = NULL_TRACER
         self._latency_hist: Histogram | None = None
         self._batch_hist: Histogram | None = None
-        # Consumer refcount: every runtime assembled on this transport
-        # attaches itself, so a *shared* transport (the fleet's remote-data
-        # plane spans several shards) can refuse an observability rebind
-        # that would silently split its counters across registries.
-        self._consumers = 0
-        self._bound_registry: MetricsRegistry | None = None
         self._bind_counters(None)
 
     def _bind_counters(self, registry: MetricsRegistry | None) -> None:
@@ -309,36 +303,10 @@ class Transport:
             key: registry.counter(f"transport.{key}") for key in TRANSPORT_COUNTER_KEYS
         }
 
-    def attach_consumer(self) -> int:
-        """Register one more runtime sharing this transport; returns the count."""
-        self._consumers += 1
-        return self._consumers
-
-    @property
-    def consumers(self) -> int:
-        """How many runtimes share this transport (0 before assembly)."""
-        return self._consumers
-
     def bind_observability(self, registry: MetricsRegistry | None, tracer: Tracer) -> None:
-        """Rebind the (still-zero) counters and trace bus at assembly time.
-
-        A transport shared by several runtimes (``consumers > 1``) must keep
-        all its counters in one registry — rebinding to a *different* one
-        would zero the live cells mid-deployment, so that raises instead.
-        """
+        """Rebind the (still-zero) counters and trace bus at assembly time."""
         if registry is not None:
-            if (
-                self._consumers > 1
-                and self._bound_registry is not None
-                and registry is not self._bound_registry
-            ):
-                raise RuntimeError(
-                    "transport is shared by "
-                    f"{self._consumers} runtimes; rebinding its counters to a "
-                    "different metrics registry would corrupt the shared plane"
-                )
             self._bind_counters(registry)
-            self._bound_registry = registry
             self._latency_hist = registry.histogram(TRANSPORT_LATENCY_METRIC, window=1_000_000.0)
             self._batch_hist = registry.histogram(TRANSPORT_BATCH_KEYS_METRIC, window=1_000_000.0)
         self.tracer = tracer

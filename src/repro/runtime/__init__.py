@@ -15,8 +15,9 @@ number of queries:
   flush, and :class:`~repro.runtime.dispatch.RunResult` assembly.
 
 The public facades :class:`repro.EIRES` and
-:class:`repro.core.multi.MultiQueryEIRES` are thin shells over this layer;
-anything they can do, a hand-held :class:`Runtime` can do too.
+:class:`repro.core.multi.MultiQueryEIRES` are thin shells over this layer,
+and a :class:`repro.serving.Fleet` is one :class:`Runtime` plus admission
+state; anything they can do, a hand-held :class:`Runtime` can do too.
 """
 
 from repro.runtime.builder import Runtime, RuntimeBuilder

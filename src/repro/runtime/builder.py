@@ -9,15 +9,18 @@ facades (:class:`repro.EIRES` and
 multi-query runs get identical fault tolerance, tracing, provenance, and
 metrics plumbing.
 
+The fleet layer (:mod:`repro.serving`) composes here too: a fleet is one
+:class:`Runtime` whose sessions carry tenant metric scopes and quotas.
+
 The import of :class:`~repro.core.config.EiresConfig` is deferred to call
 time: the facades in :mod:`repro.core` import this module, and the runtime
-layer must sit *below* them in the architecture (see
-``tools/check_architecture.py``).
+layer must sit *below* them in the architecture (rules A1–A3 of
+:mod:`repro.analysis`; ``python -m repro.analysis --explain A1``).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from repro.backends import get_backend
 from repro.cache.base import Cache
@@ -56,7 +59,7 @@ from repro.utility.rates import RateEstimator
 if TYPE_CHECKING:  # imported lazily at runtime (layering: runtime < core)
     from repro.core.config import EiresConfig
 
-__all__ = ["RuntimeBuilder", "Runtime", "SharedPlane", "CACHE_AUTO", "CACHE_ALWAYS"]
+__all__ = ["RuntimeBuilder", "Runtime", "CACHE_AUTO", "CACHE_ALWAYS"]
 
 # Whether build() materialises the cache only when some session wants one
 # (single-query behaviour) or unconditionally (multi-query: the shared
@@ -69,71 +72,6 @@ def _default_config() -> "EiresConfig":
     from repro.core.config import EiresConfig
 
     return EiresConfig()
-
-
-class SharedPlane:
-    """The substrate one or more runtimes share: clock, metrics, remote plane.
-
-    A plain :meth:`RuntimeBuilder.build` constructs a private plane; the
-    fleet layer (:mod:`repro.serving`) builds *one* plane and threads it
-    through every shard's ``build(plane=...)``, so all shards share the
-    virtual clock, the metrics registry, and the remote-data plane
-    (transport + batching + cache) — batched fetches and cached keys then
-    amortize across tenants while per-shard sessions stay isolated.
-    """
-
-    def __init__(
-        self,
-        config: "EiresConfig",
-        tracer: Tracer,
-        clock: VirtualClock,
-        metrics: MetricsRegistry,
-        rng,
-        monitor: LatencyMonitor,
-        transport: Transport,
-    ) -> None:
-        self.config = config
-        self.tracer = tracer
-        self.clock = clock
-        self.metrics = metrics
-        self.rng = rng
-        self.monitor = monitor
-        self.transport = transport
-        # The shared cache, created lazily by the first build that wants
-        # one; its cost-based utility function reads ``runtimes`` live.
-        self.cache: Cache | None = None
-        #: every Runtime assembled on this plane, in build order.
-        self.runtimes: list["Runtime"] = []
-        self._observability_bound = False
-
-    def bind_observability(self) -> None:
-        """Bind the transport's counters and trace bus exactly once.
-
-        Every shard build calls this at the same assembly point; only the
-        first call binds, so a shared transport is never rebound (see
-        :meth:`repro.remote.transport.Transport.bind_observability`).
-        """
-        if not self._observability_bound:
-            self.transport.bind_observability(self.metrics, self.tracer)
-            self._observability_bound = True
-
-    def ensure_cache(self, policy: str, capacity: int) -> Cache:
-        """The plane-wide cache, created on first demand."""
-        from repro.core.config import CACHE_COST, CACHE_LRU
-
-        if self.cache is None:
-            if policy == CACHE_LRU:
-                self.cache = LRUCache(capacity)
-            elif policy == CACHE_COST:
-                self.cache = CostBasedCache(capacity, utility_fn=self.shared_utility)
-            else:
-                raise ValueError(f"unknown cache policy {policy!r}")
-            self.cache.bind_observability(self.metrics, self.tracer)
-        return self.cache
-
-    def shared_utility(self, key: DataKey) -> float:
-        """Priority-weighted utility summed over every runtime on the plane."""
-        return sum(runtime.shared_utility(key) for runtime in self.runtimes)
 
 
 class RuntimeBuilder:
@@ -182,14 +120,22 @@ class RuntimeBuilder:
         self._specs.append(spec)
         return self
 
-    def build_plane(self) -> SharedPlane:
-        """Construct the shared substrate (one per deployment).
+    def build(self) -> "Runtime":
+        """Assemble the substrate and one session per registered query.
 
-        The construction order here — clock, metrics, RNG tree, monitor,
-        fault model, retry policy, breakers, transport — is load-bearing:
-        the RNG spawns happen in a fixed sequence so every build draws the
-        exact random streams the pre-plane builder did.
+        The construction order — clock, metrics, RNG tree, monitor, fault
+        model, retry policy, breakers, transport — is load-bearing: the RNG
+        spawns happen in a fixed sequence so every build draws the same
+        random streams.
         """
+        from repro.core.config import CACHE_COST, CACHE_LRU
+
+        if not self._specs:
+            raise ValueError("at least one query is required")
+        names = [spec.query.name for spec in self._specs]
+        if len(set(names)) != len(names):
+            raise ValueError(f"query names must be unique: {names}")
+
         config = self.config
         tracer = self.tracer
         clock = VirtualClock()
@@ -235,37 +181,15 @@ class RuntimeBuilder:
                 per_key_latency=config.batch_per_key_latency,
             ),
         )
-        return SharedPlane(config, tracer, clock, metrics, rng, monitor, transport)
-
-    def build(self, plane: SharedPlane | None = None) -> "Runtime":
-        """Assemble the substrate and one session per registered query.
-
-        ``plane`` injects an existing :class:`SharedPlane` (the fleet layer
-        builds one runtime per shard on a single plane); by default each
-        build gets a private plane and behaves exactly as it always did.
-        """
-        if not self._specs:
-            raise ValueError("at least one query is required")
-        names = [spec.query.name for spec in self._specs]
-        if len(set(names)) != len(names):
-            raise ValueError(f"query names must be unique: {names}")
-
-        config = self.config
-        tracer = self.tracer
-        if plane is None:
-            plane = self.build_plane()
-        transport = plane.transport
-        transport.attach_consumer()
 
         runtime = Runtime(
             config=config,
-            clock=plane.clock,
-            metrics=plane.metrics,
+            clock=clock,
+            metrics=metrics,
             tracer=tracer,
-            monitor=plane.monitor,
+            monitor=monitor,
             transport=transport,
         )
-        plane.runtimes.append(runtime)
 
         specs = sorted(self._specs, key=lambda spec: -spec.priority)
         strategies = [
@@ -277,7 +201,7 @@ class RuntimeBuilder:
             # Default the trace track to the strategy so multi-strategy
             # comparisons land on separate rows in the Chrome viewer.
             tracer.track = strategies[0].name
-        plane.bind_observability()
+        transport.bind_observability(metrics, tracer)
         if tracer.enabled:
             # Latency-attribution spans ride the trace bus: a span tracker
             # exists exactly when tracing does, so untraced runs keep their
@@ -285,18 +209,20 @@ class RuntimeBuilder:
             for strategy in strategies:
                 strategy.spans = SpanTracker()
 
-        # The shared cache closes over the plane's runtime list, whose
-        # sessions are populated below — the cost-based utility function
-        # reads it live.
-        want_cache = self.cache_mode == CACHE_ALWAYS or any(
+        # The shared cache closes over the session list, which is populated
+        # below — the cost-based utility function reads it live.
+        if self.cache_mode == CACHE_ALWAYS or any(
             strategy.uses_cache for strategy in strategies
-        )
-        cache = (
-            plane.ensure_cache(config.cache_policy, config.cache_capacity)
-            if want_cache
-            else None
-        )
-        runtime.cache = cache
+        ):
+            if config.cache_policy == CACHE_LRU:
+                runtime.cache = LRUCache(config.cache_capacity)
+            elif config.cache_policy == CACHE_COST:
+                runtime.cache = CostBasedCache(
+                    config.cache_capacity, utility_fn=runtime.shared_utility
+                )
+            else:
+                raise ValueError(f"unknown cache policy {config.cache_policy!r}")
+            runtime.cache.bind_observability(metrics, tracer)
 
         noise = NoiseModel(config.noise_ratio, seed=config.seed)
         runtime.noise = noise
@@ -309,7 +235,7 @@ class RuntimeBuilder:
                     recall_floor=config.slo_recall_floor,
                     fetch_budget=config.slo_fetch_budget,
                 ),
-                plane.metrics,
+                metrics,
             )
         scope_sessions = len(specs) > 1
         for spec, strategy in zip(specs, strategies):
@@ -491,8 +417,18 @@ class Runtime:
             for session in self.sessions
         )
 
-    def run(self, stream: Stream, smoothing_window: int = 1) -> dict[str, RunResult]:
-        """Replay ``stream`` through every session; results keyed by query name."""
+    def run(
+        self,
+        stream: Stream,
+        smoothing_window: int = 1,
+        admit=None,
+        extra_slos: Iterable[SloPlane] = (),
+    ) -> dict[str, RunResult]:
+        """Replay ``stream`` through every session; results keyed by query name.
+
+        ``admit`` and ``extra_slos`` are :func:`dispatch`'s admission seam,
+        passed through for the fleet layer.
+        """
         # One fresh sampler per replay: rows cover exactly this stream.
         sampler = (
             SeriesSampler(self.metrics, self.config.series_interval)
@@ -503,12 +439,15 @@ class Runtime:
             self.clock,
             self.sessions,
             stream,
+            self.transport,
+            cache=self.cache,
             tracer=self.tracer,
             smoothing_window=smoothing_window,
-            shared_cache=self.cache,
             report_percentiles=self.config.report_percentiles,
             sampler=sampler,
             slo=self.slo,
+            admit=admit,
+            extra_slos=extra_slos,
         )
         return {
             session.name: result for session, result in zip(self.sessions, results)

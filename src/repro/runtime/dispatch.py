@@ -21,7 +21,7 @@ multi-query runs.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.cache.base import Cache
 from repro.events.stream import Stream
@@ -29,20 +29,11 @@ from repro.metrics.latency import LatencyCollector
 from repro.metrics.throughput import ThroughputMeter
 from repro.obs.spans import SPAN_RECORD_NAME
 from repro.obs.trace import CAT_EVENT, CAT_MATCH, CAT_SPAN, NULL_TRACER, Tracer
-from repro.remote.transport import TRANSPORT_COUNTER_KEYS
+from repro.remote.transport import TRANSPORT_COUNTER_KEYS, Transport
 from repro.runtime.session import QuerySession
 from repro.sim.clock import VirtualClock
 
-__all__ = [
-    "RunResult",
-    "dispatch",
-    "deliver_event",
-    "flush_transports",
-    "finish_sessions",
-    "collect_results",
-    "THROUGHPUT_RUN",
-    "THROUGHPUT_SHARED",
-]
+__all__ = ["RunResult", "dispatch", "THROUGHPUT_RUN", "THROUGHPUT_SHARED"]
 
 # How a result's throughput meter relates to the run that produced it:
 # "run"    — the meter covers exactly this result's replay (single query);
@@ -153,10 +144,9 @@ def deliver_event(
 ) -> None:
     """Deliver one event to one session: substrate work, shedding, ``f_Q``.
 
-    The per-session body of the dispatch loop, factored out so higher-level
-    replay loops (the multi-tenant fleet in :mod:`repro.serving`) drive the
-    exact same code path event for event.  ``multi`` controls whether trace
-    records carry a ``query`` field disambiguating the session.
+    The per-session body of :func:`dispatch`, its only caller.  ``multi``
+    controls whether trace records carry a ``query`` field disambiguating
+    the session.
     """
     strategy = session.strategy
     # The span tracker's pickup time is where queueing attribution
@@ -212,54 +202,92 @@ def deliver_event(
     session.matches.extend(step_matches)
 
 
-def flush_transports(
-    sessions: Sequence[QuerySession],
+def dispatch(
     clock: VirtualClock,
-    flushed: set[int] | None = None,
-) -> set[int]:
-    """Close any batch window still open when the stream ends.
+    sessions: Sequence[QuerySession],
+    stream: Stream,
+    transport: Transport,
+    cache: Cache | None = None,
+    tracer: Tracer = NULL_TRACER,
+    smoothing_window: int = 1,
+    report_percentiles: Sequence[float] | None = None,
+    sampler=None,
+    slo=None,
+    admit=None,
+    extra_slos: Iterable = (),
+) -> list[RunResult]:
+    """Replay ``stream`` through every session; one :class:`RunResult` each.
 
-    Each transport is flushed exactly once — sessions may share one — so
-    the final deliveries and counters are deterministic regardless of where
-    the stream was cut.  ``flushed`` lets a caller span the dedup set over
-    several session groups (the fleet's shards share one transport).
+    Sessions are driven in the given order for every event (the builder
+    sorts them by descending priority).  The shared clock makes cross-query
+    interference (one query's stall delaying another's detection) directly
+    observable, just like in a real shared deployment.  ``transport`` and
+    ``cache`` are the runtime's one remote-data plane: every session's
+    result reports their statistics, whether or not its own strategy
+    consults the cache.
+
+    ``report_percentiles`` configures the latency quantile surface
+    (``EiresConfig.report_percentiles``); ``sampler`` is an optional
+    :class:`~repro.obs.series.SeriesSampler` snapshotting the metrics
+    registry on its virtual-time cadence; ``slo`` is an optional
+    :class:`~repro.obs.slo.SloPlane` fed every event and match.  All three
+    only *read* model state — they change no run results.
+
+    ``admit`` is the one admission seam (the fleet layer's token buckets):
+    called once per event, it yields the ``(session, slo_plane)`` pairs to
+    deliver to, in session order — a session it leaves out skips the event
+    entirely, substrate work included.  ``None`` delivers every event to
+    every session under ``slo``.  ``extra_slos`` are the planes ``admit``
+    hands out; they are evaluated with ``slo`` at sample and end time.
     """
-    if flushed is None:
-        flushed = set()
+    multi = len(sessions) > 1
     for session in sessions:
-        ctx = session.strategy.ctx
-        if ctx is None or ctx.transport is None:
-            continue
-        if id(ctx.transport) in flushed:
-            continue
-        flushed.add(id(ctx.transport))
-        ctx.transport.flush_batches(clock.now)
-    return flushed
+        session.begin_run(smoothing_window=smoothing_window, qs=report_percentiles)
+    slos = ([slo] if slo is not None else []) + list(extra_slos)
+    throughput = ThroughputMeter()
+    start = clock.now
 
+    for index, event in enumerate(stream):
+        # The engines pick the event up at arrival or when the shared clock
+        # frees up, whichever is later — queueing delay is real latency.
+        clock.advance_to(event.t)
+        if tracer.enabled:
+            tracer.emit(CAT_EVENT, "arrival", event.t, seq_no=event.seq, picked_up=clock.now)
+        if slo is not None:
+            slo.observe_event(clock.now)
+        if admit is None:
+            for session in sessions:
+                deliver_event(session, event, index, clock, tracer, multi, slo)
+        else:
+            for session, plane in admit(event):
+                deliver_event(session, event, index, clock, tracer, multi, plane)
+        throughput.record_event(clock.now)
+        if sampler is not None and sampler.due(clock.now):
+            # Gauge refresh before the snapshot, so sampled slo.* values
+            # reflect the boundary being recorded.
+            for plane in slos:
+                plane.evaluate(clock.now)
+            sampler.maybe_sample(clock.now)
 
-def finish_sessions(sessions: Sequence[QuerySession]) -> None:
-    """Drain every strategy and flush every engine after the last event."""
+    # Close any batch window still open when the stream ends, so the final
+    # deliveries and counters do not depend on where the stream was cut;
+    # then drain every strategy and flush every engine.
+    transport.flush_batches(clock.now)
     for session in sessions:
         session.strategy.end_of_stream()
         session.engine.flush(session.strategy)
 
+    # Final health read: the end-of-run burns land on the slo.* gauges
+    # before the per-result metrics snapshots (and the final series row).
+    for plane in slos:
+        plane.evaluate(clock.now)
+    if sampler is not None:
+        sampler.finalize(clock.now)
+    series_rows = sampler.rows() if sampler is not None else None
 
-def collect_results(
-    sessions: Sequence[QuerySession],
-    throughput: ThroughputMeter,
-    duration_us: float,
-    scope: str,
-    shared_cache: Cache | None = None,
-    series_rows: list[dict[str, Any]] | None = None,
-) -> list[RunResult]:
-    """One :class:`RunResult` per session, in session order."""
+    duration_us = clock.now - start
     results = []
     for session in sessions:
-        ctx = session.strategy.ctx
-        cache = ctx.cache if ctx is not None else None
-        if cache is None:
-            cache = shared_cache
-        transport = ctx.transport if ctx is not None else None
         engine_stats = session.engine.stats.as_dict()
         engine_stats.update(session.strategy.drops.as_dict())
         results.append(
@@ -273,94 +301,15 @@ def collect_results(
                 cache_stats=cache.stats.as_dict() if cache is not None else None,
                 transport_stats={
                     key: getattr(transport, key) for key in TRANSPORT_COUNTER_KEYS
-                }
-                if transport is not None
-                else {},
+                },
                 duration_us=duration_us,
-                metrics=ctx.metrics.snapshot()
-                if ctx is not None and ctx.metrics is not None
-                else None,
-                throughput_scope=scope,
+                metrics=session.strategy.ctx.metrics.snapshot(),
+                throughput_scope=THROUGHPUT_SHARED if multi else THROUGHPUT_RUN,
                 shed_stats=session.shedder.stats.as_dict()
                 if session.shedder is not None
                 else None,
                 series=series_rows,
-                backend=session.spec.backend if session.spec is not None else "reference",
+                backend=session.spec.backend,
             )
         )
     return results
-
-
-def dispatch(
-    clock: VirtualClock,
-    sessions: Sequence[QuerySession],
-    stream: Stream,
-    tracer: Tracer = NULL_TRACER,
-    smoothing_window: int = 1,
-    shared_cache: Cache | None = None,
-    report_percentiles: Sequence[float] | None = None,
-    sampler=None,
-    slo=None,
-) -> list[RunResult]:
-    """Replay ``stream`` through every session; one :class:`RunResult` each.
-
-    Sessions are driven in the given order for every event (the builder
-    sorts them by descending priority).  With a single session this loop is
-    byte-identical to the historical ``Pipeline.run``; with several, the
-    shared clock makes cross-query interference (one query's stall delaying
-    another's detection) directly observable, just like in a real shared
-    deployment.  ``shared_cache`` supplies cache statistics for sessions
-    whose own strategy runs cacheless but whose runtime still maintains the
-    shared cache (multi-query mode).
-
-    ``report_percentiles`` configures the latency quantile surface
-    (``EiresConfig.report_percentiles``); ``sampler`` is an optional
-    :class:`~repro.obs.series.SeriesSampler` snapshotting the metrics
-    registry on its virtual-time cadence; ``slo`` is an optional
-    :class:`~repro.obs.slo.SloPlane` fed every event and match.  All three
-    only *read* model state — they change no run results.
-    """
-    multi = len(sessions) > 1
-    for session in sessions:
-        session.begin_run(smoothing_window=smoothing_window, qs=report_percentiles)
-    throughput = ThroughputMeter()
-    start = clock.now
-
-    for index, event in enumerate(stream):
-        # The engines pick the event up at arrival or when the shared clock
-        # frees up, whichever is later — queueing delay is real latency.
-        clock.advance_to(event.t)
-        if tracer.enabled:
-            tracer.emit(CAT_EVENT, "arrival", event.t, seq_no=event.seq, picked_up=clock.now)
-        if slo is not None:
-            slo.observe_event(clock.now)
-        for session in sessions:
-            deliver_event(session, event, index, clock, tracer, multi, slo)
-        throughput.record_event(clock.now)
-        if sampler is not None and sampler.due(clock.now):
-            # Gauge refresh before the snapshot, so sampled slo.* values
-            # reflect the boundary being recorded.
-            if slo is not None:
-                slo.evaluate(clock.now)
-            sampler.maybe_sample(clock.now)
-
-    flush_transports(sessions, clock)
-    finish_sessions(sessions)
-
-    # Final health read: the end-of-run burns land on the slo.* gauges
-    # before the per-result metrics snapshots (and the final series row).
-    if slo is not None:
-        slo.evaluate(clock.now)
-    if sampler is not None:
-        sampler.finalize(clock.now)
-    series_rows = sampler.rows() if sampler is not None else None
-
-    scope = THROUGHPUT_SHARED if multi else THROUGHPUT_RUN
-    return collect_results(
-        sessions,
-        throughput,
-        clock.now - start,
-        scope,
-        shared_cache=shared_cache,
-        series_rows=series_rows,
-    )

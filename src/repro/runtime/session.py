@@ -87,12 +87,12 @@ class QuerySession:
 
     def __init__(
         self,
-        spec: QuerySpec | None,
+        spec: QuerySpec,
         automaton: Automaton,
         engine,
         strategy: FetchStrategy,
-        utility: UtilityModel | None,
-        rates: RateEstimator | None,
+        utility: UtilityModel,
+        rates: RateEstimator,
         shedder=None,
     ) -> None:
         self.spec = spec
@@ -109,13 +109,11 @@ class QuerySession:
 
     @property
     def name(self) -> str:
-        # Hand-built sessions (the legacy Pipeline shim) carry no spec; the
-        # automaton's name then identifies the session.
-        return self.spec.query.name if self.spec is not None else self.automaton.name
+        return self.spec.query.name
 
     @property
     def priority(self) -> float:
-        return self.spec.priority if self.spec is not None else 1.0
+        return self.spec.priority
 
     def begin_run(self, smoothing_window: int = 1, qs=None) -> None:
         """Reset the per-replay collectors (the dispatch loop calls this)."""

@@ -1,11 +1,11 @@
 """repro.serving — the multi-tenant fleet layer.
 
-Partitions tenants across worker shards, each a shard-local
-:class:`~repro.runtime.builder.Runtime`, all sharing one remote-data plane
-(transport + batching + cache) and one virtual clock — so fetches overlap
-and amortise across tenants while dispatch stays deterministic and a
-single-shard single-tenant fleet is byte-identical to a plain
-``RuntimeBuilder`` run.
+Admits tenants onto **one** :class:`~repro.runtime.builder.Runtime` — one
+virtual clock, one remote-data plane (transport + batching + cache), one
+dispatch loop — so fetches overlap and amortise across tenants, priority
+order holds fleet-wide, and a single-tenant fleet is byte-identical to a
+plain ``RuntimeBuilder`` run.  Shards are placement labels: they order
+equal-priority sessions and bucket the per-shard ``delivered`` counts.
 
 Compose fleets exclusively through :class:`FleetBuilder` (analysis rule
 A7): declare :class:`TenantSpec`\\ s, pick a placement policy, ``build()``,

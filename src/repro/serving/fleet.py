@@ -1,47 +1,40 @@
-"""The fleet layer: tenants on shards over one shared remote-data plane.
+"""The fleet layer: tenants admitted onto one shared runtime.
 
-:class:`FleetBuilder` is the serving-side composition root.  It validates
-the :class:`~repro.serving.tenant.TenantSpec` set, maps tenants onto
-worker shards (:mod:`repro.serving.placement`), and assembles one
-shard-local :class:`~repro.runtime.builder.Runtime` per shard — all on a
-single :class:`~repro.runtime.builder.SharedPlane`, so every shard shares
-the virtual clock, the metrics registry, and the remote-data plane
-(transport + batching + cache).  Overlapping keys fetched by different
-tenants coalesce on the shared transport and hit the shared cache: the
-whole point of multi-tenancy here is that total wire traffic is *less*
-than the sum of isolated runs.
+:class:`FleetBuilder` validates the :class:`~repro.serving.tenant.TenantSpec`
+set, maps tenants onto shards (:mod:`repro.serving.placement`), and adds
+every tenant's queries to a single
+:class:`~repro.runtime.builder.RuntimeBuilder` — a fleet is **one**
+:class:`~repro.runtime.builder.Runtime`: one virtual clock, one metrics
+registry, one remote-data plane (transport + batching + cache), one
+config-level SLO plane.  Overlapping keys fetched by different tenants
+coalesce on the transport and hit the cache: the whole point of
+multi-tenancy here is that total wire traffic is *less* than the sum of
+isolated runs.
 
-:meth:`Fleet.dispatch` is the multi-shard generalisation of
-:func:`repro.runtime.dispatch.dispatch`: one event at a time on the shared
-clock, shards in id order, sessions in priority order within a shard —
-the same ``deliver_event`` body per session, so a single-shard
-single-tenant fleet is byte-identical to a plain ``RuntimeBuilder`` run.
-Per-tenant token buckets gate admission (decided once per tenant per
-event), and every route/admit/throttle decision lands on the trace bus as
-a ``serving`` record that :func:`repro.obs.provenance.replay_trace`
-re-derives.
+A shard is a placement label, not a worker: everything runs on the one
+clock.  The label orders equal-priority sessions (shard id, then
+declaration order) and buckets the ``delivered`` counts behind
+:attr:`FleetResult.skew`; session order across the whole fleet is the
+runtime's — descending priority first.
+
+:meth:`Fleet.dispatch` adds no replay loop of its own.  It emits the
+``route`` records, hands :func:`repro.runtime.dispatch.dispatch` its
+admission callable — per-tenant token buckets, decided once per tenant per
+event — and regroups the per-session results by tenant.  A single-tenant
+fleet is therefore byte-identical to a plain ``RuntimeBuilder`` run, and
+every route/admit/throttle decision lands on the trace bus as a ``serving``
+record that :func:`repro.obs.provenance.replay_trace` re-derives.
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
-from repro.metrics.throughput import ThroughputMeter
-from repro.obs.series import SeriesSampler
 from repro.obs.slo import SloPlane
-from repro.obs.trace import CAT_EVENT, CAT_SERVING
-from repro.remote.transport import TRANSPORT_COUNTER_KEYS
-from repro.runtime.builder import Runtime, RuntimeBuilder, SharedPlane
-from repro.runtime.dispatch import (
-    THROUGHPUT_RUN,
-    THROUGHPUT_SHARED,
-    RunResult,
-    collect_results,
-    deliver_event,
-    finish_sessions,
-    flush_transports,
-)
-from repro.runtime.session import QuerySpec
+from repro.obs.trace import CAT_SERVING
+from repro.runtime.builder import Runtime, RuntimeBuilder
+from repro.runtime.dispatch import RunResult
+from repro.runtime.session import QuerySession, QuerySpec
 from repro.serving.placement import PLACE_ROUND_ROBIN, assign_shards
 from repro.serving.ratelimit import TokenBucket
 from repro.serving.tenant import TenantSpec
@@ -90,7 +83,7 @@ class FleetBuilder:
         return self
 
     def build(self) -> "Fleet":
-        """Validate the tenant set, place it, and assemble the shard runtimes."""
+        """Validate the tenant set, place it, and assemble the one runtime."""
         tenants = self._tenants
         if not tenants:
             raise ValueError("a fleet needs at least one tenant")
@@ -106,25 +99,24 @@ class FleetBuilder:
         placement = assign_shards(
             names, self.n_shards, self.placement_policy, self.pins
         )
-
-        # One RuntimeBuilder per shard, all on the SAME config object so the
-        # plane built from the first also governs every other shard's build.
-        shard_builders = [
-            RuntimeBuilder(
-                self.store, self.latency_model,
-                config=self.config, tracer=self.tracer,
+        empty = sorted(set(range(self.n_shards)) - set(placement.values()))
+        if empty:
+            raise ValueError(
+                f"shards {empty} received no tenants under "
+                f"{self.placement_policy!r} placement; reduce n_shards or pin "
+                "tenants explicitly"
             )
-            for _ in range(self.n_shards)
-        ]
-        self.config = config = shard_builders[0].config
-        for builder in shard_builders:
-            builder.config = config
 
-        # Tenant quotas ride the shedding plane; without a policy there is
-        # no detector to enforce them, so the spec is a silent no-op — fail
-        # loudly instead.
-        scoped = len(tenants) > 1 or self.n_shards > 1
-        for tenant in tenants:
+        builder = RuntimeBuilder(
+            self.store, self.latency_model, config=self.config, tracer=self.tracer
+        )
+        config = builder.config
+        # Specs go in by (shard id, declaration): the builder's stable sort
+        # by descending priority then yields (-priority, shard, declaration).
+        for tenant in sorted(tenants, key=lambda tenant: placement[tenant.name]):
+            # Tenant quotas ride the shedding plane; without a policy there
+            # is no detector to enforce them, so the spec is a silent no-op
+            # — fail loudly instead.
             if tenant.run_budget is not None and config.shed_policy == SHED_NONE:
                 raise ValueError(
                     f"tenant {tenant.name!r} declares run_budget="
@@ -132,7 +124,6 @@ class FleetBuilder:
                     f"shed_policy='none'; quotas need a shedding policy to "
                     "enforce them"
                 )
-            builder = shard_builders[placement[tenant.name]]
             for query in tenant.queries:
                 builder.add_spec(QuerySpec(
                     query,
@@ -142,20 +133,10 @@ class FleetBuilder:
                     run_budget=tenant.run_budget,
                     scope=(
                         f"tenant.{tenant.name}.query.{query.name}"
-                        if scoped else None
+                        if len(tenants) > 1 else None
                     ),
                 ))
-
-        empty = [i for i, builder in enumerate(shard_builders) if not builder._specs]
-        if empty:
-            raise ValueError(
-                f"shards {empty} received no tenants under "
-                f"{self.placement_policy!r} placement; reduce n_shards or pin "
-                "tenants explicitly"
-            )
-
-        plane = shard_builders[0].build_plane()
-        runtimes = [builder.build(plane=plane) for builder in shard_builders]
+        runtime = builder.build()
 
         tenant_of = {
             query_name: tenant.name
@@ -163,26 +144,23 @@ class FleetBuilder:
             for query_name in tenant.query_names
         }
         buckets = {
-            tenant.name: (
-                TokenBucket(tenant.rate_limit, tenant.burst)
-                if tenant.rate_limit is not None
-                else None
-            )
+            tenant.name: TokenBucket(tenant.rate_limit, tenant.burst)
             for tenant in tenants
+            if tenant.rate_limit is not None
         }
         # Per-tenant SLO planes live under the tenant's metric scope so
-        # their slo.* gauges never collide with a config-level SloPlane.
+        # their slo.* gauges never collide with the config-level SloPlane.
         tenant_slos: dict[str, SloPlane] = {}
-        transport = plane.transport
+        transport = runtime.transport
         for tenant in tenants:
             if tenant.slo is None:
                 continue
             slo = SloPlane(
-                tenant.slo, plane.metrics.scoped(f"tenant.{tenant.name}")
+                tenant.slo, runtime.metrics.scoped(f"tenant.{tenant.name}")
             )
             sessions = [
                 session
-                for session in runtimes[placement[tenant.name]].sessions
+                for session in runtime.sessions
                 if tenant_of[session.name] == tenant.name
             ]
             # The remote-data plane is shared by design, so the fetch budget
@@ -198,11 +176,11 @@ class FleetBuilder:
             tenant_slos[tenant.name] = slo
 
         return Fleet(
-            plane=plane,
-            runtimes=runtimes,
+            runtime=runtime,
             tenants=list(tenants),
             placement=placement,
             policy=self.placement_policy,
+            n_shards=self.n_shards,
             buckets=buckets,
             tenant_slos=tenant_slos,
             tenant_of=tenant_of,
@@ -210,65 +188,42 @@ class FleetBuilder:
 
 
 class Fleet:
-    """The assembled fleet: shard runtimes on one plane, plus admission state.
+    """The assembled fleet: one runtime plus per-tenant admission state.
 
     Built exclusively by :class:`FleetBuilder` (analysis rule A7).
     """
 
     def __init__(
         self,
-        plane: SharedPlane,
-        runtimes: list[Runtime],
+        runtime: Runtime,
         tenants: list[TenantSpec],
         placement: dict[str, int],
         policy: str,
-        buckets: dict[str, TokenBucket | None],
+        n_shards: int,
+        buckets: dict[str, TokenBucket],
         tenant_slos: dict[str, SloPlane],
         tenant_of: dict[str, str],
     ) -> None:
-        self.plane = plane
-        self.runtimes = runtimes
+        self.runtime = runtime
         self.tenants = tenants
         self.placement = placement
         self.policy = policy
+        self.n_shards = n_shards
         self.buckets = buckets
         self.tenant_slos = tenant_slos
         self.tenant_of = tenant_of
 
-    @property
-    def n_shards(self) -> int:
-        return len(self.runtimes)
-
     def dispatch(self, stream, smoothing_window: int = 1) -> "FleetResult":
-        """Replay ``stream`` through every shard on the shared clock.
+        """Replay ``stream`` through the fleet's runtime, gated by admission.
 
-        The multi-shard generalisation of the single-runtime dispatch loop:
-        for each event, shards are visited in id order and sessions in
-        priority order (the deterministic tie-break — shard id, then event
-        sequence — is the iteration order itself).  Per-tenant admission is
-        decided once per tenant per event; throttled tenants' sessions skip
-        the event entirely, substrate work included.
+        Per-tenant admission is decided once per tenant per event, when the
+        loop reaches the tenant's first session (so the token bucket refills
+        against the shared clock as earlier sessions left it); throttled
+        tenants' sessions skip the event entirely, substrate work included.
         """
-        plane = self.plane
-        clock = plane.clock
-        tracer = plane.tracer
-        config = plane.config
-        n_sessions = sum(len(runtime.sessions) for runtime in self.runtimes)
-        multi = n_sessions > 1
-
-        for runtime in self.runtimes:
-            for session in runtime.sessions:
-                session.begin_run(
-                    smoothing_window=smoothing_window,
-                    qs=config.report_percentiles,
-                )
-        sampler = (
-            SeriesSampler(plane.metrics, config.series_interval)
-            if config.series_interval > 0
-            else None
-        )
-        throughput = ThroughputMeter()
-        start = clock.now
+        runtime = self.runtime
+        clock = runtime.clock
+        tracer = runtime.tracer
 
         if tracer.enabled:
             for index, tenant in enumerate(self.tenants):
@@ -284,90 +239,66 @@ class Fleet:
         admitted_counts = {tenant.name: 0 for tenant in self.tenants}
         throttled_counts = {tenant.name: 0 for tenant in self.tenants}
         delivered = [0] * self.n_shards
-        events_total = 0
+        # Per session: its tenant and shard, the tenant's own SLO plane (if
+        # any), and the plane observing its matches — the tenant's own, else
+        # the runtime's config-level one.
+        plan = []
+        for session in runtime.sessions:
+            tenant_name = self.tenant_of[session.name]
+            tenant_slo = self.tenant_slos.get(tenant_name)
+            plan.append((
+                session, tenant_name, self.placement[tenant_name], tenant_slo,
+                tenant_slo if tenant_slo is not None else runtime.slo,
+            ))
 
-        for index, event in enumerate(stream):
-            events_total += 1
-            clock.advance_to(event.t)
-            if tracer.enabled:
-                tracer.emit(
-                    CAT_EVENT, "arrival", event.t,
-                    seq_no=event.seq, picked_up=clock.now,
-                )
+        def admit(event) -> Iterator[tuple[QuerySession, SloPlane | None]]:
             decisions: dict[str, bool] = {}
-            for shard_id, runtime in enumerate(self.runtimes):
-                if runtime.slo is not None:
-                    runtime.slo.observe_event(clock.now)
-                shard_touched = False
-                for session in runtime.sessions:
-                    tenant_name = self.tenant_of[session.name]
-                    admitted = decisions.get(tenant_name)
-                    if admitted is None:
-                        admitted = self._admit(tenant_name, event, clock.now)
-                        decisions[tenant_name] = admitted
-                        if admitted:
-                            admitted_counts[tenant_name] += 1
-                            tenant_slo = self.tenant_slos.get(tenant_name)
-                            if tenant_slo is not None:
-                                tenant_slo.observe_event(clock.now)
-                        else:
-                            throttled_counts[tenant_name] += 1
-                    if not admitted:
-                        continue
-                    shard_touched = True
-                    slo = self.tenant_slos.get(tenant_name)
-                    if slo is None:
-                        slo = runtime.slo
-                    deliver_event(session, event, index, clock, tracer, multi, slo)
-                if shard_touched:
-                    delivered[shard_id] += 1
-            throughput.record_event(clock.now)
-            if sampler is not None and sampler.due(clock.now):
-                self._evaluate_slos(clock.now)
-                sampler.maybe_sample(clock.now)
+            touched = set()
+            for session, tenant_name, shard, tenant_slo, match_slo in plan:
+                admitted = decisions.get(tenant_name)
+                if admitted is None:
+                    admitted = self._admit(tenant_name, event, clock.now)
+                    decisions[tenant_name] = admitted
+                    if admitted:
+                        admitted_counts[tenant_name] += 1
+                        if tenant_slo is not None:
+                            tenant_slo.observe_event(clock.now)
+                    else:
+                        throttled_counts[tenant_name] += 1
+                if admitted:
+                    touched.add(shard)
+                    yield session, match_slo
+            for shard in touched:
+                delivered[shard] += 1
 
-        flushed: set[int] = set()
-        for runtime in self.runtimes:
-            flush_transports(runtime.sessions, clock, flushed)
-        for runtime in self.runtimes:
-            finish_sessions(runtime.sessions)
-
-        self._evaluate_slos(clock.now)
-        if sampler is not None:
-            sampler.finalize(clock.now)
-        series_rows = sampler.rows() if sampler is not None else None
-
-        scope = THROUGHPUT_SHARED if multi else THROUGHPUT_RUN
-        duration_us = clock.now - start
+        by_query = runtime.run(
+            stream,
+            smoothing_window=smoothing_window,
+            admit=admit,
+            extra_slos=self.tenant_slos.values(),
+        )
         results: dict[str, dict[str, RunResult]] = {
             tenant.name: {} for tenant in self.tenants
         }
-        for runtime in self.runtimes:
-            for session, result in zip(
-                runtime.sessions,
-                collect_results(
-                    runtime.sessions, throughput, duration_us, scope,
-                    shared_cache=plane.cache, series_rows=series_rows,
-                ),
-            ):
-                results[self.tenant_of[session.name]][session.name] = result
+        for session in runtime.sessions:
+            results[self.tenant_of[session.name]][session.name] = by_query[session.name]
 
-        transport = plane.transport
+        # The fleet-wide totals are the runtime's, which every session's
+        # result already carries: one meter, one transport, one cache.
+        shared = by_query[runtime.sessions[0].name]
         return FleetResult(
             results=results,
             placement=dict(self.placement),
             policy=self.policy,
             n_shards=self.n_shards,
-            events_total=events_total,
+            events_total=shared.throughput.events,
             admitted=admitted_counts,
             throttled=throttled_counts,
             delivered=delivered,
-            duration_us=duration_us,
-            transport_stats={
-                key: getattr(transport, key) for key in TRANSPORT_COUNTER_KEYS
-            },
+            duration_us=shared.duration_us,
+            transport_stats=dict(shared.transport_stats),
             cache_stats=(
-                plane.cache.stats.as_dict() if plane.cache is not None else None
+                dict(shared.cache_stats) if shared.cache_stats is not None else None
             ),
         )
 
@@ -377,7 +308,7 @@ class Fleet:
         if bucket is None:
             return True
         admitted, tokens = bucket.decide(now)
-        tracer = self.plane.tracer
+        tracer = self.runtime.tracer
         if tracer.enabled:
             tracer.emit(
                 CAT_SERVING,
@@ -390,13 +321,6 @@ class Fleet:
                 burst=bucket.burst,
             )
         return admitted
-
-    def _evaluate_slos(self, now: float) -> None:
-        for runtime in self.runtimes:
-            if runtime.slo is not None:
-                runtime.slo.evaluate(now)
-        for slo in self.tenant_slos.values():
-            slo.evaluate(now)
 
     def __repr__(self) -> str:
         return (

@@ -1,6 +1,7 @@
 """Tenant-to-shard placement: deterministic, replayable, provenance-checked.
 
-A fleet maps each tenant onto exactly one worker shard.  All three
+A fleet labels each tenant with exactly one shard (a label on the one
+runtime, not a worker — see :mod:`repro.serving.fleet`).  All three
 policies are pure functions of the tenant list and the shard count, so a
 placement can be *recomputed* from a trace's ``route`` records — that is
 how :func:`repro.obs.provenance.verify_serving_record` proves the router

@@ -1,7 +1,7 @@
 """What one tenant asks of the fleet: queries, rate, quota, objective.
 
 A :class:`TenantSpec` is declarative — it constructs nothing.  The fleet
-builder turns it into per-shard :class:`~repro.runtime.session.QuerySpec`
+builder turns it into :class:`~repro.runtime.session.QuerySpec`
 entries (carrying the tenant's run quota and metric scope), a token bucket
 when a rate limit is declared, and a per-tenant SLO plane when an
 objective is.  Validation happens here, eagerly, so a bad spec fails at
@@ -29,7 +29,7 @@ class TenantSpec:
     detector (requires a shedding policy on the fleet config).  ``slo``
     attaches a per-tenant :class:`~repro.obs.slo.SloSpec` evaluated on the
     tenant's scoped metrics.  ``priority`` weights the tenant's sessions
-    in the shard dispatch order and the shared-cache utility sum.
+    in the fleet-wide dispatch order and the shared-cache utility sum.
     """
 
     __slots__ = ("name", "queries", "rate_limit", "burst", "run_budget", "slo",

@@ -14,10 +14,15 @@ Four promises are pinned down here, mirroring the layer's acceptance bar:
   lacking a required capability) fails at build time with the offending
   field, never mid-dispatch;
 * **admission mechanics** — the virtual-time token bucket refills, caps,
-  and counts exactly as the trace records claim.
+  and counts exactly as the trace records claim;
+* **one runtime** — shards are placement labels on a single runtime: the
+  config-level SLO plane is evaluated once per fleet, and priority order
+  holds fleet-wide, whatever the shard count.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import pytest
 
@@ -201,6 +206,97 @@ class TestDeterminism:
                     plain.results[tenant][name].match_signatures()
                     == traced.results[tenant][name].match_signatures()
                 )
+
+
+def digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+FOUR_TENANTS = ("alpha", "beta", "gamma", "delta")
+# Pins that keep (shard, declaration) order equal to declaration order, so
+# the only thing varying between the layouts is the number of shards.
+LAYOUTS = {
+    1: {name: 0 for name in FOUR_TENANTS},
+    2: {"alpha": 0, "beta": 0, "gamma": 1, "delta": 1},
+    4: {name: index for index, name in enumerate(FOUR_TENANTS)},
+}
+
+# Captured on the commit before the fleet became one Runtime: four
+# equal-priority tenants, hash-placed on 3 shards, two of them rate-limited,
+# over random_stream(300, seed=9).  Per query: matches, p50, p95, digest of
+# the full summary, digest of the sorted match signatures.
+GOLDEN_FLEET = {
+    "admitted": 828, "throttled": 372, "skew": 186,
+    "shard.0.delivered": 114, "shard.1.delivered": 300, "shard.2.delivered": 300,
+    "transport.wire_requests": 10, "cache.hits": 3765,
+}
+GOLDEN_QUERIES = {
+    "abc_alpha": (604, 113.87, 323.38, "ba49a848221a0cc0", "e7315ea3ac17654d"),
+    "abc_beta": (657, 111.22, 381.15, "4385cb29616fb2ee", "940f9544ba6cd5fa"),
+    "abc_gamma": (8663, 47.23, 374.63, "6b6b47e0946da73e", "3ee583b1768c6aef"),
+    "abc_delta": (8663, 38.94, 362.35, "9ceea2da99b1c5ae", "3ee583b1768c6aef"),
+}
+
+
+class TestOneRuntime:
+    """Shards label placement; they do not multiply planes or reorder priorities."""
+
+    @pytest.mark.parametrize("n_shards", [2, 4])
+    def test_config_slo_is_evaluated_once_per_fleet(self, n_shards):
+        def slo_metrics(shards):
+            fleet = build_abc_fleet(
+                {name: {} for name in FOUR_TENANTS}, n_shards=shards,
+                placement=PLACE_PINNED, pins=LAYOUTS[shards],
+                slo_latency_bound=50.0, series_interval=5_000.0,
+            )
+            result = fleet.dispatch(random_stream(400, seed=9))
+            metrics = result.tenant_result("alpha")["abc_alpha"].metrics
+            return {k: v for k, v in metrics.items() if k.startswith("slo.")}
+
+        one = slo_metrics(1)
+        assert one["slo.evaluations"] > 1 and one["slo.breaches"] > 0
+        assert {"slo.latency_burn", "slo.recall_burn", "slo.fetch_burn"} <= set(one)
+        assert slo_metrics(n_shards) == one
+
+    @pytest.mark.parametrize("n_shards,placement", [
+        (1, "round_robin"), (2, "round_robin"), (4, "round_robin"), (3, PLACE_HASH),
+    ])
+    def test_priority_order_holds_fleet_wide(self, n_shards, placement):
+        fleet = build_abc_fleet(
+            {"alpha": {}, "beta": {}, "gamma": {}, "delta": dict(priority=2.0)},
+            n_shards=n_shards, placement=placement,
+        )
+        result = fleet.dispatch(random_stream(300, seed=9))
+        # Identical queries on one clock: whoever is dispatched first
+        # detects every match first, so it has the lowest median latency.
+        p50 = {
+            tenant: runs[f"abc_{tenant}"].latency_percentiles()[50]
+            for tenant, runs in result.results.items()
+        }
+        assert min(p50, key=p50.get) == "delta"
+        assert fleet.runtime.sessions[0].name == "abc_delta"
+
+    def test_equal_priority_fleet_matches_pre_change_golden(self):
+        tenants = {
+            "alpha": dict(rate_limit=30_000.0, burst=16.0),
+            "beta": dict(rate_limit=30_000.0, burst=16.0),
+            "gamma": {},
+            "delta": {},
+        }
+        fleet = build_abc_fleet(tenants, n_shards=3, placement=PLACE_HASH)
+        result = fleet.dispatch(random_stream(300, seed=9))
+        summary = result.summary()
+        assert {key: summary[key] for key in GOLDEN_FLEET} == GOLDEN_FLEET
+        got = {}
+        for runs in result.results.values():
+            for name, run in runs.items():
+                row = run.summary()
+                got[name] = (
+                    row["matches"], row["p50"], row["p95"],
+                    digest(sorted(row.items())),
+                    digest(sorted(run.match_signatures())),
+                )
+        assert got == GOLDEN_QUERIES
 
 
 class TestTenantScoping:
