@@ -1,18 +1,18 @@
-"""Guard-evaluation throughput: the reference engine vs the vectorized backend.
+"""Guard-evaluation throughput of the reference engine.
 
-The evaluation backends promise *identical semantics* (byte-identical
-matches, counters, and virtual-time costs) with different execution
-strategies for the guard-evaluation core.  This bench drives both through
-a guard-dominated workload — a four-step sequence whose transitions carry
-wide conjunctions of high-pass local filters over partitions hundreds of
-runs wide, the regime batch evaluation is built for — and records:
+The engine evaluates each transition guard through one generated function
+(:mod:`repro.query.guards`) that must reproduce the predicate-tree walk
+bit-for-bit: same verdicts, same counters, same virtual-time float sums.
+This bench drives it through a guard-dominated workload — a four-step
+sequence whose transitions carry wide conjunctions of high-pass local
+filters over partitions hundreds of runs wide — and records:
 
-* the deterministic result rows (matches, virtual-time percentiles, guard
-  and predicate counters), which must be **identical across backends** and
-  are what the bench-regression gate compares; and
-* a wall-clock ``timing`` section (guard evaluations per second and the
-  vectorized speedup), machine-dependent by nature and therefore written
-  *next to* the rows where ``tools/bench_diff.py`` ignores it.
+* the deterministic result row (matches, virtual-time percentiles, guard
+  and predicate counters), which the bench-regression gate holds to the
+  committed baseline — millions of guards' worth of bit-identity; and
+* a wall-clock ``timing`` section (guard evaluations per second),
+  machine-dependent by nature and therefore written *next to* the rows
+  where ``tools/bench_diff.py`` ignores it.
 
 Run under pytest (the tier-2 suite) or standalone::
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import sys
 
-from repro import backend_unavailable_reason, EiresConfig, parse_query, UniformLatency
+from repro import EiresConfig, parse_query, UniformLatency
 from repro.bench.harness import (
     ExperimentResult,
     run_strategy,
@@ -37,7 +37,7 @@ from repro.workloads.base import Workload
 from repro.workloads.synthetic import SyntheticConfig, make_store, make_stream
 
 STRATEGY = "BL1"
-BACKENDS = ("reference", "vectorized")
+BACKEND = "reference"
 COLUMNS = ("backend", "matches", "p50", "p95", "throughput_eps",
            "engine.guard_evaluations", "engine.predicate_evaluations")
 
@@ -46,11 +46,9 @@ def guard_workload(n_events: int, id_domain: int = 4, window: int = 400,
                    seed: int = 42) -> Workload:
     """A guard-dominated Q1 variant: local-only, filter-heavy, wide partitions.
 
-    Every transition carries several high-pass range filters (so neither
-    backend benefits from short-circuiting) plus order correlations at the
-    final step; the small ``id_domain`` keeps each ``SAME[id]`` partition
-    hundreds of runs wide, which is where batch evaluation has something
-    to amortise against.
+    Every transition carries several high-pass range filters (so little
+    short-circuits) plus order correlations at the final step; the small
+    ``id_domain`` keeps each ``SAME[id]`` partition hundreds of runs wide.
     """
     config = SyntheticConfig(n_events=n_events, id_domain=id_domain,
                              window_events=window, seed=seed)
@@ -74,68 +72,44 @@ def guard_workload(n_events: int, id_domain: int = 4, window: int = 400,
 
 
 def sweep(n_events: int = 6_000, rounds: int = 2) -> tuple[list[dict], dict]:
-    """Run every available backend over the guard-heavy workload.
+    """Run the reference backend over the guard-heavy workload.
 
-    Returns ``(rows, timing)``: deterministic per-backend result rows, and
-    the wall-clock section (guards/second per backend plus the speedup of
-    each backend relative to ``reference``).  Wall time is the best of
-    ``rounds`` replays — the rows are virtual-time deterministic, so every
-    round returns the same rows and only the timing varies.
+    Returns ``(rows, timing)``: the deterministic result row, and the
+    wall-clock section (guards/second).  Wall time is the best of ``rounds``
+    replays — the row is virtual-time deterministic, so every round returns
+    the same row and only the timing varies.
     """
     workload = guard_workload(n_events)
     config = EiresConfig()
-    rows: list[dict] = []
-    timing: dict[str, dict] = {}
-    for backend in BACKENDS:
-        reason = backend_unavailable_reason(backend)
-        if reason is not None:
-            print(f"skipping backend {backend!r}: {reason}", file=sys.stderr)
-            continue
-        def run(b=backend):
-            return run_strategy(workload, STRATEGY, config, backend=b)
 
-        result, seconds = wall_time(run)
-        for _ in range(rounds - 1):
-            _, again = wall_time(run)
-            seconds = min(seconds, again)
-        row = result.summary()
-        row["backend"] = backend
-        rows.append(row)
-        guards = row["engine.guard_evaluations"]
-        timing[backend] = {
+    def run():
+        return run_strategy(workload, STRATEGY, config, backend=BACKEND)
+
+    result, seconds = wall_time(run)
+    for _ in range(rounds - 1):
+        _, again = wall_time(run)
+        seconds = min(seconds, again)
+    row = result.summary()
+    row["backend"] = BACKEND
+    guards = row["engine.guard_evaluations"]
+    timing = {
+        BACKEND: {
             "wall_seconds": round(seconds, 3),
             "guard_evals_per_second": round(guards / seconds) if seconds else None,
         }
-    reference_seconds = timing.get("reference", {}).get("wall_seconds")
-    if reference_seconds:
-        for backend, section in timing.items():
-            section["speedup_vs_reference"] = round(
-                reference_seconds / section["wall_seconds"], 3
-            )
-    return rows, timing
+    }
+    return [row], timing
 
 
 def check_rows(rows: list[dict]) -> None:
     """The acceptance properties of the sweep (shared by pytest and CLI)."""
-    assert rows and rows[0]["backend"] == "reference"
-    base = rows[0]
+    (base,) = rows
     # The workload must actually be guard-dominated: several predicates
     # charged per guard, across a large absolute volume of guards.
     assert base["engine.guard_evaluations"] > 10_000, base
     assert (base["engine.predicate_evaluations"]
             > 3 * base["engine.guard_evaluations"]), base
     assert base["matches"] > 0
-    # The whole point of the backend contract: every backend reproduces the
-    # reference rows byte-for-byte — same matches, same virtual-time
-    # percentiles, same counters.  Only the label may differ.
-    for row in rows[1:]:
-        for key, value in base.items():
-            if key == "backend":
-                continue
-            assert row.get(key) == value, (
-                f"backend {row['backend']!r} diverges from reference on "
-                f"{key}: {row.get(key)!r} != {value!r}"
-            )
 
 
 def test_backends_sweep(benchmark, report):
@@ -153,12 +127,9 @@ def main(argv: list[str] | None = None) -> int:
                          rounds=1 if smoke else 2)
     experiment = ExperimentResult("BENCH_backends", rows)
     print(experiment.table(COLUMNS))
-    for backend, section in timing.items():
-        line = (f"{backend}: {section['wall_seconds']}s wall, "
-                f"{section['guard_evals_per_second']} guard evals/s")
-        if "speedup_vs_reference" in section:
-            line += f", {section['speedup_vs_reference']}x vs reference"
-        print(line)
+    section = timing[BACKEND]
+    print(f"{BACKEND}: {section['wall_seconds']}s wall, "
+          f"{section['guard_evals_per_second']} guard evals/s")
     check_rows(rows)
     path = save_results(experiment, extra={"timing": timing})
     print(f"\nwrote {path}")

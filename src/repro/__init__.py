@@ -31,7 +31,7 @@ the build if they reach deeper.  Adding a name here is an API commitment;
 removing one is a breaking change.
 """
 
-from repro.backends import EvalBackend, backend_unavailable_reason, list_backends
+from repro.backends import EvalBackend, list_backends
 from repro.core.config import CACHE_COST, CACHE_LRU, EiresConfig
 from repro.core.framework import EIRES
 from repro.core.multi import MultiQueryEIRES, QuerySpec
@@ -69,7 +69,6 @@ __all__ = [
     "NON_GREEDY",
     "EvalBackend",
     "list_backends",
-    "backend_unavailable_reason",
     "CACHE_LRU",
     "CACHE_COST",
     "Event",

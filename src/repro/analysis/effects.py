@@ -14,17 +14,14 @@ is *not* an effect — the facts layer tracks fresh locals and drops those.
 Effects close transitively over resolved call edges: a caller inherits the
 ``attr`` / ``global`` / ``obj`` effects of everything it calls.  ``param``
 effects stay local — the callee mutates *its* argument; whether that is
-observable depends on what the caller passed, and the plan-phase contracts
+observable depends on what the caller passed, and the contracted functions
 below only pass freshly built containers.
 
 The purity *contracts* — which functions the reproduction promises are
 effect-free, and which effect allowances they carry — live in
-``PURE_CONTRACTS``.  The vectorized backend's plan phase is the canonical
-example: `_plan_transition` legitimately writes the staged plan dict and
-its instrumentation counters (``_plan`` / ``vector_stats``), but anything
-beyond that whitelist (touching run state, matches, cache entries) would
-break the plan/apply split that makes the backend byte-equivalent to the
-reference, and rule P1 reports it.
+``PURE_CONTRACTS``.  A contract may whitelist attributes the function
+legitimately writes (a memo, an instrumentation counter); any effect
+beyond that whitelist is what rule P1 reports.
 """
 
 from __future__ import annotations
@@ -37,9 +34,8 @@ from repro.analysis.index import Module, ModuleIndex
 __all__ = ["EffectAnalysis", "Effect", "PURE_CONTRACTS", "effect_analysis"]
 
 #: (pkg, qualname) -> attribute names the function may legitimately touch.
-#: Everything listed is a promised-pure function: the plan phase of the
-#: vectorized backend and the Eq. 5/7/8 scoring surface.  An empty tuple
-#: means strictly effect-free.
+#: Everything listed is a promised-pure function: the Eq. 5/7/8 scoring
+#: surface.  An empty tuple means strictly effect-free.
 PURE_CONTRACTS: dict[tuple[str, str], tuple[str, ...]] = {
     # Eq. 5/7/8 utility scoring (strategies consume these every decision).
     ("utility/model.py", "required_keys"): (),
@@ -55,15 +51,6 @@ PURE_CONTRACTS: dict[tuple[str, str], tuple[str, ...]] = {
     # Shedding utility scoring (eSPICE-style drop ordering).
     ("shedding/policy.py", "partial_match_utility"): (),
     ("shedding/policy.py", "event_utility"): (),
-    # The vectorized backend's plan phase: stages decisions into ``_plan``
-    # and counts work in ``vector_stats``; must touch nothing else.
-    ("backends/vectorized.py", "VectorizedBackend._plan_partition"):
-        ("_plan", "vector_stats"),
-    ("backends/vectorized.py", "VectorizedBackend._plan_transition"):
-        ("_plan", "vector_stats"),
-    ("backends/vectorized.py", "VectorizedBackend._eval_vector"):
-        ("vector_stats",),
-    ("backends/vectorized.py", "VectorizedBackend._gather"): (),
 }
 
 

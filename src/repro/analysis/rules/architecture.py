@@ -26,7 +26,6 @@ __all__ = [
     "ShadowAssemblyRule",
     "TransportShimRule",
     "ConfinementRule",
-    "BackendCompositionRule",
 ]
 
 # A1 (R1): packages of the evaluation core, and the prefixes they must not
@@ -52,9 +51,6 @@ COMPOSITION_ROOT = "runtime/"
 # A4: the deleted Transport entry points — the symbols must not exist, as
 # definitions or as call sites, anywhere in the tree.
 TRANSPORT_SHIMS = ("fetch_blocking", "fetch_async")
-
-# A6: the single module allowed to import NumPy.
-NUMPY_ALLOWED_MODULE = "backends/vectorized.py"
 
 
 @register
@@ -195,13 +191,12 @@ byte-identical to a build without the plane).""",
     ),
     Confinement(
         id="A6",
-        title="backends built only via the registry; NumPy confined to vectorized",
+        title="backends built only via the registry",
         constructors=(
             "Engine",
             "TreeEngine",
             "ReferenceBackend",
             "TreeBackend",
-            "VectorizedBackend",
             "make_backend",
             "get_backend",
         ),
@@ -220,13 +215,7 @@ construct evaluation engines — Engine, TreeEngine, the registered backend
 classes, or the make_backend/get_backend registry entry points.  Everything
 else, benchmarks included, names a backend in its QuerySpec (or
 --engine-backend) and receives an assembled session from RuntimeBuilder, so
-capability checks and the RunResult backend stamp cannot be bypassed.
-
-NumPy is an optional dependency serving exactly one purpose: batch guard
-evaluation inside backends/vectorized.py.  Importing it anywhere else would
-silently make core behaviour depend on an extra that plain installs (and
-the REPRO_DISABLE_NUMPY CI leg) do not have.  Fix by moving the numeric
-kernel into the vectorized backend or writing it dependency-free.""",
+capability checks and the RunResult backend stamp cannot be bypassed.""",
     ),
     Confinement(
         id="A7",
@@ -274,22 +263,5 @@ class ConfinementRule(Rule):
                 yield self.finding(module, line, row.message.format(name=name))
 
 
-class BackendCompositionRule(ConfinementRule):
-    """A6: the backend confinement row plus NumPy-import confinement."""
-
-    def check(self, module: Module, index: ModuleIndex) -> Iterator[Finding]:
-        if module.pkg != NUMPY_ALLOWED_MODULE:
-            for name, line in module.imports:
-                if name == "numpy" or name.startswith("numpy."):
-                    yield self.finding(
-                        module, line,
-                        "numpy imported outside backends/vectorized.py; the "
-                        "[vector] extra must stay confined to the vectorized "
-                        "backend",
-                    )
-        yield from super().check(module, index)
-
-
 for _row in CONFINEMENTS:
-    _rule_class = BackendCompositionRule if _row.id == "A6" else ConfinementRule
-    register(_rule_class(_row))
+    register(ConfinementRule(_row))

@@ -1,12 +1,8 @@
 """P1: the promised-pure surface stays side-effect-free.
 
-The vectorized backend's correctness argument is a plan/apply split: the
-plan phase may stage decisions (``_plan``) and count work
-(``vector_stats``) but must not touch run state, matches, or caches —
-otherwise plan order becomes observable and byte-equivalence with the
-reference backend dies.  Likewise the Eq. 5/7/8 scoring functions are
-consulted speculatively (shedding ranks, batching scores, strategies
-compare) and must be consequence-free to call.
+The Eq. 5/7/8 scoring functions are consulted speculatively (shedding
+ranks, batching scores, strategies compare) and must be consequence-free to
+call.
 
 The contract table lives in :data:`repro.analysis.effects.PURE_CONTRACTS`;
 the effect engine closes each function's effects over the call graph, so a
@@ -28,12 +24,11 @@ __all__ = ["PurityRule"]
 class PurityRule(Rule):
     id = "P1"
     scope = "program"
-    title = "promised-pure functions (plan phase, Eq. 5/7/8 scoring) stay effect-free"
+    title = "promised-pure functions (Eq. 5/7/8 scoring) stay effect-free"
     explain = """\
 Functions listed in repro.analysis.effects.PURE_CONTRACTS carry a purity
-promise: the vectorized backend's plan phase (allowed to touch only its
-staged `_plan` dict and `vector_stats` counters) and the Eq. 5/7/8
-utility / rate / shedding scoring functions (allowed to touch nothing).
+promise: the Eq. 5/7/8 utility / rate / shedding scoring functions, allowed
+to touch nothing.
 
 The effect engine infers each function's observable side effects —
 attribute stores, global writes, mutations of non-fresh objects — and

@@ -1,30 +1,20 @@
 """Evaluation backends: pluggable engines behind the :class:`EvalBackend` interface.
 
-Importing this package populates the registry.  The ``reference`` and
-``tree`` backends always register; the ``vectorized`` backend needs NumPy
-(the ``[vector]`` optional extra) and registers *conditionally* — when the
-import fails (or is suppressed via ``REPRO_DISABLE_NUMPY=1``, the knob CI
-uses to prove the NumPy-free path) the name is marked unavailable with a
-reason, which surfaces as a clean CLI error and a pytest skip message
-instead of an ``ImportError``.
+Importing this package populates the registry with the ``reference`` and
+``tree`` backends.
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.backends.base import (
     BackendCapabilities,
     BackendCapabilityError,
     BackendListing,
-    BackendUnavailableError,
     EvalBackend,
     backend_names,
-    backend_unavailable_reason,
     get_backend,
     list_backends,
     make_backend,
-    mark_backend_unavailable,
     register_backend,
     resolve_backend,
 )
@@ -35,33 +25,13 @@ __all__ = [
     "BackendCapabilities",
     "BackendCapabilityError",
     "BackendListing",
-    "BackendUnavailableError",
     "EvalBackend",
     "ReferenceBackend",
     "TreeBackend",
     "backend_names",
-    "backend_unavailable_reason",
     "get_backend",
     "list_backends",
     "make_backend",
-    "mark_backend_unavailable",
     "register_backend",
     "resolve_backend",
 ]
-
-_VECTOR_HINT = (
-    "the vectorized backend needs NumPy — install the [vector] extra "
-    "(pip install 'eires-repro[vector]')"
-)
-
-if os.environ.get("REPRO_DISABLE_NUMPY"):
-    mark_backend_unavailable(
-        "vectorized", f"disabled by REPRO_DISABLE_NUMPY; {_VECTOR_HINT}"
-    )
-else:
-    try:
-        from repro.backends.vectorized import VectorizedBackend  # noqa: F401
-
-        __all__.append("VectorizedBackend")
-    except ImportError:
-        mark_backend_unavailable("vectorized", _VECTOR_HINT)

@@ -21,12 +21,6 @@ and exposes no shedding surface.  Those limits are declared as
 through :meth:`EvalBackend.require` — one error-message format for every
 policy/shedding/obligation mismatch, instead of scattered ``ValueError``\\ s.
 
-Backends that need an optional dependency (the ``vectorized`` backend needs
-NumPy) register *conditionally*: when the import fails, the package marks
-the name unavailable with a reason via :func:`mark_backend_unavailable`, so
-``--engine-backend vectorized`` produces an actionable error and the
-conformance suite can skip with the same message.
-
 Only :mod:`repro.runtime` (the composition root) and this package may call
 :func:`get_backend` / :func:`make_backend` — analysis rule A6 enforces it —
 so which engine evaluates a query is decided in exactly one place.
@@ -50,21 +44,14 @@ __all__ = [
     "BackendCapabilities",
     "BackendCapabilityError",
     "BackendListing",
-    "BackendUnavailableError",
     "EvalBackend",
     "backend_names",
-    "backend_unavailable_reason",
     "get_backend",
     "list_backends",
     "make_backend",
-    "mark_backend_unavailable",
     "register_backend",
     "resolve_backend",
 ]
-
-
-class BackendUnavailableError(ValueError):
-    """A registered backend cannot run here (missing optional dependency)."""
 
 
 class BackendCapabilityError(ValueError):
@@ -215,21 +202,18 @@ class BackendListing:
     """One row of :func:`list_backends` — registry metadata, no classes."""
 
     name: str
-    available: bool
     aliases: tuple[str, ...]
-    capabilities: BackendCapabilities | None
+    capabilities: BackendCapabilities
     description: str
-    unavailable_reason: str | None
 
 
 _BACKENDS: dict[str, type[EvalBackend]] = {}
 _ALIASES: dict[str, str] = {}
-_UNAVAILABLE: dict[str, tuple[str, tuple[str, ...]]] = {}  # name -> (reason, aliases)
 
 
 def _claim_names(name: str, aliases: tuple[str, ...]) -> None:
     for label in (name, *aliases):
-        if label in _BACKENDS or label in _ALIASES or label in _UNAVAILABLE:
+        if label in _BACKENDS or label in _ALIASES:
             raise ValueError(f"backend {label!r} is already registered")
     for alias in aliases:
         _ALIASES[alias] = name
@@ -267,56 +251,20 @@ def register_backend(
     return decorate
 
 
-def mark_backend_unavailable(
-    name: str, reason: str, *, aliases: tuple[str, ...] = ()
-) -> None:
-    """Record a backend that exists but cannot load here (and why).
-
-    The name stays *known* — it appears in :func:`list_backends` and CLI
-    choices — but resolving it raises :class:`BackendUnavailableError`
-    carrying ``reason``, and the conformance suite turns the same reason
-    into a pytest skip.
-    """
-    _claim_names(name, aliases)
-    _UNAVAILABLE[name] = (reason, tuple(aliases))
-
-
-def backend_names(include_unavailable: bool = True) -> list[str]:
-    """Canonical backend names, sorted; optionally only the loadable ones."""
-    names = list(_BACKENDS)
-    if include_unavailable:
-        names.extend(_UNAVAILABLE)
-    return sorted(names)
+def backend_names() -> list[str]:
+    """Canonical backend names, sorted."""
+    return sorted(_BACKENDS)
 
 
 def resolve_backend(name: str) -> str:
-    """The canonical name for ``name`` (aliases resolved, availability checked).
+    """The canonical name for ``name`` (aliases resolved).
 
     Raises ``ValueError`` (``unknown backend ...``) for names never
-    registered and :class:`BackendUnavailableError` for registered-but-
-    unloadable ones.
+    registered.
     """
     canonical = _ALIASES.get(name, name)
     if canonical in _BACKENDS:
         return canonical
-    if canonical in _UNAVAILABLE:
-        reason, _ = _UNAVAILABLE[canonical]
-        raise BackendUnavailableError(f"backend {canonical!r} is unavailable: {reason}")
-    catalogue = ", ".join(backend_names())
-    raise ValueError(f"unknown backend {name!r}; registered backends: {catalogue}")
-
-
-def backend_unavailable_reason(name: str) -> str | None:
-    """Why ``name`` cannot load here, or ``None`` when it can.
-
-    Unknown names raise ``ValueError`` like :func:`resolve_backend` — a
-    typo must not read as "available".
-    """
-    canonical = _ALIASES.get(name, name)
-    if canonical in _BACKENDS:
-        return None
-    if canonical in _UNAVAILABLE:
-        return _UNAVAILABLE[canonical][0]
     catalogue = ", ".join(backend_names())
     raise ValueError(f"unknown backend {name!r}; registered backends: {catalogue}")
 
@@ -346,28 +294,13 @@ def make_backend(
 
 
 def list_backends() -> list[BackendListing]:
-    """Every known backend — loadable or not — as metadata rows, sorted."""
-    rows = [
+    """Every registered backend as a metadata row, sorted by name."""
+    return [
         BackendListing(
-            name=cls.name,
-            available=True,
+            name=name,
             aliases=cls.aliases,
             capabilities=cls.capabilities,
             description=cls.description,
-            unavailable_reason=None,
         )
-        for cls in _BACKENDS.values()
+        for name, cls in sorted(_BACKENDS.items())
     ]
-    rows.extend(
-        BackendListing(
-            name=name,
-            available=False,
-            aliases=aliases,
-            capabilities=None,
-            description="",
-            unavailable_reason=reason,
-        )
-        for name, (reason, aliases) in _UNAVAILABLE.items()
-    )
-    rows.sort(key=lambda row: row.name)
-    return rows

@@ -43,7 +43,7 @@ import sys
 import tomllib
 from typing import Any, Callable
 
-from repro.backends import backend_unavailable_reason, resolve_backend
+from repro.backends import resolve_backend
 from repro.bench.harness import ALL_STRATEGIES, ExperimentResult, run_strategy
 from repro.core.config import CACHE_COST, CACHE_LRU, EiresConfig
 from repro.core.framework import EIRES
@@ -284,17 +284,12 @@ def _add_backend_arg(subparser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_backend_arg(args: argparse.Namespace) -> str:
-    """Canonical backend name, or a clean exit-2 for unknown/unavailable."""
+    """Canonical backend name, or a clean exit-2 for an unknown one."""
     try:
-        name = resolve_backend(args.engine_backend)
-        reason = backend_unavailable_reason(name)
+        return resolve_backend(args.engine_backend)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)
-    if reason is not None:
-        print(f"error: backend {name!r} is unavailable: {reason}", file=sys.stderr)
-        raise SystemExit(2)
-    return name
 
 
 def _add_batching_args(subparser: argparse.ArgumentParser) -> None:

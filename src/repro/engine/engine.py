@@ -26,7 +26,8 @@ match set identical to an engine that had the data all along.
 from __future__ import annotations
 
 import heapq
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 from repro.engine.interface import (
     POSTPONED,
@@ -44,6 +45,9 @@ __all__ = ["Engine", "GREEDY", "NON_GREEDY"]
 
 GREEDY = "greedy"
 NON_GREEDY = "non_greedy"
+
+# What a root transition's guard sees as the events bound so far.
+_NO_BINDINGS: Mapping[str, Event] = MappingProxyType({})
 
 _UNRESOLVED = "unresolved"
 _SATISFIED = "satisfied"
@@ -81,6 +85,9 @@ class Engine:
         self._partition_attr = automaton.partition_attr
         self._runs: dict[int, dict[object, list[Run]]] = {}
         self._active = 0
+        # Live runs per state index (#P_j): every site that changes _active
+        # changes this too, so the per-event utility tick never recounts.
+        self._state_counts = [0] * automaton.n_states
         # Transitions indexed by (state index, event type) for fast dispatch.
         self._dispatch: dict[tuple[int, str], list[Transition]] = {}
         for transition in automaton.transitions:
@@ -94,11 +101,7 @@ class Engine:
 
     def runs_per_state(self) -> dict[int, int]:
         """Current number of partial matches per class (for #P_j monitoring)."""
-        return {
-            index: total
-            for index, buckets in self._runs.items()
-            if (total := sum(len(runs) for runs in buckets.values()))
-        }
+        return {index: count for index, count in enumerate(self._state_counts) if count}
 
     def iter_runs(self):
         for buckets in self._runs.values():
@@ -152,9 +155,14 @@ class Engine:
             runs = buckets.get(partition)
             if not runs:
                 continue
-            survivors = self._step_partition(
-                runs, transitions, event, strategy, new_runs, matches
-            )
+            survivors = [
+                run
+                for run in runs
+                if self._step_run(run, transitions, event, strategy, new_runs, matches)
+            ]
+            dropped = len(runs) - len(survivors)
+            self._active -= dropped
+            self._state_counts[state_index] -= dropped
             if survivors:
                 buckets[partition] = survivors
             else:
@@ -180,12 +188,15 @@ class Engine:
             strategy.on_run_dropped(run, "flushed")
         self._runs.clear()
         self._active = 0
+        self._state_counts = [0] * len(self._state_counts)
 
     # -- run lifecycle ---------------------------------------------------------
     def _add_run(self, run: Run, strategy: StrategyProtocol) -> None:
         partition = self._partition_of(run)
-        self._runs.setdefault(run.state.index, {}).setdefault(partition, []).append(run)
+        state_index = run.state.index
+        self._runs.setdefault(state_index, {}).setdefault(partition, []).append(run)
         self._active += 1
+        self._state_counts[state_index] += 1
         self.stats.runs_created += 1
         strategy.on_run_created(run)
 
@@ -199,7 +210,7 @@ class Engine:
     def _expire(self, event: Event, strategy: StrategyProtocol) -> None:
         """Drop runs whose window can no longer admit the current event."""
         window = self.automaton.window
-        for buckets in self._runs.values():
+        for state_index, buckets in self._runs.items():
             for partition in list(buckets):
                 runs = buckets[partition]
                 survivors = []
@@ -209,6 +220,7 @@ class Engine:
                     else:
                         self.stats.runs_expired += 1
                         self._active -= 1
+                        self._state_counts[state_index] -= 1
                         strategy.on_run_dropped(run, "expired")
                 if survivors:
                     buckets[partition] = survivors
@@ -263,38 +275,14 @@ class Engine:
                 del buckets[partition]
                 if not buckets:
                     del self._runs[state_index]
-        for _, _, _, _, run in victims:
+        for _, _, state_index, _, run in victims:
             self._active -= 1
+            self._state_counts[state_index] -= 1
             self.stats.shed_runs += 1
             strategy.on_run_dropped(run, reason)
         return len(victims)
 
     # -- guard evaluation --------------------------------------------------------
-    def _step_partition(
-        self,
-        runs: list[Run],
-        transitions: list[Transition],
-        event: Event,
-        strategy: StrategyProtocol,
-        new_runs: list[Run],
-        matches: list[MatchRecord],
-    ) -> list[Run]:
-        """Step every run of one partition bucket; returns the survivors.
-
-        The whole-partition granularity is the seam subclasses hook to batch
-        work across runs (the vectorized backend pre-evaluates local guards
-        for all runs of the bucket here) without touching the per-run
-        semantics of :meth:`_step_run`.
-        """
-        survivors: list[Run] = []
-        for run in runs:
-            keep = self._step_run(run, transitions, event, strategy, new_runs, matches)
-            if keep:
-                survivors.append(run)
-            else:
-                self._active -= 1
-        return survivors
-
     def _step_run(
         self,
         run: Run,
@@ -323,8 +311,11 @@ class Engine:
 
         definite_extension = False
         negated_groups: list[Obligation] = []
+        env = run.env
         for transition in transitions:
-            outcome = self._try_transition(run, transition, event, strategy)
+            if not self._local_guard(transition, env, event, strategy):
+                continue
+            outcome = self._resolve_remote(run, transition, event, strategy)
             if outcome is None:
                 continue
             extension, postponed = outcome
@@ -355,53 +346,50 @@ class Engine:
             run.add_obligations(tuple(negated_groups))
         return True
 
-    def _try_transition(
+    def _local_guard(
         self,
-        run: Run,
         transition: Transition,
+        env: Mapping[str, Event],
         event: Event,
         strategy: StrategyProtocol,
-    ) -> tuple[Run, Obligation | None] | None:
-        """Attempt one guard; None on failure, else (extension, postponed).
+    ) -> bool:
+        """Charge and decide the local phase of one guard.
 
-        ``postponed`` is the obligation attached to the extension when some
-        remote predicate was deferred, else None (a definite pass).
+        ``env`` holds the events bound so far — without ``event``: the
+        compiled guard reads the input event from its own argument, so only
+        guards that pass pay for an environment copy.  The guard accumulates
+        its predicate charges on a local; one ``advance_to`` publishes them.
         """
         clock = self.clock
-        clock.advance(self.cost_model.per_guard_cost)
-        self.stats.guard_evaluations += 1
-
-        env = dict(run.env)
-        env[transition.binding] = event
-
-        local_ok = True
-        for predicate in transition.local_predicates:
-            clock.advance(predicate.eval_cost)
-            self.stats.predicate_evaluations += 1
-            if not predicate.evaluate(env, _no_remote):
-                local_ok = False
-                break
-        strategy.observe_guard(transition, local_ok)
-        if not local_ok:
-            return None
-        return self._resolve_remote(run, transition, event, env, strategy)
+        stats = self.stats
+        charged, passed, now = transition.guard(
+            env, event, clock.now + self.cost_model.per_guard_cost
+        )
+        clock.advance_to(now)
+        stats.guard_evaluations += 1
+        stats.predicate_evaluations += charged
+        strategy.observe_guard(transition, passed)
+        return passed
 
     def _resolve_remote(
         self,
         run: Run,
         transition: Transition,
         event: Event,
-        env: dict,
         strategy: StrategyProtocol,
     ) -> tuple[Run, Obligation | None] | None:
-        """Resolve a guard's remote predicates and build the extension.
+        """Finish a guard whose local phase passed; None on failure, else
+        (extension, postponed).
 
-        The local predicates already passed; from here the strategy decides
-        each remote predicate (fetch, cache hit, or postpone).  Split out of
-        :meth:`_try_transition` so backends that batch the local phase
-        re-enter the identical remote path.
+        The strategy decides each remote predicate (fetch, cache hit, or
+        postpone).  ``postponed`` is the obligation attached to the
+        extension when some remote predicate was deferred, else None (a
+        definite pass).
         """
         clock = self.clock
+        env = dict(run.env)
+        env[transition.binding] = event
+
         postponed_predicates = []
         for predicate in transition.remote_predicates:
             outcome = strategy.resolve_predicate(transition, predicate, run, env)
@@ -442,19 +430,9 @@ class Engine:
     ) -> None:
         """Try to open a new partial match from the root state."""
         for transition in transitions:
-            self.clock.advance(self.cost_model.per_guard_cost)
-            self.stats.guard_evaluations += 1
-            env = {transition.binding: event}
-            ok = True
-            for predicate in transition.local_predicates:
-                self.clock.advance(predicate.eval_cost)
-                self.stats.predicate_evaluations += 1
-                if not predicate.evaluate(env, _no_remote):
-                    ok = False
-                    break
-            strategy.observe_guard(transition, ok)
-            if not ok:
+            if not self._local_guard(transition, _NO_BINDINGS, event, strategy):
                 continue
+            env = {transition.binding: event}
             postponed = []
             failed = False
             for predicate in transition.remote_predicates:
@@ -575,10 +553,3 @@ class Engine:
             return _UNRESOLVED
         # All predicates resolved true.
         return _VIOLATED if obligation.negated else _SATISFIED
-
-
-def _no_remote(key: tuple):
-    raise AssertionError(
-        f"local predicate attempted a remote lookup for {key!r}; "
-        "the compiler must have misclassified a predicate"
-    )

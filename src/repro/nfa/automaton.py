@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.query.ast import EventAtom, Window
+from repro.query.guards import Guard
 from repro.query.predicates import Predicate, RemoteRef
 
 __all__ = ["State", "Transition", "RemoteSite", "Automaton"]
@@ -86,10 +87,21 @@ class Transition:
 
     The guard is split into *local* predicates (payload, correlation,
     implicit type check) and *remote* predicates; the window constraint is
-    enforced by the engine, not stored here.
+    enforced by the engine, not stored here.  ``guard`` is the local
+    predicates compiled into one function (:mod:`repro.query.guards`) — what
+    the engine calls.
     """
 
-    __slots__ = ("index", "source", "target", "atom", "local_predicates", "remote_predicates", "sites")
+    __slots__ = (
+        "index",
+        "source",
+        "target",
+        "atom",
+        "local_predicates",
+        "remote_predicates",
+        "guard",
+        "sites",
+    )
 
     def __init__(
         self,
@@ -99,6 +111,7 @@ class Transition:
         atom: EventAtom,
         local_predicates: tuple[Predicate, ...],
         remote_predicates: tuple[Predicate, ...],
+        guard: Guard,
     ) -> None:
         self.index = index
         self.source = source
@@ -106,6 +119,7 @@ class Transition:
         self.atom = atom
         self.local_predicates = local_predicates
         self.remote_predicates = remote_predicates
+        self.guard = guard
         self.sites: tuple[RemoteSite, ...] = ()
 
     @property
@@ -115,6 +129,11 @@ class Transition:
     @property
     def binding(self) -> str:
         return self.atom.binding
+
+    @property
+    def guard_source(self) -> str:
+        """Python source of the generated :attr:`guard`."""
+        return self.guard.source
 
     def __repr__(self) -> str:
         return (

@@ -9,6 +9,9 @@ the engine discard doomed partial matches as early as possible.
 ``SAME[attr]`` correlation expands into pairwise equality with the previous
 binding on the path, which is equivalent to all-pairs equality by
 transitivity and keeps every guard binary.
+
+Each transition's local predicates are also compiled, here and once, into
+the single function the engine calls per guard (:mod:`repro.query.guards`).
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 from repro.nfa.automaton import Automaton, RemoteSite, State, Transition
 from repro.query.ast import EventAtom, Query
 from repro.query.errors import CompileError
+from repro.query.guards import compile_guard
 from repro.query.predicates import Attr, Comparison, Predicate, SameAttribute
 
 __all__ = ["compile_query"]
@@ -79,6 +83,7 @@ def _build_path(root: State, sequence: tuple[EventAtom, ...], query: Query, stat
             atom=atom,
             local_predicates=local,
             remote_predicates=remote,
+            guard=compile_guard(local, atom.binding),
         )
         current.transitions.append(transition)
         current = target

@@ -1,0 +1,175 @@
+"""Compiled transition guards: one generated function per guard.
+
+Walking a predicate tree costs a handful of Python calls per predicate
+(``Comparison.evaluate`` → two ``Attr.evaluate`` → two ``Event.__getitem__``)
+plus one environment copy per guard, and guard evaluation is where the
+engine spends its time.  :func:`compile_guard` therefore renders a
+transition's local predicates once, at NFA-compile time, into one
+straight-line function::
+
+    def guard(env, event, now):
+        start = now
+        try:
+            now += 0.02
+            if not (event.attrs['id'] == env['c'].attrs['id']):
+                return 1, False, now
+            now += 0.02
+            if not (event.attrs['v1'] <= 92000):
+                return 2, False, now
+            return 2, True, now
+        except Exception:
+            return _interpret(env, event, start)
+
+``env`` holds the events bound so far, ``event`` is the input event the
+transition would bind, and ``now`` is the virtual time after the per-guard
+charge.  The function returns ``(predicates charged, passed, now)``.
+
+Two properties make it a drop-in for the interpretive loop it replaced:
+
+* **Same floats.**  Virtual time is a running float sum, and float addition
+  is not associative, so the generated code performs the *same sequence* of
+  additions — one ``now += eval_cost`` before each predicate it reaches —
+  on a local instead of through ``clock.advance``.  The caller publishes the
+  result with one ``clock.advance_to``.
+* **Same errors.**  Generated code reads ``event.attrs[...]`` directly, so a
+  missing attribute would surface as a bare ``KeyError('v9')``.  Any
+  exception instead re-runs the guard through :func:`interpret_guard`, whose
+  ``Predicate.evaluate`` calls raise the descriptive error (``event has no
+  attribute 'v9'; has [...]``) — or, when the exception sat behind a
+  predicate the short-circuit never passes, return the right answer.  The
+  generated frame stays on that traceback, as the caller of the walk.
+
+:func:`interpret_guard` is also the reference the generated code is tested
+against (``tests/test_properties.py``).
+
+``compile()`` costs far more than rendering, and tenants of one fleet (or
+successive builds of one query) produce identical source, so code objects
+are memoised on the source string.  Each is compiled under a pseudo-file
+inside this package — named by a digest of the source, registered in
+:mod:`linecache` — so tracebacks show the guard's own lines and profilers
+attribute its frames to ``repro/query``.
+"""
+
+from __future__ import annotations
+
+import functools
+import hashlib
+import linecache
+import math
+import os
+from types import CodeType
+from typing import Any, Callable, Mapping, Sequence
+
+from repro.events.event import Event
+from repro.query.predicates import Predicate
+
+__all__ = ["Guard", "GuardScope", "compile_guard", "interpret_guard"]
+
+#: ``guard(env, event, now) -> (predicates charged, passed, now)``.
+Guard = Callable[[Mapping[str, Event], Event, float], tuple[int, bool, float]]
+
+_PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
+
+
+class GuardScope:
+    """Naming scope of one generated guard.
+
+    ``input_binding`` is the binding the guard's transition establishes: its
+    attributes are read off the ``event`` argument, every other binding off
+    ``env``.  Objects with no source form (callables, collections, exotic
+    constants) are *captured*: the source refers to them by a generated
+    name and the function's globals supply the object.
+    """
+
+    __slots__ = ("input_binding", "captured")
+
+    def __init__(self, input_binding: str) -> None:
+        self.input_binding = input_binding
+        self.captured: dict[str, Any] = {}
+
+    def capture(self, value: Any) -> str:
+        name = f"_k{len(self.captured)}"
+        self.captured[name] = value
+        return name
+
+    def literal(self, value: Any) -> str:
+        """``value`` as source: a literal when one round-trips, else a capture."""
+        if type(value) in (bool, int, str, type(None)) or (
+            type(value) is float and math.isfinite(value)
+        ):
+            return repr(value)
+        return self.capture(value)
+
+
+def interpret_guard(
+    predicates: Sequence[Predicate],
+    binding: str,
+    env: Mapping[str, Event],
+    event: Event,
+    now: float,
+) -> tuple[int, bool, float]:
+    """Evaluate a local guard by walking its predicates.
+
+    The reference semantics of :func:`compile_guard`: charge each
+    predicate's ``eval_cost`` to ``now`` before evaluating it, stop at the
+    first that fails.
+    """
+    bound = dict(env)
+    bound[binding] = event
+    charged = 0
+    for predicate in predicates:
+        now += predicate.eval_cost
+        charged += 1
+        if not predicate.evaluate(bound, _no_remote):
+            return charged, False, now
+    return charged, True, now
+
+
+def compile_guard(predicates: Sequence[Predicate], binding: str) -> Guard:
+    """The generated guard for ``predicates`` on the transition binding ``binding``.
+
+    The function's source is available as its ``source`` attribute.
+    """
+    scope = GuardScope(binding)
+    lines = ["def guard(env, event, now):", "    start = now", "    try:"]
+    for charged, predicate in enumerate(predicates, 1):
+        if predicate.eval_cost < 0:
+            # clock.advance refused these one evaluation at a time.
+            raise ValueError(
+                f"predicate {predicate!r} has negative eval_cost {predicate.eval_cost}"
+            )
+        lines += [
+            f"        now += {scope.literal(predicate.eval_cost)}",
+            f"        if not {predicate.render(scope)}:",
+            f"            return {charged}, False, now",
+        ]
+    lines += [
+        f"        return {len(predicates)}, True, now",
+        "    except Exception:",
+        "        return _interpret(env, event, start)",
+    ]
+    source = "\n".join(lines) + "\n"
+    namespace = dict(
+        scope.captured,
+        _interpret=functools.partial(interpret_guard, tuple(predicates), binding),
+    )
+    exec(_code_for(source), namespace)
+    guard = namespace["guard"]
+    guard.source = source
+    return guard
+
+
+@functools.lru_cache(maxsize=512)
+def _code_for(source: str) -> CodeType:
+    digest = hashlib.blake2s(source.encode(), digest_size=8).hexdigest()
+    filename = os.path.join(_PACKAGE_DIR, f"<guard {digest}>")
+    # mtime None marks the entry as not backed by a file: checkcache keeps it.
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    return compile(source, filename, "exec")
+
+
+def _no_remote(key: tuple):
+    raise AssertionError(
+        f"local predicate attempted a remote lookup for {key!r}; "
+        "the compiler must have misclassified a predicate"
+    )

@@ -18,16 +18,25 @@ Every predicate carries an ``eval_cost`` (virtual microseconds charged per
 evaluation).  The case-study queries of §7.4 are dominated by
 compute-intensive predicates (e.g. spatial overlap of geographic areas), and
 this knob is how the workloads express that.
+
+The engine does not walk these trees on its hot path: each expression also
+*renders* itself as Python source, and :mod:`repro.query.guards` assembles
+one straight-line function per transition guard from its local predicates.
+``evaluate`` stays the reference semantics — what remote predicates and
+obligations use, and what the generated code is tested against.
 """
 
 from __future__ import annotations
 
 import operator
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 from repro.events.event import Event
 from repro.query.errors import RemoteDataUnavailable
+
+if TYPE_CHECKING:
+    from repro.query.guards import GuardScope
 
 __all__ = [
     "Expr",
@@ -59,6 +68,9 @@ _COMPARATORS: dict[str, Callable[[Any, Any], bool]] = {
     ">=": operator.ge,
 }
 
+#: Query-language operators whose Python spelling differs.
+_PYTHON_OPERATORS = {"=": "==", "<>": "!="}
+
 
 class Expr(ABC):
     """A value-producing expression over bound events and remote data."""
@@ -74,6 +86,10 @@ class Expr(ABC):
     @abstractmethod
     def evaluate(self, env: Env, resolver: Resolver) -> Any:
         """Compute the expression's value."""
+
+    @abstractmethod
+    def render(self, scope: GuardScope) -> str:
+        """Python source computing the same value inside a generated guard."""
 
 
 class Attr(Expr):
@@ -100,6 +116,11 @@ class Attr(Expr):
             ) from None
         return event[self.attr]
 
+    def render(self, scope: GuardScope) -> str:
+        if self.binding == scope.input_binding:
+            return f"event.attrs[{self.attr!r}]"
+        return f"env[{self.binding!r}].attrs[{self.attr!r}]"
+
     def __repr__(self) -> str:
         return f"{self.binding}.{self.attr}"
 
@@ -120,6 +141,9 @@ class Const(Expr):
 
     def evaluate(self, env: Env, resolver: Resolver) -> Any:
         return self.value
+
+    def render(self, scope: GuardScope) -> str:
+        return scope.literal(self.value)
 
     def __repr__(self) -> str:
         return repr(self.value)
@@ -160,6 +184,12 @@ class RemoteRef(Expr):
     def evaluate(self, env: Env, resolver: Resolver) -> Any:
         return resolver(self.concrete_key(env))
 
+    def render(self, scope: GuardScope) -> str:
+        raise TypeError(
+            f"{self!r} cannot appear in a generated guard: only local "
+            "predicates are compiled; the compiler must have misclassified one"
+        )
+
     def __repr__(self) -> str:
         return f"REMOTE<{self.source}>[{self.key_expr!r}]"
 
@@ -184,6 +214,10 @@ class Predicate(ABC):
     @abstractmethod
     def evaluate(self, env: Env, resolver: Resolver) -> bool:
         """Check the predicate; may raise ``RemoteDataUnavailable``."""
+
+    @abstractmethod
+    def render(self, scope: GuardScope) -> str:
+        """Python source of an expression with the same truth value."""
 
     @property
     def is_remote(self) -> bool:
@@ -217,6 +251,10 @@ class Comparison(Predicate):
     def evaluate(self, env: Env, resolver: Resolver) -> bool:
         return bool(self._fn(self.left.evaluate(env, resolver), self.right.evaluate(env, resolver)))
 
+    def render(self, scope: GuardScope) -> str:
+        op = _PYTHON_OPERATORS.get(self.op, self.op)
+        return f"({self.left.render(scope)} {op} {self.right.render(scope)})"
+
     def __repr__(self) -> str:
         return f"({self.left!r} {self.op} {self.right!r})"
 
@@ -249,6 +287,10 @@ class Membership(Predicate):
         collection = self.collection.evaluate(env, resolver)
         contained = value in collection
         return not contained if self.negated else contained
+
+    def render(self, scope: GuardScope) -> str:
+        word = "not in" if self.negated else "in"
+        return f"({self.item.render(scope)} {word} {self.collection.render(scope)})"
 
     def __repr__(self) -> str:
         word = "NOT IN" if self.negated else "IN"
@@ -291,6 +333,10 @@ class FunctionPredicate(Predicate):
 
     def evaluate(self, env: Env, resolver: Resolver) -> bool:
         return bool(self.fn(*(arg.evaluate(env, resolver) for arg in self.args)))
+
+    def render(self, scope: GuardScope) -> str:
+        args = ", ".join(arg.render(scope) for arg in self.args)
+        return f"{scope.capture(self.fn)}({args})"
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(arg) for arg in self.args)

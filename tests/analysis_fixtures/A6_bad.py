@@ -1,12 +1,7 @@
 # eires-fixture: place=strategies/rogue_engine.py
-"""An engine hand-built outside the composition root, on a rogue numpy
-import — A6 flags both."""
-import numpy as np
-
+"""An engine hand-built outside the composition root — A6 flags it."""
 from repro.engine.engine import Engine
 
 
 def attach_engine(automaton, clock):
-    engine = Engine(automaton, clock)
-    engine.bias = np.zeros(4)
-    return engine
+    return Engine(automaton, clock)

@@ -4,4 +4,4 @@ from repro.runtime.session import QuerySpec
 
 
 def spec_for(query):
-    return QuerySpec(query, strategy="Hybrid", backend="vectorized")
+    return QuerySpec(query, strategy="Hybrid", backend="tree")

@@ -1,12 +1,10 @@
-"""Cross-backend conformance: every backend honours the reference semantics.
+"""Conformance with the reference semantics, inside and across backends.
 
-The backend contract has two tiers:
-
-* ``exact_replay`` backends (``vectorized``) must be **byte-identical** to
-  ``reference`` — same match signatures, same virtual-time percentiles,
-  same engine counters, same metrics, same trace stream, same shed
-  decisions — across queries, selection policies, all fetch strategies,
-  faults, batching, and shedding;
+* The ``reference`` engine evaluates guards through generated code; whole
+  runs must be **byte-identical** to the same engine walking the predicate
+  trees — same match signatures, same virtual-time percentiles, same engine
+  counters, same metrics, same trace stream, same shed decisions — across
+  queries, selection policies, all fetch strategies, and shedding;
 * approximate backends (``tree``) must produce the same *match set* on the
   configurations their declared capabilities admit.
 
@@ -17,20 +15,19 @@ stays tier-1 fast; the full-size regime lives in
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
-from repro.backends import backend_unavailable_reason, get_backend
+from repro.backends import get_backend
 from repro.bench.harness import ALL_STRATEGIES, run_strategy
 from repro.core.config import EiresConfig
-from repro.core.framework import EIRES
+from repro.nfa import compiler as nfa_compiler
+from repro.nfa.compiler import compile_query
 from repro.obs.trace import MemorySink, Tracer
+from repro.query.guards import interpret_guard
 from repro.workloads.bursty import BurstyConfig, bursty_workload
 from repro.workloads.synthetic import SyntheticConfig, q1_workload, q2_workload
-
-needs_vectorized = pytest.mark.skipif(
-    backend_unavailable_reason("vectorized") is not None,
-    reason=str(backend_unavailable_reason("vectorized")),
-)
 
 Q1_SMALL = SyntheticConfig(n_events=700, id_domain=20, window_events=200)
 Q2_SMALL = SyntheticConfig(n_events=700, id_domain=40, window_events=200)
@@ -51,159 +48,67 @@ def _observables(result, sink: MemorySink | None = None):
     return data
 
 
-def _run(workload, strategy, config, backend, traced=False):
+def _run(workload, strategy, config, traced=False):
+    """One run on the ``reference`` backend, reduced to its observables."""
     sink = MemorySink() if traced else None
     tracer = Tracer(sink) if traced else None
-    result = run_strategy(workload, strategy, config, tracer=tracer, backend=backend)
+    result = run_strategy(workload, strategy, config, tracer=tracer, backend="reference")
     return _observables(result, sink)
 
 
-class TestVectorizedByteIdentity:
-    """``vectorized`` replays ``reference`` exactly, observably everywhere."""
+def _interpreted_guard(predicates, binding):
+    """Stand-in for ``compile_guard``: the reference walk of the predicate trees."""
+    return functools.partial(interpret_guard, tuple(predicates), binding)
 
-    @needs_vectorized
-    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
-    def test_q1_all_strategies_greedy(self, strategy):
-        workload = q1_workload(Q1_SMALL)
-        config = EiresConfig()
-        assert _run(workload, strategy, config, "reference") == _run(
-            workload, strategy, config, "vectorized"
-        )
 
-    @needs_vectorized
-    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
-    def test_q1_all_strategies_non_greedy(self, strategy):
-        workload = q1_workload(Q1_SMALL)
-        config = EiresConfig(policy="non_greedy")
-        assert _run(workload, strategy, config, "reference") == _run(
-            workload, strategy, config, "vectorized"
-        )
+class TestCompiledGuardByteIdentity:
+    """Generated guards replay the predicate-tree walk exactly, whole runs
+    through: same matches, percentiles, counters, metrics, trace stream and
+    shed decisions (the guard-level property is in ``test_properties.py``)."""
 
-    @needs_vectorized
+    def _both(self, monkeypatch, workload, strategy, config, traced=False):
+        compiled = _run(workload, strategy, config, traced)
+        with monkeypatch.context() as patch:
+            patch.setattr(nfa_compiler, "compile_guard", _interpreted_guard)
+            interpreted = _run(workload, strategy, config, traced)
+        return compiled, interpreted
+
+    def test_the_stand_in_reaches_the_transitions(self, monkeypatch):
+        query = q1_workload(Q1_SMALL).query
+        assert all(t.guard_source for t in compile_query(query).transitions)
+        monkeypatch.setattr(nfa_compiler, "compile_guard", _interpreted_guard)
+        for transition in compile_query(query).transitions:
+            assert transition.guard.func is interpret_guard
+
     @pytest.mark.parametrize("policy", ["greedy", "non_greedy"])
-    def test_q2_both_policies(self, policy):
-        workload = q2_workload(Q2_SMALL)
-        config = EiresConfig(policy=policy)
-        assert _run(workload, "Hybrid", config, "reference") == _run(
-            workload, "Hybrid", config, "vectorized"
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    def test_q1_all_strategies(self, monkeypatch, strategy, policy):
+        compiled, interpreted = self._both(
+            monkeypatch, q1_workload(Q1_SMALL), strategy, EiresConfig(policy=policy)
         )
+        assert compiled == interpreted
 
-    @needs_vectorized
-    def test_faulted_transport(self):
-        workload = q1_workload(Q1_SMALL)
-        config = EiresConfig(fault_profile="drop:0.2")
-        assert _run(workload, "Hybrid", config, "reference") == _run(
-            workload, "Hybrid", config, "vectorized"
+    @pytest.mark.parametrize("policy", ["greedy", "non_greedy"])
+    def test_q2_both_policies(self, monkeypatch, policy):
+        compiled, interpreted = self._both(
+            monkeypatch, q2_workload(Q2_SMALL), "Hybrid", EiresConfig(policy=policy)
         )
+        assert compiled == interpreted
 
-    @needs_vectorized
-    def test_batched_fetches(self):
-        workload = q1_workload(Q1_SMALL)
-        config = EiresConfig(batch_window=50.0, batch_max_keys=8)
-        assert _run(workload, "PFetch", config, "reference") == _run(
-            workload, "PFetch", config, "vectorized"
-        )
-
-    @needs_vectorized
     @pytest.mark.parametrize("shed_policy", ["events", "runs"])
-    def test_shedding_decisions(self, shed_policy):
-        workload = bursty_workload(BurstyConfig(n_events=800))
+    def test_shedding_decisions(self, monkeypatch, shed_policy):
         config = EiresConfig(shed_policy=shed_policy, latency_bound=1_000.0)
-        reference = _run(workload, "Hybrid", config, "reference")
-        assert reference == _run(workload, "Hybrid", config, "vectorized")
-
-    @needs_vectorized
-    def test_run_cap_shedding(self):
-        workload = q1_workload(Q1_SMALL)
-        config = EiresConfig(max_partial_matches=200)
-        assert _run(workload, "Hybrid", config, "reference") == _run(
-            workload, "Hybrid", config, "vectorized"
+        compiled, interpreted = self._both(
+            monkeypatch, bursty_workload(BurstyConfig(n_events=800)), "Hybrid", config
         )
+        assert compiled == interpreted
 
-    @needs_vectorized
-    def test_traced_run_streams_identical_records(self):
-        workload = q1_workload(Q1_SMALL)
-        config = EiresConfig()
-        reference = _run(workload, "LzEval", config, "reference", traced=True)
-        vectorized = _run(workload, "LzEval", config, "vectorized", traced=True)
-        assert reference["trace"], "the traced scenario produced no records"
-        assert reference == vectorized
-
-
-class TestVectorizedEngagement:
-    """Identity must come from the batch path actually running, not from
-    silently falling back to scalar evaluation."""
-
-    @needs_vectorized
-    def test_batch_path_engages_on_q1(self):
-        workload = q1_workload(Q1_SMALL)
-        eires = EIRES(
-            workload.query,
-            workload.store,
-            workload.latency_model,
-            strategy="Hybrid",
-            backend="vectorized",
+    def test_traced_run_streams_identical_records(self, monkeypatch):
+        compiled, interpreted = self._both(
+            monkeypatch, q1_workload(Q1_SMALL), "LzEval", EiresConfig(), traced=True
         )
-        eires.run(workload.stream)
-        stats = eires.engine.vector_stats
-        assert stats["batches"] > 0
-        assert stats["vector_predicate_evals"] > 0
-        # Q1's local guards are plain attribute comparisons: all columnable.
-        assert stats["scalar_fallback_evals"] == 0
-
-    @needs_vectorized
-    def test_scalar_fallback_parity(self):
-        """A guard NumPy cannot express falls back per-run, identically."""
-        from repro.query.parser import parse_query
-        from repro.query.predicates import Comparison, FunctionPredicate
-        from repro.remote.transport import UniformLatency
-        from repro.workloads.synthetic import make_store, make_stream
-
-        # Two partition keys only, so the ``SAME[id]`` partitions are wide
-        # enough for the batch planner to engage (and hence to fall back).
-        wide = SyntheticConfig(n_events=700, id_domain=2, window_events=200)
-
-        def build(backend):
-            query = parse_query(
-                """
-                SEQ(A a, B b, C c, D d)
-                WHERE SAME[id] AND a.v1 <= b.v1 AND b.v2 <= c.v2
-                WITHIN 200 EVENTS
-                """,
-                name="QF",
-            )
-            # Replace one early local comparison with an equivalent opaque
-            # function predicate: same verdicts, same eval_cost, but not
-            # vectorizable.
-            conditions = []
-            replaced = 0
-            for condition in query.conditions:
-                if (isinstance(condition, Comparison) and condition.op == "<="
-                        and not replaced):
-                    condition = FunctionPredicate(
-                        lambda lhs, rhs: lhs <= rhs,
-                        (condition.left, condition.right),
-                        name="opaque_le",
-                        eval_cost=condition.eval_cost,
-                    )
-                    replaced += 1
-                conditions.append(condition)
-            assert replaced == 1
-            query.conditions = tuple(conditions)
-            eires = EIRES(
-                query,
-                make_store(wide),
-                UniformLatency(wide.latency_low_us, wide.latency_high_us),
-                strategy="Hybrid",
-                backend=backend,
-            )
-            result = eires.run(make_stream(wide))
-            return eires, _observables(result)
-
-        ref_engine, reference = build("reference")
-        vec_engine, vectorized = build("vectorized")
-        assert reference == vectorized
-        assert vec_engine.engine.vector_stats["scalar_fallback_evals"] > 0
+        assert compiled["trace"], "the traced scenario produced no records"
+        assert compiled == interpreted
 
 
 class TestTreeBackendConformance:

@@ -1,16 +1,10 @@
 """Unit tests for the evaluation-backend registry (``repro.backends``).
 
-Covers the registry mechanics (registration, aliases, duplicates, the
-unavailable-backend channel), the declarative capability checks the
-builder relies on, and the public exports.
+Covers the registry mechanics (registration, aliases, duplicates), the
+declarative capability checks the builder relies on, and the public exports.
 """
 
 from __future__ import annotations
-
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -18,11 +12,9 @@ import repro
 from repro.backends import (
     BackendCapabilities,
     BackendCapabilityError,
-    BackendUnavailableError,
     EvalBackend,
     ReferenceBackend,
     backend_names,
-    backend_unavailable_reason,
     get_backend,
     list_backends,
     make_backend,
@@ -33,8 +25,6 @@ from repro.core.config import EiresConfig
 from repro.core.framework import EIRES
 from repro.workloads.synthetic import SyntheticConfig, q1_workload
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-
 
 @pytest.fixture
 def scratch_registry(monkeypatch):
@@ -43,7 +33,6 @@ def scratch_registry(monkeypatch):
 
     monkeypatch.setattr(base, "_BACKENDS", dict(base._BACKENDS))
     monkeypatch.setattr(base, "_ALIASES", dict(base._ALIASES))
-    monkeypatch.setattr(base, "_UNAVAILABLE", dict(base._UNAVAILABLE))
     return base
 
 
@@ -59,9 +48,7 @@ class TestRegistry:
         assert get_backend("automaton") is ReferenceBackend
 
     def test_known_backends_are_registered(self):
-        names = backend_names()
-        for name in ("reference", "tree", "vectorized"):
-            assert name in names
+        assert backend_names() == ["reference", "tree"]
 
     def test_duplicate_registration_refused(self, scratch_registry):
         with pytest.raises(ValueError, match="already registered"):
@@ -100,31 +87,11 @@ class TestRegistry:
                 ),
             )(object)
 
-    def test_unavailable_backend_carries_its_reason(self, scratch_registry):
-        scratch_registry.mark_backend_unavailable("ghost", "no such accelerator")
-        assert "ghost" in scratch_registry.backend_names()
-        assert "ghost" not in scratch_registry.backend_names(include_unavailable=False)
-        assert scratch_registry.backend_unavailable_reason("ghost") == "no such accelerator"
-        with pytest.raises(BackendUnavailableError, match="no such accelerator"):
-            scratch_registry.get_backend("ghost")
-
-    def test_unavailable_reason_for_loaded_backend_is_none(self):
-        assert backend_unavailable_reason("reference") is None
-
-    def test_unavailable_reason_for_unknown_backend_raises(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            backend_unavailable_reason("nope")
-
     def test_list_backends_rows(self):
         rows = {listing.name: listing for listing in list_backends()}
-        assert rows["reference"].available
         assert "automaton" in rows["reference"].aliases
         assert rows["reference"].capabilities.exact_replay
         assert not rows["tree"].capabilities.shedding
-        if rows["vectorized"].available:
-            assert rows["vectorized"].unavailable_reason is None
-        else:
-            assert rows["vectorized"].unavailable_reason
 
 
 class TestCapabilities:
@@ -172,40 +139,3 @@ class TestExports:
         assert callable(repro.list_backends)
         assert "EvalBackend" in repro.__all__
         assert "list_backends" in repro.__all__
-
-
-class TestNumpyGating:
-    def test_disable_flag_marks_vectorized_unavailable(self):
-        script = (
-            "from repro.backends import backend_unavailable_reason, backend_names\n"
-            "reason = backend_unavailable_reason('vectorized')\n"
-            "assert reason and 'vector' in reason, reason\n"
-            "assert 'vectorized' not in backend_names(include_unavailable=False)\n"
-            "print('gated')\n"
-        )
-        env = dict(os.environ, REPRO_DISABLE_NUMPY="1",
-                   PYTHONPATH=str(REPO_ROOT / "src"))
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True, text=True, env=env, cwd=REPO_ROOT,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "gated" in proc.stdout
-
-    def test_reference_backend_works_without_numpy(self):
-        script = (
-            "from repro.bench.harness import run_strategy\n"
-            "from repro.core.config import EiresConfig\n"
-            "from repro.workloads.synthetic import SyntheticConfig, q1_workload\n"
-            "wl = q1_workload(SyntheticConfig(n_events=200))\n"
-            "result = run_strategy(wl, 'Hybrid', EiresConfig())\n"
-            "print('ok', result.match_count)\n"
-        )
-        env = dict(os.environ, REPRO_DISABLE_NUMPY="1",
-                   PYTHONPATH=str(REPO_ROOT / "src"))
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True, text=True, env=env, cwd=REPO_ROOT,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("ok")

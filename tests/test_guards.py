@@ -1,0 +1,209 @@
+"""The generated transition guards (``repro.query.guards``).
+
+What the generated code renders, that its errors are the interpretive
+loop's errors, that it is attributable (pseudo-file, linecache, traceback),
+and that code objects are shared.  The bit-for-bit differential against
+``interpret_guard`` lives in ``tests/test_properties.py``; whole-run
+byte-identity in ``tests/test_backend_conformance.py``.
+"""
+
+from __future__ import annotations
+
+import linecache
+import os
+import traceback
+
+import pytest
+
+import repro.query
+from repro.events.event import Event
+from repro.events.stream import Stream
+from repro.nfa.compiler import compile_query
+from repro.query.guards import compile_guard, interpret_guard
+from repro.query.parser import parse_query
+from repro.query.predicates import (
+    Attr,
+    Comparison,
+    Const,
+    FunctionPredicate,
+    Membership,
+    RemoteRef,
+)
+from repro.remote.store import RemoteStore
+
+from tests.helpers import run_eires
+
+
+def _events(*payloads):
+    return Stream([Event(10.0 * (i + 1), payload) for i, payload in enumerate(payloads)])
+
+
+def _run(query, stream):
+    return run_eires(query, RemoteStore(), stream, strategy="BL1")
+
+
+class TestRendering:
+    def test_attributes_are_direct_subscripts_and_primitives_literals(self):
+        guard = compile_guard(
+            [
+                Comparison("=", Attr("b", "id"), Attr("a", "id")),
+                Comparison("<>", Attr("b", "v"), Const(7), eval_cost=0.5),
+                Comparison("<=", Attr("b", "name"), Const("it's")),
+            ],
+            "b",
+        )
+        assert "(event.attrs['id'] == env['a'].attrs['id'])" in guard.source
+        assert "(event.attrs['v'] != 7)" in guard.source
+        assert "(event.attrs['name'] <= \"it's\")" in guard.source
+        assert "now += 0.02" in guard.source and "now += 0.5" in guard.source
+        assert "evaluate" not in guard.source
+
+    def test_objects_without_a_literal_are_captured(self):
+        members = frozenset({1, 2})
+
+        def near(left, right):
+            return abs(left - right) <= 1
+
+        guard = compile_guard(
+            [
+                Membership(Attr("b", "v"), Const(members), negated=True),
+                FunctionPredicate(near, (Attr("a", "v"), Attr("b", "v")), name="near"),
+                Comparison("<", Attr("b", "v"), Const(float("inf"))),
+            ],
+            "b",
+        )
+        assert "(event.attrs['v'] not in _k0)" in guard.source
+        assert "_k1(env['a'].attrs['v'], event.attrs['v'])" in guard.source
+        assert "(event.attrs['v'] < _k2)" in guard.source
+        assert guard.__globals__["_k0"] is members
+        assert guard.__globals__["_k1"] is near
+        env = {"a": Event(1.0, {"v": 5})}
+        assert guard(env, Event(2.0, {"v": 4}), 1.0)[:2] == (3, True)
+        assert guard(env, Event(2.0, {"v": 1}), 1.0)[:2] == (1, False)
+        assert guard(env, Event(2.0, {"v": 9}), 1.0)[:2] == (2, False)
+
+    def test_empty_guard_passes_without_charging(self):
+        assert compile_guard([], "a")({}, Event(1.0, {}), 3.25) == (0, True, 3.25)
+
+    def test_remote_predicate_is_refused(self):
+        remote = Membership(Attr("b", "v"), RemoteRef("s", Attr("a", "v")))
+        with pytest.raises(TypeError, match="only local predicates are compiled"):
+            compile_guard([remote], "b")
+
+    def test_negative_eval_cost_is_refused(self):
+        with pytest.raises(ValueError, match="negative eval_cost"):
+            compile_guard([Comparison("=", Const(1), Const(1), eval_cost=-0.1)], "a")
+
+    def test_transition_exposes_its_guard_source(self):
+        automaton = compile_query(
+            parse_query("SEQ(A a, B b) WHERE SAME[id] AND b.v > 3 WITHIN 100", name="t")
+        )
+        first, second = automaton.transitions
+        assert first.guard_source.startswith("def guard(env, event, now):")
+        assert "event.attrs['id'] == env['a'].attrs['id']" in second.guard_source
+        assert "(event.attrs['v'] > 3)" in second.guard_source
+        with pytest.raises(AttributeError):
+            second.guard_source = ""
+        assert repr(second) == "Transition(q1->q2, B b, 2 local, 0 remote)"
+
+
+class TestErrorFidelity:
+    """A guard that raises surfaces the interpretive loop's descriptive error."""
+
+    QUERY = "SEQ(A a, B b) WHERE SAME[id] AND a.v < b.v9 WITHIN 100"
+
+    def test_missing_attribute_names_the_attribute_and_the_payload(self):
+        query = parse_query(self.QUERY, name="t")
+        stream = _events({"type": "A", "id": 1, "v": 1}, {"type": "B", "id": 1, "v": 2})
+        with pytest.raises(KeyError) as excinfo:
+            _run(query, stream)
+        assert "event has no attribute 'v9'; has ['id', 'type', 'v']" in str(excinfo.value)
+
+    def test_unbound_binding_names_the_environment(self):
+        guard = compile_guard([Comparison("=", Attr("x", "v"), Attr("b", "v"))], "b")
+        with pytest.raises(KeyError, match=r"binding 'x' not bound; environment has \['a', 'b'\]"):
+            guard({"a": Event(1.0, {"v": 1})}, Event(2.0, {"v": 1}), 0.0)
+
+    def test_mixed_int_str_comparison_raises_the_same_type_error(self):
+        query = parse_query("SEQ(A a, B b) WHERE SAME[id] AND a.v < b.v WITHIN 100", name="t")
+        stream = _events({"type": "A", "id": 1, "v": 1}, {"type": "B", "id": 1, "v": "one"})
+        with pytest.raises(TypeError, match="'<' not supported between instances of 'int' and 'str'"):
+            _run(query, stream)
+
+    def test_error_behind_an_earlier_failure_is_never_reached(self):
+        # Short-circuit: the predicate that would raise sits after one that
+        # fails, in the generated code as in the loop.
+        query = parse_query(
+            "SEQ(A a, B b) WHERE SAME[id] AND b.v > 100 AND a.v < b.v9 WITHIN 100", name="t"
+        )
+        stream = _events({"type": "A", "id": 1, "v": 1}, {"type": "B", "id": 1, "v": 2})
+        assert _run(query, stream).match_count == 0
+
+    def test_traceback_shows_the_guards_own_frame_and_line(self):
+        guard = compile_guard([Comparison("<", Attr("a", "v"), Attr("b", "v9"))], "b")
+        with pytest.raises(KeyError) as excinfo:
+            guard({"a": Event(1.0, {"v": 1})}, Event(2.0, {"v": 2}), 0.0)
+        text = "".join(traceback.format_exception(excinfo.value))
+        assert f'File "{guard.__code__.co_filename}", line 9, in guard' in text
+        assert "return _interpret(env, event, start)" in text
+
+
+class TestLocalFunctionAndMembershipPredicates:
+    def _query(self):
+        query = parse_query("SEQ(A a, B b) WHERE SAME[id] WITHIN 100", name="t")
+        query.conditions += (
+            Membership(Attr("a", "v"), Const((1, 2, 3))),
+            FunctionPredicate(
+                lambda left, right: left + right == 5, (Attr("a", "v"), Attr("b", "v")), name="sum5"
+            ),
+        )
+        return query
+
+    def test_matches_and_counters(self):
+        stream = _events(
+            {"type": "A", "id": 1, "v": 2},
+            {"type": "A", "id": 1, "v": 9},  # not IN (1, 2, 3): no run
+            {"type": "B", "id": 1, "v": 3},  # 2 + 3 == 5: match
+            {"type": "B", "id": 1, "v": 4},  # 2 + 4 != 5
+        )
+        result = _run(self._query(), stream)
+        assert result.match_signatures() == {(("a", 0), ("b", 2))}
+        assert result.engine_stats["guard_evaluations"] == 4
+        # Two A guards of one predicate, two B guards of SAME + sum5.
+        assert result.engine_stats["predicate_evaluations"] == 6
+
+    def test_generated_and_interpreted_agree_on_time(self):
+        automaton = compile_query(self._query())
+        transition = automaton.transitions[1]
+        env = {"a": Event(1.0, {"id": 1, "v": 2})}
+        event = Event(2.0, {"id": 1, "v": 3})
+        assert transition.guard(env, event, 0.1) == interpret_guard(
+            transition.local_predicates, "b", env, event, 0.1
+        )
+
+
+class TestAttribution:
+    def test_compiled_under_a_registered_pseudo_file_in_the_query_package(self):
+        guard = compile_guard([Comparison("=", Attr("a", "v"), Const(1))], "a")
+        filename = guard.__code__.co_filename
+        assert os.path.dirname(filename) == os.path.dirname(repro.query.__file__)
+        assert os.path.basename(filename).startswith("<guard ")
+        assert "".join(linecache.getlines(filename)) == guard.source
+        linecache.checkcache()
+        assert linecache.getline(filename, 1) == "def guard(env, event, now):\n"
+
+    def test_equal_source_shares_one_code_object(self):
+        text = "SEQ(A a, B b) WHERE SAME[id] AND a.v < b.v WITHIN 100"
+        first = compile_query(parse_query(text, name="tenant0"))
+        second = compile_query(parse_query(text, name="tenant1"))
+        for ours, theirs in zip(first.transitions, second.transitions):
+            assert ours.guard is not theirs.guard
+            assert ours.guard.__code__ is theirs.guard.__code__
+
+    def test_captures_are_per_guard_even_when_code_is_shared(self):
+        low = compile_guard([Membership(Attr("a", "v"), Const((1,)))], "a")
+        high = compile_guard([Membership(Attr("a", "v"), Const((9,)))], "a")
+        assert low.__code__ is high.__code__
+        event = Event(1.0, {"v": 9})
+        assert low({}, event, 0.0)[1] is False
+        assert high({}, event, 0.0)[1] is True

@@ -5,10 +5,24 @@ from hypothesis import strategies as st
 
 from repro.cache.cost_based import CostBasedCache
 from repro.cache.lru import LRUCache
+from repro.core.config import EiresConfig
+from repro.core.framework import EIRES
 from repro.engine.reference import reference_match_signatures
+from repro.events.event import Event
 from repro.metrics.latency import percentile
 from repro.nfa.compiler import compile_query
+from repro.query.guards import compile_guard, interpret_guard
+from repro.query.predicates import (
+    _COMPARATORS,
+    Attr,
+    Comparison,
+    Const,
+    FunctionPredicate,
+    Membership,
+)
 from repro.remote.element import DataElement
+from repro.remote.transport import FixedLatency
+from repro.sim.clock import VirtualClock
 from repro.sim.rng import stable_hash
 from repro.sim.scheduler import FutureScheduler
 
@@ -189,3 +203,145 @@ def test_detection_times_nondecreasing(seed, strategy):
     result = run_eires(query, store, stream, strategy=strategy)
     detected = [match.detected_at for match in result.matches]
     assert detected == sorted(detected)
+
+
+# -- engine: live #P_j counters equal a recount of the run table ----------------
+
+
+def _recount(engine):
+    return {
+        index: total
+        for index, buckets in engine._runs.items()
+        if (total := sum(len(runs) for runs in buckets.values()))
+    }
+
+
+def _check_counts_after(engine, method):
+    original = getattr(engine, method)
+
+    def checked(*args, **kwargs):
+        result = original(*args, **kwargs)
+        recount = _recount(engine)
+        assert engine.runs_per_state() == recount, method
+        assert engine.active_runs == sum(recount.values()), method
+        return result
+
+    setattr(engine, method, checked)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    policy=st.sampled_from(["greedy", "non_greedy"]),
+    strategy=st.sampled_from(["BL3", "LzEval", "Hybrid"]),
+    cap=st.sampled_from([None, 3, 12]),
+    shed_policy=st.sampled_from(["none", "runs"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_runs_per_state_counters_equal_a_recount(seed, policy, strategy, cap, shed_policy):
+    """Every add / expire / consume / obligation-fail / shed / flush site keeps
+    the O(1) per-state counters equal to a recount, after every event."""
+    query, store = make_abc_scenario(set_members=frozenset({1, 2, 3}))
+    # A short window makes runs expire mid-stream; the tiny latency bound
+    # keeps the `runs` policy shedding on most events.
+    query.window = type(query.window).time(300.0)
+    config = EiresConfig(
+        policy=policy,
+        cache_capacity=100,
+        max_partial_matches=cap,
+        shed_policy=shed_policy,
+        latency_bound=0.5 if shed_policy != "none" else None,
+    )
+    eires = EIRES(query, store, FixedLatency(50.0), strategy=strategy, config=config)
+    engine = eires.engine
+    for method in ("process_event", "shed_lowest", "flush"):
+        _check_counts_after(engine, method)
+    eires.run(random_stream(120, seed=seed, id_domain=2, v_domain=6))
+    assert engine.runs_per_state() == {} and engine.active_runs == 0
+
+
+# -- generated guards vs. the interpretive reference -------------------------------
+
+
+def _opaque_ge(left, right):
+    return left >= right
+
+
+_payload = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+    st.sampled_from(["", "a", "b", "ab"]),
+)
+_operand = st.one_of(
+    st.builds(Attr, st.sampled_from(["a", "b"]), st.sampled_from(["x", "y", "missing"])),
+    st.builds(Const, _payload),
+)
+_cost = st.sampled_from([0.02, 0.1, 0.3, 1.0, 0.0, 1e-9, 7.7])
+_predicate = st.one_of(
+    st.builds(Comparison, st.sampled_from(sorted(_COMPARATORS)), _operand, _operand, _cost),
+    st.builds(
+        Membership,
+        _operand,
+        st.builds(Const, st.sampled_from([(1, 2, "a"), frozenset({0, 1.5, "ab"}), "abc"])),
+        st.booleans(),
+        _cost,
+    ),
+    st.builds(
+        FunctionPredicate,
+        st.just(_opaque_ge),
+        st.tuples(_operand, _operand),
+        st.just("opaque_ge"),
+        _cost,
+    ),
+)
+
+# Reflexive comparisons hold for every payload: a prefix of them moves the
+# first failure (or error) to every position of the conjunction.
+_passing = st.builds(Attr, st.sampled_from(["a", "b"]), st.sampled_from(["x", "y"])).flatmap(
+    lambda operand: st.builds(
+        Comparison, st.sampled_from(["=", "<=", ">="]), st.just(operand), st.just(operand), _cost
+    )
+)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # the differential includes which error, worded how
+        return type(exc), str(exc)
+
+
+@given(
+    predicates=st.builds(
+        lambda passing, rest: passing + rest,
+        st.lists(_passing, max_size=5),
+        st.lists(_predicate, max_size=3),
+    ),
+    bound=st.fixed_dictionaries({"x": _payload, "y": _payload}),
+    current=st.fixed_dictionaries({"x": _payload, "y": _payload}),
+    start=st.floats(min_value=0.0, max_value=1e7, allow_nan=False),
+)
+@settings(max_examples=400, deadline=None)
+def test_generated_guard_agrees_with_the_interpretive_loop(predicates, bound, current, start):
+    """Same verdict, same predicates charged, bit-identical time, same errors.
+
+    Mixed int/float/str payloads make operand type errors and failures at
+    every position of the conjunction routine; ``missing`` attributes make
+    the descriptive ``KeyError`` routine.
+    """
+    env = {"a": Event(1.0, bound, seq=0)}
+    event = Event(2.0, current, seq=1)
+    guard = compile_guard(predicates, "b")
+    fallback = guard.__globals__["_interpret"]
+    fell_back = []
+    guard.__globals__["_interpret"] = lambda *args: fell_back.append(args) or fallback(*args)
+    generated = _outcome(lambda: guard(env, event, start))
+    interpreted = _outcome(lambda: interpret_guard(predicates, "b", env, event, start))
+    assert generated == interpreted
+    # The fallback is for guards that raise, not a crutch for broken code.
+    assert bool(fell_back) == isinstance(interpreted[0], type)
+    if isinstance(generated[0], int):
+        # What the engine does with the result, against the clock it replaced.
+        clock = VirtualClock(start)
+        for predicate in predicates[: generated[0]]:
+            clock.advance(predicate.eval_cost)
+        assert generated[2] == clock.now

@@ -16,7 +16,6 @@ from repro.analysis import ModuleIndex, analyze
 from repro.analysis.cache import AnalysisCache
 from repro.analysis.callgraph import build_call_graph
 from repro.analysis.cli import main
-from repro.analysis.effects import effect_analysis
 from repro.analysis.taint import taint_analysis
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -232,14 +231,6 @@ class TestPurity:
         })
         result = analyze([tmp_path], rule_ids=["P1"], package_root=tmp_path)
         assert result.findings == []
-
-    def test_real_vectorized_plan_phase_holds_its_contract(self):
-        index = ModuleIndex([REPO_ROOT / "src"])
-        engine = effect_analysis(index)
-        vectorized = index.module_by_pkg("backends/vectorized.py")
-        if vectorized is None:  # no-NumPy environments still ship the file
-            return
-        assert engine.violations(vectorized) == []
 
 
 class TestContracts:
