@@ -21,6 +21,17 @@ cannot yet know whether the event should have been consumed, so it splits:
 the extension carries ``p`` and the retained original carries ``NOT p``;
 once the remote data decides ``p``, exactly one branch survives, keeping the
 match set identical to an engine that had the data all along.
+
+Two ways to step a bucket
+-------------------------
+Partial matches live in buckets by (state, partition), in creation order —
+which is the order their guards are charged in, so it is never changed.  A
+bucket whose dispatch entry is one transition without remote predicates, and
+whose runs carry no obligations, needs no strategy decision between two
+guards: ``_step_bucket`` runs the transition's generated loop over the whole
+bucket (:mod:`repro.query.guards`) and replays its ordered outcomes, each at
+its own virtual time.  Every other bucket is stepped run by run through
+``_step_run``; the two are bit-for-bit the same computation.
 """
 
 from __future__ import annotations
@@ -39,6 +50,7 @@ from repro.engine.interface import (
 from repro.events.event import Event
 from repro.nfa.automaton import Automaton, Transition
 from repro.nfa.run import Obligation, Run
+from repro.query.ast import Window
 from repro.sim.clock import VirtualClock
 
 __all__ = ["Engine", "GREEDY", "NON_GREEDY"]
@@ -93,6 +105,16 @@ class Engine:
         for transition in automaton.transitions:
             key = (transition.source.index, transition.event_type)
             self._dispatch.setdefault(key, []).append(transition)
+        # Dispatch entries that are one local-only transition: their buckets
+        # are stepped by the transition's generated loop (_step_bucket).
+        self._bucket_transitions = {
+            key: transitions[0]
+            for key, transitions in self._dispatch.items()
+            if len(transitions) == 1 and transitions[0].bucket_loop is not None
+        }
+        # Window.admits, inlined where the engine tests it once per run.
+        self._time_window = automaton.window.kind == Window.TIME
+        self._window_value = automaton.window.value
 
     # -- public surface ------------------------------------------------------
     @property
@@ -148,19 +170,27 @@ class Engine:
         )
 
         for state_index in list(self._runs):
-            transitions = self._dispatch.get((state_index, event_type))
+            key = (state_index, event_type)
+            transitions = self._dispatch.get(key)
             if not transitions:
                 continue
             buckets = self._runs[state_index]
             runs = buckets.get(partition)
             if not runs:
                 continue
-            survivors = [
-                run
-                for run in runs
-                if self._step_run(run, transitions, event, strategy, new_runs, matches)
-            ]
+            survivors = None
+            transition = self._bucket_transitions.get(key)
+            if transition is not None:
+                survivors = self._step_bucket(runs, transition, event, strategy, new_runs, matches)
+            if survivors is None:
+                survivors = [
+                    run
+                    for run in runs
+                    if self._step_run(run, transitions, event, strategy, new_runs, matches)
+                ]
             dropped = len(runs) - len(survivors)
+            if not dropped:
+                continue
             self._active -= dropped
             self._state_counts[state_index] -= dropped
             if survivors:
@@ -173,8 +203,10 @@ class Engine:
         if root_transitions:
             self._start_runs(root_transitions, event, strategy, new_runs, matches)
 
+        # Every new run binds this event, and SAME[attr] makes all of a run's
+        # events agree on the partition attribute: they join its partition.
         for run in new_runs:
-            self._add_run(run, strategy)
+            self._add_run(run, partition, strategy)
         if self.max_partial_matches is not None:
             self._shed(strategy)
         if self._active > self.stats.peak_active_runs:
@@ -191,8 +223,7 @@ class Engine:
         self._state_counts = [0] * len(self._state_counts)
 
     # -- run lifecycle ---------------------------------------------------------
-    def _add_run(self, run: Run, strategy: StrategyProtocol) -> None:
-        partition = self._partition_of(run)
+    def _add_run(self, run: Run, partition: object, strategy: StrategyProtocol) -> None:
         state_index = run.state.index
         self._runs.setdefault(state_index, {}).setdefault(partition, []).append(run)
         self._active += 1
@@ -200,32 +231,35 @@ class Engine:
         self.stats.runs_created += 1
         strategy.on_run_created(run)
 
-    def _partition_of(self, run: Run):
-        if self._partition_attr is None:
-            return None
-        # All bound events share the SAME attribute; read it off any of them.
-        event = next(iter(run.env.values()))
-        return event.attrs.get(self._partition_attr)
-
     def _expire(self, event: Event, strategy: StrategyProtocol) -> None:
-        """Drop runs whose window can no longer admit the current event."""
-        window = self.automaton.window
+        """Drop runs whose window can no longer admit the current event.
+
+        Buckets hold runs in creation order, not start order — under the
+        greedy policy extensions of different families interleave — so the
+        expired runs are not a prefix: every run is tested, with
+        ``Window.admits`` inlined so the sweep makes no call per run.
+        """
+        value = self._window_value
+        t, seq = event.t, event.seq
         for state_index, buckets in self._runs.items():
             for partition in list(buckets):
                 runs = buckets[partition]
-                survivors = []
-                for run in runs:
-                    if window.admits(run.first_t, run.first_seq, event.t, event.seq):
-                        survivors.append(run)
-                    else:
-                        self.stats.runs_expired += 1
-                        self._active -= 1
-                        self._state_counts[state_index] -= 1
-                        strategy.on_run_dropped(run, "expired")
-                if survivors:
-                    buckets[partition] = survivors
+                if self._time_window:
+                    expired = [run for run in runs if not t - run.first_t <= value]
                 else:
+                    expired = [run for run in runs if seq - run.first_seq > value]
+                if not expired:
+                    continue
+                self.stats.runs_expired += len(expired)
+                self._active -= len(expired)
+                self._state_counts[state_index] -= len(expired)
+                if len(expired) == len(runs):
                     del buckets[partition]
+                else:
+                    gone = set(expired)
+                    buckets[partition] = [run for run in runs if run not in gone]
+                for run in expired:
+                    strategy.on_run_dropped(run, "expired")
 
     def _shed(self, strategy: StrategyProtocol) -> None:
         """Safety valve: drop oldest runs above the configured cap.
@@ -283,6 +317,72 @@ class Engine:
         return len(victims)
 
     # -- guard evaluation --------------------------------------------------------
+    def _step_bucket(
+        self,
+        runs: list[Run],
+        transition: Transition,
+        event: Event,
+        strategy: StrategyProtocol,
+        new_runs: list[Run],
+        matches: list[MatchRecord],
+    ) -> list[Run] | None:
+        """Step a whole bucket through ``transition``'s generated loop.
+
+        Returns the surviving runs, in order — or None, with nothing
+        published, when the bucket needs the per-run path: a run carries
+        obligations, or the loop raised (``_step_run`` then raises the
+        descriptive error, or returns the right answer).
+
+        The loop only computes; its ordered outcomes are replayed here with
+        the clock at each outcome's own time, so ``created_at``,
+        ``detected_at``, spans and trace records see what the per-run path
+        shows them.  Nothing between two guards of such a bucket charges the
+        clock: the transition has no remote predicates and no run carries
+        an obligation, so no strategy decision sits between them.
+        """
+        clock = self.clock
+        tally = strategy.guard_tally(transition)
+        try:
+            result = transition.bucket_loop(
+                runs,
+                event,
+                clock.now,
+                self.cost_model.per_guard_cost,
+                self._window_value,
+                tally.evaluations,
+                tally.passes,
+            )
+        except Exception:
+            return None
+        if result is None:
+            return None
+        now, charged, tally.evaluations, tally.passes, outcomes = result
+        stats = self.stats
+        consume = self.policy != GREEDY
+        expired = 0
+        gone: set[Run] = set()
+        for run, at, passed in outcomes:
+            clock.advance_to(at)
+            if passed:
+                extension = run.extend(transition, event, (), created_at=at)
+                self._admit_extension(extension, strategy, new_runs, matches)
+                if not consume:
+                    continue
+                stats.runs_consumed += 1
+                reason = "consumed"
+            else:
+                expired += 1
+                reason = "expired"
+            strategy.on_run_dropped(run, reason)
+            gone.add(run)
+        clock.advance_to(now)
+        stats.runs_expired += expired
+        stats.guard_evaluations += len(runs) - expired
+        stats.predicate_evaluations += charged
+        if not gone:
+            return runs
+        return [run for run in runs if run not in gone]
+
     def _step_run(
         self,
         run: Run,
@@ -296,7 +396,12 @@ class Engine:
 
         Returns whether the original run survives.
         """
-        if not self.automaton.window.admits(run.first_t, run.first_seq, event.t, event.seq):
+        # Window.admits, inlined and negated as the generated loop does it.
+        if self._time_window:
+            expired = not event.t - run.first_t <= self._window_value
+        else:
+            expired = event.seq - run.first_seq > self._window_value
+        if expired:
             self.stats.runs_expired += 1
             strategy.on_run_dropped(run, "expired")
             return False
@@ -417,6 +522,7 @@ class Engine:
             event,
             (obligation,) if obligation is not None else (),
             created_at=clock.now,
+            env=env,
         )
         return extension, obligation
 
@@ -485,14 +591,15 @@ class Engine:
 
     def _emit(self, run: Run, strategy: StrategyProtocol, matches: list[MatchRecord]) -> None:
         """Resolve whatever is still pending, then emit the match."""
-        fetch_wait_before = getattr(strategy, "total_stall_time", 0.0)
+        fetch_wait = 0.0
         if run.obligations:
+            fetch_wait_before = getattr(strategy, "total_stall_time", 0.0)
             status = self._check_obligations(run, strategy, blocking=True)
             if status is _VIOLATED:
                 self.stats.matches_rejected += 1
                 return
-        last_event_t = max(event.t for event in run.env.values())
-        fetch_wait = getattr(strategy, "total_stall_time", 0.0) - fetch_wait_before
+            fetch_wait = getattr(strategy, "total_stall_time", 0.0) - fetch_wait_before
+        last_event_t = max([event.t for event in run.env.values()])
         spans = getattr(strategy, "spans", None)
         span = spans.capture(last_event_t, self.clock.now) if spans is not None else None
         matches.append(

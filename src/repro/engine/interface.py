@@ -174,3 +174,12 @@ class StrategyProtocol(Protocol):
 
     def observe_guard(self, transition: Transition, passed: bool) -> None:
         """A (run, transition) local guard was evaluated (rate monitoring)."""
+
+    def guard_tally(self, transition: Transition) -> Any:
+        """The cell :meth:`observe_guard` counts ``transition`` in.
+
+        Two float attributes, ``evaluations`` and ``passes``.  A generated
+        bucket loop adds ``1.0`` per guard to local copies and the engine
+        stores them back once per bucket — one call instead of one per guard,
+        the same additions in the same order.
+        """

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.query.ast import EventAtom, Window
-from repro.query.guards import Guard
+from repro.query.guards import BucketLoop, Guard
 from repro.query.predicates import Predicate, RemoteRef
 
 __all__ = ["State", "Transition", "RemoteSite", "Automaton"]
@@ -89,7 +89,9 @@ class Transition:
     implicit type check) and *remote* predicates; the window constraint is
     enforced by the engine, not stored here.  ``guard`` is the local
     predicates compiled into one function (:mod:`repro.query.guards`) — what
-    the engine calls.
+    the engine calls per run; ``bucket_loop`` is the same guard compiled into
+    a loop over a whole bucket of runs, ``None`` when the transition has
+    remote predicates (the strategy decides those run by run).
     """
 
     __slots__ = (
@@ -97,9 +99,12 @@ class Transition:
         "source",
         "target",
         "atom",
+        "event_type",
+        "binding",
         "local_predicates",
         "remote_predicates",
         "guard",
+        "bucket_loop",
         "sites",
     )
 
@@ -112,23 +117,19 @@ class Transition:
         local_predicates: tuple[Predicate, ...],
         remote_predicates: tuple[Predicate, ...],
         guard: Guard,
+        bucket_loop: BucketLoop | None,
     ) -> None:
         self.index = index
         self.source = source
         self.target = target
         self.atom = atom
+        self.event_type = atom.event_type
+        self.binding = atom.binding
         self.local_predicates = local_predicates
         self.remote_predicates = remote_predicates
         self.guard = guard
+        self.bucket_loop = bucket_loop
         self.sites: tuple[RemoteSite, ...] = ()
-
-    @property
-    def event_type(self) -> str:
-        return self.atom.event_type
-
-    @property
-    def binding(self) -> str:
-        return self.atom.binding
 
     @property
     def guard_source(self) -> str:

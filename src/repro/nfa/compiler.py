@@ -11,7 +11,8 @@ binding on the path, which is equivalent to all-pairs equality by
 transitivity and keeps every guard binary.
 
 Each transition's local predicates are also compiled, here and once, into
-the single function the engine calls per guard (:mod:`repro.query.guards`).
+the single function the engine calls per guard and — for transitions without
+remote predicates — the loop it calls per bucket (:mod:`repro.query.guards`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from repro.nfa.automaton import Automaton, RemoteSite, State, Transition
 from repro.query.ast import EventAtom, Query
 from repro.query.errors import CompileError
-from repro.query.guards import compile_guard
+from repro.query.guards import compile_bucket_loop, compile_guard
 from repro.query.predicates import Attr, Comparison, Predicate, SameAttribute
 
 __all__ = ["compile_query"]
@@ -84,6 +85,9 @@ def _build_path(root: State, sequence: tuple[EventAtom, ...], query: Query, stat
             local_predicates=local,
             remote_predicates=remote,
             guard=compile_guard(local, atom.binding),
+            bucket_loop=(
+                None if remote else compile_bucket_loop(local, atom.binding, query.window.kind)
+            ),
         )
         current.transitions.append(transition)
         current = target

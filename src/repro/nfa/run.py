@@ -141,10 +141,18 @@ class Run:
         event: Event,
         new_obligations: tuple[Obligation, ...],
         created_at: float,
+        env: dict[str, Event] | None = None,
     ) -> "Run":
-        """The run that results from consuming ``event`` along ``transition``."""
-        env = dict(self.env)
-        env[transition.binding] = event
+        """The run that results from consuming ``event`` along ``transition``.
+
+        ``env`` is the extension's environment when the caller has already
+        built it (to resolve remote predicates against); it may be shared
+        with the obligations issued there — nothing mutates an environment
+        once its run exists.
+        """
+        if env is None:
+            env = dict(self.env)
+            env[transition.binding] = event
         return Run(
             state=transition.target,
             env=env,

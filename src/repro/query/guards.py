@@ -1,4 +1,4 @@
-"""Compiled transition guards: one generated function per guard.
+"""Compiled transition guards: one generated function per guard, one loop per bucket.
 
 Walking a predicate tree costs a handful of Python calls per predicate
 (``Comparison.evaluate`` → two ``Attr.evaluate`` → two ``Event.__getitem__``)
@@ -42,6 +42,53 @@ Two properties make it a drop-in for the interpretive loop it replaced:
 :func:`interpret_guard` is also the reference the generated code is tested
 against (``tests/test_properties.py``).
 
+Bucket loops
+------------
+A guard call is still one Python frame per partial-match visit, wrapped in
+the engine's own per-run frames.  For a transition without remote predicates
+:func:`compile_bucket_loop` therefore renders the *same* predicate source a
+second time, inside a loop over a whole (state, partition) bucket::
+
+    def bucket_loop(runs, event, now, guard_cost, window, evaluations, passes):
+        outcomes = []
+        charged = 0
+        at = event.seq
+        for run in runs:
+            if at - run.first_seq > window:
+                outcomes.append((run, now, False))
+                continue
+            if run.obligations:
+                return None
+            env = run.env
+            now = now + guard_cost
+            evaluations += 1.0
+            now += 0.02
+            if not (event.attrs['id'] == env['c'].attrs['id']):
+                charged += 1
+                continue
+            now += 0.02
+            if not (event.attrs['v1'] <= 92000):
+                charged += 2
+                continue
+            charged += 2
+            passes += 1.0
+            outcomes.append((run, now, True))
+        return now, charged, evaluations, passes, outcomes
+
+Per run it is the per-run path, statement for statement: the window test in
+:meth:`Window.admits`' own form (``not event.t - run.first_t <= window`` for
+time windows — a rearranged watermark would round differently), the
+per-guard charge, one ``now += eval_cost`` before each predicate reached,
+and *one* ``+= 1.0`` per guard on each rate tally (the tallies are halved
+periodically, so ``+= n`` would round differently).  The loop publishes
+nothing: it returns the final time, the predicates charged, the two tallies
+and the ordered ``(run, now, passed)`` outcomes — ``passed`` False meaning
+the window expired — for the engine to replay at each outcome's own time.
+It returns ``None`` at a run that carries obligations (the strategy must be
+consulted between guards), and any exception simply propagates; in both
+cases the caller steps the bucket run by run instead, through
+``Transition.guard`` and its fallback above.
+
 ``compile()`` costs far more than rendering, and tenants of one fleet (or
 successive builds of one query) produce identical source, so code objects
 are memoised on the source string.  Each is compiled under a pseudo-file
@@ -61,12 +108,24 @@ from types import CodeType
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.events.event import Event
+from repro.query.ast import Window
 from repro.query.predicates import Predicate
 
-__all__ = ["Guard", "GuardScope", "compile_guard", "interpret_guard"]
+__all__ = [
+    "BucketLoop",
+    "Guard",
+    "GuardScope",
+    "compile_bucket_loop",
+    "compile_guard",
+    "interpret_guard",
+]
 
 #: ``guard(env, event, now) -> (predicates charged, passed, now)``.
 Guard = Callable[[Mapping[str, Event], Event, float], tuple[int, bool, float]]
+
+#: ``bucket_loop(runs, event, now, guard_cost, window, evaluations, passes)``
+#: ``-> (now, predicates charged, evaluations, passes, outcomes) | None``.
+BucketLoop = Callable[..., "tuple[float, int, float, float, list] | None"]
 
 _PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
 
@@ -132,15 +191,10 @@ def compile_guard(predicates: Sequence[Predicate], binding: str) -> Guard:
     """
     scope = GuardScope(binding)
     lines = ["def guard(env, event, now):", "    start = now", "    try:"]
-    for charged, predicate in enumerate(predicates, 1):
-        if predicate.eval_cost < 0:
-            # clock.advance refused these one evaluation at a time.
-            raise ValueError(
-                f"predicate {predicate!r} has negative eval_cost {predicate.eval_cost}"
-            )
+    for charged, (cost, condition) in enumerate(_rendered(predicates, scope), 1):
         lines += [
-            f"        now += {scope.literal(predicate.eval_cost)}",
-            f"        if not {predicate.render(scope)}:",
+            f"        now += {cost}",
+            f"        if not {condition}:",
             f"            return {charged}, False, now",
         ]
     lines += [
@@ -148,15 +202,73 @@ def compile_guard(predicates: Sequence[Predicate], binding: str) -> Guard:
         "    except Exception:",
         "        return _interpret(env, event, start)",
     ]
+    interpret = functools.partial(interpret_guard, tuple(predicates), binding)
+    return _define("guard", lines, scope, _interpret=interpret)
+
+
+def compile_bucket_loop(
+    predicates: Sequence[Predicate], binding: str, window_kind: str
+) -> BucketLoop:
+    """The generated loop stepping a whole bucket through one local-only guard.
+
+    See "Bucket loops" in the module docstring for the contract; the
+    function's source is available as its ``source`` attribute.
+    """
+    scope = GuardScope(binding)
+    if window_kind == Window.TIME:
+        position, expired = "event.t", "not at - run.first_t <= window"
+    else:
+        position, expired = "event.seq", "at - run.first_seq > window"
+    lines = [
+        "def bucket_loop(runs, event, now, guard_cost, window, evaluations, passes):",
+        "    outcomes = []",
+        "    charged = 0",
+        f"    at = {position}",
+        "    for run in runs:",
+        f"        if {expired}:",
+        "            outcomes.append((run, now, False))",
+        "            continue",
+        "        if run.obligations:",
+        "            return None",
+        "        env = run.env",
+        "        now = now + guard_cost",
+        "        evaluations += 1.0",
+    ]
+    for charged, (cost, condition) in enumerate(_rendered(predicates, scope), 1):
+        lines += [
+            f"        now += {cost}",
+            f"        if not {condition}:",
+            f"            charged += {charged}",
+            "            continue",
+        ]
+    lines += [
+        f"        charged += {len(predicates)}",
+        "        passes += 1.0",
+        "        outcomes.append((run, now, True))",
+        "    return now, charged, evaluations, passes, outcomes",
+    ]
+    return _define("bucket_loop", lines, scope)
+
+
+def _rendered(predicates: Sequence[Predicate], scope: GuardScope):
+    """``(eval_cost, condition)`` source pairs, in evaluation order."""
+    for predicate in predicates:
+        if predicate.eval_cost < 0:
+            # clock.advance refused these one evaluation at a time.
+            raise ValueError(
+                f"predicate {predicate!r} has negative eval_cost {predicate.eval_cost}"
+            )
+        yield scope.literal(predicate.eval_cost), predicate.render(scope)
+
+
+def _define(name: str, lines: list[str], scope: GuardScope, **helpers: Any):
+    """Execute the generated ``def name`` with the scope's captures as globals."""
     source = "\n".join(lines) + "\n"
-    namespace = dict(
-        scope.captured,
-        _interpret=functools.partial(interpret_guard, tuple(predicates), binding),
-    )
+    namespace = dict(scope.captured, **helpers)
     exec(_code_for(source), namespace)
-    guard = namespace["guard"]
-    guard.source = source
-    return guard
+    function = namespace[name]
+    function.source = source
+    return function
 
 
 @functools.lru_cache(maxsize=512)

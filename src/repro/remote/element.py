@@ -29,7 +29,7 @@ class DataElement:
     paper's ``|d| = sum of contained elements``.
     """
 
-    __slots__ = ("key", "value", "own_size", "parent", "children")
+    __slots__ = ("key", "value", "own_size", "parent", "children", "_ancestor_keys", "_total_size")
 
     def __init__(
         self,
@@ -45,6 +45,9 @@ class DataElement:
         self.own_size = size
         self.parent = None
         self.children: list[DataElement] = []
+        # Memos of ancestor_keys() / total_size(); add_child invalidates them.
+        self._ancestor_keys: tuple[DataKey, ...] | None = None
+        self._total_size: int | None = None
         if parent is not None:
             parent.add_child(self)
 
@@ -63,6 +66,10 @@ class DataElement:
             ancestor = ancestor.parent
         child.parent = self
         self.children.append(child)
+        for node in child.descendants():  # their containment chains grew
+            node._ancestor_keys = None
+        for node in self.ancestors():  # their sizes grew
+            node._total_size = None
 
     def ancestors(self) -> Iterator["DataElement"]:
         """Yield this element and every container above it (reflexive rho*)."""
@@ -70,6 +77,13 @@ class DataElement:
         while node is not None:
             yield node
             node = node.parent
+
+    def ancestor_keys(self) -> tuple[DataKey, ...]:
+        """Keys of :meth:`ancestors`, nearest first (memoised)."""
+        keys = self._ancestor_keys
+        if keys is None:
+            keys = self._ancestor_keys = tuple(node.key for node in self.ancestors())
+        return keys
 
     def descendants(self) -> Iterator["DataElement"]:
         """Yield this element and everything contained in it, depth-first."""
@@ -80,8 +94,11 @@ class DataElement:
             stack.extend(node.children)
 
     def total_size(self) -> int:
-        """``|d|``: own size plus the sizes of all contained elements."""
-        return sum(node.own_size for node in self.descendants())
+        """``|d|``: own size plus the sizes of all contained elements (memoised)."""
+        size = self._total_size
+        if size is None:
+            size = self._total_size = sum(node.own_size for node in self.descendants())
+        return size
 
     def __repr__(self) -> str:
         return f"DataElement(key={self.key!r}, size={self.own_size})"

@@ -177,6 +177,9 @@ class FetchStrategy(ObligationResolution, FetchPlane):
     def observe_guard(self, transition: Transition, passed: bool) -> None:
         self.ctx.rates.observe_guard(transition.index, passed)
 
+    def guard_tally(self, transition: Transition):
+        return self.ctx.rates.guard_tally(transition.index)
+
     # -- subclass hooks -------------------------------------------------------------
     def _fire_scheduled(self) -> None:
         """Consume scheduler payloads (offset prefetches); default: none."""

@@ -34,7 +34,7 @@ of Eq. 3 and Eq. 6.
 
 from __future__ import annotations
 
-from repro.nfa.automaton import Automaton
+from repro.nfa.automaton import Automaton, State
 from repro.nfa.run import Run
 from repro.remote.element import DataKey
 from repro.remote.monitor import LatencyMonitor
@@ -70,6 +70,20 @@ def required_keys(run: Run, include_future_states: bool = False) -> tuple[DataKe
     return tuple(keys)
 
 
+def _downstream_sites(state: State) -> tuple[tuple[str, str, str], ...]:
+    """``(source, key binding, key attribute)`` of every remote site at or
+    below ``state``, in the order :func:`required_keys` visits them with
+    ``include_future_states`` — the per-state part of that walk, done once."""
+    sites: list[tuple[str, str, str]] = []
+    pending = list(state.transitions)
+    while pending:
+        transition = pending.pop()
+        for site in transition.sites:
+            sites.append((site.ref.source, site.ref.key_binding, site.ref.key_expr.attr))
+        pending.extend(transition.target.transitions)
+    return tuple(sites)
+
+
 class UtilityModel:
     """Incrementally maintained utility estimates for data elements."""
 
@@ -92,6 +106,7 @@ class UtilityModel:
             window = automaton.window
             horizon_events = float(window.value) if window.kind == "count" else 256.0
         self._horizon = horizon_events
+        self._state_sites = [_downstream_sites(state) for state in automaton.states]
         # UU: live partial matches requiring each key (Eq. 3 counts), with
         # the run's window anchor kept for residual-lifetime estimation.
         self._uu_runs: dict[DataKey, dict[int, tuple[float, int]]] = {}
@@ -112,9 +127,20 @@ class UtilityModel:
         # look worthless to the cache in the meantime.  (The strict
         # next-event D(p, k+1) would assign zero utility to every fresh
         # prefetch and make the cost-based policy evict them first.)
-        keys = required_keys(run, include_future_states=True)
-        run.required_keys = keys
+        # This is required_keys(run, include_future_states=True) with the
+        # automaton walk precomputed and the attributes read directly.
         class_index = run.state.index
+        keys: tuple[DataKey, ...] = ()
+        sites = self._state_sites[class_index]
+        if sites:
+            env = run.env
+            try:
+                keys = tuple(
+                    [(source, env[name].attrs[attr]) for source, name, attr in sites if name in env]
+                )
+            except KeyError:
+                keys = required_keys(run, include_future_states=True)  # raises, worded
+        run.required_keys = keys
         self._tran_class[class_index] = self._tran_class.get(class_index, 0.0) + 1.0
         if not keys:
             return
@@ -122,12 +148,12 @@ class UtilityModel:
         anchor = (run.first_t, run.first_seq)
         for key in keys:
             per_class[key] = per_class.get(key, 0.0) + 1.0
-            for ancestor_key in self._ancestors(key):
+            for ancestor_key in self._store.lookup(key).ancestor_keys():
                 self._uu_runs.setdefault(ancestor_key, {})[run.run_id] = anchor
 
     def on_run_dropped(self, run: Run) -> None:
         for key in run.required_keys:
-            for ancestor_key in self._ancestors(key):
+            for ancestor_key in self._store.lookup(key).ancestor_keys():
                 runs = self._uu_runs.get(ancestor_key)
                 if runs is None:
                     continue
@@ -215,15 +241,6 @@ class UtilityModel:
     def class_count(self, state_index: int) -> float:
         """``#P_j(k)``: smoothed number of live partial matches of a class."""
         return self._class_counts.get(state_index, 0.0)
-
-    # -- internals ------------------------------------------------------------------
-    def _ancestors(self, key: DataKey):
-        element = self._store.lookup(key)
-        if element.parent is None:
-            yield key
-            return
-        for ancestor in element.ancestors():
-            yield ancestor.key
 
     def __repr__(self) -> str:
         return (

@@ -15,6 +15,8 @@ O(1) per observation.
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 __all__ = ["RateEstimator"]
 
 _DECAY = 0.5
@@ -41,7 +43,7 @@ class RateEstimator:
         self._last_event_t: float | None = None
         self._type_counts: dict[str, float] = {}
         self._total_count = 0.0
-        self._guards: dict[int, _PassCounter] = {}
+        self._guards: defaultdict[int, _PassCounter] = defaultdict(_PassCounter)
 
     # -- observations --------------------------------------------------------
     def observe_event(self, event_type: str, timestamp: float) -> None:
@@ -61,13 +63,17 @@ class RateEstimator:
 
     def observe_guard(self, transition_index: int, passed: bool) -> None:
         """Record one (run, transition) guard evaluation outcome."""
-        counter = self._guards.get(transition_index)
-        if counter is None:
-            counter = _PassCounter()
-            self._guards[transition_index] = counter
+        counter = self._guards[transition_index]
         counter.evaluations += 1.0
         if passed:
             counter.passes += 1.0
+
+    def guard_tally(self, transition_index: int) -> _PassCounter:
+        """The transition's counter cell, for callers that tally a whole
+        bucket of guards on locals: one ``+= 1.0`` per guard, as
+        :meth:`observe_guard` does — the counters are halved periodically,
+        so adding a batch total would round differently."""
+        return self._guards[transition_index]
 
     def _decay(self) -> None:
         for event_type in self._type_counts:

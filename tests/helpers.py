@@ -11,8 +11,34 @@ from repro.events.stream import Stream
 from repro.query.parser import parse_query
 from repro.remote.store import RemoteStore
 from repro.remote.transport import FixedLatency, LatencyModel
+from repro.utility.rates import RateEstimator
 
-__all__ = ["make_abc_scenario", "run_eires", "random_stream"]
+__all__ = ["RecordingStrategy", "make_abc_scenario", "run_eires", "random_stream"]
+
+
+class RecordingStrategy:
+    """The engine-facing strategy protocol for local-only queries, over a
+    real :class:`RateEstimator`: drives an ``Engine`` directly and logs every
+    run callback with the clock it saw."""
+
+    name = "recording"
+
+    def __init__(self, clock) -> None:
+        self.clock = clock
+        self.rates = RateEstimator()
+        self.log: list[tuple] = []
+
+    def on_run_created(self, run) -> None:
+        self.log.append(("created", run, self.clock.now))
+
+    def on_run_dropped(self, run, reason) -> None:
+        self.log.append((reason, run, self.clock.now))
+
+    def observe_guard(self, transition, passed) -> None:
+        self.rates.observe_guard(transition.index, passed)
+
+    def guard_tally(self, transition):
+        return self.rates.guard_tally(transition.index)
 
 
 def make_abc_scenario(set_members=frozenset({1, 2, 3, 4})):

@@ -12,7 +12,7 @@ from repro.query.parser import parse_query
 from repro.query.predicates import Comparison, Const
 from repro.sim.clock import VirtualClock
 
-from tests.helpers import make_abc_scenario, random_stream, run_eires
+from tests.helpers import RecordingStrategy, make_abc_scenario, random_stream, run_eires
 
 
 class TestCostModel:
@@ -85,6 +85,69 @@ class TestSelectionPolicies:
         non_greedy = run_eires(query, store, stream, policy=NON_GREEDY)
         assert greedy.engine_stats["runs_consumed"] == 0
         assert non_greedy.engine_stats["runs_consumed"] > 0
+
+
+class TestBucketOrder:
+    """A bucket holds its runs in *creation* order, not start order: under
+    the greedy policy extensions of different families interleave.  Bucket
+    order is the order guards are charged in, so it is part of the model —
+    expiry is a filter, never a prefix cut, and nobody may re-sort a bucket."""
+
+    def _fed(self):
+        automaton = compile_query(parse_query("SEQ(A a, B b, C c) WITHIN 8 EVENTS", name="t"))
+        clock = VirtualClock()
+        engine, strategy = Engine(automaton, clock), RecordingStrategy(clock)
+        for kind, seq in (("A", 1), ("A", 5), ("B", 6), ("B", 7)):
+            engine.process_event(Event(10.0 * seq, {"type": kind}, seq=seq), strategy)
+        return engine, strategy
+
+    def test_greedy_extensions_interleave_families(self):
+        engine, _ = self._fed()
+        assert [run.first_seq for run in engine._runs[2][None]] == [1, 5, 1, 5]
+
+    def test_sweep_keeps_survivors_in_creation_order(self):
+        engine, strategy = self._fed()
+        before = list(engine._runs[2][None])
+        # Seq 10 closes the window opened at seq 1 (10 - 1 > 8), not seq 5's.
+        engine._expire(Event(100.0, {"type": "X"}, seq=10), strategy)
+        assert engine._runs[2][None] == [before[1], before[3]]
+        assert [run.first_seq for run in engine._runs[1][None]] == [5]
+
+    def test_reversing_a_bucket_moves_a_detection_time(self):
+        detected = []
+        for reverse in (False, True):
+            engine, strategy = self._fed()
+            if reverse:
+                engine._runs[2][None].reverse()
+            matches = engine.process_event(Event(80.0, {"type": "C"}, seq=8), strategy)
+            detected.append({match.signature(): match.detected_at for match in matches})
+        forward, backward = detected
+        assert len(forward) == 4 and forward.keys() == backward.keys()
+        assert forward != backward
+
+
+class TestEnvironments:
+    def test_nothing_mutates_an_environment_once_its_run_exists(self, monkeypatch):
+        """``Run.extend`` adopts the environment the engine resolved remote
+        predicates against, sharing it with the obligation issued there; that
+        is only sound because environments are never written after creation."""
+        created = []
+        shared = []
+        init = Run.__init__
+
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            created.append((self.env, tuple(self.env.items())))
+            shared.extend(obligation for obligation in self.obligations if obligation.env is self.env)
+
+        monkeypatch.setattr(Run, "__init__", recording)
+        query, store = make_abc_scenario(set_members=frozenset({1, 2, 3}))
+        stream = random_stream(200, seed=5, id_domain=2, v_domain=6)
+        for policy in (GREEDY, NON_GREEDY):
+            run_eires(query, store, stream, strategy="LzEval", policy=policy)
+        assert shared, "no extension shared its environment with an obligation"
+        for env, snapshot in created:
+            assert tuple(env.items()) == snapshot
 
 
 class TestWindowExpiry:

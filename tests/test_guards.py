@@ -2,8 +2,9 @@
 
 What the generated code renders, that its errors are the interpretive
 loop's errors, that it is attributable (pseudo-file, linecache, traceback),
-and that code objects are shared.  The bit-for-bit differential against
-``interpret_guard`` lives in ``tests/test_properties.py``; whole-run
+and that code objects are shared; the same for the per-bucket loops.  The
+bit-for-bit differentials (guard against ``interpret_guard``, bucket loop
+against the per-run path) live in ``tests/test_properties.py``; whole-run
 byte-identity in ``tests/test_backend_conformance.py``.
 """
 
@@ -19,7 +20,8 @@ import repro.query
 from repro.events.event import Event
 from repro.events.stream import Stream
 from repro.nfa.compiler import compile_query
-from repro.query.guards import compile_guard, interpret_guard
+from repro.nfa.run import Obligation, Run
+from repro.query.guards import compile_bucket_loop, compile_guard, interpret_guard
 from repro.query.parser import parse_query
 from repro.query.predicates import (
     Attr,
@@ -207,3 +209,91 @@ class TestAttribution:
         event = Event(1.0, {"v": 9})
         assert low({}, event, 0.0)[1] is False
         assert high({}, event, 0.0)[1] is True
+
+
+class TestBucketLoop:
+    """One generated loop per local-only transition, from the guard's own source."""
+
+    TEXT = "SEQ(A a, B b, C c) WHERE SAME[id] AND a.v < b.v AND c.v IN REMOTE<r>[a.v] WITHIN {}"
+
+    def _transitions(self, window="100"):
+        return compile_query(parse_query(self.TEXT.format(window), name="t")).transitions
+
+    def test_same_conditions_and_charges_as_the_guard(self):
+        _, second, _ = self._transitions()
+        loop = second.bucket_loop.source
+        assert loop.startswith(
+            "def bucket_loop(runs, event, now, guard_cost, window, evaluations, passes):"
+        )
+        for line in second.guard_source.splitlines():
+            if "now +=" in line or "if not" in line:
+                assert line.strip() in loop
+        # One addition per guard on each tally, never a batch total.
+        assert loop.count("evaluations += 1.0") == loop.count("passes += 1.0") == 1
+        assert "now = now + guard_cost" in loop
+
+    def test_window_test_keeps_the_form_of_window_admits(self):
+        _, counted, _ = self._transitions("100 EVENTS")
+        _, timed, _ = self._transitions("100 us")
+        assert "at = event.seq" in counted.bucket_loop.source
+        assert "if at - run.first_seq > window:" in counted.bucket_loop.source
+        assert "at = event.t" in timed.bucket_loop.source
+        assert "if not at - run.first_t <= window:" in timed.bucket_loop.source
+
+    def test_transitions_with_remote_predicates_have_none(self):
+        first, second, third = self._transitions()
+        assert first.bucket_loop and second.bucket_loop
+        assert third.remote_predicates and third.bucket_loop is None
+
+    def test_outcomes_are_ordered_and_nothing_is_published(self):
+        automaton = compile_query(parse_query("SEQ(A a, B b) WHERE a.v < b.v WITHIN 5 EVENTS", name="t"))
+        transition = automaton.states[1].transitions[0]
+        runs = [
+            Run.start(automaton.states[1], "a", Event(1.0, {"v": v}, seq=seq), created_at=0.0)
+            for v, seq in ((1, 9), (7, 8), (2, 1), (3, 5))
+        ]
+        event = Event(9.0, {"v": 5}, seq=10)
+        now, charged, evaluations, passes, outcomes = transition.bucket_loop(
+            runs, event, 100.0, 0.25, 5, 10.0, 4.0
+        )
+        # Virtual time is a running sum: per-guard charge, then one predicate.
+        first = 100.0 + 0.25 + 0.02
+        second = first + 0.25 + 0.02  # a.v < b.v fails: charged, no outcome
+        fourth = second + 0.25 + 0.02
+        # The third run expired (10 - 1 > 5) before any charge.
+        assert outcomes == [(runs[0], first, True), (runs[2], second, False), (runs[3], fourth, True)]
+        assert (now, charged, evaluations, passes) == (fourth, 3, 13.0, 6.0)
+        assert [run.env for run in runs] == [{"a": run.env["a"]} for run in runs]
+
+    def test_a_run_with_obligations_hands_the_bucket_back(self):
+        automaton = compile_query(parse_query("SEQ(A a, B b) WITHIN 5 EVENTS", name="t"))
+        transition = automaton.states[1].transitions[0]
+        free, bound = (
+            Run.start(automaton.states[1], "a", Event(1.0, {}, seq=9), created_at=0.0)
+            for _ in range(2)
+        )
+        predicate = Comparison("=", Const(1), Const(1))
+        bound.add_obligations((Obligation((predicate,), False, 0.0, env={}),))
+        event = Event(9.0, {}, seq=10)
+        assert transition.bucket_loop([free, bound], event, 0.0, 0.05, 5, 0.0, 0.0) is None
+        # ... unless its window closed first: expiry needs no strategy decision.
+        bound.first_seq = 1
+        assert transition.bucket_loop([free, bound], event, 0.0, 0.05, 5, 0.0, 0.0)[4] == [
+            (free, 0.05, True),
+            (bound, 0.05, False),
+        ]
+
+    def test_errors_propagate_for_the_engine_to_restep(self):
+        loop = compile_bucket_loop([Comparison("<", Attr("a", "v"), Attr("b", "v9"))], "b", "count")
+        run = Run.start(None, "a", Event(1.0, {"v": 1}, seq=0), created_at=0.0)
+        with pytest.raises(KeyError) as excinfo:
+            loop([run], Event(2.0, {"v": 2}, seq=1), 0.0, 0.05, 5, 0.0, 0.0)
+        assert excinfo.value.args == ("v9",)  # bare: the per-run path words it
+
+    def test_equal_source_shares_one_code_object_under_the_query_package(self):
+        ours = self._transitions()[1].bucket_loop
+        theirs = self._transitions()[1].bucket_loop
+        assert ours is not theirs and ours.__code__ is theirs.__code__
+        filename = ours.__code__.co_filename
+        assert os.path.dirname(filename) == os.path.dirname(repro.query.__file__)
+        assert "".join(linecache.getlines(filename)) == ours.source

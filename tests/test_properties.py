@@ -7,11 +7,15 @@ from repro.cache.cost_based import CostBasedCache
 from repro.cache.lru import LRUCache
 from repro.core.config import EiresConfig
 from repro.core.framework import EIRES
+from repro.engine.engine import Engine
+from repro.engine.interface import CostModel
 from repro.engine.reference import reference_match_signatures
 from repro.events.event import Event
 from repro.metrics.latency import percentile
 from repro.nfa.compiler import compile_query
-from repro.query.guards import compile_guard, interpret_guard
+from repro.nfa.run import Run
+from repro.query.guards import compile_bucket_loop, compile_guard, interpret_guard
+from repro.query.parser import parse_query
 from repro.query.predicates import (
     _COMPARATORS,
     Attr,
@@ -26,7 +30,7 @@ from repro.sim.clock import VirtualClock
 from repro.sim.rng import stable_hash
 from repro.sim.scheduler import FutureScheduler
 
-from tests.helpers import make_abc_scenario, random_stream, run_eires
+from tests.helpers import RecordingStrategy, make_abc_scenario, random_stream, run_eires
 
 # -- caches ---------------------------------------------------------------
 
@@ -232,14 +236,19 @@ def _check_counts_after(engine, method):
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
     policy=st.sampled_from(["greedy", "non_greedy"]),
-    strategy=st.sampled_from(["BL3", "LzEval", "Hybrid"]),
+    strategy=st.sampled_from(["BL1", "BL3", "LzEval", "Hybrid"]),
     cap=st.sampled_from([None, 3, 12]),
     shed_policy=st.sampled_from(["none", "runs"]),
 )
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=50, deadline=None)
 def test_runs_per_state_counters_equal_a_recount(seed, policy, strategy, cap, shed_policy):
     """Every add / expire / consume / obligation-fail / shed / flush site keeps
-    the O(1) per-state counters equal to a recount, after every event."""
+    the O(1) per-state counters equal to a recount, after every event.
+
+    The query's last transition is local-only, so its buckets expire and
+    consume through the bucket loop's outcome replay (every bucket under BL1,
+    the obligation-free ones otherwise); the sweep is checked on its own.
+    """
     query, store = make_abc_scenario(set_members=frozenset({1, 2, 3}))
     # A short window makes runs expire mid-stream; the tiny latency bound
     # keeps the `runs` policy shedding on most events.
@@ -253,7 +262,7 @@ def test_runs_per_state_counters_equal_a_recount(seed, policy, strategy, cap, sh
     )
     eires = EIRES(query, store, FixedLatency(50.0), strategy=strategy, config=config)
     engine = eires.engine
-    for method in ("process_event", "shed_lowest", "flush"):
+    for method in ("process_event", "_expire", "shed_lowest", "flush"):
         _check_counts_after(engine, method)
     eires.run(random_stream(120, seed=seed, id_domain=2, v_domain=6))
     assert engine.runs_per_state() == {} and engine.active_runs == 0
@@ -345,3 +354,149 @@ def test_generated_guard_agrees_with_the_interpretive_loop(predicates, bound, cu
         for predicate in predicates[: generated[0]]:
             clock.advance(predicate.eval_cost)
         assert generated[2] == clock.now
+
+
+# -- generated bucket loops vs. the per-run path -----------------------------------
+
+_NOW_SEQ, _NOW_T = 100, 1000.0
+_WINDOW = {"count": "WITHIN 5 EVENTS", "time": "WITHIN 50 us"}
+
+
+def _bucket_engine(predicates, parents, window, policy, final, start, guard_cost, warm, loop):
+    """An engine whose state-1 bucket holds ``parents``, about to see a ``B``.
+
+    The ``a -> b`` transition carries ``predicates``; ``loop`` False leaves
+    the engine no bucket loop to call, which is the per-run path.
+    """
+    pattern = "SEQ(A a, B b)" if final else "SEQ(A a, B b, C c)"
+    automaton = compile_query(parse_query(f"{pattern} {_WINDOW[window]}", name="t"))
+    assert automaton.window.kind == window
+    transition = automaton.states[1].transitions[0]
+    transition.local_predicates = tuple(predicates)
+    transition.guard = compile_guard(predicates, "b")
+    transition.bucket_loop = compile_bucket_loop(predicates, "b", window)
+    clock = VirtualClock(start)
+    engine = Engine(automaton, clock, CostModel(per_guard_cost=guard_cost), policy=policy)
+    if not loop:
+        engine._bucket_transitions = {}
+    strategy = RecordingStrategy(clock)
+    tally = strategy.guard_tally(transition)
+    tally.evaluations, tally.passes = warm
+    runs = []
+    for payload, age in parents:
+        # Age 5 sits exactly on the window's edge; older runs have expired.
+        first = Event(_NOW_T - 10.0 * age, payload, seq=_NOW_SEQ - age)
+        run = Run.start(automaton.states[1], "a", first, created_at=start)
+        engine._add_run(run, None, strategy)
+        runs.append(run)
+    return engine, strategy, tally, runs
+
+
+def _bucket_observables(engine, strategy, tally, runs, outcome):
+    """Everything the step made observable, runs named by bucket position."""
+    position = {id(run): index for index, run in enumerate(runs)}
+
+    def name(run):
+        if id(run) in position:
+            return position[id(run)]
+        parent = next(i for i, r in enumerate(runs) if r.env["a"] is run.env["a"])
+        return ("extension of", parent, run.state.index, run.first_seq, run.last_seq,
+                run.created_at, run.obligations)
+
+    if isinstance(outcome, list):
+        outcome = [
+            (match.signature(), match.detected_at, match.last_event_t, match.fetch_wait)
+            for match in outcome
+        ]
+    return {
+        "outcome": outcome,
+        "now": engine.clock.now,
+        "stats": engine.stats.as_dict(),
+        "tallies": (tally.evaluations, tally.passes),
+        "live": [name(run) for run in engine.iter_runs()],
+        "counts": (engine.active_runs, engine.runs_per_state()),
+        "callbacks": [(kind, name(run), at) for kind, run, at in strategy.log],
+    }
+
+
+@given(
+    predicates=st.builds(
+        lambda passing, rest: passing + rest,
+        st.lists(_passing, max_size=4),
+        st.lists(_predicate, max_size=3),
+    ),
+    parents=st.lists(
+        st.tuples(
+            st.fixed_dictionaries({"x": _payload, "y": _payload}),
+            st.integers(min_value=0, max_value=9),
+        ),
+        max_size=7,
+    ),
+    current=st.fixed_dictionaries({"x": _payload, "y": _payload}),
+    window=st.sampled_from(["count", "time"]),
+    policy=st.sampled_from(["greedy", "non_greedy"]),
+    final=st.booleans(),
+    start=st.floats(min_value=0.0, max_value=1e7, allow_nan=False),
+    guard_cost=st.sampled_from([0.05, 0.0, 0.3, 1e-9]),
+    warm=st.tuples(
+        st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+        st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+    ),
+)
+@settings(max_examples=400, deadline=None)
+def test_bucket_loop_agrees_with_the_per_run_path(
+    predicates, parents, current, window, policy, final, start, guard_cost, warm
+):
+    """One event against one bucket, through the generated loop + outcome
+    replay and through ``_step_run``: bit-identical clock, counters, rate
+    tallies, survivors (which, in what order), new runs, matches, and the
+    clock every run callback saw.
+
+    Parents of random age put expired runs at random bucket positions; the
+    reflexive prefix puts the first failure — or the first error, from mixed
+    payload types and ``missing`` attributes — at every predicate position
+    and any run.  A predicate that raises surfaces the per-run path's error
+    and leaves exactly the state the per-run path leaves.
+    """
+    event = Event(_NOW_T, {"type": "B", **current}, seq=_NOW_SEQ)
+    observed = []
+    for loop in (True, False):
+        engine, strategy, tally, runs = _bucket_engine(
+            predicates, parents, window, policy, final, start, guard_cost, warm, loop
+        )
+        if loop:
+            completed = []
+            transition = engine.automaton.states[1].transitions[0]
+            generated = transition.bucket_loop
+            transition.bucket_loop = lambda *args: completed.append(generated(*args)) or completed[-1]
+        outcome = _outcome(lambda: engine.process_event(event, strategy))
+        observed.append(_bucket_observables(engine, strategy, tally, runs, outcome))
+    assert observed[0] == observed[1]
+    # The per-run path is for buckets whose guards raise, not a crutch for a
+    # broken loop: the loop ran to completion exactly when nothing raised.
+    if parents:
+        assert bool(completed) == isinstance(outcome, list)
+
+
+@given(
+    ages=st.lists(st.integers(min_value=0, max_value=9), max_size=12),
+    window=st.sampled_from(["count", "time"]),
+)
+@settings(max_examples=100, deadline=None)
+def test_expiry_sweep_is_window_admits_in_bucket_order(ages, window):
+    """The sweep's inlined comparison is ``Window.admits``; survivors keep
+    their order and the expired are reported in bucket order."""
+    parents = [({"x": 0, "y": 0}, age) for age in ages]
+    engine, strategy, _tally, runs = _bucket_engine(
+        [], parents, window, "greedy", False, 0.0, 0.05, (0.0, 0.0), True
+    )
+    strategy.log.clear()
+    admits = engine.automaton.window.admits
+    expected = [admits(run.first_t, run.first_seq, _NOW_T, _NOW_SEQ) for run in runs]
+    engine._expire(Event(_NOW_T, {"type": "B"}, seq=_NOW_SEQ), strategy)
+    assert list(engine.iter_runs()) == [run for run, kept in zip(runs, expected) if kept]
+    assert [run for _kind, run, _at in strategy.log] == [
+        run for run, kept in zip(runs, expected) if not kept
+    ]
+    assert engine.stats.runs_expired == expected.count(False)
+    assert engine.active_runs == expected.count(True)

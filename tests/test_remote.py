@@ -32,6 +32,23 @@ class TestDataElement:
         DataElement(("s", "u2"), "u", size=3, parent=org)
         assert org.total_size() == 6
 
+    def test_memoised_sizes_and_ancestor_keys_follow_the_hierarchy(self):
+        org = DataElement(("s", "org"), "o", size=1)
+        user = DataElement(("s", "user"), "u", size=2, parent=org)
+        card = DataElement(("s", "card"), "c", size=3, parent=user)
+        assert (org.total_size(), user.total_size(), card.total_size()) == (6, 5, 3)
+        assert card.ancestor_keys() == (("s", "card"), ("s", "user"), ("s", "org"))
+        assert card.ancestor_keys() is card.ancestor_keys()  # memoised
+        # A late part grows every container above it ...
+        DataElement(("s", "card2"), "c", size=4, parent=user)
+        assert (org.total_size(), user.total_size(), card.total_size()) == (10, 9, 3)
+        # ... and a late container lengthens the chain of everything below it.
+        holding = DataElement(("s", "holding"), "h", size=0)
+        holding.add_child(org)
+        assert card.ancestor_keys() == tuple(node.key for node in card.ancestors())
+        assert card.ancestor_keys()[-1] == ("s", "holding")
+        assert holding.total_size() == 10
+
     def test_reparenting_rejected(self):
         a = DataElement(("s", "a"), 1)
         b = DataElement(("s", "b"), 1)

@@ -11,6 +11,7 @@ from repro.utility.model import UtilityModel, required_keys
 from repro.utility.noise import NoiseModel
 from repro.utility.rates import RateEstimator
 from repro.events.event import Event
+from repro.workloads.synthetic import SyntheticConfig, q1_query, q2_query
 
 
 def build_automaton():
@@ -59,6 +60,29 @@ class TestRequiredKeys:
         )
         run = run_at(automaton, 1, {"v": 3})
         assert required_keys(run) == ()
+
+
+class TestRunRegistration:
+    """``on_run_created`` derives a run's keys from a per-state site list
+    built once; ``required_keys`` stays the reference it must agree with."""
+
+    @pytest.mark.parametrize("query_fn", [q1_query, q2_query])
+    def test_registered_keys_equal_the_reference_walk_at_every_state(self, query_fn):
+        automaton = compile_query(query_fn(SyntheticConfig()))
+        model = UtilityModel(automaton, RemoteStore(), LatencyMonitor(prior=10.0))
+        named = 0
+        for state in automaton.states[1:]:
+            run = run_at(automaton, state.index, {"v1": 10 + state.index, "v2": 20 + state.index})
+            model.on_run_created(run)
+            assert run.required_keys == required_keys(run, include_future_states=True)
+            named += len(run.required_keys)
+        assert named  # same keys, same order — and not vacuously
+
+    def test_missing_key_attribute_keeps_the_reference_wording(self):
+        automaton = build_automaton()
+        model = UtilityModel(automaton, RemoteStore(), LatencyMonitor(prior=10.0))
+        with pytest.raises(KeyError, match=r"event has no attribute 'v'; has \['type', 'w'\]"):
+            model.on_run_created(run_at(automaton, 1, {"w": 7}))
 
 
 class TestUtilityModel:
