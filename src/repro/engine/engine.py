@@ -563,6 +563,9 @@ class Engine:
                             issued_at=self.clock.now,
                             env=env,
                             origin=transition,
+                            # L2 re-derives succ from this estimate; without it
+                            # the run blocks at the very next class.
+                            ell_estimate=getattr(strategy, "last_postpone_ell", 0.0),
                         ),
                     )
                 )

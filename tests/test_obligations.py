@@ -144,3 +144,74 @@ class TestObligationEnvironmentSnapshot:
         )
         result = run_eires(query, store, stream, strategy="BL3", latency=latency)
         assert result.engine_stats["obligation_checks"] > 0
+
+
+class TestRootPostponement:
+    """A remote predicate on the *first* atom is postponed at a root
+    transition: the obligation must carry the latency estimate the decision
+    was made with, or L2 re-derives ``succ`` for a zero latency, finds it
+    empty and blocks at the very next class — paying the stall LzEval exists
+    to hide."""
+
+    def _scenario(self):
+        query = parse_query(
+            "SEQ(A a, B b, C c) WHERE SAME[id] AND a.v IN REMOTE<s>[a.k] WITHIN 100000",
+            name="root",
+        )
+        store = RemoteStore()
+        store.register_source("s", lambda key: frozenset(range(8)))
+        return query, store, FixedLatency(50.0)
+
+    def test_obligation_carries_the_latency_estimate(self):
+        from repro.core.framework import EIRES
+
+        query, store, latency = self._scenario()
+        eires = EIRES(query, store, latency, strategy="LzEval")
+        first = Event(10.0, {"type": "A", "id": 1, "v": 1, "k": 7}, seq=0)
+        eires.strategy.on_event_start(first, 0)
+        eires.engine.process_event(first, eires.strategy)
+        (run,) = eires.engine.iter_runs()
+        (obligation,) = run.obligations
+        assert obligation.ell_estimate == eires.strategy.last_postpone_ell > 0.0
+
+    def test_postponed_root_run_rides_to_the_final_state(self):
+        # B arrives 5 us after A, long before A's element (50 us): the run
+        # must carry the obligation through class 2; by C the data is local.
+        query, store, latency = self._scenario()
+        stream = Stream(
+            [
+                Event(10.0, {"type": "A", "id": 1, "v": 1, "k": 7}),
+                Event(15.0, {"type": "B", "id": 1, "v": 1, "k": 0}),
+                Event(100.0, {"type": "C", "id": 1, "v": 1, "k": 0}),
+            ]
+        )
+        result = run_eires(query, store, stream, strategy="LzEval", latency=latency)
+        assert result.match_count == 1
+        assert result.strategy_stats["lazy_postponements"] == 1
+        assert result.strategy_stats["blocking_stalls"] == 0
+
+    def test_same_matches_as_bl1_for_less_stall(self):
+        import random
+
+        query, store, latency = self._scenario()
+        rng = random.Random(3)
+        kinds = ["A"] * 20 + ["B"] * 40 + ["C"] * 40
+        rng.shuffle(kinds)
+        specs, next_key = [], 0
+        for kind in kinds:
+            spec = {"type": kind, "id": 1, "v": rng.randint(0, 9), "k": 0}
+            if kind == "A":  # every A needs an element nobody fetched yet
+                spec["k"], next_key = next_key, next_key + 1
+            specs.append(spec)
+        stream = Stream([Event(2.0 * (i + 1), spec) for i, spec in enumerate(specs)])
+        blocking = run_eires(query, store, stream, strategy="BL1", latency=latency)
+        lazy = run_eires(query, store, stream, strategy="LzEval", latency=latency)
+        assert lazy.match_count > 0
+        assert lazy.match_signatures() == blocking.match_signatures()
+        assert lazy.strategy_stats["lazy_postponements"] == 20
+        # What still stalls is a final state reached before the data.
+        assert (
+            lazy.strategy_stats["total_stall_time"]
+            < blocking.strategy_stats["total_stall_time"]
+            == 1_000.0
+        )
