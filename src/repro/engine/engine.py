@@ -30,13 +30,19 @@ bucket whose dispatch entry is one transition without remote predicates, and
 whose runs carry no obligations, needs no strategy decision between two
 guards: ``_step_bucket`` runs the transition's generated loop over the whole
 bucket (:mod:`repro.query.guards`) and replays its ordered outcomes, each at
-its own virtual time.  Every other bucket is stepped run by run through
-``_step_run``; the two are bit-for-bit the same computation.
+its own virtual time.  Every other bucket goes through ``_step_runs``, one
+hand-written loop that consults the strategy between guards; the two are
+bit-for-bit the same computation.
+
+The strategy hears about partial matches in batches — ``on_runs_created``
+once per event, ``on_runs_dropped`` once per sweep, flush or shedding pass —
+except where a drop happens between two guards, which is reported at that
+moment (the trace stamps it with the clock it happened at).
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush, nsmallest
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -115,6 +121,11 @@ class Engine:
         # Window.admits, inlined where the engine tests it once per run.
         self._time_window = automaton.window.kind == Window.TIME
         self._window_value = automaton.window.value
+        # Per partition, a min-heap of the window anchors (first_t or
+        # first_seq, whichever the window measures) of the families started
+        # there.  All runs of a family share its anchor and its partition, so
+        # the expiry sweep only scans partitions whose oldest anchor closed.
+        self._anchors: dict[object, list] = {}
 
     # -- public surface ------------------------------------------------------
     @property
@@ -157,8 +168,8 @@ class Engine:
         cost = self.cost_model
         clock.advance(cost.base_event_cost)
         self.stats.events_processed += 1
-        # Expiry is lazy: _step_run drops expired runs it touches, and a full
-        # sweep every few events reclaims runs in states no event type hits.
+        # Expiry is lazy: stepping a bucket drops the expired runs it touches,
+        # and a sweep every few events reclaims runs no event type hits.
         if self.stats.events_processed % self._expiry_interval == 0:
             self._expire(event, strategy)
 
@@ -183,11 +194,7 @@ class Engine:
             if transition is not None:
                 survivors = self._step_bucket(runs, transition, event, strategy, new_runs, matches)
             if survivors is None:
-                survivors = [
-                    run
-                    for run in runs
-                    if self._step_run(run, transitions, event, strategy, new_runs, matches)
-                ]
+                survivors = self._step_runs(runs, transitions, event, strategy, new_runs, matches)
             dropped = len(runs) - len(survivors)
             if not dropped:
                 continue
@@ -205,8 +212,8 @@ class Engine:
 
         # Every new run binds this event, and SAME[attr] makes all of a run's
         # events agree on the partition attribute: they join its partition.
-        for run in new_runs:
-            self._add_run(run, partition, strategy)
+        if new_runs:
+            self._add_runs(new_runs, partition, strategy)
         if self.max_partial_matches is not None:
             self._shed(strategy)
         if self._active > self.stats.peak_active_runs:
@@ -216,33 +223,78 @@ class Engine:
 
     def flush(self, strategy: StrategyProtocol) -> None:
         """Drop all remaining partial matches (end of stream)."""
-        for run in list(self.iter_runs()):
-            strategy.on_run_dropped(run, "flushed")
+        remaining = list(self.iter_runs())
+        if remaining:
+            strategy.on_runs_dropped(remaining, "flushed")
         self._runs.clear()
+        self._anchors.clear()
         self._active = 0
         self._state_counts = [0] * len(self._state_counts)
 
     # -- run lifecycle ---------------------------------------------------------
-    def _add_run(self, run: Run, partition: object, strategy: StrategyProtocol) -> None:
-        state_index = run.state.index
-        self._runs.setdefault(state_index, {}).setdefault(partition, []).append(run)
-        self._active += 1
-        self._state_counts[state_index] += 1
-        self.stats.runs_created += 1
-        strategy.on_run_created(run)
+    def _add_runs(self, runs: list[Run], partition: object, strategy: StrategyProtocol) -> None:
+        """File the runs one event created, then tell the strategy once.
+
+        Every run a caller adds passes through here, so a family's window
+        anchor enters the sweep's index with its root run — the run that
+        binds a single event — and no family can start unseen.
+        """
+        table = self._runs
+        counts = self._state_counts
+        state_index = -1
+        for run in runs:
+            index = run.state.index
+            if index != state_index:  # runs mostly arrive grouped by target state
+                state_index = index
+                bucket = table.setdefault(index, {}).setdefault(partition, [])
+            bucket.append(run)
+            counts[index] += 1
+            if run.last_seq == run.first_seq:
+                anchor = run.first_t if self._time_window else run.first_seq
+                heappush(self._anchors.setdefault(partition, []), anchor)
+        self._active += len(runs)
+        self.stats.runs_created += len(runs)
+        clock = self.clock
+        before = clock.now
+        strategy.on_runs_created(runs)
+        # One call may stand for the per-run calls it replaced only because
+        # registration and prefetch issue are free in virtual time.
+        assert clock.now == before, "on_runs_created advanced the clock"
 
     def _expire(self, event: Event, strategy: StrategyProtocol) -> None:
         """Drop runs whose window can no longer admit the current event.
 
         Buckets hold runs in creation order, not start order — under the
         greedy policy extensions of different families interleave — so the
-        expired runs are not a prefix: every run is tested, with
-        ``Window.admits`` inlined so the sweep makes no call per run.
+        expired runs of a bucket are not a prefix: every run of a scanned
+        bucket is tested, with ``Window.admits`` inlined so the sweep makes
+        no call per run.  Which buckets to scan is what the anchor heaps
+        answer.  Float subtraction is monotone, so if a partition's oldest
+        anchor is still admitted every younger one is too, and with it every
+        run of the partition; only a partition that pops an anchor is
+        scanned.  Anchors of families already consumed or shed pop like any
+        other — at worst a scan that finds nothing.
         """
         value = self._window_value
         t, seq = event.t, event.seq
+        closed = set()
+        for partition in list(self._anchors):
+            anchors = self._anchors[partition]
+            if self._time_window:
+                while anchors and not t - anchors[0] <= value:
+                    heappop(anchors)
+                    closed.add(partition)
+            else:
+                while anchors and seq - anchors[0] > value:
+                    heappop(anchors)
+                    closed.add(partition)
+            if not anchors:
+                del self._anchors[partition]
+        if not closed:
+            return
+        dropped: list[Run] = []
         for state_index, buckets in self._runs.items():
-            for partition in list(buckets):
+            for partition in [partition for partition in buckets if partition in closed]:
                 runs = buckets[partition]
                 if self._time_window:
                     expired = [run for run in runs if not t - run.first_t <= value]
@@ -250,16 +302,17 @@ class Engine:
                     expired = [run for run in runs if seq - run.first_seq > value]
                 if not expired:
                     continue
-                self.stats.runs_expired += len(expired)
-                self._active -= len(expired)
                 self._state_counts[state_index] -= len(expired)
                 if len(expired) == len(runs):
                     del buckets[partition]
                 else:
                     gone = set(expired)
                     buckets[partition] = [run for run in runs if run not in gone]
-                for run in expired:
-                    strategy.on_run_dropped(run, "expired")
+                dropped += expired
+        if dropped:
+            self.stats.runs_expired += len(dropped)
+            self._active -= len(dropped)
+            strategy.on_runs_dropped(dropped, "expired")
 
     def _shed(self, strategy: StrategyProtocol) -> None:
         """Safety valve: drop oldest runs above the configured cap.
@@ -284,9 +337,9 @@ class Engine:
         selects the victims, so shedding N runs costs one sweep plus
         O(runs log N) — not N full scans of the state×partition table.  Ties
         break on ``run_id`` (creation order), making the victim set a pure
-        function of engine state.  Victims are dropped in ascending score
-        order, each charged to ``stats.shed_runs`` and reported to the
-        strategy under ``reason``.
+        function of engine state.  Victims are charged to ``stats.shed_runs``
+        and reported to the strategy under ``reason``, in ascending score
+        order.
         """
         if count <= 0 or not self._active:
             return 0
@@ -296,7 +349,7 @@ class Engine:
                 for run in runs:
                     scored.append((score(run), run.run_id, state_index, partition, run))
         # run_id is unique, so comparisons never reach the partition object.
-        victims = heapq.nsmallest(count, scored)
+        victims = nsmallest(count, scored)
         doomed: dict[tuple[int, object], set[int]] = {}
         for _, run_id, state_index, partition, _run in victims:
             doomed.setdefault((state_index, partition), set()).add(run_id)
@@ -309,11 +362,11 @@ class Engine:
                 del buckets[partition]
                 if not buckets:
                     del self._runs[state_index]
-        for _, _, state_index, _, run in victims:
-            self._active -= 1
+        for _, _, state_index, _, _run in victims:
             self._state_counts[state_index] -= 1
-            self.stats.shed_runs += 1
-            strategy.on_run_dropped(run, reason)
+        self._active -= len(victims)
+        self.stats.shed_runs += len(victims)
+        strategy.on_runs_dropped([victim[4] for victim in victims], reason)
         return len(victims)
 
     # -- guard evaluation --------------------------------------------------------
@@ -329,8 +382,8 @@ class Engine:
         """Step a whole bucket through ``transition``'s generated loop.
 
         Returns the surviving runs, in order — or None, with nothing
-        published, when the bucket needs the per-run path: a run carries
-        obligations, or the loop raised (``_step_run`` then raises the
+        published, when the bucket needs ``_step_runs``: a run carries
+        obligations, or the loop raised (``_step_runs`` then raises the
         descriptive error, or returns the right answer).
 
         The loop only computes; its ordered outcomes are replayed here with
@@ -373,7 +426,7 @@ class Engine:
             else:
                 expired += 1
                 reason = "expired"
-            strategy.on_run_dropped(run, reason)
+            strategy.on_runs_dropped((run,), reason)
             gone.add(run)
         clock.advance_to(now)
         stats.runs_expired += expired
@@ -383,148 +436,143 @@ class Engine:
             return runs
         return [run for run in runs if run not in gone]
 
-    def _step_run(
+    def _step_runs(
         self,
-        run: Run,
+        runs: list[Run],
         transitions: list[Transition],
         event: Event,
         strategy: StrategyProtocol,
         new_runs: list[Run],
         matches: list[MatchRecord],
-    ) -> bool:
-        """Evaluate ``run`` against all type-matching transitions.
+    ) -> list[Run]:
+        """Step a bucket run by run through every type-matching transition.
 
-        Returns whether the original run survives.
-        """
-        # Window.admits, inlined and negated as the generated loop does it.
-        if self._time_window:
-            expired = not event.t - run.first_t <= self._window_value
-        else:
-            expired = event.seq - run.first_seq > self._window_value
-        if expired:
-            self.stats.runs_expired += 1
-            strategy.on_run_dropped(run, "expired")
-            return False
-        # First give pending obligations a chance to resolve cheaply: data
-        # may have arrived in the cache since the run was last touched.
-        if run.obligations:
-            status = self._check_obligations(run, strategy, blocking=False)
-            if status is _VIOLATED:
-                self.stats.runs_failed_obligation += 1
-                strategy.on_run_dropped(run, "obligation_failed")
-                return False
-
-        definite_extension = False
-        negated_groups: list[Obligation] = []
-        env = run.env
-        for transition in transitions:
-            if not self._local_guard(transition, env, event, strategy):
-                continue
-            outcome = self._resolve_remote(run, transition, event, strategy)
-            if outcome is None:
-                continue
-            extension, postponed = outcome
-            if postponed is None:
-                definite_extension = True
-            else:
-                negated_groups.append(
-                    Obligation(
-                        postponed.predicates,
-                        negated=True,
-                        issued_at=self.clock.now,
-                        env=postponed.env,
-                        origin=postponed.origin,
-                        ell_estimate=postponed.ell_estimate,
-                    )
-                )
-            self._admit_extension(extension, strategy, new_runs, matches)
-
-        if self.policy == GREEDY:
-            return True
-        # Non-greedy: a definite extension consumes the original; a
-        # conditional one splits (original survives under NOT(p)).
-        if definite_extension:
-            self.stats.runs_consumed += 1
-            strategy.on_run_dropped(run, "consumed")
-            return False
-        if negated_groups:
-            run.add_obligations(tuple(negated_groups))
-        return True
-
-    def _local_guard(
-        self,
-        transition: Transition,
-        env: Mapping[str, Event],
-        event: Event,
-        strategy: StrategyProtocol,
-    ) -> bool:
-        """Charge and decide the local phase of one guard.
-
-        ``env`` holds the events bound so far — without ``event``: the
-        compiled guard reads the input event from its own argument, so only
-        guards that pass pay for an environment copy.  The guard accumulates
-        its predicate charges on a local; one ``advance_to`` publishes them.
+        The path for buckets that need the strategy between two guards:
+        remote predicates to decide, obligations to re-check.  Returns the
+        surviving runs, in order.  Per run it is ``_step_bucket``'s generated
+        loop, statement for statement — and the rate tallies are written
+        straight onto the strategy's cell, because a postponement decision
+        taken between two guards reads them.
         """
         clock = self.clock
         stats = self.stats
-        charged, passed, now = transition.guard(
-            env, event, clock.now + self.cost_model.per_guard_cost
-        )
-        clock.advance_to(now)
-        stats.guard_evaluations += 1
-        stats.predicate_evaluations += charged
-        strategy.observe_guard(transition, passed)
-        return passed
+        guard_cost = self.cost_model.per_guard_cost
+        window = self._window_value
+        time_window = self._time_window
+        at = event.t if time_window else event.seq
+        consume = self.policy != GREEDY
+        guarded = [(transition, strategy.guard_tally(transition)) for transition in transitions]
+        survivors: list[Run] = []
+        for run in runs:
+            # Window.admits, inlined and negated as the generated loop does it.
+            if (not at - run.first_t <= window) if time_window else (at - run.first_seq > window):
+                stats.runs_expired += 1
+                strategy.on_runs_dropped((run,), "expired")
+                continue
+            # First give pending obligations a chance to resolve cheaply: data
+            # may have arrived in the cache since the run was last touched.
+            if (
+                run.obligations
+                and self._check_obligations(run, strategy, blocking=False) is _VIOLATED
+            ):
+                stats.runs_failed_obligation += 1
+                strategy.on_runs_dropped((run,), "obligation_failed")
+                continue
+
+            definite_extension = False
+            negated_groups: list[Obligation] = []
+            env = run.env
+            for transition, tally in guarded:
+                # ``env`` holds the events bound so far — without ``event``:
+                # the compiled guard reads the input event from its own
+                # argument, so only guards that pass pay for a copy.  The
+                # guard accumulates its predicate charges on a local; one
+                # ``advance_to`` publishes them.
+                charged, passed, now = transition.guard(env, event, clock.now + guard_cost)
+                clock.advance_to(now)
+                stats.guard_evaluations += 1
+                stats.predicate_evaluations += charged
+                tally.evaluations += 1.0
+                if not passed:
+                    continue
+                tally.passes += 1.0
+                bound = dict(env)
+                bound[transition.binding] = event
+                obligations = self._resolve_remote(transition, run, bound, strategy)
+                if obligations is None:
+                    continue
+                extension = run.extend(
+                    transition, event, obligations, created_at=clock.now, env=bound
+                )
+                if not obligations:
+                    definite_extension = True
+                elif consume:
+                    (postponed,) = obligations
+                    negated_groups.append(
+                        Obligation(
+                            postponed.predicates,
+                            negated=True,
+                            issued_at=clock.now,
+                            env=bound,
+                            origin=transition,
+                            ell_estimate=postponed.ell_estimate,
+                        )
+                    )
+                self._admit_extension(extension, strategy, new_runs, matches)
+
+            if consume:
+                # Non-greedy: a definite extension consumes the original; a
+                # conditional one splits (original survives under NOT(p)).
+                if definite_extension:
+                    stats.runs_consumed += 1
+                    strategy.on_runs_dropped((run,), "consumed")
+                    continue
+                if negated_groups:
+                    run.add_obligations(tuple(negated_groups))
+            survivors.append(run)
+        return survivors
 
     def _resolve_remote(
         self,
-        run: Run,
         transition: Transition,
-        event: Event,
+        run: Run | None,
+        env: Mapping[str, Event],
         strategy: StrategyProtocol,
-    ) -> tuple[Run, Obligation | None] | None:
-        """Finish a guard whose local phase passed; None on failure, else
-        (extension, postponed).
+    ) -> tuple[Obligation, ...] | None:
+        """Finish a guard whose local phase passed.
 
         The strategy decides each remote predicate (fetch, cache hit, or
-        postpone).  ``postponed`` is the obligation attached to the
-        extension when some remote predicate was deferred, else None (a
-        definite pass).
+        postpone) against ``env``, the bound events including the input
+        event; ``run`` is None at a root transition.  Returns None when one
+        is false; otherwise the obligations the new run starts with — the
+        predicates that were postponed, as one group, or none (a definite
+        pass).
         """
         clock = self.clock
-        env = dict(run.env)
-        env[transition.binding] = event
-
-        postponed_predicates = []
+        postponed = []
         for predicate in transition.remote_predicates:
             outcome = strategy.resolve_predicate(transition, predicate, run, env)
             if outcome is POSTPONED:
-                postponed_predicates.append(predicate)
+                postponed.append(predicate)
                 continue
             self.stats.predicate_evaluations += 1
             clock.advance(predicate.eval_cost)
             if not outcome:
                 return None
-
-        obligation: Obligation | None = None
-        if postponed_predicates:
-            postponed_ell = getattr(strategy, "last_postpone_ell", 0.0)
-            obligation = Obligation(
-                tuple(postponed_predicates),
+        if not postponed:
+            return ()
+        return (
+            Obligation(
+                tuple(postponed),
                 negated=False,
                 issued_at=clock.now,
                 env=env,
                 origin=transition,
-                ell_estimate=postponed_ell,
-            )
-        extension = run.extend(
-            transition,
-            event,
-            (obligation,) if obligation is not None else (),
-            created_at=clock.now,
-            env=env,
+                # L2 re-derives succ from the estimate the decision was made
+                # with; without it the run blocks at the very next class.
+                ell_estimate=getattr(strategy, "last_postpone_ell", 0.0),
+            ),
         )
-        return extension, obligation
 
     def _start_runs(
         self,
@@ -535,40 +583,26 @@ class Engine:
         matches: list[MatchRecord],
     ) -> None:
         """Try to open a new partial match from the root state."""
+        clock = self.clock
+        stats = self.stats
         for transition in transitions:
-            if not self._local_guard(transition, _NO_BINDINGS, event, strategy):
+            tally = strategy.guard_tally(transition)
+            charged, passed, now = transition.guard(
+                _NO_BINDINGS, event, clock.now + self.cost_model.per_guard_cost
+            )
+            clock.advance_to(now)
+            stats.guard_evaluations += 1
+            stats.predicate_evaluations += charged
+            tally.evaluations += 1.0
+            if not passed:
                 continue
+            tally.passes += 1.0
             env = {transition.binding: event}
-            postponed = []
-            failed = False
-            for predicate in transition.remote_predicates:
-                outcome = strategy.resolve_predicate(transition, predicate, None, env)
-                if outcome is POSTPONED:
-                    postponed.append(predicate)
-                    continue
-                self.stats.predicate_evaluations += 1
-                self.clock.advance(predicate.eval_cost)
-                if not outcome:
-                    failed = True
-                    break
-            if failed:
+            obligations = self._resolve_remote(transition, None, env, strategy)
+            if obligations is None:
                 continue
-            run = Run.start(transition.target, transition.binding, event, created_at=self.clock.now)
-            if postponed:
-                run.add_obligations(
-                    (
-                        Obligation(
-                            tuple(postponed),
-                            negated=False,
-                            issued_at=self.clock.now,
-                            env=env,
-                            origin=transition,
-                            # L2 re-derives succ from this estimate; without it
-                            # the run blocks at the very next class.
-                            ell_estimate=getattr(strategy, "last_postpone_ell", 0.0),
-                        ),
-                    )
-                )
+            run = Run.start(transition.target, transition.binding, event, created_at=clock.now)
+            run.obligations = obligations
             self._admit_extension(run, strategy, new_runs, matches)
 
     # -- extensions, finals, obligations ------------------------------------------

@@ -10,7 +10,7 @@ implementations depend only on this module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Protocol
+from typing import Any, Mapping, Protocol, Sequence
 
 from repro.events.event import Event
 from repro.nfa.automaton import Transition
@@ -166,20 +166,24 @@ class StrategyProtocol(Protocol):
     def finish_blocking(self) -> None:
         """Drop values staged by :meth:`prepare_blocking`."""
 
-    def on_run_created(self, run: Run) -> None:
-        """A partial match was created or extended (utility bookkeeping)."""
+    def on_runs_created(self, runs: Sequence[Run]) -> None:
+        """Partial matches were created or extended (utility bookkeeping,
+        prefetch triggering): everything one event added, in creation order.
+        Must not advance the clock."""
 
-    def on_run_dropped(self, run: Run, reason: str) -> None:
-        """A partial match left the system (expired/consumed/failed/matched)."""
-
-    def observe_guard(self, transition: Transition, passed: bool) -> None:
-        """A (run, transition) local guard was evaluated (rate monitoring)."""
+    def on_runs_dropped(self, runs: Sequence[Run], reason: str) -> None:
+        """Partial matches left the system for one ``reason`` (expired /
+        consumed / obligation_failed / flushed / shed), in drop order."""
 
     def guard_tally(self, transition: Transition) -> Any:
-        """The cell :meth:`observe_guard` counts ``transition`` in.
+        """The cell ``transition``'s guard evaluations are counted in, for
+        rate monitoring.
 
-        Two float attributes, ``evaluations`` and ``passes``.  A generated
-        bucket loop adds ``1.0`` per guard to local copies and the engine
-        stores them back once per bucket — one call instead of one per guard,
-        the same additions in the same order.
+        Two float attributes, ``evaluations`` and ``passes``; the engine adds
+        ``1.0`` per guard.  A generated bucket loop adds to local copies and
+        the engine stores them back once per bucket; the per-run loop writes
+        the attributes directly, because a decision the strategy takes
+        between two guards reads them — the same additions in the same order
+        either way (the cells are halved periodically, so ``+= n`` would
+        round differently).
         """

@@ -1,4 +1,5 @@
-"""Compiled transition guards: one generated function per guard, one loop per bucket.
+"""Compiled transition guards: one generated function per guard, one loop per
+bucket, one ``keys`` / ``decide`` pair per remote predicate.
 
 Walking a predicate tree costs a handful of Python calls per predicate
 (``Comparison.evaluate`` → two ``Attr.evaluate`` → two ``Event.__getitem__``)
@@ -89,6 +90,32 @@ consulted between guards), and any exception simply propagates; in both
 cases the caller steps the bucket run by run instead, through
 ``Transition.guard`` and its fallback above.
 
+Remote predicates
+-----------------
+A remote predicate is the strategy's to decide — collect its keys, look them
+up, maybe fetch or postpone — so it cannot sit inside a guard.  But the two
+pure steps either side of that decision were still tree walks:
+``Predicate.remote_keys`` and ``Predicate.evaluate`` against a resolver.
+:func:`compile_remote` renders them once per predicate; for Q1's
+``d.v1 IN REMOTE<rd1>[a.v1]``::
+
+    def keys(env):
+        return (('rd1', env['a'].attrs['v1']),)
+
+    def decide(env, values):
+        if (env['d'].attrs['v1'] in values[('rd1', env['a'].attrs['v1'])]):
+            return True
+        return False
+
+``env`` holds every bound event *including* the one the transition binds
+(obligations are decided long after that event was the input), and
+``values`` maps each ``(source, key)`` pair to the element's value — the
+snapshot the strategy collected.  Neither function catches anything: a
+``KeyError`` on ``values[...]`` is a key whose fetch terminally failed, on
+``env[...]`` an unbound binding, on ``attrs[...]`` a missing attribute, and
+the strategy answers any exception by re-running the interpretive walk,
+which applies the failure mode or raises the descriptive error.
+
 ``compile()`` costs far more than rendering, and tenants of one fleet (or
 successive builds of one query) produce identical source, so code objects
 are memoised on the source string.  Each is compiled under a pseudo-file
@@ -117,6 +144,7 @@ __all__ = [
     "GuardScope",
     "compile_bucket_loop",
     "compile_guard",
+    "compile_remote",
     "interpret_guard",
 ]
 
@@ -131,19 +159,22 @@ _PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
 
 
 class GuardScope:
-    """Naming scope of one generated guard.
+    """Naming scope of one generated function.
 
     ``input_binding`` is the binding the guard's transition establishes: its
     attributes are read off the ``event`` argument, every other binding off
-    ``env``.  Objects with no source form (callables, collections, exotic
-    constants) are *captured*: the source refers to them by a generated
-    name and the function's globals supply the object.
+    ``env``.  A *remote* scope has no input binding — every event is read
+    off ``env`` — and a ``values`` argument that remote references index.
+    Objects with no source form (callables, collections, exotic constants)
+    are *captured*: the source refers to them by a generated name and the
+    function's globals supply the object.
     """
 
-    __slots__ = ("input_binding", "captured")
+    __slots__ = ("input_binding", "remote", "captured")
 
-    def __init__(self, input_binding: str) -> None:
+    def __init__(self, input_binding: str | None, remote: bool = False) -> None:
         self.input_binding = input_binding
+        self.remote = remote
         self.captured: dict[str, Any] = {}
 
     def capture(self, value: Any) -> str:
@@ -203,7 +234,8 @@ def compile_guard(predicates: Sequence[Predicate], binding: str) -> Guard:
         "        return _interpret(env, event, start)",
     ]
     interpret = functools.partial(interpret_guard, tuple(predicates), binding)
-    return _define("guard", lines, scope, _interpret=interpret)
+    (guard,) = _define(["guard"], lines, scope, _interpret=interpret)
+    return guard
 
 
 def compile_bucket_loop(
@@ -247,7 +279,34 @@ def compile_bucket_loop(
         "        outcomes.append((run, now, True))",
         "    return now, charged, evaluations, passes, outcomes",
     ]
-    return _define("bucket_loop", lines, scope)
+    (bucket_loop,) = _define(["bucket_loop"], lines, scope)
+    return bucket_loop
+
+
+def compile_remote(predicate: Predicate) -> tuple[Callable, Callable]:
+    """``(keys, decide)`` for one remote predicate.
+
+    ``keys(env)`` is :meth:`Predicate.remote_keys`; ``decide(env, values)``
+    is :meth:`Predicate.evaluate` against a resolver over ``values``, as a
+    ``bool``.  See "Remote predicates" in the module docstring; the source of
+    both is available as the ``source`` attribute of either.
+    """
+    scope = GuardScope(None, remote=True)
+    pairs = [
+        f"({scope.literal(ref.source)}, {ref.key_expr.render(scope)})"
+        for ref in predicate.remote_refs()
+    ]
+    lines = [
+        "def keys(env):",
+        f"    return ({''.join(pair + ', ' for pair in pairs)})",
+        "",
+        "def decide(env, values):",
+        f"    if {predicate.render(scope)}:",
+        "        return True",
+        "    return False",
+    ]
+    keys, decide = _define(["keys", "decide"], lines, scope)
+    return keys, decide
 
 
 def _rendered(predicates: Sequence[Predicate], scope: GuardScope):
@@ -261,14 +320,19 @@ def _rendered(predicates: Sequence[Predicate], scope: GuardScope):
         yield scope.literal(predicate.eval_cost), predicate.render(scope)
 
 
-def _define(name: str, lines: list[str], scope: GuardScope, **helpers: Any):
-    """Execute the generated ``def name`` with the scope's captures as globals."""
+def _define(names: Sequence[str], lines: list[str], scope: GuardScope, **helpers: Any) -> list:
+    """Execute the generated ``def``s with the scope's captures as globals.
+
+    Returns the functions called ``names``; each carries the whole generated
+    source as its ``source`` attribute.
+    """
     source = "\n".join(lines) + "\n"
     namespace = dict(scope.captured, **helpers)
     exec(_code_for(source), namespace)
-    function = namespace[name]
-    function.source = source
-    return function
+    functions = [namespace[name] for name in names]
+    for function in functions:
+        function.source = source
+    return functions
 
 
 @functools.lru_cache(maxsize=512)

@@ -21,9 +21,10 @@ this knob is how the workloads express that.
 
 The engine does not walk these trees on its hot path: each expression also
 *renders* itself as Python source, and :mod:`repro.query.guards` assembles
-one straight-line function per transition guard from its local predicates.
-``evaluate`` stays the reference semantics — what remote predicates and
-obligations use, and what the generated code is tested against.
+one straight-line function per transition guard from its local predicates,
+and a ``keys`` / ``decide`` pair per remote predicate.  ``evaluate`` stays
+the reference semantics — what the generated code falls back to when it
+raises, and what it is tested against.
 """
 
 from __future__ import annotations
@@ -185,10 +186,12 @@ class RemoteRef(Expr):
         return resolver(self.concrete_key(env))
 
     def render(self, scope: GuardScope) -> str:
-        raise TypeError(
-            f"{self!r} cannot appear in a generated guard: only local "
-            "predicates are compiled; the compiler must have misclassified one"
-        )
+        if not scope.remote:
+            raise TypeError(
+                f"{self!r} cannot appear in a generated guard: only local "
+                "predicates are compiled; the compiler must have misclassified one"
+            )
+        return f"values[({self.source!r}, {self.key_expr.render(scope)})]"
 
     def __repr__(self) -> str:
         return f"REMOTE<{self.source}>[{self.key_expr!r}]"

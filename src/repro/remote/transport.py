@@ -121,6 +121,10 @@ TRANSPORT_BATCH_KEYS_METRIC = "transport.batch_keys_per_wire"
 # the window closes and the wire request assigns the real arrival.
 _QUEUED_ARRIVAL = float("inf")
 
+# ``Transport.next_due`` after a mutation: no bound known, the next
+# ``deliver_due`` scans.
+_UNKNOWN = float("-inf")
+
 
 class LatencyModel(ABC):
     """Draws one transmission latency (in virtual us) per fetch."""
@@ -292,6 +296,13 @@ class Transport:
         self.batch_policy = batch_policy if batch_policy is not None else DISABLED_BATCHING
         self._in_flight: dict[DataKey, FetchTicket] = {}
         self._queues: dict[str, BatchQueue] = {}
+        #: Lower bound on the next instant :meth:`deliver_due` can have
+        #: anything to do — the earliest arrival in flight or batch deadline
+        #: still open.  ``submit`` and ``flush_batches`` reset it to "unknown"
+        #: (every path that adds a ticket or sets an ``arrives_at`` runs
+        #: under one of them, or under ``deliver_due`` itself); each full
+        #: scan recomputes it.  Too low only costs a scan.
+        self.next_due = _UNKNOWN
         self.tracer: Tracer = NULL_TRACER
         self._latency_hist: Histogram | None = None
         self._batch_hist: Histogram | None = None
@@ -330,6 +341,7 @@ class Transport:
         queued in a batch window, blocking or async alike — coalesce onto
         the existing ticket instead of issuing a duplicate wire request.
         """
+        self.next_due = _UNKNOWN
         if self._queues:
             # Windows whose deadline passed while the engine stalled close
             # before the new request is considered, keeping flush times
@@ -437,7 +449,12 @@ class Transport:
         Delivery order is deterministic: ``(arrives_at, issued_at, key)`` —
         plain arrival order would leave ties at the mercy of dict insertion
         order, which retry rescheduling perturbs.
+
+        O(1) while ``now`` is short of :attr:`next_due`: nothing in flight
+        has arrived and no window has closed, so the scan would find nothing.
         """
+        if now < self.next_due:
+            return []
         if self._queues:
             self._flush_due(now)
         delivered: list[FetchTicket] = []
@@ -457,6 +474,13 @@ class Transport:
                     break
                 ticket = next_ticket
                 self._in_flight[key] = ticket
+        # What is left arrives after ``now`` (queued tickets: never, until
+        # their window's deadline closes it).
+        self.next_due = min(
+            [pending.arrives_at for pending in self._in_flight.values()]
+            + [window.deadline for window in self._queues.values()],
+            default=_QUEUED_ARRIVAL,
+        )
         delivered.sort(key=lambda t: (t.arrives_at, t.issued_at, repr(t.key)))
         if self.tracer.enabled:
             for ticket in delivered:
@@ -502,6 +526,7 @@ class Transport:
         byte-identical.  Windows whose deadline already passed flush at
         that deadline; still-open windows flush at ``now``.
         """
+        self.next_due = _UNKNOWN
         flushed = 0
         for source in sorted(self._queues):
             queue = self._queues[source]

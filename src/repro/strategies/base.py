@@ -10,7 +10,7 @@ decision hooks:
   the predicate (L1 of LzEval);
 * :meth:`FetchStrategy.should_block_obligations` — whether a run carrying
   postponed predicates may keep developing (L2);
-* :meth:`FetchStrategy.on_run_created` — prefetch triggering (P1/P2).
+* :meth:`FetchStrategy.on_runs_created` — prefetch triggering (P1/P2).
 
 The machinery is split into focused modules behind this import surface:
 :mod:`repro.strategies.context` (the runtime context and failure modes),
@@ -23,12 +23,13 @@ the lifecycle wiring.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Sequence
 
 from repro.events.event import Event
 from repro.nfa.automaton import Transition
 from repro.nfa.run import Run
 from repro.obs.trace import CAT_OBLIGATION, CAT_RUN
+from repro.query.guards import compile_remote
 from repro.query.predicates import Predicate
 from repro.remote.element import DataKey
 from repro.strategies.context import FAIL_CLOSED, FAIL_OPEN, RuntimeContext
@@ -87,6 +88,9 @@ class FetchStrategy(ObligationResolution, FetchPlane):
         # when a fresh fetch terminally fails (only kept while enabled).
         self._last_known: dict[DataKey, Any] = {}
         self.last_postpone_ell = 0.0
+        # Each remote predicate of the attached automaton, compiled once into
+        # its (keys, decide) pair.
+        self._remote: dict[Predicate, tuple] = {}
         # Per-match latency-attribution tracker; attached by the composition
         # root only when tracing is enabled (None keeps the hot path to one
         # ``is None`` check per instrumentation site).
@@ -95,6 +99,11 @@ class FetchStrategy(ObligationResolution, FetchPlane):
     # -- wiring ----------------------------------------------------------------
     def attach(self, ctx: RuntimeContext) -> None:
         self.ctx = ctx
+        self._remote = {
+            predicate: compile_remote(predicate)
+            for transition in ctx.automaton.transitions
+            for predicate in transition.remote_predicates
+        }
         if ctx.metrics is not None:
             # Rebind the (still-empty) stats façades onto the framework's
             # shared registry so snapshots include the fetch.* and
@@ -132,50 +141,56 @@ class FetchStrategy(ObligationResolution, FetchPlane):
         self._engine = engine
 
     # -- run lifecycle ------------------------------------------------------------
-    def on_run_created(self, run: Run) -> None:
-        self.ctx.utility.on_run_created(run)
-        tracer = self.ctx.tracer
-        if tracer.enabled:
-            tracer.emit(
-                CAT_RUN,
-                "create",
-                self.ctx.clock.now,
-                run_id=tracer.run_ref(run.run_id),
-                state=run.state.index,
-                bound=len(run.env),
-                obligations=len(run.obligations),
-            )
+    def on_runs_created(self, runs: Sequence[Run]) -> None:
+        ctx = self.ctx
+        register = ctx.utility.on_run_created
+        tracer = ctx.tracer
+        now = ctx.clock.now
+        for run in runs:
+            register(run)
+            if tracer.enabled:
+                tracer.emit(
+                    CAT_RUN,
+                    "create",
+                    now,
+                    run_id=tracer.run_ref(run.run_id),
+                    state=run.state.index,
+                    bound=len(run.env),
+                    obligations=len(run.obligations),
+                )
 
-    def on_run_dropped(self, run: Run, reason: str) -> None:
-        self.drops.record(reason)
+    def on_runs_dropped(self, runs: Sequence[Run], reason: str) -> None:
+        self.drops.record(reason, len(runs))
         # Obligations that ride a run out of its window, to end of stream,
         # or into a shedding eviction expire deterministically with the run:
         # the data they waited for never arrived in time to matter.
-        tracer = self.ctx.tracer
-        if run.obligations and reason in ("expired", "flushed", "shed"):
-            self.stats.obligations_expired += len(run.obligations)
+        rides_out = reason in ("expired", "flushed", "shed")
+        ctx = self.ctx
+        unregister = ctx.utility.on_run_dropped
+        tracer = ctx.tracer
+        now = ctx.clock.now
+        for run in runs:
+            if rides_out and run.obligations:
+                self.stats.obligations_expired += len(run.obligations)
+                if tracer.enabled:
+                    tracer.emit(
+                        CAT_OBLIGATION,
+                        "expire",
+                        now,
+                        run_id=tracer.run_ref(run.run_id),
+                        count=len(run.obligations),
+                        reason=reason,
+                    )
             if tracer.enabled:
                 tracer.emit(
-                    CAT_OBLIGATION,
-                    "expire",
-                    self.ctx.clock.now,
+                    CAT_RUN,
+                    "drop",
+                    now,
                     run_id=tracer.run_ref(run.run_id),
-                    count=len(run.obligations),
+                    state=run.state.index,
                     reason=reason,
                 )
-        if tracer.enabled:
-            tracer.emit(
-                CAT_RUN,
-                "drop",
-                self.ctx.clock.now,
-                run_id=tracer.run_ref(run.run_id),
-                state=run.state.index,
-                reason=reason,
-            )
-        self.ctx.utility.on_run_dropped(run)
-
-    def observe_guard(self, transition: Transition, passed: bool) -> None:
-        self.ctx.rates.observe_guard(transition.index, passed)
+            unregister(run)
 
     def guard_tally(self, transition: Transition):
         return self.ctx.rates.guard_tally(transition.index)

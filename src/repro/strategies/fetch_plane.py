@@ -164,7 +164,11 @@ class FetchPlane:
         resolves per ``failure_mode``.
         """
         ctx = self.ctx
-        delivered = ctx.transport.deliver_due(ctx.clock.now)
+        transport = ctx.transport
+        now = ctx.clock.now
+        if now < transport.next_due:
+            return  # nothing in flight has arrived: spare the call
+        delivered = transport.deliver_due(now)
         if not delivered:
             return
         cache = ctx.cache

@@ -30,14 +30,22 @@ class ObligationResolution:
 
     Mixed into :class:`~repro.strategies.base.FetchStrategy`; relies on the
     fetch plane (``_collect``, ``_block_for``, ``_deliver_due``) and the
-    shared instance state declared there.
+    shared instance state declared there — including ``_remote``, each remote
+    predicate's generated ``(keys, decide)`` pair
+    (:func:`repro.query.guards.compile_remote`).  Generated code words no
+    errors and knows no failure mode: whenever it raises, the interpretive
+    ``remote_keys`` / :func:`_evaluate_with` run instead and do both.
     """
 
     def resolve_predicate(
         self, transition: Transition, predicate: Predicate, run: Run | None, env: Mapping[str, Event]
     ):
         """Evaluate a remote predicate, or return POSTPONED (§5.2)."""
-        keys = predicate.remote_keys(env)
+        keys_of, decide = self._remote[predicate]
+        try:
+            keys = keys_of(env)
+        except Exception:
+            keys = predicate.remote_keys(env)
         self._deliver_due()
         values, missing = self._collect(keys)
         self._record_history(transition, predicate, missing)
@@ -56,20 +64,30 @@ class ObligationResolution:
                     )
                 return POSTPONED
             values.update(self._block_for(missing))
-        return _evaluate_with(predicate, env, values, self.ctx.failure_mode)
+        try:
+            return decide(env, values)
+        except Exception:
+            return _evaluate_with(predicate, env, values, self.ctx.failure_mode)
 
     def resolve_obligation_predicate(
         self, predicate: Predicate, env: Mapping[str, Event], blocking: bool
     ):
         """Re-evaluate a postponed predicate once its data (maybe) arrived."""
-        keys = predicate.remote_keys(env)
+        keys_of, decide = self._remote[predicate]
+        try:
+            keys = keys_of(env)
+        except Exception:
+            keys = predicate.remote_keys(env)
         self._deliver_due()
         values, missing = self._collect(keys)
         if missing:
             if not blocking:
                 return POSTPONED
             values.update(self._block_for(missing))
-        outcome = _evaluate_with(predicate, env, values, self.ctx.failure_mode)
+        try:
+            outcome = decide(env, values)
+        except Exception:
+            outcome = _evaluate_with(predicate, env, values, self.ctx.failure_mode)
         tracer = self.ctx.tracer
         if tracer.enabled:
             tracer.emit(

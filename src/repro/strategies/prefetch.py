@@ -27,11 +27,13 @@ Fig. 5d tail latencies show.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.events.event import Event
 from repro.nfa.automaton import RemoteSite, Transition
 from repro.nfa.run import Run
 from repro.query.predicates import Predicate
-from repro.obs.trace import CAT_PREFETCH, trace_key
+from repro.obs.trace import CAT_PREFETCH, CAT_RUN, trace_key
 from repro.remote.element import DataKey
 from repro.strategies.base import FetchStrategy
 
@@ -58,8 +60,9 @@ class PrefetchPlanner:
         self._strategy = strategy
         # site_id -> states that trigger it (possibly with offset)
         self._plans: dict[int, PrefetchPlan] = {}
-        # trigger state index -> sites fired when a run enters it
-        self._triggers: dict[int, list[RemoteSite]] = {}
+        # trigger state index -> sites fired when a run enters it; rebuilt in
+        # place by refresh, so a caller may hold it across the runs of a batch
+        self.triggers: dict[int, list[RemoteSite]] = {}
         self._last_refresh = -1.0
 
     def refresh(self, now: float, interval: float = 1_000.0) -> None:
@@ -69,13 +72,13 @@ class PrefetchPlanner:
         self._last_refresh = now
         ctx = self._strategy.ctx
         self._plans.clear()
-        self._triggers.clear()
+        self.triggers.clear()
         for site in ctx.automaton.sites:
             plan = self._plan_site(site, now)
             if plan is None:
                 continue
             self._plans[site.site_id] = plan
-            self._triggers.setdefault(plan.trigger_state_index, []).append(site)
+            self.triggers.setdefault(plan.trigger_state_index, []).append(site)
 
     def _plan_site(self, site: RemoteSite, now: float) -> PrefetchPlan | None:
         """Alg. 3 for one site; None when the site is unprefetchable."""
@@ -106,21 +109,23 @@ class PrefetchPlanner:
         plan = self._plans.get(site_id)
         return plan.trigger_state_index if plan is not None else None
 
-    def on_run_created(self, run: Run, now: float) -> None:
-        """Fire (or schedule) prefetches triggered by the run's new state."""
-        sites = self._triggers.get(run.state.index)
-        if not sites:
-            return
-        ctx = self._strategy.ctx
+    def fire(self, run: Run, sites: list[RemoteSite], now: float) -> None:
+        """Fire (or schedule) the prefetches ``run`` triggers on entering its state."""
+        env = run.env
         for site in sites:
-            if site.ref.key_binding not in run.env:
+            ref = site.ref
+            bound = env.get(ref.key_binding)
+            if bound is None:
                 continue  # different branch shares the state index? (defensive)
-            key = site.ref.concrete_key(run.env)
+            try:
+                key = (ref.source, bound.attrs[ref.key_expr.attr])
+            except KeyError:
+                key = ref.concrete_key(env)  # raises, worded
             plan = self._plans[site.site_id]
             if plan.offset <= 0.0:
                 self._strategy.issue_prefetch(site, key)
             else:
-                ctx.scheduler.schedule(now + plan.offset, ("prefetch", site, key))
+                self._strategy.ctx.scheduler.schedule(now + plan.offset, ("prefetch", site, key))
 
 
 class PFetchStrategy(FetchStrategy):
@@ -145,10 +150,48 @@ class PFetchStrategy(FetchStrategy):
                 self.issue_prefetch(site, key)
 
     # -- engine hooks ---------------------------------------------------------------
-    def on_run_created(self, run: Run) -> None:
-        super().on_run_created(run)
-        self.planner.refresh(self.ctx.clock.now)
-        self.planner.on_run_created(run, self.ctx.clock.now)
+    def attach(self, ctx) -> None:
+        super().attach(ctx)
+        # The sites whose hit/miss history one evaluation of a predicate
+        # feeds, per (transition, predicate) — resolved once, not per visit.
+        self._history_sites = {
+            (transition.index, predicate): tuple(
+                site.site_id
+                for site in transition.sites
+                if site.predicate is predicate and site.prefetchable
+            )
+            for transition in ctx.automaton.transitions
+            for predicate in transition.remote_predicates
+        }
+
+    def on_runs_created(self, runs: Sequence[Run]) -> None:
+        # Per run and interleaved — register, trace, fire triggers, next run:
+        # a gated Eq. 7 candidate reads the utility registrations made so
+        # far, and the trace interleaves run and prefetch records.  Only the
+        # plan refresh is hoisted: it is time-gated, the clock stands still
+        # here, and it reads no utility state.
+        ctx = self.ctx
+        now = ctx.clock.now
+        planner = self.planner
+        planner.refresh(now)
+        triggers = planner.triggers
+        register = ctx.utility.on_run_created
+        tracer = ctx.tracer
+        for run in runs:
+            register(run)
+            if tracer.enabled:
+                tracer.emit(
+                    CAT_RUN,
+                    "create",
+                    now,
+                    run_id=tracer.run_ref(run.run_id),
+                    state=run.state.index,
+                    bound=len(run.env),
+                    obligations=len(run.obligations),
+                )
+            sites = triggers.get(run.state.index)
+            if sites:
+                planner.fire(run, sites, now)
 
     def _record_history(
         self, transition: Transition, predicate: Predicate, missing: list[DataKey]
@@ -156,20 +199,16 @@ class PFetchStrategy(FetchStrategy):
         """Feed the cache hit/miss history for lookahead timing."""
         ctx = self.ctx
         now = ctx.clock.now
-        missing_set = set(missing)
-        for site in transition.sites:
-            if site.predicate is not predicate or not site.prefetchable:
-                continue
-            trigger = self.planner.trigger_state_for(site.site_id)
+        for site_id in self._history_sites[transition.index, predicate]:
+            trigger = self.planner.trigger_state_for(site_id)
             if trigger is None:
                 continue
-            hit = not missing_set
-            if hit:
-                self.stats.history_hits += 1
-                ctx.history.record_hit(site.site_id, trigger, now)
-            else:
+            if missing:
                 self.stats.history_misses += 1
-                ctx.history.record_miss(site.site_id, trigger, now)
+                ctx.history.record_miss(site_id, trigger, now)
+            else:
+                self.stats.history_hits += 1
+                ctx.history.record_hit(site_id, trigger, now)
 
     # -- P2: prefetch selection --------------------------------------------------------
     def issue_prefetch(self, site: RemoteSite, key: DataKey) -> None:

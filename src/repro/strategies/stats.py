@@ -51,7 +51,7 @@ DEGRADATION_COUNTER_KEYS = (
 )
 
 
-# Every reason the engine passes to ``on_run_dropped``, in report order.
+# Every reason the engine passes to ``on_runs_dropped``, in report order.
 # ``consumed`` is a run retiring into a match; the rest are losses.
 RUN_DROP_REASONS = (
     "consumed",
@@ -78,11 +78,11 @@ class DropStats:
             reason: registry.counter(f"engine.dropped.{reason}") for reason in RUN_DROP_REASONS
         }
 
-    def record(self, reason: str) -> None:
+    def record(self, reason: str, count: int = 1) -> None:
         cell = self._cells.get(reason)
         if cell is None:
             raise ValueError(f"unregistered run-drop reason {reason!r}; add it to RUN_DROP_REASONS")
-        cell.inc()
+        cell.inc(count)
 
     def as_dict(self) -> dict[str, int]:
         return {f"dropped.{reason}": self._cells[reason].value for reason in RUN_DROP_REASONS}

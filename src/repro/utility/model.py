@@ -135,9 +135,10 @@ class UtilityModel:
         if sites:
             env = run.env
             try:
-                keys = tuple(
-                    [(source, env[name].attrs[attr]) for source, name, attr in sites if name in env]
-                )
+                for source, name, attr in sites:
+                    bound = env.get(name)
+                    if bound is not None:
+                        keys += ((source, bound.attrs[attr]),)
             except KeyError:
                 keys = required_keys(run, include_future_states=True)  # raises, worded
         run.required_keys = keys

@@ -6,11 +6,11 @@ need, per transition, the arrival rate of events that would extend a partial
 match along that transition.
 
 A CEP engine evaluates guards anyway, so the estimator piggybacks on that:
-for transition ``t`` it maintains the fraction of guard evaluations that
-passed (a decayed counter) and multiplies it by the monitored arrival rate
-of events of ``t``'s type.  This matches how the paper assumes rates "shall
-be learned from historic data or through monitoring" (§5.1) while staying
-O(1) per observation.
+for transition ``t`` it holds the cell the engine tallies guard evaluations
+and passes in (decayed counters) and multiplies the pass fraction by the
+monitored arrival rate of events of ``t``'s type.  This matches how the
+paper assumes rates "shall be learned from historic data or through
+monitoring" (§5.1) while staying O(1) per observation.
 """
 
 from __future__ import annotations
@@ -61,18 +61,14 @@ class RateEstimator:
         if self._events_seen % self._decay_interval == 0:
             self._decay()
 
-    def observe_guard(self, transition_index: int, passed: bool) -> None:
-        """Record one (run, transition) guard evaluation outcome."""
-        counter = self._guards[transition_index]
-        counter.evaluations += 1.0
-        if passed:
-            counter.passes += 1.0
-
     def guard_tally(self, transition_index: int) -> _PassCounter:
-        """The transition's counter cell, for callers that tally a whole
-        bucket of guards on locals: one ``+= 1.0`` per guard, as
-        :meth:`observe_guard` does — the counters are halved periodically,
-        so adding a batch total would round differently."""
+        """The cell a transition's guard evaluations are counted in.
+
+        Whoever evaluates the guards adds ``1.0`` to ``evaluations`` per
+        guard and ``1.0`` to ``passes`` per guard that passed — one addition
+        per guard, never a batch total: the counters are halved
+        periodically, so ``+= n`` would round differently.
+        """
         return self._guards[transition_index]
 
     def _decay(self) -> None:

@@ -28,14 +28,11 @@ class RecordingStrategy:
         self.rates = RateEstimator()
         self.log: list[tuple] = []
 
-    def on_run_created(self, run) -> None:
-        self.log.append(("created", run, self.clock.now))
+    def on_runs_created(self, runs) -> None:
+        self.log.extend(("created", run, self.clock.now) for run in runs)
 
-    def on_run_dropped(self, run, reason) -> None:
-        self.log.append((reason, run, self.clock.now))
-
-    def observe_guard(self, transition, passed) -> None:
-        self.rates.observe_guard(transition.index, passed)
+    def on_runs_dropped(self, runs, reason) -> None:
+        self.log.extend((reason, run, self.clock.now) for run in runs)
 
     def guard_tally(self, transition):
         return self.rates.guard_tally(transition.index)

@@ -116,7 +116,7 @@ class TestCompiledGuardByteIdentity:
 
 def _no_bucket_loop(predicates, binding, window_kind):
     """Stand-in for ``compile_bucket_loop``: no loop, so every bucket is
-    stepped run by run through ``_step_run``."""
+    stepped run by run through ``_step_runs``."""
     return None
 
 

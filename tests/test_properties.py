@@ -1,5 +1,8 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+from types import SimpleNamespace
+from unittest.mock import patch
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +17,9 @@ from repro.events.event import Event
 from repro.metrics.latency import percentile
 from repro.nfa.compiler import compile_query
 from repro.nfa.run import Run
-from repro.query.guards import compile_bucket_loop, compile_guard, interpret_guard
+from repro.obs.trace import NULL_TRACER
+from repro.query.errors import RemoteDataUnavailable
+from repro.query.guards import compile_bucket_loop, compile_guard, compile_remote, interpret_guard
 from repro.query.parser import parse_query
 from repro.query.predicates import (
     _COMPARATORS,
@@ -23,12 +28,28 @@ from repro.query.predicates import (
     Const,
     FunctionPredicate,
     Membership,
+    Predicate,
+    RemoteRef,
 )
+from repro.remote.batching import BatchPolicy
 from repro.remote.element import DataElement
-from repro.remote.transport import FixedLatency
+from repro.remote.faults import make_fault_model
+from repro.remote.retry import RetryPolicy
+from repro.remote.store import RemoteStore
+from repro.remote.transport import (
+    MODE_BLOCKING,
+    TRANSPORT_COUNTER_KEYS,
+    FetchRequest,
+    FixedLatency,
+    Transport,
+    UniformLatency,
+)
 from repro.sim.clock import VirtualClock
-from repro.sim.rng import stable_hash
+from repro.sim.rng import make_rng, stable_hash
 from repro.sim.scheduler import FutureScheduler
+from repro.strategies import obligations as obligations_module
+from repro.strategies.base import FAIL_CLOSED, FAIL_OPEN, FetchStrategy
+from repro.strategies.obligations import _evaluate_with
 
 from tests.helpers import RecordingStrategy, make_abc_scenario, random_stream, run_eires
 
@@ -386,9 +407,9 @@ def _bucket_engine(predicates, parents, window, policy, final, start, guard_cost
     for payload, age in parents:
         # Age 5 sits exactly on the window's edge; older runs have expired.
         first = Event(_NOW_T - 10.0 * age, payload, seq=_NOW_SEQ - age)
-        run = Run.start(automaton.states[1], "a", first, created_at=start)
-        engine._add_run(run, None, strategy)
-        runs.append(run)
+        runs.append(Run.start(automaton.states[1], "a", first, created_at=start))
+    if runs:
+        engine._add_runs(runs, None, strategy)
     return engine, strategy, tally, runs
 
 
@@ -448,7 +469,7 @@ def test_bucket_loop_agrees_with_the_per_run_path(
     predicates, parents, current, window, policy, final, start, guard_cost, warm
 ):
     """One event against one bucket, through the generated loop + outcome
-    replay and through ``_step_run``: bit-identical clock, counters, rate
+    replay and through ``_step_runs``: bit-identical clock, counters, rate
     tallies, survivors (which, in what order), new runs, matches, and the
     clock every run callback saw.
 
@@ -500,3 +521,270 @@ def test_expiry_sweep_is_window_admits_in_bucket_order(ages, window):
     ]
     assert engine.stats.runs_expired == expected.count(False)
     assert engine.active_runs == expected.count(True)
+
+
+# -- generated remote predicates vs. the interpretive walk -------------------------
+
+_key_payload = st.sampled_from([0, 1, 2, 1.0, "a", "b"])
+_remote_value = st.one_of(
+    _payload, st.sampled_from([(1, 2, "a"), frozenset({0, 1.5, "ab"}), "abc", ()])
+)
+_remote_ref = st.builds(
+    RemoteRef,
+    st.sampled_from(["s", "t"]),
+    # Binding ``c`` is never bound; ``missing`` is on no event.
+    st.builds(Attr, st.sampled_from(["a", "b", "c"]), st.sampled_from(["k", "k", "missing"])),
+)
+_remote_operand = st.one_of(_remote_ref, _remote_ref, _operand)
+_remote_predicate = st.one_of(
+    st.builds(
+        Comparison, st.sampled_from(sorted(_COMPARATORS)), _remote_operand, _remote_operand, _cost
+    ),
+    st.builds(Membership, _remote_operand, _remote_operand, st.booleans(), _cost),
+    st.builds(
+        FunctionPredicate,
+        st.just(_opaque_ge),
+        st.tuples(_remote_operand, _remote_operand),
+        st.just("opaque_ge"),
+        _cost,
+    ),
+).filter(lambda predicate: predicate.is_remote)
+
+
+class _SnapshotStrategy(FetchStrategy):
+    """``resolve_*`` over a fixed snapshot of remote values: no transport, no
+    cache.  A key absent from the snapshot is a terminally failed fetch — not
+    *missing*, so nothing blocks or postpones."""
+
+    def __init__(self, predicate, snapshot, failure_mode):
+        super().__init__()
+        self.ctx = SimpleNamespace(failure_mode=failure_mode, tracer=NULL_TRACER)
+        self.ctx.clock = VirtualClock()
+        self._remote = {predicate: compile_remote(predicate)}
+        self._snapshot = snapshot
+
+    def _deliver_due(self):
+        pass
+
+    def _collect(self, keys):
+        return {key: self._snapshot[key] for key in keys if key in self._snapshot}, []
+
+
+@given(
+    predicate=_remote_predicate,
+    bound=st.fixed_dictionaries({"x": _payload, "y": _payload, "k": _key_payload}),
+    current=st.fixed_dictionaries({"x": _payload, "y": _payload, "k": _key_payload}),
+    snapshot=st.dictionaries(
+        st.tuples(st.sampled_from(["s", "t"]), _key_payload), _remote_value, max_size=8
+    ),
+    failure_mode=st.sampled_from([FAIL_OPEN, FAIL_CLOSED, None]),
+    obligation=st.booleans(),
+)
+@settings(max_examples=600, deadline=None)
+def test_generated_remote_predicate_agrees_with_the_interpretive_walk(
+    predicate, bound, current, snapshot, failure_mode, obligation
+):
+    """``keys``/``decide`` against ``remote_keys``/``_evaluate_with``, through
+    the strategy's own resolve methods: same verdict, same exception type and
+    text — for remote references on either side, negation, keys whose fetch
+    failed under every failure mode, missing attributes, unbound bindings and
+    operand type errors.  The interpretive walk runs only when it would
+    itself raise (``RemoteDataUnavailable`` under a failure mode included)."""
+    env = {"a": Event(1.0, bound, seq=0), "b": Event(2.0, current, seq=1)}
+
+    def reference():
+        keys = predicate.remote_keys(env)
+        values = {key: snapshot[key] for key in keys if key in snapshot}
+        return _evaluate_with(predicate, env, values, failure_mode)
+
+    def strict(key):
+        if key not in snapshot:
+            raise RemoteDataUnavailable(key)
+        return snapshot[key]
+
+    walk_raises = isinstance(_outcome(lambda: predicate.evaluate(env, strict)), tuple)
+    expected = _outcome(reference)
+
+    strategy = _SnapshotStrategy(predicate, snapshot, failure_mode)
+    walked = []
+
+    def walking(method):
+        return lambda *args: walked.append(method.__name__) or method(*args)
+
+    with patch.object(Predicate, "remote_keys", walking(Predicate.remote_keys)), patch.object(
+        obligations_module, "_evaluate_with", walking(_evaluate_with)
+    ):
+        if obligation:
+            resolved = _outcome(
+                lambda: strategy.resolve_obligation_predicate(predicate, env, blocking=True)
+            )
+        else:
+            resolved = _outcome(lambda: strategy.resolve_predicate(None, predicate, None, env))
+    assert resolved == expected
+    assert bool(walked) == walk_raises, walked
+
+
+# -- expiry sweep: anchor index vs. testing every live run ---------------------------
+
+
+def _exhaustive_sweep(engine, event):
+    """What a sweep at ``event`` must do, by ``Window.admits`` over every
+    live run: the survivors bucket by bucket and the expired in table order."""
+    admits = engine.automaton.window.admits
+    survivors, expired = {}, []
+    for state_index, buckets in engine._runs.items():
+        for partition, runs in buckets.items():
+            kept = [run for run in runs if admits(run.first_t, run.first_seq, event.t, event.seq)]
+            expired += [run for run in runs if run not in kept]
+            if kept:
+                survivors[state_index, partition] = kept
+    return survivors, expired
+
+
+_sweep_event = st.tuples(
+    st.just("event"),
+    st.sampled_from("AABC"),
+    st.integers(min_value=1, max_value=3),  # partition
+    st.sampled_from([0.0, 5.0, 10.0, 25.0, 60.0]),  # gap: 50 us after a root is the edge
+)
+# Mostly events: families must live long enough to reach their window's end.
+_sweep_op = st.one_of(
+    *[_sweep_event] * 10,
+    st.tuples(st.just("shed"), st.integers(min_value=1, max_value=4)),
+    st.tuples(st.just("flush")),
+)
+
+
+@given(
+    ops=st.lists(_sweep_op, min_size=12, max_size=60),
+    window=st.sampled_from(["count", "time"]),
+    policy=st.sampled_from(["greedy", "non_greedy"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_indexed_sweep_agrees_with_the_exhaustive_filter(ops, window, policy):
+    """Every sweep drops exactly the runs ``Window.admits`` rejects, in table
+    order, and keeps the rest in bucket order — whatever happened to the
+    families in between: extended, consumed (non-greedy), shed before their
+    window closed, flushed, started again after a flush.  Sweeping on every
+    event puts runs on both sides of, and exactly on, the window's edge."""
+    automaton = compile_query(
+        parse_query(f"SEQ(A a, B b, C c) WHERE SAME[id] {_WINDOW[window]}", name="t")
+    )
+    clock = VirtualClock()
+    engine = Engine(automaton, clock, policy=policy, expiry_interval=1)
+    strategy = RecordingStrategy(clock)
+    sweep = engine._expire
+    swept = []
+
+    def checked(event, strategy):
+        survivors, expired = _exhaustive_sweep(engine, event)
+        del strategy.log[:]
+        sweep(event, strategy)
+        assert {key: runs for key, runs in _buckets(engine).items()} == survivors
+        assert [(kind, run) for kind, run, _at in strategy.log] == [
+            ("expired", run) for run in expired
+        ]
+        swept.append(len(expired))
+
+    engine._expire = checked
+    t, seq = 0.0, 0
+    for op in ops:
+        if op[0] == "event":
+            _, kind, partition, gap = op
+            t, seq = t + gap, seq + 1
+            clock.advance_to(t)
+            engine.process_event(Event(t, {"type": kind, "id": partition}, seq=seq), strategy)
+        elif op[0] == "shed":
+            engine.shed_lowest(op[1], lambda run: float(run.run_id % 3), strategy)
+        else:
+            engine.flush(strategy)
+            assert not engine._anchors
+        recount = _recount(engine)
+        assert engine.runs_per_state() == recount
+        assert engine.active_runs == sum(recount.values())
+    # One anchor per family started inside the window, at most.
+    assert sum(len(anchors) for anchors in engine._anchors.values()) <= seq
+
+
+def _buckets(engine):
+    return {
+        (state_index, partition): runs
+        for state_index, buckets in engine._runs.items()
+        for partition, runs in buckets.items()
+    }
+
+
+# -- transport: deliver_due behind its next_due bound vs. always scanning ------------
+
+_transport_op = st.one_of(
+    st.tuples(st.just("async"), st.integers(min_value=0, max_value=7), st.booleans()),
+    st.tuples(st.just("blocking"), st.integers(min_value=0, max_value=7)),
+    st.tuples(st.just("deliver")),
+    st.tuples(st.just("deliver")),
+    st.tuples(st.just("flush")),
+)
+
+
+def _faulty_transport(seed, batching):
+    store = RemoteStore()
+    for source in ("s", "t"):
+        store.register_source(source, lambda key: key)
+    return Transport(
+        store,
+        UniformLatency(10.0, 100.0),
+        make_rng(seed),
+        fault_model=make_fault_model("drop:0.2,error:0.2"),
+        fault_rng=make_rng(seed + 1),
+        retry_policy=RetryPolicy(max_attempts=3, attempt_timeout=150.0),
+        batch_policy=BatchPolicy(window=40.0, max_keys=3) if batching else None,
+    )
+
+
+def _ticket_view(ticket):
+    return (ticket.key, ticket.issued_at, ticket.arrives_at, ticket.ok, ticket.error,
+            ticket.attempt, ticket.final, ticket.queued)
+
+
+@given(
+    ops=st.lists(
+        st.tuples(_transport_op, st.sampled_from([0.0, 1.0, 7.0, 30.0, 90.0, 400.0])), max_size=50
+    ),
+    seed=st.integers(min_value=0, max_value=1000),
+    batching=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_deliver_due_behind_its_bound_agrees_with_always_scanning(ops, seed, batching):
+    """Two transports on the same RNG streams see the same submit / deliver /
+    complete / flush sequence — retries, drops, error responses, batch windows
+    closing by deadline, by size and by a blocking need.  One has its bound
+    erased before every ``deliver_due``, so it always scans: same tickets out
+    of every call, in the same order, at every instant, and the same counters
+    at the end.  The bound never overshoots the next thing due."""
+    bounded, scanning = _faulty_transport(seed, batching), _faulty_transport(seed, batching)
+    now = 0.0
+    for (op, *args), gap in ops:
+        now += gap
+        if op == "async":
+            key = ("st"[args[0] % 2], args[0])
+            request = FetchRequest(key, at=now, batchable=args[1])
+            assert _ticket_view(bounded.submit(request)) == _ticket_view(scanning.submit(request))
+        elif op == "blocking":
+            key = ("st"[args[0] % 2], args[0])
+            request = FetchRequest(key, at=now, mode=MODE_BLOCKING)
+            tickets = bounded.submit(request), scanning.submit(request)
+            assert _ticket_view(tickets[0]) == _ticket_view(tickets[1])
+            for transport, ticket in zip((bounded, scanning), tickets):
+                transport.complete(ticket)
+        elif op == "flush":
+            assert bounded.flush_batches(now) == scanning.flush_batches(now)
+        else:
+            scanning.next_due = float("-inf")
+            assert [_ticket_view(ticket) for ticket in bounded.deliver_due(now)] == [
+                _ticket_view(ticket) for ticket in scanning.deliver_due(now)
+            ]
+            due = [ticket.arrives_at for ticket in bounded._in_flight.values()]
+            due += [queue.deadline for queue in bounded._queues.values()]
+            assert all(bounded.next_due <= instant for instant in due)
+        assert sorted(bounded._in_flight) == sorted(scanning._in_flight)
+    for key in TRANSPORT_COUNTER_KEYS:
+        assert getattr(bounded, key) == getattr(scanning, key), key

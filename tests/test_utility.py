@@ -175,10 +175,11 @@ class TestRateEstimator:
         rates = RateEstimator()
         for i in range(100):
             rates.observe_event("A", i * 10.0)
-        for _ in range(80):
-            rates.observe_guard(5, passed=False)
+        tally = rates.guard_tally(5)
+        for _ in range(100):
+            tally.evaluations += 1.0
         for _ in range(20):
-            rates.observe_guard(5, passed=True)
+            tally.passes += 1.0
         assert rates.extension_rate(5, "A") == pytest.approx(0.2 * rates.type_rate("A"), rel=0.01)
 
     def test_unseen_transition_falls_back_to_type_rate(self):
