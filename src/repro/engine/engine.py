@@ -277,17 +277,15 @@ class Engine:
         """
         value = self._window_value
         t, seq = event.t, event.seq
+        at = t if self._time_window else seq
         closed = set()
         for partition in list(self._anchors):
             anchors = self._anchors[partition]
-            if self._time_window:
-                while anchors and not t - anchors[0] <= value:
-                    heappop(anchors)
-                    closed.add(partition)
-            else:
-                while anchors and seq - anchors[0] > value:
-                    heappop(anchors)
-                    closed.add(partition)
+            # The time window's form; on a count window's integers it is the
+            # same test as ``seq - first_seq > value``.
+            while anchors and not at - anchors[0] <= value:
+                heappop(anchors)
+                closed.add(partition)
             if not anchors:
                 del self._anchors[partition]
         if not closed:
