@@ -23,7 +23,8 @@ the lifecycle wiring.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from types import MappingProxyType
+from typing import Any, Mapping, Sequence
 
 from repro.events.event import Event
 from repro.nfa.automaton import Transition
@@ -59,6 +60,9 @@ __all__ = [
     "DropStats",
     "RUN_DROP_REASONS",
 ]
+
+
+_NO_TRIGGERS: Mapping[int, Sequence] = MappingProxyType({})
 
 
 class FetchStrategy(ObligationResolution, FetchPlane):
@@ -142,10 +146,14 @@ class FetchStrategy(ObligationResolution, FetchPlane):
 
     # -- run lifecycle ------------------------------------------------------------
     def on_runs_created(self, runs: Sequence[Run]) -> None:
+        # Per run and interleaved — register, trace, fire prefetch triggers,
+        # next run: a gated Eq. 7 candidate reads the utility registrations
+        # made so far, and the trace interleaves run and prefetch records.
         ctx = self.ctx
+        now = ctx.clock.now
+        triggers = self._prefetch_triggers(now)
         register = ctx.utility.on_run_created
         tracer = ctx.tracer
-        now = ctx.clock.now
         for run in runs:
             register(run)
             if tracer.enabled:
@@ -158,6 +166,9 @@ class FetchStrategy(ObligationResolution, FetchPlane):
                     bound=len(run.env),
                     obligations=len(run.obligations),
                 )
+            sites = triggers.get(run.state.index)
+            if sites:
+                self._fire_prefetches(run, sites, now)
 
     def on_runs_dropped(self, runs: Sequence[Run], reason: str) -> None:
         self.drops.record(reason, len(runs))
@@ -200,6 +211,13 @@ class FetchStrategy(ObligationResolution, FetchPlane):
         """Consume scheduler payloads (offset prefetches); default: none."""
         for _ in self.ctx.scheduler.pop_due(self.ctx.clock.now):
             pass
+
+    def _prefetch_triggers(self, now: float) -> Mapping[int, Sequence]:
+        """What a run triggers a prefetch for, by the index of the state it
+        enters — asked once per batch of new runs; default: nothing (no
+        prefetch).  A strategy that returns entries also implements
+        ``_fire_prefetches(run, entry, now)``."""
+        return _NO_TRIGGERS
 
     def _record_history(
         self, transition: Transition, predicate: Predicate, missing: list[DataKey]

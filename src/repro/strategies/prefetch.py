@@ -33,7 +33,7 @@ from repro.events.event import Event
 from repro.nfa.automaton import RemoteSite, Transition
 from repro.nfa.run import Run
 from repro.query.predicates import Predicate
-from repro.obs.trace import CAT_PREFETCH, CAT_RUN, trace_key
+from repro.obs.trace import CAT_PREFETCH, trace_key
 from repro.remote.element import DataKey
 from repro.strategies.base import FetchStrategy
 
@@ -60,9 +60,9 @@ class PrefetchPlanner:
         self._strategy = strategy
         # site_id -> states that trigger it (possibly with offset)
         self._plans: dict[int, PrefetchPlan] = {}
-        # trigger state index -> sites fired when a run enters it; rebuilt in
-        # place by refresh, so a caller may hold it across the runs of a batch
-        self.triggers: dict[int, list[RemoteSite]] = {}
+        # trigger state index -> (site, plan) pairs fired when a run enters
+        # it; rebuilt in place by refresh
+        self.triggers: dict[int, list[tuple[RemoteSite, PrefetchPlan]]] = {}
         self._last_refresh = -1.0
 
     def refresh(self, now: float, interval: float = 1_000.0) -> None:
@@ -78,7 +78,7 @@ class PrefetchPlanner:
             if plan is None:
                 continue
             self._plans[site.site_id] = plan
-            self.triggers.setdefault(plan.trigger_state_index, []).append(site)
+            self.triggers.setdefault(plan.trigger_state_index, []).append((site, plan))
 
     def _plan_site(self, site: RemoteSite, now: float) -> PrefetchPlan | None:
         """Alg. 3 for one site; None when the site is unprefetchable."""
@@ -108,24 +108,6 @@ class PrefetchPlanner:
         """The state whose entry currently triggers this site's prefetches."""
         plan = self._plans.get(site_id)
         return plan.trigger_state_index if plan is not None else None
-
-    def fire(self, run: Run, sites: list[RemoteSite], now: float) -> None:
-        """Fire (or schedule) the prefetches ``run`` triggers on entering its state."""
-        env = run.env
-        for site in sites:
-            ref = site.ref
-            bound = env.get(ref.key_binding)
-            if bound is None:
-                continue  # different branch shares the state index? (defensive)
-            try:
-                key = (ref.source, bound.attrs[ref.key_expr.attr])
-            except KeyError:
-                key = ref.concrete_key(env)  # raises, worded
-            plan = self._plans[site.site_id]
-            if plan.offset <= 0.0:
-                self._strategy.issue_prefetch(site, key)
-            else:
-                self._strategy.ctx.scheduler.schedule(now + plan.offset, ("prefetch", site, key))
 
 
 class PFetchStrategy(FetchStrategy):
@@ -164,34 +146,31 @@ class PFetchStrategy(FetchStrategy):
             for predicate in transition.remote_predicates
         }
 
-    def on_runs_created(self, runs: Sequence[Run]) -> None:
-        # Per run and interleaved — register, trace, fire triggers, next run:
-        # a gated Eq. 7 candidate reads the utility registrations made so
-        # far, and the trace interleaves run and prefetch records.  Only the
-        # plan refresh is hoisted: it is time-gated, the clock stands still
-        # here, and it reads no utility state.
-        ctx = self.ctx
-        now = ctx.clock.now
-        planner = self.planner
-        planner.refresh(now)
-        triggers = planner.triggers
-        register = ctx.utility.on_run_created
-        tracer = ctx.tracer
-        for run in runs:
-            register(run)
-            if tracer.enabled:
-                tracer.emit(
-                    CAT_RUN,
-                    "create",
-                    now,
-                    run_id=tracer.run_ref(run.run_id),
-                    state=run.state.index,
-                    bound=len(run.env),
-                    obligations=len(run.obligations),
-                )
-            sites = triggers.get(run.state.index)
-            if sites:
-                planner.fire(run, sites, now)
+    def _prefetch_triggers(self, now: float) -> dict[int, list[tuple[RemoteSite, PrefetchPlan]]]:
+        # Once per batch, not per run: the refresh is time-gated, the clock
+        # stands still while a batch registers, and plans read hit history,
+        # rates and latency estimates — no utility state.
+        self.planner.refresh(now)
+        return self.planner.triggers
+
+    def _fire_prefetches(
+        self, run: Run, sites: Sequence[tuple[RemoteSite, PrefetchPlan]], now: float
+    ) -> None:
+        """Issue (or schedule) the prefetches ``run`` triggers on entering its state."""
+        env = run.env
+        for site, plan in sites:
+            ref = site.ref
+            bound = env.get(ref.key_binding)
+            if bound is None:
+                continue  # different branch shares the state index? (defensive)
+            try:
+                key = (ref.source, bound.attrs[ref.key_expr.attr])
+            except KeyError:
+                key = ref.concrete_key(env)  # raises, worded
+            if plan.offset <= 0.0:
+                self.issue_prefetch(site, key)
+            else:
+                self.ctx.scheduler.schedule(now + plan.offset, ("prefetch", site, key))
 
     def _record_history(
         self, transition: Transition, predicate: Predicate, missing: list[DataKey]
