@@ -1,4 +1,4 @@
-"""Guard-evaluation throughput of the reference engine.
+"""Guard-evaluation throughput of the engine.
 
 The engine evaluates each transition guard through one generated function
 (:mod:`repro.query.guards`) that must reproduce the predicate-tree walk
@@ -37,8 +37,7 @@ from repro.workloads.base import Workload
 from repro.workloads.synthetic import SyntheticConfig, make_store, make_stream
 
 STRATEGY = "BL1"
-BACKEND = "reference"
-COLUMNS = ("backend", "matches", "p50", "p95", "throughput_eps",
+COLUMNS = ("matches", "p50", "p95", "throughput_eps",
            "engine.guard_evaluations", "engine.predicate_evaluations")
 
 
@@ -72,7 +71,7 @@ def guard_workload(n_events: int, id_domain: int = 4, window: int = 400,
 
 
 def sweep(n_events: int = 6_000, rounds: int = 2) -> tuple[list[dict], dict]:
-    """Run the reference backend over the guard-heavy workload.
+    """Run the engine over the guard-heavy workload.
 
     Returns ``(rows, timing)``: the deterministic result row, and the
     wall-clock section (guards/second).  Wall time is the best of ``rounds``
@@ -83,20 +82,17 @@ def sweep(n_events: int = 6_000, rounds: int = 2) -> tuple[list[dict], dict]:
     config = EiresConfig()
 
     def run():
-        return run_strategy(workload, STRATEGY, config, backend=BACKEND)
+        return run_strategy(workload, STRATEGY, config)
 
     result, seconds = wall_time(run)
     for _ in range(rounds - 1):
         _, again = wall_time(run)
         seconds = min(seconds, again)
     row = result.summary()
-    row["backend"] = BACKEND
     guards = row["engine.guard_evaluations"]
     timing = {
-        BACKEND: {
-            "wall_seconds": round(seconds, 3),
-            "guard_evals_per_second": round(guards / seconds) if seconds else None,
-        }
+        "wall_seconds": round(seconds, 3),
+        "guard_evals_per_second": round(guards / seconds) if seconds else None,
     }
     return [row], timing
 
@@ -127,9 +123,8 @@ def main(argv: list[str] | None = None) -> int:
                          rounds=1 if smoke else 2)
     experiment = ExperimentResult("BENCH_backends", rows)
     print(experiment.table(COLUMNS))
-    section = timing[BACKEND]
-    print(f"{BACKEND}: {section['wall_seconds']}s wall, "
-          f"{section['guard_evals_per_second']} guard evals/s")
+    print(f"{timing['wall_seconds']}s wall, "
+          f"{timing['guard_evals_per_second']} guard evals/s")
     check_rows(rows)
     path = save_results(experiment, extra={"timing": timing})
     print(f"\nwrote {path}")

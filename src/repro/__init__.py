@@ -31,7 +31,6 @@ the build if they reach deeper.  Adding a name here is an API commitment;
 removing one is a breaking change.
 """
 
-from repro.backends import EvalBackend, list_backends
 from repro.core.config import CACHE_COST, CACHE_LRU, EiresConfig
 from repro.core.framework import EIRES
 from repro.core.multi import MultiQueryEIRES, QuerySpec
@@ -67,8 +66,6 @@ __all__ = [
     "RunResult",
     "GREEDY",
     "NON_GREEDY",
-    "EvalBackend",
-    "list_backends",
     "CACHE_LRU",
     "CACHE_COST",
     "Event",

@@ -3,7 +3,7 @@
 The cache is one JSON file::
 
     {
-      "schema": 1,
+      "schema": 2,
       "signature": "<sha1 over the analysis package's own sources>",
       "modules": {
         "<rel>": {
@@ -44,7 +44,7 @@ from pathlib import Path
 
 __all__ = ["AnalysisCache", "analysis_signature", "changed_files_since"]
 
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
 
 
 def analysis_signature() -> str:

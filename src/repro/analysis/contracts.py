@@ -6,8 +6,8 @@ Three registries anchor the observability and extension contracts:
   validator, the replay tooling, and the docs tables all key on them;
 * **metric names** — the ``*_METRIC`` string constants passed to the
   registry factories (``counter``/``gauge``/``histogram``);
-* **backend names / shedding policies** — ``register_backend(...)`` in
-  ``backends/`` and the ``SHED_POLICIES`` table in ``shedding/policy.py``.
+* **shedding policies** — the ``SHED_POLICIES`` table in
+  ``shedding/policy.py``.
 
 Rule **R1** checks the *code* level: every ``tracer.emit`` category
 constant must canonicalise to the defining trace module (a locally minted
@@ -16,9 +16,8 @@ the validator — exactly the drift R1 exists to catch), and every
 non-literal metric-name argument must resolve to a registered ``*_METRIC``
 constant.
 
-Rule **R2** checks the *docs* level: every registered backend name and
-alias must appear in ``docs/backends.md``, every shedding policy in
-``docs/shedding.md``, and every trace category in
+Rule **R2** checks the *docs* level: every shedding policy must appear in
+``docs/shedding.md`` and every trace category in
 ``docs/observability.md``.  When the docs tree is absent (fixture runs,
 scratch trees), R2 is inert — drift against documentation only exists
 where documentation does.
@@ -40,7 +39,6 @@ POLICY_MODULE = "shedding/policy.py"
 DEFINING_MODULES = ("obs/trace.py", "obs/registry.py")
 
 #: docs file -> what it must document.
-DOCS_BACKENDS = "backends.md"
 DOCS_SHEDDING = "shedding.md"
 DOCS_OBSERVABILITY = "observability.md"
 
@@ -66,10 +64,6 @@ class ContractAnalysis:
                     self.metric_constants[name] = (
                         module.rel, value, module.constant_lines.get(name, 1)
                     )
-        #: backend registrations across the index.
-        self.registrations: list[tuple[Module, dict]] = [
-            (module, reg) for module in index for reg in module.registrations
-        ]
         #: shedding policy names from the SHED_POLICIES table.
         policy = index.module_by_pkg(POLICY_MODULE)
         self.policies: tuple[str, ...] | None = None
@@ -133,17 +127,6 @@ class ContractAnalysis:
     @staticmethod
     def _documented(text: str, value: str) -> bool:
         return f"`{value}`" in text
-
-    def undocumented_backends(self) -> list[tuple[Module, int, str]]:
-        text = self._doc_text(DOCS_BACKENDS)
-        if text is None:
-            return []
-        out = []
-        for module, reg in self.registrations:
-            for name in [reg["name"], *reg["aliases"]]:
-                if not self._documented(text, name):
-                    out.append((module, reg["line"], name))
-        return out
 
     def undocumented_policies(self) -> list[tuple[Module, int, str]]:
         text = self._doc_text(DOCS_SHEDDING)

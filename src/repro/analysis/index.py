@@ -21,8 +21,8 @@ need:
   records, ``self``-attribute stores) consumed by the whole-program
   call-graph, taint, and effect analyses in :mod:`repro.analysis.callgraph`,
   :mod:`repro.analysis.taint`, and :mod:`repro.analysis.effects`;
-* **contract facts** — trace-emission categories, metric-name constants,
-  and backend registrations, consumed by :mod:`repro.analysis.contracts`.
+* **contract facts** — trace-emission categories and metric-name
+  constants, consumed by :mod:`repro.analysis.contracts`.
 
 Two resolution passes close the gaps a single-module view cannot see:
 
@@ -37,7 +37,7 @@ Two resolution passes close the gaps a single-module view cannot see:
 Package-relative paths drive rule scoping (``sim/``-only wall clock,
 ``strategies/``-only iteration discipline): a module's ``pkg`` is its path
 relative to the ``repro`` package root.  The root is either passed
-explicitly (``package_root`` — the architecture shim scans scratch trees
+explicitly (``package_root`` — the architecture tests scan scratch trees
 laid out *as* a package) or auto-detected from a ``repro`` directory
 component in the file's path.  Files outside any package (``benchmarks/``)
 carry ``pkg=None`` and are still scanned by the unscoped rules.
@@ -615,7 +615,7 @@ class Module:
         "path", "rel", "pkg", "source", "lines", "tree", "syntax_error",
         "imports", "bindings", "calls", "constructed", "constants",
         "constant_lines", "functions", "emits", "metric_calls",
-        "registrations", "content_hash", "from_cache",
+        "content_hash", "from_cache",
     )
 
     def __init__(self, path: Path, rel: str, pkg: str | None,
@@ -643,11 +643,9 @@ class Module:
         self.constant_lines: dict[str, int] = {}
         # per-function dataflow facts (see module docstring).
         self.functions: list[dict] = []
-        # contract facts: tracer.emit category args, metric-name constants,
-        # register_backend(...) calls.
+        # contract facts: tracer.emit category args, metric-name constants.
         self.emits: list[dict] = []
         self.metric_calls: list[dict] = []
-        self.registrations: list[dict] = []
         try:
             self.tree: ast.Module | None = ast.parse(self.source, filename=str(path))
         except SyntaxError as error:
@@ -763,18 +761,6 @@ class Module:
                 "origin": self.bindings.get(chain[0]),
                 "line": arg.lineno,
             })
-        elif name == "register_backend":
-            reg: dict = {"line": node.lineno, "name": None, "aliases": []}
-            if node.args and isinstance(node.args[0], ast.Constant) \
-                    and isinstance(node.args[0].value, str):
-                reg["name"] = node.args[0].value
-            for kw in node.keywords:
-                if kw.arg == "aliases":
-                    aliases = _string_tuple(kw.value, self.constants)
-                    if isinstance(aliases, tuple):
-                        reg["aliases"] = list(aliases)
-            if reg["name"] is not None:
-                self.registrations.append(reg)
 
     def _scan_functions(self) -> None:
         assert self.tree is not None
@@ -832,7 +818,6 @@ class Module:
             "functions": self.functions,
             "emits": self.emits,
             "metric_calls": self.metric_calls,
-            "registrations": self.registrations,
         }
 
     @classmethod
@@ -862,14 +847,13 @@ class Module:
         module.functions = facts.get("functions", [])
         module.emits = facts.get("emits", [])
         module.metric_calls = facts.get("metric_calls", [])
-        module.registrations = facts.get("registrations", [])
         return module
 
     # -- derived --------------------------------------------------------------
 
     @property
     def pkg_top(self) -> str | None:
-        """The top-level package directory (``"engine"`` for engine/tree.py)."""
+        """The top-level package directory (``"engine"`` for engine/engine.py)."""
         if self.pkg is None or "/" not in self.pkg:
             return None
         return self.pkg.split("/", 1)[0]

@@ -1,9 +1,8 @@
 """A1–A7: the architecture rules (A1–A3 are the legacy R1–R3).
 
-Migrated from ``tools/check_architecture.py`` (which is now a thin shim
-over this module).  The finding messages deliberately keep the legacy
-``R1``/``R2``/``R3`` wording so CI logs and the architecture test suite
-read the same before and after the migration.
+The A1–A3 finding messages deliberately keep the legacy
+``R1``/``R2``/``R3`` wording, which CI logs and the architecture test
+suite key on.
 
 A1–A3 only apply to modules *inside* the repro package (or a scratch tree
 scanned with an explicit package root): benchmarks and scripts live above
@@ -30,7 +29,7 @@ __all__ = [
 
 # A1 (R1): packages of the evaluation core, and the prefixes they must not
 # import.
-CORE_PACKAGES = ("engine", "nfa", "backends")
+CORE_PACKAGES = ("engine", "nfa")
 FORBIDDEN_FOR_CORE = ("repro.strategies", "repro.core", "repro.runtime")
 
 # A3 (R3): substrate constructors, by group.
@@ -191,31 +190,21 @@ byte-identical to a build without the plane).""",
     ),
     Confinement(
         id="A6",
-        title="backends built only via the registry",
-        constructors=(
-            "Engine",
-            "TreeEngine",
-            "ReferenceBackend",
-            "TreeBackend",
-            "make_backend",
-            "get_backend",
-        ),
-        allowed=(COMPOSITION_ROOT, "backends/"),
-        defining={"Engine": ("engine/engine.py",), "TreeEngine": ("engine/tree.py",)},
+        title="the engine is built only by the composition root",
+        constructors=("Engine",),
+        allowed=(COMPOSITION_ROOT,),
+        defining={"Engine": ("engine/engine.py",)},
         message=(
-            "backend composition: constructs {name} outside repro.runtime; "
-            "name a backend in the QuerySpec and let RuntimeBuilder build it "
-            "via the registry"
+            "engine composition: constructs {name} outside repro.runtime; "
+            "register the query and let RuntimeBuilder build its engine"
         ),
         explain="""\
-Which engine evaluates a query decides cost accounting, capability limits,
-and byte-identity guarantees, so it must be chosen in exactly one place.
-Only repro.runtime (the composition root) and repro.backends itself may
-construct evaluation engines — Engine, TreeEngine, the registered backend
-classes, or the make_backend/get_backend registry entry points.  Everything
-else, benchmarks included, names a backend in its QuerySpec (or
---engine-backend) and receives an assembled session from RuntimeBuilder, so
-capability checks and the RunResult backend stamp cannot be bypassed.""",
+An engine is wired to the shared clock, the config's cost model and
+selection policy, and a bound strategy; RuntimeBuilder._build_session is
+the one place that does it.  Only repro.runtime (the composition root) may
+construct Engine.  Everything else, benchmarks included, registers a query
+and receives an assembled session, so no run is evaluated by an engine the
+config did not describe.""",
     ),
     Confinement(
         id="A7",

@@ -5,9 +5,9 @@ constant *from* ``repro.obs.trace`` (a locally minted ``CAT_BOGUS``
 passes M1's naming check but no validator knows it), and a non-literal
 metric name must resolve to a declared ``*_METRIC`` constant.
 
-R2 guards the code↔docs edge: every registered backend name/alias,
-shedding policy, and trace category must appear (backticked) in its docs
-table — the tables operators and the CLI help point at.
+R2 guards the code↔docs edge: every shedding policy and trace category
+must appear (backticked) in its docs table — the tables operators and the
+CLI help point at.
 
 R3 guards the code↔consumer edge: ``examples/`` and ``benchmarks/`` are
 the in-tree consumers of the *stable public API* — the curated
@@ -76,27 +76,24 @@ category is genuinely new) or repairing the stale reference."""
 class DocsDriftRule(Rule):
     id = "R2"
     scope = "program"
-    title = "registered backends, policies, and categories are documented"
+    title = "registered policies and categories are documented"
     explain = """\
 Whole-program cross-check of the extension registries against the docs
 tables operators read:
 
-* every `register_backend("name", aliases=...)` name and alias must appear
-  backticked in docs/backends.md;
 * every shedding policy key in SHED_POLICIES must appear in
   docs/shedding.md;
 * every CAT_* category value in repro.obs.trace must appear in
   docs/observability.md.
 
-Findings anchor at the registration / constant-definition line.  When the
-docs tree is absent (fixture runs, scratch trees) the rule is inert.  Fix
-by documenting the new name in its table — or deleting a registration
-that should not exist."""
+Findings anchor at the constant-definition line.  When the docs tree is
+absent (fixture runs, scratch trees) the rule is inert.  Fix by
+documenting the new name in its table — or deleting an entry that should
+not exist."""
 
     def check(self, module: Module, index: ModuleIndex) -> Iterator[Finding]:
         engine = contract_analysis(index)
         checks = (
-            (engine.undocumented_backends(), "backend", "docs/backends.md"),
             (engine.undocumented_policies(), "shedding policy", "docs/shedding.md"),
             (engine.undocumented_categories(), "trace category", "docs/observability.md"),
         )

@@ -49,14 +49,11 @@ def run_strategy(
     strategy: str,
     config: EiresConfig,
     tracer: Tracer | None = None,
-    backend: str = "reference",
 ) -> RunResult:
     """One full replay of a workload under one strategy.
 
     Pass a :class:`~repro.obs.trace.Tracer` to capture the run's lifecycle
     trace; tracing never changes the result (same RNG streams, same matches).
-    ``backend`` names a registered evaluation backend (see
-    :func:`repro.backends.list_backends`).
     """
     eires = EIRES(
         workload.query,
@@ -64,7 +61,6 @@ def run_strategy(
         workload.latency_model,
         strategy=strategy,
         config=config,
-        backend=backend,
         tracer=tracer,
     )
     return eires.run(workload.stream)

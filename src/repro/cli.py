@@ -43,7 +43,6 @@ import sys
 import tomllib
 from typing import Any, Callable
 
-from repro.backends import resolve_backend
 from repro.bench.harness import ALL_STRATEGIES, ExperimentResult, run_strategy
 from repro.core.config import CACHE_COST, CACHE_LRU, EiresConfig
 from repro.core.framework import EIRES
@@ -174,7 +173,6 @@ def _build_parser(config_defaults: dict[str, Any] | None = None) -> argparse.Arg
                         help="how predicates treat terminally unavailable data")
     engine.add_argument("--retry-attempts", type=int, default=3,
                         help="max fetch attempts incl. the first (default: 3)")
-    _add_backend_arg(compare)
     compare.add_argument("--json", action="store_true",
                          help="emit the per-strategy summary rows as JSON")
     _add_batching_args(compare)
@@ -184,7 +182,6 @@ def _build_parser(config_defaults: dict[str, Any] | None = None) -> argparse.Arg
     trace = subparsers.add_parser(
         "trace", help="replay one strategy with full lifecycle tracing")
     _add_engine_args(trace, strategy=True)
-    _add_backend_arg(trace)
     _add_batching_args(trace)
     _add_shedding_args(trace)
     _add_observability_args(trace)
@@ -203,7 +200,6 @@ def _build_parser(config_defaults: dict[str, Any] | None = None) -> argparse.Arg
     report.add_argument("--series-out", default=None, metavar="PATH",
                         help="write the sampled metric series as JSONL to PATH "
                              "(needs --series-interval)")
-    _add_backend_arg(report)
     _add_slo_args(report)
     _add_batching_args(report)
     _add_shedding_args(report)
@@ -213,7 +209,6 @@ def _build_parser(config_defaults: dict[str, Any] | None = None) -> argparse.Arg
         "serve", help="run a multi-tenant fleet over shared remote data")
     _add_engine_args(serve, strategy=True)
     _add_serving_args(serve)
-    _add_backend_arg(serve)
     serve.add_argument("--json", action="store_true",
                        help="emit the fleet and per-tenant summaries as JSON")
     _add_batching_args(serve)
@@ -272,24 +267,6 @@ def _add_serving_args(subparser: argparse.ArgumentParser) -> None:
     group.add_argument("--burst", type=float, default=None, metavar="N",
                        help="per-tenant token-bucket burst "
                             "(default: max(1, rate limit))")
-
-
-def _add_backend_arg(subparser: argparse.ArgumentParser) -> None:
-    group = subparser.add_argument_group(
-        "backend", "evaluation-backend selection")
-    group.add_argument("--engine-backend", default="reference", metavar="NAME",
-                       help="evaluation backend to run the query on "
-                            "(see repro.backends.list_backends; "
-                            "default: reference)")
-
-
-def _resolve_backend_arg(args: argparse.Namespace) -> str:
-    """Canonical backend name, or a clean exit-2 for an unknown one."""
-    try:
-        return resolve_backend(args.engine_backend)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
 
 
 def _add_batching_args(subparser: argparse.ArgumentParser) -> None:
@@ -388,7 +365,6 @@ def _write_trace(records: list[dict], args: argparse.Namespace) -> None:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    backend = _resolve_backend_arg(args)
     workload = WORKLOADS[args.workload](args.events)
     capacity = args.capacity if args.capacity is not None else workload.notes["cache_capacity"]
     config = EiresConfig(
@@ -406,10 +382,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     metrics: dict[str, dict] = {}
     for strategy in args.strategies:
         tracer = Tracer(sink, track=strategy) if sink is not None else None
-        result = run_strategy(workload, strategy, config, tracer=tracer,
-                              backend=backend)
+        result = run_strategy(workload, strategy, config, tracer=tracer)
         row = result.summary()
-        row["backend"] = backend
         if result.metrics is not None:
             metrics[strategy] = result.metrics
             # Surface the batch-size distribution next to the dropped-run
@@ -426,8 +400,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if args.metrics_out is not None:
         write_metrics_snapshot(metrics, args.metrics_out)
     title = f"{args.workload} / {args.policy} / {args.cache} cache (capacity {capacity})"
-    if backend != "reference":
-        title += f" / backend={backend}"
     if args.fault_profile != "none":
         title += f" / faults={args.fault_profile}"
     if args.shed_policy != SHED_NONE:
@@ -447,7 +419,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    backend = _resolve_backend_arg(args)
     workload = WORKLOADS[args.workload](args.events)
     capacity = args.capacity if args.capacity is not None else workload.notes["cache_capacity"]
     config = EiresConfig(
@@ -461,7 +432,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     sink = MemorySink()
     result = run_strategy(
         workload, args.strategy, config,
-        tracer=Tracer(sink, track=args.strategy), backend=backend,
+        tracer=Tracer(sink, track=args.strategy),
     )
     replay = replay_trace(sink.records)
     if args.trace_out is not None:
@@ -489,7 +460,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    backend = _resolve_backend_arg(args)
     workload = WORKLOADS[args.workload](args.events)
     capacity = args.capacity if args.capacity is not None else workload.notes["cache_capacity"]
     config = EiresConfig(
@@ -509,7 +479,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         workload.latency_model,
         strategy=args.strategy,
         config=config,
-        backend=backend,
         tracer=Tracer(sink, track=args.strategy),
     )
     result = eires.run(workload.stream)
@@ -518,7 +487,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     slo = eires.runtime.slo
     slo_status = slo.status(eires.clock.now) if slo is not None else None
     series = result.series
-    title = f"{args.workload} / {args.strategy} / {backend} run health"
+    title = f"{args.workload} / {args.strategy} run health"
     if args.fault_profile != "none":
         title += f" / faults={args.fault_profile}"
     report = format_health_report(
@@ -553,7 +522,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    backend = _resolve_backend_arg(args)
     workload = WORKLOADS[args.workload](args.events)
     capacity = args.capacity if args.capacity is not None else workload.notes["cache_capacity"]
     config = EiresConfig(
@@ -578,7 +546,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         builder.add_tenant(TenantSpec(
             f"tenant{index}", query,
             rate_limit=args.rate_limit, burst=args.burst,
-            strategy=args.strategy, backend=backend,
+            strategy=args.strategy,
         ))
     try:
         fleet = builder.build()

@@ -43,12 +43,11 @@ class EIRES:
         latency_model: LatencyModel,
         strategy: str | FetchStrategy = "Hybrid",
         config: EiresConfig | None = None,
-        backend: str = "automaton",
         tracer: Tracer | None = None,
     ) -> None:
         self.runtime = (
             RuntimeBuilder(store, latency_model, config=config, tracer=tracer)
-            .add_query(query, strategy=strategy, backend=backend)
+            .add_query(query, strategy=strategy)
             .build()
         )
         session = self.runtime.sessions[0]
@@ -70,8 +69,6 @@ class EIRES:
         self.history = ctx.history
         self.strategy = session.strategy
         self.engine = session.engine
-        # Canonical registry name (aliases like "automaton" normalised).
-        self.backend = session.spec.backend
 
     def run(self, stream: Stream, smoothing_window: int = 1) -> RunResult:
         """Evaluate the query over ``stream`` and return all measurements."""

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
-from repro.backends import get_backend
 from repro.cache.base import Cache
 from repro.cache.cost_based import CostBasedCache
 from repro.cache.history import HitHistory
 from repro.cache.lru import LRUCache
+from repro.engine.engine import Engine
 from repro.events.stream import Stream
 from repro.nfa.compiler import compile_query
 from repro.obs.registry import MetricsRegistry
@@ -45,7 +45,7 @@ from repro.remote.transport import LatencyModel, Transport
 from repro.runtime.dispatch import RunResult, dispatch
 from repro.runtime.session import QuerySession, QuerySpec
 from repro.shedding.detector import OverloadDetector
-from repro.shedding.policy import SHED_NONE, SHED_RUNS, make_shedding_policy
+from repro.shedding.policy import SHED_NONE, make_shedding_policy
 from repro.shedding.shedder import LoadShedder
 from repro.sim.clock import VirtualClock
 from repro.sim.rng import make_rng, spawn
@@ -110,11 +110,9 @@ class RuntimeBuilder:
         query: Query,
         strategy: str | FetchStrategy = "Hybrid",
         priority: float = 1.0,
-        backend: str = "automaton",
     ) -> "RuntimeBuilder":
         """Register a query; chainable."""
-        return self.add_spec(QuerySpec(query, priority=priority, strategy=strategy,
-                                       backend=backend))
+        return self.add_spec(QuerySpec(query, priority=priority, strategy=strategy))
 
     def add_spec(self, spec: QuerySpec) -> "RuntimeBuilder":
         self._specs.append(spec)
@@ -302,29 +300,15 @@ class RuntimeBuilder:
                 tracer=runtime.tracer,
             )
         )
-        # The one place an engine is chosen and built (analysis rule A6):
-        # the spec's backend name resolves through the registry, its declared
-        # capabilities are checked against everything this config asks of it
-        # — selection policy, any shedding surface (a shedding policy or the
-        # max_partial_matches run cap), per-run obligation records for the
-        # run-utility score — and only then is the engine constructed.
-        backend_cls = get_backend(spec.backend)
-        backend_cls.require(
-            policy=config.policy,
-            shedding=(
-                config.shed_policy != SHED_NONE
-                or config.max_partial_matches is not None
-            ),
-            obligations=config.shed_policy == SHED_RUNS,
-        )
-        engine = backend_cls.build(
+        # The one place an engine is built (analysis rule A6).
+        engine = Engine(
             automaton,
             runtime.clock,
             cost_model=config.cost_model,
             policy=config.policy,
             max_partial_matches=config.max_partial_matches,
         )
-        session_metrics.annotate("engine.backend", spec.backend)
+        session_metrics.annotate("engine.backend", "reference")
         strategy.bind_engine(engine)
         shedder = self._build_shedder(runtime, spec, automaton, session_metrics)
         return QuerySession(spec, automaton, engine, strategy, utility, rates,
@@ -346,9 +330,8 @@ class RuntimeBuilder:
         config = self.config
         if config.shed_policy == SHED_NONE:
             return None
-        # Backends lacking the shedding surface were already refused by the
-        # capability check in _build_session.  A per-spec run budget (the
-        # fleet's tenant quota) overrides the config-wide one.
+        # A per-spec run budget (the fleet's tenant quota) overrides the
+        # config-wide one.
         run_budget = spec.run_budget if spec.run_budget is not None else config.run_budget
         detector = OverloadDetector(
             latency_bound=config.latency_bound,

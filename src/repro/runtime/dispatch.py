@@ -61,7 +61,6 @@ class RunResult:
         throughput_scope: str = THROUGHPUT_RUN,
         shed_stats: dict[str, Any] | None = None,
         series: list[dict[str, Any]] | None = None,
-        backend: str = "reference",
     ) -> None:
         self.strategy_name = strategy_name
         self.matches = matches
@@ -85,10 +84,6 @@ class RunResult:
         # like ``metrics``, not part of summary() — sampling cannot change
         # reported results.
         self.series = series
-        # Canonical name of the evaluation backend that produced the run;
-        # deliberately not part of summary() (whose fields feed the bench
-        # baselines) — reporting surfaces add it explicitly.
-        self.backend = backend
 
     @property
     def match_count(self) -> int:
@@ -309,7 +304,6 @@ def dispatch(
                 if session.shedder is not None
                 else None,
                 series=series_rows,
-                backend=session.spec.backend,
             )
         )
     return results

@@ -1,16 +1,15 @@
 """Per-query units of the runtime layer.
 
 A :class:`QuerySpec` declares *what* to run (query, priority, strategy
-name, engine backend); a :class:`QuerySession` is the assembled unit the
-dispatch loop drives — automaton, engine, attached fetch strategy, utility
-model, and rate estimators around the substrate shared by all sessions.
+name); a :class:`QuerySession` is the assembled unit the dispatch loop
+drives — automaton, engine, attached fetch strategy, utility model, and
+rate estimators around the substrate shared by all sessions.
 Sessions are built exclusively by
 :class:`~repro.runtime.builder.RuntimeBuilder`.
 """
 
 from __future__ import annotations
 
-from repro.backends import resolve_backend
 from repro.engine.interface import MatchRecord
 from repro.metrics.latency import LatencyCollector
 from repro.nfa.automaton import Automaton
@@ -21,20 +20,13 @@ from repro.utility.rates import RateEstimator
 
 __all__ = ["QuerySpec", "QuerySession"]
 
-# Legacy spellings kept for callers predating the backend registry; both
-# resolve through repro.backends ("automaton" is an alias of "reference").
-BACKEND_AUTOMATON = "automaton"
-BACKEND_TREE = "tree"
-
 
 class QuerySpec:
     """One query registered with the runtime.
 
     ``strategy`` may be a paper name (``"BL1"`` .. ``"Hybrid"``) or an
     already constructed :class:`~repro.strategies.base.FetchStrategy`
-    instance; ``backend`` names a registered evaluation backend (see
-    :func:`repro.backends.list_backends`) and is stored in canonical form
-    (``"automaton"`` normalises to ``"reference"``).
+    instance.
 
     ``run_budget`` overrides the config-wide shedding run budget for this
     query alone (the fleet layer maps per-tenant quotas onto it); ``scope``
@@ -43,7 +35,7 @@ class QuerySpec:
     the spec then behaves exactly as it did before the fields existed.
     """
 
-    __slots__ = ("query", "priority", "strategy_name", "strategy_instance", "backend",
+    __slots__ = ("query", "priority", "strategy_name", "strategy_instance",
                  "run_budget", "scope")
 
     def __init__(
@@ -51,7 +43,6 @@ class QuerySpec:
         query: Query,
         priority: float = 1.0,
         strategy: str | FetchStrategy = "Hybrid",
-        backend: str = BACKEND_AUTOMATON,
         run_budget: int | None = None,
         scope: str | None = None,
     ) -> None:
@@ -67,7 +58,6 @@ class QuerySpec:
         else:
             self.strategy_name = strategy.name
             self.strategy_instance = strategy
-        self.backend = resolve_backend(backend)
         self.run_budget = run_budget
         self.scope = scope
 

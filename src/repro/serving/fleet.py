@@ -129,7 +129,6 @@ class FleetBuilder:
                     query,
                     priority=tenant.priority,
                     strategy=tenant.strategy,
-                    backend=tenant.backend,
                     run_budget=tenant.run_budget,
                     scope=(
                         f"tenant.{tenant.name}.query.{query.name}"

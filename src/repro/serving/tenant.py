@@ -33,7 +33,7 @@ class TenantSpec:
     """
 
     __slots__ = ("name", "queries", "rate_limit", "burst", "run_budget", "slo",
-                 "priority", "strategy", "backend")
+                 "priority", "strategy")
 
     def __init__(
         self,
@@ -45,7 +45,6 @@ class TenantSpec:
         slo: SloSpec | None = None,
         priority: float = 1.0,
         strategy: str = "Hybrid",
-        backend: str = "automaton",
     ) -> None:
         if not name or not isinstance(name, str):
             raise ValueError(f"tenant name must be a non-empty string: {name!r}")
@@ -87,7 +86,6 @@ class TenantSpec:
         self.slo = slo
         self.priority = priority
         self.strategy = strategy
-        self.backend = backend
 
     @property
     def query_names(self) -> tuple[str, ...]:

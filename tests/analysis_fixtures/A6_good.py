@@ -1,7 +1,7 @@
-# eires-fixture: place=core/uses_backend_registry.py
-"""A backend chosen by name; RuntimeBuilder constructs it via the registry."""
-from repro.runtime.session import QuerySpec
+# eires-fixture: place=runtime/assembles_engine.py
+"""The composition root builds the engine — the one place A6 allows it."""
+from repro.engine.engine import Engine
 
 
-def spec_for(query):
-    return QuerySpec(query, strategy="Hybrid", backend="tree")
+def build_engine(automaton, clock):
+    return Engine(automaton, clock)

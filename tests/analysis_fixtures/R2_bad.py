@@ -1,9 +1,4 @@
-# eires-fixture: place=backends/rogue.py
-"""A backend registered under a name no docs table mentions — R2 must
-flag the undocumented registration."""
-from repro.backends import register_backend
-
-
-@register_backend("undocumented_backend")
-class RogueBackend:
-    pass
+# eires-fixture: place=shedding/policy.py
+"""A shedding policy registered under a name docs/shedding.md never
+mentions — R2 must flag the undocumented entry."""
+SHED_POLICIES = ("none", "undocumented_policy")

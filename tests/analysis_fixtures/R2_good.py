@@ -1,8 +1,3 @@
-# eires-fixture: place=backends/clean.py
-"""A backend registered under a documented name and alias."""
-from repro.backends import register_backend
-
-
-@register_backend("reference", aliases=("automaton",))
-class CleanBackend:
-    pass
+# eires-fixture: place=shedding/policy.py
+"""Every registered shedding policy name appears in docs/shedding.md."""
+SHED_POLICIES = ("none", "events", "runs")

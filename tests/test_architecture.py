@@ -1,17 +1,32 @@
-"""Tests for the import-architecture linter (tools/check_architecture.py).
+"""Tests for the import-architecture rules A1–A3 (legacy R1–R3) of repro.analysis.
 
 The real tree must pass, and — just as important — the checker must FAIL
 when a violation is seeded into a scratch package, or CI's green check
 means nothing.
 """
 
-import sys
 from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(REPO_ROOT / "tools"))
+from repro.analysis import ModuleIndex, analyze_index
+from repro.analysis.cli import main as analysis_main
 
-import check_architecture  # noqa: E402
+REPO_ROOT = Path(__file__).resolve().parents[1]
+ARCHITECTURE_RULES = ("A1", "A2", "A3")
+
+
+def check_tree(root: Path) -> list[str]:
+    """Architecture violations under ``root`` as ``<pkg-path>:<line>: <message>``."""
+    index = ModuleIndex([root], package_root=root)
+    return [
+        f"{finding.pkg or finding.rel}:{finding.line}: {finding.message}"
+        for finding in analyze_index(index, ARCHITECTURE_RULES).findings
+    ]
+
+
+def run_cli(root: Path) -> int:
+    return analysis_main(
+        [str(root), "--package-root", str(root), "--rules", ",".join(ARCHITECTURE_RULES)]
+    )
 
 
 def seed(tmp_path: Path, rel: str, source: str) -> Path:
@@ -23,24 +38,23 @@ def seed(tmp_path: Path, rel: str, source: str) -> Path:
 
 class TestRealTree:
     def test_repo_architecture_holds(self):
-        violations = check_architecture.check_tree(REPO_ROOT / "src" / "repro")
+        violations = check_tree(REPO_ROOT / "src" / "repro")
         assert violations == []
 
     def test_cli_exit_zero_on_real_tree(self, capsys):
-        rc = check_architecture.main(["--root", str(REPO_ROOT / "src" / "repro")])
-        assert rc == 0
-        assert "architecture OK" in capsys.readouterr().out
+        assert run_cli(REPO_ROOT / "src" / "repro") == 0
+        assert "repro.analysis OK" in capsys.readouterr().out
 
 
 class TestSeededViolations:
     def test_r1_core_importing_strategies_is_flagged(self, tmp_path):
         seed(tmp_path, "engine/rogue.py", "from repro.strategies.base import FetchStrategy\n")
-        violations = check_architecture.check_tree(tmp_path)
+        violations = check_tree(tmp_path)
         assert any("R1" in v and "engine/rogue.py" in v for v in violations)
 
     def test_r1_core_importing_runtime_is_flagged(self, tmp_path):
         seed(tmp_path, "nfa/rogue.py", "import repro.runtime.builder\n")
-        violations = check_architecture.check_tree(tmp_path)
+        violations = check_tree(tmp_path)
         assert any("R1" in v and "repro.runtime.builder" in v for v in violations)
 
     def test_r2_transport_construction_outside_runtime_is_flagged(self, tmp_path):
@@ -49,12 +63,12 @@ class TestSeededViolations:
             "from repro.remote.transport import Transport\n"
             "transport = Transport(store, latency, rng, monitor)\n",
         )
-        violations = check_architecture.check_tree(tmp_path)
+        violations = check_tree(tmp_path)
         assert any("R2" in v and "Transport" in v for v in violations)
 
     def test_r2_cache_construction_outside_runtime_is_flagged(self, tmp_path):
         seed(tmp_path, "core/rogue.py", "cache = lru.LRUCache(100)\n")
-        violations = check_architecture.check_tree(tmp_path)
+        violations = check_tree(tmp_path)
         assert any("R2" in v and "LRUCache" in v for v in violations)
 
     def test_r3_wiring_two_groups_together_is_flagged(self, tmp_path):
@@ -62,13 +76,12 @@ class TestSeededViolations:
             tmp_path, "cli_rogue.py",
             "tracer = Tracer(sink)\ntransport = Transport(store, latency, rng, monitor)\n",
         )
-        violations = check_architecture.check_tree(tmp_path)
+        violations = check_tree(tmp_path)
         assert any("R3" in v and "together" in v for v in violations)
 
     def test_cli_exit_one_on_seeded_violation(self, tmp_path, capsys):
         seed(tmp_path, "engine/rogue.py", "from repro.core.config import EiresConfig\n")
-        rc = check_architecture.main(["--root", str(tmp_path)])
-        assert rc == 1
+        assert run_cli(tmp_path) == 1
         assert "FAILED" in capsys.readouterr().out
 
 
@@ -79,13 +92,13 @@ class TestAllowed:
             "transport = Transport(store, latency, rng, monitor)\n"
             "cache = LRUCache(100)\ntracer = Tracer(sink)\n",
         )
-        assert check_architecture.check_tree(tmp_path) == []
+        assert check_tree(tmp_path) == []
 
     def test_tracer_alone_is_fine_anywhere(self, tmp_path):
         # Callers construct tracers and hand them INTO the builder.
         seed(tmp_path, "cli2.py", "tracer = Tracer(sink, track='Hybrid')\n")
-        assert check_architecture.check_tree(tmp_path) == []
+        assert check_tree(tmp_path) == []
 
     def test_defining_modules_may_reference_their_class(self, tmp_path):
         seed(tmp_path, "cache/lru.py", "DEFAULT = LRUCache(1)\n")
-        assert check_architecture.check_tree(tmp_path) == []
+        assert check_tree(tmp_path) == []

@@ -1,14 +1,12 @@
-"""Conformance with the reference semantics, inside and across backends.
+"""Conformance of the engine's generated code with its interpretive twins.
 
-* The ``reference`` engine evaluates guards through generated code; whole
+* The engine evaluates guards through generated code; whole
   runs must be **byte-identical** to the same engine walking the predicate
   trees — same match signatures, same virtual-time percentiles, same engine
   counters, same metrics, same trace stream, same shed decisions — across
   queries, selection policies, all fetch strategies, and shedding;
 * it steps local-only buckets through generated loops; whole runs must be
-  byte-identical to the same engine stepping every bucket run by run;
-* approximate backends (``tree``) must produce the same *match set* on the
-  configurations their declared capabilities admit.
+  byte-identical to the same engine stepping every bucket run by run.
 
 Scenarios are deliberately small (hundreds of events) so the whole matrix
 stays tier-1 fast; the full-size regime lives in
@@ -21,7 +19,6 @@ import functools
 
 import pytest
 
-from repro.backends import get_backend
 from repro.bench.harness import ALL_STRATEGIES, run_strategy
 from repro.core.config import EiresConfig
 from repro.engine.engine import Engine
@@ -52,10 +49,10 @@ def _observables(result, sink: MemorySink | None = None):
 
 
 def _run(workload, strategy, config, traced=False):
-    """One run on the ``reference`` backend, reduced to its observables."""
+    """One run, reduced to its observables."""
     sink = MemorySink() if traced else None
     tracer = Tracer(sink) if traced else None
-    result = run_strategy(workload, strategy, config, tracer=tracer, backend="reference")
+    result = run_strategy(workload, strategy, config, tracer=tracer)
     return _observables(result, sink)
 
 
@@ -191,25 +188,3 @@ class TestBucketLoopByteIdentity:
         )
         assert looped["engine_stats"]["shed_runs"], "the policy never shed a run"
         assert looped == per_run
-
-
-class TestTreeBackendConformance:
-    """The tree backend matches the reference match set where its declared
-    capabilities apply (greedy, no shedding)."""
-
-    @pytest.mark.parametrize("strategy", ["BL1", "Hybrid"])
-    def test_q1_match_set(self, strategy):
-        workload = q1_workload(Q1_SMALL)
-        config = EiresConfig()
-        reference = run_strategy(workload, strategy, config, backend="reference")
-        tree = run_strategy(workload, strategy, config, backend="tree")
-        assert sorted(m.signature() for m in tree.matches) == sorted(
-            m.signature() for m in reference.matches
-        )
-
-    def test_capabilities_declare_the_gaps(self):
-        capabilities = get_backend("tree").capabilities
-        assert capabilities.policies == ("greedy",)
-        assert not capabilities.shedding
-        assert not capabilities.obligations
-        assert not capabilities.exact_replay

@@ -8,11 +8,17 @@ tracing, and metrics plumbing of single-query runs, and observability never
 changes results.
 """
 
+import importlib
+
 import pytest
 
+import repro
+from repro.bench.harness import run_strategy
+from repro.cli import main as cli_main
 from repro.core.config import EiresConfig
 from repro.core.framework import EIRES
 from repro.core.multi import MultiQueryEIRES, QuerySpec
+from repro.engine.engine import Engine
 from repro.obs.export import write_chrome_trace
 from repro.obs.trace import MemorySink, Tracer
 from repro.obs.validate import validate_chrome_trace
@@ -21,6 +27,8 @@ from repro.remote.store import RemoteStore
 from repro.remote.transport import TRANSPORT_COUNTER_KEYS, FixedLatency, UniformLatency
 from repro.runtime.builder import CACHE_ALWAYS, RuntimeBuilder
 from repro.runtime.session import QuerySpec as RuntimeQuerySpec
+from repro.serving import TenantSpec
+from repro.workloads import SyntheticConfig, q1_workload
 
 from tests.helpers import random_stream
 
@@ -48,6 +56,41 @@ def build_multi(config=None, tracer=None, strategies=("Hybrid", "Hybrid")):
         config=config if config is not None else EiresConfig(cache_capacity=50),
         tracer=tracer,
     )
+
+
+class TestOneEngine:
+    """There is one engine and no selector: the old knob is gone, not ignored."""
+
+    def test_sessions_run_the_engine_class_itself(self):
+        q_ab, q_ac, store = two_queries()
+        runtime = (
+            RuntimeBuilder(store, FixedLatency(20.0))
+            .add_query(q_ab).add_query(q_ac).build()
+        )
+        assert [type(session.engine) for session in runtime.sessions] == [Engine, Engine]
+
+    def test_stale_backend_keyword_is_a_type_error(self):
+        q_ab, _, store = two_queries()
+        with pytest.raises(TypeError):
+            RuntimeQuerySpec(q_ab, backend="tree")
+        with pytest.raises(TypeError):
+            TenantSpec("t", q_ab, backend="tree")
+        with pytest.raises(TypeError):
+            EIRES(q_ab, store, FixedLatency(20.0), backend="tree")
+        with pytest.raises(TypeError):
+            run_strategy(q1_workload(SyntheticConfig(n_events=50)), "BL1",
+                         EiresConfig(), backend="reference")
+
+    def test_stale_cli_flag_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["compare", "--workload", "q1", "--engine-backend", "tree"])
+        assert exit_info.value.code == 2
+        assert "--engine-backend" in capsys.readouterr().err
+
+    def test_registry_package_and_exports_are_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.backends")
+        assert not {"EvalBackend", "list_backends"} & set(repro.__all__)
 
 
 class TestBuilder:
@@ -84,11 +127,6 @@ class TestBuilder:
         _, _, store = two_queries()
         with pytest.raises(ValueError, match="cache mode"):
             RuntimeBuilder(store, FixedLatency(10.0), cache_mode="sometimes")
-
-    def test_rejects_unknown_backend(self):
-        q_ab, _, _ = two_queries()
-        with pytest.raises(ValueError, match="unknown backend"):
-            RuntimeQuerySpec(q_ab, backend="quantum")
 
     def test_strategy_instance_accepted(self):
         from repro.strategies import make_strategy

@@ -10,9 +10,8 @@ Four promises are pinned down here, mirroring the layer's acceptance bar:
   the exact same results *and the exact same trace* every run, and the
   provenance replayer re-derives every ``serving`` decision;
 * **eager validation** — every malformed spec (duplicate names, bad
-  placement, zero rates, quotas without a shedding policy, backends
-  lacking a required capability) fails at build time with the offending
-  field, never mid-dispatch;
+  placement, zero rates, quotas without a shedding policy) fails at build
+  time with the offending field, never mid-dispatch;
 * **admission mechanics** — the virtual-time token bucket refills, caps,
   and counts exactly as the trace records claim;
 * **one runtime** — shards are placement labels on a single runtime: the
@@ -26,7 +25,6 @@ import hashlib
 
 import pytest
 
-from repro.backends.base import BackendCapabilityError
 from repro.core.config import EiresConfig
 from repro.obs.provenance import replay_trace, verify_serving_record
 from repro.obs.slo import SloSpec
@@ -388,15 +386,6 @@ class TestBuildValidation:
         )
         result = fleet.dispatch(random_stream(300, seed=5))
         assert result.tenant_result("alpha")["abc_alpha"].match_count >= 0
-
-    def test_backend_capability_refusal_surfaces_reason(self):
-        # The tree backend has no shedding surface; asking it to enforce a
-        # tenant quota must fail with the backend's own reason.
-        with pytest.raises(BackendCapabilityError, match="'tree'.*load shedding"):
-            build_abc_fleet(
-                {"alpha": dict(run_budget=10, backend="tree")},
-                shed_policy="runs", run_budget=1_000,
-            )
 
 
 class TestTenantSpecValidation:

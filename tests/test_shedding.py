@@ -350,14 +350,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="run_budget"):
             EiresConfig(shed_policy="runs", run_budget=0)
 
-    def test_tree_backend_refuses_shedding(self):
-        query, store = make_abc_scenario()
-        from repro.remote.transport import FixedLatency
-
-        with pytest.raises(ValueError, match="does not support load shedding"):
-            EIRES(query, store, FixedLatency(50.0), backend="tree",
-                  config=EiresConfig(shed_policy="runs", run_budget=10))
-
     def test_policy_none_builds_no_shedder(self):
         eires = EIRES(*_abc_pieces(), config=EiresConfig())
         assert eires.runtime.sessions[0].shedder is None

@@ -291,25 +291,6 @@ class TestContracts:
         )
         assert result.findings == []
 
-    def test_undocumented_backend_fires_r2(self, tmp_path):
-        docs = tmp_path / "docs"
-        docs.mkdir()
-        (docs / "backends.md").write_text("Backends: `reference`\n")
-        write_tree(tmp_path, {
-            "backends/rogue.py": (
-                "from repro.backends import register_backend\n\n\n"
-                "@register_backend('ghost_backend')\n"
-                "class Ghost:\n"
-                "    pass\n"
-            ),
-        })
-        result = analyze(
-            [tmp_path / "backends"], rule_ids=["R2"],
-            package_root=tmp_path, docs_root=docs,
-        )
-        (finding,) = result.findings
-        assert "ghost_backend" in finding.message
-
 
 class TestIncrementalCache:
     TREE = {
