@@ -62,7 +62,7 @@ def digest_of(name: str) -> str:
     assert sink.records, "the traced scenario produced no records"
     observed = {
         "summary": result.summary(),
-        "metrics": result.metrics,
+        "metrics": {k: v for k, v in result.metrics.items() if k != "engine.backend"},
         "matches": [
             (match.signature(), match.detected_at, match.last_event_t, match.fetch_wait)
             for match in result.matches
@@ -73,59 +73,61 @@ def digest_of(name: str) -> str:
     return hashlib.blake2s(text.encode(), digest_size=8).hexdigest()
 
 
-# name -> digest at the parent of the batching change.
+# name -> digest; taken at the parent of the batching change (PR 20) and re-pinned
+# once, at unchanged src/, when the digest stopped covering the ``engine.backend``
+# metrics annotation (PR 21) — the only key the re-pin is attributable to.
 PINNED: dict[str, str] = {
-    "bursty-Hybrid-greedy-shed_events": "f6a8a7b44b4388a0",
-    "bursty-Hybrid-greedy-shed_runs": "46cec3e5ce96eec5",
-    "q1-BL1-greedy-default": "d69a65cab9923211",
-    "q1-BL1-greedy-tight": "d69a65cab9923211",
-    "q1-BL1-non_greedy-default": "51d5fda9a0a38ebd",
-    "q1-BL1-non_greedy-tight": "51d5fda9a0a38ebd",
-    "q1-BL2-greedy-default": "e6ea0176c2ec7422",
-    "q1-BL2-greedy-tight": "1caec62a390f9dcc",
-    "q1-BL2-non_greedy-default": "5cc496e205e31a31",
-    "q1-BL2-non_greedy-tight": "56a2ce6a5c5be293",
-    "q1-BL3-greedy-default": "93ed012c1544a198",
-    "q1-BL3-greedy-tight": "93ed012c1544a198",
-    "q1-BL3-non_greedy-default": "7fb29b92e381fa7c",
-    "q1-BL3-non_greedy-tight": "7fb29b92e381fa7c",
-    "q1-Hybrid-greedy-default": "c694a970b864abcf",
-    "q1-Hybrid-greedy-drop": "47b96fd256e27aeb",
-    "q1-Hybrid-greedy-tight": "eabd88aef0fdc372",
-    "q1-Hybrid-non_greedy-default": "940b4db981292bb6",
-    "q1-Hybrid-non_greedy-tight": "6524b7100859397c",
-    "q1-LzEval-greedy-default": "80541f9583ee3394",
-    "q1-LzEval-greedy-tight": "70ce0ecd52ac69bf",
-    "q1-LzEval-non_greedy-default": "016c4e797dcce578",
-    "q1-LzEval-non_greedy-tight": "19e2427e83372940",
-    "q1-PFetch-greedy-default": "7c1c68409b1fa801",
-    "q1-PFetch-greedy-tight": "32d02c970c3fe63b",
-    "q1-PFetch-non_greedy-default": "d00605bba221b736",
-    "q1-PFetch-non_greedy-tight": "04b4d82671221dfc",
-    "q2-BL1-greedy-default": "540511cbcaad5a5b",
-    "q2-BL1-greedy-tight": "540511cbcaad5a5b",
-    "q2-BL1-non_greedy-default": "acb4710e18744fd5",
-    "q2-BL1-non_greedy-tight": "acb4710e18744fd5",
-    "q2-BL2-greedy-default": "80d0e0fdcbc11d2b",
-    "q2-BL2-greedy-tight": "4e0a7e00d4981fdb",
-    "q2-BL2-non_greedy-default": "75c487c560f0d85f",
-    "q2-BL2-non_greedy-tight": "27e25d2c55b26be7",
-    "q2-BL3-greedy-default": "8c5d15b6fc8f043e",
-    "q2-BL3-greedy-tight": "8c5d15b6fc8f043e",
-    "q2-BL3-non_greedy-default": "627f66cefd604dc3",
-    "q2-BL3-non_greedy-tight": "627f66cefd604dc3",
-    "q2-Hybrid-greedy-default": "17180a6f591ae565",
-    "q2-Hybrid-greedy-tight": "576f24afccbd2734",
-    "q2-Hybrid-non_greedy-default": "130406133f242aec",
-    "q2-Hybrid-non_greedy-tight": "a43d2f22d0a01b50",
-    "q2-LzEval-greedy-default": "61b62a22292c3ab9",
-    "q2-LzEval-greedy-tight": "56a029c51411f17f",
-    "q2-LzEval-non_greedy-default": "37b6f5980bba8935",
-    "q2-LzEval-non_greedy-tight": "28618dd3e1431d72",
-    "q2-PFetch-greedy-default": "8767dab97822bdb9",
-    "q2-PFetch-greedy-tight": "6b81cbaa1e2867c0",
-    "q2-PFetch-non_greedy-default": "d74486e984ad4159",
-    "q2-PFetch-non_greedy-tight": "488925002dc5affb",
+    "bursty-Hybrid-greedy-shed_events": "20359de6b2c62a87",
+    "bursty-Hybrid-greedy-shed_runs": "d083dbe83546cdb4",
+    "q1-BL1-greedy-default": "28400a73852690ac",
+    "q1-BL1-greedy-tight": "28400a73852690ac",
+    "q1-BL1-non_greedy-default": "bf7cb853aa636bdb",
+    "q1-BL1-non_greedy-tight": "bf7cb853aa636bdb",
+    "q1-BL2-greedy-default": "7f025ea07c80c367",
+    "q1-BL2-greedy-tight": "cb350b2eda235203",
+    "q1-BL2-non_greedy-default": "7f56c8549de8b03a",
+    "q1-BL2-non_greedy-tight": "3631037ba9792e2a",
+    "q1-BL3-greedy-default": "a3e9e6361c2c9bf1",
+    "q1-BL3-greedy-tight": "a3e9e6361c2c9bf1",
+    "q1-BL3-non_greedy-default": "9647537b063d482d",
+    "q1-BL3-non_greedy-tight": "9647537b063d482d",
+    "q1-Hybrid-greedy-default": "79844fdb02a698de",
+    "q1-Hybrid-greedy-drop": "fb3d3b790f2e14bc",
+    "q1-Hybrid-greedy-tight": "70cf7ec843eba5de",
+    "q1-Hybrid-non_greedy-default": "56351bc10c674b98",
+    "q1-Hybrid-non_greedy-tight": "6705ecbdc3b38cf2",
+    "q1-LzEval-greedy-default": "5516097cd245e0af",
+    "q1-LzEval-greedy-tight": "008f582172f4fa07",
+    "q1-LzEval-non_greedy-default": "aaa4b61b5d846e09",
+    "q1-LzEval-non_greedy-tight": "811a0a07c05cf409",
+    "q1-PFetch-greedy-default": "03a2da93c447e4df",
+    "q1-PFetch-greedy-tight": "e037900b88d55697",
+    "q1-PFetch-non_greedy-default": "6132dd3b0d8360e9",
+    "q1-PFetch-non_greedy-tight": "ca55a8ae7e68fd1e",
+    "q2-BL1-greedy-default": "62dbb5768b05bc8c",
+    "q2-BL1-greedy-tight": "62dbb5768b05bc8c",
+    "q2-BL1-non_greedy-default": "a5eaa18ca486dbe2",
+    "q2-BL1-non_greedy-tight": "a5eaa18ca486dbe2",
+    "q2-BL2-greedy-default": "1654195b36364975",
+    "q2-BL2-greedy-tight": "0411229af78f267c",
+    "q2-BL2-non_greedy-default": "6e0c3d105ed123c3",
+    "q2-BL2-non_greedy-tight": "895225d442e55b67",
+    "q2-BL3-greedy-default": "f0f00d86840e5e31",
+    "q2-BL3-greedy-tight": "f0f00d86840e5e31",
+    "q2-BL3-non_greedy-default": "d484cefd1f56a0e1",
+    "q2-BL3-non_greedy-tight": "d484cefd1f56a0e1",
+    "q2-Hybrid-greedy-default": "a619c3446959e26b",
+    "q2-Hybrid-greedy-tight": "c26f048c7493a390",
+    "q2-Hybrid-non_greedy-default": "75bf01ac217b8035",
+    "q2-Hybrid-non_greedy-tight": "b1817cbb6243ce0b",
+    "q2-LzEval-greedy-default": "de2ae9354b2715b4",
+    "q2-LzEval-greedy-tight": "0b3105a69ac50dc5",
+    "q2-LzEval-non_greedy-default": "c024be2bc6c6b2ec",
+    "q2-LzEval-non_greedy-tight": "fb5f583d2be51882",
+    "q2-PFetch-greedy-default": "baaa831da72eaced",
+    "q2-PFetch-greedy-tight": "113fe103cfa284d4",
+    "q2-PFetch-non_greedy-default": "577d5f4fc3d06517",
+    "q2-PFetch-non_greedy-tight": "a56de7479d6caf82",
 }
 
 
