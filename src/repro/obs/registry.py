@@ -162,7 +162,6 @@ class MetricsRegistry:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
-        self._annotations: dict[str, str] = {}
 
     def counter(self, name: str) -> Counter:
         metric = self._counters.get(name)
@@ -187,29 +186,12 @@ class MetricsRegistry:
             )
         return metric
 
-    def annotate(self, name: str, value: str) -> None:
-        """Attach a string-valued fact (e.g. the engine backend name).
-
-        Annotations ride the snapshot alongside the numeric metrics —
-        last write wins, like a gauge for configuration facts.
-        """
-        if name in self._counters or name in self._gauges or name in self._histograms:
-            raise ValueError(f"metric {name!r} already registered with a different type")
-        self._annotations[name] = value
-
     def _check_fresh(self, name: str) -> None:
-        if (
-            name in self._counters
-            or name in self._gauges
-            or name in self._histograms
-            or name in self._annotations
-        ):
+        if name in self._counters or name in self._gauges or name in self._histograms:
             raise ValueError(f"metric {name!r} already registered with a different type")
 
     def names(self) -> list[str]:
-        return sorted(
-            [*self._counters, *self._gauges, *self._histograms, *self._annotations]
-        )
+        return sorted([*self._counters, *self._gauges, *self._histograms])
 
     def scoped(self, prefix: str) -> "ScopedRegistry":
         """A view of this registry that prefixes every metric name.
@@ -229,10 +211,8 @@ class MetricsRegistry:
                 data[name] = round(value, 3) if isinstance(value, float) else value
             elif name in self._gauges:
                 data[name] = round(self._gauges[name].value, 3)
-            elif name in self._histograms:
-                data[name] = self._histograms[name].snapshot()
             else:
-                data[name] = self._annotations[name]
+                data[name] = self._histograms[name].snapshot()
         return data
 
     def __repr__(self) -> str:
@@ -270,9 +250,6 @@ class ScopedRegistry:
 
     def histogram(self, name: str, window: float | None = None) -> Histogram:
         return self._root.histogram(f"{self.prefix}.{name}", window=window)
-
-    def annotate(self, name: str, value: str) -> None:
-        self._root.annotate(f"{self.prefix}.{name}", value)
 
     def scoped(self, prefix: str) -> "ScopedRegistry":
         return ScopedRegistry(self._root, f"{self.prefix}.{prefix}")

@@ -308,7 +308,6 @@ class RuntimeBuilder:
             policy=config.policy,
             max_partial_matches=config.max_partial_matches,
         )
-        session_metrics.annotate("engine.backend", "reference")
         strategy.bind_engine(engine)
         shedder = self._build_shedder(runtime, spec, automaton, session_metrics)
         return QuerySession(spec, automaton, engine, strategy, utility, rates,

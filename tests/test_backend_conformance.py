@@ -34,14 +34,12 @@ Q2_SMALL = SyntheticConfig(n_events=700, id_domain=40, window_events=200)
 
 
 def _observables(result, sink: MemorySink | None = None):
-    """Everything a run makes observable, minus the backend's own label."""
-    metrics = dict(result.metrics or {})
-    metrics.pop("engine.backend", None)
+    """Everything a run makes observable."""
     data = {
         "summary": result.summary(),
         "signatures": [match.signature() for match in result.matches],
         "engine_stats": result.engine_stats,
-        "metrics": metrics,
+        "metrics": result.metrics,
     }
     if sink is not None:
         data["trace"] = sink.records

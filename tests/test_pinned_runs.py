@@ -62,7 +62,7 @@ def digest_of(name: str) -> str:
     assert sink.records, "the traced scenario produced no records"
     observed = {
         "summary": result.summary(),
-        "metrics": {k: v for k, v in result.metrics.items() if k != "engine.backend"},
+        "metrics": result.metrics,
         "matches": [
             (match.signature(), match.detected_at, match.last_event_t, match.fetch_wait)
             for match in result.matches
@@ -74,8 +74,8 @@ def digest_of(name: str) -> str:
 
 
 # name -> digest; taken at the parent of the batching change (PR 20) and re-pinned
-# once, at unchanged src/, when the digest stopped covering the ``engine.backend``
-# metrics annotation (PR 21) — the only key the re-pin is attributable to.
+# once (PR 21), at unchanged src/, without the ``engine.backend`` metrics
+# annotation that PR then deleted — the only key the re-pin is attributable to.
 PINNED: dict[str, str] = {
     "bursty-Hybrid-greedy-shed_events": "20359de6b2c62a87",
     "bursty-Hybrid-greedy-shed_runs": "d083dbe83546cdb4",
