@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
+import time
 
 import pytest
 
@@ -134,6 +136,37 @@ PINNED: dict[str, str] = {
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_run_is_byte_identical_to_the_pinned_digest(name):
     assert digest_of(name) == PINNED[name]
+
+
+_WALL_CLOCKS = ("time", "monotonic", "perf_counter", "process_time")
+_AMBIENT_RNG = ("random", "randint", "choice", "shuffle", "uniform", "sample", "gauss",
+                "randrange")
+
+
+def test_replays_read_no_wall_clock_and_no_ambient_rng(monkeypatch):
+    """Dynamic evidence for what rules D1/D2/T1/T2 prove statically: four
+    scenarios spanning the planes (cache pressure + batching, non-greedy
+    prefetch, run shedding, transport faults) replay to their pinned digests
+    with every wall-clock read and every module-level ``random`` draw raising."""
+
+    def forbid(module, attr):
+        def raiser(*args, **kwargs):
+            raise AssertionError(f"{module.__name__}.{attr}() called during a replay")
+
+        monkeypatch.setattr(module, attr, raiser)
+
+    for attr in _WALL_CLOCKS:
+        forbid(time, attr)
+        forbid(time, f"{attr}_ns")
+    for attr in _AMBIENT_RNG:
+        forbid(random, attr)
+    for name in (
+        "q1-Hybrid-greedy-tight",
+        "q2-PFetch-non_greedy-tight",
+        "bursty-Hybrid-greedy-shed_runs",
+        "q1-Hybrid-greedy-drop",
+    ):
+        assert digest_of(name) == PINNED[name], name
 
 
 if __name__ == "__main__":
