@@ -150,8 +150,13 @@ def traced_three_shard_fleet():
 
 
 class TestDeterminism:
-    def test_three_shard_replay_is_deterministic(self):
-        first, first_sink = traced_three_shard_fleet()
+    @pytest.fixture(scope="class")
+    def replay(self):
+        """One traced replay, shared: the tests below only read it."""
+        return traced_three_shard_fleet()
+
+    def test_three_shard_replay_is_deterministic(self, replay):
+        first, first_sink = replay
         second, second_sink = traced_three_shard_fleet()
         assert first.summary() == second.summary()
         assert first_sink.records == second_sink.records
@@ -160,17 +165,17 @@ class TestDeterminism:
             for name in ours:
                 assert ours[name].match_signatures() == theirs[name].match_signatures()
 
-    def test_serving_records_replay_clean(self):
-        result, sink = traced_three_shard_fleet()
+    def test_serving_records_replay_clean(self, replay):
+        _, sink = replay
         serving = sink.by_category(CAT_SERVING)
         names = {record["name"] for record in serving}
         assert "route" in names and "admit" in names and "throttle" in names
-        replay = replay_trace(sink.records)
-        assert replay["problems"] == []
-        assert replay["checked_serving"] == len(serving) > 0
+        replayed = replay_trace(sink.records)
+        assert replayed["problems"] == []
+        assert replayed["checked_serving"] == len(serving) > 0
 
-    def test_throttling_shows_up_everywhere(self):
-        result, sink = traced_three_shard_fleet()
+    def test_throttling_shows_up_everywhere(self, replay):
+        result, sink = replay
         throttles = [r for r in sink.by_category(CAT_SERVING) if r["name"] == "throttle"]
         assert throttles, "burst=16 over 600 events must throttle"
         throttled_tenants = {record["tenant"] for record in throttles}
@@ -182,8 +187,8 @@ class TestDeterminism:
             assert result.throttled[tenant] == 0
             assert result.admitted[tenant] == 600
 
-    def test_hash_placement_matches_stable_hash(self):
-        result, _ = traced_three_shard_fleet()
+    def test_hash_placement_matches_stable_hash(self, replay):
+        result, _ = replay
         for tenant, shard in result.placement.items():
             assert shard == stable_hash(tenant) % 3
 
