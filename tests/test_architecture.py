@@ -7,7 +7,7 @@ means nothing.
 
 from pathlib import Path
 
-from repro.analysis import ModuleIndex, analyze_index
+from repro.analysis import analyze
 from repro.analysis.cli import main as analysis_main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -16,10 +16,10 @@ ARCHITECTURE_RULES = ("A1", "A2", "A3")
 
 def check_tree(root: Path) -> list[str]:
     """Architecture violations under ``root`` as ``<pkg-path>:<line>: <message>``."""
-    index = ModuleIndex([root], package_root=root)
+    result = analyze([root], rule_ids=ARCHITECTURE_RULES, package_root=root)
     return [
         f"{finding.pkg or finding.rel}:{finding.line}: {finding.message}"
-        for finding in analyze_index(index, ARCHITECTURE_RULES).findings
+        for finding in result.findings
     ]
 
 
