@@ -39,8 +39,8 @@ __all__ = ["EffectAnalysis", "Effect", "PURE_CONTRACTS", "effect_analysis"]
 PURE_CONTRACTS: dict[tuple[str, str], tuple[str, ...]] = {
     # Eq. 5/7/8 utility scoring (strategies consume these every decision).
     ("utility/model.py", "required_keys"): (),
+    ("utility/model.py", "UtilityModel.terms"): (),
     ("utility/model.py", "UtilityModel.urgent_utility"): (),
-    ("utility/model.py", "UtilityModel._residual_life_events"): (),
     ("utility/model.py", "UtilityModel.future_utility"): (),
     ("utility/model.py", "UtilityModel.value"): (),
     ("utility/model.py", "UtilityModel.class_count"): (),

@@ -151,7 +151,7 @@ _MUTATOR_METHODS = frozenset({
 _SINK_EMIT = frozenset({"emit"})
 _SINK_METRIC = frozenset({"inc", "set", "observe"})
 _SINK_UTILITY = frozenset({
-    "value", "urgent_utility", "future_utility", "min_utility", "estimate",
+    "value", "terms", "urgent_utility", "future_utility", "min_utility", "estimate",
     "effective_estimate", "extension_rate", "expected_gap", "class_count",
     "partial_match_utility", "event_utility", "shed_lowest", "submit",
 })

@@ -198,6 +198,7 @@ FLOAT_GATE_MODULES = (
 #: Calls whose results are float-valued utility/gate quantities.
 FLOAT_VALUED_CALLS = frozenset({
     "value",                 # UtilityModel.value — Eq. 5
+    "terms",                 # (Eq. 3, Eq. 4 / Eq. 6) in one pass
     "urgent_utility",        # Eq. 3
     "future_utility",        # Eq. 4 / Eq. 6
     "min_utility",           # Eq. 7 threshold

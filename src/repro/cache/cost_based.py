@@ -31,6 +31,11 @@ discriminates (multi-family elements, containers, dying keys).
 The utility function is injected (``utility_fn``), wired by the framework to
 :class:`repro.utility.model.UtilityModel` evaluated with the cache's
 weighting factor ``omega_cache`` (§4.1).
+
+Both sampled decisions **stop at the utility floor**: Eq. 5 is a sum of
+products of non-negatives, so once a candidate's ratio is 0.0 no other can
+be lower.  The sample is always drawn in full first, so the RNG stream —
+and with it every decision — is the one a full scan would make.
 """
 
 from __future__ import annotations
@@ -77,13 +82,23 @@ class _SampledSet:
             self._index[last] = position
 
     def sample(self, rng: random.Random, k: int) -> list[DataKey]:
-        if len(self._items) <= k:
-            return list(self._items)
-        return [self._items[rng.randrange(len(self._items))] for _ in range(k)]
+        items = self._items
+        n = len(items)
+        if n <= k:
+            return list(items)
+        randrange = rng.randrange
+        return [items[randrange(n)] for _ in range(k)]
 
 
 class CostBasedCache(Cache):
-    """Two-tier, sampled utility/size-ratio eviction (knapsack approximation)."""
+    """Two-tier, sampled utility/size-ratio eviction (knapsack approximation).
+
+    Contract: ``utility_fn`` returns values ``>= 0``.  Eviction and
+    :meth:`min_utility` stop scoring a sample at the first element worth
+    nothing; that is the policy itself, not a shortcut around it — a
+    worthless element is the greedy knapsack's first victim (§6) whatever
+    else the sample holds.
+    """
 
     TIER_CERTAIN = 1
     TIER_SPECULATIVE = 2
@@ -129,10 +144,7 @@ class CostBasedCache(Cache):
         for tier in (self.TIER_SPECULATIVE, self.TIER_CERTAIN):
             candidates = self._tiers[tier].sample(self._rng, self._sample_size)
             if candidates:
-                return min(
-                    candidates,
-                    key=lambda key: (self._ratio(key), self._last_touch.get(key, 0.0)),
-                )
+                return self._oldest_lowest(candidates)[0]
         # Tier sets can only be empty together with the cache itself; reaching
         # here means an accounting bug upstream.
         raise RuntimeError("cost-based cache asked to evict from an empty cache")
@@ -146,11 +158,29 @@ class CostBasedCache(Cache):
         for tier in (self.TIER_SPECULATIVE, self.TIER_CERTAIN):
             candidates = self._tiers[tier].sample(self._rng, self._sample_size)
             if candidates:
-                return min(self._ratio(key) for key in candidates)
+                return self._oldest_lowest(candidates)[1]
         return 0.0
 
     # -- internals ----------------------------------------------------------------
-    def _ratio(self, key: DataKey) -> float:
-        element = self._entries.get(key)
-        size = element.total_size() if element is not None else 1
-        return self._utility_fn(key) / max(size, 1)
+    def _oldest_lowest(self, candidates: list[DataKey]) -> tuple[DataKey, float]:
+        """The candidate minimal in (utility/size ratio, last touch), first in
+        sample order among equals, and its ratio.
+
+        Scored oldest-first.  The sort is stable, so sample order decides
+        among equally old candidates and only a strictly lower ratio displaces
+        the best so far.  The scan stops at the utility floor: past a ratio
+        ``<= 0.0`` nothing is older or worth less.  (A minimum alone would not
+        need the order; the oldest candidates are the likeliest to be dead.)
+        """
+        candidates.sort(key=self._last_touch.__getitem__)
+        entries = self._entries
+        utility_fn = self._utility_fn
+        lowest_key = candidates[0]
+        lowest = None
+        for key in candidates:
+            ratio = utility_fn(key) / max(entries[key].total_size(), 1)
+            if lowest is None or ratio < lowest:
+                lowest_key, lowest = key, ratio
+                if ratio <= 0.0:
+                    break
+        return lowest_key, lowest

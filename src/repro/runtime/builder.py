@@ -394,6 +394,11 @@ class Runtime:
     def shared_utility(self, key: DataKey) -> float:
         """Priority-weighted sum of the per-query utilities (Eq. 3 weights)."""
         omega = self.config.omega_cache
+        if len(self.sessions) == 1:
+            # What sum() computes for one term (it starts from int 0), without
+            # the generator and property frames: eviction calls this per candidate.
+            session = self.sessions[0]
+            return 0 + session.spec.priority * session.utility.value(key, omega)
         return sum(
             session.priority * session.utility.value(key, omega)
             for session in self.sessions

@@ -18,8 +18,8 @@ of input-event vs. partial-match shedding:
   plane uses for data elements, transposed to partial matches: the urgent
   component is the progress already invested (bound events over pattern
   length), the future component the run's residual window lifetime — the
-  exact term :meth:`repro.utility.model.UtilityModel._residual_life_events`
-  computes for element scoring — combined with the same ``omega`` weighting
+  exact term :meth:`repro.utility.model.UtilityModel.terms` adds to Eq. 6
+  for element scoring — combined with the same ``omega`` weighting
   and discounted by unresolved obligations (a run that may yet fail its
   postponed predicates is cheaper to lose).
 

@@ -230,12 +230,10 @@ class PFetchStrategy(FetchStrategy):
             # Eq. 7: only displace cached data for higher-utility elements.
             # The candidate's own utility includes the anticipated urgent
             # need of the triggering partial match (one latency-weighted use).
-            # The decomposition below replicates ``ctx.utility.value`` term by
-            # term (same call order, same float ops) so the trace record can
-            # carry the Eq. 5/7 inputs without perturbing the computation.
+            # Eq. 5 over the two terms, as ``ctx.utility.value`` combines
+            # them, so the trace record can carry the Eq. 5/7 inputs.
             omega = ctx.omega_fetch
-            uu = ctx.utility.urgent_utility(key)
-            fu = ctx.utility.future_utility(key)
+            uu, fu = ctx.utility.terms(key)
             candidate = omega * uu + (1.0 - omega) * fu
             ell_estimate = ctx.transport.monitor.estimate(key)
             candidate += omega * ell_estimate

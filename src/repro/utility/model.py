@@ -183,61 +183,65 @@ class UtilityModel:
                 self._tran_class[class_index] *= _DECAY
 
     # -- measures ----------------------------------------------------------------
-    def urgent_utility(self, key: DataKey) -> float:
-        """``UU(d,k)``: latency-weighted count of runs requiring ``d``."""
-        runs = self._uu_runs.get(key)
-        if not runs:
-            return 0.0
-        return len(runs) * self._monitor.estimate(key)
+    def terms(self, key: DataKey) -> tuple[float, float]:
+        """``(UU(d,k), FU-hat(d,k,k+horizon))``, both ``>= 0.0``, in one pass.
 
-    def _residual_life_events(self, key: DataKey) -> float:
-        """Expected remaining relevance, in events, of the key's live runs.
-
-        A run anchored at (t0, k0) stays able to require the element until
-        its window closes; the remaining fraction of the window, scaled to
-        events, is its exact contribution to the future urgent utilities of
-        Eq. 4.
+        ``UU`` (Eq. 3) is the latency-weighted count of live runs requiring
+        ``d``.  ``FU-hat`` (Eq. 6, latency-weighted, see above) adds to the
+        stochastic term the residual lifetime of those runs: a run anchored
+        at (t0, k0) stays able to require the element until its window
+        closes, and the remaining fraction of the window, scaled to events,
+        is its exact contribution to the future urgent utilities of Eq. 4.
         """
         runs = self._uu_runs.get(key)
-        if not runs:
-            return 0.0
-        window = self._automaton.window
-        # Window length expressed in events: count windows carry it directly,
-        # time windows are scaled through the (event-denominated) horizon.
-        window_events = window.value if window.kind == "count" else self._horizon
-        total = 0.0
-        for first_t, first_seq in runs.values():
-            if window.kind == "count":
-                elapsed = (self._events_seen - first_seq) / window.value
-            else:
-                elapsed = (self._now - first_t) / window.value
-            total += max(0.0, 1.0 - elapsed) * window_events
-        return total
+        stochastic = residual = 0.0
+        if not (self._noise.active and self._noise.flip(("fu", key), self._now)):
+            for class_index, per_class in self._tran_key.items():
+                weight = per_class.get(key)
+                if not weight:
+                    continue
+                class_total = self._tran_class.get(class_index, 0.0)
+                if class_total <= 0:
+                    continue
+                probability = min(weight / class_total, 1.0)
+                stochastic += self._class_counts.get(class_index, 0.0) * probability
+            if runs:
+                # Window length expressed in events: count windows carry it
+                # directly, time windows are scaled through the
+                # (event-denominated) horizon.
+                window = self._automaton.window
+                span = window.value
+                if window.kind == "count":
+                    seen = self._events_seen
+                    for _, first_seq in runs.values():
+                        residual += max(0.0, 1.0 - (seen - first_seq) / span) * span
+                else:
+                    now = self._now
+                    horizon = self._horizon
+                    for first_t, _ in runs.values():
+                        residual += max(0.0, 1.0 - (now - first_t) / span) * horizon
+        if not runs and not stochastic:
+            return 0.0, 0.0
+        latency = self._monitor.estimate(key)
+        urgent = len(runs) * latency if runs else 0.0
+        if not stochastic and not residual:
+            return urgent, 0.0
+        return urgent, (self._horizon * stochastic + residual) * latency
+
+    def urgent_utility(self, key: DataKey) -> float:
+        """``UU(d,k)``: latency-weighted count of runs requiring ``d``."""
+        return self.terms(key)[0]
 
     def future_utility(self, key: DataKey) -> float:
         """``FU-hat(d,k,k+horizon)`` per Eq. 6 (latency-weighted, see above)."""
-        if self._noise.active and self._noise.flip(("fu", key), self._now):
-            return 0.0
-        stochastic = 0.0
-        for class_index, per_class in self._tran_key.items():
-            weight = per_class.get(key)
-            if not weight:
-                continue
-            class_total = self._tran_class.get(class_index, 0.0)
-            if class_total <= 0:
-                continue
-            probability = min(weight / class_total, 1.0)
-            stochastic += self._class_counts.get(class_index, 0.0) * probability
-        residual = self._residual_life_events(key)
-        if not stochastic and not residual:
-            return 0.0
-        return (self._horizon * stochastic + residual) * self._monitor.estimate(key)
+        return self.terms(key)[1]
 
     def value(self, key: DataKey, omega: float) -> float:
         """Combined utility ``U(d) = omega*UU + (1-omega)*FU`` (Eq. 5)."""
         if not 0.0 <= omega <= 1.0:
             raise ValueError(f"omega must be in [0, 1]: {omega}")
-        return omega * self.urgent_utility(key) + (1.0 - omega) * self.future_utility(key)
+        urgent, future = self.terms(key)
+        return omega * urgent + (1.0 - omega) * future
 
     def class_count(self, state_index: int) -> float:
         """``#P_j(k)``: smoothed number of live partial matches of a class."""

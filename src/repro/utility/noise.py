@@ -36,13 +36,9 @@ class NoiseModel:
         if epoch_length <= 0:
             raise ValueError(f"epoch length must be positive: {epoch_length}")
         self.ratio = ratio
+        self.active = ratio > 0.0
         self._seed = seed
         self._epoch_length = epoch_length
-        self.corruptions = 0
-
-    @property
-    def active(self) -> bool:
-        return self.ratio > 0.0
 
     def flip(self, token: tuple, now: float) -> bool:
         """Whether the estimation identified by ``token`` is corrupted now."""
@@ -50,14 +46,11 @@ class NoiseModel:
             return False
         epoch = int(now / self._epoch_length)
         bucket = stable_hash(token, epoch, self._seed) % _HASH_SPACE
-        corrupted = bucket < self.ratio * _HASH_SPACE
-        if corrupted:
-            self.corruptions += 1
-        return corrupted
+        return bucket < self.ratio * _HASH_SPACE
 
     def decoy_key(self, key: DataKey) -> DataKey:
         """A lookup key for a non-existent element (a useless prefetch)."""
         return (key[0], ("__noise__", key[1]))
 
     def __repr__(self) -> str:
-        return f"NoiseModel(ratio={self.ratio}, corruptions={self.corruptions})"
+        return f"NoiseModel(ratio={self.ratio})"

@@ -141,16 +141,49 @@ class TestCostBasedCache:
         cache = CostBasedCache(4, utility_fn=lambda key: 1.0)
         assert cache.min_utility() == 0.0
 
-    def test_stale_heap_entries_are_skipped(self):
+    def test_eviction_reads_current_utility(self):
         utilities = {("src", 1): 1.0, ("src", 2): 2.0, ("src", 3): 3.0}
         cache = CostBasedCache(2, utility_fn=lambda key: utilities.get(key, 0.0))
         cache.put(element(1), 0.0, certain=False)
         cache.put(element(2), 1.0, certain=False)
-        cache.put(element(3), 2.0, certain=False)  # evicts 1, leaves stale entries
+        cache.put(element(3), 2.0, certain=False)  # evicts 1
         utilities[("src", 2)] = 0.5
         cache.put(element(4, size=1), 3.0, certain=False)  # must evict 2 now
         assert ("src", 2) not in cache
         assert ("src", 3) in cache
+
+    def _counting_cache(self, utility):
+        """A full T2 of 50 unit-size entries (key i touched at time i) whose
+        ``utility_fn`` logs every key it is asked about."""
+        scored = []
+
+        def utility_fn(key):
+            scored.append(key)
+            return utility(key)
+
+        cache = CostBasedCache(50, utility_fn=utility_fn, seed=1)
+        for i in range(50):
+            cache.put(element(i), float(i), certain=False)
+        assert scored == []  # nothing is scored until the cache is full
+        return cache, scored
+
+    def test_scoring_stops_at_the_utility_floor(self):
+        # 49 of 50 entries are worthless; only the oldest has any utility.
+        cache, scored = self._counting_cache(lambda key: 3.0 if key[1] == 0 else 0.0)
+        assert cache.min_utility() == 0.0
+        assert scored == [("src", 4)]  # the oldest of the 12 sampled is on the floor
+        del scored[:]
+        cache.put(element(99), 50.0, certain=False)
+        # Oldest first: key 0 (worth 3.0), then key 1 (worthless) ends the scan.
+        assert scored == [("src", 0), ("src", 1)]
+        assert ("src", 1) not in cache and ("src", 0) in cache
+
+    def test_a_tier_above_the_floor_is_scored_in_full(self):
+        cache, scored = self._counting_cache(lambda key: 1.0 + key[1])
+        cache.min_utility()
+        assert len(scored) == 12  # sample_size
+        cache.put(element(99), 50.0, certain=False)
+        assert len(scored) == 24
 
     def test_capacity_never_exceeded_under_churn(self):
         cache = CostBasedCache(5, utility_fn=lambda key: float(key[1] % 7))

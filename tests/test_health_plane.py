@@ -34,6 +34,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "tools"))
 
 import bench_diff  # noqa: E402
+import perf_count_gate  # noqa: E402
 
 
 def q1():
@@ -139,15 +140,20 @@ class TestSloInRun:
         result = eires.run(workload.stream)
         return eires, result, sink
 
-    def test_slo_plane_gauges_land_in_metrics_snapshot(self):
-        eires, result, _ = self._slo_run(slo_latency_bound=150.0)
+    @pytest.fixture(scope="class")
+    def plain_and_slo(self):
+        """The overloaded scenario replayed once without and once with a
+        latency SLO, for the tests that only read the outcome."""
+        return self._slo_run(), self._slo_run(slo_latency_bound=150.0)
+
+    def test_slo_plane_gauges_land_in_metrics_snapshot(self, plain_and_slo):
+        eires, result, _ = plain_and_slo[1]
         assert eires.runtime.slo is not None
         assert result.metrics["slo.evaluations"] > 0
         assert result.metrics["slo.worst_burn"] > 1.0  # overloaded scenario
 
-    def test_slo_plane_alone_changes_no_results(self):
-        _, plain, _ = self._slo_run()
-        _, with_slo, _ = self._slo_run(slo_latency_bound=150.0)
+    def test_slo_plane_alone_changes_no_results(self, plain_and_slo):
+        (_, plain, _), (_, with_slo, _) = plain_and_slo
         assert with_slo.match_signatures() == plain.match_signatures()
         plain_row = {k: v for k, v in plain.summary().items() if not k.startswith("slo.")}
         slo_row = {k: v for k, v in with_slo.summary().items() if not k.startswith("slo.")}
@@ -416,3 +422,37 @@ class TestBenchDiff:
             bench_diff.DEFAULT_REL_TOL, bench_diff.DEFAULT_ABS_TOL,
         )
         assert problems == []
+
+
+class TestPerfCountGate:
+    """Each exact-count row fails on a block doctored past its bound."""
+
+    @staticmethod
+    def _block(gate, ratio):
+        """A ``--trace 1`` block holding ``gate`` at ``ratio``, every other
+        row of its workload at zero."""
+        metrics = {"engine.process_event.calls": 1.0}
+        for other in perf_count_gate.GATES:
+            if other.workload == gate.workload:
+                metrics.update(dict.fromkeys(other.numerators, 0.0))
+                metrics.update(dict.fromkeys(other.denominators, 10.0))
+        metrics[gate.numerators[0]] = ratio * 10.0 * len(gate.denominators)
+        return {
+            "correct": True,
+            "metrics": {name: {"value": value} for name, value in metrics.items()},
+        }
+
+    @pytest.mark.parametrize("gate", perf_count_gate.GATES, ids=lambda gate: gate.name)
+    def test_row_holds_at_its_bound_and_fails_beyond_it(self, gate, tmp_path, capsys):
+        path = tmp_path / "block.json"
+        path.write_text(json.dumps(self._block(gate, gate.bound)))
+        assert perf_count_gate.main([gate.workload, str(path)]) == 0
+        path.write_text(json.dumps(self._block(gate, gate.bound * 1.5)))
+        assert perf_count_gate.main([gate.workload, str(path)]) == 1
+        assert gate.message in capsys.readouterr().err
+
+    def test_incorrect_block_fails(self, tmp_path, capsys):
+        path = tmp_path / "block.json"
+        path.write_text(json.dumps({"correct": False, "metrics": {}}))
+        assert perf_count_gate.main(["guard_heavy", str(path)]) == 1
+        assert "not correct" in capsys.readouterr().err

@@ -17,7 +17,8 @@ from repro.events.event import Event
 from repro.metrics.latency import percentile
 from repro.nfa.compiler import compile_query
 from repro.nfa.run import Run
-from repro.obs.trace import NULL_TRACER
+from repro.obs.provenance import replay_trace
+from repro.obs.trace import NULL_TRACER, MemorySink, Tracer
 from repro.query.errors import RemoteDataUnavailable
 from repro.query.guards import compile_bucket_loop, compile_guard, compile_remote, interpret_guard
 from repro.query.parser import parse_query
@@ -93,6 +94,79 @@ def test_cost_cache_capacity_never_exceeded(capacity, ops):
         else:
             cache.get(("s", key), float(index))
         assert cache.used <= capacity
+
+
+class _FullScanCache(CostBasedCache):
+    """The cache before the floor rule: both sampled decisions score every
+    candidate — the parent commit's two ``min(...)`` expressions, verbatim."""
+
+    def _select_victim(self):
+        for tier in (self.TIER_SPECULATIVE, self.TIER_CERTAIN):
+            candidates = self._tiers[tier].sample(self._rng, self._sample_size)
+            if candidates:
+                return min(
+                    candidates,
+                    key=lambda key: (self._ratio(key), self._last_touch.get(key, 0.0)),
+                )
+        raise RuntimeError("cost-based cache asked to evict from an empty cache")
+
+    def min_utility(self):
+        for tier in (self.TIER_SPECULATIVE, self.TIER_CERTAIN):
+            candidates = self._tiers[tier].sample(self._rng, self._sample_size)
+            if candidates:
+                return min(self._ratio(key) for key in candidates)
+        return 0.0
+
+    def _ratio(self, key):
+        element = self._entries.get(key)
+        size = element.total_size() if element is not None else 1
+        return self._utility_fn(key) / max(size, 1)
+
+
+# Floors and ratio ties are common; so are recency ties (the clock often
+# stands still between ops).
+_floor_utility = st.sampled_from([0.0, 0.0, 0.0, 0.5, 1.0, 2.0, 7.0])
+_floor_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["put", "put", "get", "min"]),
+        st.integers(min_value=0, max_value=60),  # key
+        st.integers(min_value=1, max_value=3),  # size (put only)
+        st.booleans(),  # certain (put only)
+        _floor_utility,  # the key's utility from this op on
+        st.sampled_from([0.0, 0.0, 1.0]),  # clock step
+    ),
+    max_size=160,
+)
+
+
+@given(
+    capacity=st.integers(min_value=1, max_value=40),  # whole-tier and drawn samples
+    seed=st.integers(min_value=0, max_value=1000),
+    ops=_floor_ops,
+)
+@settings(max_examples=200, deadline=None)
+def test_floor_rule_decides_what_the_full_scan_decides(capacity, seed, ops):
+    utilities = {}
+
+    def utility(key):
+        return utilities.get(key, 0.0)
+
+    floor = CostBasedCache(capacity, utility_fn=utility, seed=seed)
+    full = _FullScanCache(capacity, utility_fn=utility, seed=seed)
+    now = 0.0
+    for op, key, size, certain, value, step in ops:
+        now += step
+        utilities[("s", key)] = value
+        if op == "put":
+            for cache in (floor, full):
+                cache.put(DataElement(("s", key), key, size=size), now, certain=certain)
+        elif op == "get":
+            assert (floor.get(("s", key), now) is None) == (full.get(("s", key), now) is None)
+        else:
+            assert floor.min_utility() == full.min_utility()
+        assert floor.keys() == full.keys()
+        assert floor.stats.evictions == full.stats.evictions
+        assert floor._rng.getstate() == full._rng.getstate()
 
 
 @given(ops=cache_ops)
@@ -202,6 +276,63 @@ def test_engine_matches_reference_on_random_streams(seed, policy, strategy):
     expected = reference_match_signatures(automaton, stream, store, policy)
     result = run_eires(query, store, stream, strategy=strategy, policy=policy)
     assert result.match_signatures() == expected
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    n_events=st.integers(min_value=60, max_value=120),
+    policy=st.sampled_from(["greedy", "non_greedy"]),
+    strategy=st.sampled_from(["BL2", "PFetch", "LzEval", "Hybrid"]),
+    cache_policy=st.sampled_from(["lru", "cost"]),
+    # 20 distinct keys: 1, 2 and 12 evict from a whole-tier sample, 13 from a
+    # drawn one, 50 and 10 000 never fill.
+    capacity=st.sampled_from([1, 2, 12, 13, 50, 10_000]),
+    batching=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_engine_matches_reference_under_any_cache(
+    seed, n_events, policy, strategy, cache_policy, capacity, batching
+):
+    """"When, never what" under an eviction policy nobody hand-picked, with
+    the cache's and the run table's books balanced in the same runs."""
+    query, store = make_abc_scenario()
+    store.register_source("v", lambda key: frozenset(v for v in range(20) if (v + key) % 2))
+    stream = random_stream(n_events, seed=seed, id_domain=2, v_domain=20)
+    expected = reference_match_signatures(compile_query(query), stream, store, policy)
+    sink = MemorySink()
+    eires = EIRES(
+        query,
+        store,
+        FixedLatency(50.0),
+        strategy=strategy,
+        config=EiresConfig(
+            policy=policy,
+            cache_policy=cache_policy,
+            cache_capacity=capacity,
+            **({"batch_window": 50.0, "batch_max_keys": 4} if batching else {}),
+        ),
+        tracer=Tracer(sink),
+    )
+    result = eires.run(stream)
+    assert result.match_signatures() == expected
+    cache = eires.cache
+    assert cache.used <= capacity
+    # The cache's books: replay its admit / evict records.  A re-fetch of a
+    # resident key replaces it — an insertion that displaces nothing.
+    resident, replaced = set(), 0
+    for record in sink.by_category("cache"):
+        key = tuple(record["key"])
+        if record["name"] == "admit":
+            replaced += key in resident
+            resident.add(key)
+        elif record["name"] == "evict":
+            resident.remove(key)
+    assert resident == set(cache.keys())
+    assert cache.stats.insertions - replaced - cache.stats.evictions == len(cache)
+    stats = result.engine_stats
+    dropped = sum(count for name, count in stats.items() if name.startswith("dropped."))
+    assert dropped == stats["runs_created"]
+    assert replay_trace(sink.records)["problems"] == []
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))

@@ -154,6 +154,27 @@ class TestBuilder:
             runtime.session("missing")
 
 
+class TestSharedUtility:
+    @pytest.mark.parametrize("priority", [1.0, 2.5])
+    def test_one_session_shortcut_is_the_sum_bit_for_bit(self, priority):
+        q_ab, _, store = two_queries()
+        runtime = (
+            RuntimeBuilder(store, UniformLatency(10.0, 80.0), config=EiresConfig(cache_capacity=4))
+            .add_query(q_ab, strategy="Hybrid", priority=priority)
+            .build()
+        )
+        runtime.run(random_stream(120, seed=5))  # leaves live runs, counters and latencies behind
+        omega = runtime.config.omega_cache
+        values = []
+        for v in range(10):
+            key = ("v", v)
+            expected = sum(s.priority * s.utility.value(key, omega) for s in runtime.sessions)
+            shared = runtime.shared_utility(key)
+            assert shared == expected and type(shared) is type(expected)
+            values.append(expected)
+        assert any(values)  # not vacuous: some key is worth something
+
+
 class TestMultiQueryFaultParity:
     """Multi-query runs ride the same fault substrate as single-query runs."""
 

@@ -1,6 +1,8 @@
 """Unit tests for the utility model, rate estimation, and noise (§4)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nfa.compiler import compile_query
 from repro.nfa.run import Run
@@ -156,6 +158,130 @@ class TestUtilityModel:
             model.tick(float(i), {2: 5})  # class still busy, key never needed
         after = model.future_utility(("r", 7))
         assert after < before
+
+
+# The parent commit's Eq. 5 chain, verbatim, as functions over a model's
+# state: the reference ``UtilityModel.terms`` / ``value`` must equal with ==.
+def _chain_urgent_utility(self, key):
+    runs = self._uu_runs.get(key)
+    if not runs:
+        return 0.0
+    return len(runs) * self._monitor.estimate(key)
+
+
+def _chain_residual_life_events(self, key):
+    runs = self._uu_runs.get(key)
+    if not runs:
+        return 0.0
+    window = self._automaton.window
+    window_events = window.value if window.kind == "count" else self._horizon
+    total = 0.0
+    for first_t, first_seq in runs.values():
+        if window.kind == "count":
+            elapsed = (self._events_seen - first_seq) / window.value
+        else:
+            elapsed = (self._now - first_t) / window.value
+        total += max(0.0, 1.0 - elapsed) * window_events
+    return total
+
+
+def _chain_future_utility(self, key):
+    if self._noise.active and self._noise.flip(("fu", key), self._now):
+        return 0.0
+    stochastic = 0.0
+    for class_index, per_class in self._tran_key.items():
+        weight = per_class.get(key)
+        if not weight:
+            continue
+        class_total = self._tran_class.get(class_index, 0.0)
+        if class_total <= 0:
+            continue
+        probability = min(weight / class_total, 1.0)
+        stochastic += self._class_counts.get(class_index, 0.0) * probability
+    residual = _chain_residual_life_events(self, key)
+    if not stochastic and not residual:
+        return 0.0
+    return (self._horizon * stochastic + residual) * self._monitor.estimate(key)
+
+
+def _chain_value(self, key, omega):
+    urgent, future = _chain_urgent_utility(self, key), _chain_future_utility(self, key)
+    return omega * urgent + (1.0 - omega) * future
+
+
+_lifecycle_op = st.one_of(
+    st.tuples(
+        st.just("create"),
+        st.integers(min_value=1, max_value=2),  # state: (a) or (a, b)
+        st.integers(min_value=0, max_value=4),  # a.v, the remote key
+        st.integers(min_value=0, max_value=200),  # window anchor: seq and t
+    ),
+    st.tuples(st.just("drop"), st.integers(min_value=0, max_value=50)),
+    st.tuples(
+        st.just("tick"),
+        st.sampled_from([1, 1, 3, 70]),  # 70 crosses the 64-event decay
+        st.integers(min_value=0, max_value=6),  # live runs per class
+    ),
+    st.tuples(
+        st.just("record"),
+        st.integers(min_value=0, max_value=4),
+        st.sampled_from([0.0, 1.0, 12.5, 300.0]),
+    ),
+)
+
+
+class TestTermsContract:
+    """``terms`` is the one evaluation of Eq. 5's inputs: never below the
+    floor the cache's early stop rests on, and bit-equal to the chain it
+    replaced."""
+
+    @given(
+        window=st.sampled_from(["WITHIN 100 EVENTS", "WITHIN 500 us"]),
+        noise_ratio=st.sampled_from([0.0, 0.3]),
+        hierarchical=st.booleans(),
+        ops=st.lists(_lifecycle_op, max_size=40),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_terms_nonnegative_and_value_equals_the_chain(
+        self, window, noise_ratio, hierarchical, ops
+    ):
+        automaton = compile_query(
+            parse_query(f"SEQ(A a, B b, C c) WHERE c.v IN REMOTE<r>[a.v] {window}", name="t")
+        )
+        store = RemoteStore()
+        keys = [("r", v) for v in range(5)] + [("r", "never named")]
+        if hierarchical:
+            container = store.put("r", "all", "container", size=0)
+            for v in range(5):
+                store.put("r", v, "part", size=1, parent=container)
+            keys.append(("r", "all"))
+        monitor = LatencyMonitor(prior=10.0)
+        model = UtilityModel(automaton, store, monitor, noise=NoiseModel(noise_ratio))
+        live = []
+        now = 0.0
+        for op in ops:
+            if op[0] == "create":
+                _, state_index, v, anchor = op
+                run = run_at(automaton, state_index, {"v": v})
+                run.first_seq, run.first_t = anchor, float(anchor)
+                model.on_run_created(run)
+                live.append(run)
+            elif op[0] == "drop":
+                if live:
+                    model.on_run_dropped(live.pop(op[1] % len(live)))
+            elif op[0] == "tick":
+                for _ in range(op[1]):
+                    now += 7.0
+                    model.tick(now, {1: op[2], 2: op[2] // 2})
+            else:
+                monitor.record(("r", op[1]), op[2])
+            for key in keys:
+                urgent, future = model.terms(key)
+                assert urgent >= 0.0 and future >= 0.0
+                assert urgent == _chain_urgent_utility(model, key)
+                assert future == _chain_future_utility(model, key)
+                for omega in (0.0, 0.3, 1.0):
+                    assert model.value(key, omega) == _chain_value(model, key, omega)
 
 
 class TestRateEstimator:

@@ -1,0 +1,147 @@
+#!/usr/bin/env python3
+"""Exact work-count gates over one ``benchmarks/perf/run.py --trace 1`` block.
+
+cProfile call counts are exact, so these gates have no noise to tolerate:
+each row bounds a ratio of counts that one design decision moved, on the
+workload that exercises it, and fails with a message naming what crept
+back.  The bounds leave room only for interpreter versions that count
+comprehensions as frames differently.
+
+Usage (the block is the last line ``run.py`` prints)::
+
+    python benchmarks/perf/run.py --workload guard_heavy --smoke --trace 1 \\
+        | tail -n 1 | python tools/perf_count_gate.py guard_heavy
+
+Exit status: 0 when every row of the workload holds, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from typing import Any, NamedTuple
+
+__all__ = ["GATES", "Gate", "check", "main"]
+
+#: One ``process_event`` call per stream event: scales ``*_per_event`` rows
+#: back to counts.
+_EVENTS = "engine.process_event.calls"
+
+
+class Gate(NamedTuple):
+    """``sum(numerators) / sum(denominators) <= bound`` on one workload.
+
+    Every name is a ``BENCHMARK.json`` per-layer row read as a count;
+    ``<layer>.calls_per_event`` rows are Python frames per event and are
+    multiplied by the event count first.
+    """
+
+    workload: str
+    name: str
+    numerators: tuple[str, ...]
+    denominators: tuple[str, ...]
+    bound: float
+    message: str
+
+
+def _frames(*layers: str) -> tuple[str, ...]:
+    return tuple(f"{layer}.calls_per_event" for layer in layers)
+
+
+GATES = (
+    # Python frames in the five layers a partial-match visit can touch, per
+    # guard evaluated, on the engine-bound workload.  Measured (--smoke,
+    # Python 3.11): 13.33 before bucket loops, 2.49 with them (full size,
+    # seed 7: 13.10 -> 2.21).
+    Gate(
+        "guard_heavy",
+        "frames per guard",
+        _frames("query", "engine", "sim", "strategies", "utility"),
+        ("engine.guard_evaluations",),
+        3.5,
+        "per-visit frames crept back into the engine",
+    ),
+    # The interpretive Predicate.evaluate walk is the fallback, not the path.
+    Gate(
+        "q1_hybrid",
+        "interpretive evaluations per remote predicate resolved",
+        ("query.evaluate.calls",),
+        ("strategies.resolve_predicate.calls",),
+        0.01,
+        "remote predicates are walking their trees again",
+    ),
+    # Frames per partial match created, on the paper's headline path (Q1,
+    # Hybrid): the engine<->strategy boundary is crossed per bucket or per
+    # event, never per run, and remote predicates run generated code.
+    # Python frames in the seven layers a partial match's life touches, over
+    # runs created.  Measured (--smoke, Python 3.11): 44.4 with per-run
+    # callbacks and the interpretive remote path, 25.0 without (full size,
+    # seed 7: 45.6 -> 25.5).
+    Gate(
+        "q1_hybrid",
+        "frames per run created",
+        _frames("query", "engine", "strategies", "utility", "remote", "sim", "events"),
+        ("engine.runs_created",),
+        30.0,
+        "per-run frames crept back into the run lifecycle",
+    ),
+    # Eq. 5 evaluations per sampled cache decision (an eviction inside put,
+    # or the Eq. 7 gate's min_utility): both stop at the first candidate on
+    # the utility floor.  Measured (--smoke, Python 3.11): 11.23 scoring
+    # every one of the 12 sampled candidates, 3.74 stopping at the floor.
+    Gate(
+        "cache_pressure",
+        "utility evaluations per sampled cache decision",
+        ("utility.value.calls",),
+        ("cache.put.calls", "cache.min_utility.calls"),
+        6.0,
+        "eviction or the Eq. 7 gate scores past the utility floor again",
+    ),
+)
+
+
+def _count(metric: dict[str, float], name: str) -> float:
+    value = metric[name]
+    return value * metric[_EVENTS] if name.endswith("_per_event") else value
+
+
+def check(workload: str, block: dict[str, Any]) -> list[str]:
+    """Problems of ``block`` against the workload's rows; prints each ratio."""
+    gates = [gate for gate in GATES if gate.workload == workload]
+    if block.get("correct") is not True:
+        return [f"{workload}: the benchmark block is not correct: {block.get('correct')!r}"]
+    metric = {name: entry["value"] for name, entry in block["metrics"].items()}
+    problems = []
+    for gate in gates:
+        numerator = sum(_count(metric, name) for name in gate.numerators)
+        denominator = sum(_count(metric, name) for name in gate.denominators)
+        if not denominator:
+            problems.append(f"{workload}: {gate.name}: none of {gate.denominators} was counted")
+            continue
+        ratio = numerator / denominator
+        print(f"{workload}: {gate.name}: {numerator:.0f} / {denominator:.0f} = {ratio:.2f}"
+              f" (bound {gate.bound})")
+        if ratio > gate.bound:
+            problems.append(f"{workload}: {gate.name} = {ratio:.2f} > {gate.bound}: {gate.message}")
+    return problems
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="python tools/perf_count_gate.py", description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("workload", choices=sorted({gate.workload for gate in GATES}))
+    parser.add_argument("block", nargs="?", type=argparse.FileType("r"), default=sys.stdin,
+                        help="file holding the --trace 1 JSON block (default: stdin)")
+    args = parser.parse_args(sys.argv[1:] if argv is None else argv)
+    with args.block as handle:
+        problems = check(args.workload, json.load(handle))
+    for problem in problems:
+        print(f"FAIL {problem}", file=sys.stderr)
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
