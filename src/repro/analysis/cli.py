@@ -4,11 +4,8 @@ Usage::
 
     python -m repro.analysis [paths ...]        # default: src benchmarks tools examples
     python -m repro.analysis --json src
-    python -m repro.analysis --explain T1
+    python -m repro.analysis --explain D1
     python -m repro.analysis --rules A1,A2,A3 --package-root src/repro src
-    python -m repro.analysis src --write-baseline
-    python -m repro.analysis src --update-baseline
-    python -m repro.analysis --cache .analysis_cache.json --changed-since origin/main
 
 Exit codes: 0 clean, 1 findings, 2 usage error.
 """
@@ -20,11 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.analysis.baseline import DEFAULT_BASELINE, load_baseline, write_baseline
-from repro.analysis.cache import AnalysisCache, changed_files_since
-from repro.analysis.callgraph import build_call_graph
-from repro.analysis.core import AnalysisResult, all_rules, analyze_index, get_rule
-from repro.analysis.index import ModuleIndex
+from repro.analysis.core import AnalysisResult, all_rules, analyze, get_rule
 
 __all__ = ["main"]
 
@@ -32,14 +25,14 @@ _DEFAULT_PATHS = ("src", "benchmarks", "tools", "examples")
 
 #: Forward-compat marker for the CI gate's JSON consumers.  Bump on any
 #: report-shape change; consumers reject versions they do not know.
-JSON_SCHEMA_VERSION = 2
+JSON_SCHEMA_VERSION = 3
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="Static analysis enforcing the reproduction's determinism, "
-        "observability, layering, purity, and contract invariants.",
+        "observability, layering, and contract invariants.",
     )
     parser.add_argument(
         "paths", nargs="*",
@@ -63,29 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="treat DIR as the repro package root when scoping package rules "
         "(default: auto-detect a 'repro' path component)",
     )
-    parser.add_argument(
-        "--baseline", metavar="FILE",
-        help=f"accepted-findings baseline (default: {DEFAULT_BASELINE} if present)",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="accept all current findings into the baseline file and exit 0",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="refresh the baseline in place: drop fingerprints that no longer "
-        "occur, add current unbaselined findings, keep the rest",
-    )
-    parser.add_argument(
-        "--cache", metavar="FILE",
-        help="persisted facts/findings cache enabling incremental runs "
-        "(only consulted for all-rules runs; created if missing)",
-    )
-    parser.add_argument(
-        "--changed-since", metavar="REV",
-        help="report the dirty import-SCC region for changes since a git "
-        "revision (advisory: content hashes decide what actually re-parses)",
-    )
     return parser
 
 
@@ -104,7 +74,7 @@ def _resolve_paths(raw: list[str]) -> list[Path]:
     return paths
 
 
-def _json_report(result: AnalysisResult, baselined: int) -> dict:
+def _json_report(result: AnalysisResult) -> dict:
     return {
         "schema_version": JSON_SCHEMA_VERSION,
         "rules": result.rule_ids,
@@ -115,7 +85,6 @@ def _json_report(result: AnalysisResult, baselined: int) -> dict:
                 "path": finding.path,
                 "line": finding.line,
                 "message": finding.message,
-                "fingerprint": finding.fingerprint(),
             }
             for finding in result.findings
         ],
@@ -128,28 +97,8 @@ def _json_report(result: AnalysisResult, baselined: int) -> dict:
             }
             for finding, suppression in result.suppressed
         ],
-        "baselined": baselined,
-        "incremental": {
-            "parsed": result.parsed_modules,
-            "cached": result.cached_modules,
-            "dirty_region": result.dirty_region,
-        },
         "ok": result.ok,
     }
-
-
-def _update_baseline(path: Path, result: AnalysisResult) -> tuple[int, int, int]:
-    """Refresh the baseline against current findings: (kept, added, removed)."""
-    try:
-        existing = load_baseline(path) if path.exists() else set()
-    except (OSError, ValueError, KeyError, json.JSONDecodeError):
-        existing = set()
-    current = {finding.fingerprint(): finding for finding in result.findings}
-    kept = existing & set(current)
-    removed = existing - set(current)
-    added = set(current) - existing
-    write_baseline(path, [current[fp] for fp in sorted(kept | added)])
-    return len(kept), len(added), len(removed)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -176,88 +125,25 @@ def main(argv: list[str] | None = None) -> int:
     if args.rules is not None:
         rule_ids = [part.strip() for part in args.rules.split(",") if part.strip()]
 
-    cache = None
-    if args.cache is not None:
-        if rule_ids is not None:
-            print(
-                "repro.analysis: --cache is ignored with --rules "
-                "(cached findings cover all-rules runs only)",
-                file=sys.stderr,
-            )
-        else:
-            cache = AnalysisCache(args.cache)
-
     try:
-        paths = _resolve_paths(args.paths)
-        index = ModuleIndex(paths, package_root=args.package_root, cache=cache)
-        result = analyze_index(index, rule_ids, cache=cache)
+        result = analyze(
+            _resolve_paths(args.paths), rule_ids, package_root=args.package_root
+        )
     except (FileNotFoundError, ValueError) as error:
         print(f"repro.analysis: {error}", file=sys.stderr)
         return 2
 
-    if args.changed_since is not None:
-        changed = changed_files_since(args.changed_since)
-        if changed is None:
-            print(
-                f"repro.analysis: git diff against {args.changed_since!r} failed; "
-                f"treating the whole tree as dirty",
-                file=sys.stderr,
-            )
-        else:
-            graph = build_call_graph(index)
-            by_name = {Path(module.path).resolve(): module.rel for module in index}
-            dirty_rels = {
-                by_name[resolved]
-                for name in changed
-                for resolved in [Path(name).resolve()]
-                if resolved in by_name
-            }
-            result.dirty_region = graph.dirty_region(dirty_rels)
-
-    if cache is not None:
-        cache.write()
-
-    baseline_path = Path(args.baseline) if args.baseline else DEFAULT_BASELINE
-    if args.write_baseline:
-        write_baseline(baseline_path, result.findings)
-        print(f"repro.analysis: wrote {len(result.findings)} finding(s) to {baseline_path}")
-        return 0
-    if args.update_baseline:
-        kept, added, removed = _update_baseline(baseline_path, result)
-        print(
-            f"repro.analysis: baseline {baseline_path} refreshed — "
-            f"{kept} kept, {added} added, {removed} removed"
-        )
-        return 0
-
-    baselined: list = []
-    if args.baseline or baseline_path.exists():
-        try:
-            fingerprints = load_baseline(baseline_path)
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as error:
-            print(f"repro.analysis: bad baseline {baseline_path}: {error}", file=sys.stderr)
-            return 2
-        baselined = result.drop_baselined(fingerprints)
-
     if args.json:
-        print(json.dumps(_json_report(result, len(baselined)), indent=2))
+        print(json.dumps(_json_report(result), indent=2))
         return 0 if result.ok else 1
 
     for finding in result.findings:
         print(finding.render())
     status = "FAILED" if result.findings else "OK"
-    tail = f", {len(baselined)} baselined" if baselined else ""
-    if cache is not None:
-        tail += (
-            f"; incremental: {result.parsed_modules} parsed, "
-            f"{result.cached_modules} from cache"
-        )
-    if result.dirty_region is not None:
-        tail += f"; dirty region: {len(result.dirty_region)} module(s)"
     print(
         f"repro.analysis {status}: {len(result.findings)} finding(s) across "
         f"{result.module_count} modules, {len(result.rule_ids)} rules "
-        f"({len(result.suppressed)} suppressed{tail})"
+        f"({len(result.suppressed)} suppressed)"
     )
     return 0 if result.ok else 1
 

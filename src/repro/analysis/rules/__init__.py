@@ -11,6 +11,4 @@ from repro.analysis.rules import (  # noqa: F401
     contracts_rules,
     determinism,
     metrics,
-    purity,
-    taint_rules,
 )

@@ -123,11 +123,11 @@ Transport).  Build a FetchRequest and go through submit()."""
                     f"removed Transport shim {name}() called; the symbol no "
                     "longer exists — use transport.submit(FetchRequest(...))",
                 )
-        for fn in module.functions:
-            if fn["qual"].rsplit(".", 1)[-1] in TRANSPORT_SHIMS:
+        for qual, line in module.defs:
+            if qual.rsplit(".", 1)[-1] in TRANSPORT_SHIMS:
                 yield self.finding(
-                    module, fn["line"],
-                    f"defines {fn['qual']}: the removed Transport shim names "
+                    module, line,
+                    f"defines {qual}: the removed Transport shim names "
                     "must not be reintroduced; expose submit(FetchRequest(...)) "
                     "instead",
                 )

@@ -36,10 +36,9 @@ PUBLIC_PACKAGES = ("repro.workloads", "repro.bench", "repro.metrics.reporting")
 @register
 class RegistryDriftRule(Rule):
     id = "R1"
-    scope = "program"
     title = "emitted categories and metric names resolve to their registries"
     explain = """\
-Whole-program cross-check of emission sites against the defining
+Cross-module check of emission sites against the defining
 registries:
 
 * every `tracer.emit(CAT_X, ...)` category must import (possibly through
@@ -75,10 +74,9 @@ category is genuinely new) or repairing the stale reference."""
 @register
 class DocsDriftRule(Rule):
     id = "R2"
-    scope = "program"
     title = "registered policies and categories are documented"
     explain = """\
-Whole-program cross-check of the extension registries against the docs
+Cross-module check of the extension registries against the docs
 tables operators read:
 
 * every shedding policy key in SHED_POLICIES must appear in

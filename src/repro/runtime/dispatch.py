@@ -110,13 +110,13 @@ class RunResult:
         # Stats dicts come from the as_dict() facades, whose key order IS the
         # declared report-column order of the counter-key tables — sorting
         # here would alphabetise the summary columns.
-        data.update({f"engine.{k}": v for k, v in self.engine_stats.items()})  # eires: allow[D3] engine stats report order
-        data.update({f"fetch.{k}": v for k, v in self.strategy_stats.items()})  # eires: allow[D3] STRATEGY_COUNTER_KEYS report order
+        data.update({f"engine.{k}": v for k, v in self.engine_stats.items()})
+        data.update({f"fetch.{k}": v for k, v in self.strategy_stats.items()})
         if self.cache_stats is not None:
-            data.update({f"cache.{k}": v for k, v in self.cache_stats.items()})  # eires: allow[D3] CACHE_COUNTER_KEYS report order
-        data.update({f"transport.{k}": v for k, v in self.transport_stats.items()})  # eires: allow[D3] TRANSPORT_COUNTER_KEYS report order
+            data.update({f"cache.{k}": v for k, v in self.cache_stats.items()})
+        data.update({f"transport.{k}": v for k, v in self.transport_stats.items()})
         if self.shed_stats is not None:
-            data.update({f"shed.{k}": v for k, v in self.shed_stats.items()})  # eires: allow[D3] SHED_COUNTER_KEYS report order
+            data.update({f"shed.{k}": v for k, v in self.shed_stats.items()})
         return data
 
     def __repr__(self) -> str:

@@ -1,11 +1,9 @@
 # eires-fixture: place=cache/rogue_iter.py
-"""Iterates an unsorted dict view and a set in decision code — D3 flags."""
+"""Iterates a set and a set comprehension in decision code — D3 flags."""
 
 
-def pick_victims(utilities: dict, resident: set) -> list:
-    victims = []
-    for key, utility in utilities.items():
-        if utility <= 0:
-            victims.append(key)
-    extra = [key for key in set(resident)]
-    return victims + extra
+def pick_victims(utilities: dict, resident: list) -> list:
+    victims = [key for key in set(resident)]
+    for key in {key for key, utility in utilities.items() if utility <= 0}:
+        victims.append(key)
+    return victims

@@ -1,9 +1,12 @@
-"""Shared builders for engine/strategy tests."""
+"""Shared builders for engine/strategy tests, and the one real-tree scan."""
 
 from __future__ import annotations
 
+import functools
 import random
+from pathlib import Path
 
+from repro.analysis import AnalysisResult, ModuleIndex, analyze_index
 from repro.core.config import EiresConfig
 from repro.core.framework import EIRES
 from repro.events.event import Event
@@ -13,7 +16,19 @@ from repro.remote.store import RemoteStore
 from repro.remote.transport import FixedLatency, LatencyModel
 from repro.utility.rates import RateEstimator
 
-__all__ = ["RecordingStrategy", "make_abc_scenario", "run_eires", "random_stream"]
+__all__ = ["RecordingStrategy", "make_abc_scenario", "run_eires", "random_stream",
+           "real_tree"]
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+@functools.cache
+def real_tree() -> tuple[ModuleIndex, AnalysisResult]:
+    """The analyzer's default roots indexed and checked against every rule,
+    once per test process — every real-tree assertion reads this result."""
+    roots = [REPO_ROOT / name for name in ("src", "benchmarks", "tools", "examples")]
+    index = ModuleIndex(roots, docs_root=REPO_ROOT / "docs")
+    return index, analyze_index(index)
 
 
 class RecordingStrategy:

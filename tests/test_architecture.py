@@ -9,6 +9,7 @@ from pathlib import Path
 
 from repro.analysis import analyze
 from repro.analysis.cli import main as analysis_main
+from tests.helpers import real_tree
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 ARCHITECTURE_RULES = ("A1", "A2", "A3")
@@ -38,8 +39,8 @@ def seed(tmp_path: Path, rel: str, source: str) -> Path:
 
 class TestRealTree:
     def test_repo_architecture_holds(self):
-        violations = check_tree(REPO_ROOT / "src" / "repro")
-        assert violations == []
+        _, result = real_tree()
+        assert [f.render() for f in result.findings if f.rule in ARCHITECTURE_RULES] == []
 
     def test_cli_exit_zero_on_real_tree(self, capsys):
         assert run_cli(REPO_ROOT / "src" / "repro") == 0

@@ -15,6 +15,7 @@ current table.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import random
 import time
@@ -24,6 +25,8 @@ import pytest
 from repro.bench.harness import ALL_STRATEGIES, run_strategy
 from repro.core.config import EiresConfig
 from repro.obs.trace import MemorySink, Tracer
+from repro.shedding.policy import event_utility, partial_match_utility
+from repro.utility.model import required_keys
 from repro.workloads.bursty import BurstyConfig, bursty_workload
 from repro.workloads.synthetic import SyntheticConfig, q1_workload, q2_workload
 
@@ -144,7 +147,8 @@ _AMBIENT_RNG = ("random", "randint", "choice", "shuffle", "uniform", "sample", "
 
 
 def test_replays_read_no_wall_clock_and_no_ambient_rng(monkeypatch):
-    """Dynamic evidence for what rules D1/D2/T1/T2 prove statically: four
+    """The dynamic half of rules D1/D2, and the only check on a clock or RNG
+    read that reaches a result through a helper those rules do not see: four
     scenarios spanning the planes (cache pressure + batching, non-greedy
     prefetch, run shedding, transport faults) replay to their pinned digests
     with every wall-clock read and every module-level ``random`` draw raising."""
@@ -167,6 +171,83 @@ def test_replays_read_no_wall_clock_and_no_ambient_rng(monkeypatch):
         "q1-Hybrid-greedy-drop",
     ):
         assert digest_of(name) == PINNED[name], name
+
+
+def _resident(session):
+    cache = session.strategy.ctx.cache
+    return cache.keys() if cache is not None else []
+
+
+def _edges(session):
+    return [t for state in session.automaton.states for t in state.transitions]
+
+
+# The scoring surface the Eq. 7 gate, the cost-based cache and the shedders
+# consult speculatively (eSPICE: utilities are read for every event, acted on
+# for few): each entry is promised free of consequences, and maps to how the
+# replay below calls it on top of whatever the run itself does.
+CONSEQUENCE_FREE = {
+    "utility.model.required_keys": lambda s, event, now: [
+        required_keys(run, deep) for run in s.engine.iter_runs() for deep in (False, True)],
+    "UtilityModel.terms": lambda s, event, now: [
+        s.utility.terms(key) for key in _resident(s)],
+    "UtilityModel.urgent_utility": lambda s, event, now: [
+        s.utility.urgent_utility(key) for key in _resident(s)],
+    "UtilityModel.future_utility": lambda s, event, now: [
+        s.utility.future_utility(key) for key in _resident(s)],
+    "UtilityModel.value": lambda s, event, now: [
+        s.utility.value(key, s.strategy.ctx.omega_fetch) for key in _resident(s)],
+    "UtilityModel.class_count": lambda s, event, now: [
+        s.utility.class_count(index) for index in range(s.automaton.n_states)],
+    "RateEstimator.event_rate": lambda s, event, now: [s.rates.event_rate()],
+    "RateEstimator.type_rate": lambda s, event, now: [s.rates.type_rate(event.event_type)],
+    "RateEstimator.extension_rate": lambda s, event, now: [
+        s.rates.extension_rate(t.index, t.event_type) for t in _edges(s)],
+    "RateEstimator.expected_gap": lambda s, event, now: [
+        s.rates.expected_gap(t.index, t.event_type) for t in _edges(s)],
+    "shedding.policy.partial_match_utility": lambda s, event, now: [
+        partial_match_utility(run, s.automaton, now, s.engine.stats.events_processed, 0.5)
+        for run in s.engine.iter_runs()],
+    "shedding.policy.event_utility": lambda s, event, now: [
+        event_utility(event, s.engine, s.automaton)],
+}
+
+
+# The module, not the function ``repro.runtime`` re-exports under its name.
+_DISPATCH = importlib.import_module("repro.runtime.dispatch")
+
+
+def _digest_with_speculative_calls(monkeypatch, name, functions):
+    """``digest_of(name)`` with every function in ``functions`` additionally
+    called after each delivered event, results discarded; returns the digest
+    and how many calls each function received."""
+    calls = dict.fromkeys(functions, 0)
+    deliver = _DISPATCH.deliver_event
+
+    def probed(session, event, index, clock, *rest):
+        deliver(session, event, index, clock, *rest)
+        for function in functions:
+            calls[function] += len(CONSEQUENCE_FREE[function](session, event, clock.now))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_DISPATCH, "deliver_event", probed)
+        return digest_of(name), calls
+
+
+@pytest.mark.parametrize("name", ["q2-Hybrid-greedy-tight", "bursty-Hybrid-greedy-shed_runs"])
+def test_scoring_surface_is_consequence_free(monkeypatch, name):
+    """A run that scores every resident cache key and every live partial match
+    after every event — and throws the scores away — is the pinned run: one
+    with the cost-based cache evicting under pressure, one shedding runs."""
+    digest, calls = _digest_with_speculative_calls(monkeypatch, name, sorted(CONSEQUENCE_FREE))
+    assert all(calls.values()), f"never exercised: {[f for f, n in calls.items() if not n]}"
+    if digest != PINNED[name]:
+        plain = digest_of(name)
+        culprits = [
+            function for function in sorted(CONSEQUENCE_FREE)
+            if _digest_with_speculative_calls(monkeypatch, name, [function])[0] != plain
+        ]
+        pytest.fail(f"{name}: speculative calls to {culprits} changed the run")
 
 
 if __name__ == "__main__":
