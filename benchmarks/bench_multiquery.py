@@ -17,10 +17,10 @@ from __future__ import annotations
 from repro import (
     EIRES,
     EiresConfig,
-    MultiQueryEIRES,
     parse_query,
     QuerySpec,
     RemoteStore,
+    RuntimeBuilder,
     UniformLatency,
 )
 from repro.bench.harness import ExperimentResult
@@ -76,9 +76,11 @@ def run_comparison() -> list[dict]:
             "p50": result.latency.median(),
         })
 
-    shared = MultiQueryEIRES(
-        [QuerySpec(q_ab), QuerySpec(q_ad)], build_store(), latency,
-        config=EiresConfig(cache_capacity=CAPACITY),
+    shared = (
+        RuntimeBuilder(build_store(), latency, config=EiresConfig(cache_capacity=CAPACITY))
+        .add_spec(QuerySpec(q_ab))
+        .add_spec(QuerySpec(q_ad))
+        .build()
     )
     results = shared.run(stream)
     # Every result of a shared replay reports the same (shared) transport.

@@ -3,7 +3,7 @@
 
 Two monitoring queries watch the same transaction stream and both consult
 the same remote per-customer limit table. Run in isolation, each pays its
-own fetches; run through :class:`repro.MultiQueryEIRES`, elements fetched
+own fetches; registered on one :class:`repro.RuntimeBuilder`, elements fetched
 for one query serve the other, and the cache retains what the
 priority-weighted utility across *both* queries says is most valuable.
 
@@ -22,9 +22,9 @@ from repro import (
     EIRES,
     EiresConfig,
     Event,
-    MultiQueryEIRES,
     QuerySpec,
     RemoteStore,
+    RuntimeBuilder,
     Stream,
     UniformLatency,
     make_rng,
@@ -96,11 +96,11 @@ def main() -> None:
         )
 
     print("\nShared deployment (one cache, priority-weighted utility):")
-    runtime = MultiQueryEIRES(
-        [QuerySpec(OVERLIMIT, priority=2.0), QuerySpec(ESCALATION, priority=1.0)],
-        build_store(),
-        latency,
-        config=config,
+    runtime = (
+        RuntimeBuilder(build_store(), latency, config=config)
+        .add_spec(QuerySpec(OVERLIMIT, priority=2.0))
+        .add_spec(QuerySpec(ESCALATION, priority=1.0))
+        .build()
     )
     results = runtime.run(stream)
     # Every per-query result of a shared replay reports the same transport.

@@ -33,14 +33,12 @@ removing one is a breaking change.
 
 from repro.core.config import CACHE_COST, CACHE_LRU, EiresConfig
 from repro.core.framework import EIRES
-from repro.core.multi import MultiQueryEIRES, QuerySpec
-from repro.runtime import RunResult, RuntimeBuilder
+from repro.runtime import QuerySpec, RunResult, RuntimeBuilder
 from repro.engine.engine import GREEDY, NON_GREEDY
 from repro.events.event import Event, EventSchema
 from repro.events.stream import Stream
 from repro.query.ast import EventAtom, OrPattern, Query, SeqPattern, Window
 from repro.query.parser import parse_pattern, parse_query
-from repro.remote.batching import BatchStats
 from repro.remote.store import RemoteStore
 from repro.remote.transport import (
     FetchRequest,
@@ -56,7 +54,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "EIRES",
-    "MultiQueryEIRES",
     "QuerySpec",
     "RuntimeBuilder",
     "FleetBuilder",
@@ -80,7 +77,6 @@ __all__ = [
     "parse_pattern",
     "RemoteStore",
     "FetchRequest",
-    "BatchStats",
     "FixedLatency",
     "UniformLatency",
     "PerSourceLatency",

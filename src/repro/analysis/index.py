@@ -122,7 +122,7 @@ class Module:
     __slots__ = (
         "path", "rel", "pkg", "source", "lines", "tree", "syntax_error",
         "imports", "bindings", "calls", "constructed", "constants",
-        "constant_lines", "defs", "emits", "metric_calls",
+        "constant_lines", "emits", "metric_calls",
     )
 
     def __init__(self, path: Path, rel: str, pkg: str | None) -> None:
@@ -144,8 +144,6 @@ class Module:
         # registries captured by their string keys).
         self.constants: dict[str, str | tuple[str, ...]] = {}
         self.constant_lines: dict[str, int] = {}
-        # (qualname, line) for every function and method definition.
-        self.defs: list[tuple[str, int]] = []
         # contract facts: tracer.emit category args, metric-name constants.
         self.emits: list[dict] = []
         self.metric_calls: list[dict] = []
@@ -208,15 +206,6 @@ class Module:
             if name is not None:
                 self.constructed.append((name, node.lineno))
             self._contract_facts(node, name)
-        self._scan_defs(self.tree.body, "")
-
-    def _scan_defs(self, body: list[ast.stmt], prefix: str) -> None:
-        for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self.defs.append((f"{prefix}{node.name}", node.lineno))
-                self._scan_defs(node.body, f"{prefix}{node.name}.")
-            elif isinstance(node, ast.ClassDef):
-                self._scan_defs(node.body, f"{prefix}{node.name}.")
 
     def _contract_facts(self, node: ast.Call, name: str | None) -> None:
         if name == "emit" and isinstance(node.func, ast.Attribute) and node.args:

@@ -23,7 +23,6 @@ from repro.analysis.index import Module, ModuleIndex
 __all__ = [
     "EngineLayeringRule",
     "ShadowAssemblyRule",
-    "TransportShimRule",
     "ConfinementRule",
 ]
 
@@ -46,10 +45,6 @@ DEFINING_MODULES = {
     "Tracer": ("obs/trace.py",),
 }
 COMPOSITION_ROOT = "runtime/"
-
-# A4: the deleted Transport entry points — the symbols must not exist, as
-# definitions or as call sites, anywhere in the tree.
-TRANSPORT_SHIMS = ("fetch_blocking", "fetch_async")
 
 
 @register
@@ -100,37 +95,6 @@ alone is fine — callers build tracers and hand them INTO the builder."""
                 module, line,
                 f"R3 shadow assembly: constructs {built} together outside repro.runtime",
             )
-
-
-@register
-class TransportShimRule(Rule):
-    id = "A4"
-    title = "the removed Transport fetch shims must not exist"
-    explain = """\
-Transport.fetch_blocking and Transport.fetch_async were deprecated shims
-over the unified submit(FetchRequest) surface and have been deleted;
-batching, coalescing, and retry semantics all hang off submit().  The
-symbols must not reappear anywhere — not as method or function definitions
-(which would resurrect a parallel entry point bypassing the batch plane)
-and not as call sites (which would be dead code against the current
-Transport).  Build a FetchRequest and go through submit()."""
-
-    def check(self, module: Module, index: ModuleIndex) -> Iterator[Finding]:
-        for name, line in module.constructed:
-            if name in TRANSPORT_SHIMS:
-                yield self.finding(
-                    module, line,
-                    f"removed Transport shim {name}() called; the symbol no "
-                    "longer exists — use transport.submit(FetchRequest(...))",
-                )
-        for qual, line in module.defs:
-            if qual.rsplit(".", 1)[-1] in TRANSPORT_SHIMS:
-                yield self.finding(
-                    module, line,
-                    f"defines {qual}: the removed Transport shim names "
-                    "must not be reintroduced; expose submit(FetchRequest(...)) "
-                    "instead",
-                )
 
 
 class Confinement(NamedTuple):

@@ -42,9 +42,11 @@ literals.  The rule flags:
 * `tracer.emit("fetch", ...)` — a literal category; pass CAT_FETCH.  A
   category variable must itself be (or be imported as) a CAT_* constant.
 * `registry.counter("fetch.retries")` — a stray metric literal; derive the
-  name from a key-table constant (the stats facades build their cells as
-  f-strings over STRATEGY_COUNTER_KEYS et al.) or declare a named
-  *_METRIC constant next to the tables.
+  name from a key-table constant or declare a named *_METRIC constant next
+  to the tables.
+* `CounterGroup("fetch", ("retries", "stalls"))` — an inline key list; a
+  component's counters are declared by a *_KEYS table, the single source
+  of report-column order.
 
 Dynamic names (f-strings over the key tables, scoped-registry prefixes)
 are accepted; the defining modules repro.obs.trace and repro.obs.registry
@@ -54,7 +56,12 @@ are exempt."""
         if module.pkg in DEFINING_MODULES or module.tree is None:
             return
         for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+            if not isinstance(node, ast.Call):
+                continue
+            chain = dotted_chain(node.func)
+            if chain is not None and chain[-1] == "CounterGroup":
+                yield from self._check_group_keys(module, node)
+            if not isinstance(node.func, ast.Attribute):
                 continue
             attr = node.func.attr
             if attr == "emit" and node.args:
@@ -94,6 +101,15 @@ are exempt."""
                 f"metric name passed to {factory}() as stray string literal "
                 f"{arg.value!r} — derive it from a registered key-table "
                 f"constant (e.g. STRATEGY_COUNTER_KEYS, TRANSPORT_COUNTER_KEYS)",
+            )
+
+    def _check_group_keys(self, module: Module, call: ast.Call) -> Iterator[Finding]:
+        args = [*call.args[1:2], *(kw.value for kw in call.keywords if kw.arg == "keys")]
+        if args and isinstance(args[0], (ast.Tuple, ast.List)):
+            yield self.finding(
+                module, args[0].lineno,
+                "CounterGroup(...) keys passed as an inline literal — declare "
+                "them as a *_KEYS table (e.g. STRATEGY_COUNTER_KEYS)",
             )
 
 

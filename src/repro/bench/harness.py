@@ -23,7 +23,6 @@ from repro.workloads.base import Workload
 
 __all__ = [
     "run_strategy",
-    "run_multi_query",
     "run_strategy_suite",
     "ExperimentResult",
     "save_results",
@@ -77,32 +76,6 @@ def wall_time(fn: Callable[[], Any]) -> tuple[Any, float]:
     start = time.perf_counter()
     result = fn()
     return result, time.perf_counter() - start
-
-
-def run_multi_query(
-    workload: Workload,
-    specs: Sequence[Any],
-    config: EiresConfig,
-    tracer: Tracer | None = None,
-) -> dict[str, RunResult]:
-    """One shared replay of several queries over a workload's stream.
-
-    ``specs`` are :class:`~repro.core.multi.QuerySpec` instances (their
-    queries replace the workload's own query; store, latency model, and
-    stream come from the workload).  Results are keyed by query name; each
-    carries the full transport stats and metrics snapshot of the shared
-    substrate, exactly like a single-query run.
-    """
-    from repro.core.multi import MultiQueryEIRES
-
-    runtime = MultiQueryEIRES(
-        specs,
-        workload.store,
-        workload.latency_model,
-        config=config,
-        tracer=tracer,
-    )
-    return runtime.run(workload.stream)
 
 
 class ExperimentResult:

@@ -41,9 +41,9 @@ class Cache(ABC):
         self._used = 0
 
     def bind_observability(self, registry: MetricsRegistry | None, tracer: Tracer) -> None:
-        """Rebind the (still-empty) stats façade and trace bus at assembly."""
+        """Attach the counters to ``registry`` and bind the trace bus at assembly."""
         if registry is not None:
-            self.stats = CacheStats(registry)
+            registry.attach(self.stats)
         self.tracer = tracer
 
     # -- interface ----------------------------------------------------------

@@ -1,31 +1,20 @@
-"""Cache statistics, reported by the experiment harness.
-
-``CacheStats`` is a view over a :class:`~repro.obs.registry.MetricsRegistry`:
-each counter attribute reads and writes a registry cell under
-``cache.<name>``, so metrics snapshots and this façade can never disagree.
-Standalone construction binds a private registry, preserving the original
-plain-counter behaviour for unit tests and unattached caches.
-"""
+"""Cache statistics, reported by the experiment harness."""
 
 from __future__ import annotations
 
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import CounterGroup
 
 __all__ = ["CacheStats", "CACHE_COUNTER_KEYS"]
 
-# Every counter a cache maintains, in report order (single source of truth
-# for the registry cells and ``as_dict``).
+# Every counter a cache maintains, in report order.
 CACHE_COUNTER_KEYS = ("hits", "misses", "insertions", "evictions", "rejected")
 
 
-class CacheStats:
-    """Hit/miss/insertion/eviction counters for one cache instance."""
+class CacheStats(CounterGroup):
+    """Hit/miss/insertion/eviction counters for one cache (``cache.*``)."""
 
-    __slots__ = ("_cells",)
-
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        registry = registry if registry is not None else MetricsRegistry()
-        self._cells = {key: registry.counter(f"cache.{key}") for key in CACHE_COUNTER_KEYS}
+    def __init__(self) -> None:
+        super().__init__("cache", CACHE_COUNTER_KEYS)
 
     @property
     def lookups(self) -> int:
@@ -39,32 +28,4 @@ class CacheStats:
         return self.hits / self.lookups
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "insertions": self.insertions,
-            "evictions": self.evictions,
-            "rejected": self.rejected,
-            "hit_rate": round(self.hit_rate, 4),
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"CacheStats(hits={self.hits}, misses={self.misses}, "
-            f"insertions={self.insertions}, evictions={self.evictions})"
-        )
-
-
-def _counter_property(key: str) -> property:
-    def _get(self: CacheStats):
-        return self._cells[key].value
-
-    def _set(self: CacheStats, value) -> None:
-        self._cells[key].value = value
-
-    return property(_get, _set)
-
-
-for _key in CACHE_COUNTER_KEYS:
-    setattr(CacheStats, _key, _counter_property(_key))
-del _key
+        return {**super().as_dict(), "hit_rate": round(self.hit_rate, 4)}

@@ -2,9 +2,9 @@
 
 from repro.engine.engine import GREEDY, NON_GREEDY, Engine
 from repro.engine.interface import (
+    ENGINE_COUNTER_KEYS,
     POSTPONED,
     CostModel,
-    EngineStats,
     MatchRecord,
     StrategyProtocol,
 )
@@ -15,7 +15,7 @@ __all__ = [
     "NON_GREEDY",
     "POSTPONED",
     "CostModel",
-    "EngineStats",
+    "ENGINE_COUNTER_KEYS",
     "MatchRecord",
     "StrategyProtocol",
 ]

@@ -47,15 +47,16 @@ from types import MappingProxyType
 from typing import Callable, Mapping
 
 from repro.engine.interface import (
+    ENGINE_COUNTER_KEYS,
     POSTPONED,
     CostModel,
-    EngineStats,
     MatchRecord,
     StrategyProtocol,
 )
 from repro.events.event import Event
 from repro.nfa.automaton import Automaton, Transition
 from repro.nfa.run import Obligation, Run
+from repro.obs.registry import CounterGroup
 from repro.query.ast import Window
 from repro.sim.clock import VirtualClock
 
@@ -94,7 +95,7 @@ class Engine:
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.policy = policy
         self.max_partial_matches = max_partial_matches
-        self.stats = EngineStats()
+        self.stats = CounterGroup("engine", ENGINE_COUNTER_KEYS)
         # Active partial matches, grouped by state index and — when the query
         # correlates via SAME[attr] — by that attribute's value.  Partition
         # indexing means an input event only visits runs it could actually

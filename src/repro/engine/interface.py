@@ -9,7 +9,7 @@ implementations depend only on this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping, Protocol, Sequence
 
 from repro.events.event import Event
@@ -21,7 +21,7 @@ __all__ = [
     "POSTPONED",
     "CostModel",
     "MatchRecord",
-    "EngineStats",
+    "ENGINE_COUNTER_KEYS",
     "StrategyProtocol",
 ]
 
@@ -96,44 +96,21 @@ class MatchRecord:
         return f"MatchRecord([{bound}], latency={self.latency:.1f}us)"
 
 
-@dataclass
-class EngineStats:
-    """Counters describing one engine run."""
-
-    events_processed: int = 0
-    guard_evaluations: int = 0
-    predicate_evaluations: int = 0
-    obligation_checks: int = 0
-    runs_created: int = 0
-    runs_expired: int = 0
-    runs_consumed: int = 0
-    runs_failed_obligation: int = 0
-    matches_emitted: int = 0
-    matches_rejected: int = 0
-    peak_active_runs: int = 0
-    shed_runs: int = 0
-    extra: dict[str, Any] = field(default_factory=dict)
-
-    def as_dict(self) -> dict[str, Any]:
-        data = {
-            name: getattr(self, name)
-            for name in (
-                "events_processed",
-                "guard_evaluations",
-                "predicate_evaluations",
-                "obligation_checks",
-                "runs_created",
-                "runs_expired",
-                "runs_consumed",
-                "runs_failed_obligation",
-                "matches_emitted",
-                "matches_rejected",
-                "peak_active_runs",
-                "shed_runs",
-            )
-        }
-        data.update(self.extra)
-        return data
+# Every counter an engine maintains (``Engine.stats``), in report order.
+ENGINE_COUNTER_KEYS = (
+    "events_processed",
+    "guard_evaluations",
+    "predicate_evaluations",
+    "obligation_checks",
+    "runs_created",
+    "runs_expired",
+    "runs_consumed",
+    "runs_failed_obligation",
+    "matches_emitted",
+    "matches_rejected",
+    "peak_active_runs",
+    "shed_runs",
+)
 
 
 class StrategyProtocol(Protocol):

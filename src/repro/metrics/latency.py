@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-__all__ = ["LatencyCollector", "percentile", "REPORT_PERCENTILES"]
+__all__ = ["LatencyCollector", "percentile", "percentiles_of", "REPORT_PERCENTILES"]
 
 REPORT_PERCENTILES = (5, 25, 50, 75, 95, 99)
 
@@ -43,6 +43,14 @@ def percentile(sorted_values: Sequence[float], q: float) -> float:
     # lo + 1ulp even when lo == hi, breaking monotonicity in q.  Clamping to
     # the bracket keeps rounding from ever leaving [lo, hi].
     return min(max(lo + fraction * (hi - lo), lo), hi)
+
+
+def percentiles_of(values: Iterable[float], qs: Iterable[float]) -> dict[float, float]:
+    """Each ``q`` of ``qs`` over unsorted ``values``; all-zero when empty."""
+    ordered = sorted(values)
+    if not ordered:
+        return {q: 0.0 for q in qs}
+    return {q: percentile(ordered, q) for q in qs}
 
 
 class LatencyCollector:
@@ -97,12 +105,7 @@ class LatencyCollector:
 
     def percentiles(self, qs: Sequence[float] | None = None) -> dict[float, float]:
         """Percentile summary; empty collectors report all-zero (no matches)."""
-        if qs is None:
-            qs = self._qs
-        values = sorted(self._effective_samples())
-        if not values:
-            return {q: 0.0 for q in qs}
-        return {q: percentile(values, q) for q in qs}
+        return percentiles_of(self._effective_samples(), self._qs if qs is None else qs)
 
     def median(self) -> float:
         return self.percentiles((50,))[50]

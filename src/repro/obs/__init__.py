@@ -6,8 +6,8 @@ The ``repro.obs`` package makes EIRES's scheduling decisions inspectable:
   records (event arrival, partial-match lifecycle, prefetch decisions, cache
   and fetch activity, obligation postpone/resolve, match emission), all
   timestamped from the virtual clock so traces are deterministic;
-* :mod:`repro.obs.registry` — counters, gauges and virtual-time-windowed
-  histograms; the component stats façades are views over one registry;
+* :mod:`repro.obs.registry` — counter groups, gauges and virtual-time-windowed
+  histograms; every component's counters are attached to one registry;
 * :mod:`repro.obs.spans` — per-match causal latency spans: each detection
   latency decomposed into queueing / batch-wait / wire / retry-backoff /
   eval / shed-stall components that sum to the recorded latency exactly;

@@ -1,13 +1,12 @@
-"""The metrics registry: counters, gauges, and virtual-time histograms.
+"""The metrics registry: counter groups, gauges, and virtual-time histograms.
 
-One :class:`MetricsRegistry` per assembled EIRES instance is the single home
-for runtime statistics.  The legacy stats façades —
-:class:`~repro.strategies.base.StrategyStats`,
-:class:`~repro.cache.stats.CacheStats`, and the
-:class:`~repro.remote.transport.Transport` counters — are *views* over this
-registry: their attribute reads and writes land on registry-owned
-:class:`Counter` objects, so a metrics snapshot and the per-component
-``as_dict()`` reports can never disagree.
+One :class:`MetricsRegistry` per assembled EIRES instance is the single
+export surface for runtime statistics.  A component keeps its counters as
+plain attributes of one :class:`CounterGroup`, declared by a ``*_KEYS``
+table (``group.hits += 1`` is an attribute add); :meth:`MetricsRegistry.attach`
+makes the snapshot read those attributes under ``<prefix>.<key>``, so a
+metrics snapshot and the component's own ``as_dict()`` report read the same
+numbers and can never disagree.
 
 Metric names are dotted and namespaced by component (``fetch.*``,
 ``cache.*``, ``transport.*``, ``pipeline.*``); units are virtual
@@ -19,10 +18,11 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Iterable
 
-from repro.metrics.latency import percentile
+from repro.metrics.latency import percentiles_of
 
 __all__ = [
     "Counter",
+    "CounterGroup",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -36,12 +36,44 @@ __all__ = [
 HISTOGRAM_PERCENTILES = (50, 95, 99)
 
 
-class Counter:
-    """A monotonically meaningful numeric cell (int or float).
+def _rounded(value: int | float) -> int | float:
+    return round(value, 3) if isinstance(value, float) else value
 
-    The stats façades assign as well as increment (``stats.retries = n``
-    mirrors a transport total), so the raw ``value`` stays writable.
+
+class CounterGroup:
+    """The counters of one component, as plain instance attributes.
+
+    ``keys`` is the component's key table, in report order; each key starts
+    at ``0`` (``0.0`` if named in ``floats``) and is read and written as an
+    ordinary attribute.  ``registry`` attaches the group at construction;
+    a component built before its registry exists attaches later.
     """
+
+    def __init__(
+        self,
+        prefix: str,
+        keys: Iterable[str],
+        registry: "MetricsRegistry | ScopedRegistry | None" = None,
+        floats: Iterable[str] = (),
+    ) -> None:
+        self.prefix = prefix
+        self.keys = tuple(keys)
+        for key in self.keys:
+            setattr(self, key, 0.0 if key in floats else 0)
+        if registry is not None:
+            registry.attach(self)
+
+    def as_dict(self) -> dict[str, Any]:
+        """Every counter in table order (floats to 3 digits, as snapshots)."""
+        return {key: _rounded(getattr(self, key)) for key in self.keys}
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{key}={value}" for key, value in self.as_dict().items())
+        return f"{type(self).__name__}({self.prefix}: {inner})"
+
+
+class Counter:
+    """A single named numeric cell (int or float), created on first use."""
 
     __slots__ = ("name", "value")
 
@@ -51,9 +83,6 @@ class Counter:
 
     def inc(self, amount: int | float = 1) -> None:
         self.value += amount
-
-    def reset(self) -> None:
-        self.value = 0
 
     def __repr__(self) -> str:
         return f"Counter({self.name}={self.value})"
@@ -127,10 +156,7 @@ class Histogram:
         """Percentiles over the retained window (all-zero when empty)."""
         if qs is None:
             qs = self.qs
-        values = sorted(value for _, value in self._samples)
-        if not values:
-            return {q: 0.0 for q in qs}
-        return {q: percentile(values, q) for q in qs}
+        return percentiles_of((value for _, value in self._samples), qs)
 
     def snapshot(self) -> dict[str, Any]:
         data: dict[str, Any] = {
@@ -160,6 +186,8 @@ class MetricsRegistry:
     def __init__(self, histogram_qs: Iterable[float] = HISTOGRAM_PERCENTILES) -> None:
         self.histogram_qs = tuple(histogram_qs)
         self._counters: dict[str, Counter] = {}
+        # name -> (group, key) for every attached CounterGroup attribute.
+        self._attached: dict[str, tuple[CounterGroup, str]] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
 
@@ -186,12 +214,28 @@ class MetricsRegistry:
             )
         return metric
 
+    def attach(self, group: CounterGroup, scope: str = "") -> None:
+        """Export ``group``'s counters as ``<scope><prefix>.<key>``.
+
+        The snapshot reads the group's attributes live; a name already taken
+        raises, so two components cannot report under one name.
+        """
+        for key in group.keys:
+            name = f"{scope}{group.prefix}.{key}"
+            self._check_fresh(name)
+            self._attached[name] = (group, key)
+
     def _check_fresh(self, name: str) -> None:
-        if name in self._counters or name in self._gauges or name in self._histograms:
-            raise ValueError(f"metric {name!r} already registered with a different type")
+        if (
+            name in self._counters
+            or name in self._attached
+            or name in self._gauges
+            or name in self._histograms
+        ):
+            raise ValueError(f"metric {name!r} is already registered")
 
     def names(self) -> list[str]:
-        return sorted([*self._counters, *self._gauges, *self._histograms])
+        return sorted([*self._counters, *self._attached, *self._gauges, *self._histograms])
 
     def scoped(self, prefix: str) -> "ScopedRegistry":
         """A view of this registry that prefixes every metric name.
@@ -207,8 +251,10 @@ class MetricsRegistry:
         data: dict[str, Any] = {}
         for name in self.names():
             if name in self._counters:
-                value = self._counters[name].value
-                data[name] = round(value, 3) if isinstance(value, float) else value
+                data[name] = _rounded(self._counters[name].value)
+            elif name in self._attached:
+                group, key = self._attached[name]
+                data[name] = _rounded(getattr(group, key))
             elif name in self._gauges:
                 data[name] = round(self._gauges[name].value, 3)
             else:
@@ -217,7 +263,7 @@ class MetricsRegistry:
 
     def __repr__(self) -> str:
         return (
-            f"MetricsRegistry({len(self._counters)} counters, "
+            f"MetricsRegistry({len(self._counters) + len(self._attached)} counters, "
             f"{len(self._gauges)} gauges, {len(self._histograms)} histograms)"
         )
 
@@ -244,6 +290,9 @@ class ScopedRegistry:
 
     def counter(self, name: str) -> Counter:
         return self._root.counter(f"{self.prefix}.{name}")
+
+    def attach(self, group: CounterGroup) -> None:
+        self._root.attach(group, scope=f"{self.prefix}.")
 
     def gauge(self, name: str) -> Gauge:
         return self._root.gauge(f"{self.prefix}.{name}")

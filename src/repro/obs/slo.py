@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.obs.registry import MetricsRegistry, ScopedRegistry
+from repro.obs.registry import CounterGroup, MetricsRegistry, ScopedRegistry
 
 __all__ = [
     "SloSpec",
@@ -40,7 +40,7 @@ __all__ = [
 #: Registered ``slo.*`` gauges, in report order (one per objective + worst).
 SLO_GAUGE_KEYS = ("latency_burn", "recall_burn", "fetch_burn", "worst_burn")
 
-#: Registered ``slo.*`` counters, in report order.
+#: The ``slo.*`` counters, in report order.
 SLO_COUNTER_KEYS = ("evaluations", "breaches")
 
 #: The plane's own windowed histogram of per-match detection latencies;
@@ -123,7 +123,7 @@ class SloPlane:
             raise ValueError(f"refresh interval must be non-negative: {refresh_interval}")
         self.spec = spec
         self._gauges = {key: registry.gauge(f"slo.{key}") for key in SLO_GAUGE_KEYS}
-        self._counters = {key: registry.counter(f"slo.{key}") for key in SLO_COUNTER_KEYS}
+        self._counters = CounterGroup("slo", SLO_COUNTER_KEYS, registry)
         self._hist = registry.histogram(SLO_LATENCY_METRIC, window=window)
         self._wire_source: Callable[[], int] = _zero
         self._shed_source: Callable[[], int] = _zero
@@ -189,9 +189,9 @@ class SloPlane:
         burns = self.burns(now)
         for key in SLO_GAUGE_KEYS:
             self._gauges[key].set(burns[key])
-        self._counters["evaluations"].inc()
+        self._counters.evaluations += 1
         if burns["worst_burn"] > 1.0:
-            self._counters["breaches"].inc()
+            self._counters.breaches += 1
         self._cached_burn = burns["worst_burn"]
         self._cached_at = now
         return burns

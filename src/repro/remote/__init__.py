@@ -1,6 +1,6 @@
 """Remote-data substrate: elements, store, transport, batching, faults, health monitoring."""
 
-from repro.remote.batching import DISABLED_BATCHING, BatchPolicy, BatchStats
+from repro.remote.batching import DISABLED_BATCHING, BatchPolicy
 from repro.remote.element import DataElement, DataKey
 from repro.remote.faults import (
     FAULT_PROFILES,
@@ -71,7 +71,6 @@ __all__ = [
     "MODE_BLOCKING",
     "MODE_ASYNC",
     "BatchPolicy",
-    "BatchStats",
     "DISABLED_BATCHING",
     "Transport",
 ]

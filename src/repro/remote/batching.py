@@ -22,8 +22,7 @@ the key repr as a deterministic tie-break, so the wire order — and
 everything downstream of it — is reproducible.
 
 The queues are owned and drained by :class:`~repro.remote.transport.Transport`;
-this module holds only the policy, the bookkeeping, and the
-:class:`BatchStats` summary surfaced to reports.
+this module holds only the policy and the bookkeeping.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 
 from repro.remote.element import DataKey
 
-__all__ = ["BatchPolicy", "BatchQueue", "BatchStats", "DISABLED_BATCHING"]
+__all__ = ["BatchPolicy", "BatchQueue", "DISABLED_BATCHING"]
 
 
 @dataclass(frozen=True)
@@ -132,51 +131,4 @@ class BatchQueue:
         return (
             f"BatchQueue({self.source!r}, {len(self._entries)} keys, "
             f"deadline={self.deadline:.1f})"
-        )
-
-
-@dataclass(frozen=True)
-class BatchStats:
-    """Amortization summary of one transport's wire traffic.
-
-    ``wire_requests`` counts every request that actually hit the (virtual)
-    wire — single-key issues, retries, and batch flushes; breaker fast-fails
-    are not wire traffic.  ``batches`` is the multi-key subset,
-    ``batched_keys`` the keys they carried, and ``batch_splits`` the failed
-    multi-key batches whose keys were re-issued individually.
-    """
-
-    wire_requests: int
-    batches: int
-    batched_keys: int
-    batch_splits: int
-
-    @property
-    def single_key_requests(self) -> int:
-        return self.wire_requests - self.batches
-
-    @property
-    def mean_keys_per_batch(self) -> float:
-        return self.batched_keys / self.batches if self.batches else 0.0
-
-    @property
-    def round_trips_saved(self) -> int:
-        """Wire requests avoided versus one round trip per batched key."""
-        return self.batched_keys - self.batches
-
-    def as_dict(self) -> dict:
-        return {
-            "wire_requests": self.wire_requests,
-            "batches": self.batches,
-            "batched_keys": self.batched_keys,
-            "batch_splits": self.batch_splits,
-            "single_key_requests": self.single_key_requests,
-            "mean_keys_per_batch": round(self.mean_keys_per_batch, 3),
-            "round_trips_saved": self.round_trips_saved,
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"BatchStats(wire={self.wire_requests}, batches={self.batches}, "
-            f"keys={self.batched_keys}, splits={self.batch_splits})"
         )

@@ -14,10 +14,6 @@ unified surface — :meth:`Transport.submit` takes a :class:`FetchRequest`
   is issued at ``now`` and its response materialises later; the pipeline
   deposits delivered elements into the cache.
 
-The legacy entry points ``fetch_blocking`` and ``fetch_async`` are gone:
-``submit`` is the only way in, and analysis rule A4 fails the build if
-either symbol is defined or called anywhere in the tree.
-
 Concurrent requests for the same key are coalesced — blocking and async
 alike: while either kind of request is in flight (or queued in an open
 batch window), a second request for the same key joins it instead of
@@ -59,9 +55,9 @@ import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-from repro.obs.registry import Histogram, MetricsRegistry
+from repro.obs.registry import CounterGroup, Histogram, MetricsRegistry
 from repro.obs.trace import CAT_FETCH, NULL_TRACER, Tracer, trace_key
-from repro.remote.batching import DISABLED_BATCHING, BatchPolicy, BatchQueue, BatchStats
+from repro.remote.batching import DISABLED_BATCHING, BatchPolicy, BatchQueue
 from repro.remote.element import DataElement, DataKey
 from repro.remote.faults import DROP, ERROR, SLOW, FaultModel
 from repro.remote.monitor import BreakerBoard, LatencyMonitor
@@ -90,8 +86,7 @@ __all__ = [
 MODE_BLOCKING = "blocking"
 MODE_ASYNC = "async"
 
-# Every counter the transport maintains, in report order; the façade
-# attributes below are views over registry cells named ``transport.<key>``.
+# Every counter the transport maintains (``Transport.stats``), in report order.
 TRANSPORT_COUNTER_KEYS = (
     "blocking_fetches",
     "async_fetches",
@@ -265,10 +260,10 @@ class FetchTicket:
 class Transport:
     """Mediates all remote access, charging transmission latency.
 
-    Statistics (``blocking_fetches``, ``async_fetches``, ``coalesced``,
-    ``retries``, ``failed_fetches``, ``breaker_fastfails``,
+    The ``stats`` group (``blocking_fetches``, ``async_fetches``,
+    ``coalesced``, ``retries``, ``failed_fetches``, ``breaker_fastfails``,
     ``wire_requests``, ``batches``, ``batched_keys``, ``batch_splits``)
-    feed the experiment reports.
+    feeds the experiment reports.
     """
 
     def __init__(
@@ -306,18 +301,12 @@ class Transport:
         self.tracer: Tracer = NULL_TRACER
         self._latency_hist: Histogram | None = None
         self._batch_hist: Histogram | None = None
-        self._bind_counters(None)
-
-    def _bind_counters(self, registry: MetricsRegistry | None) -> None:
-        registry = registry if registry is not None else MetricsRegistry()
-        self._cells = {
-            key: registry.counter(f"transport.{key}") for key in TRANSPORT_COUNTER_KEYS
-        }
+        self.stats = CounterGroup("transport", TRANSPORT_COUNTER_KEYS)
 
     def bind_observability(self, registry: MetricsRegistry | None, tracer: Tracer) -> None:
-        """Rebind the (still-zero) counters and trace bus at assembly time."""
+        """Attach the counters to ``registry`` and bind the trace bus at assembly."""
         if registry is not None:
-            self._bind_counters(registry)
+            registry.attach(self.stats)
             self._latency_hist = registry.histogram(TRANSPORT_LATENCY_METRIC, window=1_000_000.0)
             self._batch_hist = registry.histogram(TRANSPORT_BATCH_KEYS_METRIC, window=1_000_000.0)
         self.tracer = tracer
@@ -373,13 +362,13 @@ class Transport:
             self._flush_source(key[0], now)
             pending = self._in_flight.get(key)
         if pending is not None:
-            self.coalesced += 1
+            self.stats.coalesced += 1
             if pending.ok or pending.final:
                 return pending
             ticket = self._retry_to_completion(pending, count_failure=True)
             self._in_flight[key] = ticket
             return ticket
-        self.blocking_fetches += 1
+        self.stats.blocking_fetches += 1
         ticket = self._retry_to_completion(self._issue(key, now), count_failure=True)
         self._in_flight[key] = ticket
         return ticket
@@ -389,9 +378,9 @@ class Transport:
         key, now = request.key, request.at
         pending = self._in_flight.get(key)
         if pending is not None:
-            self.coalesced += 1
+            self.stats.coalesced += 1
             return pending
-        self.async_fetches += 1
+        self.stats.async_fetches += 1
         if (
             not self.batch_policy.enabled
             or not request.batchable
@@ -467,7 +456,7 @@ class Transport:
                     break
                 next_ticket = self._reissue(ticket)
                 if next_ticket is None:
-                    self.failed_fetches += 1
+                    self.stats.failed_fetches += 1
                     ticket.final = True
                     delivered.append(ticket)
                     del self._in_flight[key]
@@ -502,15 +491,6 @@ class Transport:
 
     def pending_count(self) -> int:
         return len(self._in_flight)
-
-    def batch_stats(self) -> BatchStats:
-        """Amortization summary of the wire traffic so far."""
-        return BatchStats(
-            wire_requests=self.wire_requests,
-            batches=self.batches,
-            batched_keys=self.batched_keys,
-            batch_splits=self.batch_splits,
-        )
 
     # -- batch windows ---------------------------------------------------------
     def open_batch_count(self) -> int:
@@ -557,10 +537,10 @@ class Transport:
             return
         tickets = queue.ranked()
         n = len(tickets)
-        self.wire_requests += 1
+        self.stats.wire_requests += 1
         if n > 1:
-            self.batches += 1
-            self.batched_keys += n
+            self.stats.batches += 1
+            self.stats.batched_keys += n
         if self._batch_hist is not None:
             self._batch_hist.observe(float(n), at)
         latency = self.batch_policy.batch_latency(n)
@@ -609,7 +589,7 @@ class Transport:
         if self.breakers is not None:
             self.breakers.record(source, False, at)
         if n > 1:
-            self.batch_splits += 1
+            self.stats.batch_splits += 1
         if tracer.enabled:
             tracer.emit(
                 CAT_FETCH,
@@ -655,7 +635,7 @@ class Transport:
             next_ticket = self._reissue(ticket)
             if next_ticket is None:
                 if count_failure:
-                    self.failed_fetches += 1
+                    self.stats.failed_fetches += 1
                 break
             ticket = next_ticket
         ticket.final = True
@@ -670,7 +650,7 @@ class Transport:
         next_attempt = ticket.attempt + 1
         if not self._retry.allows(next_attempt, ticket.arrives_at - ticket.first_issued_at):
             return None
-        self.retries += 1
+        self.stats.retries += 1
         reissue_at = ticket.arrives_at + self._retry.backoff(ticket.attempt, self._rng)
         if self.tracer.enabled:
             self.tracer.emit(
@@ -699,7 +679,7 @@ class Transport:
         if self.breakers is not None and not self.breakers.allow(key[0], now):
             # Fail fast without a wire attempt: no latency draw, no fault
             # draw, and no window sample (the breaker re-probes by time).
-            self.breaker_fastfails += 1
+            self.stats.breaker_fastfails += 1
             if tracer.enabled:
                 tracer.emit(
                     CAT_FETCH, "breaker_fastfail", now, key=trace_key(key), attempt=attempt
@@ -708,7 +688,7 @@ class Transport:
                 key, issued_at=now, arrives_at=now, element=None, ok=False,
                 error="breaker_open", attempt=attempt, first_issued_at=first, final=False,
             )
-        self.wire_requests += 1
+        self.stats.wire_requests += 1
         if tracer.enabled:
             tracer.emit(CAT_FETCH, "issue", now, key=trace_key(key), attempt=attempt)
         latency = self._latency_model.sample(key, self._rng)
@@ -745,24 +725,4 @@ class Transport:
         )
 
     def __repr__(self) -> str:
-        return (
-            f"Transport(blocking={self.blocking_fetches}, async={self.async_fetches}, "
-            f"coalesced={self.coalesced}, retries={self.retries}, "
-            f"failed={self.failed_fetches}, wire={self.wire_requests}, "
-            f"pending={len(self._in_flight)})"
-        )
-
-
-def _counter_property(key: str) -> property:
-    def _get(self: Transport):
-        return self._cells[key].value
-
-    def _set(self: Transport, value) -> None:
-        self._cells[key].value = value
-
-    return property(_get, _set)
-
-
-for _key in TRANSPORT_COUNTER_KEYS:
-    setattr(Transport, _key, _counter_property(_key))
-del _key
+        return f"Transport({self.stats!r}, pending={len(self._in_flight)})"

@@ -14,10 +14,10 @@ number of queries:
   clock advance, trace emission, latency/throughput recording, end-of-stream
   flush, and :class:`~repro.runtime.dispatch.RunResult` assembly.
 
-The public facades :class:`repro.EIRES` and
-:class:`repro.core.multi.MultiQueryEIRES` are thin shells over this layer,
-and a :class:`repro.serving.Fleet` is one :class:`Runtime` plus admission
-state; anything they can do, a hand-held :class:`Runtime` can do too.
+The single-query facade :class:`repro.EIRES` is a thin shell over this
+layer, multi-query callers use :class:`RuntimeBuilder` directly, and a
+:class:`repro.serving.Fleet` is one :class:`Runtime` plus admission state;
+anything they can do, a hand-held :class:`Runtime` can do too.
 """
 
 from repro.runtime.builder import Runtime, RuntimeBuilder

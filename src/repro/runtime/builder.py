@@ -3,17 +3,16 @@
 :class:`RuntimeBuilder` is the only code in the system that constructs the
 full substrate — virtual clock, RNG tree, transport (with fault model,
 retry policy, and breaker board), cache, latency monitor, tracer, and
-metrics registry — and wires per-query sessions onto it.  Both public
-facades (:class:`repro.EIRES` and
-:class:`repro.core.multi.MultiQueryEIRES`) delegate here, so single- and
-multi-query runs get identical fault tolerance, tracing, provenance, and
-metrics plumbing.
+metrics registry — and wires per-query sessions onto it.  The single-query
+facade :class:`repro.EIRES` delegates here and multi-query callers use the
+builder directly, so both get identical fault tolerance, tracing,
+provenance, and metrics plumbing.
 
 The fleet layer (:mod:`repro.serving`) composes here too: a fleet is one
 :class:`Runtime` whose sessions carry tenant metric scopes and quotas.
 
 The import of :class:`~repro.core.config.EiresConfig` is deferred to call
-time: the facades in :mod:`repro.core` import this module, and the runtime
+time: the facade in :mod:`repro.core` imports this module, and the runtime
 layer must sit *below* them in the architecture (rules A1–A3 of
 :mod:`repro.analysis`; ``python -m repro.analysis --explain A1``).
 """
@@ -59,13 +58,7 @@ from repro.utility.rates import RateEstimator
 if TYPE_CHECKING:  # imported lazily at runtime (layering: runtime < core)
     from repro.core.config import EiresConfig
 
-__all__ = ["RuntimeBuilder", "Runtime", "CACHE_AUTO", "CACHE_ALWAYS"]
-
-# Whether build() materialises the cache only when some session wants one
-# (single-query behaviour) or unconditionally (multi-query: the shared
-# cache exists even if every registered strategy happens to run cacheless).
-CACHE_AUTO = "auto"
-CACHE_ALWAYS = "always"
+__all__ = ["RuntimeBuilder", "Runtime"]
 
 
 def _default_config() -> "EiresConfig":
@@ -94,15 +87,11 @@ class RuntimeBuilder:
         latency_model: LatencyModel,
         config: "EiresConfig | None" = None,
         tracer: Tracer | None = None,
-        cache_mode: str = CACHE_AUTO,
     ) -> None:
-        if cache_mode not in (CACHE_AUTO, CACHE_ALWAYS):
-            raise ValueError(f"unknown cache mode {cache_mode!r}")
         self.store = store
         self.latency_model = latency_model
         self.config = config if config is not None else _default_config()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.cache_mode = cache_mode
         self._specs: list[QuerySpec] = []
 
     def add_query(
@@ -207,11 +196,10 @@ class RuntimeBuilder:
             for strategy in strategies:
                 strategy.spans = SpanTracker()
 
-        # The shared cache closes over the session list, which is populated
-        # below — the cost-based utility function reads it live.
-        if self.cache_mode == CACHE_ALWAYS or any(
-            strategy.uses_cache for strategy in strategies
-        ):
+        # The shared cache (built only if some session wants one) closes
+        # over the session list, which is populated below — the cost-based
+        # utility function reads it live.
+        if any(strategy.uses_cache for strategy in strategies):
             if config.cache_policy == CACHE_LRU:
                 runtime.cache = LRUCache(config.cache_capacity)
             elif config.cache_policy == CACHE_COST:
@@ -244,9 +232,9 @@ class RuntimeBuilder:
             # The burns read live totals through closures: upward imports
             # stay out of repro.obs, and the plane sees every session.
             runtime.slo.bind_sources(
-                wire_requests=lambda: transport.wire_requests,
+                wire_requests=lambda: transport.stats.wire_requests,
                 events_shed=lambda: sum(
-                    session.shedder.stats["events_dropped"]
+                    session.shedder.stats.events_dropped
                     for session in runtime.sessions
                     if session.shedder is not None
                 ),
@@ -357,7 +345,7 @@ class RuntimeBuilder:
 class Runtime:
     """The assembled substrate plus its query sessions.
 
-    Everything the dispatch loop and the facades need lives here: the
+    Everything the dispatch loop and its callers need lives here: the
     shared clock/transport/cache/tracer/metrics, and one
     :class:`~repro.runtime.session.QuerySession` per query in descending
     priority order.

@@ -14,9 +14,8 @@ input event the loop
 
 After the last event every session's strategy is drained and its engine
 flushed, and one :class:`RunResult` per session is assembled — including
-transport stats derived from :data:`~repro.remote.transport.TRANSPORT_COUNTER_KEYS`
-and a full metrics-registry snapshot, identically for single- and
-multi-query runs.
+every counter group's ``as_dict()`` and a full metrics-registry snapshot,
+identically for single- and multi-query runs.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from repro.metrics.latency import LatencyCollector
 from repro.metrics.throughput import ThroughputMeter
 from repro.obs.spans import SPAN_RECORD_NAME
 from repro.obs.trace import CAT_EVENT, CAT_MATCH, CAT_SPAN, NULL_TRACER, Tracer
-from repro.remote.transport import TRANSPORT_COUNTER_KEYS, Transport
+from repro.remote.transport import Transport
 from repro.runtime.session import QuerySession
 from repro.sim.clock import VirtualClock
 
@@ -107,8 +106,8 @@ class RunResult:
             data["throughput_scope"] = self.throughput_scope
         for q, value in sorted(self.latency_percentiles().items()):
             data[f"p{int(q)}"] = round(value, 2)
-        # Stats dicts come from the as_dict() facades, whose key order IS the
-        # declared report-column order of the counter-key tables — sorting
+        # Stats dicts come from the counter groups' as_dict(), whose key order
+        # IS the declared report-column order of the counter-key tables — sorting
         # here would alphabetise the summary columns.
         data.update({f"engine.{k}": v for k, v in self.engine_stats.items()})
         data.update({f"fetch.{k}": v for k, v in self.strategy_stats.items()})
@@ -294,9 +293,7 @@ def dispatch(
                 engine_stats=engine_stats,
                 strategy_stats=session.strategy.stats.as_dict(),
                 cache_stats=cache.stats.as_dict() if cache is not None else None,
-                transport_stats={
-                    key: getattr(transport, key) for key in TRANSPORT_COUNTER_KEYS
-                },
+                transport_stats=transport.stats.as_dict(),
                 duration_us=duration_us,
                 metrics=session.strategy.ctx.metrics.snapshot(),
                 throughput_scope=THROUGHPUT_SHARED if multi else THROUGHPUT_RUN,

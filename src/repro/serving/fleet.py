@@ -165,9 +165,9 @@ class FleetBuilder:
             # The remote-data plane is shared by design, so the fetch budget
             # is a plane-wide burn; shed events are the tenant's own.
             slo.bind_sources(
-                wire_requests=lambda: transport.wire_requests,
+                wire_requests=lambda: transport.stats.wire_requests,
                 events_shed=lambda sessions=sessions: sum(
-                    session.shedder.stats["events_dropped"]
+                    session.shedder.stats.events_dropped
                     for session in sessions
                     if session.shedder is not None
                 ),
@@ -405,11 +405,9 @@ class FleetResult:
         }
         for shard_id, count in enumerate(self.delivered):
             data[f"shard.{shard_id}.delivered"] = count
-        data.update(
-            {f"transport.{k}": v for k, v in self.transport_stats.items()}  # eires: allow[D3] TRANSPORT_COUNTER_KEYS report order
-        )
+        data.update({f"transport.{k}": v for k, v in self.transport_stats.items()})
         if self.cache_stats is not None:
-            data.update({f"cache.{k}": v for k, v in self.cache_stats.items()})  # eires: allow[D3] CACHE_COUNTER_KEYS report order
+            data.update({f"cache.{k}": v for k, v in self.cache_stats.items()})
         return data
 
     def __repr__(self) -> str:

@@ -25,14 +25,14 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.obs.registry import MetricsRegistry, ScopedRegistry
+from repro.obs.registry import CounterGroup, MetricsRegistry, ScopedRegistry
 from repro.obs.trace import CAT_SHED, NULL_TRACER, Tracer
 from repro.shedding.detector import OverloadDetector
 from repro.shedding.policy import ACTION_DROP_EVENT, ACTION_SHED_RUNS, SheddingPolicy
 
 __all__ = ["ShedStats", "SHED_COUNTER_KEYS", "LoadShedder"]
 
-#: Registered ``shed.*`` counters, in report order.
+#: The ``shed.*`` counters, in report order.
 SHED_COUNTER_KEYS = (
     "overloads",
     "events_dropped",
@@ -40,23 +40,11 @@ SHED_COUNTER_KEYS = (
 )
 
 
-class ShedStats:
-    """Registry view of the shedding counters (``shed.<key>`` cells)."""
-
-    __slots__ = ("_cells",)
+class ShedStats(CounterGroup):
+    """The shedding counters of one session (``shed.<key>``)."""
 
     def __init__(self, registry: MetricsRegistry | ScopedRegistry | None = None) -> None:
-        registry = registry if registry is not None else MetricsRegistry()
-        self._cells = {key: registry.counter(f"shed.{key}") for key in SHED_COUNTER_KEYS}
-
-    def as_dict(self) -> dict[str, Any]:
-        return {key: self._cells[key].value for key in SHED_COUNTER_KEYS}
-
-    def inc(self, key: str, amount: int = 1) -> None:
-        self._cells[key].inc(amount)
-
-    def __getitem__(self, key: str) -> int:
-        return self._cells[key].value
+        super().__init__("shed", SHED_COUNTER_KEYS, registry)
 
 
 class LoadShedder:
@@ -87,11 +75,11 @@ class LoadShedder:
         overload = self.detector.assess(now - event.t, engine.active_runs, now)
         if overload is None:
             return False
-        self.stats.inc("overloads")
+        self.stats.overloads += 1
         decision = self.policy.on_overload_event(overload, event, engine)
         if decision is None:
             return False
-        self.stats.inc("events_dropped")
+        self.stats.events_dropped += 1
         self._trace(decision.action, overload, decision.fields)
         return True
 
@@ -101,12 +89,12 @@ class LoadShedder:
         overload = self.detector.assess(now - event.t, engine.active_runs, now)
         if overload is None:
             return 0
-        self.stats.inc("overloads")
+        self.stats.overloads += 1
         decision = self.policy.on_overload_post(overload, engine, strategy)
         if decision is None:
             return 0
         victims = int(decision.fields.get("victims", 0))
-        self.stats.inc("runs_shed", victims)
+        self.stats.runs_shed += victims
         self._trace(decision.action, overload, decision.fields)
         return victims
 

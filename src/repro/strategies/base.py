@@ -14,7 +14,7 @@ decision hooks:
 
 The machinery is split into focused modules behind this import surface:
 :mod:`repro.strategies.context` (the runtime context and failure modes),
-:mod:`repro.strategies.stats` (the ``fetch.*`` counter view),
+:mod:`repro.strategies.stats` (the ``fetch.*`` counter group),
 :mod:`repro.strategies.fetch_plane` (data movement: blocking rounds, async
 delivery, staleness fallback), and :mod:`repro.strategies.obligations`
 (postponed-predicate resolution).  ``FetchStrategy`` composes them and adds
@@ -109,11 +109,10 @@ class FetchStrategy(ObligationResolution, FetchPlane):
             for predicate in transition.remote_predicates
         }
         if ctx.metrics is not None:
-            # Rebind the (still-empty) stats façades onto the framework's
-            # shared registry so snapshots include the fetch.* and
-            # engine.dropped.* counters.
-            self.stats = StrategyStats(ctx.metrics)
-            self.drops = DropStats(ctx.metrics)
+            # Snapshots of the framework's shared registry include the
+            # fetch.* and engine.dropped.* counters.
+            ctx.metrics.attach(self.stats)
+            ctx.metrics.attach(self.drops)
 
     @property
     def total_stall_time(self) -> float:
@@ -227,7 +226,7 @@ class FetchStrategy(ObligationResolution, FetchPlane):
     def end_of_stream(self) -> None:
         """Cleanup hook after the last event (subclass extension point)."""
         transport = self.ctx.transport
-        self.stats.retries = transport.retries
+        self.stats.retries = transport.stats.retries
         if transport.breakers is not None:
             self.stats.breaker_opens = transport.breakers.opens
 

@@ -62,8 +62,8 @@ class RuntimeContext:
     utility_tick_interval: int = 1
     failure_mode: str = FAIL_CLOSED
     stale_serve_enabled: bool = True
-    # Observability: the shared metrics registry the stats façades bind to
-    # and the trace bus.  Both default to off/None so hand-built contexts
+    # Observability: the shared metrics registry the counter groups attach
+    # to and the trace bus.  Both default to off/None so hand-built contexts
     # (unit tests) behave exactly as before.  Multi-query runtimes pass a
     # ScopedRegistry so each session's fetch.* counters get their own
     # namespace in the shared snapshot.

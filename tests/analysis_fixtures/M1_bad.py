@@ -1,8 +1,10 @@
 # eires-fixture: place=strategies/rogue_trace.py
-"""Stray string literals at emission sites — M1 must flag both."""
+"""Stray string literals at emission sites and an inline key list — M1 flags all three."""
+from repro.obs.registry import CounterGroup
 
 
 def instrument(tracer, registry, now: float) -> None:
     if tracer.enabled:
         tracer.emit("fetch", "issue", now)
     registry.counter("fetch.retries").inc()
+    CounterGroup("fetch", ("retries", "stalls"), registry)

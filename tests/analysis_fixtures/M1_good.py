@@ -1,5 +1,6 @@
 # eires-fixture: place=strategies/clean_trace.py
 """Categories from CAT_* constants, metric names from the key tables."""
+from repro.obs.registry import CounterGroup
 from repro.obs.trace import CAT_FETCH
 from repro.strategies.stats import STRATEGY_COUNTER_KEYS
 
@@ -9,3 +10,4 @@ def instrument(tracer, registry, now: float) -> None:
         tracer.emit(CAT_FETCH, "issue", now)
     for key in STRATEGY_COUNTER_KEYS:
         registry.counter(f"fetch.{key}")
+    CounterGroup("fetch", STRATEGY_COUNTER_KEYS, registry)

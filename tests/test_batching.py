@@ -17,7 +17,7 @@ from repro.bench.harness import run_strategy
 from repro.cli import WORKLOADS
 from repro.core.config import EiresConfig
 from repro.obs.trace import MemorySink, Tracer, trace_key
-from repro.remote.batching import DISABLED_BATCHING, BatchPolicy, BatchQueue, BatchStats
+from repro.remote.batching import DISABLED_BATCHING, BatchPolicy, BatchQueue
 from repro.remote.faults import DROP, ERROR, OK, FaultDecision, NoFaults
 from repro.remote.monitor import BreakerBoard
 from repro.remote.retry import RetryPolicy
@@ -101,29 +101,13 @@ class TestBatchQueue:
             queue.add(self._ticket(("s", 1)), utility=9.0)
 
 
-class TestBatchStats:
-    def test_arithmetic(self):
-        stats = BatchStats(wire_requests=10, batches=3, batched_keys=12, batch_splits=1)
-        assert stats.single_key_requests == 7
-        assert stats.mean_keys_per_batch == 4.0
-        assert stats.round_trips_saved == 9
-        as_dict = stats.as_dict()
-        assert as_dict["wire_requests"] == 10
-        assert as_dict["mean_keys_per_batch"] == 4.0
-
-    def test_no_batches(self):
-        stats = BatchStats(wire_requests=5, batches=0, batched_keys=0, batch_splits=0)
-        assert stats.mean_keys_per_batch == 0.0
-        assert stats.round_trips_saved == 0
-
-
 class TestTransportBatching:
     def test_requests_coalesce_into_one_wire_request(self):
         transport = _transport(BATCHING)
         t1 = transport.submit(FetchRequest(("s", 1), at=0.0))
         t2 = transport.submit(FetchRequest(("s", 2), at=10.0))
         assert t1.queued and t2.queued
-        assert transport.wire_requests == 0
+        assert transport.stats.wire_requests == 0
         assert transport.open_batch_count() == 1
         # Nothing arrives before the window closes at its deadline (50).
         assert transport.deliver_due(40.0) == []
@@ -133,9 +117,9 @@ class TestTransportBatching:
         assert {t.key for t in delivered} == {("s", 1), ("s", 2)}
         assert all(t.ok and not t.queued for t in delivered)
         assert all(t.arrives_at == 106.0 for t in delivered)
-        assert transport.wire_requests == 1
-        assert transport.batches == 1
-        assert transport.batched_keys == 2
+        assert transport.stats.wire_requests == 1
+        assert transport.stats.batches == 1
+        assert transport.stats.batched_keys == 2
 
     def test_max_keys_flushes_immediately(self):
         policy = BatchPolicy(window=1_000.0, max_keys=2, fixed_latency=40.0,
@@ -145,7 +129,7 @@ class TestTransportBatching:
         assert transport.open_batch_count() == 1
         ticket = transport.submit(FetchRequest(("s", 2), at=5.0))
         assert transport.open_batch_count() == 0
-        assert transport.wire_requests == 1
+        assert transport.stats.wire_requests == 1
         # Flushed at the second submit (5), not the window deadline.
         assert ticket.arrives_at == 5.0 + 40.0 + 2 * 8.0
 
@@ -156,15 +140,15 @@ class TestTransportBatching:
         assert transport.open_batch_count() == 2
         transport.flush_batches(0.0)
         assert transport.open_batch_count() == 0
-        assert transport.wire_requests == 2
+        assert transport.stats.wire_requests == 2
 
     def test_duplicate_key_coalesces_onto_queued_ticket(self):
         transport = _transport(BATCHING)
         first = transport.submit(FetchRequest(("s", 1), at=0.0))
         second = transport.submit(FetchRequest(("s", 1), at=10.0))
         assert second is first
-        assert transport.coalesced == 1
-        assert transport.async_fetches == 1
+        assert transport.stats.coalesced == 1
+        assert transport.stats.async_fetches == 1
 
     def test_single_key_batch_pays_batch_latency(self):
         transport = _transport(BATCHING)
@@ -172,7 +156,7 @@ class TestTransportBatching:
         transport.flush_batches(20.0)
         # A lone key still flushes as one wire request at l_batch(1) = 48.
         assert ticket.arrives_at == 20.0 + 48.0
-        assert transport.batches == 0  # not a multi-key batch
+        assert transport.stats.batches == 0  # not a multi-key batch
 
     def test_utility_ranks_the_wire_order(self):
         sink = MemorySink()
@@ -191,7 +175,7 @@ class TestTransportBatching:
         ticket = transport.submit(FetchRequest(("s", 1), at=0.0, batchable=False))
         assert not ticket.queued
         assert transport.open_batch_count() == 0
-        assert transport.wire_requests == 1
+        assert transport.stats.wire_requests == 1
 
     def test_disabled_policy_routes_single_key(self):
         transport = _transport(None)
@@ -199,7 +183,7 @@ class TestTransportBatching:
         assert not ticket.queued
         assert ticket.arrives_at == 10.0  # the plain latency model, no batch costs
         assert transport.open_batch_count() == 0
-        assert transport.wire_requests == 1
+        assert transport.stats.wire_requests == 1
 
     def test_blocking_need_closes_the_open_window(self):
         transport = _transport(BATCHING)
@@ -210,8 +194,8 @@ class TestTransportBatching:
         assert not ticket.queued and ticket.ok
         # Window closed at the blocking submit, not its deadline.
         assert ticket.arrives_at == 10.0 + 48.0
-        assert transport.coalesced == 1
-        assert transport.wire_requests == 1
+        assert transport.stats.coalesced == 1
+        assert transport.stats.wire_requests == 1
         assert transport.open_batch_count() == 0
 
     def test_blocking_other_key_leaves_foreign_window_open(self):
@@ -231,17 +215,6 @@ class TestTransportBatching:
         transport.flush_batches(0.0)
         # Each key's recorded share is l_batch(2)/2 = 28, not the full 56.
         assert transport.monitor.estimate(("s", 1)) < 56.0
-
-    def test_batch_stats_snapshot(self):
-        transport = _transport(BATCHING)
-        transport.submit(FetchRequest(("s", 1), at=0.0))
-        transport.submit(FetchRequest(("s", 2), at=0.0))
-        transport.flush_batches(0.0)
-        stats = transport.batch_stats()
-        assert stats.wire_requests == 1
-        assert stats.batches == 1
-        assert stats.batched_keys == 2
-        assert stats.round_trips_saved == 1
 
 
 class _FailFirstWire(NoFaults):
@@ -279,16 +252,16 @@ class TestBatchFailureSemantics:
         for ident in (1, 2, 3):
             transport.submit(FetchRequest(("s", ident), at=0.0))
         transport.flush_batches(0.0)
-        assert transport.wire_requests == 1
-        assert transport.batch_splits == 1
+        assert transport.stats.wire_requests == 1
+        assert transport.stats.batch_splits == 1
         delivered = transport.deliver_due(10_000.0)
         assert {t.key for t in delivered} == {("s", 1), ("s", 2), ("s", 3)}
         assert all(t.ok for t in delivered)
         assert all(t.attempt == 2 for t in delivered)
         # The split re-issued each key individually: 1 batch + 3 singles.
-        assert transport.wire_requests == 4
-        assert transport.retries == 3
-        assert transport.failed_fetches == 0
+        assert transport.stats.wire_requests == 4
+        assert transport.stats.retries == 3
+        assert transport.stats.failed_fetches == 0
 
     def test_poisoned_key_cannot_fail_its_cohort(self):
         transport = self._failing_transport(_PoisonedKey(("s", 2)))
@@ -298,7 +271,7 @@ class TestBatchFailureSemantics:
         delivered = transport.deliver_due(100_000.0)
         outcomes = {t.key: t.ok for t in delivered}
         assert outcomes == {("s", 1): True, ("s", 2): False, ("s", 3): True}
-        assert transport.failed_fetches == 1
+        assert transport.stats.failed_fetches == 1
 
     def test_drop_failure_known_at_attempt_timeout(self):
         class DropWire(NoFaults):
@@ -360,12 +333,12 @@ class TestBatchFailureSemantics:
             transport.flush_batches(now)
             transport.deliver_due(now + 1_000.0)
             now += 1_000.0
-        before = transport.breaker_fastfails
+        before = transport.stats.breaker_fastfails
         ticket = transport.submit(FetchRequest(("s", 999), at=now))
         assert ticket.error == "breaker_open"
         assert not ticket.queued
         assert transport.open_batch_count() == 0
-        assert transport.breaker_fastfails == before + 1
+        assert transport.stats.breaker_fastfails == before + 1
 
 
 class TestEndOfStreamFlush:
@@ -376,7 +349,7 @@ class TestEndOfStreamFlush:
         transport.submit(FetchRequest(("s", 2), at=0.0))
         assert transport.flush_batches(5.0) == 3
         assert transport.open_batch_count() == 0
-        assert transport.wire_requests == 2
+        assert transport.stats.wire_requests == 2
 
     def test_flush_past_deadline_uses_the_deadline(self):
         transport = _transport(BATCHING)

@@ -259,8 +259,8 @@ class TestTransportFaultPaths:
         assert request.attempt == 2
         # error known at 10, backoff 5, reissue at 15, arrives at 25
         assert request.arrives_at == pytest.approx(25.0)
-        assert transport.retries == 1
-        assert transport.failed_fetches == 0
+        assert transport.stats.retries == 1
+        assert transport.stats.failed_fetches == 0
 
     def test_exhausted_retries_fail_terminally(self):
         transport = Transport(
@@ -272,8 +272,8 @@ class TestTransportFaultPaths:
         assert not request.ok
         assert request.final
         assert request.attempt == 3
-        assert transport.retries == 2
-        assert transport.failed_fetches == 1
+        assert transport.stats.retries == 2
+        assert transport.stats.failed_fetches == 1
 
     def test_drop_known_only_at_attempt_timeout(self):
         transport = Transport(
@@ -339,7 +339,7 @@ class TestTransportFaultPaths:
         transport.complete(request)
         assert request.error == "breaker_open"
         assert request.arrives_at == first.arrives_at + 1.0
-        assert transport.breaker_fastfails >= 1
+        assert transport.stats.breaker_fastfails >= 1
 
     def test_breaker_recovers_after_cooldown(self):
         board = BreakerBoard(window_size=8, min_samples=2, failure_threshold=0.5,
@@ -392,5 +392,5 @@ class TestTransportFaultPaths:
         request = transport.submit(FetchRequest(("t", 1), at=5.0, mode=MODE_BLOCKING))
         assert request.ok
         assert request.attempt == 2
-        assert transport.blocking_fetches == 0
-        assert transport.coalesced == 1
+        assert transport.stats.blocking_fetches == 0
+        assert transport.stats.coalesced == 1

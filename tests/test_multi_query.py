@@ -4,10 +4,10 @@ import pytest
 
 from repro.core.config import EiresConfig
 from repro.core.framework import EIRES
-from repro.core.multi import MultiQueryEIRES, QuerySpec
 from repro.query.parser import parse_query
 from repro.remote.store import RemoteStore
 from repro.remote.transport import FixedLatency
+from repro.runtime import QuerySpec, RuntimeBuilder
 
 from tests.helpers import random_stream
 
@@ -27,16 +27,23 @@ def two_queries():
     return q_ab, q_ac, store
 
 
+def build_runtime(specs, store, latency, config=None):
+    builder = RuntimeBuilder(store, latency, config=config)
+    for spec in specs:
+        builder.add_spec(spec)
+    return builder.build()
+
+
 class TestMultiQueryBasics:
     def test_requires_queries(self):
         _, _, store = two_queries()
         with pytest.raises(ValueError):
-            MultiQueryEIRES([], store, FixedLatency(10.0))
+            build_runtime([], store, FixedLatency(10.0))
 
     def test_duplicate_names_rejected(self):
         q_ab, _, store = two_queries()
         with pytest.raises(ValueError, match="unique"):
-            MultiQueryEIRES([QuerySpec(q_ab), QuerySpec(q_ab)], store, FixedLatency(10.0))
+            build_runtime([QuerySpec(q_ab), QuerySpec(q_ab)], store, FixedLatency(10.0))
 
     def test_invalid_priority(self):
         q_ab, _, store = two_queries()
@@ -45,7 +52,7 @@ class TestMultiQueryBasics:
 
     def test_results_keyed_by_query(self):
         q_ab, q_ac, store = two_queries()
-        runtime = MultiQueryEIRES(
+        runtime = build_runtime(
             [QuerySpec(q_ab), QuerySpec(q_ac)], store, FixedLatency(20.0),
             config=EiresConfig(cache_capacity=50),
         )
@@ -58,7 +65,7 @@ class TestEquivalenceWithSingleQuery:
     def test_same_matches_as_isolated_runs(self):
         q_ab, q_ac, store = two_queries()
         stream = random_stream(250, seed=9)
-        shared = MultiQueryEIRES(
+        shared = build_runtime(
             [QuerySpec(q_ab), QuerySpec(q_ac)], store, FixedLatency(20.0),
             config=EiresConfig(cache_capacity=50),
         ).run(stream)
@@ -74,7 +81,7 @@ class TestSharing:
         # second query reuse what the first fetched.
         q_ab, q_ac, store = two_queries()
         stream = random_stream(300, seed=5)
-        runtime = MultiQueryEIRES(
+        runtime = build_runtime(
             [QuerySpec(q_ab, strategy="BL2"), QuerySpec(q_ac, strategy="BL2")],
             store, FixedLatency(50.0), config=EiresConfig(cache_capacity=100),
         )
@@ -90,7 +97,7 @@ class TestSharing:
 
     def test_priority_weights_shared_utility(self):
         q_ab, q_ac, store = two_queries()
-        runtime = MultiQueryEIRES(
+        runtime = build_runtime(
             [QuerySpec(q_ab, priority=3.0), QuerySpec(q_ac, priority=1.0)],
             store, FixedLatency(20.0), config=EiresConfig(cache_capacity=50),
         )
@@ -103,6 +110,6 @@ class TestSharing:
         a_state = ab_runtime.automaton.states[1]
         run = Run.start(a_state, "a", Event(1.0, {"type": "A", "id": 1, "v": 7}, seq=0), 1.0)
         ab_runtime.utility.on_run_created(run)
-        weighted = runtime.runtime.shared_utility(("v", 7))
+        weighted = runtime.shared_utility(("v", 7))
         single = ab_runtime.utility.value(("v", 7), runtime.config.omega_cache)
         assert weighted == pytest.approx(3.0 * single)

@@ -9,11 +9,13 @@ The heavyweight guarantees live here too:
 """
 
 import json
+import sys
 
 import pytest
 
 from repro.bench.harness import run_strategy
 from repro.core.config import EiresConfig
+from repro.core.framework import EIRES
 from repro.metrics.reporting import FAULT_COLUMNS
 from repro.obs.export import chrome_trace, write_chrome_trace, write_jsonl
 from repro.obs.provenance import (
@@ -23,7 +25,7 @@ from repro.obs.provenance import (
     verify_eq7_record,
     verify_eq8_record,
 )
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import CounterGroup, MetricsRegistry
 from repro.obs.trace import (
     CATEGORIES,
     NULL_TRACER,
@@ -131,6 +133,51 @@ class TestMetricsRegistry:
         registry.gauge("a.g").set(1.5)
         snap = registry.snapshot()
         assert list(snap) == ["a.g", "b.n"]
+
+
+class TestCounterGroup:
+    def test_bumping_a_counter_enters_no_python_frame(self):
+        workload = small_q1()
+        eires = EIRES(
+            workload.query, workload.store, workload.latency_model,
+            config=EiresConfig(shed_policy="runs", run_budget=50),
+        )
+        cache, strategy, transport = eires.cache.stats, eires.strategy.stats, eires.transport.stats
+        shed, engine = eires.runtime.sessions[0].shedder.stats, eires.engine.stats
+        calls = []
+        sys.setprofile(lambda frame, event, arg: event == "call" and calls.append(frame.f_code))
+        try:
+            cache.hits += 1
+            strategy.retries += 1
+            strategy.total_stall_time += 1.5
+            transport.wire_requests += 1
+            shed.runs_shed += 1
+            engine.guard_evaluations += 1
+        finally:
+            sys.setprofile(None)
+        assert calls == []
+        snapshot = eires.metrics.snapshot()
+        assert snapshot["cache.hits"] == snapshot["fetch.retries"] == 1
+        assert snapshot["transport.wire_requests"] == snapshot["shed.runs_shed"] == 1
+
+    def test_attach_under_a_scope_and_name_collisions(self):
+        registry = MetricsRegistry()
+        group = CounterGroup("fetch", STRATEGY_COUNTER_KEYS, floats=("total_stall_time",))
+        registry.scoped("tenant.a").attach(group)
+        group.retries += 3
+        snapshot = registry.snapshot()
+        assert snapshot["tenant.a.fetch.retries"] == 3
+        assert registry.scoped("tenant.a").names() == [
+            f"tenant.a.fetch.{key}" for key in sorted(STRATEGY_COUNTER_KEYS)
+        ]
+        stall = snapshot["tenant.a.fetch.total_stall_time"]
+        stalls = snapshot["tenant.a.fetch.blocking_stalls"]
+        assert (stall, type(stall)) == (0.0, float) and (stalls, type(stalls)) == (0, int)
+        with pytest.raises(ValueError, match="already registered"):
+            CounterGroup("fetch", STRATEGY_COUNTER_KEYS, registry.scoped("tenant.a"))
+        with pytest.raises(ValueError, match="already registered"):
+            registry.counter("tenant.a.fetch.retries")
+        CounterGroup("fetch", STRATEGY_COUNTER_KEYS, registry.scoped("tenant.b"))  # free name
 
 
 class TestStatsFacades:

@@ -148,7 +148,7 @@ class TestTransport:
         request = transport.submit(FetchRequest(("t", 1), at=100.0, mode=MODE_BLOCKING))
         assert request.arrives_at == 125.0
         assert request.element.value == "one"
-        assert transport.blocking_fetches == 1
+        assert transport.stats.blocking_fetches == 1
 
     def test_async_fetch_tracked_until_delivered(self):
         transport = self._transport(10.0)
@@ -164,15 +164,15 @@ class TestTransport:
         first = transport.submit(FetchRequest(("t", 1), at=0.0))
         second = transport.submit(FetchRequest(("t", 1), at=3.0))
         assert first is second
-        assert transport.coalesced == 1
-        assert transport.async_fetches == 1
+        assert transport.stats.coalesced == 1
+        assert transport.stats.async_fetches == 1
 
     def test_blocking_joins_in_flight_request(self):
         transport = self._transport(10.0)
         async_request = transport.submit(FetchRequest(("t", 1), at=0.0))
         blocking = transport.submit(FetchRequest(("t", 1), at=8.0, mode=MODE_BLOCKING))
         assert blocking is async_request
-        assert transport.blocking_fetches == 0
+        assert transport.stats.blocking_fetches == 0
 
     def test_delivery_sorted_by_arrival(self):
         store = RemoteStore()
@@ -207,8 +207,8 @@ class TestTransport:
         assert transport.in_flight(("t", 1)) is blocking
         joined = transport.submit(FetchRequest(("t", 1), at=0.0))
         assert joined is blocking
-        assert transport.async_fetches == 0
-        assert transport.coalesced == 1
+        assert transport.stats.async_fetches == 0
+        assert transport.stats.coalesced == 1
         transport.complete(blocking)
         assert transport.in_flight(("t", 1)) is None
         # Once completed, the key is fetchable again as a fresh request.

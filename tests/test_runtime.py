@@ -17,7 +17,6 @@ from repro.bench.harness import run_strategy
 from repro.cli import main as cli_main
 from repro.core.config import EiresConfig
 from repro.core.framework import EIRES
-from repro.core.multi import MultiQueryEIRES, QuerySpec
 from repro.engine.engine import Engine
 from repro.obs.export import write_chrome_trace
 from repro.obs.trace import MemorySink, Tracer
@@ -25,8 +24,7 @@ from repro.obs.validate import validate_chrome_trace
 from repro.query.parser import parse_query
 from repro.remote.store import RemoteStore
 from repro.remote.transport import TRANSPORT_COUNTER_KEYS, FixedLatency, UniformLatency
-from repro.runtime.builder import CACHE_ALWAYS, RuntimeBuilder
-from repro.runtime.session import QuerySpec as RuntimeQuerySpec
+from repro.runtime import QuerySpec, RuntimeBuilder
 from repro.serving import TenantSpec
 from repro.workloads import SyntheticConfig, q1_workload
 
@@ -49,12 +47,15 @@ def two_queries():
 
 def build_multi(config=None, tracer=None, strategies=("Hybrid", "Hybrid")):
     q_ab, q_ac, store = two_queries()
-    return MultiQueryEIRES(
-        [QuerySpec(q_ab, strategy=strategies[0]),
-         QuerySpec(q_ac, strategy=strategies[1])],
-        store, FixedLatency(20.0),
-        config=config if config is not None else EiresConfig(cache_capacity=50),
-        tracer=tracer,
+    return (
+        RuntimeBuilder(
+            store, FixedLatency(20.0),
+            config=config if config is not None else EiresConfig(cache_capacity=50),
+            tracer=tracer,
+        )
+        .add_spec(QuerySpec(q_ab, strategy=strategies[0]))
+        .add_spec(QuerySpec(q_ac, strategy=strategies[1]))
+        .build()
     )
 
 
@@ -72,7 +73,7 @@ class TestOneEngine:
     def test_stale_backend_keyword_is_a_type_error(self):
         q_ab, _, store = two_queries()
         with pytest.raises(TypeError):
-            RuntimeQuerySpec(q_ab, backend="tree")
+            QuerySpec(q_ab, backend="tree")
         with pytest.raises(TypeError):
             TenantSpec("t", q_ab, backend="tree")
         with pytest.raises(TypeError):
@@ -95,14 +96,12 @@ class TestOneEngine:
 
 class TestBuilder:
     def test_builder_is_the_facade_path(self):
-        # Both facades expose the Runtime the builder assembled.
+        # The facade exposes the Runtime the builder assembled.
         q_ab, _, store = two_queries()
-        single = EIRES(q_ab, store, FixedLatency(20.0))
-        multi = build_multi()
-        for facade in (single, multi):
-            assert facade.runtime.transport is facade.transport
-            assert facade.runtime.clock is facade.clock
-            assert facade.runtime.metrics is facade.metrics
+        facade = EIRES(q_ab, store, FixedLatency(20.0))
+        assert facade.runtime.transport is facade.transport
+        assert facade.runtime.clock is facade.clock
+        assert facade.runtime.metrics is facade.metrics
 
     def test_direct_builder_matches_facade(self):
         q_ab, _, store = two_queries()
@@ -123,11 +122,6 @@ class TestBuilder:
         with pytest.raises(ValueError, match="at least one"):
             RuntimeBuilder(store, FixedLatency(10.0)).build()
 
-    def test_rejects_unknown_cache_mode(self):
-        _, _, store = two_queries()
-        with pytest.raises(ValueError, match="cache mode"):
-            RuntimeBuilder(store, FixedLatency(10.0), cache_mode="sometimes")
-
     def test_strategy_instance_accepted(self):
         from repro.strategies import make_strategy
 
@@ -143,7 +137,7 @@ class TestBuilder:
     def test_sessions_sorted_by_priority(self):
         q_ab, q_ac, store = two_queries()
         runtime = (
-            RuntimeBuilder(store, FixedLatency(20.0), cache_mode=CACHE_ALWAYS)
+            RuntimeBuilder(store, FixedLatency(20.0))
             .add_query(q_ab, priority=1.0)
             .add_query(q_ac, priority=5.0)
             .build()
@@ -278,15 +272,18 @@ class TestThroughputScope:
 
 class TestSingleMultiParity:
     def test_multi_with_one_query_equals_single(self):
-        # A one-query MultiQueryEIRES and EIRES are the same assembly modulo
-        # the always-on shared cache, so results must coincide exactly.
+        # A one-spec builder runtime and EIRES are the same assembly, so
+        # results must coincide exactly.
         q_ab, _, store = two_queries()
         stream = random_stream(250, seed=9)
         config = EiresConfig(cache_capacity=50)
         single = EIRES(q_ab, store, UniformLatency(10.0, 80.0), config=config).run(stream)
-        multi = MultiQueryEIRES(
-            [QuerySpec(q_ab)], store, UniformLatency(10.0, 80.0), config=config
-        ).run(stream)["ab"]
+        multi = (
+            RuntimeBuilder(store, UniformLatency(10.0, 80.0), config=config)
+            .add_spec(QuerySpec(q_ab))
+            .build()
+            .run(stream)["ab"]
+        )
         assert single.match_signatures() == multi.match_signatures()
         assert single.latency_percentiles() == multi.latency_percentiles()
         assert single.transport_stats == multi.transport_stats

@@ -493,7 +493,7 @@ class TestOverloadRuns:
 
     def test_shed_stats_view(self):
         stats = ShedStats()
-        stats.inc("overloads")
-        stats.inc("runs_shed", 5)
-        assert stats["overloads"] == 1
+        stats.overloads += 1
+        stats.runs_shed += 5
+        assert stats.overloads == 1
         assert stats.as_dict() == {"overloads": 1, "events_dropped": 0, "runs_shed": 5}

@@ -49,7 +49,7 @@ class TestAsyncDelivery:
         strategy = eires.strategy
         strategy._fetch_async_prefetch(("v", 3))
         strategy._fetch_async_lazy([("v", 3)])
-        assert eires.transport.async_fetches == 1  # coalesced on the wire
+        assert eires.transport.stats.async_fetches == 1  # coalesced on the wire
         eires.clock.advance(200.0)
         strategy._deliver_due()
         assert ("v", 3) in eires.cache._tiers[CostBasedCache.TIER_CERTAIN]
@@ -129,8 +129,8 @@ class TestResolvePredicate:
         predicate = transition.remote_predicates[0]
         outcome = eires.strategy.resolve_predicate(transition, predicate, run, env)
         assert outcome is POSTPONED
-        assert eires.transport.async_fetches == 0
-        assert eires.transport.blocking_fetches == 0
+        assert eires.transport.stats.async_fetches == 0
+        assert eires.transport.stats.blocking_fetches == 0
 
     def test_lzeval_postpones_and_fetches(self):
         eires = build(strategy="LzEval")
@@ -142,4 +142,4 @@ class TestResolvePredicate:
         predicate = transition.remote_predicates[0]
         outcome = eires.strategy.resolve_predicate(transition, predicate, run, env)
         assert outcome is POSTPONED
-        assert eires.transport.async_fetches == 1  # the fetch is in flight
+        assert eires.transport.stats.async_fetches == 1  # the fetch is in flight
