@@ -42,7 +42,7 @@ from typing import Any, Iterable, Iterator
 
 __all__ = ["Module", "ModuleIndex", "resolve_call_target", "dotted_chain"]
 
-_METRIC_FACTORIES = frozenset({"counter", "gauge", "histogram"})
+_METRIC_FACTORIES = frozenset({"gauge", "histogram"})
 
 
 def dotted_chain(node: ast.AST) -> list[str] | None:

@@ -23,7 +23,7 @@ __all__ = ["RegisteredNamesRule"]
 #: they are the registry, not clients of it.
 DEFINING_MODULES = ("obs/trace.py", "obs/registry.py")
 
-_METRIC_FACTORIES = frozenset({"counter", "gauge", "histogram"})
+_METRIC_FACTORIES = frozenset({"gauge", "histogram"})
 
 #: Prefix every registered trace-category constant shares.
 _CATEGORY_PREFIX = "CAT_"
@@ -41,7 +41,7 @@ literals.  The rule flags:
 
 * `tracer.emit("fetch", ...)` — a literal category; pass CAT_FETCH.  A
   category variable must itself be (or be imported as) a CAT_* constant.
-* `registry.counter("fetch.retries")` — a stray metric literal; derive the
+* `registry.gauge("fetch.retries")` — a stray metric literal; derive the
   name from a key-table constant or declare a named *_METRIC constant next
   to the tables.
 * `CounterGroup("fetch", ("retries", "stalls"))` — an inline key list; a

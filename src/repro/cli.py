@@ -27,33 +27,33 @@ worker shards sharing one remote-data plane; ``describe`` prints the
 compiled evaluation automaton (states, transitions, remote sites) of the
 workload's query.
 
-Every flag family lives in its own argument group (engine, batching,
-shedding, SLO, serving, observability), and ``--config FILE`` loads the
-same knobs config-first from a TOML file of
-:class:`~repro.core.config.EiresConfig` field names — explicit CLI flags
-always win over the file.
+The four run subcommands take the same config flags, one per
+:class:`~repro.core.config.EiresConfig` field in :data:`CONFIG_FLAGS`, each
+typed and defaulted by the field itself.  ``--config FILE`` loads the same
+fields, by name, from a TOML file; explicit flags always win over the file.
+``EiresConfig`` validates flag and file values alike, and a rejected value
+exits with status 2 and an ``error:`` line naming the field.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import sys
 import tomllib
+import typing
 from typing import Any, Callable
 
-from repro.bench.harness import ALL_STRATEGIES, ExperimentResult, run_strategy
+from repro.bench.harness import ALL_STRATEGIES, run_strategy, run_strategy_suite
 from repro.core.config import CACHE_COST, CACHE_LRU, EiresConfig
 from repro.core.framework import EIRES
 from repro.engine.engine import GREEDY, NON_GREEDY
 from repro.metrics.reporting import format_fault_summary, format_health_report
 from repro.nfa.compiler import compile_query
 from repro.obs.export import (
-    write_chrome_trace,
-    write_folded,
-    write_jsonl,
-    write_metrics_snapshot,
+    write_chrome_trace, write_folded, write_jsonl, write_metrics_snapshot,
 )
 from repro.obs.provenance import replay_trace
 from repro.obs.series import write_series_jsonl
@@ -92,46 +92,78 @@ WORKLOADS: dict[str, Callable[[int], Workload]] = {
 }
 
 
-#: TOML keys (``EiresConfig`` field names) whose CLI flag spells the dest
-#: differently; every other accepted key maps to the identical dest.
-CONFIG_DEST_MAP = {
-    "cache_policy": "cache",
-    "cache_capacity": "capacity",
-    "retry_max_attempts": "retry_attempts",
+#: The argument groups of every run subcommand, in ``--help`` order.
+ARG_GROUPS = {
+    "engine": "workload selection and core evaluation knobs",
+    "batching": "remote-fetch coalescing on the wire",
+    "shedding": "load shedding under overload",
+    "slo": "service-level objectives and burn rates",
+    "observability": "trace, metrics and series exports",
 }
 
-#: Every key a ``--config`` TOML file may set: the ``EiresConfig`` fields
-#: the CLI exposes as flags.  Keys apply wherever the chosen subcommand
-#: supports the corresponding flag; explicit CLI flags always win.
-CONFIG_KEYS = (
-    "policy",
-    "cache_policy",
-    "cache_capacity",
-    "fault_profile",
-    "failure_mode",
-    "retry_max_attempts",
-    "batch_window",
-    "batch_max_keys",
-    "batch_fixed_latency",
-    "batch_per_key_latency",
-    "shed_policy",
-    "latency_bound",
-    "run_budget",
-    "slo_latency_bound",
-    "slo_recall_floor",
-    "slo_fetch_budget",
-    "slo_in_detector",
-    "series_interval",
-)
+#: The config flags: ``EiresConfig`` field -> (flag, argument group, help).
+#: The field names are both the argparse dests and the ``--config`` keys;
+#: each flag's type and default are read off the field.
+CONFIG_FLAGS: dict[str, tuple[str, str, str]] = {
+    "policy": ("--policy", "engine", f"selection policy: {GREEDY} or {NON_GREEDY}"),
+    "cache_policy": ("--cache", "engine", f"cache policy: {CACHE_COST} or {CACHE_LRU}"),
+    "cache_capacity": ("--capacity", "engine", "cache capacity (default: the workload's "
+                       "recommendation)"),
+    "fault_profile": ("--fault-profile", "engine", "fault injection profile: one of "
+                      f"{', '.join(sorted(FAULT_PROFILES))}, or a spec like 'drop:0.1' / "
+                      "'drop:0.05,slow:0.1:8'"),
+    "failure_mode": ("--failure-mode", "engine", "how predicates treat terminally "
+                     f"unavailable data: {FAIL_CLOSED} or {FAIL_OPEN}"),
+    "retry_max_attempts": ("--retry-attempts", "engine", "max fetch attempts incl. the first"),
+    "batch_window": ("--batch-window", "batching", "coalescing window, virtual us (0: off)"),
+    "batch_max_keys": ("--batch-max-keys", "batching", "max keys per wire request (1: off)"),
+    "batch_fixed_latency": ("--batch-fixed-latency", "batching", "fixed latency of one wire "
+                            "request of a batch, virtual us"),
+    "batch_per_key_latency": ("--batch-per-key-latency", "batching", "per-key marginal "
+                              "latency of a batch, virtual us"),
+    "shed_policy": ("--shed-policy", "shedding", "load-shedding policy: one of "
+                    f"{', '.join(sorted(SHED_POLICIES))} ({SHED_NONE}: no shedding plane)"),
+    "latency_bound": ("--latency-bound", "shedding", "max tolerable queueing delay in "
+                      "virtual us before shedding kicks in"),
+    "run_budget": ("--run-budget", "shedding", "max live partial matches per query before "
+                   "shedding kicks in"),
+    "slo_latency_bound": ("--slo-latency-bound", "slo", "SLO: p95 detection latency must stay "
+                          "below this many virtual us"),
+    "slo_recall_floor": ("--slo-recall-floor", "slo", "SLO: fraction of events that must "
+                         "survive shedding (e.g. 0.95)"),
+    "slo_fetch_budget": ("--slo-fetch-budget", "slo", "SLO: max wire requests per virtual second"),
+    "slo_in_detector": ("--slo-in-detector", "slo", "feed SLO burn rates into the shedding "
+                        "overload detector (needs --shed-policy)"),
+    "series_interval": ("--series-interval", "observability", "metric sampling cadence in "
+                        "virtual us (0: no series sampling)"),
+}
+
+
+def _value_type(hint: Any) -> type:
+    """The value type of a field annotation: ``int`` for ``int | None`` too."""
+    return next((arg for arg in typing.get_args(hint) if arg is not type(None)), hint)
+
+
+_FIELD_HINTS = typing.get_type_hints(EiresConfig)
+_FIELD_DEFAULTS = {field.name: field.default for field in dataclasses.fields(EiresConfig)}
+
+#: Each config flag's value type, from its ``EiresConfig`` annotation.
+_FLAG_TYPES: dict[str, type] = {name: _value_type(_FIELD_HINTS[name]) for name in CONFIG_FLAGS}
+#: Each config flag's default, the field's own — except ``cache_capacity``,
+#: whose unset ``None`` means "the workload's recommendation".
+_FLAG_DEFAULTS: dict[str, Any] = {
+    name: None if name == "cache_capacity" else _FIELD_DEFAULTS[name] for name in CONFIG_FLAGS
+}
+_NO_FAULTS = _FIELD_DEFAULTS["fault_profile"]
 
 
 def _config_defaults(argv: list[str]) -> dict[str, Any]:
     """Pre-scan ``argv`` for ``--config FILE`` and load it as flag defaults.
 
-    Returns argparse defaults (TOML keys mapped through
-    :data:`CONFIG_DEST_MAP`); parsing then layers explicit flags on top, so
-    precedence is built-in default < config file < command line.  Unknown
-    keys are a clean exit 2 — a typoed knob must not silently fall back.
+    Parsing then layers explicit flags on top, so precedence is built-in
+    default < config file < command line.  An unknown key or a value of the
+    wrong type is a clean exit 2 — a typoed knob must not silently fall
+    back.  The one widening is an integer for a float field.
     """
     path = None
     for index, token in enumerate(argv):
@@ -149,14 +181,18 @@ def _config_defaults(argv: list[str]) -> dict[str, Any]:
         raise SystemExit(2)
     defaults: dict[str, Any] = {}
     for key, value in loaded.items():
-        if key not in CONFIG_KEYS:
-            print(
-                f"error: unknown --config key {key!r} in {path}; "
-                f"accepted keys: {', '.join(CONFIG_KEYS)}",
-                file=sys.stderr,
-            )
+        if key not in CONFIG_FLAGS:
+            print(f"error: unknown --config key {key!r} in {path}; "
+                  f"accepted keys: {', '.join(CONFIG_FLAGS)}", file=sys.stderr)
             raise SystemExit(2)
-        defaults[CONFIG_DEST_MAP.get(key, key)] = value
+        expected = _FLAG_TYPES[key]
+        if expected is float and type(value) is int:
+            value = float(value)
+        if type(value) is not expected:
+            print(f"error: --config key {key!r} in {path} must be {expected.__name__}",
+                  file=sys.stderr)
+            raise SystemExit(2)
+        defaults[key] = value
     return defaults
 
 
@@ -164,34 +200,16 @@ def _build_parser(config_defaults: dict[str, Any] | None = None) -> argparse.Arg
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    compare = subparsers.add_parser("compare", help="compare fetching strategies")
-    engine = _add_engine_args(compare)
-    engine.add_argument("--strategies", nargs="+", default=list(ALL_STRATEGIES),
-                        choices=ALL_STRATEGIES, metavar="STRATEGY")
-    engine.add_argument("--failure-mode", choices=(FAIL_CLOSED, FAIL_OPEN),
-                        default=FAIL_CLOSED,
-                        help="how predicates treat terminally unavailable data")
-    engine.add_argument("--retry-attempts", type=int, default=3,
-                        help="max fetch attempts incl. the first (default: 3)")
+    compare = _add_run_parser(subparsers, "compare", "compare fetching strategies",
+                              _cmd_compare, config_defaults)
     compare.add_argument("--json", action="store_true",
                          help="emit the per-strategy summary rows as JSON")
-    _add_batching_args(compare)
-    _add_shedding_args(compare)
-    _add_observability_args(compare)
 
-    trace = subparsers.add_parser(
-        "trace", help="replay one strategy with full lifecycle tracing")
-    _add_engine_args(trace, strategy=True)
-    _add_batching_args(trace)
-    _add_shedding_args(trace)
-    _add_observability_args(trace)
+    _add_run_parser(subparsers, "trace", "replay one strategy with full lifecycle tracing",
+                    _cmd_trace, config_defaults)
 
-    report = subparsers.add_parser(
-        "report", help="run health report: latency attribution, SLOs, series")
-    engine = _add_engine_args(report, strategy=True)
-    engine.add_argument("--series-interval", type=float, default=0.0, metavar="US",
-                        help="metric sampling cadence in virtual us "
-                             "(0 disables series sampling; default: 0)")
+    report = _add_run_parser(subparsers, "report", "run health report: latency attribution, "
+                             "SLOs, series", _cmd_report, config_defaults)
     report.add_argument("--out", default=None, metavar="PATH",
                         help="also write the health report text to PATH")
     report.add_argument("--folded-out", default=None, metavar="PATH",
@@ -200,54 +218,54 @@ def _build_parser(config_defaults: dict[str, Any] | None = None) -> argparse.Arg
     report.add_argument("--series-out", default=None, metavar="PATH",
                         help="write the sampled metric series as JSONL to PATH "
                              "(needs --series-interval)")
-    _add_slo_args(report)
-    _add_batching_args(report)
-    _add_shedding_args(report)
-    _add_observability_args(report)
 
-    serve = subparsers.add_parser(
-        "serve", help="run a multi-tenant fleet over shared remote data")
-    _add_engine_args(serve, strategy=True)
+    serve = _add_run_parser(subparsers, "serve", "run a multi-tenant fleet over shared "
+                            "remote data", _cmd_serve, config_defaults)
     _add_serving_args(serve)
     serve.add_argument("--json", action="store_true",
                        help="emit the fleet and per-tenant summaries as JSON")
-    _add_batching_args(serve)
-    _add_shedding_args(serve)
-    _add_observability_args(serve)
 
     describe = subparsers.add_parser("describe", help="print a workload's automaton")
     describe.add_argument("--workload", choices=sorted(WORKLOADS), default="q1")
-
-    if config_defaults:
-        for sub in (compare, trace, report, serve):
-            sub.set_defaults(**config_defaults)
+    describe.set_defaults(func=_cmd_describe)
     return parser
 
 
-def _add_engine_args(
-    subparser: argparse.ArgumentParser, strategy: bool = False
-) -> argparse._ArgumentGroup:
-    """The core evaluation knobs every run subcommand shares."""
-    group = subparser.add_argument_group(
-        "engine", "workload selection and core evaluation knobs")
-    group.add_argument("--workload", choices=sorted(WORKLOADS), default="q1")
-    group.add_argument("--events", type=int, default=6_000,
-                       help="stream length (tasks x ~6 for 'cluster')")
-    if strategy:
-        group.add_argument("--strategy", choices=ALL_STRATEGIES, default="Hybrid")
-    group.add_argument("--policy", choices=(GREEDY, NON_GREEDY), default=GREEDY)
-    group.add_argument("--cache", choices=(CACHE_COST, CACHE_LRU), default=CACHE_COST)
-    group.add_argument("--capacity", type=int, default=None,
-                       help="cache capacity (default: the workload's recommendation)")
-    group.add_argument("--fault-profile", default="none", metavar="PROFILE",
-                       help="fault injection profile: one of "
-                            f"{', '.join(sorted(FAULT_PROFILES))}, or a spec like "
-                            "'drop:0.1' / 'drop:0.05,slow:0.1:8' (default: none)")
-    group.add_argument("--config", default=None, metavar="FILE",
-                       help="TOML file of EiresConfig fields loaded as flag "
-                            "defaults (explicit flags win); accepted keys: "
-                            f"{', '.join(CONFIG_KEYS)}")
-    return group
+def _add_run_parser(subparsers: Any, name: str, help_text: str, func: Callable[..., int],
+                    config_defaults: dict[str, Any] | None) -> argparse.ArgumentParser:
+    """A run subcommand: workload selection, every config flag, exports."""
+    sub = subparsers.add_parser(name, help=help_text)
+    groups = {title: sub.add_argument_group(title, text) for title, text in ARG_GROUPS.items()}
+    engine = groups["engine"]
+    engine.add_argument("--workload", choices=sorted(WORKLOADS), default="q1")
+    engine.add_argument("--events", type=int, default=6_000,
+                        help="stream length (tasks x ~6 for 'cluster')")
+    if name == "compare":
+        engine.add_argument("--strategies", nargs="+", default=list(ALL_STRATEGIES),
+                            choices=ALL_STRATEGIES, metavar="STRATEGY")
+    else:
+        engine.add_argument("--strategy", choices=ALL_STRATEGIES, default="Hybrid")
+    engine.add_argument("--config", default=None, metavar="FILE",
+                        help="TOML file of EiresConfig fields loaded as flag "
+                             "defaults (explicit flags win); accepted keys: "
+                             f"{', '.join(CONFIG_FLAGS)}")
+    for field_name, (flag, group, field_help) in CONFIG_FLAGS.items():
+        default, value_type = _FLAG_DEFAULTS[field_name], _FLAG_TYPES[field_name]
+        kind = {"action": "store_true"} if value_type is bool else {"type": value_type}
+        if default is not None and value_type is not bool:
+            field_help += " (default: %(default)s)"
+        groups[group].add_argument(flag, dest=field_name, default=default, help=field_help,
+                                   **kind)
+    observability = groups["observability"]
+    observability.add_argument("--trace-out", default=None, metavar="PATH",
+                               help="write the lifecycle trace to PATH")
+    observability.add_argument("--trace-format", choices=("chrome", "jsonl"), default="chrome",
+                               help="trace file format: Chrome trace-event JSON "
+                                    "(Perfetto-loadable) or raw JSON lines (default: chrome)")
+    observability.add_argument("--metrics-out", default=None, metavar="PATH",
+                               help="write per-strategy metrics registry snapshots to PATH")
+    sub.set_defaults(func=func, **(config_defaults or {}))
+    return sub
 
 
 def _add_serving_args(subparser: argparse.ArgumentParser) -> None:
@@ -269,92 +287,16 @@ def _add_serving_args(subparser: argparse.ArgumentParser) -> None:
                             "(default: max(1, rate limit))")
 
 
-def _add_batching_args(subparser: argparse.ArgumentParser) -> None:
-    group = subparser.add_argument_group(
-        "batching", "remote-fetch coalescing on the wire")
-    group.add_argument("--batch-window", type=float, default=0.0, metavar="US",
-                       help="batch coalescing window in virtual us "
-                            "(0 disables batching; default: 0)")
-    group.add_argument("--batch-max-keys", type=int, default=1, metavar="N",
-                       help="max keys per wire request (1 disables batching; "
-                            "default: 1)")
-    group.add_argument("--batch-fixed-latency", type=float, default=40.0,
-                       metavar="US", help="fixed per-wire-request latency "
-                                          "of a batch (default: 40)")
-    group.add_argument("--batch-per-key-latency", type=float, default=8.0,
-                       metavar="US", help="per-key marginal latency of a "
-                                          "batch (default: 8)")
+def _build_config(args: argparse.Namespace, workload: Workload) -> EiresConfig:
+    """The run's config: every :data:`CONFIG_FLAGS` field as parsed.
 
-
-def _batching_fields(args: argparse.Namespace) -> dict:
-    return {
-        "batch_window": args.batch_window,
-        "batch_max_keys": args.batch_max_keys,
-        "batch_fixed_latency": args.batch_fixed_latency,
-        "batch_per_key_latency": args.batch_per_key_latency,
-    }
-
-
-def _add_shedding_args(subparser: argparse.ArgumentParser) -> None:
-    group = subparser.add_argument_group(
-        "shedding", "load shedding under overload")
-    group.add_argument("--shed-policy", choices=sorted(SHED_POLICIES),
-                       default=SHED_NONE,
-                       help="load-shedding policy under overload "
-                            "(default: none — no shedding plane at all)")
-    group.add_argument("--latency-bound", type=float, default=None, metavar="US",
-                       help="max tolerable queueing delay in virtual us "
-                            "before shedding kicks in")
-    group.add_argument("--run-budget", type=int, default=None, metavar="N",
-                       help="max live partial matches per query before "
-                            "shedding kicks in")
-
-
-def _shedding_fields(args: argparse.Namespace) -> dict:
-    return {
-        "shed_policy": args.shed_policy,
-        "latency_bound": args.latency_bound,
-        "run_budget": args.run_budget,
-    }
-
-
-def _add_slo_args(subparser: argparse.ArgumentParser) -> None:
-    group = subparser.add_argument_group(
-        "slo", "service-level objectives and burn rates")
-    group.add_argument("--slo-latency-bound", type=float, default=None, metavar="US",
-                       help="SLO: p95 detection latency must stay below this "
-                            "many virtual us")
-    group.add_argument("--slo-recall-floor", type=float, default=None,
-                       metavar="FRACTION",
-                       help="SLO: fraction of events that must survive "
-                            "shedding (e.g. 0.95)")
-    group.add_argument("--slo-fetch-budget", type=float, default=None,
-                       metavar="RPS",
-                       help="SLO: max wire requests per virtual second")
-    group.add_argument("--slo-in-detector", action="store_true",
-                       help="feed SLO burn rates into the shedding overload "
-                            "detector (needs --shed-policy)")
-
-
-def _slo_fields(args: argparse.Namespace) -> dict:
-    return {
-        "slo_latency_bound": args.slo_latency_bound,
-        "slo_recall_floor": args.slo_recall_floor,
-        "slo_fetch_budget": args.slo_fetch_budget,
-        "slo_in_detector": args.slo_in_detector,
-    }
-
-
-def _add_observability_args(subparser: argparse.ArgumentParser) -> None:
-    group = subparser.add_argument_group(
-        "observability", "trace and metrics exports")
-    group.add_argument("--trace-out", default=None, metavar="PATH",
-                       help="write the lifecycle trace to PATH")
-    group.add_argument("--trace-format", choices=("chrome", "jsonl"), default="chrome",
-                       help="trace file format: Chrome trace-event JSON "
-                            "(Perfetto-loadable) or raw JSON lines (default: chrome)")
-    group.add_argument("--metrics-out", default=None, metavar="PATH",
-                       help="write per-strategy metrics registry snapshots to PATH")
+    The only ``EiresConfig`` construction of the CLI, so its
+    ``__post_init__`` validates flag and ``--config`` values alike.
+    """
+    values = {name: getattr(args, name) for name in CONFIG_FLAGS}
+    if values["cache_capacity"] is None:
+        values["cache_capacity"] = workload.notes["cache_capacity"]
+    return EiresConfig(**values)
 
 
 def _write_trace(records: list[dict], args: argparse.Namespace) -> None:
@@ -364,47 +306,29 @@ def _write_trace(records: list[dict], args: argparse.Namespace) -> None:
         write_jsonl(records, args.trace_out)
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    workload = WORKLOADS[args.workload](args.events)
-    capacity = args.capacity if args.capacity is not None else workload.notes["cache_capacity"]
-    config = EiresConfig(
-        policy=args.policy,
-        cache_policy=args.cache,
-        cache_capacity=capacity,
-        fault_profile=args.fault_profile,
-        failure_mode=args.failure_mode,
-        retry_max_attempts=args.retry_attempts,
-        **_batching_fields(args),
-        **_shedding_fields(args),
-    )
+def _cmd_compare(args: argparse.Namespace, workload: Workload, config: EiresConfig) -> int:
+    title = (f"{args.workload} / {config.policy} / {config.cache_policy} cache "
+             f"(capacity {config.cache_capacity})")
+    if config.fault_profile != _NO_FAULTS:
+        title += f" / faults={config.fault_profile}"
+    if config.shed_policy != SHED_NONE:
+        title += f" / shed={config.shed_policy}"
     sink = MemorySink() if args.trace_out is not None else None
-    rows = []
-    metrics: dict[str, dict] = {}
-    for strategy in args.strategies:
-        tracer = Tracer(sink, track=strategy) if sink is not None else None
-        result = run_strategy(workload, strategy, config, tracer=tracer)
-        row = result.summary()
-        if result.metrics is not None:
-            metrics[strategy] = result.metrics
-            # Surface the batch-size distribution next to the dropped-run
-            # ledger in machine-readable rows (flat keys, diffable).
-            histogram = result.metrics.get(TRANSPORT_BATCH_KEYS_METRIC)
-            if isinstance(histogram, dict):
-                row.update({
-                    f"{TRANSPORT_BATCH_KEYS_METRIC}.{key}": value
-                    for key, value in histogram.items()
-                })
-        rows.append(row)
+    experiment = run_strategy_suite(title, workload, config, args.strategies, trace_sink=sink)
+    rows = experiment.rows
+    for strategy, row in zip(args.strategies, rows):
+        # Surface the batch-size distribution next to the dropped-run
+        # ledger in machine-readable rows (flat keys, diffable).
+        histogram = experiment.metrics.get(strategy, {}).get(TRANSPORT_BATCH_KEYS_METRIC)
+        if isinstance(histogram, dict):
+            row.update({
+                f"{TRANSPORT_BATCH_KEYS_METRIC}.{key}": value
+                for key, value in histogram.items()
+            })
     if sink is not None:
         _write_trace(sink.records, args)
     if args.metrics_out is not None:
-        write_metrics_snapshot(metrics, args.metrics_out)
-    title = f"{args.workload} / {args.policy} / {args.cache} cache (capacity {capacity})"
-    if args.fault_profile != "none":
-        title += f" / faults={args.fault_profile}"
-    if args.shed_policy != SHED_NONE:
-        title += f" / shed={args.shed_policy}"
-    experiment = ExperimentResult(title, rows)
+        write_metrics_snapshot(experiment.metrics, args.metrics_out)
     if args.json:
         print(json.dumps({"name": title, "rows": rows}, indent=2, default=str))
         return 0
@@ -412,23 +336,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if "Hybrid" in args.strategies and len(args.strategies) > 1:
         print()
         print(experiment.comparison("p50"))
-    if args.fault_profile != "none":
+    if config.fault_profile != _NO_FAULTS:
         print()
         print(format_fault_summary(rows))
     return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    workload = WORKLOADS[args.workload](args.events)
-    capacity = args.capacity if args.capacity is not None else workload.notes["cache_capacity"]
-    config = EiresConfig(
-        policy=args.policy,
-        cache_policy=args.cache,
-        cache_capacity=capacity,
-        fault_profile=args.fault_profile,
-        **_batching_fields(args),
-        **_shedding_fields(args),
-    )
+def _cmd_trace(args: argparse.Namespace, workload: Workload, config: EiresConfig) -> int:
     sink = MemorySink()
     result = run_strategy(
         workload, args.strategy, config,
@@ -459,19 +373,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 1 if replay["problems"] else 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    workload = WORKLOADS[args.workload](args.events)
-    capacity = args.capacity if args.capacity is not None else workload.notes["cache_capacity"]
-    config = EiresConfig(
-        policy=args.policy,
-        cache_policy=args.cache,
-        cache_capacity=capacity,
-        fault_profile=args.fault_profile,
-        series_interval=args.series_interval,
-        **_slo_fields(args),
-        **_batching_fields(args),
-        **_shedding_fields(args),
-    )
+def _cmd_report(args: argparse.Namespace, workload: Workload, config: EiresConfig) -> int:
     sink = MemorySink()
     eires = EIRES(
         workload.query,
@@ -488,8 +390,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     slo_status = slo.status(eires.clock.now) if slo is not None else None
     series = result.series
     title = f"{args.workload} / {args.strategy} run health"
-    if args.fault_profile != "none":
-        title += f" / faults={args.fault_profile}"
+    if config.fault_profile != _NO_FAULTS:
+        title += f" / faults={config.fault_profile}"
     report = format_health_report(
         title,
         result.summary(),
@@ -521,17 +423,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 1 if replay["problems"] else 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    workload = WORKLOADS[args.workload](args.events)
-    capacity = args.capacity if args.capacity is not None else workload.notes["cache_capacity"]
-    config = EiresConfig(
-        policy=args.policy,
-        cache_policy=args.cache,
-        cache_capacity=capacity,
-        fault_profile=args.fault_profile,
-        **_batching_fields(args),
-        **_shedding_fields(args),
-    )
+def _cmd_serve(args: argparse.Namespace, workload: Workload, config: EiresConfig) -> int:
     sink = MemorySink() if args.trace_out is not None else None
     builder = FleetBuilder(
         workload.store, workload.latency_model,
@@ -616,17 +508,17 @@ def _cmd_describe(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = _build_parser(_config_defaults(argv)).parse_args(argv)
-    if args.command == "compare":
-        return _cmd_compare(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
     if args.command == "describe":
-        return _cmd_describe(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+        return args.func(args)
+    workload = WORKLOADS[args.workload](args.events)
+    try:
+        config = _build_config(args, workload)
+    except ValueError as exc:
+        # A rejected flag or --config value; the run below is deliberately
+        # not wrapped, so a genuine bug keeps its traceback.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return args.func(args, workload, config)
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.engine.engine import GREEDY, NON_GREEDY
 from repro.engine.interface import CostModel
+from repro.remote.faults import make_fault_model
 from repro.shedding.policy import SHED_NONE, SHED_POLICIES
 from repro.strategies.base import FAIL_CLOSED, FAIL_OPEN
 
@@ -112,9 +113,15 @@ class EiresConfig:
 
     def __post_init__(self) -> None:
         if self.policy not in (GREEDY, NON_GREEDY):
-            raise ValueError(f"unknown selection policy {self.policy!r}")
+            raise ValueError(
+                f"unknown selection policy {self.policy!r}; "
+                f"policy must be {GREEDY!r} or {NON_GREEDY!r}"
+            )
         if self.cache_policy not in (CACHE_LRU, CACHE_COST):
-            raise ValueError(f"unknown cache policy {self.cache_policy!r}")
+            raise ValueError(
+                f"unknown cache policy {self.cache_policy!r}; "
+                f"cache_policy must be {CACHE_COST!r} or {CACHE_LRU!r}"
+            )
         if self.cache_capacity <= 0:
             raise ValueError(f"cache capacity must be positive: {self.cache_capacity}")
         for name in ("omega_fetch", "omega_cache", "noise_ratio"):
@@ -123,8 +130,15 @@ class EiresConfig:
                 raise ValueError(f"{name} must be in [0, 1]: {value}")
         if self.utility_tick_interval < 1:
             raise ValueError("utility tick interval must be >= 1")
+        try:
+            make_fault_model(self.fault_profile)
+        except ValueError as exc:
+            raise ValueError(f"fault_profile {self.fault_profile!r}: {exc}") from None
         if self.failure_mode not in (FAIL_OPEN, FAIL_CLOSED):
-            raise ValueError(f"unknown failure mode {self.failure_mode!r}")
+            raise ValueError(
+                f"unknown failure mode {self.failure_mode!r}; "
+                f"failure_mode must be {FAIL_CLOSED!r} or {FAIL_OPEN!r}"
+            )
         if self.retry_max_attempts < 1:
             raise ValueError(f"retry_max_attempts must be >= 1: {self.retry_max_attempts}")
         if self.breaker_window < 1:
@@ -147,8 +161,8 @@ class EiresConfig:
             )
         if self.shed_policy not in SHED_POLICIES:
             raise ValueError(
-                f"unknown shedding policy {self.shed_policy!r}; choose from "
-                f"{sorted(SHED_POLICIES)}"
+                f"unknown shedding policy {self.shed_policy!r}; shed_policy "
+                f"must be one of {sorted(SHED_POLICIES)}"
             )
         if self.latency_bound is not None and self.latency_bound <= 0:
             raise ValueError(f"latency_bound must be positive: {self.latency_bound}")

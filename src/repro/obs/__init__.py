@@ -38,7 +38,7 @@ from repro.obs.provenance import (
     verify_shed_record,
     verify_span_record,
 )
-from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.registry import Gauge, Histogram, MetricsRegistry
 from repro.obs.series import SeriesSampler, load_series_jsonl, write_series_jsonl
 from repro.obs.slo import SloPlane, SloSpec
 from repro.obs.spans import SPAN_COMPONENTS, SpanTracker, aggregate_spans
@@ -60,7 +60,6 @@ __all__ = [
     "NullSink",
     "MemorySink",
     "JsonlSink",
-    "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

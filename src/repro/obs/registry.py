@@ -21,7 +21,6 @@ from typing import Any, Iterable
 from repro.metrics.latency import percentiles_of
 
 __all__ = [
-    "Counter",
     "CounterGroup",
     "Gauge",
     "Histogram",
@@ -70,22 +69,6 @@ class CounterGroup:
     def __repr__(self) -> str:
         inner = ", ".join(f"{key}={value}" for key, value in self.as_dict().items())
         return f"{type(self).__name__}({self.prefix}: {inner})"
-
-
-class Counter:
-    """A single named numeric cell (int or float), created on first use."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value: int | float = 0
-
-    def inc(self, amount: int | float = 1) -> None:
-        self.value += amount
-
-    def __repr__(self) -> str:
-        return f"Counter({self.name}={self.value})"
 
 
 class Gauge:
@@ -185,18 +168,10 @@ class MetricsRegistry:
 
     def __init__(self, histogram_qs: Iterable[float] = HISTOGRAM_PERCENTILES) -> None:
         self.histogram_qs = tuple(histogram_qs)
-        self._counters: dict[str, Counter] = {}
         # name -> (group, key) for every attached CounterGroup attribute.
         self._attached: dict[str, tuple[CounterGroup, str]] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
-
-    def counter(self, name: str) -> Counter:
-        metric = self._counters.get(name)
-        if metric is None:
-            self._check_fresh(name)
-            metric = self._counters[name] = Counter(name)
-        return metric
 
     def gauge(self, name: str) -> Gauge:
         metric = self._gauges.get(name)
@@ -226,16 +201,11 @@ class MetricsRegistry:
             self._attached[name] = (group, key)
 
     def _check_fresh(self, name: str) -> None:
-        if (
-            name in self._counters
-            or name in self._attached
-            or name in self._gauges
-            or name in self._histograms
-        ):
+        if name in self._attached or name in self._gauges or name in self._histograms:
             raise ValueError(f"metric {name!r} is already registered")
 
     def names(self) -> list[str]:
-        return sorted([*self._counters, *self._attached, *self._gauges, *self._histograms])
+        return sorted([*self._attached, *self._gauges, *self._histograms])
 
     def scoped(self, prefix: str) -> "ScopedRegistry":
         """A view of this registry that prefixes every metric name.
@@ -250,9 +220,7 @@ class MetricsRegistry:
         """All metrics as one flat, JSON-ready dict (sorted by name)."""
         data: dict[str, Any] = {}
         for name in self.names():
-            if name in self._counters:
-                data[name] = _rounded(self._counters[name].value)
-            elif name in self._attached:
+            if name in self._attached:
                 group, key = self._attached[name]
                 data[name] = _rounded(getattr(group, key))
             elif name in self._gauges:
@@ -263,7 +231,7 @@ class MetricsRegistry:
 
     def __repr__(self) -> str:
         return (
-            f"MetricsRegistry({len(self._counters) + len(self._attached)} counters, "
+            f"MetricsRegistry({len(self._attached)} counters, "
             f"{len(self._gauges)} gauges, {len(self._histograms)} histograms)"
         )
 
@@ -287,9 +255,6 @@ class ScopedRegistry:
     @property
     def root(self) -> MetricsRegistry:
         return self._root
-
-    def counter(self, name: str) -> Counter:
-        return self._root.counter(f"{self.prefix}.{name}")
 
     def attach(self, group: CounterGroup) -> None:
         self._root.attach(group, scope=f"{self.prefix}.")

@@ -6,5 +6,5 @@ from repro.obs.registry import CounterGroup
 def instrument(tracer, registry, now: float) -> None:
     if tracer.enabled:
         tracer.emit("fetch", "issue", now)
-    registry.counter("fetch.retries").inc()
+    registry.gauge("fetch.retries").set(1.0)
     CounterGroup("fetch", ("retries", "stalls"), registry)

@@ -9,5 +9,5 @@ def instrument(tracer, registry, now: float) -> None:
     if tracer.enabled:
         tracer.emit(CAT_FETCH, "issue", now)
     for key in STRATEGY_COUNTER_KEYS:
-        registry.counter(f"fetch.{key}")
+        registry.gauge(f"fetch.{key}")
     CounterGroup("fetch", STRATEGY_COUNTER_KEYS, registry)

@@ -1,10 +1,23 @@
 """Tests for the command-line interface."""
 
+import argparse
+import dataclasses
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from repro.cli import WORKLOADS, main
+from repro.cli import (
+    CONFIG_FLAGS,
+    WORKLOADS,
+    _build_config,
+    _build_parser,
+    _config_defaults,
+    main,
+)
+from repro.core.config import CACHE_LRU, EiresConfig
+from repro.engine.engine import NON_GREEDY
+from repro.strategies.base import FAIL_OPEN
 
 
 class TestDescribe:
@@ -170,3 +183,128 @@ class TestServe:
     def test_serve_rejects_unknown_placement(self):
         with pytest.raises(SystemExit):
             main(["serve", "--workload", "q1", "--placement", "astrology"])
+
+
+def exit_code(argv):
+    """``main``'s exit status, whether returned or raised as SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestConfigErrors:
+    """Every rejected config value is a worded exit 2, flag and TOML alike."""
+
+    @pytest.mark.parametrize("argv, toml, field", [
+        (["compare", "--shed-policy", "events"], None, "shed_policy"),
+        (["compare", "--fault-profile", "drop:2"], None, "fault_profile"),
+        (["compare", "--policy", "foo"], None, "policy"),
+        (["compare"], 'policy = "foo"\n', "policy"),
+        (["trace"], 'failure_mode = "open"\n', "failure_mode"),
+        (["compare"], "cache_capacity = 64.5\n", "cache_capacity"),
+        (["compare"], 'slo_in_detector = "yes"\n', "slo_in_detector"),
+    ], ids=["shed-no-bound", "fault-drop-2", "policy-flag", "policy-toml",
+            "trace-failure-mode", "capacity-float", "slo-in-detector-str"])
+    def test_bad_value_exits_two_naming_the_field(self, argv, toml, field, tmp_path, capsys):
+        argv = [*argv, "--workload", "q1", "--events", "100"]
+        if toml is not None:
+            path = tmp_path / "eires.toml"
+            path.write_text(toml)
+            argv += ["--config", str(path)]
+        assert exit_code(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and field in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_toml_type_error_names_key_path_and_type(self, tmp_path, capsys):
+        path = tmp_path / "eires.toml"
+        path.write_text("cache_capacity = 64.5\n")
+        assert exit_code(["compare", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --config key 'cache_capacity' in {path} must be int\n"
+        )
+
+    def test_int_widens_to_a_float_field(self, tmp_path):
+        path = tmp_path / "eires.toml"
+        path.write_text("batch_window = 50\n")
+        argv = ["compare", "--config", str(path)]
+        config = _build_config(_build_parser(_config_defaults(argv)).parse_args(argv), STUB)
+        assert config.batch_window == 50.0 and type(config.batch_window) is float
+
+
+RUN_COMMANDS = ("compare", "trace", "report", "serve")
+
+#: A valid non-default value for every config key.
+NON_DEFAULTS = {
+    "policy": NON_GREEDY,
+    "cache_policy": CACHE_LRU,
+    "cache_capacity": 64,
+    "fault_profile": "lossy",
+    "failure_mode": FAIL_OPEN,
+    "retry_max_attempts": 5,
+    "batch_window": 50.0,
+    "batch_max_keys": 8,
+    "batch_fixed_latency": 20.0,
+    "batch_per_key_latency": 4.0,
+    "shed_policy": "runs",
+    "latency_bound": 200.0,
+    "run_budget": 50,
+    "slo_latency_bound": 300.0,
+    "slo_recall_floor": 0.9,
+    "slo_fetch_budget": 1000.0,
+    "slo_in_detector": True,
+    "series_interval": 500.0,
+}
+
+#: Keys whose lone non-default value needs a companion to validate.
+COMPANIONS = {
+    "shed_policy": {"latency_bound": 200.0},
+    "slo_in_detector": {"slo_latency_bound": 300.0},
+}
+
+#: Stands in for a workload: the helper reads only the capacity note.
+STUB = SimpleNamespace(notes={"cache_capacity": 123})
+
+
+def subcommand_parsers():
+    parser = _build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: subparsers.choices[name] for name in RUN_COMMANDS}
+
+
+class TestConfigSurface:
+    """Flags and --config keys are one table derived from EiresConfig."""
+
+    def test_table_keys_are_config_fields(self):
+        fields = {field.name: field.default for field in dataclasses.fields(EiresConfig)}
+        assert set(CONFIG_FLAGS) <= set(fields)
+        assert set(NON_DEFAULTS) == set(CONFIG_FLAGS)
+        assert all(value != fields[name] for name, value in NON_DEFAULTS.items())
+
+    @pytest.mark.parametrize("command", RUN_COMMANDS)
+    def test_config_dests_and_defaults_match_the_fields(self, command):
+        sub = subcommand_parsers()[command]
+        fields = {field.name: field.default for field in dataclasses.fields(EiresConfig)}
+        dests = {action.dest for action in sub._actions} & set(fields)
+        assert dests == set(CONFIG_FLAGS)
+        for name in CONFIG_FLAGS:
+            expected = None if name == "cache_capacity" else fields[name]
+            assert sub.get_default(name) == expected, name
+
+    @pytest.mark.parametrize("command", RUN_COMMANDS)
+    def test_every_key_reaches_the_config(self, command, tmp_path):
+        flags = {name: flag for name, (flag, _, _) in CONFIG_FLAGS.items()}
+        for key, value in NON_DEFAULTS.items():
+            companions = COMPANIONS.get(key, {})
+            path = tmp_path / f"{key}.toml"
+            path.write_text("".join(
+                f"{name} = {json.dumps(v)}\n" for name, v in {key: value, **companions}.items()
+            ))
+            from_file = [command, "--config", str(path)]
+            from_flag = [command, flags[key]] + ([] if value is True else [str(value)])
+            for name, v in companions.items():
+                from_flag += [flags[name], str(v)]
+            for argv in (from_file, from_flag):
+                args = _build_parser(_config_defaults(argv)).parse_args(argv)
+                assert getattr(_build_config(args, STUB), key) == value, (command, key, argv)

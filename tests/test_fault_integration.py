@@ -248,7 +248,8 @@ class TestConfigValidation:
             EiresConfig(breaker_failure_threshold=0.0)
 
     def test_bad_fault_profile_fails_at_assembly(self):
+        # The config itself rejects the profile, so assembly never sees it.
         query, store = make_abc_scenario()
-        config = EiresConfig(fault_profile="explode:0.5")
-        with pytest.raises(ValueError, match="unknown fault term"):
-            EIRES(query, store, FixedLatency(10.0), strategy="BL1", config=config)
+        with pytest.raises(ValueError, match="fault_profile 'explode:0.5': unknown fault term"):
+            EIRES(query, store, FixedLatency(10.0), strategy="BL1",
+                  config=EiresConfig(fault_profile="explode:0.5"))

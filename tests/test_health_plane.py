@@ -21,7 +21,7 @@ from repro.core.framework import EIRES
 from repro.metrics.reporting import format_health_report
 from repro.obs.export import chrome_trace, folded_spans, write_chrome_trace, write_folded
 from repro.obs.provenance import replay_trace
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import CounterGroup, MetricsRegistry
 from repro.obs.series import SeriesSampler, load_series_jsonl, write_series_jsonl
 from repro.obs.slo import SLO_GAUGE_KEYS, SloPlane, SloSpec
 from repro.obs.spans import SPAN_COMPONENTS, SPAN_RECORD_NAME, aggregate_spans
@@ -189,13 +189,13 @@ class TestSloInRun:
 class TestSeriesSampler:
     def test_samples_align_to_cadence_grid(self):
         registry = MetricsRegistry()
-        counter = registry.counter("x.n")
+        counter = CounterGroup("x", ("n",), registry)
         sampler = SeriesSampler(registry, interval=100.0)
         assert not sampler.due(50.0)
-        counter.inc()
+        counter.n += 1
         assert sampler.due(130.0) and sampler.maybe_sample(130.0)
         # A long stall skips boundaries: one sample for the last crossed.
-        counter.inc()
+        counter.n += 1
         assert sampler.maybe_sample(450.0)
         assert not sampler.maybe_sample(460.0)
         sampler.finalize(470.0)
@@ -226,7 +226,7 @@ class TestSeriesSampler:
 
     def test_jsonl_round_trip(self, tmp_path):
         registry = MetricsRegistry()
-        registry.counter("a.b").inc(3)
+        registry.gauge("a.b").set(3)
         registry.histogram("c.d").observe(1.5, t=10.0)
         sampler = SeriesSampler(registry, interval=10.0)
         sampler.maybe_sample(10.0)

@@ -99,18 +99,21 @@ class TestTracer:
 class TestMetricsRegistry:
     def test_counters_are_idempotent_cells(self):
         registry = MetricsRegistry()
-        a = registry.counter("x.hits")
-        b = registry.counter("x.hits")
+        a = registry.gauge("x.hits")
+        b = registry.gauge("x.hits")
         assert a is b
-        a.inc()
-        a.inc(2)
+        a.set(3)
         assert registry.snapshot()["x.hits"] == 3
+        assert registry.histogram("x.lat") is registry.histogram("x.lat")
 
     def test_type_collision_rejected(self):
         registry = MetricsRegistry()
-        registry.counter("dual")
+        registry.gauge("dual")
         with pytest.raises(ValueError):
-            registry.gauge("dual")
+            registry.histogram("dual")
+        CounterGroup("x", ("n",), registry)
+        with pytest.raises(ValueError):
+            registry.gauge("x.n")
 
     def test_histogram_windowing_drops_old_samples(self):
         registry = MetricsRegistry()
@@ -129,7 +132,7 @@ class TestMetricsRegistry:
 
     def test_snapshot_is_sorted_and_flat(self):
         registry = MetricsRegistry()
-        registry.counter("b.n").inc()
+        CounterGroup("b", ("n",), registry).n += 1
         registry.gauge("a.g").set(1.5)
         snap = registry.snapshot()
         assert list(snap) == ["a.g", "b.n"]
@@ -176,7 +179,7 @@ class TestCounterGroup:
         with pytest.raises(ValueError, match="already registered"):
             CounterGroup("fetch", STRATEGY_COUNTER_KEYS, registry.scoped("tenant.a"))
         with pytest.raises(ValueError, match="already registered"):
-            registry.counter("tenant.a.fetch.retries")
+            registry.gauge("tenant.a.fetch.retries")
         CounterGroup("fetch", STRATEGY_COUNTER_KEYS, registry.scoped("tenant.b"))  # free name
 
 
