@@ -133,9 +133,10 @@ class Engine:
     def active_runs(self) -> int:
         return self._active
 
-    def runs_per_state(self) -> dict[int, int]:
-        """Current number of partial matches per class (for #P_j monitoring)."""
-        return {index: count for index, count in enumerate(self._state_counts) if count}
+    @property
+    def state_counts(self) -> list[int]:
+        """Live partial matches by state index (#P_j); the engine's own list."""
+        return self._state_counts
 
     def iter_runs(self):
         for buckets in self._runs.values():

@@ -132,10 +132,10 @@ class FetchStrategy(ObligationResolution, FetchPlane):
         """Called after the engine processed ``event`` (subclass hook)."""
 
     def _utility_tick(self) -> None:
-        # The engine is attached after construction; runs_per_state is wired
+        # The engine is attached after construction; state_counts is wired
         # by the pipeline through `bind_engine`.
         if self._engine is not None:
-            self.ctx.utility.tick(self.ctx.clock.now, self._engine.runs_per_state())
+            self.ctx.utility.tick(self.ctx.clock.now, self._engine.state_counts)
 
     _engine = None
 

@@ -4,8 +4,11 @@ Utility combines two measures per data element ``d``:
 
 * **urgent utility** ``UU(d,k)`` (Eq. 3): the number of current partial
   matches that require ``d`` — or an element contained in ``d`` — to process
-  the next event, weighted by the monitored transmission latency.  It is
-  maintained incrementally from run creation/drop notifications.
+  the next event, weighted by the monitored transmission latency.  Its run
+  index is written on read: a created run waits in a pending set (a drop
+  before the read just removes it); a read files every pending run, oldest
+  first.  Pending runs are younger than indexed ones, so a read sees exactly
+  the undropped runs, each key's in registration order — the eager index.
 * **future utility** ``FU(d,k,k')`` (Eq. 4): the sum of the element's
   urgent utilities over the future horizon.  Two components realise it:
 
@@ -34,6 +37,8 @@ of Eq. 3 and Eq. 6.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.nfa.automaton import Automaton, State
 from repro.nfa.run import Run
 from repro.remote.element import DataKey
@@ -44,6 +49,7 @@ from repro.utility.noise import NoiseModel
 __all__ = ["UtilityModel", "required_keys"]
 
 _DECAY = 0.5
+_DECAY_INTERVAL = 64  # ticks between two decays of the Alg. 2 counters
 
 
 def required_keys(run: Run, include_future_states: bool = False) -> tuple[DataKey, ...]:
@@ -85,7 +91,7 @@ def _downstream_sites(state: State) -> tuple[tuple[str, str, str], ...]:
 
 
 class UtilityModel:
-    """Incrementally maintained utility estimates for data elements."""
+    """Utility estimates for data elements, kept from run notifications."""
 
     def __init__(
         self,
@@ -94,13 +100,11 @@ class UtilityModel:
         latency_monitor: LatencyMonitor,
         horizon_events: float | None = None,
         noise: NoiseModel | None = None,
-        decay_interval_events: int = 64,
     ) -> None:
         self._automaton = automaton
         self._store = store
         self._monitor = latency_monitor
         self._noise = noise if noise is not None else NoiseModel(0.0)
-        self._decay_interval = decay_interval_events
         if horizon_events is None:
             # Eq. 6's (k'-k) horizon: estimate utility up to one window ahead.
             window = automaton.window
@@ -110,11 +114,12 @@ class UtilityModel:
         # UU: live partial matches requiring each key (Eq. 3 counts), with
         # the run's window anchor kept for residual-lifetime estimation.
         self._uu_runs: dict[DataKey, dict[int, tuple[float, int]]] = {}
+        self._unindexed: dict[int, Run] = {}  # registered since the last read
         # Alg. 2 state: tranKey(d, j) and tranClass(j) as decayed counters.
         self._tran_key: dict[int, dict[DataKey, float]] = {}
         self._tran_class: dict[int, float] = {}
-        # #P_j(k): EWMA of the per-class live-run counts.
-        self._class_counts: dict[int, float] = {}
+        # #P_j(k): EWMA of the per-class live-run counts, by state index.
+        self._class_counts = [0.0] * automaton.n_states
         self._events_seen = 0
         self._now = 0.0
 
@@ -146,13 +151,13 @@ class UtilityModel:
         if not keys:
             return
         per_class = self._tran_key.setdefault(class_index, {})
-        anchor = (run.first_t, run.first_seq)
         for key in keys:
             per_class[key] = per_class.get(key, 0.0) + 1.0
-            for ancestor_key in self._store.lookup(key).ancestor_keys():
-                self._uu_runs.setdefault(ancestor_key, {})[run.run_id] = anchor
+        self._unindexed[run.run_id] = run
 
     def on_run_dropped(self, run: Run) -> None:
+        if self._unindexed.pop(run.run_id, None) is not None:
+            return
         for key in run.required_keys:
             for ancestor_key in self._store.lookup(key).ancestor_keys():
                 runs = self._uu_runs.get(ancestor_key)
@@ -162,15 +167,16 @@ class UtilityModel:
                 if not runs:
                     del self._uu_runs[ancestor_key]
 
-    def tick(self, now: float, runs_per_state: dict[int, int]) -> None:
-        """Periodic refresh: advance time, update #P_j, decay counters."""
+    def tick(self, now: float, counts: Sequence[int]) -> None:
+        """Periodic refresh: advance time, update #P_j from ``counts``, decay counters."""
         self._now = now
         self._events_seen += 1
-        for state_index in range(self._automaton.n_states):
-            current = float(runs_per_state.get(state_index, 0))
-            previous = self._class_counts.get(state_index, current)
-            self._class_counts[state_index] = 0.9 * previous + 0.1 * current
-        if self._events_seen % self._decay_interval == 0:
+        smoothed = self._class_counts
+        if self._events_seen == 1:
+            smoothed[:] = counts  # previous = current on the first tick
+        for state_index, current in enumerate(counts):
+            smoothed[state_index] = 0.9 * smoothed[state_index] + 0.1 * current
+        if self._events_seen % _DECAY_INTERVAL == 0:
             for per_class in self._tran_key.values():
                 stale = []
                 for key in per_class:
@@ -193,6 +199,14 @@ class UtilityModel:
         closes, and the remaining fraction of the window, scaled to events,
         is its exact contribution to the future urgent utilities of Eq. 4.
         """
+        if self._unindexed:  # file the runs registered since the last read
+            uu_runs = self._uu_runs
+            for run_id, run in self._unindexed.items():
+                anchor = (run.first_t, run.first_seq)
+                for required in run.required_keys:
+                    for ancestor_key in self._store.lookup(required).ancestor_keys():
+                        uu_runs.setdefault(ancestor_key, {})[run_id] = anchor
+            self._unindexed.clear()
         runs = self._uu_runs.get(key)
         stochastic = residual = 0.0
         if not (self._noise.active and self._noise.flip(("fu", key), self._now)):
@@ -204,7 +218,7 @@ class UtilityModel:
                 if class_total <= 0:
                     continue
                 probability = min(weight / class_total, 1.0)
-                stochastic += self._class_counts.get(class_index, 0.0) * probability
+                stochastic += self._class_counts[class_index] * probability
             if runs:
                 # Window length expressed in events: count windows carry it
                 # directly, time windows are scaled through the
@@ -245,10 +259,10 @@ class UtilityModel:
 
     def class_count(self, state_index: int) -> float:
         """``#P_j(k)``: smoothed number of live partial matches of a class."""
-        return self._class_counts.get(state_index, 0.0)
+        return self._class_counts[state_index]
 
     def __repr__(self) -> str:
         return (
-            f"UtilityModel({len(self._uu_runs)} urgent keys, "
+            f"UtilityModel({len(self._uu_runs)} keys, {len(self._unindexed)} runs unindexed, "
             f"{sum(len(v) for v in self._tran_key.values())} tran-key counters)"
         )

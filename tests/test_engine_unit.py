@@ -229,3 +229,4 @@ class TestEngineAccounting:
                       config=EiresConfig(cache_capacity=50))
         eires.run(random_stream(150, seed=4))
         assert eires.utility._uu_runs == {}
+        assert eires.utility._unindexed == {}

@@ -364,21 +364,25 @@ def test_detection_times_nondecreasing(seed, strategy):
 
 
 def _recount(engine):
-    return {
-        index: total
-        for index, buckets in engine._runs.items()
-        if (total := sum(len(runs) for runs in buckets.values()))
-    }
+    return [
+        sum(len(runs) for runs in engine._runs.get(index, {}).values())
+        for index in range(engine.automaton.n_states)
+    ]
 
 
-def _check_counts_after(engine, method):
+def _check_counts_after(engine, method, utility=None):
     original = getattr(engine, method)
 
     def checked(*args, **kwargs):
         result = original(*args, **kwargs)
         recount = _recount(engine)
-        assert engine.runs_per_state() == recount, method
-        assert engine.active_runs == sum(recount.values()), method
+        assert engine.state_counts == recount, method
+        assert engine.active_runs == sum(recount), method
+        if utility is not None:
+            # Runs waiting for the utility index are live runs: the pending
+            # set is bounded by the run table.
+            live = {run.run_id for run in engine.iter_runs()}
+            assert set(utility._unindexed) <= live, method
         return result
 
     setattr(engine, method, checked)
@@ -414,9 +418,9 @@ def test_runs_per_state_counters_equal_a_recount(seed, policy, strategy, cap, sh
     eires = EIRES(query, store, FixedLatency(50.0), strategy=strategy, config=config)
     engine = eires.engine
     for method in ("process_event", "_expire", "shed_lowest", "flush"):
-        _check_counts_after(engine, method)
+        _check_counts_after(engine, method, eires.utility)
     eires.run(random_stream(120, seed=seed, id_domain=2, v_domain=6))
-    assert engine.runs_per_state() == {} and engine.active_runs == 0
+    assert engine.state_counts == [0] * engine.automaton.n_states and engine.active_runs == 0
 
 
 # -- generated guards vs. the interpretive reference -------------------------------
@@ -565,7 +569,7 @@ def _bucket_observables(engine, strategy, tally, runs, outcome):
         "stats": engine.stats.as_dict(),
         "tallies": (tally.evaluations, tally.passes),
         "live": [name(run) for run in engine.iter_runs()],
-        "counts": (engine.active_runs, engine.runs_per_state()),
+        "counts": (engine.active_runs, list(engine.state_counts)),
         "callbacks": [(kind, name(run), at) for kind, run, at in strategy.log],
     }
 
@@ -827,8 +831,8 @@ def test_indexed_sweep_agrees_with_the_exhaustive_filter(ops, window, policy):
             engine.flush(strategy)
             assert not engine._anchors
         recount = _recount(engine)
-        assert engine.runs_per_state() == recount
-        assert engine.active_runs == sum(recount.values())
+        assert engine.state_counts == recount
+        assert engine.active_runs == sum(recount)
     # One anchor per family started inside the window, at most.
     assert sum(len(anchors) for anchors in engine._anchors.values()) <= seq
 

@@ -1,5 +1,7 @@
 """Unit tests for the utility model, rate estimation, and noise (§4)."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -118,7 +120,7 @@ class TestUtilityModel:
         automaton = build_automaton()
         for i in range(10):
             model.on_run_created(run_at(automaton, 2, {"v": 7}))
-            model.tick(float(i), {2: i + 1})
+            model.tick(float(i), [0, 0, i + 1, 0])
         assert model.future_utility(("r", 7)) > 0.0
         # A key never required by any run has no future utility.
         assert model.future_utility(("r", 999)) == 0.0
@@ -144,24 +146,25 @@ class TestUtilityModel:
         model, _ = self._model(noise=noisy)
         automaton = build_automaton()
         model.on_run_created(run_at(automaton, 2, {"v": 7}))
-        model.tick(0.0, {2: 5})
+        model.tick(0.0, [0, 0, 5, 0])
         assert model.future_utility(("r", 7)) == 0.0
 
     def test_decay_forgets_old_counters(self):
         model, _ = self._model()
         automaton = build_automaton()
         model.on_run_created(run_at(automaton, 2, {"v": 7}))
-        model.tick(0.0, {2: 5})
+        model.tick(0.0, [0, 0, 5, 0])
         before = model.future_utility(("r", 7))
         assert before > 0.0
         for i in range(1, 4096):
-            model.tick(float(i), {2: 5})  # class still busy, key never needed
+            model.tick(float(i), [0, 0, 5, 0])  # class still busy, key never needed
         after = model.future_utility(("r", 7))
         assert after < before
 
 
-# The parent commit's Eq. 5 chain, verbatim, as functions over a model's
-# state: the reference ``UtilityModel.terms`` / ``value`` must equal with ==.
+# The Eq. 5 chain ``terms`` replaced, as functions over a model's state (its
+# index read from an _EagerIndex): ``UtilityModel.terms`` / ``value`` must
+# equal it with ==.
 def _chain_urgent_utility(self, key):
     runs = self._uu_runs.get(key)
     if not runs:
@@ -197,7 +200,7 @@ def _chain_future_utility(self, key):
         if class_total <= 0:
             continue
         probability = min(weight / class_total, 1.0)
-        stochastic += self._class_counts.get(class_index, 0.0) * probability
+        stochastic += self._class_counts[class_index] * probability
     residual = _chain_residual_life_events(self, key)
     if not stochastic and not residual:
         return 0.0
@@ -227,36 +230,95 @@ _lifecycle_op = st.one_of(
         st.integers(min_value=0, max_value=4),
         st.sampled_from([0.0, 1.0, 12.5, 300.0]),
     ),
+    st.tuples(st.just("read")),
 )
+
+
+class _EagerIndex:
+    """The parent commit's index writes, verbatim: every run walks its keys'
+    ancestors into ``_uu_runs`` when created and back out when dropped."""
+
+    def __init__(self, store):
+        self._store = store
+        self._uu_runs = {}
+
+    def on_run_created(self, run):
+        anchor = (run.first_t, run.first_seq)
+        for key in run.required_keys:
+            for ancestor_key in self._store.lookup(key).ancestor_keys():
+                self._uu_runs.setdefault(ancestor_key, {})[run.run_id] = anchor
+
+    def on_run_dropped(self, run):
+        for key in run.required_keys:
+            for ancestor_key in self._store.lookup(key).ancestor_keys():
+                runs = self._uu_runs.get(ancestor_key)
+                if runs is None:
+                    continue
+                runs.pop(run.run_id, None)
+                if not runs:
+                    del self._uu_runs[ancestor_key]
+
+
+class _CountingStore(RemoteStore):
+    def __init__(self):
+        super().__init__()
+        self.lookups = 0
+
+    def lookup(self, key):
+        self.lookups += 1
+        return super().lookup(key)
 
 
 class TestTermsContract:
     """``terms`` is the one evaluation of Eq. 5's inputs: never below the
     floor the cache's early stop rests on, and bit-equal to the chain it
-    replaced."""
+    replaced over the index eager writes would have built — whenever it is
+    read, while an unread model never touches the store."""
 
     @given(
         window=st.sampled_from(["WITHIN 100 EVENTS", "WITHIN 500 us"]),
         noise_ratio=st.sampled_from([0.0, 0.3]),
         hierarchical=st.booleans(),
+        reads=st.sampled_from(["at read ops", "never", "after every op"]),
         ops=st.lists(_lifecycle_op, max_size=40),
     )
     @settings(max_examples=150, deadline=None)
     def test_terms_nonnegative_and_value_equals_the_chain(
-        self, window, noise_ratio, hierarchical, ops
+        self, window, noise_ratio, hierarchical, reads, ops
     ):
         automaton = compile_query(
             parse_query(f"SEQ(A a, B b, C c) WHERE c.v IN REMOTE<r>[a.v] {window}", name="t")
         )
-        store = RemoteStore()
+        store, reference_store = _CountingStore(), RemoteStore()
         keys = [("r", v) for v in range(5)] + [("r", "never named")]
         if hierarchical:
-            container = store.put("r", "all", "container", size=0)
-            for v in range(5):
-                store.put("r", v, "part", size=1, parent=container)
+            for filled in (store, reference_store):
+                container = filled.put("r", "all", "container", size=0)
+                for v in range(5):
+                    filled.put("r", v, "part", size=1, parent=container)
             keys.append(("r", "all"))
         monitor = LatencyMonitor(prior=10.0)
         model = UtilityModel(automaton, store, monitor, noise=NoiseModel(noise_ratio))
+        eager = _EagerIndex(reference_store)
+
+        def read():
+            for key in keys:
+                urgent, future = model.terms(key)
+                # The model's own state, with the eager index in place of its own.
+                reference = SimpleNamespace(**{**vars(model), "_uu_runs": eager._uu_runs})
+                assert urgent >= 0.0 and future >= 0.0
+                assert (urgent, future) == (
+                    _chain_urgent_utility(reference, key),
+                    _chain_future_utility(reference, key),
+                )
+                for omega in (0.0, 0.3, 1.0):
+                    assert model.value(key, omega) == _chain_value(reference, key, omega)
+            # Same runs under every key, in the same order.
+            assert {key: list(runs.items()) for key, runs in model._uu_runs.items()} == {
+                key: list(runs.items()) for key, runs in eager._uu_runs.items()
+            }
+            assert not model._unindexed
+
         live = []
         now = 0.0
         for op in ops:
@@ -265,23 +327,26 @@ class TestTermsContract:
                 run = run_at(automaton, state_index, {"v": v})
                 run.first_seq, run.first_t = anchor, float(anchor)
                 model.on_run_created(run)
+                eager.on_run_created(run)
                 live.append(run)
             elif op[0] == "drop":
                 if live:
-                    model.on_run_dropped(live.pop(op[1] % len(live)))
+                    run = live.pop(op[1] % len(live))
+                    model.on_run_dropped(run)
+                    eager.on_run_dropped(run)
             elif op[0] == "tick":
                 for _ in range(op[1]):
                     now += 7.0
-                    model.tick(now, {1: op[2], 2: op[2] // 2})
-            else:
+                    model.tick(now, [0, op[2], op[2] // 2, 0])
+            elif op[0] == "record":
                 monitor.record(("r", op[1]), op[2])
-            for key in keys:
-                urgent, future = model.terms(key)
-                assert urgent >= 0.0 and future >= 0.0
-                assert urgent == _chain_urgent_utility(model, key)
-                assert future == _chain_future_utility(model, key)
-                for omega in (0.0, 0.3, 1.0):
-                    assert model.value(key, omega) == _chain_value(model, key, omega)
+            elif reads == "at read ops":
+                read()
+            if reads == "after every op":
+                read()
+        if reads == "never":
+            assert store.lookups == 0
+        read()
 
 
 class TestRateEstimator:
