@@ -30,9 +30,10 @@ bucket whose dispatch entry is one transition without remote predicates, and
 whose runs carry no obligations, needs no strategy decision between two
 guards: ``_step_bucket`` runs the transition's generated loop over the whole
 bucket (:mod:`repro.query.guards`) and replays its ordered outcomes, each at
-its own virtual time.  Every other bucket goes through ``_step_runs``, one
-hand-written loop that consults the strategy between guards; the two are
-bit-for-bit the same computation.
+its own virtual time, building matches and extensions from one environment
+copy and moving the clock only where a drop is reported.  Every other bucket
+goes through ``_step_runs``, one hand-written loop that consults the strategy
+between guards; the two are bit-for-bit the same computation.
 
 The strategy hears about partial matches in batches — ``on_runs_created``
 once per event, ``on_runs_dropped`` once per sweep, flush or shedding pass —
@@ -386,12 +387,15 @@ class Engine:
         obligations, or the loop raised (``_step_runs`` then raises the
         descriptive error, or returns the right answer).
 
-        The loop only computes; its ordered outcomes are replayed here with
-        the clock at each outcome's own time, so ``created_at``,
-        ``detected_at``, spans and trace records see what the per-run path
-        shows them.  Nothing between two guards of such a bucket charges the
-        clock: the transition has no remote predicates and no run carries
-        an obligation, so no strategy decision sits between them.
+        The loop only computes; its ordered outcomes are replayed here, each
+        at its own time ``at``.  A pass builds the extension's environment
+        once and from it the match (a final target) and the live run (a
+        target with transitions) in place: no ``Run`` for a leaf final.
+        ``created_at``, ``detected_at`` and spans are ``at``, and the clock
+        is published only before a drop, whose trace record reads it.  That
+        is what the per-run path shows them because nothing between two
+        guards of such a bucket charges the clock: the transition has no
+        remote predicates and no run carries an obligation.
         """
         clock = self.clock
         tally = strategy.guard_tally(transition)
@@ -412,13 +416,21 @@ class Engine:
         now, charged, tally.evaluations, tally.passes, outcomes = result
         stats = self.stats
         consume = self.policy != GREEDY
+        target, binding = transition.target, transition.binding
+        final, live = target.is_final, bool(target.transitions)
+        spans = getattr(strategy, "spans", None)
         expired = 0
         gone: set[Run] = set()
         for run, at, passed in outcomes:
-            clock.advance_to(at)
             if passed:
-                extension = run.extend(transition, event, (), created_at=at)
-                self._admit_extension(extension, strategy, new_runs, matches)
+                env = dict(run.env)
+                env[binding] = event
+                if final:
+                    last_event_t = max([bound.t for bound in env.values()])
+                    span = spans.capture(last_event_t, at) if spans is not None else None
+                    matches.append(MatchRecord(env, last_event_t, at, 0.0, span))
+                if live:
+                    new_runs.append(Run(target, env, run.first_t, run.first_seq, event.seq, (), at))
                 if not consume:
                     continue
                 stats.runs_consumed += 1
@@ -426,6 +438,7 @@ class Engine:
             else:
                 expired += 1
                 reason = "expired"
+            clock.advance_to(at)
             strategy.on_runs_dropped((run,), reason)
             gone.add(run)
         clock.advance_to(now)

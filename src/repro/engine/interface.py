@@ -63,7 +63,9 @@ class MatchRecord:
     ``span`` is the critical-path attribution captured by
     :class:`repro.obs.spans.SpanTracker` at emission time (a dict of
     :data:`~repro.obs.spans.SPAN_COMPONENTS` summing to :attr:`latency`);
-    ``None`` when tracing is disabled.
+    ``None`` when tracing is disabled.  ``events`` is the mapping given,
+    kept rather than copied: the engine hands over a run's environment,
+    which nothing mutates once built.
     """
 
     __slots__ = ("events", "last_event_t", "detected_at", "fetch_wait", "span")
@@ -76,7 +78,7 @@ class MatchRecord:
         fetch_wait: float = 0.0,
         span: dict[str, float] | None = None,
     ) -> None:
-        self.events = dict(events)
+        self.events = events
         self.last_event_t = last_event_t
         self.detected_at = detected_at
         self.fetch_wait = fetch_wait

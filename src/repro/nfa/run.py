@@ -141,18 +141,15 @@ class Run:
         event: Event,
         new_obligations: tuple[Obligation, ...],
         created_at: float,
-        env: dict[str, Event] | None = None,
+        env: dict[str, Event],
     ) -> "Run":
         """The run that results from consuming ``event`` along ``transition``.
 
-        ``env`` is the extension's environment when the caller has already
-        built it (to resolve remote predicates against); it may be shared
-        with the obligations issued there — nothing mutates an environment
-        once its run exists.
+        ``env`` is the extension's environment, which the caller has already
+        built (to resolve remote predicates against); it may be shared with
+        the obligations issued there — nothing mutates an environment once
+        its run exists.
         """
-        if env is None:
-            env = dict(self.env)
-            env[transition.binding] = event
         return Run(
             state=transition.target,
             env=env,
@@ -166,13 +163,6 @@ class Run:
     def add_obligations(self, extra: tuple[Obligation, ...]) -> None:
         """Attach further obligations (the retained branch of a split)."""
         self.obligations = self.obligations + extra
-
-    @property
-    def has_obligations(self) -> bool:
-        return bool(self.obligations)
-
-    def events(self) -> Mapping[str, Event]:
-        return self.env
 
     def __repr__(self) -> str:
         bound = ",".join(self.env)

@@ -34,12 +34,15 @@ def real_tree() -> tuple[ModuleIndex, AnalysisResult]:
 class RecordingStrategy:
     """The engine-facing strategy protocol for local-only queries, over a
     real :class:`RateEstimator`: drives an ``Engine`` directly and logs every
-    run callback with the clock it saw."""
+    run callback with the clock it saw.  ``spans``, when given, is the
+    :class:`~repro.obs.spans.SpanTracker` the engine captures match spans
+    from."""
 
     name = "recording"
 
-    def __init__(self, clock) -> None:
+    def __init__(self, clock, spans=None) -> None:
         self.clock = clock
+        self.spans = spans
         self.rates = RateEstimator()
         self.log: list[tuple] = []
 

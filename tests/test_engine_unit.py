@@ -43,7 +43,7 @@ class TestRunStructure:
 
         second = Event(9.0, {"type": "B"}, seq=1)
         transition = automaton.states[1].transitions[0]
-        extended = run.extend(transition, second, (), created_at=9.5)
+        extended = run.extend(transition, second, (), created_at=9.5, env={**run.env, "b": second})
         assert extended.state.is_final
         assert extended.env["b"] is second
         # The original run is untouched (greedy split keeps it alive).
@@ -59,7 +59,7 @@ class TestRunStructure:
         run = Run.start(automaton.states[1], "a", Event(1.0, {"type": "A"}, seq=0), 1.0)
         predicate = Comparison("=", Const(1), Const(1))
         run.add_obligations((Obligation((predicate,), False, 0.0, env={}),))
-        assert run.has_obligations
+        assert run.obligations
         assert len(run.obligations) == 1
 
 
@@ -124,6 +124,24 @@ class TestBucketOrder:
         forward, backward = detected
         assert len(forward) == 4 and forward.keys() == backward.keys()
         assert forward != backward
+
+
+class TestBucketReplay:
+    def test_a_match_builds_no_run(self):
+        """The outcome replay builds a leaf final's match straight from the
+        extension's environment: every ``Run`` built is a run created."""
+        automaton = compile_query(parse_query("SEQ(A a, B b) WITHIN 6 EVENTS", name="t"))
+        clock = VirtualClock()
+        engine, strategy = Engine(automaton, clock), RecordingStrategy(clock)
+        assert (1, "B") in engine._bucket_transitions
+        before = Run._next_id
+        matches = []
+        for seq, kind in enumerate("AABAB" * 6):
+            matches += engine.process_event(Event(10.0 * seq, {"type": kind}, seq=seq), strategy)
+        assert engine.stats.runs_created == 18 and len(matches) > 18
+        assert Run._next_id - before == engine.stats.runs_created
+        for match in matches:
+            assert type(match.events) is dict and list(match.events) == ["a", "b"]
 
 
 class TestEnvironments:

@@ -18,6 +18,7 @@ from repro.metrics.latency import percentile
 from repro.nfa.compiler import compile_query
 from repro.nfa.run import Run
 from repro.obs.provenance import replay_trace
+from repro.obs.spans import SpanTracker
 from repro.obs.trace import NULL_TRACER, MemorySink, Tracer
 from repro.query.errors import RemoteDataUnavailable
 from repro.query.guards import compile_bucket_loop, compile_guard, compile_remote, interpret_guard
@@ -515,17 +516,29 @@ def test_generated_guard_agrees_with_the_interpretive_loop(predicates, bound, cu
 
 _NOW_SEQ, _NOW_T = 100, 1000.0
 _WINDOW = {"count": "WITHIN 5 EVENTS", "time": "WITHIN 50 us"}
+# What ``b`` binds into — an inner state, a leaf final state, and a final
+# state that keeps matching the longer alternative — as (pattern, final,
+# transitions out).
+_TARGETS = {
+    "inner": ("SEQ(A a, B b, C c)", False, 1),
+    "leaf": ("SEQ(A a, B b)", True, 0),
+    "successors": ("SEQ(A a, B b) OR SEQ(A a, B b, C c)", True, 1),
+}
 
 
 def _bucket_engine(predicates, parents, window, policy, final, start, guard_cost, warm, loop):
     """An engine whose state-1 bucket holds ``parents``, about to see a ``B``.
 
-    The ``a -> b`` transition carries ``predicates``; ``loop`` False leaves
-    the engine no bucket loop to call, which is the per-run path.
+    The ``a -> b`` transition carries ``predicates`` and leads to the
+    ``final`` shape of :data:`_TARGETS`; ``loop`` False leaves the engine no
+    bucket loop to call, which is the per-run path.  The strategy captures
+    spans, picked up at ``start``.
     """
-    pattern = "SEQ(A a, B b)" if final else "SEQ(A a, B b, C c)"
+    pattern, is_final, successors = _TARGETS[final]
     automaton = compile_query(parse_query(f"{pattern} {_WINDOW[window]}", name="t"))
     assert automaton.window.kind == window
+    target = automaton.states[2]
+    assert (target.is_final, len(target.transitions)) == (is_final, successors)
     transition = automaton.states[1].transitions[0]
     transition.local_predicates = tuple(predicates)
     transition.guard = compile_guard(predicates, "b")
@@ -534,7 +547,9 @@ def _bucket_engine(predicates, parents, window, policy, final, start, guard_cost
     engine = Engine(automaton, clock, CostModel(per_guard_cost=guard_cost), policy=policy)
     if not loop:
         engine._bucket_transitions = {}
-    strategy = RecordingStrategy(clock)
+    spans = SpanTracker()
+    spans.begin_event(start)
+    strategy = RecordingStrategy(clock, spans)
     tally = strategy.guard_tally(transition)
     tally.evaluations, tally.passes = warm
     runs = []
@@ -560,7 +575,8 @@ def _bucket_observables(engine, strategy, tally, runs, outcome):
 
     if isinstance(outcome, list):
         outcome = [
-            (match.signature(), match.detected_at, match.last_event_t, match.fetch_wait)
+            (match.signature(), match.detected_at, match.last_event_t, match.fetch_wait,
+             match.span)
             for match in outcome
         ]
     return {
@@ -590,7 +606,7 @@ def _bucket_observables(engine, strategy, tally, runs, outcome):
     current=st.fixed_dictionaries({"x": _payload, "y": _payload}),
     window=st.sampled_from(["count", "time"]),
     policy=st.sampled_from(["greedy", "non_greedy"]),
-    final=st.booleans(),
+    final=st.sampled_from(sorted(_TARGETS)),
     start=st.floats(min_value=0.0, max_value=1e7, allow_nan=False),
     guard_cost=st.sampled_from([0.05, 0.0, 0.3, 1e-9]),
     warm=st.tuples(
@@ -643,7 +659,7 @@ def test_expiry_sweep_is_window_admits_in_bucket_order(ages, window):
     their order and the expired are reported in bucket order."""
     parents = [({"x": 0, "y": 0}, age) for age in ages]
     engine, strategy, _tally, runs = _bucket_engine(
-        [], parents, window, "greedy", False, 0.0, 0.05, (0.0, 0.0), True
+        [], parents, window, "greedy", "inner", 0.0, 0.05, (0.0, 0.0), True
     )
     strategy.log.clear()
     admits = engine.automaton.window.admits

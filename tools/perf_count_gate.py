@@ -53,14 +53,27 @@ GATES = (
     # Python frames in the five layers a partial-match visit can touch, per
     # guard evaluated, on the engine-bound workload.  Measured (--smoke,
     # Python 3.11): 13.33 before bucket loops, 2.49 with them (full size,
-    # seed 7: 13.10 -> 2.21).
+    # seed 7: 13.10 -> 2.21); 1.93 with a per-outcome extend/admit/emit and
+    # clock publish in the bucket replay, 1.21 without.
     Gate(
         "guard_heavy",
         "frames per guard",
         _frames("query", "engine", "sim", "strategies", "utility"),
         ("engine.guard_evaluations",),
-        3.5,
+        1.5,
         "per-visit frames crept back into the engine",
+    ),
+    # NFA-layer frames (Run construction and methods) per run created: the
+    # bucket replay builds a match from the extension's environment and a
+    # Run only for a target with transitions.  Measured (--smoke, Python
+    # 3.11): 3.13 building a Run per match through Run.extend, 1.02 without.
+    Gate(
+        "guard_heavy",
+        "nfa frames per run created",
+        _frames("nfa"),
+        ("engine.runs_created",),
+        1.3,
+        "the bucket replay builds a Run per match again",
     ),
     # The interpretive Predicate.evaluate walk is the fallback, not the path.
     Gate(
@@ -78,13 +91,14 @@ GATES = (
     # runs created.  Measured (--smoke, Python 3.11): 44.4 with per-run
     # callbacks and the interpretive remote path, 25.0 without (full size,
     # seed 7: 45.6 -> 25.5); 23.70 with eager utility index writes, 18.30
-    # with the index filled on read.
+    # with the index filled on read, 16.63 with the bucket replay building
+    # matches and extensions in place.
     Gate(
         "q1_hybrid",
         "frames per run created",
         _frames("query", "engine", "strategies", "utility", "remote", "sim", "events"),
         ("engine.runs_created",),
-        21.0,
+        18.0,
         "per-run frames crept back into the run lifecycle",
     ),
     # Remote-layer frames (store lookups, ancestor walks) per run created:
