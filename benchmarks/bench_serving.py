@@ -6,7 +6,10 @@ as one fleet (:class:`repro.FleetBuilder`), every shard shares a single
 remote-data plane, so one tenant's fetch serves the others through the
 shared cache and transport.  The bench pins the headline property of the
 serving layer: total wire requests of the fleet run are *strictly below*
-the sum of the isolated runs, at exactly equal per-tenant recall.
+the sum of the isolated runs, at exactly equal per-tenant recall.  The
+four tenants run one query, so the fleet evaluates it once for all of them:
+every fleet row reports the same p50 — no tenant queues behind another's
+evaluation.
 
 Run under pytest (the tier-2 suite) or standalone::
 
@@ -110,6 +113,11 @@ def check_rows(rows: list[dict]) -> None:
             f"{tenant}: recall changed "
             f"{isolated[tenant]['matches']} -> {row['matches']}"
         )
+
+    # One shared evaluation: identical tenants detect every match at the
+    # same moment, so none shows another's evaluation as queueing delay.
+    fleet_p50s = {row["p50"] for row in fleet.values()}
+    assert len(fleet_p50s) == 1, f"identical tenants disagree on p50: {fleet_p50s}"
 
     # One shared transport: every fleet row reports the same wire total.
     fleet_wires = {row["wire_requests"] for row in fleet.values()}

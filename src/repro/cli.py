@@ -470,7 +470,8 @@ def _cmd_serve(args: argparse.Namespace, workload: Workload, config: EiresConfig
         summary = result.summary()
         print(
             f"fleet: {summary['n_tenants']} tenants on {summary['n_shards']} "
-            f"shard(s), placement={summary['placement']}, "
+            f"shard(s), sessions={summary['sessions']}, "
+            f"placement={summary['placement']}, "
             f"{summary['events']} events "
             f"(admitted {summary['admitted']}, throttled {summary['throttled']}), "
             f"skew={summary['skew']}, amortization={summary['amortization']}"

@@ -22,6 +22,7 @@ from repro.metrics.latency import percentiles_of
 
 __all__ = [
     "CounterGroup",
+    "FanoutScope",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -279,3 +280,20 @@ class ScopedRegistry:
 
     def __repr__(self) -> str:
         return f"ScopedRegistry({self.prefix!r} over {self._root!r})"
+
+
+class FanoutScope:
+    """Scopes of one registry that each export every attached group: a shared
+    session's subscribers all read its live counters."""
+
+    __slots__ = ("scopes",)
+
+    def __init__(self, scopes: Iterable[ScopedRegistry]) -> None:
+        self.scopes = tuple(scopes)
+
+    def attach(self, group: CounterGroup) -> None:
+        for scope in self.scopes:
+            scope.attach(group)
+
+    def snapshot(self) -> dict[str, Any]:
+        return self.scopes[0].snapshot()

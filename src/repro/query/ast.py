@@ -205,5 +205,35 @@ class Query:
                 sources.add(ref.source)
         return sources
 
+    def structure(self) -> tuple:
+        """Everything that decides what and when the query matches, its name
+        erased: two queries with equal structures evaluate identically."""
+        return _structure((self.pattern, self.conditions, self.window))
+
     def __repr__(self) -> str:
         return f"Query({self.name!r}, {self.pattern!r}, {len(self.conditions)} conditions, {self.window!r})"
+
+
+def _structure(node) -> tuple | int:
+    """``node`` as nested tuples, compared with ``==``.
+
+    Nodes of the slotted classes of this module and of
+    :mod:`repro.query.predicates` unfold slot by slot (private slots are
+    derived state); leaves keep their exact type, so ``1``, ``1.0`` and
+    ``True`` stay apart; a function — a ``FunctionPredicate``'s ``fn`` — is
+    its identity, and a node of any other class compares by its own ``==``
+    (identity, unless the class defines one).
+    """
+    if isinstance(node, (tuple, list)):
+        return tuple(_structure(item) for item in node)
+    kind = type(node)
+    slots = kind.__dict__.get("__slots__") if kind.__module__ in _AST_MODULES else None
+    if slots is not None:
+        return (kind, *(_structure(getattr(node, slot)) for slot in slots
+                        if not slot.startswith("_")))
+    if callable(node):
+        return id(node)
+    return (kind, node)
+
+
+_AST_MODULES = (__name__, Predicate.__module__)

@@ -230,12 +230,6 @@ class BreakerBoard:
         self.tracer = tracer
         self._breakers: dict[str, CircuitBreaker] = {}
 
-    def bind_tracer(self, tracer: Tracer) -> None:
-        """Attach the trace bus (assembly time; reaches existing breakers)."""
-        self.tracer = tracer
-        for breaker in self._breakers.values():
-            breaker.tracer = tracer
-
     def breaker(self, source: str) -> CircuitBreaker:
         breaker = self._breakers.get(source)
         if breaker is None:

@@ -90,9 +90,6 @@ class RemoteStore:
     def get(self, source: str, key: Hashable) -> DataElement:
         return self.lookup((source, key))
 
-    def element_keys(self) -> list[DataKey]:
-        return list(self._elements)
-
     def sources(self) -> set[str]:
         return {source for source, _ in self._elements}
 

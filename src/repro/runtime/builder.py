@@ -10,6 +10,8 @@ provenance, and metrics plumbing.
 
 The fleet layer (:mod:`repro.serving`) composes here too: a fleet is one
 :class:`Runtime` whose sessions carry tenant metric scopes and quotas.
+Equivalent specs — the same query under another name, with the same
+strategy, priority, run budget and admission — share one session.
 
 The import of :class:`~repro.core.config.EiresConfig` is deferred to call
 time: the facade in :mod:`repro.core` imports this module, and the runtime
@@ -28,7 +30,7 @@ from repro.cache.lru import LRUCache
 from repro.engine.engine import Engine
 from repro.events.stream import Stream
 from repro.nfa.compiler import compile_query
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import FanoutScope, MetricsRegistry
 from repro.obs.series import SeriesSampler
 from repro.obs.slo import SloPlane, SloSpec
 from repro.obs.spans import SpanTracker
@@ -108,7 +110,8 @@ class RuntimeBuilder:
         return self
 
     def build(self) -> "Runtime":
-        """Assemble the substrate and one session per registered query.
+        """Assemble the substrate and one session per equivalence class of
+        specs (:meth:`~repro.runtime.session.QuerySpec.share_key`).
 
         The construction order — clock, metrics, RNG tree, monitor, fault
         model, retry policy, breakers, transport — is load-bearing: the RNG
@@ -179,10 +182,11 @@ class RuntimeBuilder:
         )
 
         specs = sorted(self._specs, key=lambda spec: -spec.priority)
+        classes = _equivalence_classes(specs)
         strategies = [
-            spec.strategy_instance if spec.strategy_instance is not None
-            else make_strategy(spec.strategy_name)
-            for spec in specs
+            members[0].strategy_instance if members[0].strategy_instance is not None
+            else make_strategy(members[0].strategy_name)
+            for members in classes
         ]
         if len(specs) == 1 and tracer.enabled and not tracer.track:
             # Default the trace track to the strategy so multi-strategy
@@ -224,9 +228,9 @@ class RuntimeBuilder:
                 metrics,
             )
         scope_sessions = len(specs) > 1
-        for spec, strategy in zip(specs, strategies):
+        for members, strategy in zip(classes, strategies):
             runtime.sessions.append(
-                self._build_session(runtime, spec, strategy, scoped=scope_sessions)
+                self._build_session(runtime, members, strategy, scoped=scope_sessions)
             )
         if runtime.slo is not None:
             # The burns read live totals through closures: upward imports
@@ -244,24 +248,29 @@ class RuntimeBuilder:
     def _build_session(
         self,
         runtime: "Runtime",
-        spec: QuerySpec,
+        members: list[QuerySpec],
         strategy: FetchStrategy,
         scoped: bool,
     ) -> QuerySession:
-        """One query's engine/strategy/utility around the shared substrate."""
+        """One class's engine/strategy/utility around the shared substrate."""
         config = self.config
+        spec = members[0]
         automaton = compile_query(spec.query)
         utility = UtilityModel(automaton, self.store, runtime.monitor, noise=runtime.noise)
         rates = RateEstimator()
         # Multi-query sessions get their own metric namespace so fetch.*
         # counters do not collide on the shared registry; a spec-level scope
-        # (the fleet layer's ``tenant.<id>.query.<name>``) wins outright.
-        if spec.scope is not None:
-            session_metrics = runtime.metrics.scoped(spec.scope)
-        elif scoped:
-            session_metrics = runtime.metrics.scoped(f"query.{spec.query.name}")
-        else:
+        # (the fleet layer's ``tenant.<id>.query.<name>``) wins outright.  A
+        # shared session's groups are attached under every subscriber's.
+        if spec.scope is None and not scoped:
             session_metrics = runtime.metrics
+        else:
+            scopes = [
+                runtime.metrics.scoped(member.scope if member.scope is not None
+                                       else f"query.{member.query.name}")
+                for member in members
+            ]
+            session_metrics = scopes[0] if len(scopes) == 1 else FanoutScope(scopes)
         strategy.attach(
             RuntimeContext(
                 automaton=automaton,
@@ -298,7 +307,7 @@ class RuntimeBuilder:
         )
         strategy.bind_engine(engine)
         shedder = self._build_shedder(runtime, spec, automaton, session_metrics)
-        return QuerySession(spec, automaton, engine, strategy, utility, rates,
+        return QuerySession(members, automaton, engine, strategy, utility, rates,
                             shedder=shedder)
 
     def _build_shedder(
@@ -375,20 +384,21 @@ class Runtime:
 
     def session(self, name: str) -> QuerySession:
         for session in self.sessions:
-            if session.name == name:
+            if name in session.names:
                 return session
         raise KeyError(f"no session for query {name!r}")
 
     def shared_utility(self, key: DataKey) -> float:
-        """Priority-weighted sum of the per-query utilities (Eq. 3 weights)."""
+        """Sum of the per-session utilities, each weighted by its subscribers'
+        summed priority (Eq. 3 weights)."""
         omega = self.config.omega_cache
         if len(self.sessions) == 1:
             # What sum() computes for one term (it starts from int 0), without
-            # the generator and property frames: eviction calls this per candidate.
+            # the generator frame: eviction calls this per candidate.
             session = self.sessions[0]
-            return 0 + session.spec.priority * session.utility.value(key, omega)
+            return 0 + session.weight * session.utility.value(key, omega)
         return sum(
-            session.priority * session.utility.value(key, omega)
+            session.weight * session.utility.value(key, omega)
             for session in self.sessions
         )
 
@@ -410,7 +420,7 @@ class Runtime:
             if self.config.series_interval > 0
             else None
         )
-        results = dispatch(
+        return dispatch(
             self.clock,
             self.sessions,
             stream,
@@ -424,10 +434,21 @@ class Runtime:
             admit=admit,
             extra_slos=extra_slos,
         )
-        return {
-            session.name: result for session, result in zip(self.sessions, results)
-        }
 
     def __repr__(self) -> str:
-        names = ", ".join(session.name for session in self.sessions)
+        names = ", ".join(name for session in self.sessions for name in session.names)
         return f"Runtime([{names}], cache={self.config.cache_policy})"
+
+
+def _equivalence_classes(specs: list[QuerySpec]) -> list[list[QuerySpec]]:
+    """``specs`` grouped by :meth:`QuerySpec.share_key`, in first-seen order."""
+    classes: list[tuple[tuple, list[QuerySpec]]] = []
+    for spec in specs:
+        key = spec.share_key()
+        for other, members in classes:
+            if key is not None and key == other:
+                members.append(spec)
+                break
+        else:
+            classes.append((key, [spec]))
+    return [members for _, members in classes]

@@ -10,10 +10,10 @@ input event the loop
 2. for every session in priority order, lets the strategy deliver due async
    responses into the cache, fire offset-timed prefetches, and refresh its
    estimates, then runs the engine's ``f_Q`` step;
-3. records matches, per-session latency, and shared throughput.
+3. records matches (once per subscriber), latency, and shared throughput.
 
 After the last event every session's strategy is drained and its engine
-flushed, and one :class:`RunResult` per session is assembled — including
+flushed, and one :class:`RunResult` per subscriber is assembled — including
 every counter group's ``as_dict()`` and a full metrics-registry snapshot,
 identically for single- and multi-query runs.
 """
@@ -134,13 +134,13 @@ def deliver_event(
     clock: VirtualClock,
     tracer: Tracer = NULL_TRACER,
     multi: bool = False,
-    slo=None,
+    slos: Sequence = (),
 ) -> None:
     """Deliver one event to one session: substrate work, shedding, ``f_Q``.
 
-    The per-session body of :func:`dispatch`, its only caller.  ``multi``
-    controls whether trace records carry a ``query`` field disambiguating
-    the session.
+    The per-session body of :func:`dispatch`, its only caller.  Each match
+    is recorded once per subscriber: on each plane in ``slos`` and, traced,
+    as a ``match`` / ``span`` record, carrying ``query`` when ``multi``.
     """
     strategy = session.strategy
     # The span tracker's pickup time is where queueing attribution
@@ -167,32 +167,18 @@ def deliver_event(
         shedder.after_event(event, session.engine, strategy)
     for match in step_matches:
         session.latency.record(match.latency)
-        if slo is not None:
+        for slo in slos:
             slo.observe_match(match.latency, clock.now)
         if tracer.enabled:
-            fields: dict[str, Any] = {
-                "latency": match.latency,
-                "fetch_wait": match.fetch_wait,
-                "events": [
-                    [binding, bound.seq]
-                    for binding, bound in sorted(match.events.items())
-                ],
-            }
-            if multi:
-                fields["query"] = session.name
-            tracer.emit(CAT_MATCH, "emit", match.detected_at, **fields)
-            if match.span is not None:
-                span_fields: dict[str, Any] = dict(match.span)
-                if multi:
-                    span_fields["query"] = session.name
-                tracer.emit(
-                    CAT_SPAN,
-                    SPAN_RECORD_NAME,
-                    match.last_event_t,
-                    dur=match.latency,
-                    latency=match.latency,
-                    **span_fields,
-                )
+            events = [[binding, bound.seq] for binding, bound in sorted(match.events.items())]
+            for name in session.names if multi else (None,):
+                query = {"query": name} if multi else {}
+                tracer.emit(CAT_MATCH, "emit", match.detected_at, latency=match.latency,
+                            fetch_wait=match.fetch_wait, events=events, **query)
+                if match.span is not None:
+                    tracer.emit(CAT_SPAN, SPAN_RECORD_NAME, match.last_event_t,
+                                dur=match.latency, latency=match.latency,
+                                **match.span, **query)
     session.matches.extend(step_matches)
 
 
@@ -209,8 +195,9 @@ def dispatch(
     slo=None,
     admit=None,
     extra_slos: Iterable = (),
-) -> list[RunResult]:
-    """Replay ``stream`` through every session; one :class:`RunResult` each.
+) -> dict[str, RunResult]:
+    """Replay ``stream`` through every session; one :class:`RunResult` per
+    subscriber, keyed by query name.
 
     Sessions are driven in the given order for every event (the builder
     sorts them by descending priority).  The shared clock makes cross-query
@@ -228,15 +215,20 @@ def dispatch(
     only *read* model state — they change no run results.
 
     ``admit`` is the one admission seam (the fleet layer's token buckets):
-    called once per event, it yields the ``(session, slo_plane)`` pairs to
-    deliver to, in session order — a session it leaves out skips the event
-    entirely, substrate work included.  ``None`` delivers every event to
-    every session under ``slo``.  ``extra_slos`` are the planes ``admit``
-    hands out; they are evaluated with ``slo`` at sample and end time.
+    called once per event at pickup, it returns the ``(session, slo_planes)``
+    pairs to deliver to, in session order — a session it leaves out skips
+    the event entirely, substrate work included.  ``None`` delivers every
+    event to every session under ``slo``.  ``extra_slos`` are the planes
+    ``admit`` hands out; they are evaluated with ``slo`` at sample and end time.
     """
-    multi = len(sessions) > 1
+    # Records name their query once several subscribers share the replay.
+    multi = sum(len(session.names) for session in sessions) > 1
     for session in sessions:
         session.begin_run(smoothing_window=smoothing_window, qs=report_percentiles)
+    everyone = [
+        (session, (slo,) * len(session.names) if slo is not None else ())
+        for session in sessions
+    ]
     slos = ([slo] if slo is not None else []) + list(extra_slos)
     throughput = ThroughputMeter()
     start = clock.now
@@ -249,12 +241,8 @@ def dispatch(
             tracer.emit(CAT_EVENT, "arrival", event.t, seq_no=event.seq, picked_up=clock.now)
         if slo is not None:
             slo.observe_event(clock.now)
-        if admit is None:
-            for session in sessions:
-                deliver_event(session, event, index, clock, tracer, multi, slo)
-        else:
-            for session, plane in admit(event):
-                deliver_event(session, event, index, clock, tracer, multi, plane)
+        for session, planes in everyone if admit is None else admit(event):
+            deliver_event(session, event, index, clock, tracer, multi, planes)
         throughput.record_event(clock.now)
         if sampler is not None and sampler.due(clock.now):
             # Gauge refresh before the snapshot, so sampled slo.* values
@@ -280,27 +268,29 @@ def dispatch(
     series_rows = sampler.rows() if sampler is not None else None
 
     duration_us = clock.now - start
-    results = []
+    cache_stats = cache.stats.as_dict() if cache is not None else None
+    transport_stats = transport.stats.as_dict()
+    results = {}
     for session in sessions:
         engine_stats = session.engine.stats.as_dict()
         engine_stats.update(session.strategy.drops.as_dict())
-        results.append(
-            RunResult(
-                strategy_name=session.strategy.name,
-                matches=session.matches,
-                latency=session.latency,
-                throughput=throughput,
-                engine_stats=engine_stats,
-                strategy_stats=session.strategy.stats.as_dict(),
-                cache_stats=cache.stats.as_dict() if cache is not None else None,
-                transport_stats=transport.stats.as_dict(),
-                duration_us=duration_us,
-                metrics=session.strategy.ctx.metrics.snapshot(),
-                throughput_scope=THROUGHPUT_SHARED if multi else THROUGHPUT_RUN,
-                shed_stats=session.shedder.stats.as_dict()
-                if session.shedder is not None
-                else None,
-                series=series_rows,
-            )
+        shedder = session.shedder
+        # Every subscriber's result reads the one evaluation it shares.
+        shared = dict(
+            strategy_name=session.strategy.name,
+            matches=session.matches,
+            latency=session.latency,
+            throughput=throughput,
+            engine_stats=engine_stats,
+            strategy_stats=session.strategy.stats.as_dict(),
+            cache_stats=cache_stats,
+            transport_stats=transport_stats,
+            duration_us=duration_us,
+            metrics=session.strategy.ctx.metrics.snapshot(),
+            throughput_scope=THROUGHPUT_SHARED if multi else THROUGHPUT_RUN,
+            shed_stats=shedder.stats.as_dict() if shedder is not None else None,
+            series=series_rows,
         )
+        for name in session.names:
+            results[name] = RunResult(**shared)
     return results

@@ -3,12 +3,14 @@
 A :class:`QuerySpec` declares *what* to run (query, priority, strategy
 name); a :class:`QuerySession` is the assembled unit the dispatch loop
 drives — automaton, engine, attached fetch strategy, utility model, and
-rate estimators around the substrate shared by all sessions.
-Sessions are built exclusively by
+rate estimators around the substrate shared by all sessions — for all
+specs of one equivalence class.  Sessions are built exclusively by
 :class:`~repro.runtime.builder.RuntimeBuilder`.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from repro.engine.interface import MatchRecord
 from repro.metrics.latency import LatencyCollector
@@ -31,12 +33,13 @@ class QuerySpec:
     ``run_budget`` overrides the config-wide shedding run budget for this
     query alone (the fleet layer maps per-tenant quotas onto it); ``scope``
     overrides the session's metric namespace (default: ``query.<name>``
-    when several sessions share one registry).  Both default to ``None`` —
-    the spec then behaves exactly as it did before the fields existed.
+    when several queries share one registry); ``admission`` is the fleet
+    tenant's ``(rate_limit, burst)``.  All three default to ``None`` — the
+    spec then behaves exactly as it did before the fields existed.
     """
 
     __slots__ = ("query", "priority", "strategy_name", "strategy_instance",
-                 "run_budget", "scope")
+                 "run_budget", "scope", "admission")
 
     def __init__(
         self,
@@ -45,6 +48,7 @@ class QuerySpec:
         strategy: str | FetchStrategy = "Hybrid",
         run_budget: int | None = None,
         scope: str | None = None,
+        admission: tuple | None = None,
     ) -> None:
         if priority <= 0:
             raise ValueError(f"query priority must be positive: {priority}")
@@ -60,24 +64,34 @@ class QuerySpec:
             self.strategy_instance = strategy
         self.run_budget = run_budget
         self.scope = scope
+        self.admission = admission
+
+    def share_key(self) -> tuple | None:
+        """What specs served by one session agree on: everything deciding what
+        it computes and when.  ``None`` (a stateful strategy instance) never shares."""
+        if self.strategy_instance is not None:
+            return None
+        return (self.query.structure(), self.strategy_name, self.priority,
+                self.run_budget, self.admission)
 
     def __repr__(self) -> str:
         return f"QuerySpec({self.query.name!r}, priority={self.priority}, {self.strategy_name})"
 
 
 class QuerySession:
-    """One query's assembled moving parts around the shared substrate.
+    """One evaluation's assembled moving parts around the shared substrate.
 
-    ``matches`` and ``latency`` are (re)initialised by the dispatch loop at
-    the start of every replay; everything else is build-time state.
+    It serves its *subscribers*, the specs of one :meth:`QuerySpec.share_key`
+    class; the first names it.  ``matches`` and ``latency`` are (re)initialised
+    by the dispatch loop at the start of every replay; the rest is build-time state.
     """
 
-    __slots__ = ("spec", "automaton", "engine", "strategy", "utility", "rates",
-                 "shedder", "matches", "latency")
+    __slots__ = ("spec", "names", "weight", "automaton", "engine", "strategy",
+                 "utility", "rates", "shedder", "matches", "latency")
 
     def __init__(
         self,
-        spec: QuerySpec,
+        subscribers: Sequence[QuerySpec],
         automaton: Automaton,
         engine,
         strategy: FetchStrategy,
@@ -85,7 +99,10 @@ class QuerySession:
         rates: RateEstimator,
         shedder=None,
     ) -> None:
-        self.spec = spec
+        self.spec = subscribers[0]
+        self.names = tuple(spec.query.name for spec in subscribers)
+        # The Eq. 3 weight: one utility model stands for N subscribers' copies.
+        self.weight = sum(spec.priority for spec in subscribers)
         self.automaton = automaton
         self.engine = engine
         self.strategy = strategy
@@ -114,4 +131,4 @@ class QuerySession:
             self.latency = LatencyCollector(smoothing_window=smoothing_window, qs=qs)
 
     def __repr__(self) -> str:
-        return f"QuerySession({self.name!r}, {self.strategy.name}, priority={self.priority})"
+        return f"QuerySession({self.names!r}, {self.strategy.name}, priority={self.priority})"

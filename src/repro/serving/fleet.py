@@ -9,7 +9,11 @@ registry, one remote-data plane (transport + batching + cache), one
 config-level SLO plane.  Overlapping keys fetched by different tenants
 coalesce on the transport and hit the cache: the whole point of
 multi-tenancy here is that total wire traffic is *less* than the sum of
-isolated runs.
+isolated runs.  Tenants running the same query (any name, same strategy,
+priority, run budget and ``(rate_limit, burst)``) go further and share one
+evaluation: the runtime builds one session per equivalence class, and each
+tenant's result is the session's — bit-identical to an isolated run of the
+query at the tenants' summed priority.
 
 A shard is a placement label, not a worker: everything runs on the one
 clock.  The label orders equal-priority sessions (shard id, then
@@ -19,16 +23,17 @@ runtime's — descending priority first.
 
 :meth:`Fleet.dispatch` adds no replay loop of its own.  It emits the
 ``route`` records, hands :func:`repro.runtime.dispatch.dispatch` its
-admission callable — per-tenant token buckets, decided once per tenant per
-event — and regroups the per-session results by tenant.  A single-tenant
-fleet is therefore byte-identical to a plain ``RuntimeBuilder`` run, and
-every route/admit/throttle decision lands on the trace bus as a ``serving``
+admission callable — per-tenant token buckets, every tenant decided once
+per event at pickup, before any session runs — and regroups the
+per-query results by tenant.  A single-tenant fleet is therefore
+byte-identical to a plain ``RuntimeBuilder`` run, and every
+route/admit/throttle decision lands on the trace bus as a ``serving``
 record that :func:`repro.obs.provenance.replay_trace` re-derives.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 from repro.obs.slo import SloPlane
 from repro.obs.trace import CAT_SERVING
@@ -134,6 +139,7 @@ class FleetBuilder:
                         f"tenant.{tenant.name}.query.{query.name}"
                         if len(tenants) > 1 else None
                     ),
+                    admission=(tenant.rate_limit, tenant.burst),
                 ))
         runtime = builder.build()
 
@@ -160,7 +166,7 @@ class FleetBuilder:
             sessions = [
                 session
                 for session in runtime.sessions
-                if tenant_of[session.name] == tenant.name
+                if any(tenant_of[name] == tenant.name for name in session.names)
             ]
             # The remote-data plane is shared by design, so the fetch budget
             # is a plane-wide burn; shed events are the tenant's own.
@@ -215,10 +221,10 @@ class Fleet:
     def dispatch(self, stream, smoothing_window: int = 1) -> "FleetResult":
         """Replay ``stream`` through the fleet's runtime, gated by admission.
 
-        Per-tenant admission is decided once per tenant per event, when the
-        loop reaches the tenant's first session (so the token bucket refills
-        against the shared clock as earlier sessions left it); throttled
-        tenants' sessions skip the event entirely, substrate work included.
+        Every tenant is decided once per event at pickup, before any session
+        runs, as an ingress rate limiter would: one tenant's evaluation cost
+        never moves another's refill time.  A session whose subscribers were
+        throttled skips the event entirely, substrate work included.
         """
         runtime = self.runtime
         clock = runtime.clock
@@ -238,37 +244,42 @@ class Fleet:
         admitted_counts = {tenant.name: 0 for tenant in self.tenants}
         throttled_counts = {tenant.name: 0 for tenant in self.tenants}
         delivered = [0] * self.n_shards
-        # Per session: its tenant and shard, the tenant's own SLO plane (if
-        # any), and the plane observing its matches — the tenant's own, else
-        # the runtime's config-level one.
+        # Per session: its subscribers' tenants, and the plane observing each
+        # subscriber's matches — its tenant's own, else the runtime's
+        # config-level one.
         plan = []
         for session in runtime.sessions:
-            tenant_name = self.tenant_of[session.name]
-            tenant_slo = self.tenant_slos.get(tenant_name)
+            tenants = [self.tenant_of[name] for name in session.names]
+            planes = [self.tenant_slos.get(tenant, runtime.slo) for tenant in tenants]
             plan.append((
-                session, tenant_name, self.placement[tenant_name], tenant_slo,
-                tenant_slo if tenant_slo is not None else runtime.slo,
+                session, tenants, tuple(plane for plane in planes if plane is not None)
             ))
 
-        def admit(event) -> Iterator[tuple[QuerySession, SloPlane | None]]:
+        def admit(event) -> list[tuple[QuerySession, tuple[SloPlane, ...]]]:
             decisions: dict[str, bool] = {}
             touched = set()
-            for session, tenant_name, shard, tenant_slo, match_slo in plan:
-                admitted = decisions.get(tenant_name)
-                if admitted is None:
-                    admitted = self._admit(tenant_name, event, clock.now)
-                    decisions[tenant_name] = admitted
-                    if admitted:
-                        admitted_counts[tenant_name] += 1
-                        if tenant_slo is not None:
-                            tenant_slo.observe_event(clock.now)
-                    else:
-                        throttled_counts[tenant_name] += 1
+            for tenant in self.tenants:
+                name = tenant.name
+                admitted = decisions[name] = self._admit(name, event, clock.now)
                 if admitted:
-                    touched.add(shard)
-                    yield session, match_slo
+                    admitted_counts[name] += 1
+                    touched.add(self.placement[name])
+                    tenant_slo = self.tenant_slos.get(name)
+                    if tenant_slo is not None:
+                        tenant_slo.observe_event(clock.now)
+                else:
+                    throttled_counts[name] += 1
             for shard in touched:
                 delivered[shard] += 1
+            deliveries = []
+            for session, tenants, planes in plan:
+                admitted = decisions[tenants[0]]
+                assert all(decisions[tenant] == admitted for tenant in tenants), (
+                    f"subscribers of {session!r} disagree on admission"
+                )
+                if admitted:
+                    deliveries.append((session, planes))
+            return deliveries
 
         by_query = runtime.run(
             stream,
@@ -279,8 +290,8 @@ class Fleet:
         results: dict[str, dict[str, RunResult]] = {
             tenant.name: {} for tenant in self.tenants
         }
-        for session in runtime.sessions:
-            results[self.tenant_of[session.name]][session.name] = by_query[session.name]
+        for name, result in by_query.items():
+            results[self.tenant_of[name]][name] = result
 
         # The fleet-wide totals are the runtime's, which every session's
         # result already carries: one meter, one transport, one cache.
@@ -299,6 +310,7 @@ class Fleet:
             cache_stats=(
                 dict(shared.cache_stats) if shared.cache_stats is not None else None
             ),
+            sessions=len(runtime.sessions),
         )
 
     def _admit(self, tenant_name: str, event, now: float) -> bool:
@@ -351,6 +363,7 @@ class FleetResult:
         duration_us: float,
         transport_stats: dict[str, Any],
         cache_stats: dict[str, Any] | None,
+        sessions: int,
     ) -> None:
         self.results = results
         self.placement = placement
@@ -363,6 +376,7 @@ class FleetResult:
         self.duration_us = duration_us
         self.transport_stats = transport_stats
         self.cache_stats = cache_stats
+        self.sessions = sessions  # evaluations run: one per equivalence class
 
     def tenant_result(self, name: str) -> dict[str, RunResult]:
         if name not in self.results:
@@ -396,6 +410,7 @@ class FleetResult:
         data: dict[str, Any] = {
             "n_shards": self.n_shards,
             "n_tenants": len(self.results),
+            "sessions": self.sessions,
             "placement": self.policy,
             "events": self.events_total,
             "admitted": sum(self.admitted.values()),

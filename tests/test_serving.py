@@ -21,16 +21,25 @@ Four promises are pinned down here, mirroring the layer's acceptance bar:
 
 from __future__ import annotations
 
+import copy
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import EiresConfig
+from repro.engine.reference import reference_match_signatures
+from repro.nfa.compiler import compile_query
 from repro.obs.provenance import replay_trace, verify_serving_record
 from repro.obs.slo import SloSpec
 from repro.obs.trace import CAT_SERVING, MemorySink, Tracer
+from repro.query.ast import Query
+from repro.query.parser import parse_query
+from repro.query.predicates import Attr, Comparison, Const, FunctionPredicate
 from repro.remote.transport import TRANSPORT_COUNTER_KEYS, FixedLatency, UniformLatency
 from repro.runtime.builder import RuntimeBuilder
+from repro.runtime.session import QuerySpec
 from repro.serving import (
     PLACE_HASH,
     PLACE_PINNED,
@@ -41,6 +50,7 @@ from repro.serving import (
     stable_hash,
 )
 from repro.serving.ratelimit import US_PER_SECOND
+from repro.strategies import make_strategy
 from repro.workloads.synthetic import (
     SyntheticConfig,
     make_store,
@@ -82,11 +92,15 @@ def fleet_run(sc: SyntheticConfig, **config_kwargs):
     return fleet.dispatch(make_stream(sc))
 
 
+def renamed(query, name):
+    clone = copy.copy(query)
+    clone.name = name
+    return clone
+
+
 def build_abc_fleet(tenant_kwargs_by_name, n_shards=1, placement="round_robin",
                     pins=None, tracer=None, **config_kwargs):
     """A fleet of renamed copies of the ABC query, one per tenant."""
-    import copy
-
     base_query, store = make_abc_scenario()
     builder = FleetBuilder(
         store, FixedLatency(20.0), n_shards=n_shards, placement=placement,
@@ -94,9 +108,7 @@ def build_abc_fleet(tenant_kwargs_by_name, n_shards=1, placement="round_robin",
         tracer=tracer,
     )
     for name, kwargs in tenant_kwargs_by_name.items():
-        query = copy.copy(base_query)
-        query.name = f"abc_{name}"
-        builder.add_tenant(TenantSpec(name, query, **kwargs))
+        builder.add_tenant(TenantSpec(name, renamed(base_query, f"abc_{name}"), **kwargs))
     return builder.build()
 
 
@@ -224,20 +236,22 @@ LAYOUTS = {
     4: {name: index for index, name in enumerate(FOUR_TENANTS)},
 }
 
-# Captured on the commit before the fleet became one Runtime: four
-# equal-priority tenants, hash-placed on 3 shards, two of them rate-limited,
-# over random_stream(300, seed=9).  Per query: matches, p50, p95, digest of
-# the full summary, digest of the sorted match signatures.
+# Four equal-priority tenants, hash-placed on 3 shards, two of them
+# rate-limited, over random_stream(300, seed=9).  Per query: matches, p50,
+# p95, digest of the full summary, digest of the sorted match signatures.
+# Re-pinned when equivalent tenants began to share one evaluation and
+# admission moved to pickup: one row per equivalence class — the two
+# throttled tenants share a session, and so do the two unlimited ones.
 GOLDEN_FLEET = {
-    "admitted": 828, "throttled": 372, "skew": 186,
-    "shard.0.delivered": 114, "shard.1.delivered": 300, "shard.2.delivered": 300,
-    "transport.wire_requests": 10, "cache.hits": 3765,
+    "admitted": 810, "throttled": 390, "skew": 195,
+    "shard.0.delivered": 105, "shard.1.delivered": 300, "shard.2.delivered": 300,
+    "transport.wire_requests": 10, "cache.hits": 1865,
 }
 GOLDEN_QUERIES = {
-    "abc_alpha": (604, 113.87, 323.38, "ba49a848221a0cc0", "e7315ea3ac17654d"),
-    "abc_beta": (657, 111.22, 381.15, "4385cb29616fb2ee", "940f9544ba6cd5fa"),
-    "abc_gamma": (8663, 47.23, 374.63, "6b6b47e0946da73e", "3ee583b1768c6aef"),
-    "abc_delta": (8663, 38.94, 362.35, "9ceea2da99b1c5ae", "3ee583b1768c6aef"),
+    "abc_alpha": (312, 3.81, 47.84, "7de02e167245c96c", "9f21474ca5b33754"),
+    "abc_beta": (312, 3.81, 47.84, "7de02e167245c96c", "9f21474ca5b33754"),
+    "abc_gamma": (8663, 7.61, 65.02, "ecaa433eb7939ee2", "3ee583b1768c6aef"),
+    "abc_delta": (8663, 7.61, 65.02, "ecaa433eb7939ee2", "3ee583b1768c6aef"),
 }
 
 
@@ -247,10 +261,12 @@ class TestOneRuntime:
     @pytest.mark.parametrize("n_shards", [2, 4])
     def test_config_slo_is_evaluated_once_per_fleet(self, n_shards):
         def slo_metrics(shards):
+            # The four tenants share one evaluation, which replays the 400
+            # events in ~4 ms of virtual time: sample every millisecond.
             fleet = build_abc_fleet(
                 {name: {} for name in FOUR_TENANTS}, n_shards=shards,
                 placement=PLACE_PINNED, pins=LAYOUTS[shards],
-                slo_latency_bound=50.0, series_interval=5_000.0,
+                slo_latency_bound=50.0, series_interval=1_000.0,
             )
             result = fleet.dispatch(random_stream(400, seed=9))
             metrics = result.tenant_result("alpha")["abc_alpha"].metrics
@@ -300,6 +316,161 @@ class TestOneRuntime:
                     digest(sorted(run.match_signatures())),
                 )
         assert got == GOLDEN_QUERIES
+
+
+SHARE_SC = SyntheticConfig(n_events=1_500, seed=42, id_domain=20, window_events=400)
+
+
+def q1_tenant_fleet(queries, config, sc=SHARE_SC):
+    """One tenant per query, on two shards, over the synthetic Q1 inputs."""
+    builder = FleetBuilder(make_store(sc), synth_latency(sc), n_shards=2, config=config)
+    for index, query in enumerate(queries):
+        builder.add_tenant(TenantSpec(f"tenant{index}", query))
+    return builder.build()
+
+
+def match_facts(run):
+    return [
+        (match.signature(), match.detected_at, match.last_event_t, match.fetch_wait)
+        for match in run.matches
+    ]
+
+
+ADMISSIONS = ({}, dict(rate_limit=30_000.0, burst=16.0), dict(rate_limit=20_000.0, burst=8.0))
+
+
+class TestSharing:
+    """Tenants running equivalent queries share one evaluation.
+
+    The oracle: N tenants of query Q at priority p are, per tenant, the
+    plain run of Q at priority N*p — bit for bit, in every match's
+    identity and timing.
+    """
+
+    # At capacity 100 the cache evicts, so the session's Eq. 3 weight (the
+    # summed priority) decides what it keeps.
+    @pytest.mark.parametrize("capacity", [10_000, 100])
+    @pytest.mark.parametrize("parse", ["renamed", "separately_parsed"])
+    def test_shared_tenants_equal_the_isolated_run_at_summed_priority(
+        self, parse, capacity
+    ):
+        config = EiresConfig(cache_capacity=capacity)
+        isolated = (
+            RuntimeBuilder(make_store(SHARE_SC), synth_latency(SHARE_SC), config=config)
+            .add_query(q1_query(SHARE_SC), priority=4.0)
+            .build()
+            .run(make_stream(SHARE_SC))["Q1"]
+        )
+        base = q1_query(SHARE_SC)
+        queries = [
+            renamed(base if parse == "renamed" else q1_query(SHARE_SC), f"Q1_t{index}")
+            for index in range(4)
+        ]
+        fleet = q1_tenant_fleet(queries, config)
+        stream = make_stream(SHARE_SC)
+        result = fleet.dispatch(stream)
+
+        (session,) = fleet.runtime.sessions
+        assert session.engine.stats.events_processed == len(stream)
+        assert result.summary()["sessions"] == 1
+        expected = {k: v for k, v in isolated.summary().items() if k != "throughput_scope"}
+        for index, query in enumerate(queries):
+            tenant = f"tenant{index}"
+            run = result.tenant_result(tenant)[query.name]
+            assert run.summary() == {**expected, "throughput_scope": "shared"}
+            assert match_facts(run) == match_facts(isolated)
+            scope = f"tenant.{tenant}.query.{query.name}."
+            assert any(name.startswith(scope) for name in run.metrics)
+
+    @pytest.mark.parametrize("differ", [
+        "priority", "strategy", "admission", "run_budget", "const", "const_type",
+        "eval_cost", "window", "function", "instance",
+    ])
+    def test_one_difference_keeps_two_sessions(self, differ):
+        def abc(name, window="2000", extra=None):
+            query = parse_query(
+                f"SEQ(A a, B b, C c) WHERE SAME[id] AND b.v IN REMOTE[a.v] "
+                f"WITHIN {window}",
+                name=name,
+            )
+            extra = () if extra is None else (extra,)
+            return Query(query.pattern, (*query.conditions, *extra), query.window,
+                         name=name)
+
+        def bounded(name, bound, cost=0.02):
+            return abc(name, extra=Comparison("<=", Attr("a", "v"), Const(bound),
+                                              eval_cost=cost))
+
+        def checked(name, fn):
+            return abc(name, extra=FunctionPredicate(fn, [Attr("b", "v")], name="check"))
+
+        first, second = {}, {}
+        a, b = abc("a"), abc("b")
+        if differ == "priority":
+            second["priority"] = 2.0
+        elif differ == "strategy":
+            second["strategy"] = "LzEval"
+        elif differ == "admission":
+            second["admission"] = (30_000.0, 16.0)
+        elif differ == "run_budget":
+            second["run_budget"] = 5
+        elif differ == "const":
+            a, b = bounded("a", 5), bounded("b", 6)
+        elif differ == "const_type":
+            a, b = bounded("a", 5), bounded("b", 5.0)
+        elif differ == "eval_cost":
+            a, b = bounded("a", 5), bounded("b", 5, cost=0.5)
+        elif differ == "window":
+            b = abc("b", window="3000")
+        elif differ == "function":
+            a, b = checked("a", lambda v: v > 2), checked("b", lambda v: v > 2)
+        elif differ == "instance":
+            second["strategy"] = make_strategy("Hybrid")
+        _, store = make_abc_scenario()
+
+        def sessions(a, first, b, second):
+            runtime = (
+                RuntimeBuilder(store, FixedLatency(20.0))
+                .add_spec(QuerySpec(a, **first))
+                .add_spec(QuerySpec(b, **second))
+                .build()
+            )
+            return len(runtime.sessions)
+
+        assert sessions(a, first, b, second) == 2
+        if differ != "instance":  # the control: a renamed copy shares
+            assert sessions(a, first, renamed(a, "a2"), first) == 1
+
+    @given(
+        picks=st.lists(st.integers(min_value=0, max_value=2), min_size=2, max_size=4),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_a_tenant_matches_exactly_the_events_it_was_admitted(self, picks, seed):
+        """A throttled tenant never sees a match built from a refused event."""
+        sink = MemorySink()
+        tenants = {f"t{index}": ADMISSIONS[pick] for index, pick in enumerate(picks)}
+        fleet = build_abc_fleet(tenants, tracer=Tracer(sink, track="F"))
+        stream = random_stream(120, seed=seed)
+        result = fleet.dispatch(stream)
+        assert len(fleet.runtime.sessions) == len(set(picks))
+
+        admitted: dict[str, set] = {name: set() for name in tenants}
+        for record in sink.by_category(CAT_SERVING):
+            if record["name"] == "admit":
+                admitted[record["tenant"]].add(record["seq_no"])
+        query, store = make_abc_scenario()
+        automaton = compile_query(query)
+        for name, admission in tenants.items():
+            events = [
+                event for event in stream
+                if not admission or event.seq in admitted[name]
+            ]
+            (run,) = result.tenant_result(name).values()
+            assert run.match_signatures() == reference_match_signatures(
+                automaton, events, store, "greedy"
+            )
+        assert replay_trace(sink.records)["problems"] == []
 
 
 class TestTenantScoping:
