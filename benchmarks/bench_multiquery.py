@@ -64,10 +64,8 @@ def run_comparison() -> list[dict]:
         eires = EIRES(query, build_store(), latency, strategy="Hybrid",
                       config=EiresConfig(cache_capacity=CAPACITY // 2))
         result = eires.run(stream)
-        isolated_fetches += (
-            result.transport_stats["blocking_fetches"]
-            + result.transport_stats["async_fetches"]
-        )
+        summary = result.summary()
+        isolated_fetches += summary["transport.blocking_fetches"] + summary["transport.async_fetches"]
         isolated_p50[query.name] = result.latency.median()
         rows.append({
             "setup": "isolated",
@@ -84,8 +82,8 @@ def run_comparison() -> list[dict]:
     )
     results = shared.run(stream)
     # Every result of a shared replay reports the same (shared) transport.
-    shared_stats = next(iter(results.values())).transport_stats
-    shared_fetches = shared_stats["blocking_fetches"] + shared_stats["async_fetches"]
+    shared_stats = next(iter(results.values())).summary()
+    shared_fetches = shared_stats["transport.blocking_fetches"] + shared_stats["transport.async_fetches"]
     for name, result in results.items():
         rows.append({
             "setup": "shared",

@@ -64,7 +64,7 @@ def sweep(n_events: int = 3_000) -> list[dict]:
             "tenant": f"tenant{index}",
             "matches": result.match_count,
             "p50": round(result.latency_percentiles()[50], 2),
-            "wire_requests": result.transport_stats["wire_requests"],
+            "wire_requests": result.summary()["transport.wire_requests"],
         })
 
     # The fleet deployment: same four tenants on ONE runtime and ONE shared
@@ -92,7 +92,7 @@ def sweep(n_events: int = 3_000) -> list[dict]:
             "p50": round(run.latency_percentiles()[50], 2),
             # Every session of a shared plane reports the same transport:
             # this is the fleet-wide wire total, identical on every row.
-            "wire_requests": run.transport_stats["wire_requests"],
+            "wire_requests": run.summary()["transport.wire_requests"],
         })
     return rows
 

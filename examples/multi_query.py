@@ -87,8 +87,8 @@ def main() -> None:
     for query in (OVERLIMIT, ESCALATION):
         eires = EIRES(query, build_store(), latency, strategy="Hybrid", config=config)
         result = eires.run(stream)
-        stats = result.transport_stats
-        fetches = stats["blocking_fetches"] + stats["async_fetches"]
+        stats = result.summary()
+        fetches = stats["transport.blocking_fetches"] + stats["transport.async_fetches"]
         isolated_fetches += fetches
         print(
             f"  {query.name:11s} matches={result.match_count:5d} "
@@ -104,8 +104,8 @@ def main() -> None:
     )
     results = runtime.run(stream)
     # Every per-query result of a shared replay reports the same transport.
-    shared_stats = next(iter(results.values())).transport_stats
-    shared_fetches = shared_stats["blocking_fetches"] + shared_stats["async_fetches"]
+    shared_stats = next(iter(results.values())).summary()
+    shared_fetches = shared_stats["transport.blocking_fetches"] + shared_stats["transport.async_fetches"]
     for name, result in results.items():
         print(
             f"  {name:11s} matches={result.match_count:5d} "

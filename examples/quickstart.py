@@ -84,7 +84,7 @@ def main() -> None:
         percentiles = result.latency_percentiles()
         print(
             f"{strategy:>8}  {result.match_count:>7}  {percentiles[50]:>10.1f}  "
-            f"{percentiles[95]:>10.1f}  {result.strategy_stats['blocking_stalls']:>6}"
+            f"{percentiles[95]:>10.1f}  {result.summary()['fetch.blocking_stalls']:>6}"
         )
 
     print(

@@ -134,8 +134,7 @@ def run_strategy_suite(
         if extra_fields:
             row.update(extra_fields)
         rows.append(row)
-        if result.metrics is not None:
-            metrics[strategy] = result.metrics
+        metrics[strategy] = result.metrics
     return ExperimentResult(name, rows, metrics=metrics)
 
 

@@ -19,12 +19,14 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
-from repro.cache.stats import CacheStats
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import CounterGroup, MetricsRegistry
 from repro.obs.trace import CAT_CACHE, NULL_TRACER, Tracer, trace_key
 from repro.remote.element import DataElement, DataKey
 
-__all__ = ["Cache"]
+__all__ = ["Cache", "CACHE_COUNTER_KEYS"]
+
+# Every counter a cache maintains (``cache.*``), in report order.
+CACHE_COUNTER_KEYS = ("hits", "misses", "insertions", "evictions", "rejected")
 
 
 class Cache(ABC):
@@ -34,7 +36,7 @@ class Cache(ABC):
         if capacity <= 0:
             raise ValueError(f"cache capacity must be positive: {capacity}")
         self.capacity = capacity
-        self.stats = CacheStats()
+        self.stats = CounterGroup("cache", CACHE_COUNTER_KEYS)
         self.tracer: Tracer = NULL_TRACER
         self._entries: dict[DataKey, DataElement] = {}
         self._part_index: dict[DataKey, DataKey] = {}

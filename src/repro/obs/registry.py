@@ -241,8 +241,7 @@ class ScopedRegistry:
     """A name-prefixing view over a :class:`MetricsRegistry`.
 
     Metric creation delegates to the root registry with ``<prefix>.`` glued
-    onto every name; ``snapshot()`` still covers the *whole* root registry,
-    so any component holding a scope can export the full picture.
+    onto every name; the root's snapshot is the one export.
     """
 
     __slots__ = ("_root", "prefix")
@@ -274,10 +273,6 @@ class ScopedRegistry:
         marker = f"{self.prefix}."
         return [name for name in self._root.names() if name.startswith(marker)]
 
-    def snapshot(self) -> dict[str, Any]:
-        """The full root snapshot (scopes share one source of truth)."""
-        return self._root.snapshot()
-
     def __repr__(self) -> str:
         return f"ScopedRegistry({self.prefix!r} over {self._root!r})"
 
@@ -294,6 +289,3 @@ class FanoutScope:
     def attach(self, group: CounterGroup) -> None:
         for scope in self.scopes:
             scope.attach(group)
-
-    def snapshot(self) -> dict[str, Any]:
-        return self.scopes[0].snapshot()

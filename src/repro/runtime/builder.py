@@ -258,19 +258,21 @@ class RuntimeBuilder:
         automaton = compile_query(spec.query)
         utility = UtilityModel(automaton, self.store, runtime.monitor, noise=runtime.noise)
         rates = RateEstimator()
-        # Multi-query sessions get their own metric namespace so fetch.*
-        # counters do not collide on the shared registry; a spec-level scope
-        # (the fleet layer's ``tenant.<id>.query.<name>``) wins outright.  A
-        # shared session's groups are attached under every subscriber's.
+        # Multi-query sessions get their own metric namespace so engine.* and
+        # fetch.* counters do not collide on the shared registry; a spec-level
+        # scope (the fleet layer's ``tenant.<id>.query.<name>``) wins outright.
+        # A shared session's groups are attached under every subscriber's.
         if spec.scope is None and not scoped:
+            scopes = [""]
             session_metrics = runtime.metrics
         else:
             scopes = [
-                runtime.metrics.scoped(member.scope if member.scope is not None
-                                       else f"query.{member.query.name}")
+                f"{member.scope}." if member.scope is not None
+                else f"query.{member.query.name}."
                 for member in members
             ]
-            session_metrics = scopes[0] if len(scopes) == 1 else FanoutScope(scopes)
+            views = [runtime.metrics.scoped(scope[:-1]) for scope in scopes]
+            session_metrics = views[0] if len(views) == 1 else FanoutScope(views)
         strategy.attach(
             RuntimeContext(
                 automaton=automaton,
@@ -306,9 +308,10 @@ class RuntimeBuilder:
             max_partial_matches=config.max_partial_matches,
         )
         strategy.bind_engine(engine)
+        session_metrics.attach(engine.stats)
         shedder = self._build_shedder(runtime, members, automaton, session_metrics)
         return QuerySession(members, automaton, engine, strategy, utility, rates,
-                            shedder=shedder)
+                            shedder=shedder, scopes=scopes)
 
     def _build_shedder(
         self,
@@ -426,7 +429,7 @@ class Runtime:
             self.sessions,
             stream,
             self.transport,
-            cache=self.cache,
+            self.metrics,
             tracer=self.tracer,
             smoothing_window=smoothing_window,
             report_percentiles=self.config.report_percentiles,

@@ -13,24 +13,28 @@ input event the loop
 3. records matches (once per subscriber), latency, and shared throughput.
 
 After the last event every session's strategy is drained and its engine
-flushed, and one :class:`RunResult` per subscriber is assembled — including
-every counter group's ``as_dict()`` and a full metrics-registry snapshot,
-identically for single- and multi-query runs.
+flushed, the metrics registry is snapshotted once, and one :class:`RunResult`
+per subscriber is assembled around that snapshot — identically for single-
+and multi-query runs.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable, Sequence
 
-from repro.cache.base import Cache
+from repro.cache.base import CACHE_COUNTER_KEYS
+from repro.engine.interface import ENGINE_COUNTER_KEYS
 from repro.events.stream import Stream
 from repro.metrics.latency import LatencyCollector
 from repro.metrics.throughput import ThroughputMeter
+from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import SPAN_RECORD_NAME
 from repro.obs.trace import CAT_EVENT, CAT_MATCH, CAT_SPAN, NULL_TRACER, Tracer
-from repro.remote.transport import Transport
+from repro.remote.transport import TRANSPORT_COUNTER_KEYS, Transport
 from repro.runtime.session import QuerySession
+from repro.shedding.shedder import SHED_COUNTER_KEYS
 from repro.sim.clock import VirtualClock
+from repro.strategies.stats import RUN_DROP_REASONS, STRATEGY_COUNTER_KEYS
 
 __all__ = ["RunResult", "dispatch", "THROUGHPUT_RUN", "THROUGHPUT_SHARED"]
 
@@ -42,8 +46,27 @@ THROUGHPUT_RUN = "run"
 THROUGHPUT_SHARED = "shared"
 
 
+# The counter groups summary() reports, each with its key table, in column
+# order.  ``cache`` and ``transport`` are the runtime's one remote-data
+# plane, reported unscoped; the rest belong to the query's own session.
+_SUMMARY_GROUPS = (
+    ("engine", ENGINE_COUNTER_KEYS),
+    ("engine.dropped", RUN_DROP_REASONS),
+    ("fetch", STRATEGY_COUNTER_KEYS),
+    ("cache", CACHE_COUNTER_KEYS),
+    ("transport", TRANSPORT_COUNTER_KEYS),
+    ("shed", SHED_COUNTER_KEYS),
+)
+_PLANE_GROUPS = ("cache", "transport")
+
+
 class RunResult:
-    """Everything measured during one stream replay."""
+    """Everything measured during one stream replay.
+
+    ``metrics`` is the replay's one registry snapshot, shared by every result
+    of the replay; ``scope`` is this query's metric prefix in it (``""``
+    unscoped, else e.g. ``"query.<name>."``).
+    """
 
     def __init__(
         self,
@@ -51,42 +74,35 @@ class RunResult:
         matches: list,
         latency: LatencyCollector,
         throughput: ThroughputMeter,
-        engine_stats: dict[str, Any],
-        strategy_stats: dict[str, Any],
-        cache_stats: dict[str, Any] | None,
-        transport_stats: dict[str, Any],
         duration_us: float,
-        metrics: dict[str, Any] | None = None,
+        metrics: dict[str, Any],
+        scope: str = "",
         throughput_scope: str = THROUGHPUT_RUN,
-        shed_stats: dict[str, Any] | None = None,
         series: list[dict[str, Any]] | None = None,
     ) -> None:
         self.strategy_name = strategy_name
         self.matches = matches
         self.latency = latency
         self.throughput = throughput
-        self.engine_stats = engine_stats
-        self.strategy_stats = strategy_stats
-        self.cache_stats = cache_stats
-        self.transport_stats = transport_stats
         self.duration_us = duration_us
-        # Full registry snapshot when the run was assembled with one; not
-        # part of summary() so observability cannot change reported results.
         self.metrics = metrics
+        self.scope = scope
         # "shared" marks a meter spanning a whole multi-query replay (the
         # summary carries the scope so the sharing is explicit, not implied).
         self.throughput_scope = throughput_scope
-        # Shedding counters; None when the session carried no shedding plane,
-        # keeping default summaries free of shed.* columns.
-        self.shed_stats = shed_stats
         # Virtual-time series samples (shared across the replay's sessions);
-        # like ``metrics``, not part of summary() — sampling cannot change
-        # reported results.
+        # not part of summary() — sampling cannot change reported results.
         self.series = series
 
     @property
     def match_count(self) -> int:
         return len(self.matches)
+
+    @property
+    def transport_stats(self) -> dict[str, Any]:
+        """The ``transport.*`` counters by key: kept only until benchmarks/perf
+        stops reading it."""
+        return {key: self.metrics[f"transport.{key}"] for key in TRANSPORT_COUNTER_KEYS}
 
     def match_signatures(self) -> set[tuple]:
         """Canonical match identities, for cross-strategy equivalence checks."""
@@ -96,7 +112,8 @@ class RunResult:
         return self.latency.percentiles()
 
     def summary(self) -> dict[str, Any]:
-        """Flat summary used by reports and EXPERIMENTS.md tables."""
+        """Flat summary used by reports and EXPERIMENTS.md tables; a counter
+        group absent from ``metrics`` (no cache, no shedding) adds no columns."""
         data: dict[str, Any] = {
             "strategy": self.strategy_name,
             "matches": self.match_count,
@@ -106,23 +123,23 @@ class RunResult:
             data["throughput_scope"] = self.throughput_scope
         for q, value in sorted(self.latency_percentiles().items()):
             data[f"p{int(q)}"] = round(value, 2)
-        # Stats dicts come from the counter groups' as_dict(), whose key order
-        # IS the declared report-column order of the counter-key tables — sorting
-        # here would alphabetise the summary columns.
-        data.update({f"engine.{k}": v for k, v in self.engine_stats.items()})
-        data.update({f"fetch.{k}": v for k, v in self.strategy_stats.items()})
-        if self.cache_stats is not None:
-            data.update({f"cache.{k}": v for k, v in self.cache_stats.items()})
-        data.update({f"transport.{k}": v for k, v in self.transport_stats.items()})
-        if self.shed_stats is not None:
-            data.update({f"shed.{k}": v for k, v in self.shed_stats.items()})
+        metrics = self.metrics
+        for group, keys in _SUMMARY_GROUPS:
+            prefix = f"{group}." if group in _PLANE_GROUPS else f"{self.scope}{group}."
+            if prefix + keys[0] not in metrics:
+                continue
+            data.update({f"{group}.{key}": metrics[prefix + key] for key in keys})
+            if group == "cache":
+                lookups = data["cache.hits"] + data["cache.misses"]
+                data["cache.hit_rate"] = round(data["cache.hits"] / lookups, 4) if lookups else 0.0
         return data
 
     def __repr__(self) -> str:
-        p = self.latency_percentiles()
+        quantiles = ", ".join(
+            f"p{q:g}={value:.1f}us" for q, value in sorted(self.latency_percentiles().items())
+        )
         return (
-            f"RunResult({self.strategy_name}: {self.match_count} matches, "
-            f"p50={p[50]:.1f}us, p95={p[95]:.1f}us, "
+            f"RunResult({self.strategy_name}: {self.match_count} matches, {quantiles}, "
             f"{self.throughput.events_per_second():.0f} ev/s)"
         )
 
@@ -187,7 +204,7 @@ def dispatch(
     sessions: Sequence[QuerySession],
     stream: Stream,
     transport: Transport,
-    cache: Cache | None = None,
+    metrics: MetricsRegistry,
     tracer: Tracer = NULL_TRACER,
     smoothing_window: int = 1,
     report_percentiles: Sequence[float] | None = None,
@@ -202,10 +219,10 @@ def dispatch(
     Sessions are driven in the given order for every event (the builder
     sorts them by descending priority).  The shared clock makes cross-query
     interference (one query's stall delaying another's detection) directly
-    observable, just like in a real shared deployment.  ``transport`` and
-    ``cache`` are the runtime's one remote-data plane: every session's
-    result reports their statistics, whether or not its own strategy
-    consults the cache.
+    observable, just like in a real shared deployment.  ``metrics`` is the
+    runtime's registry: every result reads its counters from one snapshot of
+    it, and so reports the one remote-data plane whether or not its own
+    strategy consults the cache.
 
     ``report_percentiles`` configures the latency quantile surface
     (``EiresConfig.report_percentiles``); ``sampler`` is an optional
@@ -260,7 +277,7 @@ def dispatch(
         session.engine.flush(session.strategy)
 
     # Final health read: the end-of-run burns land on the slo.* gauges
-    # before the per-result metrics snapshots (and the final series row).
+    # before the metrics snapshot (and the final series row).
     for plane in slos:
         plane.evaluate(clock.now)
     if sampler is not None:
@@ -268,29 +285,12 @@ def dispatch(
     series_rows = sampler.rows() if sampler is not None else None
 
     duration_us = clock.now - start
-    cache_stats = cache.stats.as_dict() if cache is not None else None
-    transport_stats = transport.stats.as_dict()
-    results = {}
-    for session in sessions:
-        engine_stats = session.engine.stats.as_dict()
-        engine_stats.update(session.strategy.drops.as_dict())
-        shedder = session.shedder
-        # Every subscriber's result reads the one evaluation it shares.
-        shared = dict(
-            strategy_name=session.strategy.name,
-            matches=session.matches,
-            latency=session.latency,
-            throughput=throughput,
-            engine_stats=engine_stats,
-            strategy_stats=session.strategy.stats.as_dict(),
-            cache_stats=cache_stats,
-            transport_stats=transport_stats,
-            duration_us=duration_us,
-            metrics=session.strategy.ctx.metrics.snapshot(),
-            throughput_scope=THROUGHPUT_SHARED if multi else THROUGHPUT_RUN,
-            shed_stats=shedder.stats.as_dict() if shedder is not None else None,
-            series=series_rows,
-        )
-        for name in session.names:
-            results[name] = RunResult(**shared)
-    return results
+    snapshot = metrics.snapshot()
+    meter = THROUGHPUT_SHARED if multi else THROUGHPUT_RUN
+    # Every subscriber's result reads the one evaluation it shares.
+    return {
+        name: RunResult(session.strategy.name, session.matches, session.latency, throughput,
+                        duration_us, snapshot, scope, meter, series_rows)
+        for session in sessions
+        for name, scope in zip(session.names, session.scopes)
+    }

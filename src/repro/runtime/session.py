@@ -82,11 +82,13 @@ class QuerySession:
     """One evaluation's assembled moving parts around the shared substrate.
 
     It serves its *subscribers*, the specs of one :meth:`QuerySpec.share_key`
-    class; the first names it.  ``matches`` and ``latency`` are (re)initialised
-    by the dispatch loop at the start of every replay; the rest is build-time state.
+    class; the first names it.  ``scopes`` holds each subscriber's metric
+    prefix (``""`` unscoped, else ``"query.<name>."`` or the spec's
+    ``scope + "."``).  ``matches`` and ``latency`` are (re)initialised by the
+    dispatch loop at the start of every replay; the rest is build-time state.
     """
 
-    __slots__ = ("spec", "names", "weight", "automaton", "engine", "strategy",
+    __slots__ = ("spec", "names", "scopes", "weight", "automaton", "engine", "strategy",
                  "utility", "rates", "shedder", "matches", "latency")
 
     def __init__(
@@ -98,9 +100,11 @@ class QuerySession:
         utility: UtilityModel,
         rates: RateEstimator,
         shedder=None,
+        scopes: Sequence[str] = ("",),
     ) -> None:
         self.spec = subscribers[0]
         self.names = tuple(spec.query.name for spec in subscribers)
+        self.scopes = tuple(scopes)
         # The Eq. 3 weight: one utility model stands for N subscribers' copies.
         self.weight = sum(spec.priority for spec in subscribers)
         self.automaton = automaton

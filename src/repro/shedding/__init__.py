@@ -31,7 +31,7 @@ from repro.shedding.policy import (
     make_shedding_policy,
     partial_match_utility,
 )
-from repro.shedding.shedder import SHED_COUNTER_KEYS, LoadShedder, ShedStats
+from repro.shedding.shedder import SHED_COUNTER_KEYS, LoadShedder
 
 __all__ = [
     "Overload",
@@ -50,5 +50,4 @@ __all__ = [
     "partial_match_utility",
     "event_utility",
     "LoadShedder",
-    "ShedStats",
 ]

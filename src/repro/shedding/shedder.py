@@ -32,7 +32,7 @@ from repro.obs.trace import CAT_SHED, NULL_TRACER, Tracer
 from repro.shedding.detector import OverloadDetector
 from repro.shedding.policy import ACTION_DROP_EVENT, ACTION_SHED_RUNS, SheddingPolicy
 
-__all__ = ["ShedStats", "SHED_COUNTER_KEYS", "LoadShedder"]
+__all__ = ["SHED_COUNTER_KEYS", "LoadShedder"]
 
 #: The ``shed.*`` counters, in report order.
 SHED_COUNTER_KEYS = (
@@ -40,13 +40,6 @@ SHED_COUNTER_KEYS = (
     "events_dropped",
     "runs_shed",
 )
-
-
-class ShedStats(CounterGroup):
-    """The shedding counters of one session (``shed.<key>``)."""
-
-    def __init__(self, registry: MetricsRegistry | ScopedRegistry | None = None) -> None:
-        super().__init__("shed", SHED_COUNTER_KEYS, registry)
 
 
 class LoadShedder:
@@ -65,7 +58,7 @@ class LoadShedder:
     ) -> None:
         self.detector = detector
         self.policy = policy
-        self.stats = ShedStats(metrics)
+        self.stats = CounterGroup("shed", SHED_COUNTER_KEYS, metrics)
         self._clock = clock
         self._tracer = tracer
         self._labels = labels

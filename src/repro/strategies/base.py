@@ -230,10 +230,5 @@ class FetchStrategy(ObligationResolution, FetchPlane):
         if transport.breakers is not None:
             self.stats.breaker_opens = transport.breakers.opens
 
-    def describe(self) -> dict[str, Any]:
-        data = {"strategy": self.name}
-        data.update(self.stats.as_dict())
-        return data
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

@@ -75,9 +75,6 @@ class DropStats(CounterGroup):
             raise ValueError(f"unregistered run-drop reason {reason!r}; add it to RUN_DROP_REASONS")
         setattr(self, reason, getattr(self, reason) + count)
 
-    def as_dict(self) -> dict[str, int]:
-        return {f"dropped.{reason}": count for reason, count in super().as_dict().items()}
-
 
 class StrategyStats(CounterGroup):
     """Counters describing one strategy's behaviour during a run (``fetch.*``).

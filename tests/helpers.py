@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import functools
 import random
 from pathlib import Path
@@ -54,6 +55,13 @@ class RecordingStrategy:
 
     def guard_tally(self, transition):
         return self.rates.guard_tally(transition.index)
+
+
+def renamed(query, name):
+    """A shallow copy of ``query`` under another name."""
+    clone = copy.copy(query)
+    clone.name = name
+    return clone
 
 
 def make_abc_scenario(set_members=frozenset({1, 2, 3, 4})):

@@ -38,7 +38,6 @@ def _observables(result, sink: MemorySink | None = None):
     data = {
         "summary": result.summary(),
         "signatures": [match.signature() for match in result.matches],
-        "engine_stats": result.engine_stats,
         "metrics": result.metrics,
     }
     if sink is not None:
@@ -176,7 +175,7 @@ class TestBucketLoopByteIdentity:
         looped, per_run = self._both(
             monkeypatch, q1_workload(Q1_SMALL), "Hybrid", EiresConfig(max_partial_matches=40)
         )
-        assert looped["engine_stats"]["shed_runs"], "the cap never shed a run"
+        assert looped["summary"]["engine.shed_runs"], "the cap never shed a run"
         assert looped == per_run
 
     def test_runs_shed_policy(self, monkeypatch):
@@ -184,5 +183,5 @@ class TestBucketLoopByteIdentity:
         looped, per_run = self._both(
             monkeypatch, bursty_workload(BurstyConfig(n_events=800)), "Hybrid", config
         )
-        assert looped["engine_stats"]["shed_runs"], "the policy never shed a run"
+        assert looped["summary"]["engine.shed_runs"], "the policy never shed a run"
         assert looped == per_run

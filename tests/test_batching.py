@@ -426,8 +426,8 @@ class TestBatchingDeterminism:
         off = _run("q1", "Hybrid", EiresConfig())
         on = _run("q1", "Hybrid", EiresConfig(**BATCH_ON))
         assert on.match_signatures() == off.match_signatures()
-        assert on.transport_stats["wire_requests"] < off.transport_stats["wire_requests"]
-        assert on.transport_stats["batches"] > 0
+        assert on.summary()["transport.wire_requests"] < off.summary()["transport.wire_requests"]
+        assert on.summary()["transport.batches"] > 0
 
     def test_run_result_surfaces_batch_counters(self):
         result = _run("q1", "Hybrid", EiresConfig(**BATCH_ON))

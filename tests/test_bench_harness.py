@@ -26,7 +26,7 @@ class TestRunStrategy:
     def test_produces_run_result(self, tiny_workload):
         result = run_strategy(tiny_workload, "BL2", EiresConfig(cache_capacity=50))
         assert result.strategy_name == "BL2"
-        assert result.engine_stats["events_processed"] == 400
+        assert result.summary()["engine.events_processed"] == 400
 
     def test_all_strategies_registered(self):
         assert set(ALL_STRATEGIES) == {"BL1", "BL2", "BL3", "PFetch", "LzEval", "Hybrid"}

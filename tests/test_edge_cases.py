@@ -15,7 +15,7 @@ class TestEmptyAndDegenerateStreams:
         query, store = make_abc_scenario()
         result = run_eires(query, store, Stream([]))
         assert result.match_count == 0
-        assert result.engine_stats["events_processed"] == 0
+        assert result.summary()["engine.events_processed"] == 0
         assert result.throughput.events_per_second() == 0.0
 
     def test_stream_without_matching_types(self):
@@ -23,13 +23,13 @@ class TestEmptyAndDegenerateStreams:
         events = Stream([Event(float(i + 1), {"type": "Z", "id": 1, "v": 1}) for i in range(50)])
         result = run_eires(query, store, events)
         assert result.match_count == 0
-        assert result.engine_stats["runs_created"] == 0
+        assert result.summary()["engine.runs_created"] == 0
 
     def test_single_event_stream(self):
         query, store = make_abc_scenario()
         result = run_eires(query, store, Stream([Event(1.0, {"type": "A", "id": 1, "v": 1})]))
         assert result.match_count == 0
-        assert result.engine_stats["runs_created"] == 1
+        assert result.summary()["engine.runs_created"] == 1
 
     def test_simultaneous_timestamps(self):
         query, store = make_abc_scenario()
@@ -106,7 +106,7 @@ class TestNoiseInjectionBehaviour:
                           latency=FixedLatency(100.0), cache_capacity=30)
         assert noisy.match_signatures() == clean.match_signatures()
         # Full noise sends every prefetch to a decoy key: stalls increase.
-        assert noisy.strategy_stats["blocking_stalls"] >= clean.strategy_stats["blocking_stalls"]
+        assert noisy.summary()["fetch.blocking_stalls"] >= clean.summary()["fetch.blocking_stalls"]
 
     def test_decoy_fetches_hit_the_store_safely(self):
         # Decoy keys address non-existent elements; the store must serve

@@ -27,7 +27,7 @@ class TestCostModel:
     def test_engine_charges_base_cost_per_event(self):
         query, store = make_abc_scenario()
         cheap = run_eires(query, store, random_stream(50, seed=1), strategy="BL2")
-        assert cheap.engine_stats["events_processed"] == 50
+        assert cheap.summary()["engine.events_processed"] == 50
 
 
 class TestRunStructure:
@@ -83,8 +83,8 @@ class TestSelectionPolicies:
         stream = random_stream(100, seed=9)
         greedy = run_eires(query, store, stream, policy=GREEDY)
         non_greedy = run_eires(query, store, stream, policy=NON_GREEDY)
-        assert greedy.engine_stats["runs_consumed"] == 0
-        assert non_greedy.engine_stats["runs_consumed"] > 0
+        assert greedy.summary()["engine.runs_consumed"] == 0
+        assert non_greedy.summary()["engine.runs_consumed"] > 0
 
 
 class TestBucketOrder:
@@ -176,7 +176,7 @@ class TestWindowExpiry:
             [Event(float(i) * 40.0, {"type": "A", "id": i, "v": 1}) for i in range(1, 40)]
         )
         result = run_eires(query, store, events)
-        assert result.engine_stats["runs_expired"] > 0
+        assert result.summary()["engine.runs_expired"] > 0
         # No runs linger at the end beyond the flush.
         assert result.match_count == 0
 
@@ -195,14 +195,14 @@ class TestLoadShedding:
         query, store = make_abc_scenario()
         stream = random_stream(300, seed=23)
         capped = run_eires(query, store, stream, max_partial_matches=20)
-        assert capped.engine_stats["peak_active_runs"] <= 21
-        assert capped.engine_stats["shed_runs"] > 0
+        assert capped.summary()["engine.peak_active_runs"] <= 21
+        assert capped.summary()["engine.shed_runs"] > 0
 
     def test_default_has_no_shedding(self):
         query, store = make_abc_scenario()
         stream = random_stream(300, seed=23)
         result = run_eires(query, store, stream)
-        assert result.engine_stats["shed_runs"] == 0
+        assert result.summary()["engine.shed_runs"] == 0
 
 
 class TestMatchRecord:
@@ -229,10 +229,10 @@ class TestEngineAccounting:
     def test_stats_are_consistent(self):
         query, store = make_abc_scenario()
         result = run_eires(query, store, random_stream(200, seed=8))
-        stats = result.engine_stats
-        assert stats["events_processed"] == 200
-        assert stats["guard_evaluations"] >= stats["runs_created"]
-        assert stats["matches_emitted"] == result.match_count
+        stats = result.summary()
+        assert stats["engine.events_processed"] == 200
+        assert stats["engine.guard_evaluations"] >= stats["engine.runs_created"]
+        assert stats["engine.matches_emitted"] == result.match_count
 
     def test_flush_reports_all_runs_dropped(self):
         # After a run, utility bookkeeping must return to zero: every created

@@ -79,7 +79,7 @@ class TestFrameworkAssembly:
         eires = self._eires()
         result = eires.run(random_stream(80, seed=6))
         assert result.strategy_name == "Hybrid"
-        assert result.engine_stats["events_processed"] == 80
+        assert result.summary()["engine.events_processed"] == 80
         assert result.duration_us > 0
         assert result.throughput.events == 80
 
@@ -97,3 +97,11 @@ class TestFrameworkAssembly:
 
     def test_repr_mentions_strategy(self):
         assert "Hybrid" in repr(self._eires())
+
+    @pytest.mark.parametrize("qs", [(99.0,), (50.0, 99.9)])
+    def test_result_repr_renders_the_configured_quantiles(self, qs):
+        result = self._eires(report_percentiles=qs).run(random_stream(80, seed=6))
+        text = repr(result)
+        for q, value in result.latency_percentiles().items():
+            assert f"p{q:g}={value:.1f}us" in text
+        assert text.count("us,") == len(qs)

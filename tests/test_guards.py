@@ -170,9 +170,9 @@ class TestLocalFunctionAndMembershipPredicates:
         )
         result = _run(self._query(), stream)
         assert result.match_signatures() == {(("a", 0), ("b", 2))}
-        assert result.engine_stats["guard_evaluations"] == 4
+        assert result.summary()["engine.guard_evaluations"] == 4
         # Two A guards of one predicate, two B guards of SAME + sum5.
-        assert result.engine_stats["predicate_evaluations"] == 6
+        assert result.summary()["engine.predicate_evaluations"] == 6
 
     def test_generated_and_interpreted_agree_on_time(self):
         automaton = compile_query(self._query())

@@ -50,7 +50,7 @@ class TestContainerServesParts:
         result = eires.run(card_events([(0, 1), (1, 2), (2, 3), (3, 1)]))
         assert result.match_count == 4
         # Every per-card lookup was served by the container: no fetches.
-        assert result.strategy_stats["blocking_stalls"] == 0
+        assert result.summary()["fetch.blocking_stalls"] == 0
 
     def test_without_container_each_card_fetches(self):
         query, store = hierarchy_scenario()
@@ -58,7 +58,7 @@ class TestContainerServesParts:
                       config=EiresConfig(cache_capacity=16))
         result = eires.run(card_events([(0, 1), (1, 2), (2, 3), (3, 1)]))
         assert result.match_count == 4
-        assert result.strategy_stats["blocking_stalls"] == 4
+        assert result.summary()["fetch.blocking_stalls"] == 4
 
     def test_utility_propagates_from_parts_to_container(self):
         from repro.nfa.run import Run

@@ -56,7 +56,7 @@ class TestBlockingCosts:
         assert result.match_count == 1
         # Two stalls: one when C arrives (r1), one when D arrives (r2); only
         # the second is between the last event and detection.
-        assert result.strategy_stats["blocking_stalls"] == 2
+        assert result.summary()["fetch.blocking_stalls"] == 2
         assert result.matches[0].latency >= LATENCY
 
     def test_bl1_repays_latency_for_repeated_needs(self):
@@ -65,7 +65,7 @@ class TestBlockingCosts:
         bl1 = run_eires(query, store, stream, strategy="BL1", latency=FixedLatency(LATENCY))
         bl2 = run_eires(query, store, stream, strategy="BL2", latency=FixedLatency(LATENCY))
         # The cache saves BL2 most re-fetches of hot keys.
-        assert bl2.strategy_stats["blocking_stalls"] < bl1.strategy_stats["blocking_stalls"]
+        assert bl2.summary()["fetch.blocking_stalls"] < bl1.summary()["fetch.blocking_stalls"]
         assert bl2.latency.median() <= bl1.latency.median()
 
     def test_stall_blocks_subsequent_events_queueing(self):
@@ -103,7 +103,7 @@ class TestDeferredFetching:
         # Both elements are fetched in one round at the final state: one
         # stall, with the match latency around one transmission latency
         # rather than two.
-        assert result.strategy_stats["blocking_stalls"] == 1
+        assert result.summary()["fetch.blocking_stalls"] == 1
         assert result.matches[0].latency == pytest.approx(LATENCY, rel=0.1)
 
     def test_bl3_creates_more_partial_matches(self):
@@ -111,7 +111,7 @@ class TestDeferredFetching:
         stream = random_stream(200, seed=13)
         bl2 = run_eires(query, store, stream, strategy="BL2")
         bl3 = run_eires(query, store, stream, strategy="BL3")
-        assert bl3.engine_stats["peak_active_runs"] > bl2.engine_stats["peak_active_runs"]
+        assert bl3.summary()["engine.peak_active_runs"] > bl2.summary()["engine.peak_active_runs"]
 
 
 class TestPrefetching:
@@ -124,8 +124,8 @@ class TestPrefetching:
         stream = chain_events(n_chains=30, distinct_keys=True)
         pfetch = run_eires(query, store, stream, strategy="PFetch", latency=FixedLatency(8.0))
         bl2 = run_eires(query, store, stream, strategy="BL2", latency=FixedLatency(8.0))
-        assert pfetch.strategy_stats["prefetches_issued"] > 0
-        assert pfetch.strategy_stats["blocking_stalls"] < bl2.strategy_stats["blocking_stalls"]
+        assert pfetch.summary()["fetch.prefetches_issued"] > 0
+        assert pfetch.summary()["fetch.blocking_stalls"] < bl2.summary()["fetch.blocking_stalls"]
         assert pfetch.latency.median() < bl2.latency.median()
 
     def test_pfetch_blocks_on_misprediction(self):
@@ -139,8 +139,8 @@ class TestPrefetching:
         store.register_source("v", lambda key: frozenset(range(10)))
         stream = random_stream(100, seed=31, types="AB")
         pfetch = run_eires(query, store, stream, strategy="PFetch", latency=FixedLatency(LATENCY))
-        assert pfetch.strategy_stats["prefetches_issued"] == 0
-        assert pfetch.strategy_stats["blocking_stalls"] > 0
+        assert pfetch.summary()["fetch.prefetches_issued"] == 0
+        assert pfetch.summary()["fetch.blocking_stalls"] > 0
 
 
 class TestLazyEvaluation:
@@ -149,8 +149,8 @@ class TestLazyEvaluation:
         stream = chain_events(n_chains=30, distinct_keys=True)
         lazy = run_eires(query, store, stream, strategy="LzEval", latency=FixedLatency(30.0))
         bl2 = run_eires(query, store, stream, strategy="BL2", latency=FixedLatency(30.0))
-        assert lazy.strategy_stats["lazy_postponements"] > 0
-        assert lazy.strategy_stats["blocking_stalls"] < bl2.strategy_stats["blocking_stalls"]
+        assert lazy.summary()["fetch.lazy_postponements"] > 0
+        assert lazy.summary()["fetch.blocking_stalls"] < bl2.summary()["fetch.blocking_stalls"]
 
     def test_lazy_gate_falls_back_to_blocking_when_hopeless(self):
         # A remote predicate on the *final* transition with an enormous
@@ -169,7 +169,7 @@ class TestLazyEvaluation:
             lazy_gate_enabled=False,
         )
         assert gated.match_signatures() == ungated.match_signatures()
-        assert ungated.strategy_stats["lazy_postponements"] >= gated.strategy_stats["lazy_postponements"]
+        assert ungated.summary()["fetch.lazy_postponements"] >= gated.summary()["fetch.lazy_postponements"]
 
 
 class TestHybrid:
@@ -185,6 +185,6 @@ class TestHybrid:
         query, store = two_remote_query()
         stream = random_stream(300, seed=43, types="ABCD", id_domain=3)
         hybrid = run_eires(query, store, stream, strategy="Hybrid")
-        assert hybrid.strategy_stats["prefetches_issued"] > 0
+        assert hybrid.summary()["fetch.prefetches_issued"] > 0
         # Whatever the prefetcher missed was postponed, not blocked on.
-        assert hybrid.strategy_stats["blocking_stalls"] <= hybrid.strategy_stats["lazy_postponements"] + 5
+        assert hybrid.summary()["fetch.blocking_stalls"] <= hybrid.summary()["fetch.lazy_postponements"] + 5

@@ -86,13 +86,13 @@ class TestSharing:
             store, FixedLatency(50.0), config=EiresConfig(cache_capacity=100),
         )
         results = runtime.run(stream)
-        shared_stalls = sum(r.strategy_stats["blocking_stalls"] for r in results.values())
+        shared_stalls = sum(r.summary()["fetch.blocking_stalls"] for r in results.values())
 
         isolated_stalls = 0
         for query in (q_ab, q_ac):
             isolated = EIRES(query, store, FixedLatency(50.0), strategy="BL2",
                              config=EiresConfig(cache_capacity=100)).run(stream)
-            isolated_stalls += isolated.strategy_stats["blocking_stalls"]
+            isolated_stalls += isolated.summary()["fetch.blocking_stalls"]
         assert shared_stalls < isolated_stalls
 
     def test_priority_weights_shared_utility(self):

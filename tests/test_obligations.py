@@ -97,9 +97,8 @@ class TestGreedyObligations:
         result = run_eires(query, store, stream, strategy="BL3", policy="greedy",
                            latency=latency)
         assert result.match_count == 0
-        assert result.engine_stats["matches_rejected"] + result.engine_stats[
-            "runs_failed_obligation"
-        ] >= 1
+        summary = result.summary()
+        assert summary["engine.matches_rejected"] + summary["engine.runs_failed_obligation"] >= 1
 
     def test_original_survives_regardless(self):
         # Greedy keeps the unextended original without any obligation: a
@@ -143,7 +142,7 @@ class TestObligationEnvironmentSnapshot:
             {"type": "C", "id": 1, "v": 0},
         )
         result = run_eires(query, store, stream, strategy="BL3", latency=latency)
-        assert result.engine_stats["obligation_checks"] > 0
+        assert result.summary()["engine.obligation_checks"] > 0
 
 
 class TestRootPostponement:
@@ -187,8 +186,8 @@ class TestRootPostponement:
         )
         result = run_eires(query, store, stream, strategy="LzEval", latency=latency)
         assert result.match_count == 1
-        assert result.strategy_stats["lazy_postponements"] == 1
-        assert result.strategy_stats["blocking_stalls"] == 0
+        assert result.summary()["fetch.lazy_postponements"] == 1
+        assert result.summary()["fetch.blocking_stalls"] == 0
 
     def test_same_matches_as_bl1_for_less_stall(self):
         import random
@@ -208,10 +207,10 @@ class TestRootPostponement:
         lazy = run_eires(query, store, stream, strategy="LzEval", latency=latency)
         assert lazy.match_count > 0
         assert lazy.match_signatures() == blocking.match_signatures()
-        assert lazy.strategy_stats["lazy_postponements"] == 20
+        assert lazy.summary()["fetch.lazy_postponements"] == 20
         # What still stalls is a final state reached before the data.
         assert (
-            lazy.strategy_stats["total_stall_time"]
-            < blocking.strategy_stats["total_stall_time"]
+            lazy.summary()["fetch.total_stall_time"]
+            < blocking.summary()["fetch.total_stall_time"]
             == 1_000.0
         )

@@ -16,6 +16,7 @@ import pytest
 from repro.bench.harness import run_strategy
 from repro.core.config import EiresConfig
 from repro.core.framework import EIRES
+from repro.engine.interface import ENGINE_COUNTER_KEYS
 from repro.metrics.reporting import FAULT_COLUMNS
 from repro.obs.export import chrome_trace, write_chrome_trace, write_jsonl
 from repro.obs.provenance import (
@@ -37,13 +38,18 @@ from repro.obs.validate import validate_chrome_trace
 from repro.remote.transport import (
     TRANSPORT_COUNTER_KEYS,
     TRANSPORT_FAULT_COUNTER_KEYS,
+    FixedLatency,
 )
+from repro.runtime.builder import RuntimeBuilder
+from repro.serving import FleetBuilder, TenantSpec
 from repro.strategies.base import (
     DEGRADATION_COUNTER_KEYS,
     STRATEGY_COUNTER_KEYS,
     StrategyStats,
 )
 from repro.workloads.synthetic import SyntheticConfig, q1_workload
+
+from tests.helpers import make_abc_scenario, random_stream, renamed
 
 
 def small_q1():
@@ -184,7 +190,7 @@ class TestCounterGroup:
 
 
 class TestStatsFacades:
-    def test_strategy_stats_are_registry_views(self):
+    def test_strategy_counters_are_registry_views(self):
         registry = MetricsRegistry()
         stats = StrategyStats(registry)
         stats.retries += 2
@@ -193,7 +199,7 @@ class TestStatsFacades:
         assert registry.snapshot()["fetch.total_stall_time"] == 1.5
         assert stats.retries == 2
 
-    def test_strategy_stats_as_dict_order_and_types(self):
+    def test_strategy_counters_as_dict_order_and_types(self):
         data = StrategyStats().as_dict()
         assert list(data) == list(STRATEGY_COUNTER_KEYS)
         assert data["total_stall_time"] == 0.0
@@ -211,15 +217,55 @@ class TestStatsFacades:
         )
         assert set(TRANSPORT_FAULT_COUNTER_KEYS) <= set(TRANSPORT_COUNTER_KEYS)
 
-    def test_run_metrics_snapshot_matches_facades(self):
-        result, _ = traced_run()
-        assert result.metrics is not None
-        for key in STRATEGY_COUNTER_KEYS:
-            assert result.metrics[f"fetch.{key}"] == result.strategy_stats[key]
-        for key in TRANSPORT_COUNTER_KEYS:
-            assert result.metrics[f"transport.{key}"] == result.transport_stats[key]
-        for key in ("hits", "misses", "insertions", "evictions", "rejected"):
-            assert result.metrics[f"cache.{key}"] == result.cache_stats[key]
+    @pytest.mark.parametrize("layout", ["single", "two_queries", "fleet"])
+    def test_engine_counters_live_in_the_snapshot_under_every_scope(self, layout):
+        """The snapshot is the one counter record: each subscriber finds its
+        session's engine.* (and fetch.*) counters under its own scope, and
+        summary() reports exactly those numbers."""
+        query, store = make_abc_scenario()
+        config = EiresConfig(cache_capacity=50)
+        if layout == "single":
+            runtime = RuntimeBuilder(store, FixedLatency(20.0), config=config).add_query(
+                query
+            ).build()
+            results, scopes = runtime.run(random_stream(300, seed=4)), {query.name: ""}
+        elif layout == "two_queries":
+            runtime = (
+                RuntimeBuilder(store, FixedLatency(20.0), config=config)
+                .add_query(renamed(query, "hy"), strategy="Hybrid")
+                .add_query(renamed(query, "bl"), strategy="BL1")
+                .build()
+            )
+            results = runtime.run(random_stream(300, seed=4))
+            scopes = {name: f"query.{name}." for name in ("hy", "bl")}
+        else:
+            # Tenants a and b run the same query at the same priority: one session.
+            builder = FleetBuilder(store, FixedLatency(20.0), config=config)
+            for tenant, priority in (("a", 1.0), ("b", 1.0), ("c", 2.0)):
+                builder.add_tenant(TenantSpec(tenant, renamed(query, f"q_{tenant}"),
+                                              priority=priority))
+            fleet = builder.build()
+            assert len(fleet.runtime.sessions) == 2
+            runtime = fleet.runtime
+            results = {
+                name: result
+                for runs in fleet.dispatch(random_stream(300, seed=4)).results.values()
+                for name, result in runs.items()
+            }
+            scopes = {f"q_{t}": f"tenant.{t}.query.q_{t}." for t in "abc"}
+        assert set(results) == set(scopes)
+        for name, result in results.items():
+            scope, summary = scopes[name], result.summary()
+            engine = runtime.session(name).engine.stats
+            assert result.scope == scope
+            assert engine.events_processed > 0
+            for key in ENGINE_COUNTER_KEYS:
+                assert result.metrics[f"{scope}engine.{key}"] == summary[f"engine.{key}"]
+                assert summary[f"engine.{key}"] == getattr(engine, key)
+            for key in STRATEGY_COUNTER_KEYS:
+                assert result.metrics[f"{scope}fetch.{key}"] == summary[f"fetch.{key}"]
+            for key in TRANSPORT_COUNTER_KEYS:
+                assert result.metrics[f"transport.{key}"] == summary[f"transport.{key}"]
 
 
 class TestTracedRun:

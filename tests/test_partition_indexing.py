@@ -27,7 +27,7 @@ class TestPartitionDispatch:
         stream = random_stream(1000, seed=3, id_domain=100, types="AB")
         result = run_eires(query, store, stream)
         # Each B event touches at most the handful of same-id A-runs.
-        assert result.engine_stats["guard_evaluations"] < 4_000
+        assert result.summary()["engine.guard_evaluations"] < 4_000
 
     def test_unpartitioned_query_still_correct(self):
         query = parse_query("SEQ(A a, B b) WITHIN 10000", name="t")

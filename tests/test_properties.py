@@ -329,9 +329,9 @@ def test_engine_matches_reference_under_any_cache(
             resident.remove(key)
     assert resident == set(cache.keys())
     assert cache.stats.insertions - replaced - cache.stats.evictions == len(cache)
-    stats = result.engine_stats
-    dropped = sum(count for name, count in stats.items() if name.startswith("dropped."))
-    assert dropped == stats["runs_created"]
+    stats = result.summary()
+    dropped = sum(count for name, count in stats.items() if name.startswith("engine.dropped."))
+    assert dropped == stats["engine.runs_created"]
     assert replay_trace(sink.records)["problems"] == []
 
 

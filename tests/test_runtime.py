@@ -172,18 +172,19 @@ class TestSharedUtility:
 class TestMultiQueryFaultParity:
     """Multi-query runs ride the same fault substrate as single-query runs."""
 
-    def test_transport_stats_cover_all_counters(self):
+    def test_transport_columns_cover_all_counters(self):
         results = build_multi().run(random_stream(150, seed=3))
         for result in results.values():
-            assert set(result.transport_stats) == set(TRANSPORT_COUNTER_KEYS)
+            columns = {key for key in result.summary() if key.startswith("transport.")}
+            assert columns == {f"transport.{key}" for key in TRANSPORT_COUNTER_KEYS}
 
     def test_fault_profile_degrades_gracefully(self):
         config = EiresConfig(cache_capacity=50, fault_profile="drop:0.3", seed=11)
         results = build_multi(config=config).run(random_stream(300, seed=5))
-        stats = [result.transport_stats for result in results.values()]
+        stats = [result.summary() for result in results.values()]
         # The shared transport saw faults: retries happened (and are shared
         # across the per-query views of the same transport) ...
-        assert all(s["retries"] > 0 for s in stats)
+        assert all(s["transport.retries"] > 0 for s in stats)
         # ... and every query still completed its replay with results.
         assert sum(r.match_count for r in results.values()) > 0
 
@@ -196,8 +197,8 @@ class TestMultiQueryFaultParity:
         )
         results = build_multi(config=no_retry).run(stream)
         first = next(iter(results.values()))
-        assert first.transport_stats["retries"] == 0
-        assert first.transport_stats["failed_fetches"] > 0
+        assert first.summary()["transport.retries"] == 0
+        assert first.summary()["transport.failed_fetches"] > 0
 
         retrying = EiresConfig(
             cache_capacity=50, fault_profile="drop:0.3",
@@ -205,7 +206,7 @@ class TestMultiQueryFaultParity:
         )
         results = build_multi(config=retrying).run(stream)
         first = next(iter(results.values()))
-        assert first.transport_stats["retries"] > 0
+        assert first.summary()["transport.retries"] > 0
 
 
 class TestMultiQueryTracing:
@@ -239,8 +240,7 @@ class TestMultiQueryTracing:
         for name in plain:
             assert plain[name].match_signatures() == traced[name].match_signatures()
             assert plain[name].latency_percentiles() == traced[name].latency_percentiles()
-            assert plain[name].transport_stats == traced[name].transport_stats
-            assert plain[name].strategy_stats == traced[name].strategy_stats
+            assert plain[name].summary() == traced[name].summary()
 
     def test_metrics_snapshot_covers_every_query(self):
         results = build_multi().run(random_stream(200, seed=3))
@@ -286,4 +286,4 @@ class TestSingleMultiParity:
         )
         assert single.match_signatures() == multi.match_signatures()
         assert single.latency_percentiles() == multi.latency_percentiles()
-        assert single.transport_stats == multi.transport_stats
+        assert single.summary() == multi.summary()

@@ -20,7 +20,6 @@ Five promises are pinned down here, mirroring the layer's acceptance bar:
 
 from __future__ import annotations
 
-import copy
 import hashlib
 from collections import Counter
 
@@ -51,7 +50,7 @@ from repro.workloads.synthetic import (
     q2_query,
 )
 
-from tests.helpers import make_abc_scenario, random_stream
+from tests.helpers import make_abc_scenario, random_stream, renamed
 
 
 SYNTH = SyntheticConfig(n_events=2_000, seed=11)
@@ -84,12 +83,6 @@ def fleet_run(sc: SyntheticConfig, **config_kwargs):
     return fleet.dispatch(make_stream(sc))
 
 
-def renamed(query, name):
-    clone = copy.copy(query)
-    clone.name = name
-    return clone
-
-
 def build_abc_fleet(tenant_kwargs_by_name, tracer=None, **config_kwargs):
     """A fleet of renamed copies of the ABC query, one per tenant."""
     base_query, store = make_abc_scenario()
@@ -112,7 +105,6 @@ class TestByteIdentity:
             assert plain[name].match_signatures() == tenant[name].match_signatures()
             assert plain[name].summary() == tenant[name].summary()
             assert plain[name].metrics == tenant[name].metrics
-            assert plain[name].transport_stats == tenant[name].transport_stats
 
     def test_healthy_run_is_identical(self):
         plain = plain_run(SYNTH)
@@ -131,9 +123,9 @@ class TestByteIdentity:
         assert fleet_result.admitted == {"solo": SYNTH.n_events}
         assert fleet_result.throttled == {"solo": 0}
         # Amortization reads the one plane every tenant result reports.
-        transport = fleet_result.tenant_result("solo")["Q1"].transport_stats
-        demand = transport["blocking_fetches"] + transport["async_fetches"]
-        assert fleet_result.amortization == demand / transport["wire_requests"]
+        summary = fleet_result.tenant_result("solo")["Q1"].summary()
+        demand = summary["transport.blocking_fetches"] + summary["transport.async_fetches"]
+        assert fleet_result.amortization == demand / summary["transport.wire_requests"]
 
 
 def traced_fleet():
@@ -672,12 +664,12 @@ class TestAmortization:
                 .build()
                 .run(random_stream(stream_events, seed=21))[base_query.name]
             )
-            isolated_wire += result.transport_stats["wire_requests"]
+            isolated_wire += result.summary()["transport.wire_requests"]
 
         fleet = build_abc_fleet({f"t{i}": {} for i in range(4)})
         fleet_result = fleet.dispatch(random_stream(stream_events, seed=21))
         (shared,) = fleet_result.tenant_result("t0").values()
-        assert shared.transport_stats["wire_requests"] < isolated_wire
+        assert shared.summary()["transport.wire_requests"] < isolated_wire
         assert fleet_result.amortization >= 1.0
         # Sharing must not change what each tenant detects.
         match_counts = {

@@ -26,6 +26,7 @@ from repro.bench.harness import run_strategy
 from repro.core.config import EiresConfig
 from repro.core.framework import EIRES
 from repro.obs.provenance import replay_trace, verify_shed_record
+from repro.obs.registry import CounterGroup
 from repro.obs.trace import MemorySink, Tracer
 from repro.query.ast import Window
 from repro.shedding import (
@@ -34,8 +35,8 @@ from repro.shedding import (
     NoShedding,
     Overload,
     OverloadDetector,
+    SHED_COUNTER_KEYS,
     RunShedding,
-    ShedStats,
     make_shedding_policy,
     partial_match_utility,
 )
@@ -114,7 +115,7 @@ class TestPolicyNoneByteIdentity:
         query, store = make_abc_scenario()
         result = run_eires(query, store, random_stream(120, seed=3))
         assert not any(key.startswith("shed.") for key in result.summary())
-        assert result.shed_stats is None
+        assert not any(key.startswith("shed.") for key in result.metrics)
 
 
 class TestOverloadDetector:
@@ -281,17 +282,17 @@ class TestEngineShedLowest:
         query, store = make_abc_scenario()
         stream = random_stream(300, seed=23)
         capped = run_eires(query, store, stream, max_partial_matches=20)
-        assert capped.engine_stats["peak_active_runs"] <= 21
-        assert capped.engine_stats["shed_runs"] > 0
-        assert capped.engine_stats["dropped.shed"] == capped.engine_stats["shed_runs"]
+        assert capped.summary()["engine.peak_active_runs"] <= 21
+        assert capped.summary()["engine.shed_runs"] > 0
+        assert capped.summary()["engine.dropped.shed"] == capped.summary()["engine.shed_runs"]
 
     def test_every_created_run_drops_exactly_once(self):
         query, store = make_abc_scenario()
         result = run_eires(query, store, random_stream(300, seed=23),
                            max_partial_matches=20)
-        stats = result.engine_stats
-        dropped = sum(v for k, v in stats.items() if k.startswith("dropped."))
-        assert dropped == stats["runs_created"]
+        stats = result.summary()
+        dropped = sum(v for k, v in stats.items() if k.startswith("engine.dropped."))
+        assert dropped == stats["engine.runs_created"]
 
     def test_shed_lowest_direct(self):
         eires = EIRES(*_abc_pieces(), config=EiresConfig(cache_capacity=100))
@@ -491,8 +492,8 @@ class TestOverloadRuns:
         assert stats["fetch.obligations_expired"] >= 0
         assert stats["engine.dropped.flushed"] >= 0
 
-    def test_shed_stats_view(self):
-        stats = ShedStats()
+    def test_shed_counter_group(self):
+        stats = CounterGroup("shed", SHED_COUNTER_KEYS)
         stats.overloads += 1
         stats.runs_shed += 5
         assert stats.overloads == 1

@@ -110,9 +110,9 @@ class TestPrefetchGate:
             query, store, random_stream(300, seed=77, v_domain=500),
             strategy="PFetch", cache_capacity=3,
         )
-        assert result.strategy_stats["prefetches_suppressed"] >= 0  # counter exists
-        stats = result.strategy_stats
-        assert stats["prefetches_issued"] + stats["prefetches_suppressed"] > 0
+        stats = result.summary()
+        assert stats["fetch.prefetches_suppressed"] >= 0  # counter exists
+        assert stats["fetch.prefetches_issued"] + stats["fetch.prefetches_suppressed"] > 0
 
 
 class TestLazyBenefitModel:
@@ -178,7 +178,8 @@ class TestStrategyStatsReporting:
         assert "cache.hit_rate" in summary
         assert "transport.async_fetches" in summary
 
-    def test_bl1_has_no_cache_stats(self):
+    def test_bl1_has_no_cache_columns(self):
         query, store = make_abc_scenario()
         result = run_eires(query, store, random_stream(50, seed=2), strategy="BL1")
-        assert result.cache_stats is None
+        assert not any(key.startswith("cache.") for key in result.summary())
+        assert not any(key.startswith("cache.") for key in result.metrics)
