@@ -78,61 +78,63 @@ def digest_of(name: str) -> str:
     return hashlib.blake2s(text.encode(), digest_size=8).hexdigest()
 
 
-# name -> digest; taken at the parent of the batching change (PR 20) and re-pinned
-# once (PR 21), at unchanged src/, without the ``engine.backend`` metrics
-# annotation that PR then deleted — the only key the re-pin is attributable to.
+# name -> digest; taken before the batching change and re-pinned twice, each
+# time with every run unchanged: once without the ``engine.backend`` metrics
+# annotation that was then deleted, and once when the engine's counter group
+# joined the metrics snapshot (the earlier runs, with their ``engine.<key>``
+# summary columns merged into ``metrics``, give exactly this table).
 PINNED: dict[str, str] = {
-    "bursty-Hybrid-greedy-shed_events": "20359de6b2c62a87",
-    "bursty-Hybrid-greedy-shed_runs": "d083dbe83546cdb4",
-    "q1-BL1-greedy-default": "28400a73852690ac",
-    "q1-BL1-greedy-tight": "28400a73852690ac",
-    "q1-BL1-non_greedy-default": "bf7cb853aa636bdb",
-    "q1-BL1-non_greedy-tight": "bf7cb853aa636bdb",
-    "q1-BL2-greedy-default": "7f025ea07c80c367",
-    "q1-BL2-greedy-tight": "cb350b2eda235203",
-    "q1-BL2-non_greedy-default": "7f56c8549de8b03a",
-    "q1-BL2-non_greedy-tight": "3631037ba9792e2a",
-    "q1-BL3-greedy-default": "a3e9e6361c2c9bf1",
-    "q1-BL3-greedy-tight": "a3e9e6361c2c9bf1",
-    "q1-BL3-non_greedy-default": "9647537b063d482d",
-    "q1-BL3-non_greedy-tight": "9647537b063d482d",
-    "q1-Hybrid-greedy-default": "79844fdb02a698de",
-    "q1-Hybrid-greedy-drop": "fb3d3b790f2e14bc",
-    "q1-Hybrid-greedy-tight": "70cf7ec843eba5de",
-    "q1-Hybrid-non_greedy-default": "56351bc10c674b98",
-    "q1-Hybrid-non_greedy-tight": "6705ecbdc3b38cf2",
-    "q1-LzEval-greedy-default": "5516097cd245e0af",
-    "q1-LzEval-greedy-tight": "008f582172f4fa07",
-    "q1-LzEval-non_greedy-default": "aaa4b61b5d846e09",
-    "q1-LzEval-non_greedy-tight": "811a0a07c05cf409",
-    "q1-PFetch-greedy-default": "03a2da93c447e4df",
-    "q1-PFetch-greedy-tight": "e037900b88d55697",
-    "q1-PFetch-non_greedy-default": "6132dd3b0d8360e9",
-    "q1-PFetch-non_greedy-tight": "ca55a8ae7e68fd1e",
-    "q2-BL1-greedy-default": "62dbb5768b05bc8c",
-    "q2-BL1-greedy-tight": "62dbb5768b05bc8c",
-    "q2-BL1-non_greedy-default": "a5eaa18ca486dbe2",
-    "q2-BL1-non_greedy-tight": "a5eaa18ca486dbe2",
-    "q2-BL2-greedy-default": "1654195b36364975",
-    "q2-BL2-greedy-tight": "0411229af78f267c",
-    "q2-BL2-non_greedy-default": "6e0c3d105ed123c3",
-    "q2-BL2-non_greedy-tight": "895225d442e55b67",
-    "q2-BL3-greedy-default": "f0f00d86840e5e31",
-    "q2-BL3-greedy-tight": "f0f00d86840e5e31",
-    "q2-BL3-non_greedy-default": "d484cefd1f56a0e1",
-    "q2-BL3-non_greedy-tight": "d484cefd1f56a0e1",
-    "q2-Hybrid-greedy-default": "a619c3446959e26b",
-    "q2-Hybrid-greedy-tight": "c26f048c7493a390",
-    "q2-Hybrid-non_greedy-default": "75bf01ac217b8035",
-    "q2-Hybrid-non_greedy-tight": "b1817cbb6243ce0b",
-    "q2-LzEval-greedy-default": "de2ae9354b2715b4",
-    "q2-LzEval-greedy-tight": "0b3105a69ac50dc5",
-    "q2-LzEval-non_greedy-default": "c024be2bc6c6b2ec",
-    "q2-LzEval-non_greedy-tight": "fb5f583d2be51882",
-    "q2-PFetch-greedy-default": "baaa831da72eaced",
-    "q2-PFetch-greedy-tight": "113fe103cfa284d4",
-    "q2-PFetch-non_greedy-default": "577d5f4fc3d06517",
-    "q2-PFetch-non_greedy-tight": "a56de7479d6caf82",
+    "bursty-Hybrid-greedy-shed_events": "18dfc37da45014d3",
+    "bursty-Hybrid-greedy-shed_runs": "862d069732f42911",
+    "q1-BL1-greedy-default": "747cc41f40dfb29d",
+    "q1-BL1-greedy-tight": "747cc41f40dfb29d",
+    "q1-BL1-non_greedy-default": "e3e1f8957dd4ec01",
+    "q1-BL1-non_greedy-tight": "e3e1f8957dd4ec01",
+    "q1-BL2-greedy-default": "d77fb67d6b99a46f",
+    "q1-BL2-greedy-tight": "b853e971cb186192",
+    "q1-BL2-non_greedy-default": "2431e2a7568c6e88",
+    "q1-BL2-non_greedy-tight": "d4b48a3ed8a84a95",
+    "q1-BL3-greedy-default": "2a647c0211760ccc",
+    "q1-BL3-greedy-tight": "2a647c0211760ccc",
+    "q1-BL3-non_greedy-default": "490d7b9b75cf4a18",
+    "q1-BL3-non_greedy-tight": "490d7b9b75cf4a18",
+    "q1-Hybrid-greedy-default": "8420cdcb67d8b871",
+    "q1-Hybrid-greedy-drop": "896e87f0f8cdedc9",
+    "q1-Hybrid-greedy-tight": "c763b50a4f1cb1d2",
+    "q1-Hybrid-non_greedy-default": "c8ba3cb4e5ee8f2e",
+    "q1-Hybrid-non_greedy-tight": "d4ddd26c67cee3ae",
+    "q1-LzEval-greedy-default": "93b20af616dee9c1",
+    "q1-LzEval-greedy-tight": "7edea0377fa51054",
+    "q1-LzEval-non_greedy-default": "9fb264b55273f090",
+    "q1-LzEval-non_greedy-tight": "dc81888c032290b7",
+    "q1-PFetch-greedy-default": "a63991cd0109c912",
+    "q1-PFetch-greedy-tight": "3cc2ece10cb82d25",
+    "q1-PFetch-non_greedy-default": "424bdb4eb7e9c363",
+    "q1-PFetch-non_greedy-tight": "237e7ab2b3a921e5",
+    "q2-BL1-greedy-default": "7a19648e0a3b71fd",
+    "q2-BL1-greedy-tight": "7a19648e0a3b71fd",
+    "q2-BL1-non_greedy-default": "2c4c983943839fe1",
+    "q2-BL1-non_greedy-tight": "2c4c983943839fe1",
+    "q2-BL2-greedy-default": "0dcc91f0659959b7",
+    "q2-BL2-greedy-tight": "c5a32c43dfeed4fc",
+    "q2-BL2-non_greedy-default": "ea063d99ea0d2c7d",
+    "q2-BL2-non_greedy-tight": "cb8ede52688d8066",
+    "q2-BL3-greedy-default": "de2811387b9b2e27",
+    "q2-BL3-greedy-tight": "de2811387b9b2e27",
+    "q2-BL3-non_greedy-default": "147befc618d91df8",
+    "q2-BL3-non_greedy-tight": "147befc618d91df8",
+    "q2-Hybrid-greedy-default": "7850ac8b8170085a",
+    "q2-Hybrid-greedy-tight": "fcac5c552dbaafa9",
+    "q2-Hybrid-non_greedy-default": "fcf17de7b2ff6120",
+    "q2-Hybrid-non_greedy-tight": "5adc40f461ee063e",
+    "q2-LzEval-greedy-default": "10aec8a82a536d8e",
+    "q2-LzEval-greedy-tight": "f266d293401b1f5d",
+    "q2-LzEval-non_greedy-default": "3fc5b9409b936428",
+    "q2-LzEval-non_greedy-tight": "dabba7f443607845",
+    "q2-PFetch-greedy-default": "ec9e093692e59c17",
+    "q2-PFetch-greedy-tight": "335a5f2dbc55dcff",
+    "q2-PFetch-non_greedy-default": "e38c7caa4963aee4",
+    "q2-PFetch-non_greedy-tight": "d466a97d8b471f8a",
 }
 
 
