@@ -11,7 +11,10 @@ Run under pytest (the tier-2 suite) or standalone::
     python benchmarks/bench_fault_tolerance.py               # full sweep
     python benchmarks/bench_fault_tolerance.py --fault-smoke # CI-sized
 
-Results land in ``results/fault_tolerance.json``.
+The full 3 000-event sweep writes ``results/fault_tolerance.json``; the
+600-event smoke writes ``fault_tolerance_smoke.json``, which the bench
+regression gate diffs against ``results/baselines/``.  ``REPRO_RESULTS_DIR``
+redirects either.
 """
 
 from __future__ import annotations
@@ -109,7 +112,7 @@ def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
     smoke = "--fault-smoke" in args
     rows = sweep(n_events=600 if smoke else 3_000)
-    experiment = ExperimentResult("fault_tolerance", rows)
+    experiment = ExperimentResult("fault_tolerance_smoke" if smoke else "fault_tolerance", rows)
     print(experiment.table(COLUMNS))
     check_rows(rows)
     path = save_results(experiment)

@@ -39,13 +39,10 @@ class EiresConfig:
     # Utility model (§4)
     omega_fetch: float = 0.7
     omega_cache: float = 0.5
-    utility_tick_interval: int = 1
     noise_ratio: float = 0.0
 
     # Prefetch timing/selection (§5.1)
     lookahead_enabled: bool = True
-    prefetch_gate_enabled: bool = True
-    history_miss_threshold: int = 3
     history_reset_after: float = 1_000_000.0
 
     # Lazy evaluation (§5.2)
@@ -57,12 +54,9 @@ class EiresConfig:
     fault_profile: str = "none"
     retry_max_attempts: int = 3
     retry_backoff_base: float = 25.0
-    retry_backoff_factor: float = 2.0
-    retry_jitter: float = 0.1
     retry_attempt_timeout: float = 400.0
     retry_deadline: float = 4_000.0
     breaker_enabled: bool = True
-    breaker_window: int = 32
     breaker_failure_threshold: float = 0.5
     breaker_min_samples: int = 8
     breaker_cooldown: float = 2_000.0
@@ -90,15 +84,14 @@ class EiresConfig:
     shed_event_threshold: float = 0.0
     omega_shed: float = 0.5
 
-    # Observability: percentile surfaces, the virtual-time series sampler,
-    # and the SLO/health plane.  The defaults build no sampler and no SLO
+    # Observability: the virtual-time series sampler and the SLO/health
+    # plane (the percentile sets are the constants REPORT_PERCENTILES and
+    # HISTOGRAM_PERCENTILES).  The defaults build no sampler and no SLO
     # plane — byte-identical (and metric-identical) to a build predating
     # them.  ``series_interval`` is the sampling cadence in virtual us
     # (0 = off); the ``slo_*`` objectives are evaluated as burn rates into
     # registered ``slo.*`` metrics, and ``slo_in_detector`` lets the
     # shedding OverloadDetector treat a burn above 1.0 as overload.
-    report_percentiles: tuple = (5, 25, 50, 75, 95, 99)
-    histogram_percentiles: tuple = (50, 95, 99)
     series_interval: float = 0.0
     slo_latency_bound: float | None = None
     slo_recall_floor: float | None = None
@@ -128,8 +121,6 @@ class EiresConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]: {value}")
-        if self.utility_tick_interval < 1:
-            raise ValueError("utility tick interval must be >= 1")
         try:
             make_fault_model(self.fault_profile)
         except ValueError as exc:
@@ -141,8 +132,6 @@ class EiresConfig:
             )
         if self.retry_max_attempts < 1:
             raise ValueError(f"retry_max_attempts must be >= 1: {self.retry_max_attempts}")
-        if self.breaker_window < 1:
-            raise ValueError(f"breaker_window must be >= 1: {self.breaker_window}")
         if not 0.0 < self.breaker_failure_threshold <= 1.0:
             raise ValueError(
                 f"breaker_failure_threshold must be in (0, 1]: {self.breaker_failure_threshold}"
@@ -186,13 +175,6 @@ class EiresConfig:
             raise ValueError(
                 f"shed_event_threshold must be non-negative: {self.shed_event_threshold}"
             )
-        for name in ("report_percentiles", "histogram_percentiles"):
-            qs = getattr(self, name)
-            if not qs:
-                raise ValueError(f"{name} must name at least one percentile")
-            for q in qs:
-                if not 0 <= q <= 100:
-                    raise ValueError(f"{name} entries must be in [0, 100]: {q}")
         if self.series_interval < 0:
             raise ValueError(f"series_interval must be non-negative: {self.series_interval}")
         if self.slo_latency_bound is not None and self.slo_latency_bound <= 0:

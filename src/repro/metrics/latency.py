@@ -6,8 +6,8 @@ of a match and the match's detection; the SLO plane adds the tail p99 on
 top.  :class:`LatencyCollector` accumulates per-match latencies (virtual
 microseconds) and computes those percentiles, optionally after exponential
 smoothing over a sliding window as the paper's latency definition ``l(k)``
-allows.  The reported quantile set is configurable per collector (and from
-``EiresConfig.report_percentiles`` at the framework level).
+allows.  The reported quantile set is the constant :data:`REPORT_PERCENTILES`;
+:meth:`LatencyCollector.percentiles` takes any other set explicitly.
 """
 
 from __future__ import annotations
@@ -46,7 +46,15 @@ def percentile(sorted_values: Sequence[float], q: float) -> float:
 
 
 def percentiles_of(values: Iterable[float], qs: Iterable[float]) -> dict[float, float]:
-    """Each ``q`` of ``qs`` over unsorted ``values``; all-zero when empty."""
+    """Each ``q`` of ``qs`` over unsorted ``values``; all-zero when empty.
+
+    Every ``q`` is range-checked first, so a bad quantile raises whether or
+    not there is data.
+    """
+    qs = tuple(qs)
+    for q in qs:
+        if not 0 <= q <= 100:
+            raise ValueError(f"percentile out of range: {q}")
     ordered = sorted(values)
     if not ordered:
         return {q: 0.0 for q in qs}
@@ -59,19 +67,12 @@ class LatencyCollector:
     ``smoothing_window`` > 1 replaces each sample by the mean of the last
     ``w`` samples before percentile computation, implementing the paper's
     optional smoothing; the default of 1 reports raw per-match latencies.
-    ``qs`` sets the default quantile set reported by :meth:`percentiles`.
     """
 
-    def __init__(
-        self, smoothing_window: int = 1, qs: Sequence[float] = REPORT_PERCENTILES
-    ) -> None:
+    def __init__(self, smoothing_window: int = 1) -> None:
         if smoothing_window < 1:
             raise ValueError(f"smoothing window must be >= 1: {smoothing_window}")
-        for q in qs:
-            if not 0 <= q <= 100:
-                raise ValueError(f"percentile out of range: {q}")
         self._smoothing_window = smoothing_window
-        self._qs = tuple(qs)
         self._samples: list[float] = []
 
     def record(self, latency: float) -> None:
@@ -103,9 +104,9 @@ class LatencyCollector:
             smoothed.append(running / min(index + 1, window))
         return smoothed
 
-    def percentiles(self, qs: Sequence[float] | None = None) -> dict[float, float]:
+    def percentiles(self, qs: Sequence[float] = REPORT_PERCENTILES) -> dict[float, float]:
         """Percentile summary; empty collectors report all-zero (no matches)."""
-        return percentiles_of(self._effective_samples(), self._qs if qs is None else qs)
+        return percentiles_of(self._effective_samples(), qs)
 
     def median(self) -> float:
         return self.percentiles((50,))[50]

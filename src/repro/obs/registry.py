@@ -30,9 +30,7 @@ __all__ = [
     "HISTOGRAM_PERCENTILES",
 ]
 
-#: Default quantile set every histogram snapshot reports; override per
-#: registry (``MetricsRegistry(histogram_qs=...)``) or from
-#: ``EiresConfig.histogram_percentiles`` at the framework level.
+#: The quantile set every histogram snapshot reports.
 HISTOGRAM_PERCENTILES = (50, 95, 99)
 
 
@@ -96,22 +94,16 @@ class Histogram:
     discarded as new ones arrive, so long runs report *recent* behaviour
     instead of an all-time average.  ``window=None`` retains everything.
     Totals (``count``/``total``) always cover the full run regardless of the
-    window.  ``qs`` is the quantile set :meth:`snapshot` reports.
+    window.  :meth:`snapshot` reports :data:`HISTOGRAM_PERCENTILES`.
     """
 
-    __slots__ = ("name", "window", "count", "total", "qs", "_samples")
+    __slots__ = ("name", "window", "count", "total", "_samples")
 
-    def __init__(
-        self,
-        name: str,
-        window: float | None = None,
-        qs: Iterable[float] = HISTOGRAM_PERCENTILES,
-    ) -> None:
+    def __init__(self, name: str, window: float | None = None) -> None:
         if window is not None and window <= 0:
             raise ValueError(f"histogram window must be positive: {window}")
         self.name = name
         self.window = window
-        self.qs = tuple(qs)
         self.count = 0
         self.total = 0.0
         self._samples: deque[tuple[float, float]] = deque()
@@ -136,10 +128,8 @@ class Histogram:
             return 0.0
         return self.total / self.count
 
-    def percentiles(self, qs: Iterable[float] | None = None) -> dict[float, float]:
+    def percentiles(self, qs: Iterable[float] = HISTOGRAM_PERCENTILES) -> dict[float, float]:
         """Percentiles over the retained window (all-zero when empty)."""
-        if qs is None:
-            qs = self.qs
         return percentiles_of((value for _, value in self._samples), qs)
 
     def snapshot(self) -> dict[str, Any]:
@@ -160,15 +150,9 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named metrics, created on first use and listed in one snapshot.
+    """Named metrics, created on first use and listed in one snapshot."""
 
-    ``histogram_qs`` is the quantile set every histogram created through
-    this registry reports in its snapshot (the framework plumbs
-    ``EiresConfig.histogram_percentiles`` here).
-    """
-
-    def __init__(self, histogram_qs: Iterable[float] = HISTOGRAM_PERCENTILES) -> None:
-        self.histogram_qs = tuple(histogram_qs)
+    def __init__(self) -> None:
         # name -> (group, key) for every attached CounterGroup attribute.
         self._attached: dict[str, tuple[CounterGroup, str]] = {}
         self._gauges: dict[str, Gauge] = {}
@@ -185,9 +169,7 @@ class MetricsRegistry:
         metric = self._histograms.get(name)
         if metric is None:
             self._check_fresh(name)
-            metric = self._histograms[name] = Histogram(
-                name, window=window, qs=self.histogram_qs
-            )
+            metric = self._histograms[name] = Histogram(name, window=window)
         return metric
 
     def attach(self, group: CounterGroup, scope: str = "") -> None:

@@ -129,7 +129,7 @@ class RuntimeBuilder:
         config = self.config
         tracer = self.tracer
         clock = VirtualClock()
-        metrics = MetricsRegistry(histogram_qs=config.histogram_percentiles)
+        metrics = MetricsRegistry()
         rng = make_rng(config.seed)
         monitor = LatencyMonitor()
         # The fault rng is a *separate* stream spawned after the transport's:
@@ -139,14 +139,11 @@ class RuntimeBuilder:
         retry_policy = RetryPolicy(
             max_attempts=config.retry_max_attempts,
             backoff_base=config.retry_backoff_base,
-            backoff_factor=config.retry_backoff_factor,
-            jitter=config.retry_jitter,
             attempt_timeout=config.retry_attempt_timeout,
             deadline=config.retry_deadline,
         )
         breakers = (
             BreakerBoard(
-                window_size=config.breaker_window,
                 failure_threshold=config.breaker_failure_threshold,
                 min_samples=config.breaker_min_samples,
                 cooldown=config.breaker_cooldown,
@@ -282,17 +279,12 @@ class RuntimeBuilder:
                 utility=utility,
                 rates=rates,
                 scheduler=FutureScheduler(),  # per query: payloads are site-specific
-                history=HitHistory(
-                    miss_threshold=config.history_miss_threshold,
-                    reset_after=config.history_reset_after,
-                ),
+                history=HitHistory(reset_after=config.history_reset_after),
                 noise=runtime.noise,
                 omega_fetch=config.omega_fetch,
                 ell_pm=config.cost_model.per_guard_cost,
                 lookahead_enabled=config.lookahead_enabled,
-                prefetch_gate_enabled=config.prefetch_gate_enabled,
                 lazy_gate_enabled=config.lazy_gate_enabled,
-                utility_tick_interval=config.utility_tick_interval,
                 failure_mode=config.failure_mode,
                 stale_serve_enabled=config.stale_serve_enabled,
                 metrics=session_metrics,
@@ -432,7 +424,6 @@ class Runtime:
             self.metrics,
             tracer=self.tracer,
             smoothing_window=smoothing_window,
-            report_percentiles=self.config.report_percentiles,
             sampler=sampler,
             slo=self.slo,
             admit=admit,

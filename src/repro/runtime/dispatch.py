@@ -147,7 +147,6 @@ class RunResult:
 def deliver_event(
     session: QuerySession,
     event,
-    index: int,
     clock: VirtualClock,
     tracer: Tracer = NULL_TRACER,
     multi: bool = False,
@@ -165,7 +164,7 @@ def deliver_event(
     spans = strategy.spans
     if spans is not None:
         spans.begin_event(clock.now)
-    strategy.on_event_start(event, index)
+    strategy.on_event_start(event)
     # Overload control (when configured): input-event shedding skips
     # the NFA step entirely; run shedding prunes the population the
     # step just grew.  The substrate work above (async deliveries,
@@ -207,7 +206,6 @@ def dispatch(
     metrics: MetricsRegistry,
     tracer: Tracer = NULL_TRACER,
     smoothing_window: int = 1,
-    report_percentiles: Sequence[float] | None = None,
     sampler=None,
     slo=None,
     admit=None,
@@ -224,12 +222,10 @@ def dispatch(
     it, and so reports the one remote-data plane whether or not its own
     strategy consults the cache.
 
-    ``report_percentiles`` configures the latency quantile surface
-    (``EiresConfig.report_percentiles``); ``sampler`` is an optional
-    :class:`~repro.obs.series.SeriesSampler` snapshotting the metrics
-    registry on its virtual-time cadence; ``slo`` is an optional
-    :class:`~repro.obs.slo.SloPlane` fed every event and match.  All three
-    only *read* model state — they change no run results.
+    ``sampler`` is an optional :class:`~repro.obs.series.SeriesSampler`
+    snapshotting the metrics registry on its virtual-time cadence; ``slo``
+    is an optional :class:`~repro.obs.slo.SloPlane` fed every event and
+    match.  Both only *read* model state — they change no run results.
 
     ``admit`` is the one admission seam (the fleet layer's token buckets):
     called once per event at pickup, it returns the ``(session, slo_planes)``
@@ -241,7 +237,7 @@ def dispatch(
     # Records name their query once several subscribers share the replay.
     multi = sum(len(session.names) for session in sessions) > 1
     for session in sessions:
-        session.begin_run(smoothing_window=smoothing_window, qs=report_percentiles)
+        session.begin_run(smoothing_window=smoothing_window)
     everyone = [
         (session, (slo,) * len(session.names) if slo is not None else ())
         for session in sessions
@@ -250,7 +246,7 @@ def dispatch(
     throughput = ThroughputMeter()
     start = clock.now
 
-    for index, event in enumerate(stream):
+    for event in stream:
         # The engines pick the event up at arrival or when the shared clock
         # frees up, whichever is later — queueing delay is real latency.
         clock.advance_to(event.t)
@@ -259,7 +255,7 @@ def dispatch(
         if slo is not None:
             slo.observe_event(clock.now)
         for session, planes in everyone if admit is None else admit(event):
-            deliver_event(session, event, index, clock, tracer, multi, planes)
+            deliver_event(session, event, clock, tracer, multi, planes)
         throughput.record_event(clock.now)
         if sampler is not None and sampler.due(clock.now):
             # Gauge refresh before the snapshot, so sampled slo.* values

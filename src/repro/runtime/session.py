@@ -126,13 +126,10 @@ class QuerySession:
     def priority(self) -> float:
         return self.spec.priority
 
-    def begin_run(self, smoothing_window: int = 1, qs=None) -> None:
+    def begin_run(self, smoothing_window: int = 1) -> None:
         """Reset the per-replay collectors (the dispatch loop calls this)."""
         self.matches = []
-        if qs is None:
-            self.latency = LatencyCollector(smoothing_window=smoothing_window)
-        else:
-            self.latency = LatencyCollector(smoothing_window=smoothing_window, qs=qs)
+        self.latency = LatencyCollector(smoothing_window=smoothing_window)
 
     def __repr__(self) -> str:
         return f"QuerySession({self.names!r}, {self.strategy.name}, priority={self.priority})"

@@ -35,12 +35,7 @@ from repro.query.predicates import Predicate
 from repro.remote.element import DataKey
 from repro.strategies.context import FAIL_CLOSED, FAIL_OPEN, RuntimeContext
 from repro.strategies.fetch_plane import FetchPlane
-
-# _evaluate_with is re-exported for existing importers of the pre-split layout.
-from repro.strategies.obligations import (  # noqa: F401
-    ObligationResolution,
-    _evaluate_with,
-)
+from repro.strategies.obligations import ObligationResolution
 from repro.strategies.stats import (
     DEGRADATION_COUNTER_KEYS,
     RUN_DROP_REASONS,
@@ -108,25 +103,23 @@ class FetchStrategy(ObligationResolution, FetchPlane):
             for transition in ctx.automaton.transitions
             for predicate in transition.remote_predicates
         }
-        if ctx.metrics is not None:
-            # Snapshots of the framework's shared registry include the
-            # fetch.* and engine.dropped.* counters.
-            ctx.metrics.attach(self.stats)
-            ctx.metrics.attach(self.drops)
+        # Snapshots of the framework's shared registry include the fetch.*
+        # and engine.dropped.* counters.
+        ctx.metrics.attach(self.stats)
+        ctx.metrics.attach(self.drops)
 
     @property
     def total_stall_time(self) -> float:
         return self.stats.total_stall_time
 
     # -- pipeline hooks -----------------------------------------------------------
-    def on_event_start(self, event: Event, index: int) -> None:
+    def on_event_start(self, event: Event) -> None:
         """Called before the engine processes ``event``."""
         ctx = self.ctx
         ctx.rates.observe_event(event.event_type or "", event.t)
         self._deliver_due()
         self._fire_scheduled()
-        if index % ctx.utility_tick_interval == 0:
-            self._utility_tick()
+        self._utility_tick()
 
     def on_event_end(self, event: Event, matches: list) -> None:
         """Called after the engine processed ``event`` (subclass hook)."""

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from repro.cache.base import Cache
 from repro.cache.history import HitHistory
 from repro.nfa.automaton import Automaton
-from repro.obs.registry import MetricsRegistry, ScopedRegistry
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs.registry import FanoutScope, MetricsRegistry, ScopedRegistry
+from repro.obs.trace import Tracer
 from repro.remote.transport import Transport
 from repro.sim.clock import VirtualClock
 from repro.sim.scheduler import FutureScheduler
@@ -54,18 +54,15 @@ class RuntimeContext:
     scheduler: FutureScheduler
     history: HitHistory
     noise: NoiseModel
-    omega_fetch: float = 0.7
-    ell_pm: float = 0.05
-    lookahead_enabled: bool = True
-    prefetch_gate_enabled: bool = True
-    lazy_gate_enabled: bool = True
-    utility_tick_interval: int = 1
-    failure_mode: str = FAIL_CLOSED
-    stale_serve_enabled: bool = True
+    omega_fetch: float
+    ell_pm: float
+    lookahead_enabled: bool
+    lazy_gate_enabled: bool
+    failure_mode: str
+    stale_serve_enabled: bool
     # Observability: the shared metrics registry the counter groups attach
-    # to and the trace bus.  Both default to off/None so hand-built contexts
-    # (unit tests) behave exactly as before.  Multi-query runtimes pass a
-    # ScopedRegistry so each session's fetch.* counters get their own
-    # namespace in the shared snapshot.
-    metrics: MetricsRegistry | ScopedRegistry | None = None
-    tracer: Tracer = NULL_TRACER
+    # to and the trace bus.  Multi-query runtimes pass a scoped view so each
+    # session's fetch.* counters get their own namespace in the shared
+    # snapshot.
+    metrics: MetricsRegistry | ScopedRegistry | FanoutScope
+    tracer: Tracer

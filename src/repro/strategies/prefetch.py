@@ -120,8 +120,8 @@ class PFetchStrategy(FetchStrategy):
         self.planner = PrefetchPlanner(self)
 
     # -- pipeline hooks ---------------------------------------------------------
-    def on_event_start(self, event: Event, index: int) -> None:
-        super().on_event_start(event, index)
+    def on_event_start(self, event: Event) -> None:
+        super().on_event_start(event)
         self.planner.refresh(self.ctx.clock.now)
 
     def _fire_scheduled(self) -> None:
@@ -226,7 +226,7 @@ class PFetchStrategy(FetchStrategy):
                 )
             return
         cache = ctx.cache
-        if ctx.prefetch_gate_enabled and cache is not None and cache.used >= cache.capacity:
+        if cache is not None and cache.used >= cache.capacity:
             # Eq. 7: only displace cached data for higher-utility elements.
             # The candidate's own utility includes the anticipated urgent
             # need of the triggering partial match (one latency-weighted use).

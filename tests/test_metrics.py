@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.metrics.latency import LatencyCollector, percentile
+from repro.metrics.latency import LatencyCollector, percentile, percentiles_of
 from repro.metrics.reporting import format_comparison, format_table, speedups
 from repro.metrics.throughput import ThroughputMeter
+from repro.obs.registry import Histogram
 
 
 class TestPercentile:
@@ -54,13 +55,15 @@ class TestLatencyCollector:
         }
 
     def test_configurable_quantile_set(self):
-        collector = LatencyCollector(qs=(50, 90))
+        collector = LatencyCollector()
         collector.record_all(float(i) for i in range(1, 101))
-        assert set(collector.percentiles()) == {50, 90}
+        assert set(collector.percentiles((50, 90))) == {50, 90}
 
     def test_invalid_quantile_rejected(self):
+        collector = LatencyCollector()
+        collector.record_all([1.0, 2.0])
         with pytest.raises(ValueError):
-            LatencyCollector(qs=(50, 101))
+            collector.percentiles((50, 101))
 
     def test_negative_latency_rejected(self):
         with pytest.raises(ValueError):
@@ -126,6 +129,21 @@ class TestLatencyEdgeCases:
         assert collector.percentiles((0, 50, 100)) == {0: 0.0, 50: 0.0, 100: 0.0}
         assert collector.samples == []
         assert collector.median() == 0.0
+
+    @pytest.mark.parametrize("q", [-1, 101, 150])
+    @pytest.mark.parametrize("samples", [[], [1.0, 2.0]], ids=["empty", "data"])
+    def test_out_of_range_quantile_rejected_with_or_without_data(self, q, samples):
+        collector = LatencyCollector()
+        collector.record_all(samples)
+        histogram = Histogram("h")
+        for value in samples:
+            histogram.observe(value)
+        with pytest.raises(ValueError):
+            collector.percentiles((50, q))
+        with pytest.raises(ValueError):
+            histogram.percentiles((q,))
+        with pytest.raises(ValueError):
+            percentiles_of(samples, (q,))
 
 
 class TestThroughputMeter:

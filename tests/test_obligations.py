@@ -167,7 +167,7 @@ class TestRootPostponement:
         query, store, latency = self._scenario()
         eires = EIRES(query, store, latency, strategy="LzEval")
         first = Event(10.0, {"type": "A", "id": 1, "v": 1, "k": 7}, seq=0)
-        eires.strategy.on_event_start(first, 0)
+        eires.strategy.on_event_start(first)
         eires.engine.process_event(first, eires.strategy)
         (run,) = eires.engine.iter_runs()
         (obligation,) = run.obligations

@@ -226,8 +226,8 @@ def _digest_with_speculative_calls(monkeypatch, name, functions):
     calls = dict.fromkeys(functions, 0)
     deliver = _DISPATCH.deliver_event
 
-    def probed(session, event, index, clock, *rest):
-        deliver(session, event, index, clock, *rest)
+    def probed(session, event, clock, *rest):
+        deliver(session, event, clock, *rest)
         for function in functions:
             calls[function] += len(CONSEQUENCE_FREE[function](session, event, clock.now))
 

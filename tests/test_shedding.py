@@ -300,7 +300,7 @@ class TestEngineShedLowest:
         strategy = eires.runtime.sessions[0].strategy
         for event in random_stream(60, seed=5):
             eires.clock.advance_to(event.t)
-            strategy.on_event_start(event, event.seq)
+            strategy.on_event_start(event)
             engine.process_event(event, strategy)
         live = sorted(run.run_id for run in engine.iter_runs())
         before = len(live)
