@@ -30,7 +30,6 @@ class EiresConfig:
 
     # CEP semantics (§2.1)
     policy: str = GREEDY
-    max_partial_matches: int | None = None
 
     # Cache management (§6)
     cache_policy: str = CACHE_COST
@@ -49,19 +48,17 @@ class EiresConfig:
     lazy_gate_enabled: bool = True
 
     # Fault tolerance: injection profile, retry policy, circuit breakers,
-    # graceful degradation.  ``fault_profile="none"`` keeps the substrate
-    # byte-identical to a fault-free build (no fault RNG draws).
+    # graceful degradation (breakers and stale serve are always armed).
+    # ``fault_profile="none"`` keeps the substrate byte-identical to a
+    # fault-free build (no fault RNG draws).
     fault_profile: str = "none"
     retry_max_attempts: int = 3
     retry_backoff_base: float = 25.0
     retry_attempt_timeout: float = 400.0
     retry_deadline: float = 4_000.0
-    breaker_enabled: bool = True
     breaker_failure_threshold: float = 0.5
-    breaker_min_samples: int = 8
     breaker_cooldown: float = 2_000.0
     failure_mode: str = FAIL_CLOSED
-    stale_serve_enabled: bool = True
 
     # Batched fetch plane: async requests per source coalesce for up to
     # ``batch_window`` virtual us (at most ``batch_max_keys`` keys) into one

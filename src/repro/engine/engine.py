@@ -83,7 +83,6 @@ class Engine:
         clock: VirtualClock,
         cost_model: CostModel | None = None,
         policy: str = GREEDY,
-        max_partial_matches: int | None = None,
         expiry_interval: int = 16,
     ) -> None:
         if policy not in (GREEDY, NON_GREEDY):
@@ -95,7 +94,6 @@ class Engine:
         self.clock = clock
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.policy = policy
-        self.max_partial_matches = max_partial_matches
         self.stats = CounterGroup("engine", ENGINE_COUNTER_KEYS)
         # Active partial matches, grouped by state index and — when the query
         # correlates via SAME[attr] — by that attribute's value.  Partition
@@ -217,8 +215,6 @@ class Engine:
         # events agree on the partition attribute: they join its partition.
         if new_runs:
             self._add_runs(new_runs, partition, strategy)
-        if self.max_partial_matches is not None:
-            self._shed(strategy)
         if self._active > self.stats.peak_active_runs:
             self.stats.peak_active_runs = self._active
         self.stats.matches_emitted += len(matches)
@@ -314,16 +310,6 @@ class Engine:
             self.stats.runs_expired += len(dropped)
             self._active -= len(dropped)
             strategy.on_runs_dropped(dropped, "expired")
-
-    def _shed(self, strategy: StrategyProtocol) -> None:
-        """Safety valve: drop oldest runs above the configured cap.
-
-        Disabled by default; experiments size their workloads so this never
-        triggers (`stats.shed_runs` proves it).
-        """
-        excess = self._active - self.max_partial_matches
-        if excess > 0:
-            self.shed_lowest(excess, lambda run: float(run.first_seq), strategy)
 
     def shed_lowest(
         self,

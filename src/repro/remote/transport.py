@@ -477,17 +477,18 @@ class Transport:
         return delivered
 
     def _trace_complete(self, ticket: FetchTicket) -> None:
-        self.tracer.emit(  # eires: allow[M2] sole caller guards on tracer.enabled
-
-            CAT_FETCH,
-            "complete",
-            ticket.first_issued_at,
-            dur=ticket.arrives_at - ticket.first_issued_at,
-            key=trace_key(ticket.key),
-            ok=ticket.ok,
-            error=ticket.error,
-            attempts=ticket.attempt,
-        )
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.emit(
+                CAT_FETCH,
+                "complete",
+                ticket.first_issued_at,
+                dur=ticket.arrives_at - ticket.first_issued_at,
+                key=trace_key(ticket.key),
+                ok=ticket.ok,
+                error=ticket.error,
+                attempts=ticket.attempt,
+            )
 
     def pending_count(self) -> int:
         return len(self._in_flight)

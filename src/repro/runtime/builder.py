@@ -142,16 +142,6 @@ class RuntimeBuilder:
             attempt_timeout=config.retry_attempt_timeout,
             deadline=config.retry_deadline,
         )
-        breakers = (
-            BreakerBoard(
-                failure_threshold=config.breaker_failure_threshold,
-                min_samples=config.breaker_min_samples,
-                cooldown=config.breaker_cooldown,
-                tracer=tracer,
-            )
-            if config.breaker_enabled
-            else None
-        )
         transport = Transport(
             self.store,
             self.latency_model,
@@ -160,7 +150,11 @@ class RuntimeBuilder:
             fault_model=fault_model,
             fault_rng=spawn(rng, "faults"),
             retry_policy=retry_policy,
-            breakers=breakers,
+            breakers=BreakerBoard(
+                failure_threshold=config.breaker_failure_threshold,
+                cooldown=config.breaker_cooldown,
+                tracer=tracer,
+            ),
             batch_policy=BatchPolicy(
                 window=config.batch_window,
                 max_keys=config.batch_max_keys,
@@ -286,7 +280,6 @@ class RuntimeBuilder:
                 lookahead_enabled=config.lookahead_enabled,
                 lazy_gate_enabled=config.lazy_gate_enabled,
                 failure_mode=config.failure_mode,
-                stale_serve_enabled=config.stale_serve_enabled,
                 metrics=session_metrics,
                 tracer=runtime.tracer,
             )
@@ -297,7 +290,6 @@ class RuntimeBuilder:
             runtime.clock,
             cost_model=config.cost_model,
             policy=config.policy,
-            max_partial_matches=config.max_partial_matches,
         )
         strategy.bind_engine(engine)
         session_metrics.attach(engine.stats)

@@ -6,7 +6,7 @@ composition root (:class:`~repro.runtime.builder.RuntimeBuilder`):
 * :mod:`repro.shedding.detector` — samples per-event queueing lag (virtual
   time) and the live partial-match population against configured bounds;
 * :mod:`repro.shedding.policy` — the registry of shedding policies:
-  ``none`` (byte-identical to no plane at all), ``events`` (eSPICE-style
+  ``none`` (no plane at all), ``events`` (eSPICE-style
   input-event shedding), ``runs`` (pSPICE-style Eq. 5 utility-scored
   partial-match eviction);
 * :mod:`repro.shedding.shedder` — the per-session unit the dispatch loop
@@ -23,7 +23,6 @@ from repro.shedding.policy import (
     SHED_POLICIES,
     SHED_RUNS,
     EventShedding,
-    NoShedding,
     RunShedding,
     ShedDecision,
     SheddingPolicy,
@@ -43,7 +42,6 @@ __all__ = [
     "SHED_COUNTER_KEYS",
     "SheddingPolicy",
     "ShedDecision",
-    "NoShedding",
     "EventShedding",
     "RunShedding",
     "make_shedding_policy",

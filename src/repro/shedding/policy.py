@@ -1,11 +1,11 @@
 """Shedding policies: what to drop once the detector reports overload.
 
-Three policies ship behind the registry, mirroring the eSPICE/pSPICE line
-of input-event vs. partial-match shedding:
+Three names make up the registry, mirroring the eSPICE/pSPICE line of
+input-event vs. partial-match shedding:
 
-* ``none`` — never drops anything.  The composition root does not even
-  build a :class:`~repro.shedding.shedder.LoadShedder` for it, so the
-  default configuration is byte-identical to a build without the plane.
+* ``none`` — no policy at all.  The composition root builds no
+  :class:`~repro.shedding.shedder.LoadShedder` for it, so the default
+  configuration is byte-identical to a build without the plane.
 * ``events`` (eSPICE-style) — under overload, drop input events whose
   *utility* — the partial matches they could advance, weighted by how close
   each is to completion — falls below a cutoff that scales with the
@@ -42,7 +42,6 @@ __all__ = [
     "SHED_POLICIES",
     "ShedDecision",
     "SheddingPolicy",
-    "NoShedding",
     "EventShedding",
     "RunShedding",
     "make_shedding_policy",
@@ -123,12 +122,6 @@ class SheddingPolicy:
         return f"{type(self).__name__}()"
 
 
-class NoShedding(SheddingPolicy):
-    """Today's behaviour: overload is observed but nothing is dropped."""
-
-    name = SHED_NONE
-
-
 class EventShedding(SheddingPolicy):
     """eSPICE-style input-event shedding (drop before NFA evaluation).
 
@@ -203,11 +196,8 @@ class RunShedding(SheddingPolicy):
         )
 
 
-SHED_POLICIES = {
-    SHED_NONE: NoShedding,
-    SHED_EVENTS: EventShedding,
-    SHED_RUNS: RunShedding,
-}
+#: Every valid ``shed_policy`` name; ``none`` has no policy object.
+SHED_POLICIES = (SHED_NONE, SHED_EVENTS, SHED_RUNS)
 
 
 def make_shedding_policy(
@@ -218,10 +208,8 @@ def make_shedding_policy(
     event_threshold: float = 0.0,
 ) -> SheddingPolicy:
     """Instantiate a policy by registry name (the composition root's entry)."""
-    if name == SHED_NONE:
-        return NoShedding()
     if name == SHED_EVENTS:
         return EventShedding(automaton, threshold=event_threshold)
     if name == SHED_RUNS:
         return RunShedding(automaton, omega=omega, run_budget=run_budget)
-    raise ValueError(f"unknown shedding policy {name!r}; choose from {sorted(SHED_POLICIES)}")
+    raise ValueError(f"unknown shedding policy {name!r}; choose from {[SHED_EVENTS, SHED_RUNS]}")

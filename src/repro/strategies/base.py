@@ -84,7 +84,7 @@ class FetchStrategy(ObligationResolution, FetchPlane):
         self._round_failed: set[DataKey] = set()
         self._in_blocking_round = False
         # Last successfully fetched value per key, for stale-cache fallback
-        # when a fresh fetch terminally fails (only kept while enabled).
+        # when a fresh fetch terminally fails.
         self._last_known: dict[DataKey, Any] = {}
         self.last_postpone_ell = 0.0
         # Each remote predicate of the attached automaton, compiled once into

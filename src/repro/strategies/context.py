@@ -59,7 +59,6 @@ class RuntimeContext:
     lookahead_enabled: bool
     lazy_gate_enabled: bool
     failure_mode: str
-    stale_serve_enabled: bool
     # Observability: the shared metrics registry the counter groups attach
     # to and the trace bus.  Multi-query runtimes pass a scoped view so each
     # session's fetch.* counters get their own namespace in the shared

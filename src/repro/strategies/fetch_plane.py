@@ -93,7 +93,7 @@ class FetchPlane:
         nothing beyond the returned snapshot.
 
         A key whose fetch terminally fails (retries exhausted) is served
-        from the stale-value fallback when enabled and known, and is
+        from the stale-value fallback when it succeeded before, and is
         otherwise left out of the returned snapshot — the caller's
         ``failure_mode`` then decides the predicate.
         """
@@ -136,8 +136,7 @@ class FetchPlane:
             self._purpose.pop(ticket.key, None)
             if ticket.ok:
                 values[ticket.key] = ticket.element.value
-                if ctx.stale_serve_enabled:
-                    self._last_known[ticket.key] = ticket.element.value
+                self._last_known[ticket.key] = ticket.element.value
                 if cache is not None:
                     cache.put(ticket.element, ctx.clock.now, certain=True)
                 continue
@@ -147,7 +146,7 @@ class FetchPlane:
                 self.stats.fetch_failures += 1
             if self._in_blocking_round:
                 self._round_failed.add(ticket.key)
-            if ctx.stale_serve_enabled and ticket.key in self._last_known:
+            if ticket.key in self._last_known:
                 values[ticket.key] = self._last_known[ticket.key]
                 self.stats.stale_serves += 1
         for ticket in owned:
@@ -177,8 +176,7 @@ class FetchPlane:
             if not ticket.ok:
                 self.stats.fetch_failures += 1
                 continue
-            if ctx.stale_serve_enabled:
-                self._last_known[ticket.key] = ticket.element.value
+            self._last_known[ticket.key] = ticket.element.value
             if cache is not None:
                 cache.put(ticket.element, ctx.clock.now, certain=purpose == PURPOSE_LAZY)
 

@@ -171,13 +171,6 @@ class TestBucketLoopByteIdentity:
         assert looped == per_run
         assert taken[True] and taken[False], taken
 
-    def test_run_cap(self, monkeypatch):
-        looped, per_run = self._both(
-            monkeypatch, q1_workload(Q1_SMALL), "Hybrid", EiresConfig(max_partial_matches=40)
-        )
-        assert looped["summary"]["engine.shed_runs"], "the cap never shed a run"
-        assert looped == per_run
-
     def test_runs_shed_policy(self, monkeypatch):
         config = EiresConfig(shed_policy="runs", latency_bound=20.0)
         looped, per_run = self._both(

@@ -191,13 +191,6 @@ class TestWindowExpiry:
 
 
 class TestLoadShedding:
-    def test_shedding_caps_active_runs(self):
-        query, store = make_abc_scenario()
-        stream = random_stream(300, seed=23)
-        capped = run_eires(query, store, stream, max_partial_matches=20)
-        assert capped.summary()["engine.peak_active_runs"] <= 21
-        assert capped.summary()["engine.shed_runs"] > 0
-
     def test_default_has_no_shedding(self):
         query, store = make_abc_scenario()
         stream = random_stream(300, seed=23)

@@ -3,8 +3,8 @@
 Three properties anchor the fault substrate:
 
 1. **Zero-fault identity** — with ``fault_profile="none"`` the fault
-   machinery is provably inert: a run with breakers+retry constructed equals
-   a run with them disabled, match-for-match and stat-for-stat.
+   machinery is provably inert: an assembled run equals one whose circuit
+   breakers were taken out, match-for-match and stat-for-stat.
 2. **Fault transparency** — with a lossy network *and* enough retry budget,
    the match set is exactly what the zero-latency oracle computes: faults
    change *when* data arrives, never *what* is detected.
@@ -38,8 +38,10 @@ class TestZeroFaultIdentity:
         stream = random_stream(300, seed=11)
         armed = run_eires(query, store, stream, strategy=strategy)
         query2, store2 = make_abc_scenario()
-        disarmed = run_eires(query2, store2, stream, strategy=strategy,
-                             breaker_enabled=False, stale_serve_enabled=False)
+        eires = EIRES(query2, store2, FixedLatency(50.0), strategy=strategy,
+                      config=EiresConfig(cache_capacity=100))
+        eires.runtime.transport.breakers = None
+        disarmed = eires.run(stream)
         assert armed.match_signatures() == disarmed.match_signatures()
         assert armed.summary() == disarmed.summary()
 
@@ -110,12 +112,14 @@ class TestFaultTransparency:
         stream = random_stream(300, seed=24)
         healthy = run_eires(query, store, stream, strategy="BL1")
         query2, store2 = make_abc_scenario()
-        # Breaker off: an open breaker fail-fasts (zero stall), which would
-        # muddy the pure retry-cost comparison below.
+        # A breaker that opens only at a 100 % failure rate never opens
+        # here: an open breaker fail-fasts (zero stall), which would muddy
+        # the pure retry-cost comparison below.
         faulted = run_eires(query2, store2, stream, strategy="BL1",
                             fault_profile="drop:0.2",
                             retry_max_attempts=8, retry_deadline=1e9,
-                            retry_attempt_timeout=200.0, breaker_enabled=False)
+                            retry_attempt_timeout=200.0, breaker_failure_threshold=1.0)
+        assert faulted.summary()["fetch.breaker_opens"] == 0
         # Retried fetches strictly lengthen the engine's blocking stalls.
         assert (faulted.summary()["fetch.total_stall_time"]
                 > healthy.summary()["fetch.total_stall_time"])
@@ -130,7 +134,7 @@ class TestGracefulDegradation:
             query, store, stream, strategy=strategy,
             fault_profile="drop:1.0",
             retry_max_attempts=2, retry_attempt_timeout=50.0,
-            failure_mode=failure_mode, stale_serve_enabled=False,
+            failure_mode=failure_mode,
         )
         return query, store, stream, result
 
@@ -167,7 +171,7 @@ class TestGracefulDegradation:
             cache_capacity=1,
             fault_profile="burst:1500:600",
             retry_max_attempts=2, retry_backoff_base=10.0,
-            failure_mode=FAIL_CLOSED, stale_serve_enabled=True,
+            failure_mode=FAIL_CLOSED,
             latency=FixedLatency(20.0),
         )
         summary = result.summary()
@@ -181,7 +185,7 @@ class TestGracefulDegradation:
             query, store, stream, strategy="Hybrid",
             fault_profile="error:1.0",
             retry_max_attempts=2, retry_backoff_base=10.0,
-            breaker_min_samples=4, breaker_cooldown=500.0,
+            breaker_cooldown=500.0,
             failure_mode=FAIL_CLOSED,
         )
         summary = result.summary()
@@ -197,14 +201,14 @@ class TestGracefulDegradation:
             query, store, stream, strategy="LzEval", policy="non_greedy",
             fault_profile="drop:1.0",
             retry_max_attempts=1, retry_attempt_timeout=50.0,
-            failure_mode=FAIL_CLOSED, stale_serve_enabled=False,
+            failure_mode=FAIL_CLOSED,
         )
         query2, store2 = make_abc_scenario()
         second = run_eires(
             query2, store2, stream, strategy="LzEval", policy="non_greedy",
             fault_profile="drop:1.0",
             retry_max_attempts=1, retry_attempt_timeout=50.0,
-            failure_mode=FAIL_CLOSED, stale_serve_enabled=False,
+            failure_mode=FAIL_CLOSED,
         )
         assert first.summary() == second.summary()
         assert first.match_count == 0
@@ -222,7 +226,6 @@ class TestGracefulDegradation:
             query, store, stream, strategy="BL1",
             fault_profile="drop:1.0", retry_max_attempts=1,
             retry_attempt_timeout=50.0, failure_mode=FAIL_CLOSED,
-            stale_serve_enabled=False,
         )
         # Every predicate would pass against the real data (or even against
         # the empty-set reading it would fail) — fail-closed drops them all,

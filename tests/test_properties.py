@@ -393,11 +393,11 @@ def _check_counts_after(engine, method, utility=None):
     seed=st.integers(min_value=0, max_value=10_000),
     policy=st.sampled_from(["greedy", "non_greedy"]),
     strategy=st.sampled_from(["BL1", "BL3", "LzEval", "Hybrid"]),
-    cap=st.sampled_from([None, 3, 12]),
+    run_budget=st.sampled_from([None, 3, 12]),
     shed_policy=st.sampled_from(["none", "runs"]),
 )
 @settings(max_examples=50, deadline=None)
-def test_runs_per_state_counters_equal_a_recount(seed, policy, strategy, cap, shed_policy):
+def test_runs_per_state_counters_equal_a_recount(seed, policy, strategy, run_budget, shed_policy):
     """Every add / expire / consume / obligation-fail / shed / flush site keeps
     the O(1) per-state counters equal to a recount, after every event.
 
@@ -406,15 +406,17 @@ def test_runs_per_state_counters_equal_a_recount(seed, policy, strategy, cap, sh
     the obligation-free ones otherwise); the sweep is checked on its own.
     """
     query, store = make_abc_scenario(set_members=frozenset({1, 2, 3}))
-    # A short window makes runs expire mid-stream; the tiny latency bound
-    # keeps the `runs` policy shedding on most events.
+    # A short window makes runs expire mid-stream; under the `runs` policy
+    # a run budget caps the population, and without one the tiny latency
+    # bound keeps it shedding on most events.
     query.window = type(query.window).time(300.0)
+    shedding = shed_policy != "none"
     config = EiresConfig(
         policy=policy,
         cache_capacity=100,
-        max_partial_matches=cap,
         shed_policy=shed_policy,
-        latency_bound=0.5 if shed_policy != "none" else None,
+        run_budget=run_budget if shedding else None,
+        latency_bound=0.5 if shedding and run_budget is None else None,
     )
     eires = EIRES(query, store, FixedLatency(50.0), strategy=strategy, config=config)
     engine = eires.engine

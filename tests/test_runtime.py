@@ -193,7 +193,7 @@ class TestMultiQueryFaultParity:
         stream = random_stream(300, seed=5)
         no_retry = EiresConfig(
             cache_capacity=50, fault_profile="drop:0.3",
-            retry_max_attempts=1, breaker_enabled=False, seed=11,
+            retry_max_attempts=1, seed=11,
         )
         results = build_multi(config=no_retry).run(stream)
         first = next(iter(results.values()))
@@ -202,7 +202,7 @@ class TestMultiQueryFaultParity:
 
         retrying = EiresConfig(
             cache_capacity=50, fault_profile="drop:0.3",
-            retry_max_attempts=5, breaker_enabled=False, seed=11,
+            retry_max_attempts=5, seed=11,
         )
         results = build_multi(config=retrying).run(stream)
         first = next(iter(results.values()))

@@ -32,7 +32,6 @@ from repro.query.ast import Window
 from repro.shedding import (
     EventShedding,
     LoadShedder,
-    NoShedding,
     Overload,
     OverloadDetector,
     SHED_COUNTER_KEYS,
@@ -178,16 +177,13 @@ class FakeShedEngine:
 
 class TestPolicies:
     def test_registry_round_trip(self):
-        assert isinstance(make_shedding_policy("none"), NoShedding)
         assert isinstance(make_shedding_policy("events", automaton=None), EventShedding)
         assert isinstance(make_shedding_policy("runs", automaton=None), RunShedding)
-        with pytest.raises(ValueError, match="unknown shedding policy"):
-            make_shedding_policy("bogus")
-
-    def test_none_never_sheds(self):
-        policy = NoShedding()
-        assert policy.on_overload_event(_overload(), None, None) is None
-        assert policy.on_overload_post(_overload(), None, None) is None
+        # "none" is a valid shed_policy with no policy object: the builder
+        # builds no plane for it and never asks the factory.
+        for name in ("none", "bogus"):
+            with pytest.raises(ValueError, match="unknown shedding policy"):
+                make_shedding_policy(name)
 
     def test_event_shedding_drops_zero_utility(self):
         automaton = SimpleNamespace(n_states=4)
@@ -278,18 +274,30 @@ class TestPartialMatchUtility:
 
 
 class TestEngineShedLowest:
-    def test_cap_still_enforced_by_batch_eviction(self):
+    def test_cap_still_enforced_by_batch_eviction(self, monkeypatch):
+        # The run budget is the one partial-match cap.  The engine records
+        # its peak inside process_event, before after_event sheds, so the
+        # cap is checked where it is enforced: after every after_event.
+        after_event = LoadShedder.after_event
+        populations = []
+
+        def checked(self, event, engine, strategy):
+            victims = after_event(self, event, engine, strategy)
+            populations.append(engine.active_runs)
+            return victims
+
+        monkeypatch.setattr(LoadShedder, "after_event", checked)
         query, store = make_abc_scenario()
         stream = random_stream(300, seed=23)
-        capped = run_eires(query, store, stream, max_partial_matches=20)
-        assert capped.summary()["engine.peak_active_runs"] <= 21
+        capped = run_eires(query, store, stream, shed_policy="runs", run_budget=20)
+        assert len(populations) == 300 and max(populations) <= 20
         assert capped.summary()["engine.shed_runs"] > 0
         assert capped.summary()["engine.dropped.shed"] == capped.summary()["engine.shed_runs"]
 
     def test_every_created_run_drops_exactly_once(self):
         query, store = make_abc_scenario()
         result = run_eires(query, store, random_stream(300, seed=23),
-                           max_partial_matches=20)
+                           shed_policy="runs", run_budget=20)
         stats = result.summary()
         dropped = sum(v for k, v in stats.items() if k.startswith("engine.dropped."))
         assert dropped == stats["engine.runs_created"]
