@@ -51,6 +51,12 @@ def _scenarios():
                     name = f"{workload}-{strategy}-{policy}-{label}"
                     yield name, workload, strategy, {"policy": policy, **knobs}
     yield "q1-Hybrid-greedy-drop", "q1", "Hybrid", {"fault_profile": "drop:0.05"}
+    # Faults on the batched fetch plane: latency spikes on batch wire requests
+    # (flaky), and outage bursts that split batches, trip breakers into
+    # fast-fails and serve stale values (burst).
+    for workload, profile in (("q1", "flaky"), ("q2", "burst")):
+        knobs = {"policy": "greedy", **_CONFIGS["tight"], "fault_profile": profile}
+        yield f"{workload}-Hybrid-greedy-tight-{profile}", workload, "Hybrid", knobs
     for shed_policy in ("events", "runs"):
         knobs = {"shed_policy": shed_policy, "latency_bound": 20.0}
         yield f"bursty-Hybrid-greedy-shed_{shed_policy}", "bursty", "Hybrid", knobs
@@ -82,7 +88,9 @@ def digest_of(name: str) -> str:
 # time with every run unchanged: once without the ``engine.backend`` metrics
 # annotation that was then deleted, and once when the engine's counter group
 # joined the metrics snapshot (the earlier runs, with their ``engine.<key>``
-# summary columns merged into ``metrics``, give exactly this table).
+# summary columns merged into ``metrics``, give exactly this table).  The two
+# ``tight-<fault profile>`` scenarios were pinned later, before the transport's
+# single-key and batch wire paths merged into one.
 PINNED: dict[str, str] = {
     "bursty-Hybrid-greedy-shed_events": "18dfc37da45014d3",
     "bursty-Hybrid-greedy-shed_runs": "862d069732f42911",
@@ -101,6 +109,7 @@ PINNED: dict[str, str] = {
     "q1-Hybrid-greedy-default": "8420cdcb67d8b871",
     "q1-Hybrid-greedy-drop": "896e87f0f8cdedc9",
     "q1-Hybrid-greedy-tight": "c763b50a4f1cb1d2",
+    "q1-Hybrid-greedy-tight-flaky": "d34ae3d26988605c",
     "q1-Hybrid-non_greedy-default": "c8ba3cb4e5ee8f2e",
     "q1-Hybrid-non_greedy-tight": "d4ddd26c67cee3ae",
     "q1-LzEval-greedy-default": "93b20af616dee9c1",
@@ -125,6 +134,7 @@ PINNED: dict[str, str] = {
     "q2-BL3-non_greedy-tight": "147befc618d91df8",
     "q2-Hybrid-greedy-default": "7850ac8b8170085a",
     "q2-Hybrid-greedy-tight": "fcac5c552dbaafa9",
+    "q2-Hybrid-greedy-tight-burst": "0a0f860fefd96979",
     "q2-Hybrid-non_greedy-default": "fcf17de7b2ff6120",
     "q2-Hybrid-non_greedy-tight": "5adc40f461ee063e",
     "q2-LzEval-greedy-default": "10aec8a82a536d8e",
