@@ -115,6 +115,19 @@ class FailureWindow:
         return f"FailureWindow({self._failures}/{len(self._outcomes)} failed)"
 
 
+def _check_breaker_knobs(
+    window_size: int, failure_threshold: float, min_samples: int, cooldown: float
+) -> None:
+    if window_size < 1:
+        raise ValueError(f"window size must be >= 1: {window_size}")
+    if not 0.0 < failure_threshold <= 1.0:
+        raise ValueError(f"failure threshold must be in (0, 1]: {failure_threshold}")
+    if min_samples < 1:
+        raise ValueError(f"min samples must be >= 1: {min_samples}")
+    if cooldown <= 0:
+        raise ValueError(f"cooldown must be positive: {cooldown}")
+
+
 class CircuitBreaker:
     """Closed / open / half-open breaker over one source's failure window.
 
@@ -142,12 +155,7 @@ class CircuitBreaker:
         tracer: Tracer = NULL_TRACER,
         source: str = "",
     ) -> None:
-        if not 0.0 < failure_threshold <= 1.0:
-            raise ValueError(f"failure threshold must be in (0, 1]: {failure_threshold}")
-        if min_samples < 1:
-            raise ValueError(f"min samples must be >= 1: {min_samples}")
-        if cooldown <= 0:
-            raise ValueError(f"cooldown must be positive: {cooldown}")
+        _check_breaker_knobs(window_size, failure_threshold, min_samples, cooldown)
         self.window = FailureWindow(window_size)
         self.failure_threshold = failure_threshold
         self.min_samples = min_samples
@@ -223,6 +231,8 @@ class BreakerBoard:
         cooldown: float = 2_000.0,
         tracer: Tracer = NULL_TRACER,
     ) -> None:
+        # Checked here, not at the first breaker a source creates mid-run.
+        _check_breaker_knobs(window_size, failure_threshold, min_samples, cooldown)
         self.window_size = window_size
         self.failure_threshold = failure_threshold
         self.min_samples = min_samples

@@ -34,19 +34,21 @@ single-key path and draws exactly the RNG stream it always did.
 
 Fault tolerance
 ---------------
-An optional :class:`~repro.remote.faults.FaultModel` decides per attempt
-whether the fetch succeeds, errors, is dropped, or suffers a latency spike;
-an optional :class:`~repro.remote.retry.RetryPolicy` re-issues failed
-attempts with exponential backoff through the virtual clock (blocking
-fetches extend the stall, async fetches re-enter the in-flight table); and
-an optional :class:`~repro.remote.monitor.BreakerBoard` fail-fasts requests
-to sources whose recent attempts keep failing.  A request that exhausts its
-retries is delivered with ``ok=False`` and ``element=None`` — a *failed*
-fetch is deliberately distinguishable from one that succeeded with the
-store's ``MISSING_VALUE`` sentinel (an empty answer is an answer; a failure
-is not).  All three collaborators are optional; with none attached the
-transport behaves (and draws random numbers) exactly as the fault-free
-substrate did.
+The transport is always armed.  A :class:`~repro.remote.faults.FaultModel`
+(``None`` on a healthy network) decides per wire request whether it
+succeeds, errors, is dropped, or suffers a latency spike; a
+:class:`~repro.remote.retry.RetryPolicy` re-issues failed attempts with
+exponential backoff through the virtual clock (blocking fetches extend the
+stall, async fetches re-enter the in-flight table); and a
+:class:`~repro.remote.monitor.BreakerBoard` fail-fasts requests to sources
+whose recent attempts keep failing.  A request that exhausts its retries is
+delivered with ``ok=False`` and ``element=None`` — a *failed* fetch is
+deliberately distinguishable from one that succeeded with the store's
+``MISSING_VALUE`` sentinel (an empty answer is an answer; a failure is not).
+Every wire request, a single key's or a batch's, goes out through one path
+(``Transport._send``): one fault draw, one breaker sample.  Without a fault
+model no fault draw happens, so the transport draws exactly the latencies
+the fault-free substrate did.
 """
 
 from __future__ import annotations
@@ -179,16 +181,14 @@ class FetchRequest:
     ``at`` is the (virtual) submission time; ``mode`` selects blocking or
     async delivery.  ``utility`` is the caller's ranking hint for batch
     assembly — Eq. 7 candidate utility for gated prefetches, ``inf`` for
-    certain-use lazy fetches, 0 when unknown.  ``batchable=False`` opts an
-    async request out of the coalescing window (blocking requests are never
-    batched: they close open windows instead).
+    certain-use lazy fetches, 0 when unknown.  Blocking requests are never
+    batched: they close open windows instead.
     """
 
     key: DataKey
     at: float
     mode: str = MODE_ASYNC
     utility: float = 0.0
-    batchable: bool = True
 
     def __post_init__(self) -> None:
         if self.mode not in (MODE_BLOCKING, MODE_ASYNC):
@@ -286,8 +286,8 @@ class Transport:
         # The fault stream is separate from the latency stream so that a
         # fault-free run draws exactly the latencies it always did.
         self._fault_rng = fault_rng if fault_rng is not None else make_rng(0x0FA117)
-        self._retry = retry_policy
-        self.breakers = breakers
+        self._retry = retry_policy or RetryPolicy()
+        self.breakers = breakers or BreakerBoard()
         self.batch_policy = batch_policy if batch_policy is not None else DISABLED_BATCHING
         self._in_flight: dict[DataKey, FetchTicket] = {}
         self._queues: dict[str, BatchQueue] = {}
@@ -314,10 +314,6 @@ class Transport:
     @property
     def store(self) -> RemoteStore:
         return self._store
-
-    @property
-    def retry_policy(self) -> RetryPolicy | None:
-        return self._retry
 
     # -- the unified request surface -------------------------------------------
     def submit(self, request: FetchRequest) -> FetchTicket:
@@ -381,14 +377,10 @@ class Transport:
             self.stats.coalesced += 1
             return pending
         self.stats.async_fetches += 1
-        if (
-            not self.batch_policy.enabled
-            or not request.batchable
-            or (self.breakers is not None and not self.breakers.allow(key[0], now))
-        ):
-            # Single-key path: batching off, opted out, or the breaker is
-            # open (``_issue`` fail-fasts with the usual accounting — an
-            # open breaker's request must not linger in a window).
+        if not self.batch_policy.enabled or not self.breakers.allow(key[0], now):
+            # Single-key path: batching off, or the breaker is open
+            # (``_issue`` fail-fasts with the usual accounting — an open
+            # breaker's request must not linger in a window).
             ticket = self._issue(key, now)
             self._in_flight[key] = ticket
             return ticket
@@ -525,105 +517,37 @@ class Transport:
     def _flush_source(self, source: str, at: float) -> None:
         """Issue one multi-key wire request for a source's open window.
 
-        Success completes every ticket at ``at + l_batch(n)`` and records
-        one amortized latency share per key (the monitor's estimates feed
-        Eq. 7/8, so planning sees the amortized cost).  Failure marks every
-        ticket failed-at-attempt-1 with retry budget intact: the normal
-        delivery machinery then *splits* the batch, re-issuing each key
-        individually, so one poisoned key cannot terminally fail its
-        cohort.  The breaker observes exactly one outcome per wire request.
+        The window's tickets go out in utility-ranked order at the amortized
+        ``l_batch(n)``; :meth:`_send` lands them.  A failed batch leaves
+        every ticket failed-at-attempt-1 with retry budget intact: the
+        normal delivery machinery then *splits* the batch, re-issuing each
+        key individually, so one poisoned key cannot terminally fail its
+        cohort.
         """
         queue = self._queues.pop(source, None)
         if queue is None or len(queue) == 0:
             return
         tickets = queue.ranked()
         n = len(tickets)
-        self.stats.wire_requests += 1
         if n > 1:
             self.stats.batches += 1
             self.stats.batched_keys += n
         if self._batch_hist is not None:
             self._batch_hist.observe(float(n), at)
-        latency = self.batch_policy.batch_latency(n)
-        decision = None
-        if self._fault_model is not None:
-            # One fault draw per wire request (the whole batch shares the
-            # wire); the ranked-first key is the deterministic representative.
-            decision = self._fault_model.decide(tickets[0].key, at, 1, self._fault_rng)
-        tracer = self.tracer
-        if decision is None or decision.kind not in (ERROR, DROP):
-            if decision is not None and decision.kind == SLOW:
-                latency *= decision.latency_scale
-            if tracer.enabled:
-                tracer.emit(
-                    CAT_FETCH,
-                    "batch_issue",
-                    at,
-                    source=source,
-                    n=n,
-                    keys=[trace_key(t.key) for t in tickets],
-                    dur=latency,
-                    ok=True,
-                )
-            share = latency / n
-            for ticket in tickets:
-                ticket.queued = False
-                ticket.wire_started_at = at
-                ticket.arrives_at = at + latency
-                ticket.element = self._store.lookup(ticket.key)
-                ticket.ok = True
-                ticket.error = None
-                self.monitor.record(ticket.key, share)
-            if self._latency_hist is not None:
-                self._latency_hist.observe(latency, at)
-            if self.breakers is not None:
-                self.breakers.record(source, True, at)
-            return
-        if decision.kind == ERROR:
-            # A fast error response: the failure is known after the round trip.
-            known_after = latency
-            error = "error"
-        else:
-            # A silent drop: the failure is only known at the attempt timeout.
-            known_after = self._retry.attempt_timeout if self._retry is not None else latency
-            error = "timeout"
-        if self.breakers is not None:
-            self.breakers.record(source, False, at)
-        if n > 1:
-            self.stats.batch_splits += 1
-        if tracer.enabled:
-            tracer.emit(
-                CAT_FETCH,
-                "batch_issue",
-                at,
-                source=source,
-                n=n,
-                keys=[trace_key(t.key) for t in tickets],
-                dur=known_after,
-                ok=False,
-                error=error,
-            )
-        for ticket in tickets:
-            ticket.queued = False
-            ticket.wire_started_at = at
-            ticket.arrives_at = at + known_after
-            ticket.ok = False
-            ticket.error = error
+        self._send(tickets, at, self.batch_policy.batch_latency(n))
 
     # -- health-aware estimates ------------------------------------------------
     def source_available(self, source: str, now: float) -> bool:
         """Is the source worth speculative traffic (breaker not open)?"""
-        return self.breakers is None or self.breakers.available(source, now)
+        return self.breakers.available(source, now)
 
     def effective_estimate(self, key: DataKey) -> float:
         """``l_remote`` estimate including expected retry overhead.
 
-        With a healthy source (or no fault machinery) this equals the plain
-        monitor estimate, so fault-free planning decisions are unchanged.
+        With a healthy source this equals the plain monitor estimate, so
+        fault-free planning decisions are unchanged.
         """
         estimate = self.monitor.estimate(key)
-        if self._retry is None or self.breakers is None:
-            return estimate
         failure_rate = self.breakers.failure_rate(key[0])
         if failure_rate <= 0.0:
             return estimate
@@ -646,7 +570,7 @@ class Transport:
 
     def _reissue(self, ticket: FetchTicket) -> FetchTicket | None:
         """The follow-up attempt for a failed ticket, or None if spent."""
-        if self._retry is None or ticket.error == "breaker_open":
+        if ticket.error == "breaker_open":
             return None
         next_attempt = ticket.attempt + 1
         if not self._retry.allows(next_attempt, ticket.arrives_at - ticket.first_issued_at):
@@ -675,9 +599,15 @@ class Transport:
         attempt: int = 1,
         first_issued_at: float | None = None,
     ) -> FetchTicket:
-        first = now if first_issued_at is None else first_issued_at
+        """One attempt for ``key`` at ``now``: a one-ticket wire request, or a
+        fast failure while the source's breaker is open."""
+        # Built failed-fast; a wire request overwrites the outcome.
+        ticket = FetchTicket(
+            key, issued_at=now, arrives_at=now, element=None, ok=False,
+            error="breaker_open", attempt=attempt, first_issued_at=first_issued_at, final=False,
+        )
         tracer = self.tracer
-        if self.breakers is not None and not self.breakers.allow(key[0], now):
+        if not self.breakers.allow(key[0], now):
             # Fail fast without a wire attempt: no latency draw, no fault
             # draw, and no window sample (the breaker re-probes by time).
             self.stats.breaker_fastfails += 1
@@ -685,45 +615,65 @@ class Transport:
                 tracer.emit(
                     CAT_FETCH, "breaker_fastfail", now, key=trace_key(key), attempt=attempt
                 )
-            return FetchTicket(
-                key, issued_at=now, arrives_at=now, element=None, ok=False,
-                error="breaker_open", attempt=attempt, first_issued_at=first, final=False,
-            )
-        self.stats.wire_requests += 1
+            return ticket
         if tracer.enabled:
             tracer.emit(CAT_FETCH, "issue", now, key=trace_key(key), attempt=attempt)
-        latency = self._latency_model.sample(key, self._rng)
+        self._send([ticket], now, self._latency_model.sample(key, self._rng))
+        return ticket
+
+    def _send(self, tickets: list[FetchTicket], at: float, latency: float) -> None:
+        """One wire request carrying ``tickets``, issued at ``at``.
+
+        One fault draw decides the request's fate, for the first ticket's
+        key and attempt (a batch's tickets share the wire; the ranked-first
+        key is the deterministic representative).  Success lands every
+        ticket at ``at + latency`` and records one amortized share
+        ``latency / n`` per key — the monitor's estimates feed Eq. 7/8, so
+        planning sees the amortized cost.  Failure is known after the round
+        trip (an error response) or at the attempt timeout (a silent drop).
+        The breaker observes exactly one outcome per wire request.
+        """
+        self.stats.wire_requests += 1
+        first = tickets[0]
+        source, n = first.key[0], len(tickets)
         decision = None
         if self._fault_model is not None:
-            decision = self._fault_model.decide(key, now, attempt, self._fault_rng)
-        if decision is None or decision.kind not in (ERROR, DROP):
+            decision = self._fault_model.decide(first.key, at, first.attempt, self._fault_rng)
+        ok = decision is None or decision.kind not in (ERROR, DROP)
+        if ok:
             if decision is not None and decision.kind == SLOW:
                 latency *= decision.latency_scale
-            element = self._store.lookup(key)
-            ticket = FetchTicket(
-                key, issued_at=now, arrives_at=now + latency, element=element,
-                attempt=attempt, first_issued_at=first, final=False,
-            )
-            self.monitor.record(key, latency)
-            if self._latency_hist is not None:
-                self._latency_hist.observe(latency, now)
-            if self.breakers is not None:
-                self.breakers.record(key[0], True, now)
-            return ticket
-        if decision.kind == ERROR:
-            # A fast error response: the failure is known after the round trip.
-            known_after = latency
-            error = "error"
+            known_after, error = latency, None
         else:
-            # A silent drop: the failure is only known at the attempt timeout.
-            known_after = self._retry.attempt_timeout if self._retry is not None else latency
-            error = "timeout"
-        if self.breakers is not None:
-            self.breakers.record(key[0], False, now)
-        return FetchTicket(
-            key, issued_at=now, arrives_at=now + known_after, element=None, ok=False,
-            error=error, attempt=attempt, first_issued_at=first, final=False,
-        )
+            if decision.kind == ERROR:
+                known_after, error = latency, "error"
+            else:
+                known_after, error = self._retry.attempt_timeout, "timeout"
+            self.breakers.record(source, False, at)
+            if n > 1:
+                self.stats.batch_splits += 1
+        # Batch tickets sit queued until their wire request goes out; a
+        # single-key ticket's ``issue`` record was emitted by ``_issue``.
+        if first.queued and self.tracer.enabled:
+            failure = {} if ok else {"error": error}
+            self.tracer.emit(
+                CAT_FETCH, "batch_issue", at, source=source, n=n,
+                keys=[trace_key(t.key) for t in tickets], dur=known_after, ok=ok, **failure,
+            )
+        share = latency / n
+        for ticket in tickets:
+            ticket.queued = False
+            ticket.wire_started_at = at
+            ticket.arrives_at = at + known_after
+            ticket.ok = ok
+            ticket.error = error
+            if ok:
+                ticket.element = self._store.lookup(ticket.key)
+                self.monitor.record(ticket.key, share)
+        if ok:
+            if self._latency_hist is not None:
+                self._latency_hist.observe(latency, at)
+            self.breakers.record(source, True, at)
 
     def __repr__(self) -> str:
         return f"Transport({self.stats!r}, pending={len(self._in_flight)})"

@@ -220,8 +220,7 @@ class FetchStrategy(ObligationResolution, FetchPlane):
         """Cleanup hook after the last event (subclass extension point)."""
         transport = self.ctx.transport
         self.stats.retries = transport.stats.retries
-        if transport.breakers is not None:
-            self.stats.breaker_opens = transport.breakers.opens
+        self.stats.breaker_opens = transport.breakers.opens
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

@@ -18,7 +18,7 @@ from repro.cli import WORKLOADS
 from repro.core.config import EiresConfig
 from repro.obs.trace import MemorySink, Tracer, trace_key
 from repro.remote.batching import DISABLED_BATCHING, BatchPolicy, BatchQueue
-from repro.remote.faults import DROP, ERROR, OK, FaultDecision, NoFaults
+from repro.remote.faults import DROP, ERROR, OK, SLOW, FaultDecision, NoFaults
 from repro.remote.monitor import BreakerBoard
 from repro.remote.retry import RetryPolicy
 from repro.remote.store import RemoteStore
@@ -170,13 +170,6 @@ class TestTransportBatching:
         assert record["keys"] == [trace_key(("s", 2)), trace_key(("s", 3)),
                                   trace_key(("s", 1))]
 
-    def test_unbatchable_request_bypasses_the_window(self):
-        transport = _transport(BATCHING)
-        ticket = transport.submit(FetchRequest(("s", 1), at=0.0, batchable=False))
-        assert not ticket.queued
-        assert transport.open_batch_count() == 0
-        assert transport.stats.wire_requests == 1
-
     def test_disabled_policy_routes_single_key(self):
         transport = _transport(None)
         ticket = transport.submit(FetchRequest(("s", 1), at=0.0))
@@ -234,6 +227,35 @@ class _PoisonedKey(NoFaults):
         if attempt == 1 or key == self.poisoned:
             return FaultDecision(ERROR)
         return FaultDecision(OK)
+
+
+class TestOneWirePath:
+    """A single-key request and a one-key batch are one kind of wire request."""
+
+    @pytest.mark.parametrize("kind, after", [
+        (OK, 48.0), (SLOW, 144.0), (ERROR, 48.0), (DROP, RetryPolicy().attempt_timeout),
+    ])
+    def test_one_key_batch_agrees_with_a_single_key_request(self, kind, after):
+        class Always(NoFaults):
+            def decide(self, key, now, attempt, rng):
+                return FaultDecision(kind, latency_scale=3.0 if kind == SLOW else 1.0)
+
+        key, at = ("s", 1), 5.0
+        outcomes = []
+        for policy in (None, BATCHING):
+            transport = Transport(
+                _store("s"), FixedLatency(BATCHING.batch_latency(1)), make_rng(1),
+                fault_model=Always(), fault_rng=make_rng(2), batch_policy=policy,
+            )
+            ticket = transport.submit(FetchRequest(key, at=at))
+            transport.flush_batches(at)
+            outcomes.append((ticket.ok, ticket.error, ticket.arrives_at - at,
+                             transport.monitor.estimate(key),
+                             transport.breakers.failure_rate("s")))
+        single, batched = outcomes
+        assert single == batched
+        assert single[0] == (kind in (OK, SLOW))
+        assert single[2] == after
 
 
 class TestBatchFailureSemantics:

@@ -217,6 +217,16 @@ class TestCircuitBreaker:
 
 
 class TestBreakerBoard:
+    @pytest.mark.parametrize("breaker_class", [CircuitBreaker, BreakerBoard])
+    @pytest.mark.parametrize("knobs", [
+        {"window_size": 0}, {"failure_threshold": 0.0}, {"failure_threshold": 1.5},
+        {"min_samples": 0}, {"cooldown": 0.0},
+    ])
+    def test_invalid_parameters(self, breaker_class, knobs):
+        # A board rejects bad knobs when built, not at a run's first allow().
+        with pytest.raises(ValueError):
+            breaker_class(**knobs)
+
     def test_per_source_isolation(self):
         board = BreakerBoard(window_size=8, min_samples=4)
         for i in range(4):

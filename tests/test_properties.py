@@ -866,7 +866,7 @@ def _buckets(engine):
 # -- transport: deliver_due behind its next_due bound vs. always scanning ------------
 
 _transport_op = st.one_of(
-    st.tuples(st.just("async"), st.integers(min_value=0, max_value=7), st.booleans()),
+    st.tuples(st.just("async"), st.integers(min_value=0, max_value=7)),
     st.tuples(st.just("blocking"), st.integers(min_value=0, max_value=7)),
     st.tuples(st.just("deliver")),
     st.tuples(st.just("deliver")),
@@ -904,18 +904,19 @@ def _ticket_view(ticket):
 @settings(max_examples=300, deadline=None)
 def test_deliver_due_behind_its_bound_agrees_with_always_scanning(ops, seed, batching):
     """Two transports on the same RNG streams see the same submit / deliver /
-    complete / flush sequence — retries, drops, error responses, batch windows
-    closing by deadline, by size and by a blocking need.  One has its bound
-    erased before every ``deliver_due``, so it always scans: same tickets out
-    of every call, in the same order, at every instant, and the same counters
-    at the end.  The bound never overshoots the next thing due."""
+    complete / flush sequence — retries, drops, error responses, breaker
+    fast-fails, batch windows closing by deadline, by size and by a blocking
+    need.  One has its bound erased before every ``deliver_due``, so it
+    always scans: same tickets out of every call, in the same order, at every
+    instant, and the same counters at the end.  The bound never overshoots
+    the next thing due."""
     bounded, scanning = _faulty_transport(seed, batching), _faulty_transport(seed, batching)
     now = 0.0
     for (op, *args), gap in ops:
         now += gap
         if op == "async":
             key = ("st"[args[0] % 2], args[0])
-            request = FetchRequest(key, at=now, batchable=args[1])
+            request = FetchRequest(key, at=now)
             assert _ticket_view(bounded.submit(request)) == _ticket_view(scanning.submit(request))
         elif op == "blocking":
             key = ("st"[args[0] % 2], args[0])

@@ -126,6 +126,19 @@ GATES = (
         6.0,
         "eviction or the Eq. 7 gate scores past the utility floor again",
     ),
+    # Remote-layer frames per wire request on the fetch-plane-bound workload
+    # (batched async fetches): a single-key fetch and a batch share one wire
+    # path.  Measured (--smoke, Python 3.11): 103 782 / 1 123 = 92.41 with a
+    # wire path each, 104 907 / 1 123 = 93.42 with one shared ``_send`` (one
+    # frame more per wire request).
+    Gate(
+        "cache_pressure",
+        "remote frames per wire request",
+        _frames("remote"),
+        ("remote.wire_requests",),
+        100.0,
+        "the fetch plane makes more calls per wire request",
+    ),
 )
 
 
