@@ -5,7 +5,7 @@ Usage::
     python -m repro.analysis [paths ...]        # default: src benchmarks tools examples
     python -m repro.analysis --json src
     python -m repro.analysis --explain D1
-    python -m repro.analysis --rules A1,A2,A3 --package-root src/repro src
+    python -m repro.analysis --rules A1,A2 --package-root src/repro src
 
 Exit codes: 0 clean, 1 findings, 2 usage error.
 """

@@ -1,6 +1,6 @@
 """Findings, the rule-plugin registry, and the analysis driver.
 
-A *rule* is a plugin with a stable ID (``D1`` … ``A3``), a one-line title,
+A *rule* is a plugin with a stable ID (``D1`` … ``R3``), a one-line title,
 and a longer ``explain`` text served by ``--explain``.  Rules receive each
 parsed :class:`~repro.analysis.index.Module` together with the shared
 :class:`~repro.analysis.index.ModuleIndex` and yield :class:`Finding`
@@ -34,7 +34,8 @@ __all__ = [
 ]
 
 # Findings the framework itself emits (syntax errors, malformed
-# suppressions).  Not a plugin, never suppressible.
+# suppressions, suppressions naming no registered rule).  Not a plugin,
+# never suppressible.
 FRAMEWORK_RULE = "E0"
 
 
@@ -135,6 +136,7 @@ def analyze_index(
 ) -> AnalysisResult:
     """Run the selected rules over an existing index."""
     rules = _select_rules(rule_ids)
+    registered = {rule.id for rule in all_rules()}
     result = AnalysisResult(module_count=len(index), rule_ids=[rule.id for rule in rules])
     for module in index:
         if module.syntax_error is not None:
@@ -146,6 +148,13 @@ def analyze_index(
         suppressions, malformed = parse_suppressions(module.lines)
         for line, message in malformed:
             result.findings.append(_framework_finding(module, line, message))
+        for suppression in suppressions.values():
+            unknown = sorted(suppression.rule_ids - registered)
+            if unknown:
+                result.findings.append(_framework_finding(
+                    module, suppression.line,
+                    f"suppression names unregistered rule id(s): {', '.join(unknown)}",
+                ))
         for rule in rules:
             for finding in rule.check(module, index):
                 suppression = suppressions.get(finding.line)
@@ -169,8 +178,7 @@ def analyze(
     paths: Iterable[Path | str],
     rule_ids: Iterable[str] | None = None,
     package_root: Path | str | None = None,
-    docs_root: Path | str | None = None,
 ) -> AnalysisResult:
     """Index ``paths`` and run the selected rules (all, by default)."""
-    index = ModuleIndex(paths, package_root=package_root, docs_root=docs_root)
+    index = ModuleIndex(paths, package_root=package_root)
     return analyze_index(index, rule_ids)

@@ -12,13 +12,7 @@ need:
   attribute chains like ``np.random.rand`` without re-walking imports;
 * **call records** — every call site whose target resolves through the
   bindings to a dotted name, plus the bare class-name constructor calls the
-  architecture rules consume;
-* **string-tuple constants** — simple module-level assignments of strings
-  and tuples of strings (the registered counter-key tables), exposed so
-  rules can reason about the declared constant tables;
-* **definitions** — the ``(qualname, line)`` of every ``def``;
-* **contract facts** — trace-emission categories and metric-name
-  constants, consumed by :mod:`repro.analysis.contracts`.
+  architecture rules consume.
 
 One resolution pass closes the gap a single-module view cannot see:
 **re-export canonicalisation** — ``from repro import EiresConfig`` resolves
@@ -38,11 +32,9 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Iterable, Iterator
 
 __all__ = ["Module", "ModuleIndex", "resolve_call_target", "dotted_chain"]
-
-_METRIC_FACTORIES = frozenset({"gauge", "histogram"})
 
 
 def dotted_chain(node: ast.AST) -> list[str] | None:
@@ -75,54 +67,12 @@ def resolve_call_target(node: ast.AST, bindings: dict[str, str]) -> str | None:
     return ".".join([origin, *parts[1:]]) if len(parts) > 1 else origin
 
 
-def _string_tuple(node: ast.AST, constants: dict[str, Any] | None = None):
-    """The value of a str / tuple-of-str literal expression, else None.
-
-    Tuple elements may also be *names of previously assigned string
-    constants* (``CATEGORIES = (CAT_EVENT, CAT_RUN, ...)``) — the declared
-    registry tables are built exactly that way.
-    """
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    if isinstance(node, ast.Tuple):
-        items = []
-        for element in node.elts:
-            if isinstance(element, ast.Constant) and isinstance(element.value, str):
-                items.append(element.value)
-            elif (
-                constants is not None
-                and isinstance(element, ast.Name)
-                and isinstance(constants.get(element.id), str)
-            ):
-                items.append(constants[element.id])
-            else:
-                return None
-        return tuple(items)
-    return None
-
-
-def _dict_key_tuple(node: ast.AST, constants: dict[str, Any]):
-    """The string keys of a dict literal (``SHED_POLICIES``-style registries)."""
-    if not isinstance(node, ast.Dict):
-        return None
-    keys = []
-    for key in node.keys:
-        if isinstance(key, ast.Constant) and isinstance(key.value, str):
-            keys.append(key.value)
-        elif isinstance(key, ast.Name) and isinstance(constants.get(key.id), str):
-            keys.append(constants[key.id])
-        else:
-            return None
-    return tuple(keys)
-
-
 class Module:
     """One parsed source file plus the precomputed facts rules consume."""
 
     __slots__ = (
         "path", "rel", "pkg", "source", "lines", "tree", "syntax_error",
-        "imports", "bindings", "calls", "constructed", "constants",
-        "constant_lines", "emits", "metric_calls",
+        "imports", "bindings", "calls", "constructed",
     )
 
     def __init__(self, path: Path, rel: str, pkg: str | None) -> None:
@@ -140,13 +90,6 @@ class Module:
         self.calls: list[tuple[str, int]] = []
         # (bare class-ish name, line) for C(...) and m.C(...) calls.
         self.constructed: list[tuple[str, int]] = []
-        # module-level NAME = "str" | ("str", ...) assignments (plus dict
-        # registries captured by their string keys).
-        self.constants: dict[str, str | tuple[str, ...]] = {}
-        self.constant_lines: dict[str, int] = {}
-        # contract facts: tracer.emit category args, metric-name constants.
-        self.emits: list[dict] = []
-        self.metric_calls: list[dict] = []
         try:
             self.tree: ast.Module | None = ast.parse(self.source, filename=str(path))
         except SyntaxError as error:
@@ -176,22 +119,7 @@ class Module:
                         continue
                     local = alias.asname if alias.asname is not None else alias.name
                     self.bindings[local] = f"{node.module}.{alias.name}"
-        # Module-level constant tables.
-        for node in self.tree.body:
-            targets = []
-            if isinstance(node, ast.Assign):
-                targets, value = node.targets, node.value
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                targets, value = [node.target], node.value
-            for target in targets:
-                if isinstance(target, ast.Name):
-                    literal = _string_tuple(value, self.constants)
-                    if literal is None:
-                        literal = _dict_key_tuple(value, self.constants)
-                    if literal is not None:
-                        self.constants[target.id] = literal
-                        self.constant_lines[target.id] = node.lineno
-        # Flat call records (D1/D2/A-rules) + contract facts.
+        # Flat call records (D1/D2/A-rules).
         for node in ast.walk(self.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -205,35 +133,6 @@ class Module:
                 name = node.func.attr
             if name is not None:
                 self.constructed.append((name, node.lineno))
-            self._contract_facts(node, name)
-
-    def _contract_facts(self, node: ast.Call, name: str | None) -> None:
-        if name == "emit" and isinstance(node.func, ast.Attribute) and node.args:
-            arg = node.args[0]
-            fact: dict = {"line": arg.lineno, "literal": None, "chain": None,
-                          "origin": None}
-            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-                fact["literal"] = arg.value
-            else:
-                chain = dotted_chain(arg)
-                if chain is not None:
-                    fact["chain"] = chain
-                    fact["origin"] = self.bindings.get(chain[0])
-            self.emits.append(fact)
-        elif name in _METRIC_FACTORIES and isinstance(node.func, ast.Attribute) \
-                and node.args:
-            arg = node.args[0]
-            if isinstance(arg, (ast.Constant, ast.JoinedStr)):
-                return  # literals are M1's job; f-strings are accepted dynamics
-            chain = dotted_chain(arg)
-            if chain is None:
-                return
-            self.metric_calls.append({
-                "factory": name,
-                "chain": chain,
-                "origin": self.bindings.get(chain[0]),
-                "line": arg.lineno,
-            })
 
     # -- derived --------------------------------------------------------------
 
@@ -284,23 +183,15 @@ def discover(paths: Iterable[Path]) -> Iterator[tuple[Path, str]]:
 
 
 class ModuleIndex:
-    """Every scanned module, parsed once, in deterministic (sorted) order.
-
-    ``docs_root`` points the contract rules at the rendered documentation
-    tables (default: ``./docs`` when present).
-    """
+    """Every scanned module, parsed once, in deterministic (sorted) order."""
 
     def __init__(
         self,
         paths: Iterable[Path | str],
         package_root: Path | str | None = None,
-        docs_root: Path | str | None = None,
     ) -> None:
         self.package_root = Path(package_root) if package_root is not None else None
-        self.docs_root = Path(docs_root) if docs_root is not None else Path("docs")
         self.modules: list[Module] = []
-        #: scratch space for cross-module tables memoised per index.
-        self.scratch: dict[str, Any] = {}
         seen: set[Path] = set()
         for path, rel in discover(Path(p) for p in paths):
             resolved = path.resolve()
@@ -350,9 +241,6 @@ class ModuleIndex:
             module.calls = [
                 (self.canonical_name(target), line) for target, line in module.calls
             ]
-            for fact in module.emits + module.metric_calls:
-                if fact.get("origin"):
-                    fact["origin"] = self.canonical_name(fact["origin"])
 
     def canonical_name(self, name: str) -> str:
         """Follow re-export aliases to the defining module's dotted name."""
@@ -372,30 +260,3 @@ class ModuleIndex:
             if not replaced:
                 return name
         return name
-
-    # -- derived tables -------------------------------------------------------
-
-    def import_graph(self) -> dict[str, list[str]]:
-        """Scanned module -> the ``repro.*`` modules it imports (sorted)."""
-        graph: dict[str, list[str]] = {}
-        for module in self.modules:
-            repro_imports = sorted(
-                {name for name, _ in module.imports
-                 if name == "repro" or name.startswith("repro.")}
-            )
-            graph[module.rel] = repro_imports
-        return graph
-
-    def constant_table(self, name: str) -> tuple[str, ...] | None:
-        """A registered string-tuple constant, looked up across the index."""
-        for module in self.modules:
-            value = module.constants.get(name)
-            if isinstance(value, tuple):
-                return value
-        return None
-
-    def module_by_pkg(self, pkg: str) -> Module | None:
-        for module in self.modules:
-            if module.pkg == pkg:
-                return module
-        return None

@@ -8,7 +8,6 @@ the module below.  IDs are stable and documented in
 
 from repro.analysis.rules import (  # noqa: F401
     architecture,
-    contracts_rules,
     determinism,
     metrics,
 )

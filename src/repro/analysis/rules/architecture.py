@@ -1,12 +1,12 @@
-"""A1–A7: the architecture rules (A1–A3 are the legacy R1–R3).
+"""A1, A2, A5–A7 and R3: the architecture rules.
 
-The A1–A3 finding messages deliberately keep the legacy
-``R1``/``R2``/``R3`` wording, which CI logs and the architecture test
-suite key on.
+The A1–A2 finding messages deliberately keep the legacy ``R1``/``R2``
+wording, which CI logs and the architecture test suite key on.
 
-A1–A3 only apply to modules *inside* the repro package (or a scratch tree
+A1–A2 only apply to modules *inside* the repro package (or a scratch tree
 scanned with an explicit package root): benchmarks and scripts live above
-the architecture and receive their runtime through the facades.
+the architecture and receive their runtime through the facades.  R3 is the
+opposite edge: it checks only those consumers.
 
 A2, A5, A6 and A7 all say "these constructors are called only under these
 packages"; they are rows of :data:`CONFINEMENTS`, checked by the one
@@ -20,31 +20,26 @@ from typing import Iterator, Mapping, NamedTuple
 from repro.analysis.core import Finding, Rule, register
 from repro.analysis.index import Module, ModuleIndex
 
-__all__ = [
-    "EngineLayeringRule",
-    "ShadowAssemblyRule",
-    "ConfinementRule",
-]
+__all__ = ["EngineLayeringRule", "ConfinementRule", "PublicSurfaceRule"]
 
 # A1 (R1): packages of the evaluation core, and the prefixes they must not
 # import.
 CORE_PACKAGES = ("engine", "nfa")
 FORBIDDEN_FOR_CORE = ("repro.strategies", "repro.core", "repro.runtime")
 
-# A3 (R3): substrate constructors, by group.
-SUBSTRATE_GROUPS = {
-    "Transport": "transport",
-    "LRUCache": "cache",
-    "CostBasedCache": "cache",
-    "Tracer": "tracer",
-}
+# A2 (R2): substrate constructors and the modules that define them.
 DEFINING_MODULES = {
     "Transport": ("remote/transport.py",),
     "LRUCache": ("cache/lru.py",),
     "CostBasedCache": ("cache/cost_based.py",),
-    "Tracer": ("obs/trace.py",),
 }
 COMPOSITION_ROOT = "runtime/"
+
+# R3: directories holding in-tree consumers of the public API, and the
+# subpackage surfaces documented as stable alongside the top-level
+# ``repro`` exports (see README "Public API").
+CONSUMER_DIRS = ("examples", "benchmarks")
+PUBLIC_PACKAGES = ("repro.workloads", "repro.bench", "repro.metrics.reporting")
 
 
 @register
@@ -67,34 +62,6 @@ loaded."""
                 yield self.finding(
                     module, line, f"R1 layering: core package imports {name}"
                 )
-
-
-@register
-class ShadowAssemblyRule(Rule):
-    id = "A3"
-    title = "no shadow assembly: one module wires at most one substrate group"
-    explain = """\
-(Legacy R3.)  Outside repro.runtime, no module may construct classes from
-two or more substrate groups (transport / cache / tracer) in one place:
-wiring them together is the composition root's job.  Constructing a Tracer
-alone is fine — callers build tracers and hand them INTO the builder."""
-
-    def check(self, module: Module, index: ModuleIndex) -> Iterator[Finding]:
-        pkg = module.pkg
-        if pkg is None or pkg.startswith(COMPOSITION_ROOT):
-            return
-        groups: dict[str, tuple[str, int]] = {}
-        for name, line in module.constructed:
-            if name not in SUBSTRATE_GROUPS or pkg in DEFINING_MODULES.get(name, ()):
-                continue
-            groups.setdefault(SUBSTRATE_GROUPS[name], (name, line))
-        if len(groups) >= 2:
-            built = ", ".join(sorted(name for name, _ in groups.values()))
-            line = min(line for _, line in groups.values())
-            yield self.finding(
-                module, line,
-                f"R3 shadow assembly: constructs {built} together outside repro.runtime",
-            )
 
 
 class Confinement(NamedTuple):
@@ -217,3 +184,37 @@ class ConfinementRule(Rule):
 
 for _row in CONFINEMENTS:
     register(ConfinementRule(_row))
+
+
+@register
+class PublicSurfaceRule(Rule):
+    id = "R3"
+    title = "examples and benchmarks import only the public repro surface"
+    explain = """\
+examples/ and benchmarks/ are the in-tree consumers of the stable public
+API: they may import the `repro` package itself (whose curated __all__ is
+the documented surface) and the declared public subpackages —
+repro.workloads, repro.bench, and repro.metrics.reporting.  Importing any
+other repro.* module from a consumer silently promotes an internal module
+to load-bearing API: refactors inside src/ would break examples users
+copy-paste, and the curated surface would stop meaning anything.  Fix by
+importing the name from `repro` (exporting it there if it genuinely
+belongs to the stable surface) or from one of the public subpackages."""
+
+    def check(self, module: Module, index: ModuleIndex) -> Iterator[Finding]:
+        parts = module.path.parts
+        if not any(consumer in parts for consumer in CONSUMER_DIRS):
+            return
+        for name, line in module.imports:
+            if name == "repro" or not name.startswith("repro."):
+                continue
+            if name in PUBLIC_PACKAGES or name.startswith(
+                tuple(pkg + "." for pkg in PUBLIC_PACKAGES)
+            ):
+                continue
+            yield self.finding(
+                module, line,
+                f"imports internal module {name}; consumers use the public "
+                "surface — `repro` itself or "
+                f"{', '.join(PUBLIC_PACKAGES)}",
+            )

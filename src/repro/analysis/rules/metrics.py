@@ -25,8 +25,8 @@ DEFINING_MODULES = ("obs/trace.py", "obs/registry.py")
 
 _METRIC_FACTORIES = frozenset({"gauge", "histogram"})
 
-#: Prefix every registered trace-category constant shares.
-_CATEGORY_PREFIX = "CAT_"
+#: Canonical prefix of every registered trace-category constant.
+_CATEGORY = "repro.obs.trace.CAT_"
 
 
 @register
@@ -40,7 +40,9 @@ through names derived from the registered key tables — never inline string
 literals.  The rule flags:
 
 * `tracer.emit("fetch", ...)` — a literal category; pass CAT_FETCH.  A
-  category variable must itself be (or be imported as) a CAT_* constant.
+  category name must be imported (possibly through re-export aliases)
+  from repro.obs.trace: a locally minted `CAT_BOGUS = "bogus"` is
+  invisible to the trace validator and every docs table.
 * `registry.gauge("fetch.retries")` — a stray metric literal; derive the
   name from a key-table constant or declare a named *_METRIC constant next
   to the tables.
@@ -80,11 +82,8 @@ are exempt."""
         chain = dotted_chain(arg)
         if chain is None:
             return  # computed expression; not statically checkable
-        terminal = chain[-1]
-        if terminal.startswith(_CATEGORY_PREFIX):
-            return
-        origin = module.bindings.get(chain[0], "")
-        if _CATEGORY_PREFIX in origin:
+        origin = module.bindings.get(chain[0])
+        if origin is not None and ".".join([origin, *chain[1:]]).startswith(_CATEGORY):
             return
         yield self.finding(
             module, arg.lineno,

@@ -4,7 +4,9 @@ A suppression names the rule IDs it silences (comma-separated inside the
 brackets) and MUST carry a non-empty justification after the bracket — an
 unexplained suppression is itself reported as a framework finding, because
 a determinism waiver nobody can audit is exactly the hole the analysis
-exists to close.  Suppressions apply to findings on their own line.
+exists to close.  Suppressions apply to findings on their own line; the
+driver reports one naming an ID no rule registers (a retired rule, a typo),
+since it would silence nothing.
 """
 
 from __future__ import annotations
@@ -43,9 +45,10 @@ def parse_suppressions(
             continue
         match = _ALLOW.search(text)
         if match is None:
-            malformed.append(
-                (lineno, "malformed suppression: expected '# eires: allow[RULE] justification'")
-            )
+            # Worded without the comment marker, or this very line would
+            # parse as a suppression naming the unregistered rule RULE.
+            malformed.append((lineno, "malformed suppression: expected a comment "
+                                      "'eires: allow[RULE] justification'"))
             continue
         rule_ids = frozenset(
             part.strip() for part in match.group(1).split(",") if part.strip()

@@ -15,7 +15,7 @@ strategy, priority, run budget and admission — share one session.
 
 The import of :class:`~repro.core.config.EiresConfig` is deferred to call
 time: the facade in :mod:`repro.core` imports this module, and the runtime
-layer must sit *below* them in the architecture (rules A1–A3 of
+layer must sit *below* them in the architecture (rules A1–A2 of
 :mod:`repro.analysis`; ``python -m repro.analysis --explain A1``).
 """
 

@@ -28,7 +28,7 @@ def real_tree() -> tuple[ModuleIndex, AnalysisResult]:
     """The analyzer's default roots indexed and checked against every rule,
     once per test process — every real-tree assertion reads this result."""
     roots = [REPO_ROOT / name for name in ("src", "benchmarks", "tools", "examples")]
-    index = ModuleIndex(roots, docs_root=REPO_ROOT / "docs")
+    index = ModuleIndex(roots)
     return index, analyze_index(index)
 
 

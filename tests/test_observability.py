@@ -10,6 +10,7 @@ The heavyweight guarantees live here too:
 
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.core.config import EiresConfig
 from repro.core.framework import EIRES
 from repro.engine.interface import ENGINE_COUNTER_KEYS
 from repro.metrics.reporting import FAULT_COLUMNS
+from repro.obs import trace as trace_module
 from repro.obs.export import chrome_trace, write_chrome_trace, write_jsonl
 from repro.obs.provenance import (
     EQ7_FIELDS,
@@ -35,6 +37,7 @@ from repro.obs.trace import (
     Tracer,
 )
 from repro.obs.validate import validate_chrome_trace
+from repro.remote.faults import FAULT_PROFILES
 from repro.remote.transport import (
     TRANSPORT_COUNTER_KEYS,
     TRANSPORT_FAULT_COUNTER_KEYS,
@@ -42,14 +45,19 @@ from repro.remote.transport import (
 )
 from repro.runtime.builder import RuntimeBuilder
 from repro.serving import FleetBuilder, TenantSpec
+from repro.shedding.policy import SHED_POLICIES
 from repro.strategies.base import (
     DEGRADATION_COUNTER_KEYS,
     STRATEGY_COUNTER_KEYS,
     StrategyStats,
 )
+from repro.strategies.stats import RUN_DROP_REASONS
 from repro.workloads.synthetic import SyntheticConfig, q1_workload
 
 from tests.helpers import make_abc_scenario, random_stream, renamed
+
+
+DOCS = Path(__file__).resolve().parents[1] / "docs"
 
 
 def small_q1():
@@ -65,6 +73,24 @@ def traced_run(strategy="Hybrid", config=None):
         tracer=Tracer(sink, track=strategy),
     )
     return result, sink
+
+
+class TestRegistryDocs:
+    """Every registered name an operator can meet in a trace, a config or a
+    summary is documented, backticked, in the page that explains it."""
+
+    @pytest.mark.parametrize(("names", "page"), [
+        # Every CAT_* constant, not just CATEGORIES: shed and serving are
+        # conditional categories outside that tuple.
+        ([value for name, value in vars(trace_module).items()
+          if name.startswith("CAT_")], "observability.md"),
+        (SHED_POLICIES, "shedding.md"),
+        (FAULT_PROFILES, "fault_model.md"),
+        (RUN_DROP_REASONS, "observability.md"),
+    ], ids=["trace-categories", "shed-policies", "fault-profiles", "run-drop-reasons"])
+    def test_every_registered_name_is_documented(self, names, page):
+        text = (DOCS / page).read_text()
+        assert [name for name in names if f"`{name}`" not in text] == []
 
 
 class TestTracer:
