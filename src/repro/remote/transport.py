@@ -14,10 +14,11 @@ unified surface — :meth:`Transport.submit` takes a :class:`FetchRequest`
   is issued at ``now`` and its response materialises later; the pipeline
   deposits delivered elements into the cache.
 
-Concurrent requests for the same key are coalesced — blocking and async
-alike: while either kind of request is in flight (or queued in an open
-batch window), a second request for the same key joins it instead of
-issuing a duplicate wire request.
+An async request for a key already in flight (or queued in an open batch
+window) joins it instead of issuing a duplicate wire request.  A blocking
+request consumes its key: it joins (or takes over) whatever is in flight
+for it, removes it, and registers nothing, so callers ask once per
+distinct key.
 
 Batching
 --------
@@ -203,14 +204,13 @@ class FetchTicket:
     ``"timeout"``, or ``"breaker_open"``) and its ``arrives_at`` is the time
     the *failure becomes known* (the error round trip, or the attempt
     timeout for drops).  ``attempt`` counts from 1; ``first_issued_at``
-    anchors the per-fetch retry deadline.  ``final`` marks a ticket whose
-    retry budget is spent — it will be delivered as-is.  ``queued`` marks a
-    ticket still waiting in an open batch window (its ``arrives_at`` is
-    infinite until the window closes).
+    anchors the per-fetch retry deadline.  ``queued`` marks a ticket still
+    waiting in an open batch window (its ``arrives_at`` is infinite until
+    the window closes).
     """
 
     __slots__ = ("key", "issued_at", "arrives_at", "element", "ok", "error",
-                 "attempt", "first_issued_at", "final", "queued", "wire_started_at")
+                 "attempt", "first_issued_at", "queued", "wire_started_at")
 
     def __init__(
         self,
@@ -222,7 +222,6 @@ class FetchTicket:
         error: str | None = None,
         attempt: int = 1,
         first_issued_at: float | None = None,
-        final: bool = True,
     ) -> None:
         self.key = key
         self.issued_at = issued_at
@@ -232,7 +231,6 @@ class FetchTicket:
         self.error = error
         self.attempt = attempt
         self.first_issued_at = issued_at if first_issued_at is None else first_issued_at
-        self.final = final
         self.queued = False
         # When the final attempt's wire transmission began: ``issued_at``
         # for single-key requests, the window-flush time for batched keys
@@ -320,11 +318,11 @@ class Transport:
         """Submit one access intent; every mode resolves through here.
 
         Blocking requests return a ticket with the final outcome (the caller
-        must stall to ``arrives_at`` and deregister via :meth:`complete`);
-        async requests return the pending ticket, delivered later through
-        :meth:`deliver_due`.  Requests for keys already in flight — pending,
-        queued in a batch window, blocking or async alike — coalesce onto
-        the existing ticket instead of issuing a duplicate wire request.
+        stalls to ``arrives_at``) and consume the key: nothing stays in
+        flight for it.  Async requests return the pending ticket, delivered
+        later through :meth:`deliver_due`.  Either mode coalesces onto a
+        ticket already in flight — pending or queued in a batch window —
+        instead of issuing a duplicate wire request.
         """
         self.next_due = _UNKNOWN
         if self._queues:
@@ -347,27 +345,20 @@ class Transport:
         wire request now).  A pending ticket that is doomed to fail is
         taken over: the blocking caller continues its retry chain
         synchronously, so the returned ticket always reflects the final
-        outcome.  The ticket is registered in flight for the duration of
-        the stall so that an async fetch issued at the same virtual instant
-        coalesces with it (the symmetric twin of the async-first case); the
-        caller deregisters it via :meth:`complete` once consumed.
+        outcome.  Either way the key leaves the in-flight table, and a fresh
+        fetch never enters it: the caller consumes the outcome now, so
+        :meth:`deliver_due` must not deliver it again.
         """
         key, now = request.key, request.at
         pending = self._in_flight.get(key)
         if pending is not None and pending.queued:
             self._flush_source(key[0], now)
-            pending = self._in_flight.get(key)
+        pending = self._in_flight.pop(key, None)
         if pending is not None:
             self.stats.coalesced += 1
-            if pending.ok or pending.final:
-                return pending
-            ticket = self._retry_to_completion(pending, count_failure=True)
-            self._in_flight[key] = ticket
-            return ticket
+            return pending if pending.ok else self._retry_to_completion(pending)
         self.stats.blocking_fetches += 1
-        ticket = self._retry_to_completion(self._issue(key, now), count_failure=True)
-        self._in_flight[key] = ticket
-        return ticket
+        return self._retry_to_completion(self._issue(key, now))
 
     def _submit_async(self, request: FetchRequest) -> FetchTicket:
         """Async mode: issue (or enqueue) a non-blocking fetch."""
@@ -386,7 +377,7 @@ class Transport:
             return ticket
         ticket = FetchTicket(
             key, issued_at=now, arrives_at=_QUEUED_ARRIVAL, element=None,
-            ok=False, error=None, final=False,
+            ok=False, error=None,
         )
         ticket.queued = True
         self._in_flight[key] = ticket
@@ -415,11 +406,6 @@ class Transport:
         """The pending (or queued) ticket for ``key``, if any."""
         return self._in_flight.get(key)
 
-    def complete(self, ticket: FetchTicket) -> None:
-        """Deregister a blocking ticket its caller has consumed."""
-        if self._in_flight.get(ticket.key) is ticket:
-            del self._in_flight[ticket.key]
-
     def deliver_due(self, now: float) -> list[FetchTicket]:
         """Pop and return every async ticket whose outcome is known by ``now``.
 
@@ -442,14 +428,13 @@ class Transport:
         for key in list(self._in_flight):
             ticket = self._in_flight[key]
             while ticket.arrives_at <= now:
-                if ticket.ok or ticket.final:
+                if ticket.ok:
                     delivered.append(ticket)
                     del self._in_flight[key]
                     break
                 next_ticket = self._reissue(ticket)
                 if next_ticket is None:
                     self.stats.failed_fetches += 1
-                    ticket.final = True
                     delivered.append(ticket)
                     del self._in_flight[key]
                     break
@@ -554,16 +539,14 @@ class Transport:
         return estimate + self._retry.expected_overhead(failure_rate, estimate)
 
     # -- issue / retry internals ----------------------------------------------
-    def _retry_to_completion(self, ticket: FetchTicket, count_failure: bool) -> FetchTicket:
+    def _retry_to_completion(self, ticket: FetchTicket) -> FetchTicket:
         """Drive a ticket's retry chain synchronously to its final outcome."""
         while not ticket.ok:
             next_ticket = self._reissue(ticket)
             if next_ticket is None:
-                if count_failure:
-                    self.stats.failed_fetches += 1
+                self.stats.failed_fetches += 1
                 break
             ticket = next_ticket
-        ticket.final = True
         if self.tracer.enabled:
             self._trace_complete(ticket)
         return ticket
@@ -604,7 +587,7 @@ class Transport:
         # Built failed-fast; a wire request overwrites the outcome.
         ticket = FetchTicket(
             key, issued_at=now, arrives_at=now, element=None, ok=False,
-            error="breaker_open", attempt=attempt, first_issued_at=first_issued_at, final=False,
+            error="breaker_open", attempt=attempt, first_issued_at=first_issued_at,
         )
         tracer = self.tracer
         if not self.breakers.allow(key[0], now):

@@ -50,14 +50,16 @@ class FetchPlane:
         Snapshotting decouples evaluation from cache state: inserting a
         just-fetched element may evict another key of the *same* predicate,
         so values must be read out before any further insertion.  Each
-        lookup counts once in the cache's hit/miss statistics.
+        distinct key is looked up once — counting once in the cache's
+        hit/miss statistics — and reported missing at most once, so a
+        blocking round asks the transport once per distinct key.
         """
         values: dict[DataKey, Any] = {}
         missing: list[DataKey] = []
         cache = self.ctx.cache
         now = self.ctx.clock.now
         for key in keys:
-            if key in values:
+            if key in values or key in missing:
                 continue
             if key in self._staged:
                 values[key] = self._staged[key]
@@ -81,7 +83,7 @@ class FetchPlane:
         return self.ctx.transport.store.lookup(key).value
 
     def _block_for(self, keys: list[DataKey]) -> dict[DataKey, Any]:
-        """Fetch ``keys``, stalling the engine until all outcomes are known.
+        """Fetch the distinct ``keys``, stalling the engine until all are known.
 
         Requests are issued concurrently (the stall is the max, not the sum
         — this is what makes BL3's one-shot fetching cheaper per match than
@@ -101,16 +103,14 @@ class FetchPlane:
         now = ctx.clock.now
         latest = now
         tickets = []
-        owned: list = []  # blocking tickets this call obtained (to deregister)
         for key in keys:
             pending = ctx.transport.in_flight(key)
-            if pending is not None and (pending.ok or pending.final):
+            if pending is not None and pending.ok:
                 ticket = pending
             else:
                 ticket = ctx.transport.submit(
                     FetchRequest(key, at=now, mode=MODE_BLOCKING)
                 )
-                owned.append(ticket)
             tickets.append(ticket)
             if ticket.arrives_at > latest:
                 latest = ticket.arrives_at
@@ -131,7 +131,6 @@ class FetchPlane:
         ctx.clock.advance_to(latest)
         values: dict[DataKey, Any] = {}
         cache = ctx.cache
-        owned_set = {id(ticket) for ticket in owned}
         for ticket in tickets:
             self._purpose.pop(ticket.key, None)
             if ticket.ok:
@@ -140,17 +139,13 @@ class FetchPlane:
                 if cache is not None:
                     cache.put(ticket.element, ctx.clock.now, certain=True)
                 continue
-            # Terminal failure.  Pending async failures are counted when
-            # delivered; only failures of requests we issued count here.
-            if id(ticket) in owned_set:
-                self.stats.fetch_failures += 1
+            # Terminal failure: only ``submit`` hands back a failed ticket.
+            self.stats.fetch_failures += 1
             if self._in_blocking_round:
                 self._round_failed.add(ticket.key)
             if ticket.key in self._last_known:
                 values[ticket.key] = self._last_known[ticket.key]
                 self.stats.stale_serves += 1
-        for ticket in owned:
-            ctx.transport.complete(ticket)
         self._deliver_due()
         return values
 

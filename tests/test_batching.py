@@ -79,7 +79,7 @@ class TestBatchPolicy:
 class TestBatchQueue:
     def _ticket(self, key) -> FetchTicket:
         return FetchTicket(key, issued_at=0.0, arrives_at=float("inf"), element=None,
-                           ok=False, final=False)
+                           ok=False)
 
     def test_ranked_orders_by_descending_utility(self):
         queue = BatchQueue("s", opened_at=0.0, window=50.0)
@@ -316,7 +316,7 @@ class TestBatchFailureSemantics:
         # Before the failure is even delivered, an urgent need takes over the
         # doomed ticket and drives its retry chain to completion.
         ticket = transport.submit(FetchRequest(("s", 1), at=10.0, mode=MODE_BLOCKING))
-        assert ticket.ok and ticket.final
+        assert ticket.ok
         assert ticket.attempt == 2
 
     def test_breaker_observes_one_outcome_per_wire_request(self):

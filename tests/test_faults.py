@@ -280,7 +280,6 @@ class TestTransportFaultPaths:
         )
         request = transport.submit(FetchRequest(("t", 1), at=0.0, mode=MODE_BLOCKING))
         assert not request.ok
-        assert request.final
         assert request.attempt == 3
         assert transport.stats.retries == 2
         assert transport.stats.failed_fetches == 1
@@ -341,12 +340,10 @@ class TestTransportFaultPaths:
             breakers=board,
         )
         first = transport.submit(FetchRequest(("t", 1), at=0.0, mode=MODE_BLOCKING))
-        transport.complete(first)
         assert not first.ok
         assert not board.available("t", first.arrives_at)
         # While open: no latency draw, instant failure.
         request = transport.submit(FetchRequest(("t", 1), at=first.arrives_at + 1.0, mode=MODE_BLOCKING))
-        transport.complete(request)
         assert request.error == "breaker_open"
         assert request.arrives_at == first.arrives_at + 1.0
         assert transport.stats.breaker_fastfails >= 1
@@ -366,11 +363,9 @@ class TestTransportFaultPaths:
             breakers=board,
         )
         first = transport.submit(FetchRequest(("t", 1), at=0.0, mode=MODE_BLOCKING))
-        transport.complete(first)
         assert not first.ok
         # After cooldown the half-open probe succeeds and closes the breaker.
         probe = transport.submit(FetchRequest(("t", 1), at=200.0, mode=MODE_BLOCKING))
-        transport.complete(probe)
         assert probe.ok
         assert board.state("t", 220.0) == BREAKER_CLOSED
 

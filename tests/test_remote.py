@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.remote.batching import BatchPolicy
 from repro.remote.element import DataElement
-from repro.remote.faults import DropFaults
+from repro.remote.faults import ERROR, OK, DropFaults, FaultDecision, NoFaults
 from repro.remote.monitor import LatencyMonitor
 from repro.remote.retry import RetryPolicy
 from repro.remote.store import MISSING_VALUE, RemoteStore
@@ -198,29 +199,34 @@ class TestTransport:
         transport.submit(FetchRequest(("t", 1), at=0.0, mode=MODE_BLOCKING))
         assert transport.monitor.estimate(("t", 1)) == 42.0
 
-    def test_blocking_fetch_registers_in_flight(self):
-        # A blocking fetch is visible in the in-flight table until its
-        # consumer completes it — an async fetch issued at the same virtual
-        # instant must coalesce instead of duplicating the wire request.
-        transport = self._transport(10.0)
-        blocking = transport.submit(FetchRequest(("t", 1), at=0.0, mode=MODE_BLOCKING))
-        assert transport.in_flight(("t", 1)) is blocking
-        joined = transport.submit(FetchRequest(("t", 1), at=0.0))
-        assert joined is blocking
-        assert transport.stats.async_fetches == 0
-        assert transport.stats.coalesced == 1
-        transport.complete(blocking)
-        assert transport.in_flight(("t", 1)) is None
-        # Once completed, the key is fetchable again as a fresh request.
-        assert transport.submit(FetchRequest(("t", 1), at=20.0)) is not blocking
+    @pytest.mark.parametrize("path", ["fresh", "doomed_async", "queued_batch"])
+    def test_blocking_submit_consumes_its_key(self, path):
+        # The blocking caller consumes the outcome it is handed, whether the
+        # fetch was fresh, a doomed async ticket it took over, or a queued
+        # batch ticket it flushed and joined: nothing stays in flight for the
+        # key, so deliver_due never hands the same response out again.
+        class FirstAttemptErrors(NoFaults):
+            def decide(self, key, now, attempt, rng):
+                return FaultDecision(ERROR if attempt == 1 else OK)
 
-    def test_complete_ignores_stale_request(self):
-        transport = self._transport(10.0)
-        first = transport.submit(FetchRequest(("t", 1), at=0.0, mode=MODE_BLOCKING))
-        transport.complete(first)
-        fresh = transport.submit(FetchRequest(("t", 1), at=5.0))
-        transport.complete(first)  # stale handle: must not evict `fresh`
-        assert transport.in_flight(("t", 1)) is fresh
+        store = RemoteStore()
+        store.put("t", 1, "one")
+        options = {
+            "fresh": {},
+            "doomed_async": {
+                "fault_model": FirstAttemptErrors(),
+                "retry_policy": RetryPolicy(max_attempts=2, backoff_base=5.0, jitter=0.0),
+            },
+            "queued_batch": {"batch_policy": BatchPolicy(window=50.0, max_keys=4)},
+        }[path]
+        transport = Transport(store, FixedLatency(10.0), make_rng(1), **options)
+        if path != "fresh":
+            transport.submit(FetchRequest(("t", 1), at=0.0))
+        ticket = transport.submit(FetchRequest(("t", 1), at=5.0, mode=MODE_BLOCKING))
+        assert ticket.ok and ticket.element.value == "one"
+        assert transport.stats.coalesced == (path != "fresh")
+        assert transport.in_flight(("t", 1)) is None
+        assert transport.deliver_due(float("inf")) == []
 
     def test_delivery_ties_broken_deterministically(self):
         # Identical arrival times: delivery order falls back to issue time,

@@ -81,6 +81,21 @@ class TestBlockingRounds:
         strategy._block_for([("v", 6), ("v", 7), ("v", 8)])
         assert eires.clock.now - start == pytest.approx(100.0)
 
+    def test_repeated_key_costs_one_lookup_and_one_request(self):
+        # Two references to one element within a predicate (two regions that
+        # resolve to one machine) are one distinct key: the snapshot reports
+        # it missing once, so the blocking round asks for it once.
+        eires = build()
+        strategy = eires.strategy
+        key = ("v", 9)
+        values, missing = strategy._collect([key, key])
+        assert values == {} and missing == [key]
+        values = strategy._block_for(missing)
+        assert values == {key: frozenset(range(10))}
+        assert eires.cache.stats.misses == 1
+        assert eires.cache.stats.insertions == 1
+        assert eires.transport.stats.wire_requests == 1
+
     def test_staged_values_survive_cache_eviction(self):
         eires = build(capacity=1)  # one-entry cache: everything evicts
         strategy = eires.strategy
