@@ -62,7 +62,10 @@ def sweep(n_events: int = 4_000) -> list[dict]:
                 row = result.summary()
                 row["workload"] = workload_name
                 row["batching"] = "on" if batching else "off"
-                row["mean_latency_us"] = round(result.latency.mean(), 2)
+                latencies = [match.latency for match in result.matches]
+                row["mean_latency_us"] = (
+                    round(sum(latencies) / len(latencies), 2) if latencies else 0.0
+                )
                 rows.append(row)
     return rows
 

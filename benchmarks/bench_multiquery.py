@@ -66,12 +66,12 @@ def run_comparison() -> list[dict]:
         result = eires.run(stream)
         summary = result.summary()
         isolated_fetches += summary["transport.blocking_fetches"] + summary["transport.async_fetches"]
-        isolated_p50[query.name] = result.latency.median()
+        isolated_p50[query.name] = result.latency_percentiles()[50]
         rows.append({
             "setup": "isolated",
             "query": query.name,
             "matches": result.match_count,
-            "p50": result.latency.median(),
+            "p50": result.latency_percentiles()[50],
         })
 
     shared = (
@@ -89,7 +89,7 @@ def run_comparison() -> list[dict]:
             "setup": "shared",
             "query": name,
             "matches": result.match_count,
-            "p50": result.latency.median(),
+            "p50": result.latency_percentiles()[50],
         })
     rows.append({"setup": "isolated", "query": "(total fetches)", "matches": isolated_fetches, "p50": 0.0})
     rows.append({"setup": "shared", "query": "(total fetches)", "matches": shared_fetches, "p50": 0.0})

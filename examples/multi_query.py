@@ -92,7 +92,7 @@ def main() -> None:
         isolated_fetches += fetches
         print(
             f"  {query.name:11s} matches={result.match_count:5d} "
-            f"p50={result.latency.median():8.1f}us  remote fetches={fetches}"
+            f"p50={result.latency_percentiles()[50]:8.1f}us  remote fetches={fetches}"
         )
 
     print("\nShared deployment (one cache, priority-weighted utility):")
@@ -109,7 +109,7 @@ def main() -> None:
     for name, result in results.items():
         print(
             f"  {name:11s} matches={result.match_count:5d} "
-            f"p50={result.latency.median():8.1f}us"
+            f"p50={result.latency_percentiles()[50]:8.1f}us"
         )
     print(f"  total remote fetches={shared_fetches}  (isolated: {isolated_fetches})")
     print(

@@ -49,7 +49,8 @@ from repro.sim.rng import make_rng
 
 __all__ = ["CostBasedCache"]
 
-_SAMPLE_SIZE = 12
+# Cached elements scored per eviction or admission-gate decision.
+SAMPLE_SIZE = 12
 
 
 class _SampledSet:
@@ -108,14 +109,10 @@ class CostBasedCache(Cache):
         capacity: int,
         utility_fn: Callable[[DataKey], float],
         seed: int = 0,
-        sample_size: int = _SAMPLE_SIZE,
     ) -> None:
         super().__init__(capacity)
-        if sample_size < 1:
-            raise ValueError(f"sample size must be >= 1: {sample_size}")
         self._utility_fn = utility_fn
         self._rng = make_rng(seed)
-        self._sample_size = sample_size
         self._tiers: dict[int, _SampledSet] = {
             self.TIER_CERTAIN: _SampledSet(),
             self.TIER_SPECULATIVE: _SampledSet(),
@@ -142,7 +139,7 @@ class CostBasedCache(Cache):
 
     def _select_victim(self) -> DataKey:
         for tier in (self.TIER_SPECULATIVE, self.TIER_CERTAIN):
-            candidates = self._tiers[tier].sample(self._rng, self._sample_size)
+            candidates = self._tiers[tier].sample(self._rng, SAMPLE_SIZE)
             if candidates:
                 return self._oldest_lowest(candidates)[0]
         # Tier sets can only be empty together with the cache itself; reaching
@@ -156,7 +153,7 @@ class CostBasedCache(Cache):
         estimate of what a new element would displace.
         """
         for tier in (self.TIER_SPECULATIVE, self.TIER_CERTAIN):
-            candidates = self._tiers[tier].sample(self._rng, self._sample_size)
+            candidates = self._tiers[tier].sample(self._rng, SAMPLE_SIZE)
             if candidates:
                 return self._oldest_lowest(candidates)[1]
         return 0.0

@@ -7,15 +7,19 @@ class ``j`` makes it available in time".
 
 The paper maintains counts of cache misses with a threshold deciding what is
 sufficient negative evidence, and resets values a fixed period after their
-last increment to cope with stream fluctuation; both knobs are reproduced
-here.  Evidence is tracked per (site, trigger-state) rather than per
-concrete element — elements fetched for one site share fate, and per-element
+last increment to cope with stream fluctuation: the threshold is
+:data:`MISS_THRESHOLD`, the period is configured (``reset_after``).
+Evidence is tracked per (site, trigger-state) rather than per concrete
+element — elements fetched for one site share fate, and per-element
 tracking would be both noisy and unbounded.
 """
 
 from __future__ import annotations
 
 __all__ = ["HitHistory"]
+
+# Consecutive misses after which a trigger class stops being trusted.
+MISS_THRESHOLD = 3
 
 
 class _SiteRecord:
@@ -30,12 +34,9 @@ class _SiteRecord:
 class HitHistory:
     """Per (site, trigger state) prefetch outcome counters."""
 
-    def __init__(self, miss_threshold: int = 3, reset_after: float = 1_000_000.0) -> None:
-        if miss_threshold < 1:
-            raise ValueError(f"miss threshold must be >= 1: {miss_threshold}")
+    def __init__(self, reset_after: float = 1_000_000.0) -> None:
         if reset_after <= 0:
             raise ValueError(f"reset period must be positive: {reset_after}")
-        self._miss_threshold = miss_threshold
         self._reset_after = reset_after
         self._records: dict[tuple[int, int], _SiteRecord] = {}
 
@@ -75,7 +76,7 @@ class HitHistory:
             return True
         if now - record.last_update > self._reset_after:
             return True
-        return record.misses < self._miss_threshold
+        return record.misses < MISS_THRESHOLD
 
     def __repr__(self) -> str:
         return f"HitHistory({len(self._records)} site/state records)"

@@ -70,9 +70,9 @@ class EIRES:
         self.strategy = session.strategy
         self.engine = session.engine
 
-    def run(self, stream: Stream, smoothing_window: int = 1) -> RunResult:
+    def run(self, stream: Stream) -> RunResult:
         """Evaluate the query over ``stream`` and return all measurements."""
-        results = self.runtime.run(stream, smoothing_window=smoothing_window)
+        results = self.runtime.run(stream)
         return results[self.query.name]
 
     def __repr__(self) -> str:

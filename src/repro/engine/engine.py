@@ -69,6 +69,9 @@ NON_GREEDY = "non_greedy"
 # What a root transition's guard sees as the events bound so far.
 _NO_BINDINGS: Mapping[str, Event] = MappingProxyType({})
 
+# Events between two expiry sweeps (see :meth:`Engine._expire`).
+EXPIRY_INTERVAL_EVENTS = 16
+
 _UNRESOLVED = "unresolved"
 _SATISFIED = "satisfied"
 _VIOLATED = "violated"
@@ -83,13 +86,9 @@ class Engine:
         clock: VirtualClock,
         cost_model: CostModel | None = None,
         policy: str = GREEDY,
-        expiry_interval: int = 16,
     ) -> None:
         if policy not in (GREEDY, NON_GREEDY):
             raise ValueError(f"unknown selection policy {policy!r}")
-        if expiry_interval < 1:
-            raise ValueError(f"expiry interval must be >= 1: {expiry_interval}")
-        self._expiry_interval = expiry_interval
         self.automaton = automaton
         self.clock = clock
         self.cost_model = cost_model if cost_model is not None else CostModel()
@@ -171,7 +170,7 @@ class Engine:
         self.stats.events_processed += 1
         # Expiry is lazy: stepping a bucket drops the expired runs it touches,
         # and a sweep every few events reclaims runs no event type hits.
-        if self.stats.events_processed % self._expiry_interval == 0:
+        if self.stats.events_processed % EXPIRY_INTERVAL_EVENTS == 0:
             self._expire(event, strategy)
 
         matches: list[MatchRecord] = []

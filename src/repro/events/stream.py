@@ -32,7 +32,8 @@ class Stream:
             event.seq = index
         if validate:
             for previous, current in zip(materialised, materialised[1:]):
-                if current.t < previous.t:
+                # Negated so a NaN timestamp, which compares false, fails too.
+                if not current.t >= previous.t:
                     raise ValueError(
                         f"stream out of order: event seq={current.seq} at t={current.t} "
                         f"follows t={previous.t}"

@@ -63,7 +63,6 @@ def speedups(
     rows: Sequence[Mapping[str, Any]],
     metric: str,
     subject: str = "Hybrid",
-    strategy_key: str = "strategy",
     higher_is_better: bool = False,
 ) -> dict[str, float]:
     """Improvement factor of ``subject`` over each other strategy.
@@ -73,7 +72,7 @@ def speedups(
     ``subject / baseline``.  Values > 1 always mean the subject wins.  Rows
     missing the metric (or zero-valued denominators) are skipped.
     """
-    by_name = {row[strategy_key]: row for row in rows if metric in row}
+    by_name = {row["strategy"]: row for row in rows if metric in row}
     if subject not in by_name:
         return {}
     subject_value = by_name[subject][metric]

@@ -32,6 +32,8 @@ __all__ = [
 
 #: The quantile set every histogram snapshot reports.
 HISTOGRAM_PERCENTILES = (50, 95, 99)
+#: Virtual us of samples a histogram retains, back from its newest one.
+HISTOGRAM_WINDOW_US = 1_000_000.0
 
 
 def _rounded(value: int | float) -> int | float:
@@ -87,23 +89,20 @@ class Gauge:
 
 
 class Histogram:
-    """Sampled distribution with optional virtual-time windowing.
+    """Sampled distribution over a virtual-time window.
 
-    ``window`` bounds the retained samples to the last ``window`` virtual
-    microseconds relative to the most recent observation: old samples are
-    discarded as new ones arrive, so long runs report *recent* behaviour
-    instead of an all-time average.  ``window=None`` retains everything.
-    Totals (``count``/``total``) always cover the full run regardless of the
+    The retained samples are those of the last :data:`HISTOGRAM_WINDOW_US`
+    virtual microseconds relative to the most recent observation: old
+    samples are discarded as new ones arrive, so long runs report *recent*
+    behaviour instead of an all-time average, in bounded memory.  Totals
+    (``count``/``total``) always cover the full run regardless of the
     window.  :meth:`snapshot` reports :data:`HISTOGRAM_PERCENTILES`.
     """
 
-    __slots__ = ("name", "window", "count", "total", "_samples")
+    __slots__ = ("name", "count", "total", "_samples")
 
-    def __init__(self, name: str, window: float | None = None) -> None:
-        if window is not None and window <= 0:
-            raise ValueError(f"histogram window must be positive: {window}")
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.window = window
         self.count = 0
         self.total = 0.0
         self._samples: deque[tuple[float, float]] = deque()
@@ -112,15 +111,14 @@ class Histogram:
         """Fold one sample taken at virtual time ``t``."""
         self.count += 1
         self.total += value
-        self._samples.append((t, value))
-        if self.window is not None:
-            horizon = t - self.window
-            samples = self._samples
-            while samples and samples[0][0] < horizon:
-                samples.popleft()
+        samples = self._samples
+        samples.append((t, value))
+        horizon = t - HISTOGRAM_WINDOW_US
+        while samples[0][0] < horizon:
+            samples.popleft()
 
     def windowed_values(self) -> list[float]:
-        """The retained (possibly windowed) sample values, in arrival order."""
+        """The retained sample values, in arrival order."""
         return [value for _, value in self._samples]
 
     def mean(self) -> float:
@@ -140,9 +138,8 @@ class Histogram:
         }
         for q, value in self.percentiles().items():
             data[f"p{int(q)}"] = round(value, 3)
-        if self.window is not None:
-            data["window_us"] = self.window
-            data["windowed_count"] = len(self._samples)
+        data["window_us"] = HISTOGRAM_WINDOW_US
+        data["windowed_count"] = len(self._samples)
         return data
 
     def __repr__(self) -> str:
@@ -165,11 +162,11 @@ class MetricsRegistry:
             metric = self._gauges[name] = Gauge(name)
         return metric
 
-    def histogram(self, name: str, window: float | None = None) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         metric = self._histograms.get(name)
         if metric is None:
             self._check_fresh(name)
-            metric = self._histograms[name] = Histogram(name, window=window)
+            metric = self._histograms[name] = Histogram(name)
         return metric
 
     def attach(self, group: CounterGroup, scope: str = "") -> None:
@@ -244,8 +241,8 @@ class ScopedRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._root.gauge(f"{self.prefix}.{name}")
 
-    def histogram(self, name: str, window: float | None = None) -> Histogram:
-        return self._root.histogram(f"{self.prefix}.{name}", window=window)
+    def histogram(self, name: str) -> Histogram:
+        return self._root.histogram(f"{self.prefix}.{name}")
 
     def scoped(self, prefix: str) -> "ScopedRegistry":
         return ScopedRegistry(self._root, f"{self.prefix}.{prefix}")

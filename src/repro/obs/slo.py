@@ -51,6 +51,9 @@ SLO_LATENCY_METRIC = "slo.match_latency_us"
 #: (finite so gauges and JSON exports stay well-defined).
 _BURN_CAP = 1e9
 
+#: Virtual us the detector-facing :meth:`SloPlane.worst_burn` stays cached.
+REFRESH_INTERVAL_US = 1_000.0
+
 
 def _zero() -> int:
     return 0
@@ -94,7 +97,7 @@ class SloPlane:
     and shed-event totals are read through callables the composition root
     binds (keeping this module free of upward imports).  ``evaluate``
     refreshes the ``slo.*`` gauges; ``worst_burn`` is the detector-facing
-    read, cached for ``refresh_interval`` virtual us so per-event overload
+    read, cached for :data:`REFRESH_INTERVAL_US` so per-event overload
     checks do not recompute percentiles.
     """
 
@@ -107,7 +110,6 @@ class SloPlane:
         "_shed_source",
         "_events_seen",
         "_start_t",
-        "_refresh_interval",
         "_cached_burn",
         "_cached_at",
     )
@@ -116,20 +118,15 @@ class SloPlane:
         self,
         spec: SloSpec,
         registry: MetricsRegistry | ScopedRegistry,
-        window: float = 1_000_000.0,
-        refresh_interval: float = 1_000.0,
     ) -> None:
-        if refresh_interval < 0:
-            raise ValueError(f"refresh interval must be non-negative: {refresh_interval}")
         self.spec = spec
         self._gauges = {key: registry.gauge(f"slo.{key}") for key in SLO_GAUGE_KEYS}
         self._counters = CounterGroup("slo", SLO_COUNTER_KEYS, registry)
-        self._hist = registry.histogram(SLO_LATENCY_METRIC, window=window)
+        self._hist = registry.histogram(SLO_LATENCY_METRIC)
         self._wire_source: Callable[[], int] = _zero
         self._shed_source: Callable[[], int] = _zero
         self._events_seen = 0
         self._start_t: float | None = None
-        self._refresh_interval = refresh_interval
         self._cached_burn: float | None = None
         self._cached_at = 0.0
 
@@ -200,7 +197,7 @@ class SloPlane:
         """The detector-facing worst burn, refreshed every refresh interval."""
         if (
             self._cached_burn is None
-            or now - self._cached_at >= self._refresh_interval
+            or now - self._cached_at >= REFRESH_INTERVAL_US
         ):
             self._cached_burn = self.burns(now)["worst_burn"]
             self._cached_at = now

@@ -29,7 +29,7 @@ Design constraints honoured here:
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable, TextIO
+from typing import Any, TextIO
 
 __all__ = [
     "CAT_EVENT",
@@ -154,21 +154,13 @@ class Tracer:
     disabled path costs one attribute read and one branch.
     """
 
-    __slots__ = ("enabled", "track", "_sink", "_seq", "_filter", "_run_refs")
+    __slots__ = ("enabled", "track", "_sink", "_seq", "_run_refs")
 
-    def __init__(
-        self,
-        sink: TraceSink | None = None,
-        track: str = "",
-        categories: Iterable[str] | None = None,
-    ) -> None:
+    def __init__(self, sink: TraceSink | None = None, track: str = "") -> None:
         self._sink = sink if sink is not None else NullSink()
         self.enabled = sink is not None and not isinstance(sink, NullSink)
         self.track = track
         self._seq = 0
-        self._filter: frozenset[str] | None = (
-            frozenset(categories) if categories is not None else None
-        )
         self._run_refs: dict[int, int] = {}
 
     def run_ref(self, raw_run_id: int) -> int:
@@ -186,8 +178,6 @@ class Tracer:
     def emit(self, cat: str, name: str, t: float, **fields: Any) -> None:
         """Record one lifecycle occurrence at virtual time ``t``."""
         if not self.enabled:
-            return
-        if self._filter is not None and cat not in self._filter:
             return
         record: dict[str, Any] = {"seq": self._seq, "t": t, "cat": cat, "name": name}
         if self.track:

@@ -4,7 +4,7 @@ The paper assumes ``l_remote(d)`` "is monitored per data element" (§2.1) and
 both PFetch timing (Alg. 3) and the LzEval benefit estimate (Alg. 4) consume
 the monitored value.  :class:`LatencyMonitor` keeps an exponentially weighted
 moving average per key, falling back to a per-source average for keys never
-fetched before, then to a configurable prior — a fresh system has no
+fetched before, then to a constant prior — a fresh system has no
 observations yet but still needs a usable estimate.
 
 With faults in play (see :mod:`repro.remote.faults`) latency is not the only
@@ -38,17 +38,20 @@ BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
 BREAKER_HALF_OPEN = "half_open"
 
+# Weight of a new observation in the latency EWMAs.
+EWMA_ALPHA = 0.2
+# Virtual us estimated for a source nothing has been fetched from yet.
+LATENCY_PRIOR_US = 50.0
+# Attempt outcomes a breaker's failure window holds per source.
+BREAKER_WINDOW_SIZE = 32
+# Outcomes the window must hold before a breaker may open.
+BREAKER_MIN_SAMPLES = 8
+
 
 class LatencyMonitor:
     """EWMA latency estimates keyed by element and by source."""
 
-    def __init__(self, alpha: float = 0.2, prior: float = 50.0) -> None:
-        if not 0 < alpha <= 1:
-            raise ValueError(f"alpha must be in (0, 1]: {alpha}")
-        if prior <= 0:
-            raise ValueError(f"prior latency must be positive: {prior}")
-        self._alpha = alpha
-        self._prior = prior
+    def __init__(self) -> None:
         self._by_key: dict[DataKey, float] = {}
         self._by_source: dict[str, float] = {}
         self.observations = 0
@@ -65,16 +68,16 @@ class LatencyMonitor:
         """Best available estimate of ``l_remote`` for ``key``."""
         if key in self._by_key:
             return self._by_key[key]
-        return self._by_source.get(key[0], self._prior)
+        return self._by_source.get(key[0], LATENCY_PRIOR_US)
 
     def estimate_source(self, source: str) -> float:
         """Estimate for an entire source (used before any key is known)."""
-        return self._by_source.get(source, self._prior)
+        return self._by_source.get(source, LATENCY_PRIOR_US)
 
     def _blend(self, current: float | None, observation: float) -> float:
         if current is None:
             return observation
-        return (1 - self._alpha) * current + self._alpha * observation
+        return (1 - EWMA_ALPHA) * current + EWMA_ALPHA * observation
 
     def __repr__(self) -> str:
         return f"LatencyMonitor({self.observations} observations, {len(self._by_key)} keys)"
@@ -85,7 +88,7 @@ class FailureWindow:
 
     __slots__ = ("_outcomes", "_failures")
 
-    def __init__(self, size: int = 32) -> None:
+    def __init__(self, size: int) -> None:
         if size < 1:
             raise ValueError(f"window size must be >= 1: {size}")
         self._outcomes: deque[bool] = deque(maxlen=size)
@@ -93,10 +96,6 @@ class FailureWindow:
 
     def __len__(self) -> int:
         return len(self._outcomes)
-
-    @property
-    def size(self) -> int:
-        return self._outcomes.maxlen or 0
 
     def record(self, ok: bool) -> None:
         if len(self._outcomes) == self._outcomes.maxlen and not self._outcomes[0]:
@@ -115,15 +114,9 @@ class FailureWindow:
         return f"FailureWindow({self._failures}/{len(self._outcomes)} failed)"
 
 
-def _check_breaker_knobs(
-    window_size: int, failure_threshold: float, min_samples: int, cooldown: float
-) -> None:
-    if window_size < 1:
-        raise ValueError(f"window size must be >= 1: {window_size}")
+def _check_breaker_knobs(failure_threshold: float, cooldown: float) -> None:
     if not 0.0 < failure_threshold <= 1.0:
         raise ValueError(f"failure threshold must be in (0, 1]: {failure_threshold}")
-    if min_samples < 1:
-        raise ValueError(f"min samples must be >= 1: {min_samples}")
     if cooldown <= 0:
         raise ValueError(f"cooldown must be positive: {cooldown}")
 
@@ -131,7 +124,7 @@ def _check_breaker_knobs(
 class CircuitBreaker:
     """Closed / open / half-open breaker over one source's failure window.
 
-    *Closed*: requests flow; once the window holds ``min_samples`` outcomes
+    *Closed*: requests flow; once the window holds :data:`BREAKER_MIN_SAMPLES` outcomes
     and its failure rate reaches ``failure_threshold``, the breaker opens.
     *Open*: requests fail fast (no wire attempt) for ``cooldown`` virtual us.
     *Half-open*: after the cooldown the next request probes the source; a
@@ -143,22 +136,19 @@ class CircuitBreaker:
     probe's outcome transitions the breaker before the next request asks.
     """
 
-    __slots__ = ("window", "failure_threshold", "min_samples", "cooldown",
+    __slots__ = ("window", "failure_threshold", "cooldown",
                  "_state", "_opened_at", "opens", "tracer", "source")
 
     def __init__(
         self,
-        window_size: int = 32,
         failure_threshold: float = 0.5,
-        min_samples: int = 8,
         cooldown: float = 2_000.0,
         tracer: Tracer = NULL_TRACER,
         source: str = "",
     ) -> None:
-        _check_breaker_knobs(window_size, failure_threshold, min_samples, cooldown)
-        self.window = FailureWindow(window_size)
+        _check_breaker_knobs(failure_threshold, cooldown)
+        self.window = FailureWindow(BREAKER_WINDOW_SIZE)
         self.failure_threshold = failure_threshold
-        self.min_samples = min_samples
         self.cooldown = cooldown
         self._state = BREAKER_CLOSED
         self._opened_at = 0.0
@@ -193,7 +183,7 @@ class CircuitBreaker:
         if self._state == BREAKER_HALF_OPEN:
             if ok:
                 self._state = BREAKER_CLOSED
-                self.window = FailureWindow(self.window.size)
+                self.window = FailureWindow(BREAKER_WINDOW_SIZE)
                 self.window.record(ok)
                 self._trace_transition(BREAKER_CLOSED, now)
             else:
@@ -202,7 +192,7 @@ class CircuitBreaker:
         if (
             self._state == BREAKER_CLOSED
             and not ok
-            and len(self.window) >= self.min_samples
+            and len(self.window) >= BREAKER_MIN_SAMPLES
             and self.window.failure_rate() >= self.failure_threshold
         ):
             self._open(now)
@@ -220,22 +210,17 @@ class CircuitBreaker:
 class BreakerBoard:
     """One circuit breaker per remote source, created on first contact."""
 
-    __slots__ = ("window_size", "failure_threshold", "min_samples", "cooldown",
-                 "tracer", "_breakers")
+    __slots__ = ("failure_threshold", "cooldown", "tracer", "_breakers")
 
     def __init__(
         self,
-        window_size: int = 32,
         failure_threshold: float = 0.5,
-        min_samples: int = 8,
         cooldown: float = 2_000.0,
         tracer: Tracer = NULL_TRACER,
     ) -> None:
         # Checked here, not at the first breaker a source creates mid-run.
-        _check_breaker_knobs(window_size, failure_threshold, min_samples, cooldown)
-        self.window_size = window_size
+        _check_breaker_knobs(failure_threshold, cooldown)
         self.failure_threshold = failure_threshold
-        self.min_samples = min_samples
         self.cooldown = cooldown
         self.tracer = tracer
         self._breakers: dict[str, CircuitBreaker] = {}
@@ -244,8 +229,7 @@ class BreakerBoard:
         breaker = self._breakers.get(source)
         if breaker is None:
             breaker = CircuitBreaker(
-                self.window_size, self.failure_threshold, self.min_samples, self.cooldown,
-                tracer=self.tracer, source=source,
+                self.failure_threshold, self.cooldown, tracer=self.tracer, source=source
             )
             self._breakers[source] = breaker
         return breaker

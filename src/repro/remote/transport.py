@@ -305,8 +305,8 @@ class Transport:
         """Attach the counters to ``registry`` and bind the trace bus at assembly."""
         if registry is not None:
             registry.attach(self.stats)
-            self._latency_hist = registry.histogram(TRANSPORT_LATENCY_METRIC, window=1_000_000.0)
-            self._batch_hist = registry.histogram(TRANSPORT_BATCH_KEYS_METRIC, window=1_000_000.0)
+            self._latency_hist = registry.histogram(TRANSPORT_LATENCY_METRIC)
+            self._batch_hist = registry.histogram(TRANSPORT_BATCH_KEYS_METRIC)
         self.tracer = tracer
 
     @property

@@ -393,7 +393,6 @@ class Runtime:
     def run(
         self,
         stream: Stream,
-        smoothing_window: int = 1,
         admit=None,
         extra_slos: Iterable[SloPlane] = (),
     ) -> dict[str, RunResult]:
@@ -415,7 +414,6 @@ class Runtime:
             self.transport,
             self.metrics,
             tracer=self.tracer,
-            smoothing_window=smoothing_window,
             sampler=sampler,
             slo=self.slo,
             admit=admit,

@@ -10,7 +10,7 @@ input event the loop
 2. for every session in priority order, lets the strategy deliver due async
    responses into the cache, fire offset-timed prefetches, and refresh its
    estimates, then runs the engine's ``f_Q`` step;
-3. records matches (once per subscriber), latency, and shared throughput.
+3. records matches (once per subscriber) and shared throughput.
 
 After the last event every session's strategy is drained and its engine
 flushed, the metrics registry is snapshotted once, and one :class:`RunResult`
@@ -25,7 +25,7 @@ from typing import Any, Iterable, Sequence
 from repro.cache.base import CACHE_COUNTER_KEYS
 from repro.engine.interface import ENGINE_COUNTER_KEYS
 from repro.events.stream import Stream
-from repro.metrics.latency import LatencyCollector
+from repro.metrics.latency import REPORT_PERCENTILES, percentiles_of
 from repro.metrics.throughput import ThroughputMeter
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import SPAN_RECORD_NAME
@@ -72,7 +72,6 @@ class RunResult:
         self,
         strategy_name: str,
         matches: list,
-        latency: LatencyCollector,
         throughput: ThroughputMeter,
         duration_us: float,
         metrics: dict[str, Any],
@@ -82,7 +81,6 @@ class RunResult:
     ) -> None:
         self.strategy_name = strategy_name
         self.matches = matches
-        self.latency = latency
         self.throughput = throughput
         self.duration_us = duration_us
         self.metrics = metrics
@@ -109,7 +107,8 @@ class RunResult:
         return {match.signature() for match in self.matches}
 
     def latency_percentiles(self) -> dict[float, float]:
-        return self.latency.percentiles()
+        """The reported quantiles of per-match latency; all-zero with no matches."""
+        return percentiles_of([match.latency for match in self.matches], REPORT_PERCENTILES)
 
     def summary(self) -> dict[str, Any]:
         """Flat summary used by reports and EXPERIMENTS.md tables; a counter
@@ -182,7 +181,6 @@ def deliver_event(
     if shedder is not None:
         shedder.after_event(event, session.engine, strategy)
     for match in step_matches:
-        session.latency.record(match.latency)
         for slo in slos:
             slo.observe_match(match.latency, clock.now)
         if tracer.enabled:
@@ -205,7 +203,6 @@ def dispatch(
     transport: Transport,
     metrics: MetricsRegistry,
     tracer: Tracer = NULL_TRACER,
-    smoothing_window: int = 1,
     sampler=None,
     slo=None,
     admit=None,
@@ -237,7 +234,7 @@ def dispatch(
     # Records name their query once several subscribers share the replay.
     multi = sum(len(session.names) for session in sessions) > 1
     for session in sessions:
-        session.begin_run(smoothing_window=smoothing_window)
+        session.begin_run()
     everyone = [
         (session, (slo,) * len(session.names) if slo is not None else ())
         for session in sessions
@@ -285,7 +282,7 @@ def dispatch(
     meter = THROUGHPUT_SHARED if multi else THROUGHPUT_RUN
     # Every subscriber's result reads the one evaluation it shares.
     return {
-        name: RunResult(session.strategy.name, session.matches, session.latency, throughput,
+        name: RunResult(session.strategy.name, session.matches, throughput,
                         duration_us, snapshot, scope, meter, series_rows)
         for session in sessions
         for name, scope in zip(session.names, session.scopes)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.engine.interface import MatchRecord
-from repro.metrics.latency import LatencyCollector
 from repro.nfa.automaton import Automaton
 from repro.query.ast import Query
 from repro.strategies.base import FetchStrategy
@@ -84,12 +83,12 @@ class QuerySession:
     It serves its *subscribers*, the specs of one :meth:`QuerySpec.share_key`
     class; the first names it.  ``scopes`` holds each subscriber's metric
     prefix (``""`` unscoped, else ``"query.<name>."`` or the spec's
-    ``scope + "."``).  ``matches`` and ``latency`` are (re)initialised by the
-    dispatch loop at the start of every replay; the rest is build-time state.
+    ``scope + "."``).  ``matches`` is (re)initialised by the dispatch loop
+    at the start of every replay; the rest is build-time state.
     """
 
     __slots__ = ("spec", "names", "scopes", "weight", "automaton", "engine", "strategy",
-                 "utility", "rates", "shedder", "matches", "latency")
+                 "utility", "rates", "shedder", "matches")
 
     def __init__(
         self,
@@ -116,7 +115,6 @@ class QuerySession:
         # (the default build carries no shedding plane at all).
         self.shedder = shedder
         self.matches: list[MatchRecord] = []
-        self.latency = LatencyCollector()
 
     @property
     def name(self) -> str:
@@ -126,10 +124,9 @@ class QuerySession:
     def priority(self) -> float:
         return self.spec.priority
 
-    def begin_run(self, smoothing_window: int = 1) -> None:
-        """Reset the per-replay collectors (the dispatch loop calls this)."""
+    def begin_run(self) -> None:
+        """Reset the per-replay match list (the dispatch loop calls this)."""
         self.matches = []
-        self.latency = LatencyCollector(smoothing_window=smoothing_window)
 
     def __repr__(self) -> str:
         return f"QuerySession({self.names!r}, {self.strategy.name}, priority={self.priority})"

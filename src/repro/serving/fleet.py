@@ -191,7 +191,7 @@ class Fleet:
         self.tenant_slos = tenant_slos
         self.tenant_of = tenant_of
 
-    def dispatch(self, stream, smoothing_window: int = 1) -> "FleetResult":
+    def dispatch(self, stream) -> "FleetResult":
         """Replay ``stream`` through the fleet's runtime, gated by admission.
 
         Every tenant is decided once per event at pickup, before any session
@@ -239,7 +239,6 @@ class Fleet:
 
         by_query = runtime.run(
             stream,
-            smoothing_window=smoothing_window,
             admit=admit,
             extra_slos=self.tenant_slos.values(),
         )

@@ -57,6 +57,9 @@ SHED_RUNS = "runs"
 #: (with a budget configured, the budget itself is the target).
 RUNS_KEEP_FRACTION = 0.5
 
+#: Weight of the newest event in event shedding's running utility average.
+EVENT_UTILITY_EWMA_ALPHA = 0.125
+
 ACTION_DROP_EVENT = "drop_event"
 ACTION_SHED_RUNS = "shed_runs"
 
@@ -138,18 +141,15 @@ class EventShedding(SheddingPolicy):
 
     name = SHED_EVENTS
 
-    def __init__(self, automaton, threshold: float = 0.0, ewma_alpha: float = 0.125) -> None:
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ValueError(f"ewma_alpha must be in (0, 1]: {ewma_alpha}")
+    def __init__(self, automaton, threshold: float = 0.0) -> None:
         self.automaton = automaton
         self.threshold = threshold
-        self.ewma_alpha = ewma_alpha
         self._ewma = 0.0
 
     def on_overload_event(self, overload: Overload, event, engine) -> ShedDecision | None:
         utility = event_utility(event, engine, self.automaton)
         cutoff = self.threshold + self._ewma * max(overload.severity - 1.0, 0.0)
-        self._ewma += self.ewma_alpha * (utility - self._ewma)
+        self._ewma += EVENT_UTILITY_EWMA_ALPHA * (utility - self._ewma)
         if utility > cutoff:
             return None
         return ShedDecision(

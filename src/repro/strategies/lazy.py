@@ -42,13 +42,15 @@ from repro.strategies.base import FetchStrategy
 
 __all__ = ["LazyBenefitModel", "LzEvalStrategy"]
 
+# Virtual us a computed ``succ`` set stays valid before it is recomputed.
+RECOMPUTE_INTERVAL_US = 500.0
+
 
 class LazyBenefitModel:
     """Computes and caches the beneficial-postponement sets ``succ``."""
 
-    def __init__(self, strategy: "LzEvalStrategy", recompute_interval: float = 500.0) -> None:
+    def __init__(self, strategy: "LzEvalStrategy") -> None:
         self._strategy = strategy
-        self._recompute_interval = recompute_interval
         # (transition index, latency bucket)
         #   -> (computed_at, succ state indices, per-class Eq. 8 deltas)
         self._cache: dict[
@@ -73,7 +75,7 @@ class LazyBenefitModel:
         now = self._strategy.ctx.clock.now
         bucket = self.latency_bucket(ell)
         cached = self._cache.get((transition.index, bucket))
-        if cached is not None and now - cached[0] < self._recompute_interval:
+        if cached is not None and now - cached[0] < RECOMPUTE_INTERVAL_US:
             return cached[1], cached[2]
         succ, deltas = self._compute(transition, ell)
         self._cache[(transition.index, bucket)] = (now, succ, deltas)

@@ -39,6 +39,9 @@ from repro.strategies.base import FetchStrategy
 
 __all__ = ["PrefetchPlan", "PrefetchPlanner", "PFetchStrategy"]
 
+# Virtual us between two recomputations of every site's prefetch plan.
+PLAN_REFRESH_INTERVAL_US = 1_000.0
+
 
 class PrefetchPlan:
     """Current prefetch decision for one remote site."""
@@ -65,9 +68,9 @@ class PrefetchPlanner:
         self.triggers: dict[int, list[tuple[RemoteSite, PrefetchPlan]]] = {}
         self._last_refresh = -1.0
 
-    def refresh(self, now: float, interval: float = 1_000.0) -> None:
+    def refresh(self, now: float) -> None:
         """Recompute all plans if the refresh interval elapsed."""
-        if self._last_refresh >= 0 and now - self._last_refresh < interval:
+        if self._last_refresh >= 0 and now - self._last_refresh < PLAN_REFRESH_INTERVAL_US:
             return
         self._last_refresh = now
         ctx = self._strategy.ctx

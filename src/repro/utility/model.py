@@ -50,6 +50,9 @@ __all__ = ["UtilityModel", "required_keys"]
 
 _DECAY = 0.5
 _DECAY_INTERVAL = 64  # ticks between two decays of the Alg. 2 counters
+# Eq. 6's (k'-k) horizon in events under a TIME window (a COUNT window's
+# horizon is its own length).
+TIME_WINDOW_HORIZON_EVENTS = 256.0
 
 
 def required_keys(run: Run, include_future_states: bool = False) -> tuple[DataKey, ...]:
@@ -98,18 +101,17 @@ class UtilityModel:
         automaton: Automaton,
         store: RemoteStore,
         latency_monitor: LatencyMonitor,
-        horizon_events: float | None = None,
         noise: NoiseModel | None = None,
     ) -> None:
         self._automaton = automaton
         self._store = store
         self._monitor = latency_monitor
         self._noise = noise if noise is not None else NoiseModel(0.0)
-        if horizon_events is None:
-            # Eq. 6's (k'-k) horizon: estimate utility up to one window ahead.
-            window = automaton.window
-            horizon_events = float(window.value) if window.kind == "count" else 256.0
-        self._horizon = horizon_events
+        # Eq. 6's (k'-k) horizon: estimate utility up to one window ahead.
+        window = automaton.window
+        self._horizon = (
+            float(window.value) if window.kind == "count" else TIME_WINDOW_HORIZON_EVENTS
+        )
         self._state_sites = [_downstream_sites(state) for state in automaton.states]
         # UU: live partial matches requiring each key (Eq. 3 counts), with
         # the run's window anchor kept for residual-lifetime estimation.

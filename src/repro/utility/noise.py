@@ -25,26 +25,25 @@ from repro.sim.rng import stable_hash
 __all__ = ["NoiseModel"]
 
 _HASH_SPACE = 2**31
+# Virtual us during which one estimation stays corrupted or clean.
+EPOCH_LENGTH_US = 10_000.0
 
 
 class NoiseModel:
     """Deterministic pseudo-random corruption of utility estimates."""
 
-    def __init__(self, ratio: float, seed: int = 17, epoch_length: float = 10_000.0) -> None:
+    def __init__(self, ratio: float, seed: int = 17) -> None:
         if not 0.0 <= ratio <= 1.0:
             raise ValueError(f"noise ratio must be in [0, 1]: {ratio}")
-        if epoch_length <= 0:
-            raise ValueError(f"epoch length must be positive: {epoch_length}")
         self.ratio = ratio
         self.active = ratio > 0.0
         self._seed = seed
-        self._epoch_length = epoch_length
 
     def flip(self, token: tuple, now: float) -> bool:
         """Whether the estimation identified by ``token`` is corrupted now."""
         if not self.active:
             return False
-        epoch = int(now / self._epoch_length)
+        epoch = int(now / EPOCH_LENGTH_US)
         bucket = stable_hash(token, epoch, self._seed) % _HASH_SPACE
         return bucket < self.ratio * _HASH_SPACE
 

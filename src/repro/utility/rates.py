@@ -20,6 +20,8 @@ from collections import defaultdict
 __all__ = ["RateEstimator"]
 
 _DECAY = 0.5
+# Stream events between two halvings of the decayed counters.
+DECAY_INTERVAL_EVENTS = 512
 _MIN_RATE = 1e-9  # events/us; avoids division blow-ups before warm-up
 
 
@@ -34,10 +36,7 @@ class _PassCounter:
 class RateEstimator:
     """Per-type arrival rates and per-transition extension rates."""
 
-    def __init__(self, decay_interval_events: int = 512) -> None:
-        if decay_interval_events < 1:
-            raise ValueError(f"decay interval must be >= 1: {decay_interval_events}")
-        self._decay_interval = decay_interval_events
+    def __init__(self) -> None:
         self._events_seen = 0
         self._gap_ewma: float | None = None
         self._last_event_t: float | None = None
@@ -58,7 +57,7 @@ class RateEstimator:
         self._last_event_t = timestamp
         self._type_counts[event_type] = self._type_counts.get(event_type, 0.0) + 1.0
         self._total_count += 1.0
-        if self._events_seen % self._decay_interval == 0:
+        if self._events_seen % DECAY_INTERVAL_EVENTS == 0:
             self._decay()
 
     def guard_tally(self, transition_index: int) -> _PassCounter:

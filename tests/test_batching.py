@@ -320,8 +320,7 @@ class TestBatchFailureSemantics:
         assert ticket.attempt == 2
 
     def test_breaker_observes_one_outcome_per_wire_request(self):
-        breakers = BreakerBoard(window_size=8, failure_threshold=0.99,
-                                min_samples=8, cooldown=1_000.0)
+        breakers = BreakerBoard(failure_threshold=0.99, cooldown=1_000.0)
         transport = Transport(
             _store("s"), FixedLatency(10.0), make_rng(1),
             fault_model=_FailFirstWire(), fault_rng=make_rng(2),
@@ -341,8 +340,7 @@ class TestBatchFailureSemantics:
             def decide(self, key, now, attempt, rng):
                 return FaultDecision(ERROR)
 
-        breakers = BreakerBoard(window_size=4, failure_threshold=0.5,
-                                min_samples=2, cooldown=100_000.0)
+        breakers = BreakerBoard(failure_threshold=0.5, cooldown=100_000.0)
         transport = Transport(
             _store("s"), FixedLatency(10.0), make_rng(1),
             fault_model=AlwaysDown(), fault_rng=make_rng(2),

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.cache.cost_based import CostBasedCache
-from repro.cache.history import HitHistory
+from repro.cache.cost_based import SAMPLE_SIZE, CostBasedCache
+from repro.cache.history import MISS_THRESHOLD, HitHistory
 from repro.cache.lru import LRUCache
 from repro.remote.element import DataElement
 
@@ -181,9 +181,9 @@ class TestCostBasedCache:
     def test_a_tier_above_the_floor_is_scored_in_full(self):
         cache, scored = self._counting_cache(lambda key: 1.0 + key[1])
         cache.min_utility()
-        assert len(scored) == 12  # sample_size
+        assert len(scored) == SAMPLE_SIZE
         cache.put(element(99), 50.0, certain=False)
-        assert len(scored) == 24
+        assert len(scored) == 2 * SAMPLE_SIZE
 
     def test_capacity_never_exceeded_under_churn(self):
         cache = CostBasedCache(5, utility_fn=lambda key: float(key[1] % 7))
@@ -193,39 +193,45 @@ class TestCostBasedCache:
 
 
 class TestHitHistory:
+    @staticmethod
+    def _distrust(history, site, state, now):
+        """Record the misses that take a trigger class to the threshold."""
+        for _ in range(MISS_THRESHOLD):
+            history.record_miss(site, state, now=now)
+
     def test_optimistic_without_evidence(self):
         history = HitHistory()
         assert history.usable(0, 1, now=0.0)
 
     def test_miss_threshold_disables_trigger(self):
-        history = HitHistory(miss_threshold=2)
-        history.record_miss(0, 1, now=0.0)
+        history = HitHistory()
+        for _ in range(MISS_THRESHOLD - 1):
+            history.record_miss(0, 1, now=0.0)
         assert history.usable(0, 1, now=1.0)
         history.record_miss(0, 1, now=2.0)
         assert not history.usable(0, 1, now=3.0)
 
     def test_hit_forgives_misses(self):
-        history = HitHistory(miss_threshold=2)
-        history.record_miss(0, 1, now=0.0)
+        history = HitHistory()
+        for _ in range(MISS_THRESHOLD - 1):
+            history.record_miss(0, 1, now=0.0)
         history.record_hit(0, 1, now=1.0)
         history.record_miss(0, 1, now=2.0)
         assert history.usable(0, 1, now=3.0)
 
     def test_evidence_expires_after_reset_period(self):
-        history = HitHistory(miss_threshold=1, reset_after=100.0)
-        history.record_miss(0, 1, now=0.0)
+        history = HitHistory(reset_after=100.0)
+        self._distrust(history, 0, 1, now=0.0)
         assert not history.usable(0, 1, now=50.0)
         assert history.usable(0, 1, now=200.0)
 
     def test_records_are_per_site_and_state(self):
-        history = HitHistory(miss_threshold=1)
-        history.record_miss(0, 1, now=0.0)
+        history = HitHistory()
+        self._distrust(history, 0, 1, now=0.0)
         assert not history.usable(0, 1, now=1.0)
         assert history.usable(0, 2, now=1.0)
         assert history.usable(1, 1, now=1.0)
 
     def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            HitHistory(miss_threshold=0)
         with pytest.raises(ValueError):
             HitHistory(reset_after=0.0)

@@ -20,6 +20,7 @@ from repro.remote.faults import (
 from repro.remote.monitor import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
+    BREAKER_MIN_SAMPLES,
     BREAKER_OPEN,
     BreakerBoard,
     CircuitBreaker,
@@ -169,24 +170,28 @@ class TestRetryPolicy:
 
 class TestCircuitBreaker:
     def test_opens_at_threshold(self):
-        breaker = CircuitBreaker(window_size=8, failure_threshold=0.5, min_samples=4)
-        for _ in range(2):
+        breaker = CircuitBreaker(failure_threshold=0.5)
+        half = BREAKER_MIN_SAMPLES // 2
+        for _ in range(half):
             breaker.record(True, 0.0)
-        for i in range(2):
+        for i in range(half):
             breaker.record(False, float(i))
         assert breaker.state(10.0) == BREAKER_OPEN
         assert breaker.opens == 1
         assert not breaker.allow(10.0)
 
     def test_needs_min_samples(self):
-        breaker = CircuitBreaker(min_samples=8)
-        for i in range(7):
+        breaker = CircuitBreaker()
+        for i in range(BREAKER_MIN_SAMPLES - 1):
             breaker.record(False, float(i))
         assert breaker.state(10.0) == BREAKER_CLOSED
+        # The failure that fills the window to the minimum trips it.
+        breaker.record(False, 10.0)
+        assert breaker.state(10.0) == BREAKER_OPEN
 
     def test_half_open_probe_closes_on_success(self):
-        breaker = CircuitBreaker(window_size=8, min_samples=4, cooldown=100.0)
-        for i in range(4):
+        breaker = CircuitBreaker(cooldown=100.0)
+        for i in range(BREAKER_MIN_SAMPLES):
             breaker.record(False, float(i))
         assert breaker.state(50.0) == BREAKER_OPEN
         assert breaker.state(200.0) == BREAKER_HALF_OPEN
@@ -198,8 +203,8 @@ class TestCircuitBreaker:
         assert breaker.state(220.0) == BREAKER_CLOSED
 
     def test_half_open_probe_reopens_on_failure(self):
-        breaker = CircuitBreaker(window_size=8, min_samples=4, cooldown=100.0)
-        for i in range(4):
+        breaker = CircuitBreaker(cooldown=100.0)
+        for i in range(BREAKER_MIN_SAMPLES):
             breaker.record(False, float(i))
         assert breaker.allow(200.0)
         breaker.record(False, 210.0)
@@ -219,8 +224,8 @@ class TestCircuitBreaker:
 class TestBreakerBoard:
     @pytest.mark.parametrize("breaker_class", [CircuitBreaker, BreakerBoard])
     @pytest.mark.parametrize("knobs", [
-        {"window_size": 0}, {"failure_threshold": 0.0}, {"failure_threshold": 1.5},
-        {"min_samples": 0}, {"cooldown": 0.0},
+        {"failure_threshold": 0.0}, {"failure_threshold": 1.5}, {"failure_threshold": -0.5},
+        {"cooldown": 0.0}, {"cooldown": -1.0},
     ])
     def test_invalid_parameters(self, breaker_class, knobs):
         # A board rejects bad knobs when built, not at a run's first allow().
@@ -228,16 +233,16 @@ class TestBreakerBoard:
             breaker_class(**knobs)
 
     def test_per_source_isolation(self):
-        board = BreakerBoard(window_size=8, min_samples=4)
-        for i in range(4):
+        board = BreakerBoard()
+        for i in range(BREAKER_MIN_SAMPLES):
             board.record("bad", False, float(i))
         assert not board.available("bad", 10.0)
         assert board.available("good", 10.0)
         assert board.opens == 1
 
     def test_available_is_pure(self):
-        board = BreakerBoard(min_samples=4, cooldown=100.0)
-        for i in range(4):
+        board = BreakerBoard(cooldown=100.0)
+        for i in range(BREAKER_MIN_SAMPLES):
             board.record("s", False, float(i))
         # `available` during cooldown must not flip any state.
         assert not board.available("s", 50.0)
@@ -331,12 +336,13 @@ class TestTransportFaultPaths:
         assert request.arrives_at - request.first_issued_at < 200.0 + 60.0 + 10.0
 
     def test_breaker_fastfails_block_wire_attempts(self):
-        board = BreakerBoard(window_size=8, min_samples=2, failure_threshold=0.5,
-                             cooldown=1_000.0)
+        board = BreakerBoard(failure_threshold=0.5, cooldown=1_000.0)
+        # One blocking chain fails often enough to trip the breaker.
         transport = Transport(
             self._store(), FixedLatency(10.0), make_rng(1),
             fault_model=TransientErrorFaults(1.0), fault_rng=make_rng(2),
-            retry_policy=RetryPolicy(max_attempts=2, backoff_base=5.0, jitter=0.0),
+            retry_policy=RetryPolicy(max_attempts=BREAKER_MIN_SAMPLES, backoff_base=5.0,
+                                     jitter=0.0),
             breakers=board,
         )
         first = transport.submit(FetchRequest(("t", 1), at=0.0, mode=MODE_BLOCKING))
@@ -349,28 +355,29 @@ class TestTransportFaultPaths:
         assert transport.stats.breaker_fastfails >= 1
 
     def test_breaker_recovers_after_cooldown(self):
-        board = BreakerBoard(window_size=8, min_samples=2, failure_threshold=0.5,
-                             cooldown=100.0)
+        board = BreakerBoard(failure_threshold=0.5, cooldown=100.0)
 
         class FailUntil(NoFaults):
             def decide(self, key, now, attempt, rng):
-                return FaultDecision(ERROR) if now < 50.0 else FaultDecision(OK)
+                return FaultDecision(ERROR) if now < 1_000.0 else FaultDecision(OK)
 
         transport = Transport(
             self._store(), FixedLatency(10.0), make_rng(1),
             fault_model=FailUntil(), fault_rng=make_rng(2),
-            retry_policy=RetryPolicy(max_attempts=2, backoff_base=5.0, jitter=0.0),
+            retry_policy=RetryPolicy(max_attempts=BREAKER_MIN_SAMPLES, backoff_base=5.0,
+                                     jitter=0.0),
             breakers=board,
         )
         first = transport.submit(FetchRequest(("t", 1), at=0.0, mode=MODE_BLOCKING))
         assert not first.ok
+        assert not board.available("t", first.arrives_at)
         # After cooldown the half-open probe succeeds and closes the breaker.
-        probe = transport.submit(FetchRequest(("t", 1), at=200.0, mode=MODE_BLOCKING))
+        probe = transport.submit(FetchRequest(("t", 1), at=2_000.0, mode=MODE_BLOCKING))
         assert probe.ok
-        assert board.state("t", 220.0) == BREAKER_CLOSED
+        assert board.state("t", 2_020.0) == BREAKER_CLOSED
 
     def test_effective_estimate_inflated_by_failures(self):
-        board = BreakerBoard(window_size=8, min_samples=4)
+        board = BreakerBoard()
         transport = Transport(
             self._store(), FixedLatency(10.0), make_rng(1),
             retry_policy=RetryPolicy(),

@@ -2,6 +2,8 @@
 
 import ast
 import dataclasses
+import importlib
+import inspect
 import re
 import typing
 from pathlib import Path
@@ -9,13 +11,31 @@ from pathlib import Path
 import pytest
 
 from repro.cache.cost_based import CostBasedCache
+from repro.cache.history import HitHistory
 from repro.cache.lru import LRUCache
 from repro.cli import CONFIG_FLAGS
 from repro.core.config import CACHE_COST, CACHE_LRU, EiresConfig
 from repro.core.framework import EIRES
+from repro.engine.engine import Engine
 from repro.engine.interface import CostModel
-from repro.metrics.latency import REPORT_PERCENTILES
+from repro.events.io import events_from_dicts, read_csv, read_jsonl, write_csv, write_jsonl
+from repro.metrics.latency import REPORT_PERCENTILES, percentiles_of
+from repro.metrics.reporting import speedups
+from repro.obs.registry import MetricsRegistry, ScopedRegistry
+from repro.obs.slo import SloPlane
+from repro.obs.trace import Tracer
+from repro.remote.monitor import BreakerBoard, CircuitBreaker, LatencyMonitor
 from repro.remote.transport import FixedLatency
+from repro.runtime.builder import Runtime
+from repro.runtime.dispatch import dispatch
+from repro.runtime.session import QuerySession
+from repro.serving.fleet import Fleet
+from repro.shedding.policy import EventShedding
+from repro.strategies.lazy import LazyBenefitModel
+from repro.strategies.prefetch import PrefetchPlanner
+from repro.utility.model import UtilityModel
+from repro.utility.noise import NoiseModel
+from repro.utility.rates import RateEstimator
 
 from tests.helpers import make_abc_scenario, random_stream
 
@@ -52,11 +72,49 @@ class TestEiresConfig:
         assert tweaked.cache_capacity == base.cache_capacity
 
 
+_LEDGER_TEXT = (REPO_ROOT / "docs" / "architecture.md").read_text().split(
+    "### Configuration ledger", 1
+)[1].split("\n## ", 1)[0]
+_FIELD_TABLE, _CONSTANT_TABLE = _LEDGER_TEXT.split("#### Constants in the component", 1)
+
+
 def _ledger() -> list[tuple[str, str]]:
     """The (field, fate) rows of docs/architecture.md's configuration ledger."""
-    text = (REPO_ROOT / "docs" / "architecture.md").read_text()
-    section = text.split("### Configuration ledger", 1)[1].split("\n## ", 1)[0]
-    return re.findall(r"^\| `(\w+)` \| (.+?) \|$", section, flags=re.MULTILINE)
+    return re.findall(r"^\| `(\w+)` \| (.+?) \|$", _FIELD_TABLE, flags=re.MULTILINE)
+
+
+def _constants() -> list[tuple[str, str, str]]:
+    """The (option, constant, value) rows of the ledger's constants table."""
+    rows = re.findall(r"^\| `(\w+)` \| .+? \| (.+?) \| (.+?) \| .+? \|$", _CONSTANT_TABLE,
+                      flags=re.MULTILINE)
+    return [(option, constant.strip("`"), value) for option, constant, value in rows]
+
+
+# Options below EiresConfig that only tests turned, each with every callable
+# that took it: none may take it again.
+_RETIRED_OPTIONS = [
+    ("smoothing_window", (dispatch, Runtime.run, QuerySession.begin_run, EIRES.run,
+                          Fleet.dispatch)),
+    ("expiry_interval", (Engine,)),
+    ("recompute_interval", (LazyBenefitModel,)),
+    ("interval", (PrefetchPlanner.refresh,)),
+    ("horizon_events", (UtilityModel,)),
+    ("decay_interval_events", (RateEstimator,)),
+    ("epoch_length", (NoiseModel,)),
+    ("miss_threshold", (HitHistory,)),
+    ("alpha", (LatencyMonitor,)),
+    ("prior", (LatencyMonitor,)),
+    ("window_size", (CircuitBreaker, BreakerBoard)),
+    ("min_samples", (CircuitBreaker, BreakerBoard)),
+    ("window", (SloPlane, MetricsRegistry.histogram, ScopedRegistry.histogram)),
+    ("refresh_interval", (SloPlane,)),
+    ("sample_size", (CostBasedCache,)),
+    ("categories", (Tracer,)),
+    ("timestamp_key", (read_jsonl, write_jsonl, events_from_dicts)),
+    ("timestamp_column", (read_csv, write_csv)),
+    ("strategy_key", (speedups,)),
+    ("ewma_alpha", (EventShedding,)),
+]
 
 
 def _sets_field(path: Path, field: str) -> bool:
@@ -99,6 +157,24 @@ class TestConfigLedger:
             assert detail, f"{name}: pending on no item"
         else:
             assert fate == "flag", f"{name}: unknown fate {fate!r}"
+
+    @pytest.mark.parametrize("option,owners", _RETIRED_OPTIONS,
+                             ids=[option for option, _ in _RETIRED_OPTIONS])
+    def test_retired_option_is_in_no_signature(self, option, owners):
+        for owner in owners:
+            assert option not in inspect.signature(owner).parameters, (
+                f"{owner.__qualname__} takes {option} again"
+            )
+
+    def test_constant_table_matches_the_code(self):
+        rows = _constants()
+        assert [option for option, _, _ in rows] == [option for option, _ in _RETIRED_OPTIONS]
+        named = [(constant, value) for _, constant, value in rows if constant.startswith("repro.")]
+        for constant, value in named:
+            module, _, name = constant.rpartition(".")
+            assert getattr(importlib.import_module(module), name) == ast.literal_eval(value), (
+                constant
+            )
 
 
 class TestFrameworkAssembly:
@@ -150,7 +226,7 @@ class TestFrameworkAssembly:
             eires = EIRES(query, store, FixedLatency(10.0), strategy="Hybrid",
                           config=EiresConfig(cache_capacity=32, seed=123))
             result = eires.run(stream)
-            return (result.match_count, result.latency.percentiles()[50])
+            return (result.match_count, result.latency_percentiles()[50])
 
         assert once() == once()
 
@@ -164,7 +240,7 @@ class TestFrameworkAssembly:
         assert set(qs) <= set(REPORT_PERCENTILES)
         result = self._eires().run(random_stream(80, seed=6))
         text = repr(result)
-        for q, value in result.latency.percentiles(qs).items():
+        for q, value in percentiles_of([m.latency for m in result.matches], qs).items():
             assert f"p{q:g}={value:.1f}us" in text
 
     def test_result_repr_renders_the_report_quantiles(self):

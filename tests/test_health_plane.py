@@ -21,9 +21,9 @@ from repro.core.framework import EIRES
 from repro.metrics.reporting import format_health_report
 from repro.obs.export import chrome_trace, folded_spans, write_chrome_trace, write_folded
 from repro.obs.provenance import replay_trace
-from repro.obs.registry import CounterGroup, MetricsRegistry
+from repro.obs.registry import HISTOGRAM_WINDOW_US, CounterGroup, MetricsRegistry
 from repro.obs.series import SeriesSampler, load_series_jsonl, write_series_jsonl
-from repro.obs.slo import SLO_GAUGE_KEYS, SloPlane, SloSpec
+from repro.obs.slo import REFRESH_INTERVAL_US, SLO_GAUGE_KEYS, SloPlane, SloSpec
 from repro.obs.spans import SPAN_COMPONENTS, SPAN_RECORD_NAME, aggregate_spans
 from repro.obs.trace import CAT_SPAN, MemorySink, Tracer
 from repro.obs.validate import validate_chrome_trace
@@ -107,15 +107,13 @@ class TestSloBurns:
             assert f"slo.{key}" in snapshot
 
     def test_worst_burn_caches_between_refresh_intervals(self):
-        plane = SloPlane(
-            SloSpec(latency_bound=100.0), MetricsRegistry(), refresh_interval=1_000.0
-        )
+        plane = SloPlane(SloSpec(latency_bound=100.0), MetricsRegistry())
         plane.observe_match(200.0, now=0.0)
         assert plane.worst_burn(now=0.0) == pytest.approx(2.0)
         plane.observe_match(800.0, now=1.0)
         # Inside the refresh interval the cached value still answers.
-        assert plane.worst_burn(now=500.0) == pytest.approx(2.0)
-        assert plane.worst_burn(now=1_000.0) > 2.0
+        assert plane.worst_burn(now=REFRESH_INTERVAL_US / 2) == pytest.approx(2.0)
+        assert plane.worst_burn(now=REFRESH_INTERVAL_US) > 2.0
 
     def test_status_reports_each_declared_objective(self):
         plane = SloPlane(
@@ -212,12 +210,13 @@ class TestSeriesSampler:
     def test_window_boundary_histogram_snapshot(self):
         """A sample taken right after window eviction sees only live data."""
         registry = MetricsRegistry()
-        hist = registry.histogram("lat.us", window=100.0)
-        sampler = SeriesSampler(registry, interval=50.0)
+        hist = registry.histogram("lat.us")
+        window = HISTOGRAM_WINDOW_US
+        sampler = SeriesSampler(registry, interval=window / 2)
         hist.observe(10.0, t=0.0)
-        sampler.maybe_sample(50.0)
-        hist.observe(500.0, t=150.0)  # evicts the t=0 sample
-        sampler.maybe_sample(150.0)
+        sampler.maybe_sample(window / 2)
+        hist.observe(500.0, t=1.5 * window)  # evicts the t=0 sample
+        sampler.maybe_sample(1.5 * window)
         first, second = sampler.rows()
         assert first["metrics"]["lat.us"]["p50"] == 10.0
         assert second["metrics"]["lat.us"]["p50"] == 500.0
@@ -293,9 +292,11 @@ class TestValidateRequirements:
         write_chrome_trace(records, path)
         return path
 
-    def _full_trace_records(self):
-        # The bursty workload actually overloads the detector, so the trace
-        # carries shedding decisions next to the batching lifecycle.
+    @pytest.fixture(scope="class")
+    def full_trace(self, tmp_path_factory):
+        """One traced run for the class, as a Chrome trace file: the bursty
+        workload actually overloads the detector, so the trace carries
+        shedding decisions next to the batching lifecycle."""
         sink = MemorySink()
         run_strategy(
             bursty_workload(BurstyConfig(n_events=2_000)), "Hybrid",
@@ -303,12 +304,11 @@ class TestValidateRequirements:
                         shed_policy="events", latency_bound=200.0),
             tracer=Tracer(sink, track="Hybrid"),
         )
-        return sink.records
+        return self._write_trace(tmp_path_factory.mktemp("full"), sink.records)
 
-    def test_batching_and_shedding_requirements_pass_on_enabled_run(self, tmp_path):
-        path = self._write_trace(tmp_path, self._full_trace_records())
+    def test_batching_and_shedding_requirements_pass_on_enabled_run(self, full_trace):
         counts = validate_chrome_trace(
-            path,
+            full_trace,
             require_names=("fetch.enqueue", "fetch.batch_issue", "shed.shed_decision"),
         )
         assert counts["span"] > 0
@@ -320,11 +320,10 @@ class TestValidateRequirements:
         with pytest.raises(ValueError, match="fetch.batch_issue"):
             validate_chrome_trace(path, require_names=("fetch.batch_issue",))
 
-    def test_cli_flags(self, tmp_path):
+    def test_cli_flags(self, tmp_path, full_trace):
         from repro.obs import validate
 
-        path = self._write_trace(tmp_path, self._full_trace_records())
-        assert validate.main([path, "--require-batching", "--require-shedding"]) == 0
+        assert validate.main([full_trace, "--require-batching", "--require-shedding"]) == 0
         assert validate.main([str(tmp_path / "missing.json")]) == 1
 
 
@@ -454,13 +453,20 @@ class TestPerfCountGate:
     @staticmethod
     def _block(gate, ratio):
         """A ``--trace 1`` block holding ``gate`` at ``ratio``, every other
-        row of its workload at zero."""
-        metrics = {"engine.process_event.calls": 1.0}
+        row of its workload at zero.
+
+        The event count and every denominator are one power of two, so the
+        gate's scaling of ``*_per_event`` rows by the event count is exact.
+        """
+        unit = 8.0
+        metrics = {"engine.process_event.calls": unit}
         for other in perf_count_gate.GATES:
             if other.workload == gate.workload:
                 metrics.update(dict.fromkeys(other.numerators, 0.0))
-                metrics.update(dict.fromkeys(other.denominators, 10.0))
-        metrics[gate.numerators[0]] = ratio * 10.0 * len(gate.denominators)
+                metrics.update(dict.fromkeys(other.denominators, unit))
+        numerator = gate.numerators[0]
+        per_event = numerator.endswith("_per_event")
+        metrics[numerator] = ratio * len(gate.denominators) * (1.0 if per_event else unit)
         return {
             "correct": True,
             "metrics": {name: {"value": value} for name, value in metrics.items()},

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.metrics.latency import LatencyCollector, percentile, percentiles_of
+from repro.metrics.latency import REPORT_PERCENTILES, percentile, percentiles_of
 from repro.metrics.reporting import format_comparison, format_table, speedups
 from repro.metrics.throughput import ThroughputMeter
 from repro.obs.registry import Histogram
@@ -33,76 +33,39 @@ class TestPercentile:
             percentile([1.0], 101)
 
 
-class TestLatencyCollector:
+class TestPercentilesOf:
     def test_records_and_reports(self):
-        collector = LatencyCollector()
-        collector.record_all([5.0, 1.0, 3.0])
-        assert len(collector) == 3
-        assert collector.median() == 3.0
+        assert percentiles_of([5.0, 1.0, 3.0], (50,)) == {50: 3.0}
 
     def test_default_percentile_set(self):
-        collector = LatencyCollector()
-        collector.record_all(float(i) for i in range(1, 101))
-        summary = collector.percentiles()
+        summary = percentiles_of((float(i) for i in range(1, 101)), REPORT_PERCENTILES)
         assert set(summary) == {5, 25, 50, 75, 95, 99}
         assert (
             summary[5] < summary[25] < summary[50] < summary[75] < summary[95] < summary[99]
         )
 
     def test_empty_reports_zeroes(self):
-        assert LatencyCollector().percentiles() == {
+        assert percentiles_of([], REPORT_PERCENTILES) == {
             5: 0.0, 25: 0.0, 50: 0.0, 75: 0.0, 95: 0.0, 99: 0.0,
         }
 
     def test_configurable_quantile_set(self):
-        collector = LatencyCollector()
-        collector.record_all(float(i) for i in range(1, 101))
-        assert set(collector.percentiles((50, 90))) == {50, 90}
+        values = [float(i) for i in range(1, 101)]
+        assert set(percentiles_of(values, (50, 90))) == {50, 90}
 
     def test_invalid_quantile_rejected(self):
-        collector = LatencyCollector()
-        collector.record_all([1.0, 2.0])
         with pytest.raises(ValueError):
-            collector.percentiles((50, 101))
-
-    def test_negative_latency_rejected(self):
-        with pytest.raises(ValueError):
-            LatencyCollector().record(-0.1)
-
-    def test_mean(self):
-        collector = LatencyCollector()
-        collector.record_all([2.0, 4.0])
-        assert collector.mean() == 3.0
-        assert LatencyCollector().mean() == 0.0
-
-    def test_smoothing_damps_spikes(self):
-        raw = LatencyCollector(smoothing_window=1)
-        smooth = LatencyCollector(smoothing_window=10)
-        samples = [1.0] * 50 + [1000.0] + [1.0] * 49
-        raw.record_all(samples)
-        smooth.record_all(samples)
-        # The isolated spike survives untouched in the raw view but is
-        # averaged down by the sliding window.
-        assert raw.percentiles((100,))[100] == 1000.0
-        assert smooth.percentiles((100,))[100] < 150.0
-
-    def test_invalid_smoothing_window(self):
-        with pytest.raises(ValueError):
-            LatencyCollector(smoothing_window=0)
+            percentiles_of([1.0, 2.0], (50, 101))
 
 
 class TestLatencyEdgeCases:
     def test_extreme_percentiles_equal_min_max(self):
-        collector = LatencyCollector()
-        collector.record_all([9.0, 3.0, 7.0, 1.0])
-        summary = collector.percentiles((0, 100))
+        summary = percentiles_of([9.0, 3.0, 7.0, 1.0], (0, 100))
         assert summary[0] == 1.0
         assert summary[100] == 9.0
 
     def test_extreme_percentiles_single_sample(self):
-        collector = LatencyCollector()
-        collector.record(42.0)
-        assert collector.percentiles((0, 100)) == {0: 42.0, 100: 42.0}
+        assert percentiles_of([42.0], (0, 100)) == {0: 42.0, 100: 42.0}
 
     def test_interpolation_exact_between_equal_neighbours(self):
         # lo*(1-f) + hi*f rounds to lo + 1ulp even when lo == hi, which broke
@@ -111,35 +74,15 @@ class TestLatencyEdgeCases:
         assert percentile(values, 7.375) == 59.0
         assert percentile(values, 57.375) >= percentile(values, 7.375)
 
-    def test_smoothing_window_larger_than_sample_count(self):
-        # With w > n the window never slides: sample i is averaged over all
-        # i+1 samples seen so far (a pure expanding mean).
-        collector = LatencyCollector(smoothing_window=100)
-        collector.record_all([10.0, 20.0, 30.0])
-        smoothed = sorted(collector._effective_samples())
-        assert smoothed == pytest.approx([10.0, 15.0, 20.0])
-
-    def test_smoothing_single_sample_passthrough(self):
-        collector = LatencyCollector(smoothing_window=50)
-        collector.record(8.0)
-        assert collector.percentiles((50,))[50] == 8.0
-
     def test_empty_collector_any_percentile_set(self):
-        collector = LatencyCollector(smoothing_window=10)
-        assert collector.percentiles((0, 50, 100)) == {0: 0.0, 50: 0.0, 100: 0.0}
-        assert collector.samples == []
-        assert collector.median() == 0.0
+        assert percentiles_of([], (0, 50, 100)) == {0: 0.0, 50: 0.0, 100: 0.0}
 
     @pytest.mark.parametrize("q", [-1, 101, 150])
     @pytest.mark.parametrize("samples", [[], [1.0, 2.0]], ids=["empty", "data"])
     def test_out_of_range_quantile_rejected_with_or_without_data(self, q, samples):
-        collector = LatencyCollector()
-        collector.record_all(samples)
         histogram = Histogram("h")
         for value in samples:
             histogram.observe(value)
-        with pytest.raises(ValueError):
-            collector.percentiles((50, q))
         with pytest.raises(ValueError):
             histogram.percentiles((q,))
         with pytest.raises(ValueError):

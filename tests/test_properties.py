@@ -6,7 +6,7 @@ from unittest.mock import patch
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.cost_based import CostBasedCache
+from repro.cache.cost_based import SAMPLE_SIZE, CostBasedCache
 from repro.cache.lru import LRUCache
 from repro.core.config import EiresConfig
 from repro.core.framework import EIRES
@@ -102,7 +102,7 @@ class _FullScanCache(CostBasedCache):
 
     def _select_victim(self):
         for tier in (self.TIER_SPECULATIVE, self.TIER_CERTAIN):
-            candidates = self._tiers[tier].sample(self._rng, self._sample_size)
+            candidates = self._tiers[tier].sample(self._rng, SAMPLE_SIZE)
             if candidates:
                 return min(
                     candidates,
@@ -112,7 +112,7 @@ class _FullScanCache(CostBasedCache):
 
     def min_utility(self):
         for tier in (self.TIER_SPECULATIVE, self.TIER_CERTAIN):
-            candidates = self._tiers[tier].sample(self._rng, self._sample_size)
+            candidates = self._tiers[tier].sample(self._rng, SAMPLE_SIZE)
             if candidates:
                 return min(self._ratio(key) for key in candidates)
         return 0.0
@@ -816,13 +816,14 @@ def test_indexed_sweep_agrees_with_the_exhaustive_filter(ops, window, policy):
     """Every sweep drops exactly the runs ``Window.admits`` rejects, in table
     order, and keeps the rest in bucket order — whatever happened to the
     families in between: extended, consumed (non-greedy), shed before their
-    window closed, flushed, started again after a flush.  Sweeping on every
-    event puts runs on both sides of, and exactly on, the window's edge."""
+    window closed, flushed, started again after a flush.  Sweeping before
+    every event (as well as at the engine's own sweeps) puts runs on both
+    sides of, and exactly on, the window's edge."""
     automaton = compile_query(
         parse_query(f"SEQ(A a, B b, C c) WHERE SAME[id] {_WINDOW[window]}", name="t")
     )
     clock = VirtualClock()
-    engine = Engine(automaton, clock, policy=policy, expiry_interval=1)
+    engine = Engine(automaton, clock, policy=policy)
     strategy = RecordingStrategy(clock)
     sweep = engine._expire
 
@@ -842,7 +843,9 @@ def test_indexed_sweep_agrees_with_the_exhaustive_filter(ops, window, policy):
             _, kind, partition, gap = op
             t, seq = t + gap, seq + 1
             clock.advance_to(t)
-            engine.process_event(Event(t, {"type": kind, "id": partition}, seq=seq), strategy)
+            event = Event(t, {"type": kind, "id": partition}, seq=seq)
+            checked(event, strategy)
+            engine.process_event(event, strategy)
         elif op[0] == "shed":
             engine.shed_lowest(op[1], lambda run: float(run.run_id % 3), strategy)
         else:

@@ -5,7 +5,7 @@ import pytest
 from repro.remote.batching import BatchPolicy
 from repro.remote.element import DataElement
 from repro.remote.faults import ERROR, OK, DropFaults, FaultDecision, NoFaults
-from repro.remote.monitor import LatencyMonitor
+from repro.remote.monitor import EWMA_ALPHA, LATENCY_PRIOR_US, LatencyMonitor
 from repro.remote.retry import RetryPolicy
 from repro.remote.store import MISSING_VALUE, RemoteStore
 from repro.remote.transport import (
@@ -268,14 +268,17 @@ class TestTransport:
 
 class TestLatencyMonitor:
     def test_prior_before_observations(self):
-        monitor = LatencyMonitor(prior=50.0)
-        assert monitor.estimate(("s", 1)) == 50.0
+        monitor = LatencyMonitor()
+        assert monitor.estimate(("s", 1)) == LATENCY_PRIOR_US
+        assert monitor.estimate_source("s") == LATENCY_PRIOR_US
 
     def test_key_estimate_tracks_observations(self):
-        monitor = LatencyMonitor(alpha=0.5)
+        monitor = LatencyMonitor()
         monitor.record(("s", 1), 100.0)
         monitor.record(("s", 1), 50.0)
-        assert monitor.estimate(("s", 1)) == pytest.approx(75.0)
+        assert monitor.estimate(("s", 1)) == pytest.approx(
+            (1 - EWMA_ALPHA) * 100.0 + EWMA_ALPHA * 50.0
+        )
 
     def test_source_fallback_for_unseen_key(self):
         monitor = LatencyMonitor()
@@ -286,9 +289,3 @@ class TestLatencyMonitor:
     def test_negative_latency_rejected(self):
         with pytest.raises(ValueError):
             LatencyMonitor().record(("s", 1), -1.0)
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            LatencyMonitor(alpha=0.0)
-        with pytest.raises(ValueError):
-            LatencyMonitor(prior=0.0)

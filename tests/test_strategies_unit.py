@@ -9,6 +9,7 @@ from repro.remote.store import RemoteStore
 from repro.remote.transport import FixedLatency
 from repro.strategies import STRATEGIES, make_strategy
 from repro.strategies.lazy import LazyBenefitModel
+from repro.strategies.prefetch import PLAN_REFRESH_INTERVAL_US
 
 from tests.helpers import make_abc_scenario, random_stream, run_eires
 
@@ -58,9 +59,13 @@ class TestPrefetchPlanner:
         )
         planner = eires.strategy.planner
         (site,) = eires.automaton.sites
+        planner.refresh(0.0)
         for _ in range(5):
             eires.history.record_miss(site.site_id, 2, now=10.0)
-        planner.refresh(10.0, interval=0.0)
+        # Plans are recomputed once per refresh interval, not on every call.
+        planner.refresh(10.0)
+        assert planner.plan_for(site.site_id).trigger_state_index == 2
+        planner.refresh(PLAN_REFRESH_INTERVAL_US)
         plan = planner.plan_for(site.site_id)
         # The b-state trigger is distrusted; the a-state (index 1) remains.
         assert plan.trigger_state_index == 1
@@ -74,7 +79,7 @@ class TestPrefetchPlanner:
         for state_index in (1, 2):
             for _ in range(5):
                 eires.history.record_miss(site.site_id, state_index, now=10.0)
-        planner.refresh(10.0, interval=0.0)
+        planner.refresh(10.0)
         plan = planner.plan_for(site.site_id)
         # Estimated-arrival: anchored at the earliest key-bearing class.
         assert plan.trigger_state_index == 1

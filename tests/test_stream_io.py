@@ -58,6 +58,20 @@ class TestJsonl:
         loaded = read_jsonl(path)
         assert loaded[0]["area"] == [1.0, 2.0, 3.0, 4.0]
 
+    @pytest.mark.parametrize("lines,where", [
+        (['{"t": 1.0}', '{"t": NaN}', '{"t": 0.5}'], ":2:"),
+        (['{"t": Infinity}'], ":1:"),
+        (['{"t": 1.0}', '{"t": "soon"}'], ":2:"),
+        (['{"t": 1.0}', '{"t": null}'], ":2:"),
+    ], ids=["nan", "infinite", "string", "null"])
+    def test_bad_timestamp_reported_with_line(self, tmp_path, lines, where):
+        # NaN compares false both ways, so it would hide 1.0 -> 0.5 from the
+        # order check; every non-finite or unparseable timestamp is refused.
+        path = tmp_path / "trace.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"{where} .*timestamp"):
+            read_jsonl(path)
+
     def test_timestamp_key_collision_rejected(self, tmp_path):
         stream = Stream([Event(1.0, {"t": 5})])
         with pytest.raises(ValueError, match="collides"):
@@ -76,6 +90,13 @@ class TestCsv:
         path = tmp_path / "trace.csv"
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError, match="timestamp column"):
+            read_csv(path)
+
+    @pytest.mark.parametrize("cell", ["soon", "", "nan", "inf"])
+    def test_bad_timestamp_reported_with_row(self, tmp_path, cell):
+        path = tmp_path / "trace.csv"
+        path.write_text(f"t,a\n1.0,x\n{cell},y\n0.5,z\n")
+        with pytest.raises(ValueError, match=":3: .*timestamp"):
             read_csv(path)
 
     def test_non_uniform_schema_rejected_on_write(self, tmp_path):
@@ -114,3 +135,20 @@ class TestEventsFromDicts:
         stream = events_from_dicts([{"t": 1, "type": "A"}, {"t": 2, "type": "B"}])
         assert len(stream) == 2
         assert stream[1].event_type == "B"
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf"), "soon", None])
+    def test_bad_timestamp_reported_with_record_index(self, bad):
+        with pytest.raises(ValueError, match="record 1: .*timestamp"):
+            events_from_dicts([{"t": 1.0}, {"t": bad}, {"t": 0.5}])
+
+    def test_missing_timestamp_reported_with_record_index(self):
+        with pytest.raises(ValueError, match="record 1: lacks timestamp"):
+            events_from_dicts([{"t": 1.0}, {"type": "B"}])
+
+
+class TestStreamOrder:
+    def test_nan_timestamp_fails_the_order_check(self):
+        # 1.0 -> NaN -> 0.5: each plain ``<`` comparison with NaN is false.
+        events = [Event(1.0, {}), Event(float("nan"), {}), Event(0.5, {})]
+        with pytest.raises(ValueError, match="out of order"):
+            Stream(events)

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from repro.nfa.compiler import compile_query
 from repro.nfa.run import Run
 from repro.query.parser import parse_query
-from repro.remote.monitor import LatencyMonitor
+from repro.remote.monitor import LATENCY_PRIOR_US, LatencyMonitor
 from repro.remote.store import RemoteStore
 from repro.utility.model import UtilityModel, required_keys
-from repro.utility.noise import NoiseModel
+from repro.utility.noise import EPOCH_LENGTH_US, NoiseModel
 from repro.utility.rates import RateEstimator
 from repro.events.event import Event
 from repro.workloads.synthetic import SyntheticConfig, q1_query, q2_query
@@ -73,7 +73,7 @@ class TestRunRegistration:
     @pytest.mark.parametrize("query_fn", [q1_query, q2_query])
     def test_registered_keys_equal_the_reference_walk_at_every_state(self, query_fn):
         automaton = compile_query(query_fn(SyntheticConfig()))
-        model = UtilityModel(automaton, RemoteStore(), LatencyMonitor(prior=10.0))
+        model = UtilityModel(automaton, RemoteStore(), LatencyMonitor())
         named = 0
         for state in automaton.states[1:]:
             run = run_at(automaton, state.index, {"v1": 10 + state.index, "v2": 20 + state.index})
@@ -84,7 +84,7 @@ class TestRunRegistration:
 
     def test_missing_key_attribute_keeps_the_reference_wording(self):
         automaton = build_automaton()
-        model = UtilityModel(automaton, RemoteStore(), LatencyMonitor(prior=10.0))
+        model = UtilityModel(automaton, RemoteStore(), LatencyMonitor())
         with pytest.raises(KeyError, match=r"event has no attribute 'v'; has \['type', 'w'\]"):
             model.on_run_created(run_at(automaton, 1, {"w": 7}))
 
@@ -93,15 +93,15 @@ class TestUtilityModel:
     def _model(self, automaton=None, noise=None):
         automaton = automaton or build_automaton()
         store = RemoteStore()
-        monitor = LatencyMonitor(prior=10.0)
-        return UtilityModel(automaton, store, monitor, horizon_events=100.0, noise=noise), store
+        monitor = LatencyMonitor()
+        return UtilityModel(automaton, store, monitor, noise=noise), store
 
     def test_urgent_utility_counts_live_runs(self):
         model, _ = self._model()
         automaton = build_automaton()
         run = run_at(automaton, 2, {"v": 7})
         model.on_run_created(run)
-        assert model.urgent_utility(("r", 7)) == pytest.approx(10.0)  # 1 run x prior latency
+        assert model.urgent_utility(("r", 7)) == LATENCY_PRIOR_US  # 1 run x prior latency
         model.on_run_dropped(run)
         assert model.urgent_utility(("r", 7)) == 0.0
 
@@ -110,7 +110,7 @@ class TestUtilityModel:
         store = RemoteStore()
         parent = store.put("r", "all", "container", size=0)
         store.put("r", 7, "part", size=1, parent=parent)
-        model = UtilityModel(automaton, store, LatencyMonitor(prior=10.0), horizon_events=10.0)
+        model = UtilityModel(automaton, store, LatencyMonitor())
         run = run_at(automaton, 2, {"v": 7})
         model.on_run_created(run)
         assert model.urgent_utility(("r", "all")) > 0.0
@@ -297,7 +297,7 @@ class TestTermsContract:
                 for v in range(5):
                     filled.put("r", v, "part", size=1, parent=container)
             keys.append(("r", "all"))
-        monitor = LatencyMonitor(prior=10.0)
+        monitor = LatencyMonitor()
         model = UtilityModel(automaton, store, monitor, noise=NoiseModel(noise_ratio))
         eager = _EagerIndex(reference_store)
 
@@ -385,10 +385,6 @@ class TestRateEstimator:
         assert rates.type_rate("Z") > 0
         assert rates.expected_gap(1, "Z") < float("inf")
 
-    def test_invalid_decay_interval(self):
-        with pytest.raises(ValueError):
-            RateEstimator(decay_interval_events=0)
-
 
 class TestNoiseModel:
     def test_inactive_at_zero_ratio(self):
@@ -406,13 +402,13 @@ class TestNoiseModel:
         assert 0.25 < hits / 4000 < 0.35
 
     def test_decisions_stable_within_epoch(self):
-        noise = NoiseModel(0.5, epoch_length=100.0)
-        first = noise.flip(("k",), now=10.0)
-        assert noise.flip(("k",), now=50.0) == first
+        noise = NoiseModel(0.5)
+        first = noise.flip(("k",), now=0.1 * EPOCH_LENGTH_US)
+        assert noise.flip(("k",), now=0.9 * EPOCH_LENGTH_US) == first
 
     def test_decisions_refresh_across_epochs(self):
-        noise = NoiseModel(0.5, epoch_length=10.0)
-        outcomes = {noise.flip(("k",), now=10.0 * i) for i in range(64)}
+        noise = NoiseModel(0.5)
+        outcomes = {noise.flip(("k",), now=EPOCH_LENGTH_US * i) for i in range(64)}
         assert outcomes == {True, False}
 
     def test_decoy_key_same_source_different_key(self):
@@ -424,5 +420,3 @@ class TestNoiseModel:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             NoiseModel(1.5)
-        with pytest.raises(ValueError):
-            NoiseModel(0.5, epoch_length=0.0)

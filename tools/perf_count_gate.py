@@ -63,6 +63,19 @@ GATES = (
         1.5,
         "per-visit frames crept back into the engine",
     ),
+    # Metrics-layer frames per event: the throughput meter's one record per
+    # event, and nothing per match (each match record carries its latency).
+    # Measured (--smoke, Python 3.11): 8.42 with a per-match latency record
+    # copied into a second store, 1.007 without (seed 7; seed 42: 7.82 and
+    # 1.007).
+    Gate(
+        "guard_heavy",
+        "metrics frames per event",
+        _frames("metrics"),
+        (_EVENTS,),
+        1.1,
+        "the dispatch loop records something per match again",
+    ),
     # NFA-layer frames (Run construction and methods) per run created: the
     # bucket replay builds a match from the extension's environment and a
     # Run only for a target with transitions.  Measured (--smoke, Python
