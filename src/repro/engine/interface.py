@@ -58,7 +58,9 @@ class CostModel:
 
 
 class MatchRecord:
-    """One complete match, with its latency decomposition.
+    """One complete match as the engine emits it, with its latency
+    decomposition.  It lives for one step: the dispatch loop copies what a
+    result reports into the session's match store and drops the record.
 
     ``span`` is the critical-path attribution captured by
     :class:`repro.obs.spans.SpanTracker` at emission time (a dict of

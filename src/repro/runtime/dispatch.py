@@ -10,7 +10,8 @@ input event the loop
 2. for every session in priority order, lets the strategy deliver due async
    responses into the cache, fire offset-timed prefetches, and refresh its
    estimates, then runs the engine's ``f_Q`` step;
-3. records matches (once per subscriber) and shared throughput.
+3. records matches (into the session's match store, and once per
+   subscriber on SLO planes and the trace) and shared throughput.
 
 After the last event every session's strategy is drained and its engine
 flushed, the metrics registry is snapshotted once, and one :class:`RunResult`
@@ -31,6 +32,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import SPAN_RECORD_NAME
 from repro.obs.trace import CAT_EVENT, CAT_MATCH, CAT_SPAN, NULL_TRACER, Tracer
 from repro.remote.transport import TRANSPORT_COUNTER_KEYS, Transport
+from repro.runtime.matches import MatchStore
 from repro.runtime.session import QuerySession
 from repro.shedding.shedder import SHED_COUNTER_KEYS
 from repro.sim.clock import VirtualClock
@@ -63,6 +65,8 @@ _PLANE_GROUPS = ("cache", "transport")
 class RunResult:
     """Everything measured during one stream replay.
 
+    ``matches`` is the replay's :class:`~repro.runtime.matches.MatchStore`, a
+    read-only sequence of :class:`~repro.runtime.matches.Match`.
     ``metrics`` is the replay's one registry snapshot, shared by every result
     of the replay; ``scope`` is this query's metric prefix in it (``""``
     unscoped, else e.g. ``"query.<name>."``).
@@ -71,7 +75,7 @@ class RunResult:
     def __init__(
         self,
         strategy_name: str,
-        matches: list,
+        matches: MatchStore,
         throughput: ThroughputMeter,
         duration_us: float,
         metrics: dict[str, Any],
@@ -104,11 +108,11 @@ class RunResult:
 
     def match_signatures(self) -> set[tuple]:
         """Canonical match identities, for cross-strategy equivalence checks."""
-        return {match.signature() for match in self.matches}
+        return self.matches.signatures()
 
     def latency_percentiles(self) -> dict[float, float]:
         """The reported quantiles of per-match latency; all-zero with no matches."""
-        return percentiles_of([match.latency for match in self.matches], REPORT_PERCENTILES)
+        return percentiles_of(self.matches.latencies(), REPORT_PERCENTILES)
 
     def summary(self) -> dict[str, Any]:
         """Flat summary used by reports and EXPERIMENTS.md tables; a counter
@@ -193,7 +197,8 @@ def deliver_event(
                     tracer.emit(CAT_SPAN, SPAN_RECORD_NAME, match.last_event_t,
                                 dur=match.latency, latency=match.latency,
                                 **match.span, **query)
-    session.matches.extend(step_matches)
+    if step_matches:
+        session.matches.record(step_matches)
 
 
 def dispatch(

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.engine.interface import MatchRecord
 from repro.nfa.automaton import Automaton
 from repro.query.ast import Query
+from repro.runtime.matches import MatchStore
 from repro.strategies.base import FetchStrategy
 from repro.utility.model import UtilityModel
 from repro.utility.rates import RateEstimator
@@ -114,7 +114,7 @@ class QuerySession:
         # Overload control; None unless the config names a shedding policy
         # (the default build carries no shedding plane at all).
         self.shedder = shedder
-        self.matches: list[MatchRecord] = []
+        self.matches = MatchStore()
 
     @property
     def name(self) -> str:
@@ -125,8 +125,8 @@ class QuerySession:
         return self.spec.priority
 
     def begin_run(self) -> None:
-        """Reset the per-replay match list (the dispatch loop calls this)."""
-        self.matches = []
+        """Start the per-replay match store (the dispatch loop calls this)."""
+        self.matches = MatchStore(traced=self.strategy.spans is not None)
 
     def __repr__(self) -> str:
         return f"QuerySession({self.names!r}, {self.strategy.name}, priority={self.priority})"

@@ -97,6 +97,8 @@ class TestFraudWorkloadEndToEnd:
                       config=EiresConfig(cache_capacity=workload.notes["cache_capacity"]))
         result = eires.run(workload.stream)
         assert result.match_count > 0
-        branch_bindings = {frozenset(match.events) for match in result.matches}
+        branch_bindings = {
+            frozenset(binding for binding, _ in match.signature()) for match in result.matches
+        }
         assert frozenset({"t1", "d", "t2"}) in branch_bindings
         assert frozenset({"t1", "l", "t3"}) in branch_bindings

@@ -1,0 +1,148 @@
+"""What a finished replay keeps of its matches: the result's match store.
+
+The engine's per-step ``MatchRecord``\\ s carry their run's environment; a
+result keeps each match as a tuple of event ``seq``\\ s, its shared binding
+names and three float columns.  These tests pin the result surface against
+the records the engine emitted, the signatures against later renumbering of
+the stream's events, and the bytes retained per match.
+"""
+
+from __future__ import annotations
+
+import gc
+import hashlib
+import json
+import tracemalloc
+
+import pytest
+
+from repro.bench.harness import run_strategy
+from repro.core.config import EiresConfig
+from repro.core.framework import EIRES
+from repro.events.event import Event
+from repro.events.stream import Stream, merge_streams
+from repro.obs.trace import MemorySink, Tracer
+from repro.query.parser import parse_query
+from repro.remote.store import RemoteStore
+from repro.remote.transport import FixedLatency
+from repro.runtime.matches import MatchStore
+from repro.workloads.synthetic import SyntheticConfig, make_stream, q1_workload, q2_workload
+
+_SMALL = {
+    "q1": lambda: q1_workload(SyntheticConfig(n_events=600, id_domain=5, window_events=120)),
+    "q2": lambda: q2_workload(SyntheticConfig(n_events=700, id_domain=16, window_events=200)),
+}
+
+
+def _recorded_run(monkeypatch, traced: bool):
+    """A Q1 Hybrid replay plus what each engine ``MatchRecord`` held at detection."""
+    recorded = []
+    record = MatchStore.record
+
+    def spy(store, step):
+        recorded.extend(
+            (match.signature(), match.detected_at, match.last_event_t, match.fetch_wait,
+             match.latency, match.span)
+            for match in step
+        )
+        record(store, step)
+
+    monkeypatch.setattr(MatchStore, "record", spy)
+    tracer = Tracer(MemorySink()) if traced else None
+    result = run_strategy(_SMALL["q1"](), "Hybrid", EiresConfig(), tracer=tracer)
+    return result, recorded
+
+
+class TestResultSurface:
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_matches_read_back_what_the_engine_emitted(self, monkeypatch, traced):
+        result, recorded = _recorded_run(monkeypatch, traced)
+        assert len(result.matches) == result.match_count == len(recorded) > 0
+        seen = [
+            (match.signature(), match.detected_at, match.last_event_t, match.fetch_wait,
+             match.latency, match.span)
+            for match in result.matches
+        ]
+        assert seen == recorded
+        assert all((span is not None) == traced for *_, span in seen)
+        assert result.match_signatures() == {facts[0] for facts in recorded}
+
+    def test_indexing_and_exact_latency(self, monkeypatch):
+        result, recorded = _recorded_run(monkeypatch, traced=False)
+        matches = result.matches
+        n = len(matches)
+        for index in (0, 1, n // 2, n - 1, -1, -n):
+            match = matches[index]
+            assert match.signature() == recorded[index][0]
+            assert match.latency == match.detected_at - match.last_event_t == recorded[index][4]
+        for index in (n, -n - 1):
+            with pytest.raises(IndexError):
+                matches[index]
+        assert list(matches)[-1].signature() == matches[-1].signature()
+
+    def test_signatures_share_their_binding_seq_pairs(self):
+        result = run_strategy(_SMALL["q1"](), "Hybrid", EiresConfig())
+        pairs = [pair for signature in result.match_signatures() for pair in signature]
+        assert len({id(pair) for pair in pairs}) == len(set(pairs)) < len(pairs)
+
+    @pytest.mark.parametrize(
+        ("workload", "text", "digest"),
+        [
+            ("q1", "RunResult(Hybrid: 198 matches, p5=2.7us, p25=4.3us, p50=6.2us, "
+                   "p75=8.1us, p95=33.7us, p99=45.2us, 40577 ev/s)", "e8cb605b39dc15b7"),
+            ("q2", "RunResult(Hybrid: 236 matches, p5=0.3us, p25=0.3us, p50=0.5us, "
+                   "p75=0.7us, p95=1.1us, p99=1.5us, 40079 ev/s)", "fe365c9f8d303fd9"),
+        ],
+    )
+    def test_repr_and_summary_are_unchanged(self, workload, text, digest):
+        """Taken while a result still kept every engine ``MatchRecord``."""
+        result = run_strategy(_SMALL[workload](), "Hybrid", EiresConfig())
+        assert repr(result) == text
+        summary = json.dumps(result.summary(), sort_keys=True).encode()
+        assert hashlib.blake2s(summary, digest_size=8).hexdigest() == digest
+
+
+def test_signatures_are_fixed_at_detection():
+    """Building a stream renumbers the ``seq`` of the events it holds; a
+    replay that already finished must keep the signatures it detected."""
+    workload = _SMALL["q1"]()
+    result = run_strategy(workload, "Hybrid", EiresConfig())
+    before = result.match_signatures()
+    assert before
+    other = Stream([Event(0.5 * i, {"type": "A", "id": 0, "v1": 0, "v2": 0}) for i in range(50)])
+    merge_streams(other, workload.stream)
+    assert workload.stream[0].seq != 0  # the merge did renumber the replayed events
+    assert result.match_signatures() == before
+    assert {match.signature() for match in result.matches} == before
+
+
+def test_a_result_retains_at_most_128_bytes_per_match():
+    """A local-only, guard-heavy replay: what its result keeps per match,
+    with the runtime that produced it dropped and its input stream kept."""
+    query = parse_query(
+        """
+        SEQ(A a, B b, C c, D d)
+        WHERE SAME[id] AND a.v1 >= 4000 AND b.v2 >= 8000 AND c.v1 <= 92000
+        AND a.v1 <= d.v1
+        WITHIN 400 EVENTS
+        """,
+        name="QG",
+    )
+    stream = make_stream(SyntheticConfig(n_events=500, id_domain=6, window_events=400))
+
+    def replay():
+        return EIRES(query, RemoteStore(), FixedLatency(0.0), strategy="BL1").run(stream)
+
+    replay()  # warm every lazily built cache first
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = replay()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert result.match_count > 2_000
+    per_match = retained / result.match_count
+    assert per_match <= 128, f"{per_match:.1f} B retained per match"

@@ -76,6 +76,20 @@ GATES = (
         1.1,
         "the dispatch loop records something per match again",
     ),
+    # Runtime-layer frames per match: deliver_event once per event, and the
+    # match store's record once per step that matched, never per match.
+    # Measured (--smoke, Python 3.11, seed 42): 758 / 5 112 = 0.15 keeping
+    # the engine's records in a list, 853 / 5 112 = 0.17 recording seq
+    # tuples and float columns through C-level maps, 5 965 / 5 112 = 1.17
+    # with a per-match Python helper in the recording.
+    Gate(
+        "guard_heavy",
+        "runtime frames per match",
+        _frames("runtime"),
+        ("matches",),
+        0.3,
+        "the match store records through a Python frame per match again",
+    ),
     # NFA-layer frames (Run construction and methods) per run created: the
     # bucket replay builds a match from the extension's environment and a
     # Run only for a target with transitions.  Measured (--smoke, Python
