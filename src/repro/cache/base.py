@@ -167,9 +167,17 @@ class Cache(ABC):
     def _remove(self, key: DataKey) -> None:
         element = self._entries.pop(key)
         self._used -= element.total_size()
+        entries = self._entries
         for part in element.descendants():
-            if part.key != element.key:
+            if part.key == key:
+                continue
+            # Another cached container may still hold the part: the nearest
+            # one serves it from now on.
+            owner = next((k for k in part.ancestor_keys()[1:] if k in entries), None)
+            if owner is None:
                 self._part_index.pop(part.key, None)
+            else:
+                self._part_index[part.key] = owner
         self._on_remove(key)
 
     def __contains__(self, key: DataKey) -> bool:

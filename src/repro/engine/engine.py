@@ -44,6 +44,7 @@ moment (the trace stamps it with the clock it happened at).
 from __future__ import annotations
 
 from heapq import heappop, heappush, nsmallest
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -71,6 +72,8 @@ _NO_BINDINGS: Mapping[str, Event] = MappingProxyType({})
 
 # Events between two expiry sweeps (see :meth:`Engine._expire`).
 EXPIRY_INTERVAL_EVENTS = 16
+
+_event_time = attrgetter("t")
 
 _UNRESOLVED = "unresolved"
 _SATISFIED = "satisfied"
@@ -411,7 +414,7 @@ class Engine:
                 env = dict(run.env)
                 env[binding] = event
                 if final:
-                    last_event_t = max([bound.t for bound in env.values()])
+                    last_event_t = max(map(_event_time, env.values()))
                     span = spans.capture(last_event_t, at) if spans is not None else None
                     matches.append(MatchRecord(env, last_event_t, at, 0.0, span))
                 if live:
@@ -634,7 +637,7 @@ class Engine:
                 self.stats.matches_rejected += 1
                 return
             fetch_wait = getattr(strategy, "total_stall_time", 0.0) - fetch_wait_before
-        last_event_t = max([event.t for event in run.env.values()])
+        last_event_t = max(map(_event_time, run.env.values()))
         spans = getattr(strategy, "spans", None)
         span = spans.capture(last_event_t, self.clock.now) if spans is not None else None
         matches.append(

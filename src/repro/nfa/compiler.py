@@ -8,7 +8,10 @@ the engine discard doomed partial matches as early as possible.
 
 ``SAME[attr]`` correlation expands into pairwise equality with the previous
 binding on the path, which is equivalent to all-pairs equality by
-transitivity and keeps every guard binary.
+transitivity and keeps every guard binary.  The engine indexes partial
+matches by the first ``SAME`` attribute, so that attribute's equality is
+also handed to the transition's bucket loop, which may skip comparing what
+the index already guarantees.
 
 Each transition's local predicates are also compiled, here and once, into
 the single function the engine calls per guard and — for transitions without
@@ -39,10 +42,14 @@ def compile_query(query: Query) -> Automaton:
     _index_breadth_first(states)
     _attach_sites(states)
     _check_all_conditions_attached(states, query)
-    partition_attr = next(
-        (c.attr for c in query.conditions if isinstance(c, SameAttribute)), None
+    return Automaton(
+        states, query.window, name=query.name, partition_attr=_partition_attr(query)
     )
-    return Automaton(states, query.window, name=query.name, partition_attr=partition_attr)
+
+
+def _partition_attr(query: Query) -> str | None:
+    """The attribute the engine indexes partial matches by: the first SAME's."""
+    return next((c.attr for c in query.conditions if isinstance(c, SameAttribute)), None)
 
 
 def _check_all_conditions_attached(states: list[State], query: Query) -> None:
@@ -76,7 +83,7 @@ def _build_path(root: State, sequence: tuple[EventAtom, ...], query: Query, stat
             continue
         target = State(len(states), parent=current, entry_binding=atom.binding)
         states.append(target)
-        local, remote = _guard_for(current, atom, query)
+        local, remote, partition = _guard_for(current, atom, query)
         transition = Transition(
             index=-1,  # assigned after BFS indexing
             source=current,
@@ -86,7 +93,9 @@ def _build_path(root: State, sequence: tuple[EventAtom, ...], query: Query, stat
             remote_predicates=remote,
             guard=compile_guard(local, atom.binding),
             bucket_loop=(
-                None if remote else compile_bucket_loop(local, atom.binding, query.window.kind)
+                None
+                if remote
+                else compile_bucket_loop(local, atom.binding, query.window.kind, partition)
             ),
         )
         current.transitions.append(transition)
@@ -108,24 +117,32 @@ def _child_for(state: State, atom: EventAtom) -> State | None:
 
 def _guard_for(
     source: State, atom: EventAtom, query: Query
-) -> tuple[tuple[Predicate, ...], tuple[Predicate, ...]]:
-    """Predicates to attach to the transition ``source --atom--> target``."""
+) -> tuple[tuple[Predicate, ...], tuple[Predicate, ...], Predicate | None]:
+    """Predicates to attach to the transition ``source --atom--> target``.
+
+    Returns ``(local, remote, partition)``: ``partition`` is the local
+    equality the engine's partition index already guarantees — the
+    partition attribute's ``SAME`` link to the previous binding — if any.
+    """
     available_before = frozenset(source.path_bindings)
     available_after = available_before | {atom.binding}
+    partition_attr = _partition_attr(query)
     # The atom's type check is enforced by the engine via transition.event_type
     # (cheap pre-filter), so guards carry only the WHERE conditions.
     local: list[Predicate] = []
     remote: list[Predicate] = []
+    partition = None
     for condition in query.conditions:
         if isinstance(condition, SameAttribute):
             if source.entry_binding is not None:
-                local.append(
-                    Comparison(
-                        "=",
-                        Attr(atom.binding, condition.attr),
-                        Attr(source.entry_binding, condition.attr),
-                    )
+                equality = Comparison(
+                    "=",
+                    Attr(atom.binding, condition.attr),
+                    Attr(source.entry_binding, condition.attr),
                 )
+                if partition is None and condition.attr == partition_attr:
+                    partition = equality
+                local.append(equality)
             continue
         refs = condition.bindings()
         if not refs <= available_after:
@@ -138,7 +155,7 @@ def _guard_for(
             remote.append(condition)
         else:
             local.append(condition)
-    return tuple(local), tuple(remote)
+    return tuple(local), tuple(remote), partition
 
 
 def _index_breadth_first(states: list[State]) -> None:

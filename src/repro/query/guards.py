@@ -48,9 +48,21 @@ Bucket loops
 A guard call is still one Python frame per partial-match visit, wrapped in
 the engine's own per-run frames.  For a transition without remote predicates
 :func:`compile_bucket_loop` therefore renders the *same* predicate source a
-second time, inside a loop over a whole (state, partition) bucket::
+second time, inside a loop over a whole (state, partition) bucket — here
+QG's ``q2 -> q3`` (``SAME[id] AND c.v1 <= 92000 AND c.v2 >= 8000 AND
+c.v1 >= 4000``)::
 
     def bucket_loop(runs, event, now, guard_cost, window, evaluations, passes):
+        try:
+            _x0 = event.attrs['id']
+            _x1 = event.attrs['v1']
+            _x2 = event.attrs['v2']
+            _f2 = not (_x1 <= 92000)
+            _f3 = not (_x2 >= 8000)
+            _f4 = not (_x1 >= 4000)
+        except Exception:
+            return _unhoisted(runs, event, now, guard_cost, window, evaluations, passes)
+        _same = type(_x0) in _EXACT or type(_x0) is float and _x0 == _x0
         outcomes = []
         charged = 0
         at = event.seq
@@ -64,14 +76,22 @@ second time, inside a loop over a whole (state, partition) bucket::
             now = now + guard_cost
             evaluations += 1.0
             now += 0.02
-            if not (event.attrs['id'] == env['c'].attrs['id']):
+            if not (_same or (_x0 == env['b'].attrs['id'])):
                 charged += 1
                 continue
             now += 0.02
-            if not (event.attrs['v1'] <= 92000):
+            if _f2:
                 charged += 2
                 continue
-            charged += 2
+            now += 0.02
+            if _f3:
+                charged += 3
+                continue
+            now += 0.02
+            if _f4:
+                charged += 4
+                continue
+            charged += 4
             passes += 1.0
             outcomes.append((run, now, True))
         return now, charged, evaluations, passes, outcomes
@@ -86,9 +106,32 @@ nothing: it returns the final time, the predicates charged, the two tallies
 and the ordered ``(run, now, passed)`` outcomes — ``passed`` False meaning
 the window expired — for the engine to replay at each outcome's own time.
 It returns ``None`` at a run that carries obligations (the strategy must be
-consulted between guards), and any exception simply propagates; in both
-cases the caller steps the bucket run by run instead, through
-``Transition.guard`` and its fallback above.
+consulted between guards), and any exception propagates; in both cases the
+caller steps the bucket run by run instead, through ``Transition.guard`` and
+its fallback above.
+
+What gives the same answer for every run of the bucket is paid once per
+call, in a *prelude*:
+
+* every ``event.attrs[...]`` the guard reads becomes a local (the scope
+  renders input attributes as locals and records them);
+* the truth value of every ``pure`` predicate (one that calls no captured
+  function) whose operands are the input's alone becomes a local, and the
+  loop tests the local; a ``FunctionPredicate`` keeps its call per run;
+* the ``SAME`` equality the compiler links to the previous binding on the
+  partition attribute (``partition``) is charged per run as always, but
+  compared only when the input's partition value is not exact-typed.  Every
+  run of the bucket was filed under a key equal to the input's value, and
+  for a ``bool``, ``int``, ``str`` or a ``float`` equal to itself that dict
+  equality is the predicate's ``==``.  ``None`` — what an event without the
+  attribute files under — and NaN are compared as they always were.
+
+*Error transparency.*  The prelude evaluates what the per-run loop might
+never reach (every run expired, or an earlier predicate failing for all of
+them).  So if it raises, the bucket is stepped by the loop without a
+prelude — generated from the same rendering, built and compiled at its
+first use — which raises exactly where the per-run loop raises, or returns
+the right answer.
 
 Remote predicates
 -----------------
@@ -157,30 +200,53 @@ BucketLoop = Callable[..., "tuple[float, int, float, float, list] | None"]
 
 _PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
 
+_LOOP_ARGUMENTS = "runs, event, now, guard_cost, window, evaluations, passes"
+_LOOP_SIGNATURE = f"def bucket_loop({_LOOP_ARGUMENTS}):"
+
+# Partition values whose dict-key equality is ``==`` with no exception:
+# whatever shares their bucket compares equal to them (floats must also
+# equal themselves; None is what a missing attribute files under).
+_EXACT_TYPES = frozenset((bool, int, str))
+
 
 class GuardScope:
     """Naming scope of one generated function.
 
     ``input_binding`` is the binding the guard's transition establishes: its
     attributes are read off the ``event`` argument, every other binding off
-    ``env``.  A *remote* scope has no input binding — every event is read
-    off ``env`` — and a ``values`` argument that remote references index.
-    Objects with no source form (callables, collections, exotic constants)
-    are *captured*: the source refers to them by a generated name and the
-    function's globals supply the object.
+    ``env``.  A *hoisting* scope (a bucket loop's) names each input attribute
+    read by a local instead, and records it in ``inputs`` for the loop's
+    prelude to read once.  A *remote* scope has no input binding — every
+    event is read off ``env`` — and a ``values`` argument that remote
+    references index.  Objects with no source form (callables, collections,
+    exotic constants) are *captured*: the source refers to them by a
+    generated name and the function's globals supply the object.
     """
 
-    __slots__ = ("input_binding", "remote", "captured")
+    __slots__ = ("input_binding", "remote", "captured", "inputs")
 
-    def __init__(self, input_binding: str | None, remote: bool = False) -> None:
+    def __init__(
+        self, input_binding: str | None, remote: bool = False, hoist: bool = False
+    ) -> None:
         self.input_binding = input_binding
         self.remote = remote
         self.captured: dict[str, Any] = {}
+        #: Hoisting only: input attribute -> the prelude local holding it.
+        self.inputs: dict[str, str] | None = {} if hoist else None
 
     def capture(self, value: Any) -> str:
         name = f"_k{len(self.captured)}"
         self.captured[name] = value
         return name
+
+    def input_attr(self, attr: str) -> str:
+        """Source of the input event's ``attr``: a read, or a prelude local."""
+        if self.inputs is None:
+            return f"event.attrs[{attr!r}]"
+        local = self.inputs.get(attr)
+        if local is None:
+            local = self.inputs[attr] = f"_x{len(self.inputs)}"
+        return local
 
     def literal(self, value: Any) -> str:
         """``value`` as source: a literal when one round-trips, else a capture."""
@@ -239,20 +305,75 @@ def compile_guard(predicates: Sequence[Predicate], binding: str) -> Guard:
 
 
 def compile_bucket_loop(
-    predicates: Sequence[Predicate], binding: str, window_kind: str
+    predicates: Sequence[Predicate],
+    binding: str,
+    window_kind: str,
+    partition: Predicate | None = None,
 ) -> BucketLoop:
     """The generated loop stepping a whole bucket through one local-only guard.
 
-    See "Bucket loops" in the module docstring for the contract; the
-    function's source is available as its ``source`` attribute.
+    ``partition``, when given, is the guard's ``SAME`` equality between
+    ``binding``'s attribute (its left operand) and the previous binding's,
+    which the engine's partition index already guarantees for exact-typed
+    values.  See "Bucket loops" in the module docstring for the contract;
+    the function's source is available as its ``source`` attribute.
     """
+    scope = GuardScope(binding, hoist=True)
+    prelude: list[str] = []
+    checks: list[tuple[str, str]] = []
+    for position, (predicate, (cost, condition)) in enumerate(
+        zip(predicates, _rendered(predicates, scope)), 1
+    ):
+        if predicate is partition:
+            checks.append((cost, f"not (_same or {condition})"))
+        elif predicate.pure and predicate.bindings() <= {binding}:
+            prelude.append(f"_f{position} = not {condition}")
+            checks.append((cost, f"_f{position}"))
+        else:
+            checks.append((cost, f"not {condition}"))
+    if not scope.inputs and not prelude:
+        return _unhoisted_bucket_loop(predicates, binding, window_kind)
+    lines = [
+        _LOOP_SIGNATURE,
+        "    try:",
+        *(f"        {local} = event.attrs[{attr!r}]" for attr, local in scope.inputs.items()),
+        *(f"        {line}" for line in prelude),
+        "    except Exception:",
+        f"        return _unhoisted({_LOOP_ARGUMENTS})",
+    ]
+    if partition is not None:
+        value = partition.left.render(scope)
+        lines.append(
+            f"    _same = type({value}) in _EXACT or type({value}) is float and {value} == {value}"
+        )
+    lines += _loop_body(checks, window_kind)
+    unhoisted = _on_first_call(
+        functools.partial(_unhoisted_bucket_loop, tuple(predicates), binding, window_kind)
+    )
+    (bucket_loop,) = _define(
+        ["bucket_loop"], lines, scope, _unhoisted=unhoisted, _EXACT=_EXACT_TYPES
+    )
+    return bucket_loop
+
+
+def _unhoisted_bucket_loop(
+    predicates: Sequence[Predicate], binding: str, window_kind: str
+) -> BucketLoop:
+    """The bucket loop with no prelude: every check evaluated per run."""
     scope = GuardScope(binding)
+    checks = [(cost, f"not {condition}") for cost, condition in _rendered(predicates, scope)]
+    lines = [_LOOP_SIGNATURE, *_loop_body(checks, window_kind)]
+    (bucket_loop,) = _define(["bucket_loop"], lines, scope)
+    return bucket_loop
+
+
+def _loop_body(checks: Sequence[tuple[str, str]], window_kind: str) -> list[str]:
+    """The per-run loop over ``(eval_cost, failure test)`` source pairs."""
     if window_kind == Window.TIME:
         position, expired = "event.t", "not at - run.first_t <= window"
     else:
         position, expired = "event.seq", "at - run.first_seq > window"
     lines = [
-        "def bucket_loop(runs, event, now, guard_cost, window, evaluations, passes):",
         "    outcomes = []",
         "    charged = 0",
         f"    at = {position}",
@@ -266,21 +387,32 @@ def compile_bucket_loop(
         "        now = now + guard_cost",
         "        evaluations += 1.0",
     ]
-    for charged, (cost, condition) in enumerate(_rendered(predicates, scope), 1):
+    for charged, (cost, failed) in enumerate(checks, 1):
         lines += [
             f"        now += {cost}",
-            f"        if not {condition}:",
+            f"        if {failed}:",
             f"            charged += {charged}",
             "            continue",
         ]
     lines += [
-        f"        charged += {len(predicates)}",
+        f"        charged += {len(checks)}",
         "        passes += 1.0",
         "        outcomes.append((run, now, True))",
         "    return now, charged, evaluations, passes, outcomes",
     ]
-    (bucket_loop,) = _define(["bucket_loop"], lines, scope)
-    return bucket_loop
+    return lines
+
+
+def _on_first_call(build: Callable[[], Callable]) -> Callable:
+    """A stand-in for the function ``build()`` returns, built at its first call."""
+    built: list[Callable] = []
+
+    def call(*args):
+        if not built:
+            built.append(build())
+        return built[0](*args)
+
+    return call
 
 
 def compile_remote(predicate: Predicate) -> tuple[Callable, Callable]:

@@ -119,7 +119,7 @@ class Attr(Expr):
 
     def render(self, scope: GuardScope) -> str:
         if self.binding == scope.input_binding:
-            return f"event.attrs[{self.attr!r}]"
+            return scope.input_attr(self.attr)
         return f"env[{self.binding!r}].attrs[{self.attr!r}]"
 
     def __repr__(self) -> str:
@@ -205,6 +205,10 @@ class Predicate(ABC):
     """A boolean condition over an environment and remote data."""
 
     eval_cost: float = DEFAULT_PREDICATE_COST
+    #: True when the rendered condition calls no captured function: its
+    #: truth value is a function of its operands alone, so a bucket loop may
+    #: compute it once per bucket when every operand comes from the input.
+    pure: bool = False
 
     @abstractmethod
     def bindings(self) -> frozenset[str]:
@@ -235,6 +239,7 @@ class Comparison(Predicate):
     """``left OP right`` for OP in ``= <> < <= > >=``."""
 
     __slots__ = ("op", "left", "right", "eval_cost", "_fn")
+    pure = True
 
     def __init__(self, op: str, left: Expr, right: Expr, eval_cost: float = DEFAULT_PREDICATE_COST):
         if op not in _COMPARATORS:
@@ -266,6 +271,7 @@ class Membership(Predicate):
     """``item [NOT] IN collection`` — the collection is usually a RemoteRef."""
 
     __slots__ = ("item", "collection", "negated", "eval_cost")
+    pure = True
 
     def __init__(
         self,

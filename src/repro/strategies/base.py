@@ -23,6 +23,7 @@ the lifecycle wiring.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Any, Mapping, Sequence
 
@@ -59,6 +60,8 @@ __all__ = [
 
 _NO_TRIGGERS: Mapping[int, Sequence] = MappingProxyType({})
 
+_obligations = attrgetter("obligations")
+
 
 class FetchStrategy(ObligationResolution, FetchPlane):
     """Base class implementing the engine-facing strategy protocol."""
@@ -94,6 +97,8 @@ class FetchStrategy(ObligationResolution, FetchPlane):
         # root only when tracing is enabled (None keeps the hot path to one
         # ``is None`` check per instrumentation site).
         self.spans = None
+        # Whether run lifecycles and ticks reach the utility model; see attach.
+        self._drives_utility = False
 
     # -- wiring ----------------------------------------------------------------
     def attach(self, ctx: RuntimeContext) -> None:
@@ -107,6 +112,11 @@ class FetchStrategy(ObligationResolution, FetchPlane):
         # and engine.dropped.* counters.
         ctx.metrics.attach(self.stats)
         ctx.metrics.attach(self.drops)
+        # Utilities are read only at remote sites (Eq. 7, Eq. 8, the
+        # cost-based cache), and a run of an automaton without one requires
+        # no key: its model answers 0 for every key undriven, as it would
+        # driven, so nothing registers, unregisters or ticks.
+        self._drives_utility = bool(ctx.automaton.sites)
 
     @property
     def total_stall_time(self) -> float:
@@ -119,7 +129,8 @@ class FetchStrategy(ObligationResolution, FetchPlane):
         ctx.rates.observe_event(event.event_type or "", event.t)
         self._deliver_due()
         self._fire_scheduled()
-        self._utility_tick()
+        if self._drives_utility:
+            self._utility_tick()
 
     def on_event_end(self, event: Event, matches: list) -> None:
         """Called after the engine processed ``event`` (subclass hook)."""
@@ -144,10 +155,13 @@ class FetchStrategy(ObligationResolution, FetchPlane):
         ctx = self.ctx
         now = ctx.clock.now
         triggers = self._prefetch_triggers(now)
-        register = ctx.utility.on_run_created
+        register = ctx.utility.on_run_created if self._drives_utility else None
         tracer = ctx.tracer
+        if register is None and not tracer.enabled and not triggers:
+            return
         for run in runs:
-            register(run)
+            if register is not None:
+                register(run)
             if tracer.enabled:
                 tracer.emit(
                     CAT_RUN,
@@ -169,13 +183,12 @@ class FetchStrategy(ObligationResolution, FetchPlane):
         # the data they waited for never arrived in time to matter.
         rides_out = reason in ("expired", "flushed", "shed")
         ctx = self.ctx
-        unregister = ctx.utility.on_run_dropped
         tracer = ctx.tracer
-        now = ctx.clock.now
-        for run in runs:
-            if rides_out and run.obligations:
-                self.stats.obligations_expired += len(run.obligations)
-                if tracer.enabled:
+        if tracer.enabled:
+            now = ctx.clock.now
+            for run in runs:
+                if rides_out and run.obligations:
+                    self.stats.obligations_expired += len(run.obligations)
                     tracer.emit(
                         CAT_OBLIGATION,
                         "expire",
@@ -184,7 +197,6 @@ class FetchStrategy(ObligationResolution, FetchPlane):
                         count=len(run.obligations),
                         reason=reason,
                     )
-            if tracer.enabled:
                 tracer.emit(
                     CAT_RUN,
                     "drop",
@@ -193,7 +205,12 @@ class FetchStrategy(ObligationResolution, FetchPlane):
                     state=run.state.index,
                     reason=reason,
                 )
-            unregister(run)
+        elif rides_out:
+            self.stats.obligations_expired += sum(map(len, map(_obligations, runs)))
+        if self._drives_utility:
+            unregister = ctx.utility.on_run_dropped
+            for run in runs:
+                unregister(run)
 
     def guard_tally(self, transition: Transition):
         return self.ctx.rates.guard_tally(transition.index)

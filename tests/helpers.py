@@ -16,9 +16,11 @@ from repro.query.parser import parse_query
 from repro.remote.store import RemoteStore
 from repro.remote.transport import FixedLatency, LatencyModel
 from repro.utility.rates import RateEstimator
+from repro.workloads.base import Workload
+from repro.workloads.synthetic import SyntheticConfig, make_store, make_stream
 
-__all__ = ["RecordingStrategy", "make_abc_scenario", "run_eires", "random_stream",
-           "real_tree"]
+__all__ = ["RecordingStrategy", "guard_heavy_workload", "make_abc_scenario", "run_eires",
+           "random_stream", "real_tree"]
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -81,6 +83,24 @@ def make_abc_scenario(set_members=frozenset({1, 2, 3, 4})):
     store = RemoteStore()
     store.register_source("v", lambda key: set_members)
     return query, store
+
+
+def guard_heavy_workload(config: SyntheticConfig) -> Workload:
+    """The guard-heavy local-only query QG over a synthetic stream: SAME[id]
+    partitions, 15 filters, no remote site (the ``guard_heavy`` benchmark's
+    query, at the size ``config`` gives)."""
+    text = f"""
+    SEQ(A a, B b, C c, D d)
+    WHERE SAME[id]
+    AND a.v1 <= 92000 AND a.v2 <= 92000 AND a.v1 >= 4000 AND a.v2 >= 4000
+    AND b.v1 <= 92000 AND b.v2 >= 8000 AND b.v1 >= 4000
+    AND c.v1 <= 92000 AND c.v2 >= 8000 AND c.v1 >= 4000
+    AND d.v1 <= 92000 AND d.v2 >= 8000
+    AND a.v1 <= d.v1 AND b.v2 <= d.v2 AND c.v1 <= d.v1
+    WITHIN {config.window_events} EVENTS
+    """
+    return Workload("guard-heavy", parse_query(text, name="QG"), make_store(config),
+                    make_stream(config), FixedLatency(50.0))
 
 
 def random_stream(n_events: int, seed: int, types="ABC", id_domain=3, v_domain=10,

@@ -29,6 +29,8 @@ from repro.query.guards import interpret_guard
 from repro.workloads.bursty import BurstyConfig, bursty_workload
 from repro.workloads.synthetic import SyntheticConfig, q1_workload, q2_workload
 
+from tests.helpers import guard_heavy_workload
+
 Q1_SMALL = SyntheticConfig(n_events=700, id_domain=20, window_events=200)
 Q2_SMALL = SyntheticConfig(n_events=700, id_domain=40, window_events=200)
 
@@ -108,7 +110,7 @@ class TestCompiledGuardByteIdentity:
         assert compiled == interpreted
 
 
-def _no_bucket_loop(predicates, binding, window_kind):
+def _no_bucket_loop(predicates, binding, window_kind, partition=None):
     """Stand-in for ``compile_bucket_loop``: no loop, so every bucket is
     stepped run by run through ``_step_runs``."""
     return None
@@ -170,6 +172,16 @@ class TestBucketLoopByteIdentity:
         )
         assert looped == per_run
         assert taken[True] and taken[False], taken
+
+    @pytest.mark.parametrize("policy", ["greedy", "non_greedy"])
+    def test_guard_heavy_both_policies(self, monkeypatch, policy):
+        """Local-only and SAME-partitioned: preludes and the partition
+        guarantee on every bucket, against the per-run guards."""
+        workload = guard_heavy_workload(SyntheticConfig(n_events=600, id_domain=3,
+                                                        window_events=150))
+        looped, per_run = self._both(monkeypatch, workload, "BL1", EiresConfig(policy=policy))
+        assert looped["summary"]["engine.guard_evaluations"] > 1_000
+        assert looped == per_run
 
     def test_runs_shed_policy(self, monkeypatch):
         config = EiresConfig(shed_policy="runs", latency_bound=20.0)

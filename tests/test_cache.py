@@ -91,6 +91,36 @@ class TestHierarchicalLookup:
         assert cache.get(("src", "card"), 3.0) is None
 
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: LRUCache(10), lambda: CostBasedCache(10, utility_fn=lambda key: 0.0)],
+        ids=["lru", "cost_based"],
+    )
+    @pytest.mark.parametrize("order", ["user first", "org first"])
+    @pytest.mark.parametrize("removed", ["org", "user"])
+    def test_removing_a_container_keeps_the_parts_another_one_holds(self, make, order, removed):
+        cache = make()
+        org = DataElement(("src", "org"), "all", size=1)
+        user = DataElement(("src", "user"), "some", size=1, parent=org)
+        DataElement(("src", "card"), "one", size=1, parent=user)
+        for container in ((user, org) if order == "user first" else (org, user)):
+            cache.put(container, 0.0)
+        kept = user if removed == "org" else org
+        cache._remove(("src", removed))  # what an eviction does
+        assert ("src", "card") in cache
+        assert cache.peek(("src", "card"), 1.0) is kept
+        assert cache.get(("src", "card"), 1.0) is kept
+        # The removed container's own key is served only by a cached ancestor.
+        if removed == "user":
+            assert cache.peek(("src", "user"), 1.0) is org
+        else:
+            assert cache.peek(("src", "org"), 1.0) is None
+            assert ("src", "org") not in cache
+        cache._remove(kept.key)
+        assert ("src", "card") not in cache and cache.peek(("src", "card"), 2.0) is None
+        assert cache._part_index == {}
+
+
 class TestCostBasedCache:
     def test_evicts_lowest_utility_first(self):
         utilities = {("src", 1): 10.0, ("src", 2): 1.0, ("src", 3): 5.0}

@@ -214,7 +214,10 @@ class TestAttribution:
 class TestBucketLoop:
     """One generated loop per local-only transition, from the guard's own source."""
 
-    TEXT = "SEQ(A a, B b, C c) WHERE SAME[id] AND a.v < b.v AND c.v IN REMOTE<r>[a.v] WITHIN {}"
+    TEXT = (
+        "SEQ(A a, B b, C c) WHERE SAME[id] AND a.v < b.v AND b.w >= 3"
+        " AND c.v IN REMOTE<r>[a.v] WITHIN {}"
+    )
 
     def _transitions(self, window="100"):
         return compile_query(parse_query(self.TEXT.format(window), name="t")).transitions
@@ -225,12 +228,37 @@ class TestBucketLoop:
         assert loop.startswith(
             "def bucket_loop(runs, event, now, guard_cost, window, evaluations, passes):"
         )
-        for line in second.guard_source.splitlines():
-            if "now +=" in line or "if not" in line:
-                assert line.strip() in loop
+        prelude, body = loop.split("    except Exception:\n")
+        # The prelude reads each input attribute into a local, once per call.
+        reads = {}
+        for line in prelude.splitlines():
+            if " = event.attrs[" in line:
+                local, read = line.strip().split(" = ")
+                reads[read] = local
+        assert sorted(reads) == ["event.attrs['id']", "event.attrs['v']", "event.attrs['w']"]
+        guard = second.guard_source.splitlines()
+        # Every charge, in order, per run; the per-guard charge before them.
+        charges = [line.strip() for line in guard if "now +=" in line]
+        assert [line.strip() for line in body.splitlines() if "now +=" in line] == charges
+        assert "now = now + guard_cost" in body
+        hoisted = []
+        for line in guard:
+            if "if not" not in line:
+                continue
+            condition = line.strip()[len("if not "):-1]
+            for read, local in reads.items():
+                condition = condition.replace(read, local)
+            if condition in body:
+                continue
+            # Input-only: its truth value computed in the prelude.
+            assert f"= not {condition}" in prelude
+            hoisted.append(condition)
+        assert hoisted == ["(_x2 >= 3)"]
+        # The partition equality is charged, and compared only when the
+        # input's partition value is not an exact-typed one.
+        assert "if not (_same or (_x0 == env['a'].attrs['id'])):" in body
         # One addition per guard on each tally, never a batch total.
         assert loop.count("evaluations += 1.0") == loop.count("passes += 1.0") == 1
-        assert "now = now + guard_cost" in loop
 
     def test_window_test_keeps_the_form_of_window_admits(self):
         _, counted, _ = self._transitions("100 EVENTS")
@@ -289,6 +317,57 @@ class TestBucketLoop:
         with pytest.raises(KeyError) as excinfo:
             loop([run], Event(2.0, {"v": 2}, seq=1), 0.0, 0.05, 5, 0.0, 0.0)
         assert excinfo.value.args == ("v9",)  # bare: the per-run path words it
+
+    def test_a_prelude_failure_steps_the_bucket_through_the_unhoisted_loop(self):
+        # ``b.w >= 3`` raises on a str, but every run fails ``a.v < b.v``
+        # first: the per-run loop never reaches it, so the bucket steps.
+        loop = compile_bucket_loop(
+            [Comparison("<", Attr("a", "v"), Attr("b", "v")),
+             Comparison(">=", Attr("b", "w"), Const(3))],
+            "b",
+            "count",
+        )
+        unhoisted = loop.__globals__["_unhoisted"]
+        stepped = []
+        loop.__globals__["_unhoisted"] = lambda *args: stepped.append(args) or unhoisted(*args)
+        runs = [
+            Run.start(None, "a", Event(1.0, {"v": 9}, seq=seq), created_at=0.0) for seq in (7, 8)
+        ]
+        event = Event(2.0, {"v": 1, "w": "x"}, seq=9)
+        first = 0.0 + 0.05 + 0.02
+        second = first + 0.05 + 0.02
+        assert loop(runs, event, 0.0, 0.05, 5, 0.0, 0.0) == (second, 2, 2.0, 0.0, [])
+        assert len(stepped) == 1
+        # A payload the prelude takes never reaches the unhoisted loop.
+        assert loop(runs, Event(2.0, {"v": 1, "w": 4}, seq=9), 0.0, 0.05, 5, 0.0, 0.0)[:2] == (
+            second,
+            2,
+        )
+        assert len(stepped) == 1
+
+    def test_input_only_predicates_are_evaluated_once_per_bucket(self):
+        calls = []
+
+        class Threshold:
+            def __le__(self, value):
+                calls.append("compare")
+                return value >= 3
+
+        def positive(value):
+            calls.append("function")
+            return value > 0
+
+        loop = compile_bucket_loop(
+            [Comparison(">=", Attr("b", "w"), Const(Threshold())),
+             FunctionPredicate(positive, (Attr("b", "w"),), name="positive")],
+            "b",
+            "count",
+        )
+        runs = [Run.start(None, "a", Event(1.0, {}, seq=seq), created_at=0.0) for seq in (6, 7, 8)]
+        outcomes = loop(runs, Event(2.0, {"w": 4}, seq=9), 0.0, 0.05, 5, 0.0, 0.0)[4]
+        assert [passed for _, _, passed in outcomes] == [True] * 3
+        # A captured function keeps its call per run.
+        assert calls == ["compare"] + ["function"] * 3
 
     def test_equal_source_shares_one_code_object_under_the_query_package(self):
         ours = self._transitions()[1].bucket_loop

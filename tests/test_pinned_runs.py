@@ -30,10 +30,15 @@ from repro.utility.model import required_keys
 from repro.workloads.bursty import BurstyConfig, bursty_workload
 from repro.workloads.synthetic import SyntheticConfig, q1_workload, q2_workload
 
+from tests.helpers import guard_heavy_workload
+
 _SMALL = {
     "q1": lambda: q1_workload(SyntheticConfig(n_events=600, id_domain=5, window_events=120)),
     "q2": lambda: q2_workload(SyntheticConfig(n_events=700, id_domain=16, window_events=200)),
     "bursty": lambda: bursty_workload(BurstyConfig(n_events=800)),
+    "qg": lambda: guard_heavy_workload(
+        SyntheticConfig(n_events=600, id_domain=3, window_events=150)
+    ),
 }
 _CONFIGS = {
     "default": {},
@@ -60,6 +65,9 @@ def _scenarios():
     for shed_policy in ("events", "runs"):
         knobs = {"shed_policy": shed_policy, "latency_bound": 20.0}
         yield f"bursty-Hybrid-greedy-shed_{shed_policy}", "bursty", "Hybrid", knobs
+    # Local-only: no remote site, so no strategy decision and no utility read.
+    yield "qg-BL1-greedy-default", "qg", "BL1", {"policy": "greedy"}
+    yield "qg-Hybrid-non_greedy-default", "qg", "Hybrid", {"policy": "non_greedy"}
 
 
 SCENARIOS = {name: rest for name, *rest in _scenarios()}
@@ -90,7 +98,9 @@ def digest_of(name: str) -> str:
 # joined the metrics snapshot (the earlier runs, with their ``engine.<key>``
 # summary columns merged into ``metrics``, give exactly this table).  The two
 # ``tight-<fault profile>`` scenarios were pinned later, before the transport's
-# single-key and batch wire paths merged into one.
+# single-key and batch wire paths merged into one; the two local-only ``qg``
+# scenarios before bucket loops gained their per-call prelude and the utility
+# model stopped being driven for automata without a remote site.
 PINNED: dict[str, str] = {
     "bursty-Hybrid-greedy-shed_events": "18dfc37da45014d3",
     "bursty-Hybrid-greedy-shed_runs": "862d069732f42911",
@@ -145,6 +155,8 @@ PINNED: dict[str, str] = {
     "q2-PFetch-greedy-tight": "335a5f2dbc55dcff",
     "q2-PFetch-non_greedy-default": "e38c7caa4963aee4",
     "q2-PFetch-non_greedy-tight": "d466a97d8b471f8a",
+    "qg-BL1-greedy-default": "71bbe59e623b716a",
+    "qg-Hybrid-non_greedy-default": "d6ca3d66b4f23386",
 }
 
 

@@ -651,6 +651,117 @@ def test_bucket_loop_agrees_with_the_per_run_path(
         assert bool(completed) == isinstance(outcome, list)
 
 
+# -- partitioned buckets: the prelude and the partition guarantee -------------------
+
+# Markers: an event without the partition attribute (it files under None),
+# and an event with a NaN of its own.
+_NO_ID, _OWN_NAN = object(), object()
+_SHARED_NAN = float("nan")
+# Values that share a bucket (1, 1.0, True), one that looks alike ("1"), what
+# a missing attribute files under (None), and NaNs: one every event shares —
+# its bucket found by identity, its equality false — and each event's own.
+_partition_value = st.sampled_from([1, 1.0, True, "1", None, _SHARED_NAN, _OWN_NAN, _NO_ID])
+
+
+def _partitioned(id_):
+    if id_ is _NO_ID:
+        return {}
+    return {"id": float("nan") if id_ is _OWN_NAN else id_}
+_abc_operand = st.one_of(
+    st.builds(Attr, st.sampled_from(["a", "b", "c"]), st.sampled_from(["x", "x", "missing"])),
+    st.builds(Const, _payload),
+)
+# Input-only ones among them raise for some payloads (str against int, a
+# membership test in a str, a missing attribute).
+_abc_predicate = st.one_of(
+    st.builds(
+        Comparison, st.sampled_from(sorted(_COMPARATORS)), _abc_operand, _abc_operand, _cost
+    ),
+    st.builds(
+        Membership,
+        _abc_operand,
+        st.builds(Const, st.sampled_from([(1, 2, "a"), "abc"])),
+        st.booleans(),
+        _cost,
+    ),
+    st.builds(
+        FunctionPredicate,
+        st.just(_opaque_ge),
+        st.tuples(_abc_operand, _abc_operand),
+        st.just("opaque_ge"),
+        _cost,
+    ),
+)
+
+
+def _step_observables(engine, strategy, outcomes):
+    """Everything a stream of steps made observable, runs named by their events."""
+
+    def name(run):
+        bound = tuple(sorted((binding, event.seq) for binding, event in run.env.items()))
+        return (run.state.index, bound, run.first_seq, run.last_seq, run.created_at,
+                run.obligations)
+
+    transitions = engine.automaton.transitions
+    return {
+        "outcomes": [
+            [(match.signature(), match.detected_at, match.last_event_t, match.fetch_wait)
+             for match in outcome] if isinstance(outcome, list) else outcome
+            for outcome in outcomes
+        ],
+        "now": engine.clock.now,
+        "stats": engine.stats.as_dict(),
+        "tallies": [
+            (tally.evaluations, tally.passes)
+            for tally in map(strategy.guard_tally, transitions)
+        ],
+        "live": [name(run) for run in engine.iter_runs()],
+        "counts": (engine.active_runs, list(engine.state_counts)),
+        "callbacks": [(kind, name(run), at) for kind, run, at in strategy.log],
+    }
+
+
+@given(
+    conditions=st.lists(_abc_predicate, max_size=4),
+    events=st.lists(
+        st.tuples(st.sampled_from("ABC"), _partition_value, _payload), min_size=1, max_size=24
+    ),
+    window=st.sampled_from(["count", "time"]),
+    policy=st.sampled_from(["greedy", "non_greedy"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_partitioned_buckets_step_alike_with_and_without_the_loop(
+    conditions, events, window, policy
+):
+    """A ``SAME[id]`` stream through ``process_event``, with bucket loops
+    and without (every bucket stepped run by run): bit-identical matches or
+    errors per event, clock, counters, rate tallies, live runs and the clock
+    every run callback saw.
+
+    The partition values mix the kinds whose equality the bucket guarantees
+    and the ones it does not (None, NaN, a missing attribute); the extra
+    conditions put input-only predicates that raise for some payloads in
+    the loops' preludes.
+    """
+    stream = [
+        Event(10.0 * seq, {"type": kind, "x": x, **_partitioned(id_)}, seq=seq)
+        for seq, (kind, id_, x) in enumerate(events)
+    ]
+    observed = []
+    for loop in (True, False):
+        query = parse_query(f"SEQ(A a, B b, C c) WHERE SAME[id] {_WINDOW[window]}", name="t")
+        query.conditions += tuple(conditions)
+        automaton = compile_query(query)
+        clock = VirtualClock(0.0)
+        engine = Engine(automaton, clock, CostModel(per_guard_cost=0.05), policy=policy)
+        if not loop:
+            engine._bucket_transitions = {}
+        strategy = RecordingStrategy(clock)
+        outcomes = [_outcome(lambda: engine.process_event(event, strategy)) for event in stream]
+        observed.append(_step_observables(engine, strategy, outcomes))
+    assert observed[0] == observed[1]
+
+
 @given(
     ages=st.lists(st.integers(min_value=0, max_value=9), max_size=12),
     window=st.sampled_from(["count", "time"]),

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.harness import ALL_STRATEGIES, run_strategy
+from repro.core.config import EiresConfig
 from repro.nfa.compiler import compile_query
+from repro.obs.trace import MemorySink, Tracer
 from repro.nfa.run import Run
 from repro.query.parser import parse_query
 from repro.remote.monitor import LATENCY_PRIOR_US, LatencyMonitor
@@ -15,7 +18,9 @@ from repro.utility.model import UtilityModel, required_keys
 from repro.utility.noise import EPOCH_LENGTH_US, NoiseModel
 from repro.utility.rates import RateEstimator
 from repro.events.event import Event
-from repro.workloads.synthetic import SyntheticConfig, q1_query, q2_query
+from repro.workloads.synthetic import SyntheticConfig, q1_query, q1_workload, q2_query
+
+from tests.helpers import guard_heavy_workload
 
 
 def build_automaton():
@@ -347,6 +352,47 @@ class TestTermsContract:
         if reads == "never":
             assert store.lookups == 0
         read()
+
+
+_DRIVERS = ("on_run_created", "on_run_dropped", "tick")
+
+
+class TestDrivenOnlyWithARemoteSite:
+    """Nothing reads a utility without a remote site, so nothing drives one."""
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    @pytest.mark.parametrize("policy", ["greedy", "non_greedy"])
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    def test_a_local_only_query_never_calls_the_model(self, monkeypatch, strategy, policy, traced):
+        def forbidden(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"UtilityModel.{name} called for a local-only query")
+            return call
+
+        for name in _DRIVERS:
+            monkeypatch.setattr(UtilityModel, name, forbidden(name))
+        workload = guard_heavy_workload(
+            SyntheticConfig(n_events=300, id_domain=3, window_events=100)
+        )
+        tracer = Tracer(MemorySink()) if traced else None
+        result = run_strategy(workload, strategy, EiresConfig(policy=policy), tracer=tracer)
+        assert result.match_count > 0
+        assert result.summary()["engine.runs_created"] > 0
+
+    def test_a_query_with_a_remote_site_drives_it(self, monkeypatch):
+        calls = dict.fromkeys(_DRIVERS, 0)
+        for name in _DRIVERS:
+            original = getattr(UtilityModel, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(UtilityModel, name, counted)
+        workload = q1_workload(SyntheticConfig(n_events=300, id_domain=5, window_events=120))
+        run_strategy(workload, "Hybrid", EiresConfig())
+        assert all(calls.values()), calls
+        assert calls["tick"] == 300
 
 
 class TestRateEstimator:

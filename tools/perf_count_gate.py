@@ -54,7 +54,9 @@ GATES = (
     # guard evaluated, on the engine-bound workload.  Measured (--smoke,
     # Python 3.11): 13.33 before bucket loops, 2.49 with them (full size,
     # seed 7: 13.10 -> 2.21); 1.93 with a per-outcome extend/admit/emit and
-    # clock publish in the bucket replay, 1.21 without.
+    # clock publish in the bucket replay, 1.21 without (seed 42: 1.11); 0.58
+    # with the utility model driven only where a remote site exists and no
+    # list-comprehension frame per match.
     Gate(
         "guard_heavy",
         "frames per guard",
@@ -89,6 +91,18 @@ GATES = (
         ("matches",),
         0.3,
         "the match store records through a Python frame per match again",
+    ),
+    # Utility-model calls per event where nothing reads a utility (no remote
+    # site): no run registration, no tick.  Measured (--smoke, Python 3.11,
+    # seed 42): (9 029 + 750) / 750 = 13.04 driving the model for every
+    # automaton, 0 / 750 driving it only where a remote site exists.
+    Gate(
+        "guard_heavy",
+        "utility-model calls per event",
+        ("utility.on_run_created.calls", "utility.tick.calls"),
+        (_EVENTS,),
+        0.01,
+        "the utility model is driven without a remote site again",
     ),
     # NFA-layer frames (Run construction and methods) per run created: the
     # bucket replay builds a match from the extension's environment and a
