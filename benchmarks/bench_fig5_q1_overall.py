@@ -23,9 +23,10 @@ from repro.workloads.synthetic import SyntheticConfig, q1_workload
 # sequence, tractable partial-match populations under greedy selection.
 Q1_BENCH = SyntheticConfig(n_events=6_000, id_domain=20, window_events=400)
 # The paper sizes the cache at 10% of the remote key range actually under
-# contention; our scaled streams touch ~3k distinct keys, so 400 entries
-# reproduces the same eviction pressure (a full-keyspace 10k cache would
-# never evict at this stream length and mask the policy comparison).
+# contention; our scaled streams touch ~3k distinct keys, so 100 entries
+# (about 3% of them, tighter than the paper's 10%) keeps the cache under
+# eviction pressure (a full-keyspace 10k cache would never evict at this
+# stream length and mask the policy comparison).
 CACHE_CAPACITY = 100
 
 PANELS = [

@@ -26,9 +26,9 @@ See ``examples/quickstart.py`` for a runnable end-to-end script.
 This ``__all__`` is the *curated public surface*: together with the
 public subpackages — :mod:`repro.workloads`, :mod:`repro.bench`, and
 :mod:`repro.metrics.reporting` — it is everything in-tree consumers
-(``examples/``, ``benchmarks/``) may import, and analysis rule R3 fails
-the build if they reach deeper.  Adding a name here is an API commitment;
-removing one is a breaking change.
+(``examples/``, ``benchmarks/``) may import, and rule R3 of
+``tests/test_invariants.py`` fails the build if they reach deeper.  Adding
+a name here is an API commitment; removing one is a breaking change.
 """
 
 from repro.core.config import CACHE_COST, CACHE_LRU, EiresConfig

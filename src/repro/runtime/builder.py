@@ -15,8 +15,8 @@ strategy, priority, run budget and admission — share one session.
 
 The import of :class:`~repro.core.config.EiresConfig` is deferred to call
 time: the facade in :mod:`repro.core` imports this module, and the runtime
-layer must sit *below* them in the architecture (rules A1–A2 of
-:mod:`repro.analysis`; ``python -m repro.analysis --explain A1``).
+layer must sit *below* them in the architecture (rules A1–A2, checked by
+``tests/test_invariants.py``).
 """
 
 from __future__ import annotations
@@ -284,7 +284,7 @@ class RuntimeBuilder:
                 tracer=runtime.tracer,
             )
         )
-        # The one place an engine is built (analysis rule A6).
+        # The one place an engine is built (rule A6, tests/test_invariants.py).
         engine = Engine(
             automaton,
             runtime.clock,
@@ -306,7 +306,8 @@ class RuntimeBuilder:
     ) -> LoadShedder | None:
         """The session's overload-control unit, or ``None`` for policy "none".
 
-        The sole construction site for the shedding plane (analysis rule A5):
+        The sole construction site for the shedding plane (rule A5 of
+        ``tests/test_invariants.py``):
         with the default policy no detector, policy, or shedder object exists
         at all, so the build is byte-identical to one predating the plane.
         """

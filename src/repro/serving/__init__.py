@@ -6,8 +6,8 @@ dispatch loop — so fetches overlap and amortise across tenants, sessions
 run in descending priority and then tenant declaration order, and a
 single-tenant fleet is byte-identical to a plain ``RuntimeBuilder`` run.
 
-Compose fleets exclusively through :class:`FleetBuilder` (analysis rule
-A7): declare :class:`TenantSpec`\\ s, ``build()``, ``dispatch(stream)``.
+Compose fleets exclusively through :class:`FleetBuilder` (rule A7 of
+``tests/test_invariants.py``): declare :class:`TenantSpec`\\ s, ``build()``, ``dispatch(stream)``.
 """
 
 from repro.serving.fleet import Fleet, FleetBuilder, FleetResult

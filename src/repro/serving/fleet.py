@@ -174,7 +174,8 @@ class FleetBuilder:
 class Fleet:
     """The assembled fleet: one runtime plus per-tenant admission state.
 
-    Built exclusively by :class:`FleetBuilder` (analysis rule A7).
+    Built exclusively by :class:`FleetBuilder` (rule A7 of
+    ``tests/test_invariants.py``).
     """
 
     def __init__(

@@ -5,7 +5,8 @@ microseconds); the bucket refills continuously, so admission depends only
 on the event timestamps — never on wall time or arrival jitter — and a
 fleet replay admits and throttles the exact same events every run.
 
-Construction is confined to :mod:`repro.serving` (analysis rule A7):
+Construction is confined to :mod:`repro.serving` (rule A7 of
+``tests/test_invariants.py``):
 tenants declare ``rate_limit``/``burst`` on their :class:`TenantSpec` and
 :class:`~repro.serving.fleet.FleetBuilder` builds the buckets, so every
 throttle decision carries a ``serving`` trace record the provenance

@@ -3,7 +3,7 @@
 A :class:`LoadShedder` is attached to a
 :class:`~repro.runtime.session.QuerySession` by the composition root
 (:class:`~repro.runtime.builder.RuntimeBuilder` — nothing else may build
-one, enforced by analysis rule A5) and consulted by the dispatch loop at
+one, enforced by rule A5 of ``tests/test_invariants.py``) and consulted by the dispatch loop at
 two points per input event:
 
 * :meth:`before_event` — may drop the input event for this session

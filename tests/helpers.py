@@ -1,13 +1,10 @@
-"""Shared builders for engine/strategy tests, and the one real-tree scan."""
+"""Shared builders for engine/strategy tests."""
 
 from __future__ import annotations
 
 import copy
-import functools
 import random
-from pathlib import Path
 
-from repro.analysis import AnalysisResult, ModuleIndex, analyze_index
 from repro.core.config import EiresConfig
 from repro.core.framework import EIRES
 from repro.events.event import Event
@@ -20,18 +17,7 @@ from repro.workloads.base import Workload
 from repro.workloads.synthetic import SyntheticConfig, make_store, make_stream
 
 __all__ = ["RecordingStrategy", "guard_heavy_workload", "make_abc_scenario", "run_eires",
-           "random_stream", "real_tree"]
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
-
-
-@functools.cache
-def real_tree() -> tuple[ModuleIndex, AnalysisResult]:
-    """The analyzer's default roots indexed and checked against every rule,
-    once per test process — every real-tree assertion reads this result."""
-    roots = [REPO_ROOT / name for name in ("src", "benchmarks", "tools", "examples")]
-    index = ModuleIndex(roots)
-    return index, analyze_index(index)
+           "random_stream"]
 
 
 class RecordingStrategy:
