@@ -6,26 +6,31 @@ environment; the SLO plane, the tracer and the shedder read them during the
 step, and nothing keeps them after it.  A replay's result keeps only what it
 reports, in a :class:`MatchStore`, per match:
 
-* the tuple of the bound events' ``seq`` numbers, in the environment's
-  binding order (the ints are the events' own objects, so a tuple of them
-  costs one small allocation the cyclic collector does not track);
-* the binding names, one tuple shared by every match of the same shape;
+* the bound events' ``seq`` numbers, in the environment's binding order,
+  appended to one flat list shared by every match (the ints are the events'
+  own objects, so a match costs one pointer per binding and no allocation);
+* the binding names, one tuple shared by every match of the same shape,
+  whose length says how many of the flat ``seq``\\ s are the match's;
 * ``detected_at``, ``last_event_t`` and ``fetch_wait``, in three
   ``array('d')`` columns;
 * the latency attribution, only when the replay is traced.
+
+Where each match's ``seq``\\ s start is worked out only when a reader indexes
+the store, and dropped at the next :meth:`MatchStore.record`; iterating
+walks the flat list in step with the shapes and needs no offsets.
 
 Recording copies these at detection, so a stream built later over the same
 :class:`~repro.events.event.Event` objects (which renumbers their ``seq``)
 cannot rewrite a finished replay's signatures.  Recording runs no Python
 frame per match: every per-match step is a C-level ``map``, ``setdefault``
-or ``array.extend``.
+or ``extend``.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections.abc import Iterator, Sequence
-from itertools import repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import attrgetter, methodcaller, sub
 
 __all__ = ["MatchStore", "Match"]
@@ -76,12 +81,15 @@ class MatchStore(Sequence):
     dispatch loop is its one writer, through :meth:`record`.
     """
 
-    __slots__ = ("_bindings", "_seqs", "_shapes", "_spans",
+    __slots__ = ("_bindings", "_seqs", "_starts", "_shapes", "_spans",
                  "detected_at", "last_event_t", "fetch_wait")
 
     def __init__(self, traced: bool = False) -> None:
         self._bindings: list[tuple] = []
-        self._seqs: list[tuple] = []
+        # Every match's seqs end to end; match i owns len(_bindings[i]) of them.
+        self._seqs: list[int] = []
+        # Where each match's seqs start, plus the end: built on first index.
+        self._starts: array | None = None
         # Each distinct binding-name tuple, keyed by itself: its one copy.
         self._shapes: dict[tuple, tuple] = {}
         self._spans: list | None = [] if traced else None
@@ -94,24 +102,39 @@ class MatchStore(Sequence):
         envs = list(map(_EVENTS, step))
         shapes = list(map(tuple, envs))
         self._bindings.extend(map(self._shapes.setdefault, shapes, shapes))
-        self._seqs.extend(map(tuple, map(map, repeat(_SEQ), map(_VALUES, envs))))
+        self._seqs.extend(map(_SEQ, chain.from_iterable(map(_VALUES, envs))))
+        self._starts = None
         self.detected_at.extend(map(_DETECTED_AT, step))
         self.last_event_t.extend(map(_LAST_EVENT_T, step))
         self.fetch_wait.extend(map(_FETCH_WAIT, step))
         if self._spans is not None:
             self._spans.extend(map(_SPAN, step))
 
+    def _seq_tuples(self) -> Iterator[tuple]:
+        """Each match's seqs as a tuple, in order: the shapes' lengths cut
+        consecutive slices off one pass over the flat list."""
+        flat = iter(self._seqs)
+        return map(tuple, map(islice, repeat(flat), map(len, self._bindings)))
+
     def __len__(self) -> int:
-        return len(self._seqs)
+        return len(self._bindings)
 
     def __getitem__(self, index: int) -> Match:
-        return Match(self._bindings[index], self._seqs[index], self.detected_at[index],
-                     self.last_event_t[index], self.fetch_wait[index],
+        bindings = self._bindings[index]
+        if index < 0:
+            index += len(self._bindings)
+        starts = self._starts
+        if starts is None:
+            starts = self._starts = array(
+                "q", accumulate(map(len, self._bindings), initial=0))
+        return Match(bindings, tuple(self._seqs[starts[index]:starts[index + 1]]),
+                     self.detected_at[index], self.last_event_t[index],
+                     self.fetch_wait[index],
                      None if self._spans is None else self._spans[index])
 
     def __iter__(self) -> Iterator[Match]:
         spans = repeat(None) if self._spans is None else self._spans
-        return map(Match, self._bindings, self._seqs, self.detected_at,
+        return map(Match, self._bindings, self._seq_tuples(), self.detected_at,
                    self.last_event_t, self.fetch_wait, spans)
 
     def latencies(self) -> list[float]:
@@ -124,7 +147,7 @@ class MatchStore(Sequence):
         pairs: dict[tuple, tuple] = {}
         share = pairs.setdefault
         signatures = set()
-        for bindings, seqs in zip(self._bindings, self._seqs):
+        for bindings, seqs in zip(self._bindings, self._seq_tuples()):
             signature = sorted(zip(bindings, seqs))
             signatures.add(tuple(map(share, signature, signature)))
         return signatures

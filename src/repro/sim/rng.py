@@ -11,10 +11,11 @@ it consumes.
 
 from __future__ import annotations
 
+import functools
 import random
 import zlib
 
-__all__ = ["make_rng", "spawn", "stable_hash"]
+__all__ = ["extend_hash", "make_rng", "spawn", "stable_hash"]
 
 _SPAWN_SALT = 0x9E3779B97F4A7C15  # golden-ratio constant, decorrelates streams
 _MASK = (1 << 64) - 1
@@ -29,29 +30,41 @@ def stable_hash(*parts) -> int:
     (``PYTHONHASHSEED``), which would make workloads whose payloads derive
     from hashed labels unreproducible.  This splitmix-style mixer handles
     ints directly, strings/bytes via CRC-32, floats via their bit pattern,
-    and tuples recursively.
+    and tuples recursively.  The hash of a prefix is the mixer's state after
+    it, so :func:`extend_hash` can carry on from it.
     """
-    h = _SPAWN_SALT
-    for part in parts:
-        if isinstance(part, bool):
-            value = int(part)
-        elif isinstance(part, int):
-            value = part & _MASK
-        elif isinstance(part, str):
-            value = zlib.crc32(part.encode("utf-8"))
-        elif isinstance(part, bytes):
-            value = zlib.crc32(part)
-        elif isinstance(part, float):
-            value = hash(part) & _MASK  # int-derived, stable for floats
-        elif isinstance(part, tuple):
-            value = stable_hash(*part)
-        elif part is None:
-            value = 0x5EED
-        else:
-            raise TypeError(f"stable_hash cannot digest {type(part).__name__}: {part!r}")
-        h = ((h ^ (value * _MIX_A & _MASK)) * _MIX_B) & _MASK
-        h ^= h >> 31
-    return h
+    return functools.reduce(extend_hash, parts, _SPAWN_SALT)
+
+
+def extend_hash(h: int, part) -> int:
+    """``stable_hash(*parts, part)``, given ``h == stable_hash(*parts)``.
+
+    Lets a caller that hashes many parts after one constant prefix mix the
+    prefix once.
+    """
+    value = part & _MASK if type(part) is int else _digest(part)
+    h = ((h ^ (value * _MIX_A & _MASK)) * _MIX_B) & _MASK
+    return h ^ (h >> 31)
+
+
+def _digest(part) -> int:
+    """The value :func:`stable_hash` mixes in for one part (a plain ``int``
+    is its own, masked, and never reaches here)."""
+    if isinstance(part, bool):
+        return int(part)
+    if isinstance(part, int):
+        return part & _MASK
+    if isinstance(part, str):
+        return zlib.crc32(part.encode("utf-8"))
+    if isinstance(part, bytes):
+        return zlib.crc32(part)
+    if isinstance(part, float):
+        return hash(part) & _MASK  # int-derived, stable for floats
+    if isinstance(part, tuple):
+        return stable_hash(*part)
+    if part is None:
+        return 0x5EED
+    raise TypeError(f"stable_hash cannot digest {type(part).__name__}: {part!r}")
 
 
 def make_rng(seed: int | None = 42) -> random.Random:

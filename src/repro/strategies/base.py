@@ -115,7 +115,9 @@ class FetchStrategy(ObligationResolution, FetchPlane):
         # Utilities are read only at remote sites (Eq. 7, Eq. 8, the
         # cost-based cache), and a run of an automaton without one requires
         # no key: its model answers 0 for every key undriven, as it would
-        # driven, so nothing registers, unregisters or ticks.
+        # driven, so nothing registers, unregisters or ticks.  Arrival rates
+        # are read only at remote sites too (Eq. 8, Alg. 3): nothing
+        # observes them without one.
         self._drives_utility = bool(ctx.automaton.sites)
 
     @property
@@ -125,8 +127,8 @@ class FetchStrategy(ObligationResolution, FetchPlane):
     # -- pipeline hooks -----------------------------------------------------------
     def on_event_start(self, event: Event) -> None:
         """Called before the engine processes ``event``."""
-        ctx = self.ctx
-        ctx.rates.observe_event(event.event_type or "", event.t)
+        if self._drives_utility:
+            self.ctx.rates.observe_event(event.event_type or "", event.t)
         self._deliver_due()
         self._fire_scheduled()
         if self._drives_utility:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.events.stream import Stream
-from repro.sim.rng import stable_hash
+from repro.sim.rng import extend_hash, stable_hash
 from repro.query.ast import Query
 from repro.remote.store import RemoteStore
 from repro.remote.transport import LatencyModel
@@ -42,7 +42,7 @@ class PseudoRandomSet:
     query tables controlled implicitly.
     """
 
-    __slots__ = ("seed", "key", "density")
+    __slots__ = ("seed", "key", "density", "_prefix")
 
     _SPACE = 2**31
 
@@ -52,9 +52,11 @@ class PseudoRandomSet:
         self.seed = seed
         self.key = key
         self.density = density
+        # stable_hash(seed, key, item) with its constant prefix mixed once.
+        self._prefix = stable_hash(seed, key)
 
     def __contains__(self, item) -> bool:
-        bucket = stable_hash(self.seed, self.key, item) % self._SPACE
+        bucket = extend_hash(self._prefix, item) % self._SPACE
         return bucket < self.density * self._SPACE
 
     def __eq__(self, other) -> bool:

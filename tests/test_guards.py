@@ -21,6 +21,7 @@ from repro.events.event import Event
 from repro.events.stream import Stream
 from repro.nfa.compiler import compile_query
 from repro.nfa.run import Obligation, Run
+from repro.query import guards
 from repro.query.guards import compile_bucket_loop, compile_guard, interpret_guard
 from repro.query.parser import parse_query
 from repro.query.predicates import (
@@ -193,6 +194,21 @@ class TestAttribution:
         assert "".join(linecache.getlines(filename)) == guard.source
         linecache.checkcache()
         assert linecache.getline(filename, 1) == "def guard(env, event, now):\n"
+
+    def test_the_name_is_the_source_checksums_in_every_process(self):
+        guard = compile_guard([Comparison("=", Attr("a", "v"), Const(1))], "a")
+        # CRC-32 and Adler-32 of the source: no per-process salt.
+        assert os.path.basename(guard.__code__.co_filename) == "<guard 23d6fd2122814418>"
+
+    def test_a_source_whose_checksums_are_taken_gets_its_own_name(self, monkeypatch):
+        guard = compile_guard([Comparison("=", Attr("a", "v"), Const(2))], "a")
+        taken = guard.__code__.co_filename
+        monkeypatch.setattr(guards, "_NAMED", {taken: "def other():\n    pass\n"})
+        code = guards._code_for.__wrapped__(guard.source)
+        assert code.co_filename == taken[:-1] + "-1>"
+        assert "".join(linecache.getlines(code.co_filename)) == guard.source
+        assert guards._NAMED[taken] == "def other():\n    pass\n"
+        assert guards._code_for.__wrapped__(guard.source).co_filename == code.co_filename
 
     def test_equal_source_shares_one_code_object(self):
         text = "SEQ(A a, B b) WHERE SAME[id] AND a.v < b.v WITHIN 100"

@@ -9,6 +9,7 @@ gate.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +35,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "tools"))
 
 import bench_diff  # noqa: E402
+import opcode_count  # noqa: E402
 import perf_count_gate  # noqa: E402
 
 
@@ -486,3 +488,46 @@ class TestPerfCountGate:
         path.write_text(json.dumps({"correct": False, "metrics": {}}))
         assert perf_count_gate.main(["guard_heavy", str(path)]) == 1
         assert "not correct" in capsys.readouterr().err
+
+
+class TestOpcodeCount:
+    """The opcode probe: exact, so two counts of one replay agree."""
+
+    def test_two_counts_of_a_q1_replay_agree_and_fold_into_the_total(self):
+        workload = q1_workload(SyntheticConfig(n_events=200, id_domain=5, window_events=120))
+
+        def replay():
+            return run_strategy(workload, "Hybrid", EiresConfig())
+
+        replay()  # warm every lazily built cache first
+        first = opcode_count.count_opcodes(replay)
+        second = opcode_count.count_opcodes(replay)
+        assert first == second
+        layers = opcode_count.fold(first)
+        assert sum(layers.values()) == sum(first.values()) > 0
+        guards = sum(count for filename, count in first.items()
+                     if os.path.basename(filename).startswith("<guard "))
+        assert 0 < guards < layers["query"]
+        assert {"engine", "strategies", "query", "nfa"} <= set(layers)
+
+    @pytest.mark.parametrize(
+        ("path", "layer"),
+        [
+            (os.path.join("src", "repro", "engine", "engine.py"), "engine"),
+            (os.path.join("src", "repro", "query", "<guard 0123456789abcdef>"), "query"),
+            (os.path.join("src", "repro", "cli.py"), "repro"),
+            (os.path.join("lib", "python3", "random.py"), "py"),
+            ("<string>", "py"),
+        ],
+    )
+    def test_files_fold_into_their_package(self, path, layer):
+        assert opcode_count.layer_of(os.sep + path) == layer
+
+    def test_the_command_prints_a_row_per_package(self, capsys):
+        assert opcode_count.main(["q1_hybrid", "--scale", "0.01"]) == 0
+        header, total, *rows = capsys.readouterr().out.splitlines()
+        assert header == "q1_hybrid seed=42 scale=0.01 events=70"
+        per_event = float(total.split()[1])
+        assert sum(float(row.split()[1]) for row in rows) == pytest.approx(per_event, rel=1e-3)
+        assert any(row.split()[0] == "query" for row in rows)
+

@@ -1,8 +1,9 @@
 """What a finished replay keeps of its matches: the result's match store.
 
 The engine's per-step ``MatchRecord``\\ s carry their run's environment; a
-result keeps each match as a tuple of event ``seq``\\ s, its shared binding
-names and three float columns.  These tests pin the result surface against
+result keeps every match's event ``seq``\\ s end to end in one flat list, each
+match's shared binding names (whose length cuts its ``seq``\\ s off the flat
+list) and three float columns.  These tests pin the result surface against
 the records the engine emitted, the signatures against later renumbering of
 the stream's events, and the bytes retained per match.
 """
@@ -116,7 +117,98 @@ def test_signatures_are_fixed_at_detection():
     assert {match.signature() for match in result.matches} == before
 
 
-def test_a_result_retains_at_most_128_bytes_per_match():
+def _rows(matches) -> list[tuple]:
+    return [(match.bindings, match.seqs, match.detected_at, match.last_event_t,
+             match.fetch_wait) for match in matches]
+
+
+def _digest(value) -> str:
+    return hashlib.blake2s(repr(value).encode(), digest_size=8).hexdigest()
+
+
+class TestFlatSeqs:
+    """Q2 detects matches of two binding shapes, (a, c, e) and (a, b, d, f),
+    interleaved in one replay: each match's seqs are cut from the one flat
+    list by its own shape's length.  The expected rows were read from the
+    store that kept one ``seq`` tuple per match."""
+
+    ROWS = 236
+    ROWS_DIGEST = "4e8d414f92ad5754"
+    SIGNATURES_DIGEST = "79078991fee3ca05"
+    LATENCIES_DIGEST = "d831915317f5e7fe"
+    PINNED = {
+        0: (("a", "c", "e"), (2, 17, 33), 868.9174963561601, 868.5374963561602, 0.0),
+        3: (("a", "b", "d", "f"), (1, 53, 93, 95), 2452.3514199134042, 2452.0814199134043, 0.0),
+        221: (("a", "c", "e"), (511, 517, 660), 16408.412008675445, 16407.852008675443, 0.0),
+        222: (("a", "b", "d", "f"), (484, 535, 566, 661), 16461.714273780544,
+              16461.444273780544, 0.0),
+        235: (("a", "c", "e"), (509, 620, 695), 17409.060087153455, 17408.500087153454, 0.0),
+    }
+
+    @pytest.fixture(scope="class")
+    def steps(self):
+        """The replay's per-step ``MatchRecord`` lists, as recorded."""
+        steps = []
+        record = MatchStore.record
+
+        def spy(store, step):
+            steps.append(list(step))
+            record(store, step)
+
+        MatchStore.record = spy
+        try:
+            result = run_strategy(_SMALL["q2"](), "Hybrid", EiresConfig())
+        finally:
+            MatchStore.record = record
+        assert len(result.matches) == sum(map(len, steps)) == self.ROWS
+        return steps
+
+    def _check(self, store: MatchStore) -> None:
+        n = len(store)
+        rows = _rows(store)
+        assert n == len(rows) == self.ROWS
+        assert {bindings for bindings, *_ in rows} == {("a", "c", "e"), ("a", "b", "d", "f")}
+        assert _digest(rows) == self.ROWS_DIGEST
+        for index, row in self.PINNED.items():
+            assert _rows([store[index]]) == [row] == _rows([store[index - n]])
+        assert _rows(store[index] for index in range(n)) == rows
+        assert _rows(store[index] for index in range(-n, 0)) == rows
+        for index in (n, -n - 1):
+            with pytest.raises(IndexError):
+                store[index]
+        assert _digest(sorted(store.signatures())) == self.SIGNATURES_DIGEST
+        assert store.signatures() == {match.signature() for match in store}
+        assert _digest(store.latencies()) == self.LATENCIES_DIGEST
+        assert store.latencies() == [match.latency for match in store]
+
+    def test_reads_back_the_per_match_rows(self, steps):
+        store = MatchStore()
+        for step in steps:
+            store.record(step)
+        self._check(store)
+
+    def test_a_record_after_a_read_is_read_back(self, steps):
+        store = MatchStore()
+        half = len(steps) // 2
+        for step in steps[:half]:
+            store.record(step)
+        recorded = sum(map(len, steps[:half]))
+        assert len(store) == recorded
+        assert _rows([store[-1]]) == _rows([store[recorded - 1]])
+        assert _rows(store)[0] == self.PINNED[0]
+        for step in steps[half:]:
+            store.record(step)
+            store[-1]  # every record follows a read
+        self._check(store)
+
+    def test_an_empty_store(self):
+        store = MatchStore()
+        assert len(store) == 0 and list(store) == [] and store.signatures() == set()
+        with pytest.raises(IndexError):
+            store[0]
+
+
+def test_a_result_retains_at_most_80_bytes_per_match():
     """A local-only, guard-heavy replay: what its result keeps per match,
     with the runtime that produced it dropped and its input stream kept."""
     query = parse_query(
@@ -145,4 +237,4 @@ def test_a_result_retains_at_most_128_bytes_per_match():
         tracemalloc.stop()
     assert result.match_count > 2_000
     per_match = retained / result.match_count
-    assert per_match <= 128, f"{per_match:.1f} B retained per match"
+    assert per_match <= 80, f"{per_match:.1f} B retained per match"

@@ -358,19 +358,22 @@ _DRIVERS = ("on_run_created", "on_run_dropped", "tick")
 
 
 class TestDrivenOnlyWithARemoteSite:
-    """Nothing reads a utility without a remote site, so nothing drives one."""
+    """Nothing reads a utility or an arrival rate without a remote site, so
+    nothing drives the model or observes the rates."""
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     @pytest.mark.parametrize("policy", ["greedy", "non_greedy"])
     @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
     def test_a_local_only_query_never_calls_the_model(self, monkeypatch, strategy, policy, traced):
-        def forbidden(name):
+        def forbidden(owner, name):
             def call(*args, **kwargs):
-                raise AssertionError(f"UtilityModel.{name} called for a local-only query")
+                raise AssertionError(f"{owner.__name__}.{name} called for a local-only query")
             return call
 
         for name in _DRIVERS:
-            monkeypatch.setattr(UtilityModel, name, forbidden(name))
+            monkeypatch.setattr(UtilityModel, name, forbidden(UtilityModel, name))
+        monkeypatch.setattr(RateEstimator, "observe_event",
+                            forbidden(RateEstimator, "observe_event"))
         workload = guard_heavy_workload(
             SyntheticConfig(n_events=300, id_domain=3, window_events=100)
         )
@@ -389,10 +392,18 @@ class TestDrivenOnlyWithARemoteSite:
                 return _original(self, *args)
 
             monkeypatch.setattr(UtilityModel, name, counted)
+        observed = []
+        observe = RateEstimator.observe_event
+
+        def counted_observe(self, event_type, timestamp):
+            observed.append(event_type)
+            observe(self, event_type, timestamp)
+
+        monkeypatch.setattr(RateEstimator, "observe_event", counted_observe)
         workload = q1_workload(SyntheticConfig(n_events=300, id_domain=5, window_events=120))
         run_strategy(workload, "Hybrid", EiresConfig())
         assert all(calls.values()), calls
-        assert calls["tick"] == 300
+        assert calls["tick"] == len(observed) == 300
 
 
 class TestRateEstimator:

@@ -1,8 +1,11 @@
 """Tests for the workload generators."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.nfa.compiler import compile_query
+from repro.sim.rng import extend_hash, stable_hash
 from repro.workloads.base import PseudoRandomSet
 from repro.workloads.bushfire import BushfireConfig, bushfire_workload
 from repro.workloads.cluster import ClusterConfig, cluster_workload, _region_of
@@ -16,7 +19,55 @@ from repro.workloads.synthetic import (
 )
 
 
+#: Every type stable_hash digests, nested tuples included.
+_PARTS = st.recursive(
+    st.integers() | st.booleans() | st.text() | st.binary()
+    | st.floats(allow_nan=False) | st.none(),
+    lambda children: st.tuples(children) | st.tuples(children, children),
+    max_leaves=6,
+)
+
+
+class TestStableHash:
+    @given(st.lists(_PARTS, max_size=4), _PARTS)
+    def test_extending_a_hash_by_one_part_hashes_the_longer_tuple(self, parts, part):
+        assert extend_hash(stable_hash(*parts), part) == stable_hash(*parts, part)
+
+    @pytest.mark.parametrize(
+        ("parts", "expected"),
+        [
+            ((), 11400714819323198485),
+            ((0,), 3085127966989183827),
+            ((True,), 14155972569103024382),
+            ((False,), 3085127966989183827),
+            ((-1,), 1291212015638987711),
+            ((2**70,), 3085127966989183827),
+            (("abc",), 14671025534062930994),
+            ((b"abc",), 14671025534062930994),
+            ((1.5,), 6085522041686933758),
+            ((None,), 17077283255222001211),
+            (((1, "a", (None, b"x")),), 17756532383372109159),
+            ((7, "rd1", 42), 5661165440923592866),
+        ],
+    )
+    def test_values_are_unchanged(self, parts, expected):
+        """Taken before the int fast path and the extension step existed."""
+        assert stable_hash(*parts) == expected
+
+    def test_an_undigestable_part_is_refused(self):
+        with pytest.raises(TypeError, match="cannot digest list"):
+            stable_hash(1, [2])
+        with pytest.raises(TypeError, match="cannot digest dict"):
+            extend_hash(stable_hash(1), {})
+
+
 class TestPseudoRandomSet:
+    @given(st.integers(), _PARTS, st.floats(0.0, 1.0), _PARTS)
+    def test_membership_hashes_seed_key_and_item(self, seed, key, density, item):
+        space = PseudoRandomSet._SPACE
+        expected = stable_hash(seed, key, item) % space < density * space
+        assert (item in PseudoRandomSet(seed, key, density)) is expected
+
     def test_density_respected(self):
         members = PseudoRandomSet(seed=1, key=5, density=0.25)
         hits = sum(1 for item in range(10_000) if item in members)
