@@ -83,12 +83,22 @@ class _SampledSet:
             self._index[last] = position
 
     def sample(self, rng: random.Random, k: int) -> list[DataKey]:
+        """``k`` keys drawn with replacement, ``items[rng.randrange(n)]`` each,
+        by the ``getrandbits`` rejection loop :mod:`repro.sim.rng` describes;
+        every key when there are no more than ``k``."""
         items = self._items
         n = len(items)
         if n <= k:
             return list(items)
-        randrange = rng.randrange
-        return [items[randrange(n)] for _ in range(k)]
+        getrandbits = rng.getrandbits
+        bits = n.bit_length()
+        sample = []
+        for _ in range(k):
+            r = getrandbits(bits)
+            while r >= n:
+                r = getrandbits(bits)
+            sample.append(items[r])
+        return sample
 
 
 class CostBasedCache(Cache):

@@ -154,7 +154,8 @@ class UniformLatency(LatencyModel):
         self.high = high
 
     def sample(self, key: DataKey, rng: random.Random) -> float:
-        return rng.uniform(self.low, self.high)
+        # uniform(low, high), inline (repro.sim.rng).
+        return self.low + (self.high - self.low) * rng.random()
 
 
 class PerSourceLatency(LatencyModel):

@@ -77,8 +77,9 @@ class Match:
 class MatchStore(Sequence):
     """Every match one replay detected, in detection order.
 
-    A read-only sequence of :class:`Match` for a result's readers; the
-    dispatch loop is its one writer, through :meth:`record`.
+    A read-only sequence of :class:`Match` for a result's readers (a slice
+    of it is a list of them); the dispatch loop is its one writer, through
+    :meth:`record`.
     """
 
     __slots__ = ("_bindings", "_seqs", "_starts", "_shapes", "_spans",
@@ -119,7 +120,9 @@ class MatchStore(Sequence):
     def __len__(self) -> int:
         return len(self._bindings)
 
-    def __getitem__(self, index: int) -> Match:
+    def __getitem__(self, index: int | slice) -> Match | list[Match]:
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self._bindings)))]
         bindings = self._bindings[index]
         if index < 0:
             index += len(self._bindings)

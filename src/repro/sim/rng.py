@@ -7,6 +7,28 @@ that a single seed reproduces an entire experiment.  ``spawn`` derives
 independent sub-generators from a parent, so components do not interleave
 draws and stay reproducible even if one component changes how many numbers
 it consumes.
+
+The hottest draws skip ``random.Random``'s Python-level methods, which cost
+one to three Python frames each before they reach the C generator, and run
+the same arithmetic inline, so the stream of numbers is the library's draw
+for draw.  They are the synthetic stream (``workloads.synthetic.make_stream``),
+the cost-based cache's eviction and Eq. 7 sample (``_SampledSet.sample``) and
+the transport's ``UniformLatency.sample``; every other draw calls the library
+method.  The equivalences, from CPython 3.10-3.13's ``random.py``:
+
+* ``randrange(n)`` for ``n >= 1`` (so ``randint(1, n) - 1`` and
+  ``choice(seq)``'s index, with ``n = len(seq)``) is ``getrandbits``
+  rejection sampling::
+
+      k = n.bit_length()
+      r = getrandbits(k)
+      while r >= n:
+          r = getrandbits(k)
+
+* ``expovariate(lambd)`` is ``-log(1.0 - random()) / lambd``;
+* ``uniform(a, b)`` is ``a + (b - a) * random()``.
+
+The draw-identity property (``tools/draw_identity.py``) pins them.
 """
 
 from __future__ import annotations

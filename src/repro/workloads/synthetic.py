@@ -25,6 +25,7 @@ details are adapted (recorded in DESIGN.md):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import log
 
 from repro.events.event import Event
 from repro.events.stream import Stream
@@ -74,23 +75,42 @@ class SyntheticConfig:
 
 
 def make_stream(config: SyntheticConfig) -> Stream:
-    """The synthetic event stream (Poisson arrivals, uniform payloads)."""
+    """The synthetic event stream (Poisson arrivals, uniform payloads).
+
+    Each event draws ``expovariate``, ``choice`` and three ``randint``\\ s,
+    inlined as :mod:`repro.sim.rng` describes (``randint`` and ``choice`` as
+    its ``getrandbits`` rejection loop), so the stream is the one those calls
+    would give.
+    """
     rng = make_rng(config.seed)
+    random = rng.random
+    getrandbits = rng.getrandbits
+    rate = 1.0 / config.mean_gap_us
+    n_types = len(EVENT_TYPES)
+    n_ids = config.id_domain
+    n_keys = config.key_domain
+    type_bits = n_types.bit_length()
+    id_bits = n_ids.bit_length()
+    key_bits = n_keys.bit_length()
     events = []
+    append = events.append
     t = 0.0
     for _ in range(config.n_events):
-        t += rng.expovariate(1.0 / config.mean_gap_us)
-        events.append(
-            Event(
-                t,
-                {
-                    "type": rng.choice(EVENT_TYPES),
-                    "id": rng.randint(1, config.id_domain),
-                    "v1": rng.randint(1, config.key_domain),
-                    "v2": rng.randint(1, config.key_domain),
-                },
-            )
-        )
+        t += -log(1.0 - random()) / rate
+        kind = getrandbits(type_bits)
+        while kind >= n_types:
+            kind = getrandbits(type_bits)
+        event_id = getrandbits(id_bits)
+        while event_id >= n_ids:
+            event_id = getrandbits(id_bits)
+        v1 = getrandbits(key_bits)
+        while v1 >= n_keys:
+            v1 = getrandbits(key_bits)
+        v2 = getrandbits(key_bits)
+        while v2 >= n_keys:
+            v2 = getrandbits(key_bits)
+        append(Event(t, {"type": EVENT_TYPES[kind], "id": event_id + 1,
+                         "v1": v1 + 1, "v2": v2 + 1}))
     return Stream(events, validate=False)
 
 

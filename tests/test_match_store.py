@@ -26,7 +26,7 @@ from repro.obs.trace import MemorySink, Tracer
 from repro.query.parser import parse_query
 from repro.remote.store import RemoteStore
 from repro.remote.transport import FixedLatency
-from repro.runtime.matches import MatchStore
+from repro.runtime.matches import Match, MatchStore
 from repro.workloads.synthetic import SyntheticConfig, make_stream, q1_workload, q2_workload
 
 _SMALL = {
@@ -206,6 +206,24 @@ class TestFlatSeqs:
         assert len(store) == 0 and list(store) == [] and store.signatures() == set()
         with pytest.raises(IndexError):
             store[0]
+        assert store[:] == store[0:2] == []
+
+    def test_a_slice_is_the_list_of_its_matches(self, steps):
+        store = MatchStore()
+        for step in steps:
+            store.record(step)
+        every = list(store)
+        n = len(store)
+        for cut in (slice(0, 2), slice(None), slice(-3, None), slice(None, 2 - n),
+                    slice(1, n, 7), slice(None, None, -1), slice(-1, -n - 5, -3),
+                    slice(n - 1, 0, -50), slice(n, n + 5), slice(5, 2)):
+            got = store[cut]
+            assert type(got) is list and all(type(match) is Match for match in got)
+            assert _rows(got) == _rows(every[cut]), cut
+        assert _rows(store[220:223]) == _rows([store[220], store[221], store[222]])
+        assert _rows(store[221:223]) == [self.PINNED[221], self.PINNED[222]]
+        with pytest.raises(ValueError):
+            store[::0]
 
 
 def test_a_result_retains_at_most_80_bytes_per_match():

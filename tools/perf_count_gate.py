@@ -193,6 +193,19 @@ GATES = (
         100.0,
         "the fetch plane makes more calls per wire request",
     ),
+    # Python frames outside src/repro per event, where every put evicts and
+    # every Eq. 7 gate reads a sample: the sampled cache decisions draw by
+    # an inline getrandbits loop, not randrange's Python frames.  Measured
+    # (--smoke, Python 3.11, seed 42): 118.08 drawing through randrange,
+    # 95.48 inline.
+    Gate(
+        "cache_pressure",
+        "py frames per event",
+        _frames("py"),
+        (_EVENTS,),
+        105.0,
+        "sampled cache decisions draw through randrange again",
+    ),
 )
 
 
