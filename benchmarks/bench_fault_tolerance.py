@@ -28,7 +28,7 @@ from repro.workloads.synthetic import SyntheticConfig, q1_workload
 FAILURE_RATES = (0.0, 0.01, 0.05, 0.1, 0.2)
 STRATEGIES = ("BL1", "Hybrid")
 COLUMNS = ("strategy", "failure_rate", "matches", "p50", "p95",
-           "fetch.retries", "fetch.fetch_failures", "fetch.total_stall_time")
+           "transport.retries", "transport.failed_fetches", "fetch.total_stall_time")
 
 
 def _config(rate: float) -> EiresConfig:
@@ -71,11 +71,11 @@ def check_rows(rows: list[dict]) -> None:
         matches = {row["matches"] for row in mine}
         assert len(matches) == 1, f"{strategy}: match set varies with failure rate: {matches}"
         # Every terminal failure would mean a lost/unverified match.
-        assert all(row["fetch.fetch_failures"] == 0 for row in mine), strategy
-        assert mine[0]["fetch.retries"] == 0, strategy
+        assert all(row["transport.failed_fetches"] == 0 for row in mine), strategy
+        assert mine[0]["transport.retries"] == 0, strategy
     # Each nonzero rate produces retries somewhere in the suite.
     for index in range(1, len(FAILURE_RATES)):
-        assert sum(mine[index]["fetch.retries"] for mine in by_strategy.values()) > 0
+        assert sum(mine[index]["transport.retries"] for mine in by_strategy.values()) > 0
     # The blocking baseline surfaces the retry cost directly: its stall time
     # and latency climb monotonically with the rate, each step bounded (a
     # smooth slope, not a cliff).

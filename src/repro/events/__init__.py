@@ -1,13 +1,6 @@
-"""Event model, streams, and arrival processes."""
+"""Event model and streams."""
 
 from repro.events.event import TYPE_ATTRIBUTE, Event, EventSchema
-from repro.events.generators import (
-    ArrivalProcess,
-    FixedArrivals,
-    PoissonArrivals,
-    UniformArrivals,
-    generate_stream,
-)
 from repro.events.stream import Stream, merge_streams
 
 __all__ = [
@@ -16,9 +9,4 @@ __all__ = [
     "TYPE_ATTRIBUTE",
     "Stream",
     "merge_streams",
-    "ArrivalProcess",
-    "PoissonArrivals",
-    "FixedArrivals",
-    "UniformArrivals",
-    "generate_stream",
 ]

@@ -137,7 +137,7 @@ class CircuitBreaker:
     """
 
     __slots__ = ("window", "failure_threshold", "cooldown",
-                 "_state", "_opened_at", "opens", "tracer", "source")
+                 "_state", "_opened_at", "tracer", "source")
 
     def __init__(
         self,
@@ -152,7 +152,6 @@ class CircuitBreaker:
         self.cooldown = cooldown
         self._state = BREAKER_CLOSED
         self._opened_at = 0.0
-        self.opens = 0
         self.tracer = tracer
         self.source = source
 
@@ -177,8 +176,8 @@ class CircuitBreaker:
             self._trace_transition(BREAKER_HALF_OPEN, now)
         return True
 
-    def record(self, ok: bool, now: float) -> None:
-        """Fold one attempt outcome into the breaker."""
+    def record(self, ok: bool, now: float) -> bool:
+        """Fold one attempt outcome into the breaker; True if it opened it."""
         self.window.record(ok)
         if self._state == BREAKER_HALF_OPEN:
             if ok:
@@ -186,25 +185,25 @@ class CircuitBreaker:
                 self.window = FailureWindow(BREAKER_WINDOW_SIZE)
                 self.window.record(ok)
                 self._trace_transition(BREAKER_CLOSED, now)
-            else:
-                self._open(now)
-            return
+                return False
+            return self._open(now)
         if (
             self._state == BREAKER_CLOSED
             and not ok
             and len(self.window) >= BREAKER_MIN_SAMPLES
             and self.window.failure_rate() >= self.failure_threshold
         ):
-            self._open(now)
+            return self._open(now)
+        return False
 
-    def _open(self, now: float) -> None:
+    def _open(self, now: float) -> bool:
         self._state = BREAKER_OPEN
         self._opened_at = now
-        self.opens += 1
         self._trace_transition(BREAKER_OPEN, now)
+        return True
 
     def __repr__(self) -> str:
-        return f"CircuitBreaker({self._state}, opens={self.opens})"
+        return f"CircuitBreaker({self._state})"
 
 
 class BreakerBoard:
@@ -242,8 +241,9 @@ class BreakerBoard:
         breaker = self._breakers.get(source)
         return breaker is None or breaker.state(now) != BREAKER_OPEN
 
-    def record(self, source: str, ok: bool, now: float) -> None:
-        self.breaker(source).record(ok, now)
+    def record(self, source: str, ok: bool, now: float) -> bool:
+        """Fold one attempt outcome into ``source``'s breaker; True if it opened it."""
+        return self.breaker(source).record(ok, now)
 
     def failure_rate(self, source: str) -> float:
         breaker = self._breakers.get(source)
@@ -253,10 +253,5 @@ class BreakerBoard:
         breaker = self._breakers.get(source)
         return breaker.state(now) if breaker is not None else BREAKER_CLOSED
 
-    @property
-    def opens(self) -> int:
-        """Total number of open transitions across all sources."""
-        return sum(breaker.opens for breaker in self._breakers.values())
-
     def __repr__(self) -> str:
-        return f"BreakerBoard({len(self._breakers)} sources, opens={self.opens})"
+        return f"BreakerBoard({len(self._breakers)} sources)"

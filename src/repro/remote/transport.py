@@ -96,6 +96,7 @@ TRANSPORT_COUNTER_KEYS = (
     "coalesced",
     "retries",
     "failed_fetches",
+    "breaker_opens",
     "breaker_fastfails",
     "wire_requests",
     "batches",
@@ -105,7 +106,7 @@ TRANSPORT_COUNTER_KEYS = (
 
 # The subset that stays zero on a healthy network; the fault table in
 # ``repro.metrics.reporting`` derives its transport columns from this.
-TRANSPORT_FAULT_COUNTER_KEYS = ("failed_fetches", "breaker_fastfails")
+TRANSPORT_FAULT_COUNTER_KEYS = ("retries", "failed_fetches", "breaker_opens", "breaker_fastfails")
 
 # The transport's latency histogram: sampled transmission latencies over the
 # trailing (virtual) second.  Registered here with the counter tables so
@@ -207,11 +208,14 @@ class FetchTicket:
     timeout for drops).  ``attempt`` counts from 1; ``first_issued_at``
     anchors the per-fetch retry deadline.  ``queued`` marks a ticket still
     waiting in an open batch window (its ``arrives_at`` is infinite until
-    the window closes).
+    the window closes).  ``certain`` is the cache tier an async response
+    enters (§6): True for a certain use (T1, a lazy fetch), False for a
+    speculative one (T2, a prefetch); the submitter sets it, a certain need
+    for the key upgrades it, and a retry carries it over.
     """
 
     __slots__ = ("key", "issued_at", "arrives_at", "element", "ok", "error",
-                 "attempt", "first_issued_at", "queued", "wire_started_at")
+                 "attempt", "first_issued_at", "queued", "wire_started_at", "certain")
 
     def __init__(
         self,
@@ -238,6 +242,7 @@ class FetchTicket:
         # (they sit queued between issue and flush).  Latency-attribution
         # spans split a blocking stall into batch_wait/wire on this.
         self.wire_started_at = issued_at
+        self.certain = False
 
     @property
     def latency(self) -> float:
@@ -260,9 +265,12 @@ class Transport:
     """Mediates all remote access, charging transmission latency.
 
     The ``stats`` group (``blocking_fetches``, ``async_fetches``,
-    ``coalesced``, ``retries``, ``failed_fetches``, ``breaker_fastfails``,
-    ``wire_requests``, ``batches``, ``batched_keys``, ``batch_splits``)
-    feeds the experiment reports.
+    ``coalesced``, ``retries``, ``failed_fetches``, ``breaker_opens``,
+    ``breaker_fastfails``, ``wire_requests``, ``batches``, ``batched_keys``,
+    ``batch_splits``) feeds the experiment reports.  The transport owns every
+    per-fetch fact: the in-flight tickets, their cache tier, each retry,
+    terminal failure and breaker open is counted here, once, whichever
+    session's strategy asked.
     """
 
     def __init__(
@@ -348,7 +356,8 @@ class Transport:
         synchronously, so the returned ticket always reflects the final
         outcome.  Either way the key leaves the in-flight table, and a fresh
         fetch never enters it: the caller consumes the outcome now, so
-        :meth:`deliver_due` must not deliver it again.
+        :meth:`deliver_due` must not deliver it again, and its ``complete``
+        trace record is emitted here.
         """
         key, now = request.key, request.at
         pending = self._in_flight.get(key)
@@ -357,7 +366,7 @@ class Transport:
         pending = self._in_flight.pop(key, None)
         if pending is not None:
             self.stats.coalesced += 1
-            return pending if pending.ok else self._retry_to_completion(pending)
+            return self._retry_to_completion(pending)
         self.stats.blocking_fetches += 1
         return self._retry_to_completion(self._issue(key, now))
 
@@ -571,10 +580,12 @@ class Transport:
                 error=ticket.error,
                 reissue_at=reissue_at,
             )
-        return self._issue(
+        follow_up = self._issue(
             ticket.key, reissue_at, attempt=next_attempt,
             first_issued_at=ticket.first_issued_at,
         )
+        follow_up.certain = ticket.certain
+        return follow_up
 
     def _issue(
         self,
@@ -633,7 +644,8 @@ class Transport:
                 known_after, error = latency, "error"
             else:
                 known_after, error = self._retry.attempt_timeout, "timeout"
-            self.breakers.record(source, False, at)
+            if self.breakers.record(source, False, at):
+                self.stats.breaker_opens += 1
             if n > 1:
                 self.stats.batch_splits += 1
         # Batch tickets sit queued until their wire request goes out; a

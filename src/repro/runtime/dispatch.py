@@ -268,10 +268,9 @@ def dispatch(
 
     # Close any batch window still open when the stream ends, so the final
     # deliveries and counters do not depend on where the stream was cut;
-    # then drain every strategy and flush every engine.
+    # then flush every engine.
     transport.flush_batches(clock.now)
     for session in sessions:
-        session.strategy.end_of_stream()
         session.engine.flush(session.strategy)
 
     # Final health read: the end-of-run burns land on the slo.* gauges

@@ -1,7 +1,7 @@
 """Seeded random-number helpers for reproducible workloads.
 
-Every stochastic component of the reproduction (synthetic event payloads,
-arrival processes, transmission-latency draws, utility-estimation noise)
+Every stochastic component of the reproduction (synthetic event payloads
+and arrival times, transmission-latency draws, utility-estimation noise)
 derives its randomness from an explicit :class:`random.Random` instance so
 that a single seed reproduces an entire experiment.  ``spawn`` derives
 independent sub-generators from a parent, so components do not interleave

@@ -73,10 +73,6 @@ class FetchStrategy(ObligationResolution, FetchPlane):
         self.ctx: RuntimeContext | None = None
         self.stats = StrategyStats()
         self.drops = DropStats()
-        # Purpose of each in-flight async request, deciding the cache tier
-        # its response enters (T1 certain for lazy fetches, T2 speculative
-        # for prefetches).
-        self._purpose: dict[DataKey, str] = {}
         # Values staged by prepare_blocking for the duration of one blocking
         # obligation-resolution round (survives cache eviction races and
         # serves cacheless strategies like BL3).
@@ -234,12 +230,6 @@ class FetchStrategy(ObligationResolution, FetchPlane):
         self, transition: Transition, predicate: Predicate, missing: list[DataKey]
     ) -> None:
         """Prefetch hit/miss history bookkeeping; default: none (no prefetch)."""
-
-    def end_of_stream(self) -> None:
-        """Cleanup hook after the last event (subclass extension point)."""
-        transport = self.ctx.transport
-        self.stats.retries = transport.stats.retries
-        self.stats.breaker_opens = transport.breakers.opens
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

@@ -26,11 +26,6 @@ from repro.utility.rates import RateEstimator
 
 __all__ = ["RuntimeContext", "FAIL_OPEN", "FAIL_CLOSED"]
 
-# Cache-tier intent of an in-flight async request: a lazy fetch's use is
-# certain (tier T1), a prefetch is speculative (tier T2).
-PURPOSE_PREFETCH = "prefetch"
-PURPOSE_LAZY = "lazy"
-
 # How a predicate whose remote data is *terminally* unavailable (fetch failed
 # after all retries, no stale value to serve) resolves:
 # fail-closed — the predicate counts as false: the affected partial match is

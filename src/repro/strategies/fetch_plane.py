@@ -2,16 +2,21 @@
 
 Everything that touches the :class:`~repro.remote.transport.Transport` or
 the cache on a strategy's behalf lives here — blocking rounds with their
-stall accounting, async issue/delivery with cache-tier intent, and the
-stale-value fallback of graceful degradation.  The decision logic of *when*
-to fetch stays in :mod:`repro.strategies.obligations` and the concrete
-strategy subclasses; this mixin only executes the data movement.
+stall accounting, async issue/delivery, and the stale-value fallback of
+graceful degradation.  The decision logic of *when* to fetch stays in
+:mod:`repro.strategies.obligations` and the concrete strategy subclasses;
+this mixin only executes the data movement.
 
 All remote access goes through the unified request surface:
 ``transport.submit(FetchRequest(...))``.  Async submissions carry the
 caller's utility so the transport's batch assembly can rank them —
 certain-use lazy fetches submit with infinite utility and lead any batch,
 gated prefetches carry their Eq. 7 candidate utility.
+
+The transport owns every per-fetch fact: the in-flight tickets, the cache
+tier each response enters (``FetchTicket.certain``), retries, terminal
+failures and breaker opens.  The strategy keeps only per-round state (the
+staged values, the keys failed this round) and the stale fallback.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from typing import Any
 from repro.obs.trace import CAT_FETCH, trace_key
 from repro.remote.element import DataKey
 from repro.remote.transport import MODE_BLOCKING, FetchRequest
-from repro.strategies.context import PURPOSE_LAZY, PURPOSE_PREFETCH
 
 __all__ = ["FetchPlane"]
 
@@ -35,8 +39,7 @@ class FetchPlane:
 
     Mixed into :class:`~repro.strategies.base.FetchStrategy`, which owns the
     instance state these methods use (``ctx``, ``stats``, ``spans``,
-    ``_purpose``, ``_staged``, ``_round_failed``, ``_in_blocking_round``,
-    ``_last_known``).
+    ``_staged``, ``_round_failed``, ``_in_blocking_round``, ``_last_known``).
     """
 
     def _available(self, key: DataKey) -> bool:
@@ -87,12 +90,13 @@ class FetchPlane:
 
         Requests are issued concurrently (the stall is the max, not the sum
         — this is what makes BL3's one-shot fetching cheaper per match than
-        BL1's state-by-state stalls).  Requests already in flight are simply
-        awaited for their remaining time; pending requests that are doomed
-        to fail are taken over so their retry chain completes within the
-        stall.  Returns the fetched values; with a cache attached they are
-        also inserted (tier T1 — their use is certain), while BL1 keeps
-        nothing beyond the returned snapshot.
+        BL1's state-by-state stalls).  Every key goes through a blocking
+        ``submit``, which consumes whatever is in flight for it: a pending
+        request is simply awaited for its remaining time, and one doomed to
+        fail is taken over so its retry chain completes within the stall.
+        Returns the fetched values; with a cache attached they are also
+        inserted (tier T1 — their use is certain), while BL1 keeps nothing
+        beyond the returned snapshot.
 
         A key whose fetch terminally fails (retries exhausted) is served
         from the stale-value fallback when it succeeded before, and is
@@ -104,13 +108,7 @@ class FetchPlane:
         latest = now
         tickets = []
         for key in keys:
-            pending = ctx.transport.in_flight(key)
-            if pending is not None and pending.ok:
-                ticket = pending
-            else:
-                ticket = ctx.transport.submit(
-                    FetchRequest(key, at=now, mode=MODE_BLOCKING)
-                )
+            ticket = ctx.transport.submit(FetchRequest(key, at=now, mode=MODE_BLOCKING))
             tickets.append(ticket)
             if ticket.arrives_at > latest:
                 latest = ticket.arrives_at
@@ -132,15 +130,13 @@ class FetchPlane:
         values: dict[DataKey, Any] = {}
         cache = ctx.cache
         for ticket in tickets:
-            self._purpose.pop(ticket.key, None)
             if ticket.ok:
                 values[ticket.key] = ticket.element.value
                 self._last_known[ticket.key] = ticket.element.value
                 if cache is not None:
                     cache.put(ticket.element, ctx.clock.now, certain=True)
                 continue
-            # Terminal failure: only ``submit`` hands back a failed ticket.
-            self.stats.fetch_failures += 1
+            # Terminal failure, counted by the transport.
             if self._in_blocking_round:
                 self._round_failed.add(ticket.key)
             if ticket.key in self._last_known:
@@ -155,7 +151,8 @@ class FetchPlane:
         Failed responses (retries exhausted) deliver nothing: the key simply
         stays absent, which is *not* the same as a successful fetch of the
         ``MISSING_VALUE`` sentinel — a later evaluation either re-fetches or
-        resolves per ``failure_mode``.
+        resolves per ``failure_mode``.  Each response enters the cache tier
+        its ticket carries, whichever session's strategy submitted it.
         """
         ctx = self.ctx
         transport = ctx.transport
@@ -167,26 +164,25 @@ class FetchPlane:
             return
         cache = ctx.cache
         for ticket in delivered:
-            purpose = self._purpose.pop(ticket.key, PURPOSE_LAZY)
             if not ticket.ok:
-                self.stats.fetch_failures += 1
                 continue
             self._last_known[ticket.key] = ticket.element.value
             if cache is not None:
-                cache.put(ticket.element, ctx.clock.now, certain=purpose == PURPOSE_LAZY)
+                cache.put(ticket.element, ctx.clock.now, certain=ticket.certain)
 
-    def _fetch_async(self, key: DataKey, purpose: str, utility: float = 0.0) -> None:
-        ctx = self.ctx
-        if ctx.transport.in_flight(key) is None:
-            ctx.transport.submit(FetchRequest(key, at=ctx.clock.now, utility=utility))
-            self._purpose[key] = purpose
-        elif purpose == PURPOSE_LAZY:
+    def _fetch_async(self, key: DataKey, certain: bool, utility: float = 0.0) -> None:
+        transport = self.ctx.transport
+        pending = transport.in_flight(key)
+        if pending is None:
+            request = FetchRequest(key, at=self.ctx.clock.now, utility=utility)
+            transport.submit(request).certain = certain
+        elif certain:
             # A lazy need upgrades a speculative prefetch: its use is now certain.
-            self._purpose[key] = PURPOSE_LAZY
+            pending.certain = True
 
     def _fetch_async_lazy(self, keys: list[DataKey]) -> None:
         for key in keys:
-            self._fetch_async(key, PURPOSE_LAZY, utility=_LAZY_UTILITY)
+            self._fetch_async(key, True, utility=_LAZY_UTILITY)
 
     def _fetch_async_prefetch(self, key: DataKey, utility: float = 0.0) -> None:
-        self._fetch_async(key, PURPOSE_PREFETCH, utility=utility)
+        self._fetch_async(key, False, utility=utility)

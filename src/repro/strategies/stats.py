@@ -29,20 +29,15 @@ STRATEGY_COUNTER_KEYS = (
     "forced_blocks",
     "history_hits",
     "history_misses",
-    "fetch_failures",
-    "retries",
-    "breaker_opens",
     "breaker_skips",
     "obligations_expired",
     "stale_serves",
 )
 
 # The counters that stay zero on a healthy network; faulted runs surface
-# them in ``repro.metrics.reporting``'s fault table.
+# them in ``repro.metrics.reporting``'s fault table.  Retries, terminal
+# failures and breaker opens are the transport's (``transport.*``).
 DEGRADATION_COUNTER_KEYS = (
-    "fetch_failures",
-    "retries",
-    "breaker_opens",
     "breaker_skips",
     "obligations_expired",
     "stale_serves",

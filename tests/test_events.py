@@ -1,16 +1,9 @@
-"""Unit tests for the event model, streams, and arrival processes."""
+"""Unit tests for the event model and streams."""
 
 import pytest
 
 from repro.events.event import Event, EventSchema
-from repro.events.generators import (
-    FixedArrivals,
-    PoissonArrivals,
-    UniformArrivals,
-    generate_stream,
-)
 from repro.events.stream import Stream, merge_streams
-from repro.sim.rng import make_rng
 
 
 class TestEventSchema:
@@ -116,41 +109,3 @@ class TestStream:
         assert [event.t for event in merged] == [1.0, 2.0, 5.0]
         assert [event.seq for event in merged] == [0, 1, 2]
 
-
-class TestArrivalProcesses:
-    def test_fixed_gaps(self):
-        arrivals = FixedArrivals(gap=10.0)
-        assert list(arrivals.timestamps(3)) == [10.0, 20.0, 30.0]
-
-    def test_fixed_gap_must_be_positive(self):
-        with pytest.raises(ValueError):
-            FixedArrivals(0.0)
-
-    def test_poisson_rate_must_be_positive(self):
-        with pytest.raises(ValueError):
-            PoissonArrivals(0.0, make_rng(1))
-
-    def test_poisson_mean_gap_close_to_inverse_rate(self):
-        arrivals = PoissonArrivals(rate=0.1, rng=make_rng(7))
-        gaps = [arrivals.next_gap() for _ in range(5000)]
-        mean = sum(gaps) / len(gaps)
-        assert 8.0 < mean < 12.0  # expectation 10
-
-    def test_uniform_bounds(self):
-        arrivals = UniformArrivals(5.0, 6.0, make_rng(3))
-        for _ in range(100):
-            assert 5.0 <= arrivals.next_gap() <= 6.0
-
-    def test_uniform_invalid_range(self):
-        with pytest.raises(ValueError):
-            UniformArrivals(5.0, 4.0, make_rng(3))
-
-    def test_generate_stream(self):
-        stream = generate_stream(4, FixedArrivals(1.0), lambda i: {"n": i})
-        assert len(stream) == 4
-        assert stream[2]["n"] == 2
-        assert stream[3].t == 4.0
-
-    def test_generate_stream_negative_count(self):
-        with pytest.raises(ValueError):
-            generate_stream(-1, FixedArrivals(1.0), lambda i: {})

@@ -60,11 +60,10 @@ class TestZeroFaultIdentity:
         query, store = make_abc_scenario()
         result = run_eires(query, store, random_stream(300, seed=13), strategy="Hybrid")
         summary = result.summary()
-        assert summary["fetch.fetch_failures"] == 0
-        assert summary["fetch.retries"] == 0
-        assert summary["fetch.breaker_opens"] == 0
-        assert summary["fetch.stale_serves"] == 0
         assert summary["transport.failed_fetches"] == 0
+        assert summary["transport.retries"] == 0
+        assert summary["transport.breaker_opens"] == 0
+        assert summary["fetch.stale_serves"] == 0
         assert summary["transport.breaker_fastfails"] == 0
 
 
@@ -83,7 +82,7 @@ class TestFaultTransparency:
             retry_max_attempts=8, retry_deadline=1e9, retry_attempt_timeout=200.0,
         )
         assert result.match_signatures() == expected
-        assert result.summary()["fetch.retries"] > 0
+        assert result.summary()["transport.retries"] > 0
 
     def test_transient_errors_matches_oracle(self):
         query, store = make_abc_scenario()
@@ -104,7 +103,7 @@ class TestFaultTransparency:
         result = run_eires(query, store, stream, strategy="Hybrid",
                            fault_profile="slow:0.3:5")
         assert result.match_signatures() == expected
-        assert result.summary()["fetch.fetch_failures"] == 0
+        assert result.summary()["transport.failed_fetches"] == 0
 
     def test_faulted_latency_not_cheaper(self):
         query, store = make_abc_scenario()
@@ -118,11 +117,11 @@ class TestFaultTransparency:
                             fault_profile="drop:0.2",
                             retry_max_attempts=8, retry_deadline=1e9,
                             retry_attempt_timeout=200.0, breaker_failure_threshold=1.0)
-        assert faulted.summary()["fetch.breaker_opens"] == 0
+        assert faulted.summary()["transport.breaker_opens"] == 0
         # Retried fetches strictly lengthen the engine's blocking stalls.
         assert (faulted.summary()["fetch.total_stall_time"]
                 > healthy.summary()["fetch.total_stall_time"])
-        assert faulted.summary()["fetch.fetch_failures"] == 0
+        assert faulted.summary()["transport.failed_fetches"] == 0
 
 
 class TestGracefulDegradation:
@@ -140,7 +139,7 @@ class TestGracefulDegradation:
     def test_fail_closed_suppresses_unverifiable_matches(self):
         _, _, _, result = self._dead_network_run(FAIL_CLOSED)
         assert result.match_count == 0
-        assert result.summary()["fetch.fetch_failures"] > 0
+        assert result.summary()["transport.failed_fetches"] > 0
 
     def test_fail_open_admits_unverifiable_matches(self):
         # With every remote predicate unverifiable, fail-open degrades to
@@ -174,7 +173,7 @@ class TestGracefulDegradation:
             latency=FixedLatency(20.0),
         )
         summary = result.summary()
-        assert summary["fetch.fetch_failures"] > 0
+        assert summary["transport.failed_fetches"] > 0
         assert summary["fetch.stale_serves"] > 0
 
     def test_breaker_opens_under_sustained_failure(self):
@@ -188,7 +187,7 @@ class TestGracefulDegradation:
             failure_mode=FAIL_CLOSED,
         )
         summary = result.summary()
-        assert summary["fetch.breaker_opens"] > 0
+        assert summary["transport.breaker_opens"] > 0
         assert summary["transport.breaker_fastfails"] > 0
 
     def test_obligations_expire_deterministically(self):

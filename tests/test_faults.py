@@ -173,11 +173,10 @@ class TestCircuitBreaker:
         breaker = CircuitBreaker(failure_threshold=0.5)
         half = BREAKER_MIN_SAMPLES // 2
         for _ in range(half):
-            breaker.record(True, 0.0)
-        for i in range(half):
-            breaker.record(False, float(i))
+            assert not breaker.record(True, 0.0)
+        opened = [breaker.record(False, float(i)) for i in range(half)]
         assert breaker.state(10.0) == BREAKER_OPEN
-        assert breaker.opens == 1
+        assert opened == [False] * (half - 1) + [True]
         assert not breaker.allow(10.0)
 
     def test_needs_min_samples(self):
@@ -204,12 +203,11 @@ class TestCircuitBreaker:
 
     def test_half_open_probe_reopens_on_failure(self):
         breaker = CircuitBreaker(cooldown=100.0)
-        for i in range(BREAKER_MIN_SAMPLES):
-            breaker.record(False, float(i))
+        opened = [breaker.record(False, float(i)) for i in range(BREAKER_MIN_SAMPLES)]
         assert breaker.allow(200.0)
-        breaker.record(False, 210.0)
+        assert breaker.record(False, 210.0)
         assert breaker.state(250.0) == BREAKER_OPEN
-        assert breaker.opens == 2
+        assert opened.count(True) == 1
 
     def test_failure_window_slides(self):
         window = FailureWindow(size=4)
@@ -234,11 +232,10 @@ class TestBreakerBoard:
 
     def test_per_source_isolation(self):
         board = BreakerBoard()
-        for i in range(BREAKER_MIN_SAMPLES):
-            board.record("bad", False, float(i))
+        opened = [board.record("bad", False, float(i)) for i in range(BREAKER_MIN_SAMPLES)]
         assert not board.available("bad", 10.0)
         assert board.available("good", 10.0)
-        assert board.opens == 1
+        assert opened.count(True) == 1
 
     def test_available_is_pure(self):
         board = BreakerBoard(cooldown=100.0)

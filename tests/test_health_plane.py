@@ -510,6 +510,29 @@ class TestOpcodeCount:
         assert 0 < guards < layers["query"]
         assert {"engine", "strategies", "query", "nfa"} <= set(layers)
 
+    def test_garbage_left_before_a_count_is_not_counted(self):
+        # Cyclic garbage whose ``__del__`` runs Python code: a collection
+        # started inside the traced call would run it and count it.
+        workload = q1_workload(SyntheticConfig(n_events=200, id_domain=5, window_events=120))
+
+        def replay():
+            return run_strategy(workload, "Hybrid", EiresConfig())
+
+        class Cycle:
+            def __del__(self):
+                sum(range(50))
+
+        def leave_garbage():
+            for _ in range(200):
+                cycle = Cycle()
+                cycle.self = cycle
+
+        replay()
+        leave_garbage()
+        first = opcode_count.count_opcodes(replay)
+        second = opcode_count.count_opcodes(replay)
+        assert first == second
+
     @pytest.mark.parametrize(
         ("path", "layer"),
         [

@@ -2,12 +2,15 @@
 
 import pytest
 
-from repro.core.config import EiresConfig
+from repro.core.config import CACHE_COST, EiresConfig
 from repro.core.framework import EIRES
+from repro.obs.trace import MemorySink, Tracer
+from repro.query.ast import Query
 from repro.query.parser import parse_query
 from repro.remote.store import RemoteStore
 from repro.remote.transport import FixedLatency
 from repro.runtime import QuerySpec, RuntimeBuilder
+from repro.workloads.synthetic import SyntheticConfig, q1_workload
 
 from tests.helpers import random_stream
 
@@ -27,8 +30,8 @@ def two_queries():
     return q_ab, q_ac, store
 
 
-def build_runtime(specs, store, latency, config=None):
-    builder = RuntimeBuilder(store, latency, config=config)
+def build_runtime(specs, store, latency, config=None, tracer=None):
+    builder = RuntimeBuilder(store, latency, config=config, tracer=tracer)
     for spec in specs:
         builder.add_spec(spec)
     return builder.build()
@@ -113,3 +116,37 @@ class TestSharing:
         weighted = runtime.shared_utility(("v", 7))
         single = ab_runtime.utility.value(("v", 7), runtime.config.omega_cache)
         assert weighted == pytest.approx(3.0 * single)
+
+
+class TestCacheTierAcrossSessions:
+    def test_tier_does_not_depend_on_which_session_delivers(self):
+        # Whichever session's deliver_due pops a response, it enters the tier
+        # its submitter chose: a T1 (certain) admit follows a certain need
+        # for that key — some session's blocking stall or postponement —
+        # since the key was last admitted; a prefetch lands in T2.
+        workload = q1_workload(SyntheticConfig(n_events=1500, id_domain=5, window_events=120))
+        q1 = workload.query
+        sink = MemorySink()
+        runtime = build_runtime(
+            [QuerySpec(Query(q1.pattern, q1.conditions, q1.window, name="qa"),
+                       priority=2.0, strategy="BL2"),
+             QuerySpec(Query(q1.pattern, q1.conditions, q1.window, name="qb"),
+                       strategy="PFetch")],
+            workload.store, workload.latency_model,
+            config=EiresConfig(cache_capacity=60, cache_policy=CACHE_COST), tracer=Tracer(sink),
+        )
+        runtime.run(workload.stream)
+        needed, certain_admits, unneeded = set(), 0, []
+        for record in sink.records:
+            kind = (record["cat"], record["name"])
+            if kind in (("fetch", "stall"), ("obligation", "postpone")):
+                needed.update(map(tuple, record["keys"]))
+            elif kind == ("cache", "admit"):
+                key = tuple(record["key"])
+                if record["certain"]:
+                    certain_admits += 1
+                    if key not in needed:
+                        unneeded.append(key)
+                needed.discard(key)
+        assert certain_admits > 0
+        assert unneeded == []

@@ -177,7 +177,7 @@ class TestCounterGroup:
         sys.setprofile(lambda frame, event, arg: event == "call" and calls.append(frame.f_code))
         try:
             cache.hits += 1
-            strategy.retries += 1
+            strategy.stale_serves += 1
             strategy.total_stall_time += 1.5
             transport.wire_requests += 1
             shed.runs_shed += 1
@@ -186,16 +186,16 @@ class TestCounterGroup:
             sys.setprofile(None)
         assert calls == []
         snapshot = eires.metrics.snapshot()
-        assert snapshot["cache.hits"] == snapshot["fetch.retries"] == 1
+        assert snapshot["cache.hits"] == snapshot["fetch.stale_serves"] == 1
         assert snapshot["transport.wire_requests"] == snapshot["shed.runs_shed"] == 1
 
     def test_attach_under_a_scope_and_name_collisions(self):
         registry = MetricsRegistry()
         group = CounterGroup("fetch", STRATEGY_COUNTER_KEYS, floats=("total_stall_time",))
         registry.scoped("tenant.a").attach(group)
-        group.retries += 3
+        group.stale_serves += 3
         snapshot = registry.snapshot()
-        assert snapshot["tenant.a.fetch.retries"] == 3
+        assert snapshot["tenant.a.fetch.stale_serves"] == 3
         assert registry.scoped("tenant.a").names() == [
             f"tenant.a.fetch.{key}" for key in sorted(STRATEGY_COUNTER_KEYS)
         ]
@@ -205,7 +205,7 @@ class TestCounterGroup:
         with pytest.raises(ValueError, match="already registered"):
             CounterGroup("fetch", STRATEGY_COUNTER_KEYS, registry.scoped("tenant.a"))
         with pytest.raises(ValueError, match="already registered"):
-            registry.gauge("tenant.a.fetch.retries")
+            registry.gauge("tenant.a.fetch.stale_serves")
         CounterGroup("fetch", STRATEGY_COUNTER_KEYS, registry.scoped("tenant.b"))  # free name
 
 
@@ -213,11 +213,11 @@ class TestStatsFacades:
     def test_strategy_counters_are_registry_views(self):
         registry = MetricsRegistry()
         stats = StrategyStats(registry)
-        stats.retries += 2
+        stats.stale_serves += 2
         stats.total_stall_time += 1.5
-        assert registry.snapshot()["fetch.retries"] == 2
+        assert registry.snapshot()["fetch.stale_serves"] == 2
         assert registry.snapshot()["fetch.total_stall_time"] == 1.5
-        assert stats.retries == 2
+        assert stats.stale_serves == 2
 
     def test_strategy_counters_as_dict_order_and_types(self):
         data = StrategyStats().as_dict()

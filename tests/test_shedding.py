@@ -72,7 +72,7 @@ GOLDEN = {
     },
 }
 
-GOLDEN_FAULT_KEYS = ("matches", "p50", "p95", "fetch.fetch_failures", "fetch.retries")
+GOLDEN_FAULT_KEYS = ("matches", "p50", "p95", "transport.failed_fetches", "transport.retries")
 
 GOLDEN_FAULTS = {  # q1 under fault_profile="lossy"
     "Hybrid": (753, 8.28, 46.83, 0, 33),

@@ -1,15 +1,22 @@
-"""White-box tests of strategy internals: purposes, tiers, delivery, staging."""
+"""White-box tests of strategy internals: tiers, delivery, staging."""
+
+from collections import Counter
 
 import pytest
 
 from repro.cache.cost_based import CostBasedCache
-from repro.core.config import EiresConfig
+from repro.core.config import CACHE_COST, GREEDY, EiresConfig
 from repro.core.framework import EIRES
 from repro.engine.interface import POSTPONED
 from repro.events.event import Event
+from repro.obs.spans import SpanTracker
+from repro.obs.trace import MemorySink, Tracer
 from repro.query.parser import parse_query
+from repro.remote.faults import ERROR, OK, FaultDecision, NoFaults
 from repro.remote.store import RemoteStore
 from repro.remote.transport import FixedLatency
+from repro.workloads.cluster import ClusterConfig, cluster_workload
+from repro.workloads.synthetic import SyntheticConfig, q1_workload
 
 
 def build(strategy="Hybrid", latency=100.0, cache_policy="cost", capacity=16):
@@ -21,6 +28,11 @@ def build(strategy="Hybrid", latency=100.0, cache_policy="cost", capacity=16):
     store.register_source("v", lambda key: frozenset(range(10)))
     return EIRES(query, store, FixedLatency(latency), strategy=strategy,
                  config=EiresConfig(cache_capacity=capacity, cache_policy=cache_policy))
+
+
+class _FailFirstAttempt(NoFaults):
+    def decide(self, key, now, attempt, rng):
+        return FaultDecision(ERROR if attempt == 1 else OK)
 
 
 class TestAsyncDelivery:
@@ -54,6 +66,24 @@ class TestAsyncDelivery:
         strategy._deliver_due()
         assert ("v", 3) in eires.cache._tiers[CostBasedCache.TIER_CERTAIN]
 
+    def test_a_retry_keeps_the_tier(self):
+        # The tier rides the ticket: a failed lazy fetch's follow-up attempt
+        # still lands in the certain tier.
+        eires = build()
+        transport = eires.transport
+        transport._fault_model = _FailFirstAttempt()
+        eires.strategy._fetch_async_lazy([("v", 5)])
+        first = transport.in_flight(("v", 5))
+        assert not first.ok and first.certain
+        eires.clock.advance(200.0)
+        eires.strategy._deliver_due()
+        follow_up = transport.in_flight(("v", 5))
+        assert follow_up is not first and follow_up.certain
+        eires.clock.advance(1_000.0)
+        eires.strategy._deliver_due()
+        assert transport.stats.retries == 1
+        assert ("v", 5) in eires.cache._tiers[CostBasedCache.TIER_CERTAIN]
+
     def test_nothing_delivered_before_arrival(self):
         eires = build()
         strategy = eires.strategy
@@ -73,6 +103,21 @@ class TestBlockingRounds:
         # Only the remaining 20us were waited, not a fresh 100.
         assert eires.clock.now == pytest.approx(100.0)
         assert values[("v", 5)] == frozenset(range(10))
+
+    def test_block_for_consumes_the_inflight_fetch(self):
+        # Joining a pending prefetch takes it out of flight: the response is
+        # put once, by the blocking round, and never delivered again.
+        eires = build(latency=100.0)
+        strategy = eires.strategy
+        strategy._fetch_async_prefetch(("v", 5))
+        eires.clock.advance(80.0)
+        strategy._block_for([("v", 5)])
+        assert eires.transport.in_flight(("v", 5)) is None
+        assert eires.transport.stats.coalesced == 1
+        eires.clock.advance(500.0)
+        strategy._deliver_due()
+        assert eires.cache.stats.insertions == 1
+        assert ("v", 5) in eires.cache._tiers[CostBasedCache.TIER_CERTAIN]
 
     def test_concurrent_block_stall_is_max_not_sum(self):
         eires = build(latency=100.0)
@@ -158,3 +203,50 @@ class TestResolvePredicate:
         outcome = eires.strategy.resolve_predicate(transition, predicate, run, env)
         assert outcome is POSTPONED
         assert eires.transport.stats.async_fetches == 1  # the fetch is in flight
+
+
+def _q1_hybrid():
+    workload = q1_workload(SyntheticConfig(n_events=600, id_domain=5, window_events=120))
+    return workload, EiresConfig()
+
+
+def _fig10b_hybrid():
+    workload = cluster_workload(ClusterConfig(n_tasks=500))
+    config = EiresConfig(policy=GREEDY, cache_policy=CACHE_COST,
+                         cache_capacity=workload.notes["cache_capacity"])
+    return workload, config
+
+
+class TestEachOutcomeOnce:
+    """Each fetch outcome reaches the fetch plane once: a ticket is handed
+    over either by a blocking round or by ``deliver_due``, never by both."""
+
+    @pytest.mark.parametrize("make", [_q1_hybrid, _fig10b_hybrid], ids=["q1", "fig10b"])
+    def test_no_ticket_is_handed_over_twice(self, make):
+        workload, config = make()
+        sink = MemorySink()
+        eires = EIRES(workload.query, workload.store, workload.latency_model,
+                      strategy="Hybrid", config=config, tracer=Tracer(sink))
+        transport = eires.transport
+        handed = []
+        deliver_due = transport.deliver_due
+
+        def delivering(now):
+            delivered = deliver_due(now)
+            handed.extend(delivered)
+            return delivered
+
+        class Stalls(SpanTracker):
+            __slots__ = ()
+
+            def add_stall(self, start, end, tickets):
+                # Every ticket a blocking round consumes passes through here.
+                handed.extend(tickets)
+                return super().add_stall(start, end, tickets)
+
+        transport.deliver_due, eires.strategy.spans = delivering, Stalls()
+        eires.run(workload.stream)
+        repeated = [n for n in Counter(map(id, handed)).values() if n > 1]
+        assert handed and not repeated
+        completes = [r for r in sink.records if (r["cat"], r["name"]) == ("fetch", "complete")]
+        assert len(completes) == len(handed)

@@ -37,7 +37,6 @@ from math import log
 from typing import Any, Callable
 
 from repro.cache.cost_based import SAMPLE_SIZE, _SampledSet
-from repro.events.generators import PoissonArrivals, UniformArrivals, generate_stream
 from repro.remote.transport import UniformLatency
 from repro.sim.rng import make_rng
 from repro.workloads.bursty import BurstyConfig, make_bursty_stream
@@ -114,10 +113,6 @@ def mismatches(seed: int, n: int, seq: tuple, lambd: float, a: float, b: float,
     return []
 
 
-def _index_payload(index: int) -> dict:
-    return {"type": "A", "index": index}
-
-
 #: Generator name -> (a small fixed stream, its digest).  Read while every
 #: generator drew through ``random.Random``'s own methods.
 STREAMS: dict[str, tuple[Callable[[], Any], str]] = {
@@ -135,12 +130,6 @@ STREAMS: dict[str, tuple[Callable[[], Any], str]] = {
                        "3284fbafae7de268"),
     "bushfire_stream": (lambda: bushfire_stream(BushfireConfig(n_events=400, seed=7)),
                         "f9ce11755f9a5b10"),
-    "PoissonArrivals": (
-        lambda: generate_stream(400, PoissonArrivals(0.04, make_rng(7)), _index_payload),
-        "fa70ea36cd09f8c3"),
-    "UniformArrivals": (
-        lambda: generate_stream(400, UniformArrivals(5.0, 45.0, make_rng(7)), _index_payload),
-        "d05d39c3ef2e73c9"),
 }
 
 

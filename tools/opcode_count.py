@@ -27,6 +27,7 @@ keeps a run to seconds.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from collections import Counter
@@ -40,7 +41,14 @@ __all__ = ["count_opcodes", "fold", "layer_of", "measure", "main"]
 
 
 def count_opcodes(fn: Callable[[], Any]) -> Counter:
-    """Opcodes executed while ``fn()`` runs, by the executing code's file."""
+    """Opcodes executed while ``fn()`` runs, by the executing code's file.
+
+    Cyclic garbage collection is off while ``fn()`` runs, after one full
+    collection: a collection can start at any allocation and runs the
+    Python ``__del__`` methods and weakref callbacks of whatever garbage
+    earlier code left, so with it on the count would include other code's
+    work and two counts of one replay would disagree.
+    """
     counts: Counter = Counter()
 
     def local(frame, event, _arg):
@@ -53,12 +61,17 @@ def count_opcodes(fn: Callable[[], Any]) -> Counter:
         frame.f_trace_lines = False
         return local
 
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
     previous = sys.gettrace()
     sys.settrace(entered)
     try:
         fn()
     finally:
         sys.settrace(previous)
+        if was_enabled:
+            gc.enable()
     return counts
 
 
