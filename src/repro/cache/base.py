@@ -40,7 +40,9 @@ class Cache(ABC):
         self.tracer: Tracer = NULL_TRACER
         self._entries: dict[DataKey, DataElement] = {}
         self._part_index: dict[DataKey, DataKey] = {}
-        self._used = 0
+        # Capacity units currently occupied (read on every Eq. 7 gate: a
+        # plain attribute, not a property).
+        self.used = 0
 
     def bind_observability(self, registry: MetricsRegistry | None, tracer: Tracer) -> None:
         """Attach the counters to ``registry`` and bind the trace bus at assembly."""
@@ -75,12 +77,22 @@ class Cache(ABC):
 
     # -- shared behaviour -----------------------------------------------------
     def get(self, key: DataKey, now: float) -> DataElement | None:
-        """Look up ``key`` (or a cached container of it); count hit/miss."""
-        element = self._probe(key, now)
-        if element is None:
-            self.stats.misses += 1
-        else:
+        """Look up ``key`` (or a cached container of it); count hit/miss.
+
+        A hit touches the entry that answered — the container's own key for
+        a contained element — through the policy's ``_on_access``.
+        """
+        element = self._entries.get(key)
+        if element is not None:
+            self._on_access(key, now)
             self.stats.hits += 1
+        else:
+            element = self._container_hit(key)
+            if element is None:
+                self.stats.misses += 1
+            else:
+                self._on_access(element.key, now)
+                self.stats.hits += 1
         if self.tracer.enabled:
             self.tracer.emit(
                 CAT_CACHE,
@@ -96,16 +108,6 @@ class Cache(ABC):
         if entry is not None:
             return entry
         return self._container_hit(key)
-
-    def _probe(self, key: DataKey, now: float) -> DataElement | None:
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._on_access(key, now)
-            return entry
-        container = self._container_hit(key)
-        if container is not None:
-            self._on_access(container.key, now)
-        return container
 
     def _container_hit(self, key: DataKey) -> DataElement | None:
         """A cached container whose parts include ``key``, if any.
@@ -136,10 +138,10 @@ class Cache(ABC):
             # Re-fetching replaces the stored element (fresher value); remove
             # the old entry cleanly, then fall through to a normal insert.
             self._remove(element.key)
-        while self._used + size > self.capacity:
+        while self.used + size > self.capacity:
             self._evict_one(now)
         self._entries[element.key] = element
-        self._used += size
+        self.used += size
         for part in element.descendants():
             if part.key != element.key:
                 self._part_index[part.key] = element.key
@@ -153,7 +155,7 @@ class Cache(ABC):
                 key=trace_key(element.key),
                 size=size,
                 certain=certain,
-                used=self._used,
+                used=self.used,
             )
         return True
 
@@ -166,7 +168,7 @@ class Cache(ABC):
 
     def _remove(self, key: DataKey) -> None:
         element = self._entries.pop(key)
-        self._used -= element.total_size()
+        self.used -= element.total_size()
         entries = self._entries
         for part in element.descendants():
             if part.key == key:
@@ -186,13 +188,8 @@ class Cache(ABC):
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def used(self) -> int:
-        """Capacity units currently occupied."""
-        return self._used
-
     def keys(self) -> list[DataKey]:
         return list(self._entries)
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(used={self._used}/{self.capacity}, entries={len(self._entries)})"
+        return f"{type(self).__name__}(used={self.used}/{self.capacity}, entries={len(self._entries)})"

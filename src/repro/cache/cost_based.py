@@ -54,33 +54,38 @@ SAMPLE_SIZE = 12
 
 
 class _SampledSet:
-    """A set supporting O(1) add/discard and O(k) random sampling."""
+    """A set supporting O(1) add/discard and O(k) random sampling.
 
-    __slots__ = ("_items", "_index")
+    ``positions`` maps each member to its slot in the item list; a hot
+    caller tests membership on it directly (``key in s.positions``) to skip
+    the Python ``__contains__`` frame.
+    """
+
+    __slots__ = ("_items", "positions")
 
     def __init__(self) -> None:
         self._items: list[DataKey] = []
-        self._index: dict[DataKey, int] = {}
+        self.positions: dict[DataKey, int] = {}
 
     def __len__(self) -> int:
         return len(self._items)
 
     def __contains__(self, key: DataKey) -> bool:
-        return key in self._index
+        return key in self.positions
 
     def add(self, key: DataKey) -> None:
-        if key not in self._index:
-            self._index[key] = len(self._items)
+        if key not in self.positions:
+            self.positions[key] = len(self._items)
             self._items.append(key)
 
     def discard(self, key: DataKey) -> None:
-        position = self._index.pop(key, None)
+        position = self.positions.pop(key, None)
         if position is None:
             return
         last = self._items.pop()
         if last != key:
             self._items[position] = last
-            self._index[last] = position
+            self.positions[last] = position
 
     def sample(self, rng: random.Random, k: int) -> list[DataKey]:
         """``k`` keys drawn with replacement, ``items[rng.randrange(n)]`` each,
@@ -132,8 +137,9 @@ class CostBasedCache(Cache):
     # -- policy hooks --------------------------------------------------------
     def _on_access(self, key: DataKey, now: float) -> None:
         # First access consumes a T1 element's guaranteed use: demote to T2.
-        if key in self._tiers[self.TIER_CERTAIN]:
-            self._tiers[self.TIER_CERTAIN].discard(key)
+        certain = self._tiers[self.TIER_CERTAIN]
+        if key in certain.positions:
+            certain.discard(key)
             self._tiers[self.TIER_SPECULATIVE].add(key)
         self._last_touch[key] = now
 

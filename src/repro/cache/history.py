@@ -40,29 +40,22 @@ class HitHistory:
         self._reset_after = reset_after
         self._records: dict[tuple[int, int], _SiteRecord] = {}
 
-    def _record(self, site_id: int, state_index: int, now: float) -> _SiteRecord:
+    def record(self, site_id: int, state_index: int, now: float, hit: bool) -> None:
+        """Whether a prefetch triggered at ``state_index`` was in cache when
+        needed (``hit``) or *not* available in time."""
         record = self._records.get((site_id, state_index))
         if record is None:
-            record = _SiteRecord()
-            self._records[(site_id, state_index)] = record
+            record = self._records[(site_id, state_index)] = _SiteRecord()
         elif now - record.last_update > self._reset_after:
             # Stale evidence: the stream may have shifted; start over.
-            record.misses = 0
             record.hits = 0
-        return record
-
-    def record_hit(self, site_id: int, state_index: int, now: float) -> None:
-        """A prefetch triggered at ``state_index`` was in cache when needed."""
-        record = self._record(site_id, state_index, now)
-        record.hits += 1
-        # A hit forgives accumulated misses — evidence is about the recent past.
-        record.misses = 0
-        record.last_update = now
-
-    def record_miss(self, site_id: int, state_index: int, now: float) -> None:
-        """A prefetch triggered at ``state_index`` was *not* available in time."""
-        record = self._record(site_id, state_index, now)
-        record.misses += 1
+            record.misses = 0
+        if hit:
+            record.hits += 1
+            # A hit forgives accumulated misses — evidence is about the recent past.
+            record.misses = 0
+        else:
+            record.misses += 1
         record.last_update = now
 
     def usable(self, site_id: int, state_index: int, now: float) -> bool:

@@ -167,9 +167,11 @@ class Engine:
 
     def process_event(self, event: Event, strategy: StrategyProtocol) -> list[MatchRecord]:
         """Advance the evaluation by one input event (the ``f_Q`` step)."""
-        clock = self.clock
-        cost = self.cost_model
-        clock.advance(cost.base_event_cost)
+        # The engine writes the clock's slot directly: what it adds is a
+        # CostModel cost (validated non-negative) or a remote predicate's
+        # eval_cost (refused negative when compiled), and a guard's returned
+        # time is published by a compare — advance's checks could not fire.
+        self.clock.now += self.cost_model.base_event_cost
         self.stats.events_processed += 1
         # Expiry is lazy: stepping a bucket drops the expired runs it touches,
         # and a sweep every few events reclaims runs no event type hits.
@@ -426,10 +428,12 @@ class Engine:
             else:
                 expired += 1
                 reason = "expired"
-            clock.advance_to(at)
+            if at > clock.now:
+                clock.now = at
             strategy.on_runs_dropped((run,), reason)
             gone.add(run)
-        clock.advance_to(now)
+        if now > clock.now:
+            clock.now = now
         stats.runs_expired += expired
         stats.guard_evaluations += len(runs) - expired
         stats.predicate_evaluations += charged
@@ -488,9 +492,10 @@ class Engine:
                 # the compiled guard reads the input event from its own
                 # argument, so only guards that pass pay for a copy.  The
                 # guard accumulates its predicate charges on a local; one
-                # ``advance_to`` publishes them.
+                # compare on the clock's slot publishes them.
                 charged, passed, now = transition.guard(env, event, clock.now + guard_cost)
-                clock.advance_to(now)
+                if now > clock.now:
+                    clock.now = now
                 stats.guard_evaluations += 1
                 stats.predicate_evaluations += charged
                 tally.evaluations += 1.0
@@ -502,8 +507,9 @@ class Engine:
                 obligations = self._resolve_remote(transition, run, bound, strategy)
                 if obligations is None:
                     continue
-                extension = run.extend(
-                    transition, event, obligations, created_at=clock.now, env=bound
+                extension = Run(  # Run.extend, without the call
+                    transition.target, bound, run.first_t, run.first_seq, event.seq,
+                    run.obligations + obligations, clock.now,
                 )
                 if not obligations:
                     definite_extension = True
@@ -557,7 +563,7 @@ class Engine:
                 postponed.append(predicate)
                 continue
             self.stats.predicate_evaluations += 1
-            clock.advance(predicate.eval_cost)
+            clock.now += predicate.eval_cost
             if not outcome:
                 return None
         if not postponed:
@@ -591,7 +597,8 @@ class Engine:
             charged, passed, now = transition.guard(
                 _NO_BINDINGS, event, clock.now + self.cost_model.per_guard_cost
             )
-            clock.advance_to(now)
+            if now > clock.now:
+                clock.now = now
             stats.guard_evaluations += 1
             stats.predicate_evaluations += charged
             tally.evaluations += 1.0
@@ -602,8 +609,8 @@ class Engine:
             obligations = self._resolve_remote(transition, None, env, strategy)
             if obligations is None:
                 continue
-            run = Run.start(transition.target, transition.binding, event, created_at=clock.now)
-            run.obligations = obligations
+            # Run.start, without the call; nothing mutates ``env`` any more.
+            run = Run(transition.target, env, event.t, event.seq, event.seq, obligations, clock.now)
             self._admit_extension(run, strategy, new_runs, matches)
 
     # -- extensions, finals, obligations ------------------------------------------
@@ -680,7 +687,7 @@ class Engine:
         self, obligation: Obligation, run: Run, strategy: StrategyProtocol, blocking: bool
     ) -> str:
         self.stats.obligation_checks += 1
-        self.clock.advance(self.cost_model.per_obligation_cost)
+        self.clock.now += self.cost_model.per_obligation_cost
         env = obligation.env
         any_unresolved = False
         for predicate in obligation.predicates:
@@ -689,7 +696,7 @@ class Engine:
                 any_unresolved = True
                 continue
             self.stats.predicate_evaluations += 1
-            self.clock.advance(predicate.eval_cost)
+            self.clock.now += predicate.eval_cost
             if outcome:
                 continue
             # One predicate is definitely false: the group conjunction fails.

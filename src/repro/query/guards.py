@@ -432,6 +432,7 @@ def compile_remote(predicate: Predicate) -> tuple[Callable, Callable]:
     ``bool``.  See "Remote predicates" in the module docstring; the source of
     both is available as the ``source`` attribute of either.
     """
+    _check_cost(predicate)
     scope = GuardScope(None, remote=True)
     pairs = [
         f"({scope.literal(ref.source)}, {ref.key_expr.render(scope)})"
@@ -453,12 +454,17 @@ def compile_remote(predicate: Predicate) -> tuple[Callable, Callable]:
 def _rendered(predicates: Sequence[Predicate], scope: GuardScope):
     """``(eval_cost, condition)`` source pairs, in evaluation order."""
     for predicate in predicates:
-        if predicate.eval_cost < 0:
-            # clock.advance refused these one evaluation at a time.
-            raise ValueError(
-                f"predicate {predicate!r} has negative eval_cost {predicate.eval_cost}"
-            )
+        _check_cost(predicate)
         yield scope.literal(predicate.eval_cost), predicate.render(scope)
+
+
+def _check_cost(predicate: Predicate) -> None:
+    """Refuse a negative ``eval_cost`` before any code is generated: a local
+    predicate's cost is added to the time its generated guard returns, a
+    remote one's to the clock's slot once the strategy decides it, both
+    unchecked, so a negative one would move virtual time backwards."""
+    if predicate.eval_cost < 0:
+        raise ValueError(f"predicate {predicate!r} has negative eval_cost {predicate.eval_cost}")
 
 
 def _define(names: Sequence[str], lines: list[str], scope: GuardScope, **helpers: Any) -> list:

@@ -181,7 +181,6 @@ def deliver_event(
         if dropped:
             return
     step_matches = session.engine.process_event(event, strategy)
-    strategy.on_event_end(event, step_matches)
     if shedder is not None:
         shedder.after_event(event, session.engine, strategy)
     for match in step_matches:

@@ -31,19 +31,21 @@ class VirtualClock:
     Attempts to move the clock backwards raise ``ValueError`` — a virtual
     clock that rewinds indicates a scheduling bug, and such bugs must not
     pass silently.
+
+    ``now``, the current virtual time in microseconds, is a plain slot: the
+    hot path reads it tens of times per event, and a property would make
+    each read a Python call.  Only this class writes it, and the engine,
+    which publishes a guard's returned time with ``advance_to``'s compare
+    and adds costs refused negative where they are defined (rule D5 of
+    ``tests/test_invariants.py``).
     """
 
-    __slots__ = ("_now",)
+    __slots__ = ("now",)
 
     def __init__(self, start: float = 0.0) -> None:
         if start < 0:
             raise ValueError(f"clock cannot start at negative time: {start}")
-        self._now = float(start)
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in microseconds."""
-        return self._now
+        self.now = float(start)
 
     def advance(self, delta: float) -> float:
         """Advance the clock by ``delta`` microseconds and return the new time.
@@ -53,8 +55,8 @@ class VirtualClock:
         """
         if delta < 0:
             raise ValueError(f"cannot advance clock by negative delta: {delta}")
-        self._now += delta
-        return self._now
+        self.now += delta
+        return self.now
 
     def advance_to(self, timestamp: float) -> float:
         """Advance the clock to an absolute ``timestamp``, if it is later.
@@ -65,15 +67,15 @@ class VirtualClock:
         arrives at ``timestamp``" and for "processing resumes once the remote
         data has arrived".
         """
-        if timestamp > self._now:
-            self._now = timestamp
-        return self._now
+        if timestamp > self.now:
+            self.now = timestamp
+        return self.now
 
     def reset(self, start: float = 0.0) -> None:
         """Reset the clock (used between independent experiment runs)."""
         if start < 0:
             raise ValueError(f"clock cannot reset to negative time: {start}")
-        self._now = float(start)
+        self.now = float(start)
 
     def __repr__(self) -> str:
-        return f"VirtualClock(now={self._now:.3f}us)"
+        return f"VirtualClock(now={self.now:.3f}us)"

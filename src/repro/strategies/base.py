@@ -122,22 +122,21 @@ class FetchStrategy(ObligationResolution, FetchPlane):
 
     # -- pipeline hooks -----------------------------------------------------------
     def on_event_start(self, event: Event) -> None:
-        """Called before the engine processes ``event``."""
-        if self._drives_utility:
-            self.ctx.rates.observe_event(event.event_type or "", event.t)
-        self._deliver_due()
-        self._fire_scheduled()
-        if self._drives_utility:
-            self._utility_tick()
-
-    def on_event_end(self, event: Event, matches: list) -> None:
-        """Called after the engine processed ``event`` (subclass hook)."""
-
-    def _utility_tick(self) -> None:
+        """Called before the engine processes ``event``: deliver what arrived,
+        fire what is scheduled, tick the utility model.  Each step is skipped
+        without a call while it has nothing to do."""
+        ctx = self.ctx
+        drives_utility = self._drives_utility
+        if drives_utility:
+            ctx.rates.observe_event(event.event_type or "", event.t)
+        if not ctx.clock.now < ctx.transport.next_due:  # _deliver_due's own test
+            self._deliver_due()
+        if ctx.scheduler:
+            self._fire_scheduled()
         # The engine is attached after construction; state_counts is wired
         # by the pipeline through `bind_engine`.
-        if self._engine is not None:
-            self.ctx.utility.tick(self.ctx.clock.now, self._engine.state_counts)
+        if drives_utility and self._engine is not None:
+            ctx.utility.tick(ctx.clock.now, self._engine.state_counts)
 
     _engine = None
 
@@ -147,19 +146,27 @@ class FetchStrategy(ObligationResolution, FetchPlane):
 
     # -- run lifecycle ------------------------------------------------------------
     def on_runs_created(self, runs: Sequence[Run]) -> None:
-        # Per run and interleaved — register, trace, fire prefetch triggers,
-        # next run: a gated Eq. 7 candidate reads the utility registrations
-        # made so far, and the trace interleaves run and prefetch records.
+        # Alg. 2 registers the whole batch in one call.  A gated Eq. 7
+        # candidate reads the registrations made so far, so while the cache
+        # is full and the batch triggers prefetches, each run registers just
+        # before its own prefetches fire.  The trace interleaves run and
+        # prefetch records in run order.
         ctx = self.ctx
         now = ctx.clock.now
         triggers = self._prefetch_triggers(now)
-        register = ctx.utility.on_run_created if self._drives_utility else None
         tracer = ctx.tracer
+        register = None
+        if self._drives_utility:
+            cache = ctx.cache
+            if triggers and cache is not None and cache.used >= cache.capacity:
+                register = ctx.utility.on_runs_created
+            else:
+                ctx.utility.on_runs_created(runs)
         if register is None and not tracer.enabled and not triggers:
             return
         for run in runs:
             if register is not None:
-                register(run)
+                register((run,))
             if tracer.enabled:
                 tracer.emit(
                     CAT_RUN,
@@ -206,9 +213,7 @@ class FetchStrategy(ObligationResolution, FetchPlane):
         elif rides_out:
             self.stats.obligations_expired += sum(map(len, map(_obligations, runs)))
         if self._drives_utility:
-            unregister = ctx.utility.on_run_dropped
-            for run in runs:
-                unregister(run)
+            ctx.utility.on_runs_dropped(runs)
 
     def guard_tally(self, transition: Transition):
         return self.ctx.rates.guard_tally(transition.index)

@@ -153,12 +153,17 @@ class FetchPlane:
         ``MISSING_VALUE`` sentinel — a later evaluation either re-fetches or
         resolves per ``failure_mode``.  Each response enters the cache tier
         its ticket carries, whichever session's strategy submitted it.
+
+        Returns at once while ``clock.now < transport.next_due`` (nothing in
+        flight has arrived).  The two per-event and per-resolution callers,
+        ``FetchStrategy.on_event_start`` and ``resolve_predicate``'s one-probe
+        path, make that test themselves so the common case pays no frame.
         """
         ctx = self.ctx
         transport = ctx.transport
         now = ctx.clock.now
         if now < transport.next_due:
-            return  # nothing in flight has arrived: spare the call
+            return  # nothing in flight has arrived: spare the transport call
         delivered = transport.deliver_due(now)
         if not delivered:
             return

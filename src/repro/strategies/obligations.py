@@ -40,14 +40,35 @@ class ObligationResolution:
     def resolve_predicate(
         self, transition: Transition, predicate: Predicate, run: Run | None, env: Mapping[str, Event]
     ):
-        """Evaluate a remote predicate, or return POSTPONED (§5.2)."""
+        """Evaluate a remote predicate, or return POSTPONED (§5.2).
+
+        One key outside a blocking round — nothing staged, nothing failed
+        this round — takes one probe: ``_collect``'s snapshot of that key is
+        the one ``cache.get`` it would make, so it is made here, with no
+        snapshot built around it.  Several keys, a blocking round or no cache
+        go through ``_collect``.
+        """
         keys_of, decide = self._remote[predicate]
         try:
             keys = keys_of(env)
         except Exception:
             keys = predicate.remote_keys(env)
-        self._deliver_due()
-        values, missing = self._collect(keys)
+        ctx = self.ctx
+        cache = ctx.cache
+        if cache is not None and len(keys) == 1 and not self._in_blocking_round:
+            now = ctx.clock.now
+            if not now < ctx.transport.next_due:  # _deliver_due's own test
+                self._deliver_due()
+            key = keys[0]
+            element = cache.get(key, now)
+            if element is None:
+                values, missing = {}, [key]
+            else:
+                value = element.value if element.key == key else self._value_for(key, element)
+                values, missing = {key: value}, ()
+        else:
+            self._deliver_due()
+            values, missing = self._collect(keys)
         self._record_history(transition, predicate, missing)
         if missing:
             if self.decide_postpone(transition, predicate, run, env, missing):

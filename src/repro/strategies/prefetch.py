@@ -61,26 +61,28 @@ class PrefetchPlanner:
 
     def __init__(self, strategy: "PFetchStrategy") -> None:
         self._strategy = strategy
-        # site_id -> states that trigger it (possibly with offset)
-        self._plans: dict[int, PrefetchPlan] = {}
+        # site_id -> its current plan; no entry: the site is unprefetchable
+        self.plans: dict[int, PrefetchPlan] = {}
         # trigger state index -> (site, plan) pairs fired when a run enters
         # it; rebuilt in place by refresh
         self.triggers: dict[int, list[tuple[RemoteSite, PrefetchPlan]]] = {}
-        self._last_refresh = -1.0
+        # When the plans were last computed; -inf: never, so the first
+        # refresh always computes.
+        self.refreshed_at = float("-inf")
 
     def refresh(self, now: float) -> None:
         """Recompute all plans if the refresh interval elapsed."""
-        if self._last_refresh >= 0 and now - self._last_refresh < PLAN_REFRESH_INTERVAL_US:
+        if now - self.refreshed_at < PLAN_REFRESH_INTERVAL_US:
             return
-        self._last_refresh = now
+        self.refreshed_at = now
         ctx = self._strategy.ctx
-        self._plans.clear()
+        self.plans.clear()
         self.triggers.clear()
         for site in ctx.automaton.sites:
             plan = self._plan_site(site, now)
             if plan is None:
                 continue
-            self._plans[site.site_id] = plan
+            self.plans[site.site_id] = plan
             self.triggers.setdefault(plan.trigger_state_index, []).append((site, plan))
 
     def _plan_site(self, site: RemoteSite, now: float) -> PrefetchPlan | None:
@@ -104,14 +106,6 @@ class PrefetchPlanner:
         offset = max(0.0, expected_wait - transmission)
         return PrefetchPlan(anchor.index, offset)
 
-    def plan_for(self, site_id: int) -> PrefetchPlan | None:
-        return self._plans.get(site_id)
-
-    def trigger_state_for(self, site_id: int) -> int | None:
-        """The state whose entry currently triggers this site's prefetches."""
-        plan = self._plans.get(site_id)
-        return plan.trigger_state_index if plan is not None else None
-
 
 class PFetchStrategy(FetchStrategy):
     """Prefetching with lookahead / estimated-arrival timing (§5.1)."""
@@ -125,7 +119,11 @@ class PFetchStrategy(FetchStrategy):
     # -- pipeline hooks ---------------------------------------------------------
     def on_event_start(self, event: Event) -> None:
         super().on_event_start(event)
-        self.planner.refresh(self.ctx.clock.now)
+        # refresh's own interval test, repeated here: this runs per event,
+        # and most events fall inside the interval.
+        now = self.ctx.clock.now
+        if not now - self.planner.refreshed_at < PLAN_REFRESH_INTERVAL_US:
+            self.planner.refresh(now)
 
     def _fire_scheduled(self) -> None:
         """Issue offset-timed prefetches whose due time has come."""
@@ -153,8 +151,9 @@ class PFetchStrategy(FetchStrategy):
         # Once per batch, not per run: the refresh is time-gated, the clock
         # stands still while a batch registers, and plans read hit history,
         # rates and latency estimates — no utility state.
-        self.planner.refresh(now)
-        return self.planner.triggers
+        planner = self.planner
+        planner.refresh(now)
+        return planner.triggers
 
     def _fire_prefetches(
         self, run: Run, sites: Sequence[tuple[RemoteSite, PrefetchPlan]], now: float
@@ -163,11 +162,12 @@ class PFetchStrategy(FetchStrategy):
         env = run.env
         for site, plan in sites:
             ref = site.ref
-            bound = env.get(ref.key_binding)
+            key_expr = ref.key_expr
+            bound = env.get(key_expr.binding)
             if bound is None:
                 continue  # different branch shares the state index? (defensive)
             try:
-                key = (ref.source, bound.attrs[ref.key_expr.attr])
+                key = (ref.source, bound.attrs[key_expr.attr])
             except KeyError:
                 key = ref.concrete_key(env)  # raises, worded
             if plan.offset <= 0.0:
@@ -178,19 +178,24 @@ class PFetchStrategy(FetchStrategy):
     def _record_history(
         self, transition: Transition, predicate: Predicate, missing: list[DataKey]
     ) -> None:
-        """Feed the cache hit/miss history for lookahead timing."""
+        """Feed the cache hit/miss history for lookahead timing.
+
+        Runs once per remote resolution.
+        """
         ctx = self.ctx
         now = ctx.clock.now
+        plans = self.planner.plans
+        hit = not missing
+        history = ctx.history
         for site_id in self._history_sites[transition.index, predicate]:
-            trigger = self.planner.trigger_state_for(site_id)
-            if trigger is None:
+            plan = plans.get(site_id)
+            if plan is None:
                 continue
-            if missing:
-                self.stats.history_misses += 1
-                ctx.history.record_miss(site_id, trigger, now)
-            else:
+            if hit:
                 self.stats.history_hits += 1
-                ctx.history.record_hit(site_id, trigger, now)
+            else:
+                self.stats.history_misses += 1
+            history.record(site_id, plan.trigger_state_index, now, hit)
 
     # -- P2: prefetch selection --------------------------------------------------------
     def issue_prefetch(self, site: RemoteSite, key: DataKey) -> None:
@@ -201,7 +206,9 @@ class PFetchStrategy(FetchStrategy):
             # A phantom partial match was expected: fetch a useless element.
             key = ctx.noise.decoy_key(key)
         tracer = ctx.tracer
-        if self._available(key) or ctx.transport.in_flight(key) is not None:
+        cache = ctx.cache
+        available = cache is not None and cache.peek(key, now) is not None
+        if available or ctx.transport.in_flight(key) is not None:
             if tracer.enabled:
                 tracer.emit(
                     CAT_PREFETCH,
@@ -228,7 +235,6 @@ class PFetchStrategy(FetchStrategy):
                     key=trace_key(key),
                 )
             return
-        cache = ctx.cache
         if cache is not None and cache.used >= cache.capacity:
             # Eq. 7: only displace cached data for higher-utility elements.
             # The candidate's own utility includes the anticipated urgent

@@ -79,16 +79,20 @@ def required_keys(run: Run, include_future_states: bool = False) -> tuple[DataKe
     return tuple(keys)
 
 
-def _downstream_sites(state: State) -> tuple[tuple[str, str, str], ...]:
+def _registered_sites(state: State) -> tuple[tuple[str, str, str], ...]:
     """``(source, key binding, key attribute)`` of every remote site at or
-    below ``state``, in the order :func:`required_keys` visits them with
-    ``include_future_states`` — the per-state part of that walk, done once."""
+    below ``state`` whose key a run there has bound, in the order
+    :func:`required_keys` visits them with ``include_future_states`` — the
+    per-state part of that walk, done once.  Every run at a state binds
+    exactly the state's ``path_bindings``."""
+    bound = state.path_bindings
     sites: list[tuple[str, str, str]] = []
     pending = list(state.transitions)
     while pending:
         transition = pending.pop()
         for site in transition.sites:
-            sites.append((site.ref.source, site.ref.key_binding, site.ref.key_expr.attr))
+            if site.ref.key_binding in bound:
+                sites.append((site.ref.source, site.ref.key_binding, site.ref.key_expr.attr))
         pending.extend(transition.target.transitions)
     return tuple(sites)
 
@@ -112,7 +116,7 @@ class UtilityModel:
         self._horizon = (
             float(window.value) if window.kind == "count" else TIME_WINDOW_HORIZON_EVENTS
         )
-        self._state_sites = [_downstream_sites(state) for state in automaton.states]
+        self._state_sites = [_registered_sites(state) for state in automaton.states]
         # UU: live partial matches requiring each key (Eq. 3 counts), with
         # the run's window anchor kept for residual-lifetime estimation.
         self._uu_runs: dict[DataKey, dict[int, tuple[float, int]]] = {}
@@ -126,48 +130,62 @@ class UtilityModel:
         self._now = 0.0
 
     # -- run lifecycle (driven by the strategy's engine callbacks) ------------
-    def on_run_created(self, run: Run) -> None:
-        # Count every remote key the run can already name, including needs
-        # that materialise several transitions ahead: a partial match at a
-        # lookahead class *will* require the element once it reaches the
-        # evaluating class, and an element prefetched on its behalf must not
-        # look worthless to the cache in the meantime.  (The strict
-        # next-event D(p, k+1) would assign zero utility to every fresh
-        # prefetch and make the cost-based policy evict them first.)
-        # This is required_keys(run, include_future_states=True) with the
-        # automaton walk precomputed and the attributes read directly.
-        class_index = run.state.index
-        keys: tuple[DataKey, ...] = ()
-        sites = self._state_sites[class_index]
-        if sites:
-            env = run.env
-            try:
-                for source, name, attr in sites:
-                    bound = env.get(name)
-                    if bound is not None:
-                        keys += ((source, bound.attrs[attr]),)
-            except KeyError:
-                keys = required_keys(run, include_future_states=True)  # raises, worded
-        run.required_keys = keys
-        self._tran_class[class_index] = self._tran_class.get(class_index, 0.0) + 1.0
-        if not keys:
-            return
-        per_class = self._tran_key.setdefault(class_index, {})
-        for key in keys:
-            per_class[key] = per_class.get(key, 0.0) + 1.0
-        self._unindexed[run.run_id] = run
+    def on_runs_created(self, runs: Sequence[Run]) -> None:
+        """Alg. 2 registration of a batch of new runs, in run order.
 
-    def on_run_dropped(self, run: Run) -> None:
-        if self._unindexed.pop(run.run_id, None) is not None:
-            return
-        for key in run.required_keys:
-            for ancestor_key in self._store.lookup(key).ancestor_keys():
-                runs = self._uu_runs.get(ancestor_key)
-                if runs is None:
-                    continue
-                runs.pop(run.run_id, None)
-                if not runs:
-                    del self._uu_runs[ancestor_key]
+        Each run counts every remote key it can already name, including
+        needs that materialise several transitions ahead: a partial match at
+        a lookahead class *will* require the element once it reaches the
+        evaluating class, and an element prefetched on its behalf must not
+        look worthless to the cache in the meantime.  (The strict next-event
+        D(p, k+1) would assign zero utility to every fresh prefetch and make
+        the cost-based policy evict them first.)  The keys are
+        ``required_keys(run, include_future_states=True)`` with the automaton
+        walk precomputed per state and the attributes read directly.
+        """
+        state_sites = self._state_sites
+        tran_class = self._tran_class
+        tran_key = self._tran_key
+        unindexed = self._unindexed
+        for run in runs:
+            class_index = run.state.index
+            keys: tuple[DataKey, ...] = ()
+            sites = state_sites[class_index]
+            if sites:
+                env = run.env
+                try:
+                    for source, name, attr in sites:
+                        keys += ((source, env[name].attrs[attr]),)
+                except KeyError:
+                    keys = required_keys(run, include_future_states=True)  # raises, worded
+                run.required_keys = keys
+            tran_class[class_index] = tran_class.get(class_index, 0.0) + 1.0
+            if not keys:
+                continue
+            per_class = tran_key.get(class_index)
+            if per_class is None:
+                per_class = tran_key[class_index] = {}
+            for key in keys:
+                per_class[key] = per_class.get(key, 0.0) + 1.0
+            unindexed[run.run_id] = run
+
+    def on_runs_dropped(self, runs: Sequence[Run]) -> None:
+        """Forget dropped runs: unfiled ones leave the pending set, filed
+        ones every index entry they were filed under."""
+        pending = self._unindexed.pop
+        uu_runs = self._uu_runs
+        lookup = self._store.lookup
+        for run in runs:
+            if pending(run.run_id, None) is not None:
+                continue
+            for key in run.required_keys:
+                for ancestor_key in lookup(key).ancestor_keys():
+                    filed = uu_runs.get(ancestor_key)
+                    if filed is None:
+                        continue
+                    filed.pop(run.run_id, None)
+                    if not filed:
+                        del uu_runs[ancestor_key]
 
     def tick(self, now: float, counts: Sequence[int]) -> None:
         """Periodic refresh: advance time, update #P_j from ``counts``, decay counters."""
@@ -175,18 +193,16 @@ class UtilityModel:
         self._events_seen += 1
         smoothed = self._class_counts
         if self._events_seen == 1:
-            smoothed[:] = counts  # previous = current on the first tick
-        for state_index, current in enumerate(counts):
-            smoothed[state_index] = 0.9 * smoothed[state_index] + 0.1 * current
+            smoothed = counts  # previous = current on the first tick
+        self._class_counts = [0.9 * s + 0.1 * c for s, c in zip(smoothed, counts)]
         if self._events_seen % _DECAY_INTERVAL == 0:
-            for per_class in self._tran_key.values():
-                stale = []
-                for key in per_class:
-                    per_class[key] *= _DECAY
-                    if per_class[key] < 0.05:
-                        stale.append(key)
-                for key in stale:
-                    del per_class[key]
+            tran_key = self._tran_key
+            for class_index, per_class in tran_key.items():
+                tran_key[class_index] = {
+                    key: decayed
+                    for key, weight in per_class.items()
+                    if not (decayed := weight * _DECAY) < 0.05
+                }
             for class_index in self._tran_class:
                 self._tran_class[class_index] *= _DECAY
 

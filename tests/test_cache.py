@@ -227,7 +227,7 @@ class TestHitHistory:
     def _distrust(history, site, state, now):
         """Record the misses that take a trigger class to the threshold."""
         for _ in range(MISS_THRESHOLD):
-            history.record_miss(site, state, now=now)
+            history.record(site, state, now=now, hit=False)
 
     def test_optimistic_without_evidence(self):
         history = HitHistory()
@@ -236,17 +236,17 @@ class TestHitHistory:
     def test_miss_threshold_disables_trigger(self):
         history = HitHistory()
         for _ in range(MISS_THRESHOLD - 1):
-            history.record_miss(0, 1, now=0.0)
+            history.record(0, 1, now=0.0, hit=False)
         assert history.usable(0, 1, now=1.0)
-        history.record_miss(0, 1, now=2.0)
+        history.record(0, 1, now=2.0, hit=False)
         assert not history.usable(0, 1, now=3.0)
 
     def test_hit_forgives_misses(self):
         history = HitHistory()
         for _ in range(MISS_THRESHOLD - 1):
-            history.record_miss(0, 1, now=0.0)
-        history.record_hit(0, 1, now=1.0)
-        history.record_miss(0, 1, now=2.0)
+            history.record(0, 1, now=0.0, hit=False)
+        history.record(0, 1, now=1.0, hit=True)
+        history.record(0, 1, now=2.0, hit=False)
         assert history.usable(0, 1, now=3.0)
 
     def test_evidence_expires_after_reset_period(self):

@@ -17,6 +17,7 @@ import traceback
 import pytest
 
 import repro.query
+from repro.core.framework import EIRES
 from repro.events.event import Event
 from repro.events.stream import Stream
 from repro.nfa.compiler import compile_query
@@ -33,6 +34,7 @@ from repro.query.predicates import (
     RemoteRef,
 )
 from repro.remote.store import RemoteStore
+from repro.remote.transport import FixedLatency
 
 from tests.helpers import run_eires
 
@@ -96,6 +98,20 @@ class TestRendering:
     def test_negative_eval_cost_is_refused(self):
         with pytest.raises(ValueError, match="negative eval_cost"):
             compile_guard([Comparison("=", Const(1), Const(1), eval_cost=-0.1)], "a")
+
+    def test_negative_remote_eval_cost_is_refused(self):
+        # The engine adds a remote predicate's cost to the clock's slot
+        # unchecked: the compile refuses it with the local predicates' words.
+        remote = Membership(Attr("b", "v"), RemoteRef("s", Attr("a", "v")), eval_cost=-0.1)
+        with pytest.raises(ValueError, match=r"predicate .+ has negative eval_cost -0\.1"):
+            guards.compile_remote(remote)
+
+    def test_negative_remote_eval_cost_fails_the_build_not_the_replay(self):
+        query = parse_query("SEQ(A a, B b) WHERE b.v IN REMOTE<s>[a.v] WITHIN 100", name="t")
+        (remote,) = [condition for condition in query.conditions if condition.is_remote]
+        remote.eval_cost = -0.1
+        with pytest.raises(ValueError, match="negative eval_cost"):
+            EIRES(query, RemoteStore(), FixedLatency(50.0), strategy="Hybrid")
 
     def test_transition_exposes_its_guard_source(self):
         automaton = compile_query(

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench.harness import run_strategy
-from repro.core.config import EiresConfig
+from repro.core.config import CACHE_COST, CACHE_LRU, EiresConfig
 from repro.core.framework import EIRES
 from repro.metrics.reporting import format_health_report
 from repro.obs.export import chrome_trace, folded_spans, write_chrome_trace, write_folded
@@ -29,12 +29,13 @@ from repro.obs.spans import SPAN_COMPONENTS, SPAN_RECORD_NAME, aggregate_spans
 from repro.obs.trace import CAT_SPAN, MemorySink, Tracer
 from repro.obs.validate import validate_chrome_trace
 from repro.workloads.bursty import BurstyConfig, bursty_workload
-from repro.workloads.synthetic import SyntheticConfig, q1_workload
+from repro.workloads.synthetic import SyntheticConfig, q1_workload, q2_workload
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "tools"))
 
 import bench_diff  # noqa: E402
+import cache_bound  # noqa: E402
 import opcode_count  # noqa: E402
 import perf_count_gate  # noqa: E402
 
@@ -454,18 +455,15 @@ class TestPerfCountGate:
 
     @staticmethod
     def _block(gate, ratio):
-        """A ``--trace 1`` block holding ``gate`` at ``ratio``, every other
-        row of its workload at zero.
+        """A ``--trace 1`` block holding ``gate`` at ``ratio``.
 
         The event count and every denominator are one power of two, so the
         gate's scaling of ``*_per_event`` rows by the event count is exact.
         """
         unit = 8.0
         metrics = {"engine.process_event.calls": unit}
-        for other in perf_count_gate.GATES:
-            if other.workload == gate.workload:
-                metrics.update(dict.fromkeys(other.numerators, 0.0))
-                metrics.update(dict.fromkeys(other.denominators, unit))
+        metrics.update(dict.fromkeys(gate.numerators, 0.0))
+        metrics.update(dict.fromkeys(gate.denominators, unit))
         numerator = gate.numerators[0]
         per_event = numerator.endswith("_per_event")
         metrics[numerator] = ratio * len(gate.denominators) * (1.0 if per_event else unit)
@@ -475,7 +473,12 @@ class TestPerfCountGate:
         }
 
     @pytest.mark.parametrize("gate", perf_count_gate.GATES, ids=lambda gate: gate.name)
-    def test_row_holds_at_its_bound_and_fails_beyond_it(self, gate, tmp_path, capsys):
+    def test_row_holds_at_its_bound_and_fails_beyond_it(
+        self, gate, tmp_path, capsys, monkeypatch
+    ):
+        # The row alone: rows of one workload share numerators, so a block
+        # doctored for one row says nothing about the others.
+        monkeypatch.setattr(perf_count_gate, "GATES", (gate,))
         path = tmp_path / "block.json"
         path.write_text(json.dumps(self._block(gate, gate.bound)))
         assert perf_count_gate.main([gate.workload, str(path)]) == 0
@@ -488,6 +491,32 @@ class TestPerfCountGate:
         path.write_text(json.dumps({"correct": False, "metrics": {}}))
         assert perf_count_gate.main(["guard_heavy", str(path)]) == 1
         assert "not correct" in capsys.readouterr().err
+
+
+class TestCacheBound:
+    """The MIN tool's demand sequence is the one the cache saw, and MIN
+    bounds what both policies got from it."""
+
+    def test_lru_simulation_reproduces_the_run_and_min_bounds_both(self):
+        workload = q2_workload(SyntheticConfig(n_events=400, id_domain=8, window_events=100))
+        capacity = 16
+        lru_run, keys = cache_bound.demand_run(workload, CACHE_LRU, capacity)
+        cost_run, cost_keys = cache_bound.demand_run(workload, CACHE_COST, capacity)
+        assert cost_keys == keys  # BL2 under a COUNT window: policy-independent
+        assert len(keys) > len(set(keys)) > capacity  # the cache is contended
+        assert cache_bound.lru_hits(keys, capacity) == lru_run
+        bound = cache_bound.min_hits(keys, capacity)
+        assert bound >= max(lru_run, cost_run)
+        assert bound > lru_run  # not vacuous: MIN finds headroom here
+
+    def test_min_evicts_the_furthest_next_request(self):
+        # a b c a b d a b c in two entries, each missed key admitted: MIN
+        # keeps a (wanted soonest) and hits it twice; LRU evicts every key
+        # just before it comes back.
+        keys = list("abcabdabc")
+        assert cache_bound.min_hits(keys, 2) == 2
+        assert cache_bound.lru_hits(keys, 2) == 0
+        assert cache_bound.min_hits(keys, 4) == cache_bound.lru_hits(keys, 4) == 5
 
 
 class TestOpcodeCount:

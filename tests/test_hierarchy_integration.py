@@ -71,10 +71,10 @@ class TestContainerServesParts:
         # through rho*.
         a_state = eires.automaton.states[1]
         run = Run.start(a_state, "a", Event(1.0, {"type": "A", "card": 2, "ben": 0}, seq=0), 1.0)
-        eires.utility.on_run_created(run)
+        eires.utility.on_runs_created((run,))
         assert eires.utility.urgent_utility(("preauth", 2)) > 0.0
         assert eires.utility.urgent_utility(("preauth", ("org", 0))) > 0.0
-        eires.utility.on_run_dropped(run)
+        eires.utility.on_runs_dropped((run,))
         assert eires.utility.urgent_utility(("preauth", ("org", 0))) == 0.0
 
 

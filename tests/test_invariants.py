@@ -4,7 +4,7 @@ PFetch, LzEval and Hybrid change *when* a match is detected, never *what*, as lo
 every run is seeded, virtual-time and independent of hash order, and the runtime is
 wired in one place.  Every ``*.py`` under ``src``, ``benchmarks``, ``tools`` and
 ``examples`` is parsed once per process and checked against :data:`IMPORTS` (A1, R3),
-:data:`CONFINEMENTS` (A2, A5-A7), :data:`BANNED` (D1, D2) and two tree walks (D3, D4
+:data:`CONFINEMENTS` (A2, A5-A7), :data:`BANNED` (D1, D2) and two tree walks (D3-D5
 and M1; M2); the rule catalogue is ``docs/static_analysis.md``.  There is no waiver.
 Every rule keeps a seeded violation and a clean snippet in :data:`CASES`, written into
 a scratch tree laid out as the ``repro`` package: a ``# !<rule>`` mark names each line
@@ -131,6 +131,8 @@ FLOAT_GATE_MODULES = ("utility/model.py", "utility/rates.py", "strategies/prefet
 FLOAT_VALUED_CALLS = frozenset({
     "value", "terms", "urgent_utility", "future_utility", "min_utility", "estimate",
     "estimate_source", "effective_estimate", "extension_rate", "expected_gap", "class_count"})
+#: The only modules that write a clock's ``now``, a plain slot nothing else guards (D5).
+CLOCK_WRITERS = ("sim/clock.py", "engine/engine.py")
 #: The trace and metric registries themselves may use raw names (M1, M2).
 OBS_REGISTRIES = ("obs/trace.py", "obs/registry.py")
 CATEGORY = "repro.obs.trace.CAT_"
@@ -172,11 +174,19 @@ def floatish(expr: ast.expr) -> bool:
 
 
 def check_nodes(module: Module) -> Iterator[tuple[str, int, str]]:
-    """D3, D4 and M1, over one walk of the module."""
+    """D3, D4, D5 and M1, over one walk of the module."""
     ordered = within(module.where, ORDER_SENSITIVE)
     gate = module.where in FLOAT_GATE_MODULES
     registry = module.where in OBS_REGISTRIES
+    clock_writer = module.where in CLOCK_WRITERS
     for node in ast.walk(module.tree):
+        if not clock_writer and (
+            (isinstance(node, ast.Attribute) and node.attr == "now"
+             and isinstance(node.ctx, (ast.Store, ast.Del)))
+            or (isinstance(node, ast.Call) and dotted(node.func) == ["setattr"]
+                and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value == "now")):
+            yield "D5", node.lineno, "writes a clock's now outside sim/clock.py and the engine"
         if ordered:
             iters = [node.iter] if isinstance(node, (ast.For, ast.AsyncFor)) else [
                 gen.iter for gen in getattr(node, "generators", ())]
@@ -232,7 +242,7 @@ def check_guarded_emit(module: Module) -> Iterator[tuple[str, int, str]]:
         yield from walk(module.tree, False)
 
 
-RULES = {*IMPORTS, *CONFINEMENTS, *BANNED, "D3", "D4", "M1", "M2"}
+RULES = {*IMPORTS, *CONFINEMENTS, *BANNED, "D3", "D4", "D5", "M1", "M2"}
 
 
 def findings(module: Module) -> list[tuple[str, int, str]]:
@@ -257,7 +267,7 @@ def test_real_tree_scan_is_not_empty():
 
 def test_every_path_a_table_names_exists():
     # A renamed package must fail here, not turn its rule into a no-op.
-    paths = {*ORDER_SENSITIVE, *FLOAT_GATE_MODULES, *OBS_REGISTRIES, RNG_ROOT}
+    paths = {*ORDER_SENSITIVE, *FLOAT_GATE_MODULES, *OBS_REGISTRIES, *CLOCK_WRITERS, RNG_ROOT}
     paths.update(*(scope for scope, _, _ in IMPORTS.values()))
     for _, allowed, defining, _ in CONFINEMENTS.values():
         paths.update(allowed, *defining.values())
@@ -332,6 +342,26 @@ for key, utility in utilities.items():  # dict views keep insertion order
                "tie = candidate == cache.min_utility()  # !D4\nzero = candidate != 0.0  # !D4\n"),
     "D4_good": ("strategies/prefetch.py",
                 "tie = abs(candidate - cache.min_utility()) <= 1e-9\nbetter = candidate > 0.0\n"),
+    # The clock is a plain slot: any other writer could rewind virtual time.
+    "D5_bad": ("strategies/rogue_rewind.py", """
+ctx.clock.now = deadline  # !D5
+clock.now += stall  # !D5
+setattr(clock, "now", 0.0)  # !D5
+for clock.now in arrivals:  # !D5
+    pass
+"""),
+    "D5_good": ("engine/engine.py", """
+now = clock.now
+if now > clock.now:
+    clock.now = now
+self.clock.now += self.cost_model.base_event_cost
+"""),
+    "D5_good_clock": ("sim/clock.py", "self.now = float(start)\n"),
+    "D5_good_reader": ("strategies/clean_reader.py", """
+now = ctx.clock.now
+utility.tick(ctx.clock.now, counts)
+self._now = now  # another attribute
+"""),
     "M1_bad": ("strategies/rogue_trace.py", """
 CAT_BOGUS = "bogus"
 if tracer.enabled:

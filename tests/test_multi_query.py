@@ -112,7 +112,7 @@ class TestSharing:
         assert ab_runtime.spec.priority == 3.0
         a_state = ab_runtime.automaton.states[1]
         run = Run.start(a_state, "a", Event(1.0, {"type": "A", "id": 1, "v": 7}, seq=0), 1.0)
-        ab_runtime.utility.on_run_created(run)
+        ab_runtime.utility.on_runs_created((run,))
         weighted = runtime.shared_utility(("v", 7))
         single = ab_runtime.utility.value(("v", 7), runtime.config.omega_cache)
         assert weighted == pytest.approx(3.0 * single)

@@ -814,14 +814,34 @@ _remote_predicate = st.one_of(
 ).filter(lambda predicate: predicate.is_remote)
 
 
+class _SnapshotCache:
+    """The one-probe path's cache: serves the snapshot, misses the rest."""
+
+    def __init__(self, snapshot):
+        self._snapshot = snapshot
+
+    def get(self, key, now):
+        if key not in self._snapshot:
+            return None
+        return SimpleNamespace(key=key, value=self._snapshot[key])
+
+
 class _SnapshotStrategy(FetchStrategy):
-    """``resolve_*`` over a fixed snapshot of remote values: no transport, no
-    cache.  A key absent from the snapshot is a terminally failed fetch — not
-    *missing*, so nothing blocks or postpones."""
+    """``resolve_*`` over a fixed snapshot of remote values: no transport.  A
+    key absent from the snapshot is a terminally failed fetch: a single key
+    misses the cache (the one-probe path) and its blocking fetch delivers
+    nothing; ``_collect`` (several keys, obligations) leaves it out without
+    reporting it missing.  Either way nothing postpones."""
 
     def __init__(self, predicate, snapshot, failure_mode):
         super().__init__()
-        self.ctx = SimpleNamespace(failure_mode=failure_mode, tracer=NULL_TRACER)
+        self.ctx = SimpleNamespace(
+            failure_mode=failure_mode,
+            tracer=NULL_TRACER,
+            cache=_SnapshotCache(snapshot),
+            clock=VirtualClock(),
+            transport=SimpleNamespace(next_due=float("inf")),  # nothing in flight
+        )
         self._remote = {predicate: compile_remote(predicate)}
         self._snapshot = snapshot
 
@@ -830,6 +850,9 @@ class _SnapshotStrategy(FetchStrategy):
 
     def _collect(self, keys):
         return {key: self._snapshot[key] for key in keys if key in self._snapshot}, []
+
+    def _block_for(self, keys):
+        return {}
 
 
 @given(

@@ -48,7 +48,7 @@ class TestPrefetchPlanner:
         planner = eires.strategy.planner
         planner.refresh(0.0)
         (site,) = eires.automaton.sites
-        plan = planner.plan_for(site.site_id)
+        plan = planner.plans.get(site.site_id)
         # Closest candidate to the need: the state reached after binding b.
         assert plan.trigger_state_index == 2
         assert plan.offset == 0.0
@@ -61,12 +61,12 @@ class TestPrefetchPlanner:
         (site,) = eires.automaton.sites
         planner.refresh(0.0)
         for _ in range(5):
-            eires.history.record_miss(site.site_id, 2, now=10.0)
+            eires.history.record(site.site_id, 2, now=10.0, hit=False)
         # Plans are recomputed once per refresh interval, not on every call.
         planner.refresh(10.0)
-        assert planner.plan_for(site.site_id).trigger_state_index == 2
+        assert planner.plans.get(site.site_id).trigger_state_index == 2
         planner.refresh(PLAN_REFRESH_INTERVAL_US)
-        plan = planner.plan_for(site.site_id)
+        plan = planner.plans.get(site.site_id)
         # The b-state trigger is distrusted; the a-state (index 1) remains.
         assert plan.trigger_state_index == 1
 
@@ -78,9 +78,9 @@ class TestPrefetchPlanner:
         (site,) = eires.automaton.sites
         for state_index in (1, 2):
             for _ in range(5):
-                eires.history.record_miss(site.site_id, state_index, now=10.0)
+                eires.history.record(site.site_id, state_index, now=10.0, hit=False)
         planner.refresh(10.0)
-        plan = planner.plan_for(site.site_id)
+        plan = planner.plans.get(site.site_id)
         # Estimated-arrival: anchored at the earliest key-bearing class.
         assert plan.trigger_state_index == 1
         assert plan.offset >= 0.0
@@ -93,7 +93,7 @@ class TestPrefetchPlanner:
         planner = eires.strategy.planner
         planner.refresh(0.0)
         (site,) = eires.automaton.sites
-        plan = planner.plan_for(site.site_id)
+        plan = planner.plans.get(site.site_id)
         assert plan.trigger_state_index == 1  # anchor, not closest
 
     def test_unprefetchable_site_has_no_plan(self):
@@ -103,7 +103,7 @@ class TestPrefetchPlanner:
         planner = eires.strategy.planner
         planner.refresh(0.0)
         (site,) = eires.automaton.sites
-        assert planner.plan_for(site.site_id) is None
+        assert planner.plans.get(site.site_id) is None
 
 
 class TestPrefetchGate:

@@ -72,26 +72,80 @@ class TestRequiredKeys:
 
 
 class TestRunRegistration:
-    """``on_run_created`` derives a run's keys from a per-state site list
+    """``on_runs_created`` derives a run's keys from a per-state site list
     built once; ``required_keys`` stays the reference it must agree with."""
 
     @pytest.mark.parametrize("query_fn", [q1_query, q2_query])
     def test_registered_keys_equal_the_reference_walk_at_every_state(self, query_fn):
         automaton = compile_query(query_fn(SyntheticConfig()))
         model = UtilityModel(automaton, RemoteStore(), LatencyMonitor())
+        runs = [
+            run_at(automaton, state.index, {"v1": 10 + state.index, "v2": 20 + state.index})
+            for state in automaton.states[1:]
+        ]
+        model.on_runs_created(runs)  # one batch across every state
         named = 0
-        for state in automaton.states[1:]:
-            run = run_at(automaton, state.index, {"v1": 10 + state.index, "v2": 20 + state.index})
-            model.on_run_created(run)
+        for run in runs:
             assert run.required_keys == required_keys(run, include_future_states=True)
             named += len(run.required_keys)
         assert named  # same keys, same order — and not vacuously
+
+    def test_batches_count_as_the_per_run_counters_and_loops_did(self):
+        """Alg. 2's counters after batched registration, the #P_j EWMA and
+        six decays equal the per-run bumps and in-place loops they replaced,
+        written out below: same floats, same key order — and decays past the
+        0.05 floor once registration stops."""
+        automaton = compile_query(q1_query(SyntheticConfig()))
+        model = UtilityModel(automaton, RemoteStore(), LatencyMonitor())
+        tran_key, tran_class, smoothed = {}, {}, [0.0] * automaton.n_states
+        dropped = 0
+        states = automaton.states[1:]
+        for step in range(1, 400):  # decays at 64, 128, ..., 384
+            batch = [
+                run_at(automaton, states[(step + i) % len(states)].index,
+                       {"v1": (step * i) % 11, "v2": (step + i) % 3})
+                for i in range(step % 5 if step < 200 else 0)
+            ]
+            model.on_runs_created(batch)
+            for run in batch:
+                index = run.state.index
+                keys = required_keys(run, include_future_states=True)
+                tran_class[index] = tran_class.get(index, 0.0) + 1.0
+                if not keys:
+                    continue
+                per_class = tran_key.setdefault(index, {})
+                for key in keys:
+                    per_class[key] = per_class.get(key, 0.0) + 1.0
+            counts = [(step * index) % 7 for index in range(automaton.n_states)]
+            model.tick(float(step), counts)
+            if step == 1:
+                smoothed[:] = counts
+            for index, current in enumerate(counts):
+                smoothed[index] = 0.9 * smoothed[index] + 0.1 * current
+            if step % 64 == 0:
+                for per_class in tran_key.values():
+                    stale = []
+                    for key in per_class:
+                        per_class[key] *= 0.5
+                        if per_class[key] < 0.05:
+                            stale.append(key)
+                    for key in stale:
+                        del per_class[key]
+                    dropped += len(stale)
+                for index in tran_class:
+                    tran_class[index] *= 0.5
+        assert [(i, list(c.items())) for i, c in model._tran_key.items()] == [
+            (i, list(c.items())) for i, c in tran_key.items()
+        ]
+        assert list(model._tran_class.items()) == list(tran_class.items())
+        assert dropped and any(tran_key.values())
+        assert [model.class_count(i) for i in range(automaton.n_states)] == smoothed
 
     def test_missing_key_attribute_keeps_the_reference_wording(self):
         automaton = build_automaton()
         model = UtilityModel(automaton, RemoteStore(), LatencyMonitor())
         with pytest.raises(KeyError, match=r"event has no attribute 'v'; has \['type', 'w'\]"):
-            model.on_run_created(run_at(automaton, 1, {"w": 7}))
+            model.on_runs_created((run_at(automaton, 1, {"w": 7}),))
 
 
 class TestUtilityModel:
@@ -105,9 +159,9 @@ class TestUtilityModel:
         model, _ = self._model()
         automaton = build_automaton()
         run = run_at(automaton, 2, {"v": 7})
-        model.on_run_created(run)
+        model.on_runs_created((run,))
         assert model.urgent_utility(("r", 7)) == LATENCY_PRIOR_US  # 1 run x prior latency
-        model.on_run_dropped(run)
+        model.on_runs_dropped((run,))
         assert model.urgent_utility(("r", 7)) == 0.0
 
     def test_urgent_utility_propagates_to_containers(self):
@@ -117,14 +171,14 @@ class TestUtilityModel:
         store.put("r", 7, "part", size=1, parent=parent)
         model = UtilityModel(automaton, store, LatencyMonitor())
         run = run_at(automaton, 2, {"v": 7})
-        model.on_run_created(run)
+        model.on_runs_created((run,))
         assert model.urgent_utility(("r", "all")) > 0.0
 
     def test_future_utility_builds_from_class_statistics(self):
         model, _ = self._model()
         automaton = build_automaton()
         for i in range(10):
-            model.on_run_created(run_at(automaton, 2, {"v": 7}))
+            model.on_runs_created((run_at(automaton, 2, {"v": 7}),))
             model.tick(float(i), [0, 0, i + 1, 0])
         assert model.future_utility(("r", 7)) > 0.0
         # A key never required by any run has no future utility.
@@ -134,7 +188,7 @@ class TestUtilityModel:
         model, _ = self._model()
         automaton = build_automaton()
         run = run_at(automaton, 2, {"v": 7})
-        model.on_run_created(run)
+        model.on_runs_created((run,))
         urgent_only = model.value(("r", 7), omega=1.0)
         future_only = model.value(("r", 7), omega=0.0)
         mixed = model.value(("r", 7), omega=0.5)
@@ -150,14 +204,14 @@ class TestUtilityModel:
         noisy = NoiseModel(1.0)
         model, _ = self._model(noise=noisy)
         automaton = build_automaton()
-        model.on_run_created(run_at(automaton, 2, {"v": 7}))
+        model.on_runs_created((run_at(automaton, 2, {"v": 7}),))
         model.tick(0.0, [0, 0, 5, 0])
         assert model.future_utility(("r", 7)) == 0.0
 
     def test_decay_forgets_old_counters(self):
         model, _ = self._model()
         automaton = build_automaton()
-        model.on_run_created(run_at(automaton, 2, {"v": 7}))
+        model.on_runs_created((run_at(automaton, 2, {"v": 7}),))
         model.tick(0.0, [0, 0, 5, 0])
         before = model.future_utility(("r", 7))
         assert before > 0.0
@@ -223,8 +277,13 @@ _lifecycle_op = st.one_of(
         st.integers(min_value=1, max_value=2),  # state: (a) or (a, b)
         st.integers(min_value=0, max_value=4),  # a.v, the remote key
         st.integers(min_value=0, max_value=200),  # window anchor: seq and t
+        st.integers(min_value=1, max_value=3),  # runs in the batch
     ),
-    st.tuples(st.just("drop"), st.integers(min_value=0, max_value=50)),
+    st.tuples(
+        st.just("drop"),
+        st.integers(min_value=0, max_value=50),
+        st.integers(min_value=1, max_value=3),  # runs in the batch
+    ),
     st.tuples(
         st.just("tick"),
         st.sampled_from([1, 1, 3, 70]),  # 70 crosses the 64-event decay
@@ -328,16 +387,20 @@ class TestTermsContract:
         now = 0.0
         for op in ops:
             if op[0] == "create":
-                _, state_index, v, anchor = op
-                run = run_at(automaton, state_index, {"v": v})
-                run.first_seq, run.first_t = anchor, float(anchor)
-                model.on_run_created(run)
-                eager.on_run_created(run)
-                live.append(run)
+                _, state_index, v, anchor, count = op
+                batch = []
+                for offset in range(count):
+                    run = run_at(automaton, state_index, {"v": (v + offset) % 5})
+                    run.first_seq, run.first_t = anchor, float(anchor)
+                    batch.append(run)
+                model.on_runs_created(batch)
+                for run in batch:
+                    eager.on_run_created(run)
+                live += batch
             elif op[0] == "drop":
-                if live:
-                    run = live.pop(op[1] % len(live))
-                    model.on_run_dropped(run)
+                batch = [live.pop(op[1] % len(live)) for _ in range(min(op[2], len(live)))]
+                model.on_runs_dropped(batch)
+                for run in batch:
                     eager.on_run_dropped(run)
             elif op[0] == "tick":
                 for _ in range(op[1]):
@@ -354,7 +417,7 @@ class TestTermsContract:
         read()
 
 
-_DRIVERS = ("on_run_created", "on_run_dropped", "tick")
+_DRIVERS = ("on_runs_created", "on_runs_dropped", "tick")
 
 
 class TestDrivenOnlyWithARemoteSite:

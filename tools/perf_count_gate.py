@@ -57,7 +57,7 @@ GATES = (
     # clock publish in the bucket replay, 1.21 without (seed 42: 1.11); 0.58
     # with the utility model driven only where a remote site exists and no
     # list-comprehension frame per match; 0.56 observing arrival rates only
-    # there too.
+    # there too; 0.37 with the clock a slot the engine writes.
     Gate(
         "guard_heavy",
         "frames per guard",
@@ -97,10 +97,14 @@ GATES = (
     # site): no run registration, no tick.  Measured (--smoke, Python 3.11,
     # seed 42): (9 029 + 750) / 750 = 13.04 driving the model for every
     # automaton, 0 / 750 driving it only where a remote site exists.
+    # Registration is one ``on_runs_created`` call per batch since, which the
+    # ``utility.on_run_created`` boundary no longer sees, so the row reads
+    # the ticks alone: ``_drives_utility`` gates ticks and registration
+    # together, and forcing it on makes one tick per event (750 / 750 = 1.0).
     Gate(
         "guard_heavy",
         "utility-model calls per event",
-        ("utility.on_run_created.calls", "utility.tick.calls"),
+        ("utility.tick.calls",),
         (_EVENTS,),
         0.01,
         "the utility model is driven without a remote site again",
@@ -146,14 +150,41 @@ GATES = (
     # callbacks and the interpretive remote path, 25.0 without (full size,
     # seed 7: 45.6 -> 25.5); 23.70 with eager utility index writes, 18.30
     # with the index filled on read, 16.63 with the bucket replay building
-    # matches and extensions in place.
+    # matches and extensions in place (16.52 at seed 42); 7.32 with
+    # registration per batch, one probe per cache hit and the clock a slot.
     Gate(
         "q1_hybrid",
         "frames per run created",
         _frames("query", "engine", "strategies", "utility", "remote", "sim", "events"),
         ("engine.runs_created",),
-        18.0,
+        10.0,
         "per-run frames crept back into the run lifecycle",
+    ),
+    # Cache, strategy and clock frames per remote-predicate resolution: a
+    # single-key predicate outside a blocking round makes one cache probe,
+    # no snapshot, and reads the clock's slot.  Measured (--smoke, Python
+    # 3.11, seed 42): 256 685 / 8 201 = 31.30 through _collect, _probe,
+    # trigger_state_for, _record and the clock property; 93 041 / 8 201 =
+    # 11.35 with one probe, batched registration and the clock a slot.
+    Gate(
+        "q1_hybrid",
+        "frames per remote resolution",
+        _frames("strategies", "cache", "sim"),
+        ("strategies.resolve_predicate.calls",),
+        15.0,
+        "a cache hit pays a chain of frames again",
+    ),
+    # Utility-layer frames per run created: Alg. 2 registers a batch in one
+    # call, not a call per run.  Measured (--smoke, Python 3.11, seed 42):
+    # 45 152 / 19 567 = 2.31 registering and unregistering run by run,
+    # 10 897 / 19 567 = 0.56 per batch.
+    Gate(
+        "q1_hybrid",
+        "utility frames per run created",
+        _frames("utility"),
+        ("engine.runs_created",),
+        1.0,
+        "the utility model registers run by run again",
     ),
     # Remote-layer frames (store lookups, ancestor walks) per run created:
     # the utility index walks a run's keys only when a utility is read, and
