@@ -507,7 +507,7 @@ class Engine:
                 obligations = self._resolve_remote(transition, run, bound, strategy)
                 if obligations is None:
                     continue
-                extension = Run(  # Run.extend, without the call
+                extension = Run(
                     transition.target, bound, run.first_t, run.first_seq, event.seq,
                     run.obligations + obligations, clock.now,
                 )

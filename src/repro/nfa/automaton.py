@@ -91,7 +91,8 @@ class Transition:
     predicates compiled into one function (:mod:`repro.query.guards`) — what
     the engine calls per run; ``bucket_loop`` is the same guard compiled into
     a loop over a whole bucket of runs, ``None`` when the transition has
-    remote predicates (the strategy decides those run by run).
+    remote predicates (the strategy decides those run by run) or leaves the
+    root (no run is ever filed at the root, so no bucket there is stepped).
     """
 
     __slots__ = (

@@ -15,7 +15,8 @@ the index already guarantees.
 
 Each transition's local predicates are also compiled, here and once, into
 the single function the engine calls per guard and — for transitions without
-remote predicates — the loop it calls per bucket (:mod:`repro.query.guards`).
+remote predicates that leave a state runs are filed at, which the root never
+is — the loop it calls per bucket (:mod:`repro.query.guards`).
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ def _build_path(root: State, sequence: tuple[EventAtom, ...], query: Query, stat
             guard=compile_guard(local, atom.binding),
             bucket_loop=(
                 None
-                if remote
+                if remote or current.is_root
                 else compile_bucket_loop(local, atom.binding, query.window.kind, partition)
             ),
         )

@@ -78,7 +78,7 @@ class Obligation:
 class Run:
     """One partial match of the automaton.
 
-    Runs are persistent-by-copy: :meth:`extend` produces a new run with one
+    Runs are persistent-by-copy: extending one builds a new run with one
     more binding, leaving the original untouched (the greedy policy keeps
     both alive).  ``created_at`` is the virtual time the run entered its
     current state — the anchor for prefetch offset timing (Alg. 3 line 11).
@@ -132,31 +132,6 @@ class Run:
             first_seq=event.seq,
             last_seq=event.seq,
             obligations=(),
-            created_at=created_at,
-        )
-
-    def extend(
-        self,
-        transition: Transition,
-        event: Event,
-        new_obligations: tuple[Obligation, ...],
-        created_at: float,
-        env: dict[str, Event],
-    ) -> "Run":
-        """The run that results from consuming ``event`` along ``transition``.
-
-        ``env`` is the extension's environment, which the caller has already
-        built (to resolve remote predicates against); it may be shared with
-        the obligations issued there — nothing mutates an environment once
-        its run exists.
-        """
-        return Run(
-            state=transition.target,
-            env=env,
-            first_t=self.first_t,
-            first_seq=self.first_seq,
-            last_seq=event.seq,
-            obligations=self.obligations + new_obligations,
             created_at=created_at,
         )
 

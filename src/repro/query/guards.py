@@ -53,15 +53,12 @@ QG's ``q2 -> q3`` (``SAME[id] AND c.v1 <= 92000 AND c.v2 >= 8000 AND
 c.v1 >= 4000``)::
 
     def bucket_loop(runs, event, now, guard_cost, window, evaluations, passes):
-        try:
-            _x0 = event.attrs['id']
-            _x1 = event.attrs['v1']
-            _x2 = event.attrs['v2']
-            _f2 = not (_x1 <= 92000)
-            _f3 = not (_x2 >= 8000)
-            _f4 = not (_x1 >= 4000)
-        except Exception:
-            return _unhoisted(runs, event, now, guard_cost, window, evaluations, passes)
+        _x0 = event.attrs['id']
+        _x1 = event.attrs['v1']
+        _x2 = event.attrs['v2']
+        _f2 = not (_x1 <= 92000)
+        _f3 = not (_x2 >= 8000)
+        _f4 = not (_x1 >= 4000)
         _same = type(_x0) in _EXACT or type(_x0) is float and _x0 == _x0
         outcomes = []
         charged = 0
@@ -128,10 +125,10 @@ call, in a *prelude*:
 
 *Error transparency.*  The prelude evaluates what the per-run loop might
 never reach (every run expired, or an earlier predicate failing for all of
-them).  So if it raises, the bucket is stepped by the loop without a
-prelude — generated from the same rendering, built and compiled at its
-first use — which raises exactly where the per-run loop raises, or returns
-the right answer.
+them), and it catches nothing: if it raises, the exception propagates like
+any other, and the engine steps the bucket run by run, whose guards raise
+exactly where the per-run path raises or return the right answer.  A loop
+completes exactly when neither its prelude nor a per-run check raised.
 
 Remote predicates
 -----------------
@@ -155,9 +152,12 @@ pure steps either side of that decision were still tree walks:
 ``values`` maps each ``(source, key)`` pair to the element's value — the
 snapshot the strategy collected.  Neither function catches anything: a
 ``KeyError`` on ``values[...]`` is a key whose fetch terminally failed, on
-``env[...]`` an unbound binding, on ``attrs[...]`` a missing attribute, and
-the strategy answers any exception by re-running the interpretive walk,
-which applies the failure mode or raises the descriptive error.
+``env[...]`` an unbound binding, on ``attrs[...]`` a missing attribute.  The
+strategy answers an exception from ``decide`` by re-running the interpretive
+walk, which applies the failure mode or raises the descriptive error, and one
+from ``keys`` likewise where a predicate is first resolved; a postponed
+predicate's keys are re-read from the environment they were first read from,
+which cannot raise.
 
 ``compile()`` costs far more than rendering, and tenants of one fleet (or
 successive builds of one query) produce identical source, so code objects
@@ -208,9 +208,6 @@ Guard = Callable[[Mapping[str, Event], Event, float], tuple[int, bool, float]]
 BucketLoop = Callable[..., "tuple[float, int, float, float, list] | None"]
 
 _PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
-
-_LOOP_ARGUMENTS = "runs, event, now, guard_cost, window, evaluations, passes"
-_LOOP_SIGNATURE = f"def bucket_loop({_LOOP_ARGUMENTS}):"
 
 # Partition values whose dict-key equality is ``==`` with no exception:
 # whatever shares their bucket compares equal to them (floats must also
@@ -340,15 +337,10 @@ def compile_bucket_loop(
             checks.append((cost, f"_f{position}"))
         else:
             checks.append((cost, f"not {condition}"))
-    if not scope.inputs and not prelude:
-        return _unhoisted_bucket_loop(predicates, binding, window_kind)
     lines = [
-        _LOOP_SIGNATURE,
-        "    try:",
-        *(f"        {local} = event.attrs[{attr!r}]" for attr, local in scope.inputs.items()),
-        *(f"        {line}" for line in prelude),
-        "    except Exception:",
-        f"        return _unhoisted({_LOOP_ARGUMENTS})",
+        "def bucket_loop(runs, event, now, guard_cost, window, evaluations, passes):",
+        *(f"    {local} = event.attrs[{attr!r}]" for attr, local in scope.inputs.items()),
+        *(f"    {line}" for line in prelude),
     ]
     if partition is not None:
         value = partition.left.render(scope)
@@ -356,23 +348,7 @@ def compile_bucket_loop(
             f"    _same = type({value}) in _EXACT or type({value}) is float and {value} == {value}"
         )
     lines += _loop_body(checks, window_kind)
-    unhoisted = _on_first_call(
-        functools.partial(_unhoisted_bucket_loop, tuple(predicates), binding, window_kind)
-    )
-    (bucket_loop,) = _define(
-        ["bucket_loop"], lines, scope, _unhoisted=unhoisted, _EXACT=_EXACT_TYPES
-    )
-    return bucket_loop
-
-
-def _unhoisted_bucket_loop(
-    predicates: Sequence[Predicate], binding: str, window_kind: str
-) -> BucketLoop:
-    """The bucket loop with no prelude: every check evaluated per run."""
-    scope = GuardScope(binding)
-    checks = [(cost, f"not {condition}") for cost, condition in _rendered(predicates, scope)]
-    lines = [_LOOP_SIGNATURE, *_loop_body(checks, window_kind)]
-    (bucket_loop,) = _define(["bucket_loop"], lines, scope)
+    (bucket_loop,) = _define(["bucket_loop"], lines, scope, _EXACT=_EXACT_TYPES)
     return bucket_loop
 
 
@@ -410,18 +386,6 @@ def _loop_body(checks: Sequence[tuple[str, str]], window_kind: str) -> list[str]
         "    return now, charged, evaluations, passes, outcomes",
     ]
     return lines
-
-
-def _on_first_call(build: Callable[[], Callable]) -> Callable:
-    """A stand-in for the function ``build()`` returns, built at its first call."""
-    built: list[Callable] = []
-
-    def call(*args):
-        if not built:
-            built.append(build())
-        return built[0](*args)
-
-    return call
 
 
 def compile_remote(predicate: Predicate) -> tuple[Callable, Callable]:

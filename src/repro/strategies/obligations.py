@@ -33,8 +33,12 @@ class ObligationResolution:
     shared instance state declared there — including ``_remote``, each remote
     predicate's generated ``(keys, decide)`` pair
     (:func:`repro.query.guards.compile_remote`).  Generated code words no
-    errors and knows no failure mode: whenever it raises, the interpretive
-    ``remote_keys`` / :func:`_evaluate_with` run instead and do both.
+    errors and knows no failure mode: whenever ``decide`` raises, the
+    interpretive :func:`_evaluate_with` runs instead and does both.  ``keys``
+    falls back to ``remote_keys`` (for the wording) in
+    :meth:`resolve_predicate` only: an obligation's ``env`` is the very
+    environment its keys were computed from there, so on an obligation
+    ``keys`` cannot raise.
     """
 
     def resolve_predicate(
@@ -95,12 +99,8 @@ class ObligationResolution:
     ):
         """Re-evaluate a postponed predicate once its data (maybe) arrived."""
         keys_of, decide = self._remote[predicate]
-        try:
-            keys = keys_of(env)
-        except Exception:
-            keys = predicate.remote_keys(env)
         self._deliver_due()
-        values, missing = self._collect(keys)
+        values, missing = self._collect(keys_of(env))
         if missing:
             if not blocking:
                 return POSTPONED
@@ -130,11 +130,13 @@ class ObligationResolution:
         """
         missing: list[DataKey] = []
         seen: set[DataKey] = set()
+        remote = self._remote
         self._deliver_due()
         self._in_blocking_round = True
         for obligation in run.obligations:
             for predicate in obligation.predicates:
-                for key in predicate.remote_keys(obligation.env):
+                keys_of, _ = remote[predicate]
+                for key in keys_of(obligation.env):
                     if key not in seen and not self._available(key):
                         seen.add(key)
                         missing.append(key)

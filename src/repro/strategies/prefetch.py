@@ -158,18 +158,18 @@ class PFetchStrategy(FetchStrategy):
     def _fire_prefetches(
         self, run: Run, sites: Sequence[tuple[RemoteSite, PrefetchPlan]], now: float
     ) -> None:
-        """Issue (or schedule) the prefetches ``run`` triggers on entering its state."""
+        """Issue (or schedule) the prefetches ``run`` triggers on entering its state.
+
+        A trigger state binds every key it prefetches, and the run was
+        registered first, which read the same attributes of the same events
+        (``UtilityModel.on_runs_created``) and raised the worded error for a
+        missing one: each key here is one read.
+        """
         env = run.env
         for site, plan in sites:
             ref = site.ref
             key_expr = ref.key_expr
-            bound = env.get(key_expr.binding)
-            if bound is None:
-                continue  # different branch shares the state index? (defensive)
-            try:
-                key = (ref.source, bound.attrs[key_expr.attr])
-            except KeyError:
-                key = ref.concrete_key(env)  # raises, worded
+            key = (ref.source, env[key_expr.binding].attrs[key_expr.attr])
             if plan.offset <= 0.0:
                 self.issue_prefetch(site, key)
             else:

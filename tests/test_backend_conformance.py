@@ -132,9 +132,14 @@ class TestBucketLoopByteIdentity:
 
     def test_the_stand_in_reaches_the_transitions(self, monkeypatch):
         query = q1_workload(Q1_SMALL).query
-        loops = [t.bucket_loop for t in compile_query(query).transitions]
-        # Q1's two remote transitions are the strategy's to decide, run by run.
-        assert sum(loop is None for loop in loops) == 2 and len(loops) == 8
+        transitions = compile_query(query).transitions
+        # Q1's two remote transitions are the strategy's to decide, run by
+        # run, and its root transition leaves a state no run is filed at.
+        assert [t.bucket_loop is None for t in transitions] == [
+            bool(t.remote_predicates) or t.source.is_root for t in transitions
+        ]
+        assert sum(bool(t.remote_predicates) for t in transitions) == 2 and len(transitions) == 8
+        assert sum(t.bucket_loop is None for t in transitions) == 3
         monkeypatch.setattr(nfa_compiler, "compile_bucket_loop", _no_bucket_loop)
         assert not any(t.bucket_loop for t in compile_query(query).transitions)
 

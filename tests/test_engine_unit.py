@@ -43,7 +43,10 @@ class TestRunStructure:
 
         second = Event(9.0, {"type": "B"}, seq=1)
         transition = automaton.states[1].transitions[0]
-        extended = run.extend(transition, second, (), created_at=9.5, env={**run.env, "b": second})
+        extended = Run(
+            transition.target, {**run.env, "b": second}, run.first_t, run.first_seq, second.seq,
+            run.obligations, created_at=9.5,
+        )
         assert extended.state.is_final
         assert extended.env["b"] is second
         # The original run is untouched (greedy split keeps it alive).

@@ -18,6 +18,8 @@ import pytest
 
 import repro.query
 from repro.core.framework import EIRES
+from repro.engine.engine import Engine
+from repro.engine.interface import CostModel
 from repro.events.event import Event
 from repro.events.stream import Stream
 from repro.nfa.compiler import compile_query
@@ -35,8 +37,9 @@ from repro.query.predicates import (
 )
 from repro.remote.store import RemoteStore
 from repro.remote.transport import FixedLatency
+from repro.sim.clock import VirtualClock
 
-from tests.helpers import run_eires
+from tests.helpers import RecordingStrategy, run_eires
 
 
 def _events(*payloads):
@@ -260,7 +263,7 @@ class TestBucketLoop:
         assert loop.startswith(
             "def bucket_loop(runs, event, now, guard_cost, window, evaluations, passes):"
         )
-        prelude, body = loop.split("    except Exception:\n")
+        prelude, body = loop.split("    outcomes = []\n")
         # The prelude reads each input attribute into a local, once per call.
         reads = {}
         for line in prelude.splitlines():
@@ -302,8 +305,11 @@ class TestBucketLoop:
 
     def test_transitions_with_remote_predicates_have_none(self):
         first, second, third = self._transitions()
-        assert first.bucket_loop and second.bucket_loop
+        assert second.bucket_loop
         assert third.remote_predicates and third.bucket_loop is None
+        # Nor does the root's: no run is ever filed at the root.
+        assert first.source.is_root and not first.remote_predicates
+        assert first.bucket_loop is None
 
     def test_outcomes_are_ordered_and_nothing_is_published(self):
         automaton = compile_query(parse_query("SEQ(A a, B b) WHERE a.v < b.v WITHIN 5 EVENTS", name="t"))
@@ -350,32 +356,56 @@ class TestBucketLoop:
             loop([run], Event(2.0, {"v": 2}, seq=1), 0.0, 0.05, 5, 0.0, 0.0)
         assert excinfo.value.args == ("v9",)  # bare: the per-run path words it
 
-    def test_a_prelude_failure_steps_the_bucket_through_the_unhoisted_loop(self):
+    def test_a_prelude_failure_steps_the_bucket_run_by_run(self):
         # ``b.w >= 3`` raises on a str, but every run fails ``a.v < b.v``
-        # first: the per-run loop never reaches it, so the bucket steps.
-        loop = compile_bucket_loop(
-            [Comparison("<", Attr("a", "v"), Attr("b", "v")),
-             Comparison(">=", Attr("b", "w"), Const(3))],
-            "b",
-            "count",
-        )
-        unhoisted = loop.__globals__["_unhoisted"]
-        stepped = []
-        loop.__globals__["_unhoisted"] = lambda *args: stepped.append(args) or unhoisted(*args)
-        runs = [
-            Run.start(None, "a", Event(1.0, {"v": 9}, seq=seq), created_at=0.0) for seq in (7, 8)
+        # first: the per-run path never reaches it, so the event steps.
+        query = parse_query("SEQ(A a, B b) WHERE a.v < b.v AND b.w >= 3 WITHIN 5 EVENTS", name="t")
+        stream = [
+            Event(1.0, {"type": "A", "v": 9}, seq=7),
+            Event(1.5, {"type": "A", "v": 9}, seq=8),
+            Event(2.0, {"type": "B", "v": 1, "w": "x"}, seq=9),
+            Event(2.5, {"type": "A", "v": 0}, seq=10),
+            Event(3.0, {"type": "B", "v": 1, "w": 4}, seq=11),
         ]
-        event = Event(2.0, {"v": 1, "w": "x"}, seq=9)
-        first = 0.0 + 0.05 + 0.02
-        second = first + 0.05 + 0.02
-        assert loop(runs, event, 0.0, 0.05, 5, 0.0, 0.0) == (second, 2, 2.0, 0.0, [])
-        assert len(stepped) == 1
-        # A payload the prelude takes never reaches the unhoisted loop.
-        assert loop(runs, Event(2.0, {"v": 1, "w": 4}, seq=9), 0.0, 0.05, 5, 0.0, 0.0)[:2] == (
-            second,
-            2,
-        )
-        assert len(stepped) == 1
+        observed, loop_calls = [], []
+        for loop in (True, False):
+            automaton = compile_query(query)
+            clock = VirtualClock(0.0)
+            engine = Engine(automaton, clock, CostModel(per_guard_cost=0.05), policy="greedy")
+            transition = automaton.states[1].transitions[0]
+            generated = transition.bucket_loop
+
+            def recording(*args, generated=generated):
+                try:
+                    result = generated(*args)
+                except Exception as exc:
+                    loop_calls.append(type(exc))
+                    raise
+                loop_calls.append(len(result[4]))
+                return result
+
+            transition.bucket_loop = recording
+            if not loop:
+                engine._bucket_transitions = {}  # every bucket through _step_runs
+            strategy = RecordingStrategy(clock)
+            matches = [
+                [match.signature() for match in engine.process_event(event, strategy)]
+                for event in stream
+            ]
+            observed.append((
+                matches,
+                clock.now,
+                engine.stats.as_dict(),
+                strategy.guard_tally(transition).evaluations,
+                strategy.guard_tally(transition).passes,
+                [(kind, sorted((b, e.seq) for b, e in run.env.items()), at)
+                 for kind, run, at in strategy.log],
+            ))
+        # The loop raised from its prelude on the first B, then completed the
+        # second with one outcome, the pass; the per-run path never called it.
+        assert loop_calls == [TypeError, 1]
+        assert observed[0] == observed[1]
+        assert observed[0][0] == [[], [], [], [], [(("a", 10), ("b", 11))]]
 
     def test_input_only_predicates_are_evaluated_once_per_bucket(self):
         calls = []

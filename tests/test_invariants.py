@@ -4,8 +4,8 @@ PFetch, LzEval and Hybrid change *when* a match is detected, never *what*, as lo
 every run is seeded, virtual-time and independent of hash order, and the runtime is
 wired in one place.  Every ``*.py`` under ``src``, ``benchmarks``, ``tools`` and
 ``examples`` is parsed once per process and checked against :data:`IMPORTS` (A1, R3),
-:data:`CONFINEMENTS` (A2, A5-A7), :data:`BANNED` (D1, D2) and two tree walks (D3-D5
-and M1; M2); the rule catalogue is ``docs/static_analysis.md``.  There is no waiver.
+:data:`CONFINEMENTS` (A2, A5-A7), :data:`BANNED` (D1, D2), :data:`WALKS` (A8) and two
+tree walks (D3-D5 and M1; M2); the rule catalogue is ``docs/static_analysis.md``.  There is no waiver.
 Every rule keeps a seeded violation and a clean snippet in :data:`CASES`, written into
 a scratch tree laid out as the ``repro`` package: a ``# !<rule>`` mark names each line
 a rule must flag, and no other line may be flagged.
@@ -133,6 +133,19 @@ FLOAT_VALUED_CALLS = frozenset({
     "estimate_source", "effective_estimate", "extension_rate", "expected_gap", "class_count"})
 #: The only modules that write a clock's ``now``, a plain slot nothing else guards (D5).
 CLOCK_WRITERS = ("sim/clock.py", "engine/engine.py")
+#: The interpretive walks that shadow a generated evaluator, each with the only
+#: ``module::function`` sites outside :data:`WALK_HOMES` that may call it: its
+#: fallback, for the error's wording or the failure mode (A8).
+WALKS = {
+    "interpret_guard": (),
+    "_evaluate_with": ("strategies/obligations.py::resolve_predicate",
+                       "strategies/obligations.py::resolve_obligation_predicate"),
+    "remote_keys": ("strategies/obligations.py::resolve_predicate",),
+    "concrete_key": ("utility/model.py::required_keys",),
+    "required_keys": ("utility/model.py::on_runs_created",),
+}
+#: Where the walks live and the reference matcher that is built on them (A8).
+WALK_HOMES = ("query/", "engine/reference.py")
 #: The trace and metric registries themselves may use raw names (M1, M2).
 OBS_REGISTRIES = ("obs/trace.py", "obs/registry.py")
 CATEGORY = "repro.obs.trace.CAT_"
@@ -216,6 +229,24 @@ def check_nodes(module: Module) -> Iterator[tuple[str, int, str]]:
                 yield "M1", arg.lineno, f"category {'.'.join(chain)} is not a registered CAT_*"
 
 
+def check_walks(module: Module) -> Iterator[tuple[str, int, str]]:
+    """A8: an interpretive walk is called only from its named fallback sites."""
+
+    def walk(node: ast.AST, function: str) -> Iterator[tuple[str, int, str]]:
+        if isinstance(node, ast.Call):
+            chain = dotted(node.func)
+            name = node.func.attr if isinstance(node.func, ast.Attribute) else (chain or [""])[-1]
+            if name in WALKS and f"{module.where}::{function}" not in WALKS[name]:
+                yield "A8", node.lineno, f"calls {name}() outside its fallback sites"
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, function)
+
+    if module.packaged and not within(module.where, WALK_HOMES):
+        yield from walk(module.tree, "")
+
+
 def check_guarded_emit(module: Module) -> Iterator[tuple[str, int, str]]:
     """M2: every ``.emit(...)`` sits lexically under an ``if ...enabled``."""
 
@@ -242,11 +273,12 @@ def check_guarded_emit(module: Module) -> Iterator[tuple[str, int, str]]:
         yield from walk(module.tree, False)
 
 
-RULES = {*IMPORTS, *CONFINEMENTS, *BANNED, "D3", "D4", "D5", "M1", "M2"}
+RULES = {*IMPORTS, *CONFINEMENTS, *BANNED, "D3", "D4", "D5", "M1", "M2", "A8"}
 
 
 def findings(module: Module) -> list[tuple[str, int, str]]:
-    return sorted([*check_tables(module), *check_nodes(module), *check_guarded_emit(module)])
+    return sorted([*check_tables(module), *check_nodes(module), *check_guarded_emit(module),
+                   *check_walks(module)])
 
 
 # -- the real tree --------------------------------------------------------------
@@ -267,7 +299,8 @@ def test_real_tree_scan_is_not_empty():
 
 def test_every_path_a_table_names_exists():
     # A renamed package must fail here, not turn its rule into a no-op.
-    paths = {*ORDER_SENSITIVE, *FLOAT_GATE_MODULES, *OBS_REGISTRIES, *CLOCK_WRITERS, RNG_ROOT}
+    paths = {*ORDER_SENSITIVE, *FLOAT_GATE_MODULES, *OBS_REGISTRIES, *CLOCK_WRITERS, RNG_ROOT,
+             *WALK_HOMES, *(site.split("::")[0] for sites in WALKS.values() for site in sites)}
     paths.update(*(scope for scope, _, _ in IMPORTS.values()))
     for _, allowed, defining, _ in CONFINEMENTS.values():
         paths.update(allowed, *defining.values())
@@ -394,6 +427,41 @@ else:
 """),
     "M2_good": ("strategies/clean_guard.py", "from repro.obs.trace import CAT_FETCH\n"
                 "if tracer.enabled and now > 0:\n    tracer.emit(CAT_FETCH, 'issue', now)\n"),
+    # One evaluator per job: the walk is the generated code's fallback only.
+    "A8_bad": ("strategies/obligations.py", """
+class ObligationResolution:
+    def prepare_blocking(self, run):
+        for obligation in run.obligations:
+            for predicate in obligation.predicates:
+                for key in predicate.remote_keys(obligation.env):  # !A8
+                    missing.append(key)
+
+    def resolve_obligation_predicate(self, predicate, env, blocking):
+        keys = predicate.remote_keys(env)  # !A8
+        return _evaluate_with(predicate, env, values, self.ctx.failure_mode)
+"""),
+    "A8_bad_anywhere": ("strategies/prefetch.py", """
+from repro.query.guards import interpret_guard
+from repro.utility.model import required_keys
+key = site.ref.concrete_key(run.env)  # !A8
+keys = required_keys(run)  # !A8
+passed = interpret_guard(predicates, binding, env, event, now)  # !A8
+"""),
+    "A8_good": ("strategies/obligations.py", """
+class ObligationResolution:
+    def resolve_predicate(self, transition, predicate, run, env):
+        try:
+            keys = keys_of(env)
+        except Exception:
+            keys = predicate.remote_keys(env)
+        return _evaluate_with(predicate, env, values, self.ctx.failure_mode)
+
+    def prepare_blocking(self, run):
+        keys_of, _ = self._remote[predicate]
+        run.required_keys = keys_of(obligation.env)
+"""),
+    "A8_good_homes": ("engine/reference.py",
+                      "keys = predicate.remote_keys(env)\npassed = interpret_guard(p, b, env, e, 0.0)\n"),
     "R3_bad": ("examples/rogue_internal_import.py",
                "from repro.core.config import EiresConfig  # !R3\n"
                "from repro.runtime.builder import RuntimeBuilder  # !R3\n"),

@@ -641,14 +641,48 @@ def test_bucket_loop_agrees_with_the_per_run_path(
             completed = []
             transition = engine.automaton.states[1].transitions[0]
             generated = transition.bucket_loop
-            transition.bucket_loop = lambda *args: completed.append(generated(*args)) or completed[-1]
+
+            def looped(*args):
+                result = generated(*args)
+                if result is not None:
+                    completed.append(result)
+                return result
+
+            transition.bucket_loop = looped
         outcome = _outcome(lambda: engine.process_event(event, strategy))
         observed.append(_bucket_observables(engine, strategy, tally, runs, outcome))
     assert observed[0] == observed[1]
-    # The per-run path is for buckets whose guards raise, not a crutch for a
-    # broken loop: the loop ran to completion exactly when nothing raised.
+    # The per-run path is for buckets whose prelude or guards raise, not a
+    # crutch for a broken loop: the loop finished the bucket exactly when
+    # neither its prelude nor a per-run check raised.
     if parents:
-        assert bool(completed) == isinstance(outcome, list)
+        finished = isinstance(outcome, list) and not _prelude_raises(predicates, event)
+        assert bool(completed) == finished
+
+
+def _prelude_raises(predicates, event):
+    """Whether a bucket loop's prelude raises on the input ``event``: it reads
+    every attribute of ``b`` that a predicate names, then decides each pure
+    predicate over ``b`` alone — through the interpretive walk here."""
+    operands = [
+        operand
+        for predicate in predicates
+        for operand in (
+            (predicate.left, predicate.right) if isinstance(predicate, Comparison)
+            else (predicate.item, predicate.collection) if isinstance(predicate, Membership)
+            else predicate.args
+        )
+    ]
+    if any(isinstance(operand, Attr) and operand.binding == "b" and operand.attr not in event.attrs
+           for operand in operands):
+        return True
+    try:
+        for predicate in predicates:
+            if predicate.pure and predicate.bindings() <= {"b"}:
+                predicate.evaluate({"b": event}, None)
+    except Exception:
+        return True
+    return False
 
 
 # -- partitioned buckets: the prelude and the partition guarantee -------------------
@@ -874,8 +908,14 @@ def test_generated_remote_predicate_agrees_with_the_interpretive_walk(
     text — for remote references on either side, negation, keys whose fetch
     failed under every failure mode, missing attributes, unbound bindings and
     operand type errors.  The interpretive walk runs only when it would
-    itself raise (``RemoteDataUnavailable`` under a failure mode included)."""
+    itself raise (``RemoteDataUnavailable`` under a failure mode included).
+
+    An obligation exists only for an environment its predicate's first
+    resolution read the keys from, so where reading them raises, the
+    obligation case is that first resolution."""
     env = {"a": Event(1.0, bound, seq=0), "b": Event(2.0, current, seq=1)}
+    keys = _outcome(lambda: [*predicate.remote_keys(env)])
+    obligation = obligation and not isinstance(keys, tuple)
 
     def reference():
         keys = predicate.remote_keys(env)
