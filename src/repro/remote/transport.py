@@ -11,8 +11,9 @@ unified surface — :meth:`Transport.submit` takes a :class:`FetchRequest`
   not beneficial" branch of Alg. 4 line 15: the engine stalls until the
   response arrives.
 * **async** — PFetch prefetches and LzEval fetch-and-postpone: the request
-  is issued at ``now`` and its response materialises later; the pipeline
-  deposits delivered elements into the cache.
+  is issued at ``now`` and its response materialises later;
+  :meth:`Transport.deliver_due` puts each success into the runtime's cache,
+  in the tier its ticket carries, whichever session asked for it.
 
 An async request for a key already in flight (or queued in an open batch
 window) joins it instead of issuing a duplicate wire request.  A blocking
@@ -49,7 +50,10 @@ deliberately distinguishable from one that succeeded with the store's
 Every wire request, a single key's or a batch's, goes out through one path
 (``Transport._send``): one fault draw, one breaker sample.  Without a fault
 model no fault draw happens, so the transport draws exactly the latencies
-the fault-free substrate did.
+the fault-free substrate did.  Every successful outcome, blocking or async,
+also updates :attr:`Transport.last_known`, the one table of graceful
+degradation's stale values, so a session may serve stale what another
+session fetched.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any
 
 from repro.obs.registry import CounterGroup, Histogram, MetricsRegistry
 from repro.obs.trace import CAT_FETCH, NULL_TRACER, Tracer, trace_key
@@ -67,6 +72,9 @@ from repro.remote.monitor import BreakerBoard, LatencyMonitor
 from repro.remote.retry import RetryPolicy
 from repro.remote.store import RemoteStore
 from repro.sim.rng import make_rng
+
+if TYPE_CHECKING:  # the cache layer imports this package
+    from repro.cache.base import Cache
 
 __all__ = [
     "LatencyModel",
@@ -270,7 +278,9 @@ class Transport:
     ``batch_splits``) feeds the experiment reports.  The transport owns every
     per-fetch fact: the in-flight tickets, their cache tier, each retry,
     terminal failure and breaker open is counted here, once, whichever
-    session's strategy asked.
+    session's strategy asked.  It owns every response too: an async success
+    enters :attr:`cache` (bound by the composition root; ``None`` when no
+    session keeps one) and every success enters :attr:`last_known`.
     """
 
     def __init__(
@@ -306,6 +316,11 @@ class Transport:
         #: scan recomputes it.  Too low only costs a scan.
         self.next_due = _UNKNOWN
         self.tracer: Tracer = NULL_TRACER
+        #: The runtime's one cache, which delivered async responses enter.
+        self.cache: Cache | None = None
+        #: Last successfully fetched value per key, for the stale fallback
+        #: when a fresh fetch terminally fails.
+        self.last_known: dict[DataKey, Any] = {}
         self._latency_hist: Histogram | None = None
         self._batch_hist: Histogram | None = None
         self.stats = CounterGroup("transport", TRANSPORT_COUNTER_KEYS)
@@ -417,12 +432,15 @@ class Transport:
         return self._in_flight.get(key)
 
     def deliver_due(self, now: float) -> list[FetchTicket]:
-        """Pop and return every async ticket whose outcome is known by ``now``.
+        """Pop and return every async ticket whose outcome is known by ``now``,
+        each success put into :attr:`cache` in its ticket's tier, in order.
 
         Batch windows whose deadline elapsed close first (at their deadline,
         not at ``now``), so their responses can be among the delivered.
         Failed attempts with retry budget left are re-issued (after backoff)
         instead of delivered; only successes and terminal failures come out.
+        A failure puts nothing: the key stays absent, which is *not* the same
+        as a successful fetch of the ``MISSING_VALUE`` sentinel.
         Delivery order is deterministic: ``(arrives_at, issued_at, key)`` —
         plain arrival order would leave ties at the mercy of dict insertion
         order, which retry rescheduling perturbs.
@@ -461,6 +479,12 @@ class Transport:
         if self.tracer.enabled:
             for ticket in delivered:
                 self._trace_complete(ticket)
+        cache, last_known = self.cache, self.last_known
+        for ticket in delivered:
+            if ticket.ok:
+                last_known[ticket.key] = ticket.element.value
+                if cache is not None:
+                    cache.put(ticket.element, now, certain=ticket.certain)
         return delivered
 
     def _trace_complete(self, ticket: FetchTicket) -> None:
@@ -557,6 +581,8 @@ class Transport:
                 self.stats.failed_fetches += 1
                 break
             ticket = next_ticket
+        if ticket.ok:
+            self.last_known[ticket.key] = ticket.element.value
         if self.tracer.enabled:
             self._trace_complete(ticket)
         return ticket

@@ -204,6 +204,9 @@ class RuntimeBuilder:
             else:
                 raise ValueError(f"unknown cache policy {config.cache_policy!r}")
             runtime.cache.bind_observability(metrics, tracer)
+            # Every delivered async response enters it, whichever session
+            # asked, a cacheless one included.
+            transport.cache = runtime.cache
 
         noise = NoiseModel(config.noise_ratio, seed=config.seed)
         runtime.noise = noise

@@ -2,8 +2,8 @@
 
 All strategies — the baselines BL1–BL3 and EIRES's PFetch, LzEval and Hybrid
 — share the same skeleton: they mediate every remote predicate evaluation,
-deliver asynchronously fetched elements into the cache, and account for the
-stalls they impose on the engine.  The subclasses differ only in the
+have the transport deliver asynchronously fetched elements into the cache,
+and account for the stalls they impose on the engine.  The subclasses differ only in the
 decision hooks:
 
 * :meth:`FetchStrategy.decide_postpone` — block on missing data or postpone
@@ -16,7 +16,7 @@ The machinery is split into focused modules behind this import surface:
 :mod:`repro.strategies.context` (the runtime context and failure modes),
 :mod:`repro.strategies.stats` (the ``fetch.*`` counter group),
 :mod:`repro.strategies.fetch_plane` (data movement: blocking rounds, async
-delivery, staleness fallback), and :mod:`repro.strategies.obligations`
+issue, stale serves), and :mod:`repro.strategies.obligations`
 (postponed-predicate resolution).  ``FetchStrategy`` composes them and adds
 the lifecycle wiring.
 """
@@ -82,9 +82,6 @@ class FetchStrategy(ObligationResolution, FetchPlane):
         # the engine again), and their predicates resolve per failure_mode.
         self._round_failed: set[DataKey] = set()
         self._in_blocking_round = False
-        # Last successfully fetched value per key, for stale-cache fallback
-        # when a fresh fetch terminally fails.
-        self._last_known: dict[DataKey, Any] = {}
         self.last_postpone_ell = 0.0
         # Each remote predicate of the attached automaton, compiled once into
         # its (keys, decide) pair.
@@ -129,8 +126,9 @@ class FetchStrategy(ObligationResolution, FetchPlane):
         drives_utility = self._drives_utility
         if drives_utility:
             ctx.rates.observe_event(event.event_type or "", event.t)
-        if not ctx.clock.now < ctx.transport.next_due:  # _deliver_due's own test
-            self._deliver_due()
+        transport = ctx.transport
+        if not ctx.clock.now < transport.next_due:  # deliver_due's own test
+            transport.deliver_due(ctx.clock.now)
         if ctx.scheduler:
             self._fire_scheduled()
         # The engine is attached after construction; state_counts is wired

@@ -2,8 +2,8 @@
 
 Everything that touches the :class:`~repro.remote.transport.Transport` or
 the cache on a strategy's behalf lives here — blocking rounds with their
-stall accounting, async issue/delivery, and the stale-value fallback of
-graceful degradation.  The decision logic of *when* to fetch stays in
+stall accounting, async issue, and serving stale values under graceful
+degradation.  The decision logic of *when* to fetch stays in
 :mod:`repro.strategies.obligations` and the concrete strategy subclasses;
 this mixin only executes the data movement.
 
@@ -13,10 +13,12 @@ caller's utility so the transport's batch assembly can rank them —
 certain-use lazy fetches submit with infinite utility and lead any batch,
 gated prefetches carry their Eq. 7 candidate utility.
 
-The transport owns every per-fetch fact: the in-flight tickets, the cache
-tier each response enters (``FetchTicket.certain``), retries, terminal
-failures and breaker opens.  The strategy keeps only per-round state (the
-staged values, the keys failed this round) and the stale fallback.
+The transport owns every per-fetch fact and every response: the in-flight
+tickets, retries, terminal failures and breaker opens, the put of each
+delivered async response into the runtime's cache in its ticket's tier
+(``FetchTicket.certain``), and the one last-known table the stale fallback
+reads.  The strategy keeps only per-round state: the staged values and the
+keys failed this round.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ class FetchPlane:
 
     Mixed into :class:`~repro.strategies.base.FetchStrategy`, which owns the
     instance state these methods use (``ctx``, ``stats``, ``spans``,
-    ``_staged``, ``_round_failed``, ``_in_blocking_round``, ``_last_known``).
+    ``_staged``, ``_round_failed``, ``_in_blocking_round``).
     """
 
     def _available(self, key: DataKey) -> bool:
@@ -99,16 +101,17 @@ class FetchPlane:
         beyond the returned snapshot.
 
         A key whose fetch terminally fails (retries exhausted) is served
-        from the stale-value fallback when it succeeded before, and is
-        otherwise left out of the returned snapshot — the caller's
-        ``failure_mode`` then decides the predicate.
+        from the transport's last-known table when any session fetched it
+        before, and is otherwise left out of the returned snapshot — the
+        caller's ``failure_mode`` then decides the predicate.
         """
         ctx = self.ctx
+        transport = ctx.transport
         now = ctx.clock.now
         latest = now
         tickets = []
         for key in keys:
-            ticket = ctx.transport.submit(FetchRequest(key, at=now, mode=MODE_BLOCKING))
+            ticket = transport.submit(FetchRequest(key, at=now, mode=MODE_BLOCKING))
             tickets.append(ticket)
             if ticket.arrives_at > latest:
                 latest = ticket.arrives_at
@@ -129,51 +132,21 @@ class FetchPlane:
         ctx.clock.advance_to(latest)
         values: dict[DataKey, Any] = {}
         cache = ctx.cache
+        last_known = transport.last_known
         for ticket in tickets:
             if ticket.ok:
                 values[ticket.key] = ticket.element.value
-                self._last_known[ticket.key] = ticket.element.value
                 if cache is not None:
                     cache.put(ticket.element, ctx.clock.now, certain=True)
                 continue
             # Terminal failure, counted by the transport.
             if self._in_blocking_round:
                 self._round_failed.add(ticket.key)
-            if ticket.key in self._last_known:
-                values[ticket.key] = self._last_known[ticket.key]
+            if ticket.key in last_known:
+                values[ticket.key] = last_known[ticket.key]
                 self.stats.stale_serves += 1
-        self._deliver_due()
+        transport.deliver_due(ctx.clock.now)
         return values
-
-    def _deliver_due(self) -> None:
-        """Move arrived async responses into the cache.
-
-        Failed responses (retries exhausted) deliver nothing: the key simply
-        stays absent, which is *not* the same as a successful fetch of the
-        ``MISSING_VALUE`` sentinel — a later evaluation either re-fetches or
-        resolves per ``failure_mode``.  Each response enters the cache tier
-        its ticket carries, whichever session's strategy submitted it.
-
-        Returns at once while ``clock.now < transport.next_due`` (nothing in
-        flight has arrived).  The two per-event and per-resolution callers,
-        ``FetchStrategy.on_event_start`` and ``resolve_predicate``'s one-probe
-        path, make that test themselves so the common case pays no frame.
-        """
-        ctx = self.ctx
-        transport = ctx.transport
-        now = ctx.clock.now
-        if now < transport.next_due:
-            return  # nothing in flight has arrived: spare the transport call
-        delivered = transport.deliver_due(now)
-        if not delivered:
-            return
-        cache = ctx.cache
-        for ticket in delivered:
-            if not ticket.ok:
-                continue
-            self._last_known[ticket.key] = ticket.element.value
-            if cache is not None:
-                cache.put(ticket.element, ctx.clock.now, certain=ticket.certain)
 
     def _fetch_async(self, key: DataKey, certain: bool, utility: float = 0.0) -> None:
         transport = self.ctx.transport

@@ -29,8 +29,8 @@ class ObligationResolution:
     """Remote-predicate evaluation with postponement, for the engine protocol.
 
     Mixed into :class:`~repro.strategies.base.FetchStrategy`; relies on the
-    fetch plane (``_collect``, ``_block_for``, ``_deliver_due``) and the
-    shared instance state declared there — including ``_remote``, each remote
+    fetch plane (``_collect``, ``_block_for``) and the instance state
+    declared there — including ``_remote``, each remote
     predicate's generated ``(keys, decide)`` pair
     (:func:`repro.query.guards.compile_remote`).  Generated code words no
     errors and knows no failure mode: whenever ``decide`` raises, the
@@ -61,8 +61,9 @@ class ObligationResolution:
         cache = ctx.cache
         if cache is not None and len(keys) == 1 and not self._in_blocking_round:
             now = ctx.clock.now
-            if not now < ctx.transport.next_due:  # _deliver_due's own test
-                self._deliver_due()
+            transport = ctx.transport
+            if not now < transport.next_due:  # deliver_due's own test
+                transport.deliver_due(now)
             key = keys[0]
             element = cache.get(key, now)
             if element is None:
@@ -71,7 +72,7 @@ class ObligationResolution:
                 value = element.value if element.key == key else self._value_for(key, element)
                 values, missing = {key: value}, ()
         else:
-            self._deliver_due()
+            ctx.transport.deliver_due(ctx.clock.now)
             values, missing = self._collect(keys)
         self._record_history(transition, predicate, missing)
         if missing:
@@ -99,7 +100,8 @@ class ObligationResolution:
     ):
         """Re-evaluate a postponed predicate once its data (maybe) arrived."""
         keys_of, decide = self._remote[predicate]
-        self._deliver_due()
+        ctx = self.ctx
+        ctx.transport.deliver_due(ctx.clock.now)
         values, missing = self._collect(keys_of(env))
         if missing:
             if not blocking:
@@ -108,13 +110,13 @@ class ObligationResolution:
         try:
             outcome = decide(env, values)
         except Exception:
-            outcome = _evaluate_with(predicate, env, values, self.ctx.failure_mode)
-        tracer = self.ctx.tracer
+            outcome = _evaluate_with(predicate, env, values, ctx.failure_mode)
+        tracer = ctx.tracer
         if tracer.enabled:
             tracer.emit(
                 CAT_OBLIGATION,
                 "resolve",
-                self.ctx.clock.now,
+                ctx.clock.now,
                 outcome=bool(outcome),
                 blocking=blocking,
             )
@@ -131,7 +133,8 @@ class ObligationResolution:
         missing: list[DataKey] = []
         seen: set[DataKey] = set()
         remote = self._remote
-        self._deliver_due()
+        ctx = self.ctx
+        ctx.transport.deliver_due(ctx.clock.now)
         self._in_blocking_round = True
         for obligation in run.obligations:
             for predicate in obligation.predicates:

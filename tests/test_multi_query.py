@@ -10,7 +10,7 @@ from repro.query.parser import parse_query
 from repro.remote.store import RemoteStore
 from repro.remote.transport import FixedLatency
 from repro.runtime import QuerySpec, RuntimeBuilder
-from repro.workloads.synthetic import SyntheticConfig, q1_workload
+from repro.workloads.synthetic import SyntheticConfig, q1_workload, q2_workload
 
 from tests.helpers import random_stream
 
@@ -28,6 +28,10 @@ def two_queries():
     store = RemoteStore()
     store.register_source("v", lambda key: frozenset(range(5)))
     return q_ab, q_ac, store
+
+
+def renamed(query, name):
+    return Query(query.pattern, query.conditions, query.window, name=name)
 
 
 def build_runtime(specs, store, latency, config=None, tracer=None):
@@ -150,3 +154,107 @@ class TestCacheTierAcrossSessions:
                 needed.discard(key)
         assert certain_admits > 0
         assert unneeded == []
+
+
+def _small(make):
+    return make(SyntheticConfig(n_events=800, id_domain=20, window_events=200))
+
+
+def _mixed_runtime(workload, first, second, config=None):
+    """Two sessions of ``workload``'s query on one runtime, ``first`` ahead."""
+    query = workload.query
+    return build_runtime(
+        [QuerySpec(renamed(query, "qa"), priority=2.0, strategy=first),
+         QuerySpec(renamed(query, "qb"), strategy=second)],
+        workload.store, workload.latency_model, config=config,
+    )
+
+
+class TestOneOwnerPerResponse:
+    """The transport puts every async response into the runtime's one cache
+    and keeps the one last-known table: a cacheless session (BL1, BL3) that
+    happens to pop a response, or fetched a value, keeps it for the others."""
+
+    @pytest.mark.parametrize("cacheless_first", [True, False], ids=["cacheless-first",
+                                                                     "cacheless-second"])
+    @pytest.mark.parametrize("eires", ["PFetch", "LzEval", "Hybrid"])
+    @pytest.mark.parametrize("cacheless", ["BL1", "BL3"])
+    @pytest.mark.parametrize("make", [q1_workload, q2_workload], ids=["q1", "q2"])
+    def test_each_async_response_enters_the_cache_once(
+        self, make, cacheless, eires, cacheless_first
+    ):
+        workload = _small(make)
+        order = (cacheless, eires) if cacheless_first else (eires, cacheless)
+        runtime = _mixed_runtime(workload, *order)
+        transport, cache = runtime.transport, runtime.cache
+        puts = []
+        put = cache.put
+
+        def recording_put(element, now, certain=False):
+            puts.append((id(element), certain))
+            return put(element, now, certain=certain)
+
+        deliver_due = transport.deliver_due
+        delivered_ok, unmatched = [], []
+
+        def delivering(now):
+            start = len(puts)
+            delivered = deliver_due(now)
+            ok = [(id(ticket.element), ticket.certain) for ticket in delivered if ticket.ok]
+            delivered_ok.extend(ok)
+            if puts[start:] != ok:  # each success, in order, in its tier
+                unmatched.append(now)
+            return delivered
+
+        cache.put, transport.deliver_due = recording_put, delivering
+        runtime.run(workload.stream)
+        assert delivered_ok and unmatched == []
+
+    def test_a_cacheless_session_costs_hybrid_nothing(self):
+        # Q2, BL3 ranked first: at the parent design BL3 popped Hybrid's
+        # prefetches and dropped them (108 stalls, 766 async fetches).
+        workload = _small(q2_workload)
+        results = _mixed_runtime(workload, "BL3", "Hybrid").run(workload.stream)
+        isolated = EIRES(workload.query, workload.store, workload.latency_model,
+                         strategy="Hybrid").run(workload.stream).summary()
+        shared = results["qb"].summary()
+        for counter in ("fetch.blocking_stalls", "transport.async_fetches"):
+            assert shared[counter] == isolated[counter], counter
+        assert results["qb"].match_count == results["qa"].match_count
+
+    def test_a_session_serves_stale_what_another_fetched(self):
+        # BL1 + BL2 on a faulted plane (both only block; BL1 keeps no cache):
+        # BL2 serves stale some key only BL1 ever fetched.
+        workload = _small(q1_workload)
+        runtime = _mixed_runtime(workload, "BL1", "BL2",
+                                 config=EiresConfig(fault_profile="error:0.3"))
+        transport = runtime.transport
+        fetched = {"BL1": set(), "BL2": set()}
+        borrowed = {"BL1": set(), "BL2": set()}
+        asking = []
+        submit = transport.submit
+
+        def submitting(request):
+            ticket = submit(request)
+            if ticket.ok:
+                fetched[asking[-1]].add(ticket.key)
+            return ticket
+
+        def watch(strategy):
+            block_for = strategy._block_for
+
+            def blocking(keys):
+                asking.append(strategy.name)
+                values = block_for(keys)
+                asking.pop()
+                # A value this session had not fetched itself was served stale.
+                borrowed[strategy.name].update(set(values) - fetched[strategy.name])
+                return values
+
+            strategy._block_for = blocking
+
+        transport.submit = submitting
+        for session in runtime.sessions:
+            watch(session.strategy)
+        runtime.run(workload.stream)
+        assert borrowed["BL2"] and borrowed["BL2"] <= fetched["BL1"]

@@ -874,13 +874,11 @@ class _SnapshotStrategy(FetchStrategy):
             tracer=NULL_TRACER,
             cache=_SnapshotCache(snapshot),
             clock=VirtualClock(),
-            transport=SimpleNamespace(next_due=float("inf")),  # nothing in flight
+            # Nothing in flight: nothing to deliver.
+            transport=SimpleNamespace(next_due=float("inf"), deliver_due=lambda now: []),
         )
         self._remote = {predicate: compile_remote(predicate)}
         self._snapshot = snapshot
-
-    def _deliver_due(self):
-        pass
 
     def _collect(self, keys):
         return {key: self._snapshot[key] for key in keys if key in self._snapshot}, []

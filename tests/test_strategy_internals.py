@@ -11,12 +11,14 @@ from repro.engine.interface import POSTPONED
 from repro.events.event import Event
 from repro.obs.spans import SpanTracker
 from repro.obs.trace import MemorySink, Tracer
+from repro.query.ast import Query
 from repro.query.parser import parse_query
 from repro.remote.faults import ERROR, OK, FaultDecision, NoFaults
 from repro.remote.store import RemoteStore
 from repro.remote.transport import FixedLatency
+from repro.runtime import QuerySpec, RuntimeBuilder
 from repro.workloads.cluster import ClusterConfig, cluster_workload
-from repro.workloads.synthetic import SyntheticConfig, q1_workload
+from repro.workloads.synthetic import SyntheticConfig, q1_workload, q2_workload
 
 
 def build(strategy="Hybrid", latency=100.0, cache_policy="cost", capacity=16):
@@ -41,7 +43,7 @@ class TestAsyncDelivery:
         strategy = eires.strategy
         strategy._fetch_async_prefetch(("v", 1))
         eires.clock.advance(200.0)
-        strategy._deliver_due()
+        eires.transport.deliver_due(eires.clock.now)
         cache = eires.cache
         assert isinstance(cache, CostBasedCache)
         assert ("v", 1) in cache._tiers[CostBasedCache.TIER_SPECULATIVE]
@@ -51,7 +53,7 @@ class TestAsyncDelivery:
         strategy = eires.strategy
         strategy._fetch_async_lazy([("v", 2)])
         eires.clock.advance(200.0)
-        strategy._deliver_due()
+        eires.transport.deliver_due(eires.clock.now)
         assert ("v", 2) in eires.cache._tiers[CostBasedCache.TIER_CERTAIN]
 
     def test_lazy_need_upgrades_inflight_prefetch(self):
@@ -63,7 +65,7 @@ class TestAsyncDelivery:
         strategy._fetch_async_lazy([("v", 3)])
         assert eires.transport.stats.async_fetches == 1  # coalesced on the wire
         eires.clock.advance(200.0)
-        strategy._deliver_due()
+        eires.transport.deliver_due(eires.clock.now)
         assert ("v", 3) in eires.cache._tiers[CostBasedCache.TIER_CERTAIN]
 
     def test_a_retry_keeps_the_tier(self):
@@ -76,11 +78,11 @@ class TestAsyncDelivery:
         first = transport.in_flight(("v", 5))
         assert not first.ok and first.certain
         eires.clock.advance(200.0)
-        eires.strategy._deliver_due()
+        eires.transport.deliver_due(eires.clock.now)
         follow_up = transport.in_flight(("v", 5))
         assert follow_up is not first and follow_up.certain
         eires.clock.advance(1_000.0)
-        eires.strategy._deliver_due()
+        eires.transport.deliver_due(eires.clock.now)
         assert transport.stats.retries == 1
         assert ("v", 5) in eires.cache._tiers[CostBasedCache.TIER_CERTAIN]
 
@@ -89,7 +91,7 @@ class TestAsyncDelivery:
         strategy = eires.strategy
         strategy._fetch_async_prefetch(("v", 4))
         eires.clock.advance(50.0)  # latency is 100
-        strategy._deliver_due()
+        eires.transport.deliver_due(eires.clock.now)
         assert ("v", 4) not in eires.cache
 
 
@@ -115,7 +117,7 @@ class TestBlockingRounds:
         assert eires.transport.in_flight(("v", 5)) is None
         assert eires.transport.stats.coalesced == 1
         eires.clock.advance(500.0)
-        strategy._deliver_due()
+        eires.transport.deliver_due(eires.clock.now)
         assert eires.cache.stats.insertions == 1
         assert ("v", 5) in eires.cache._tiers[CostBasedCache.TIER_CERTAIN]
 
@@ -207,27 +209,53 @@ class TestResolvePredicate:
 
 def _q1_hybrid():
     workload = q1_workload(SyntheticConfig(n_events=600, id_domain=5, window_events=120))
-    return workload, EiresConfig()
+    return workload, EiresConfig(), 1
 
 
 def _fig10b_hybrid():
     workload = cluster_workload(ClusterConfig(n_tasks=500))
     config = EiresConfig(policy=GREEDY, cache_policy=CACHE_COST,
                          cache_capacity=workload.notes["cache_capacity"])
-    return workload, config
+    return workload, config, 1
+
+
+def _q1_three_subscribers():
+    workload, config, _ = _q1_hybrid()
+    return workload, config, 3
+
+
+def _q2_tight_burst():
+    # A cache far below the working set, batch windows, and outage bursts
+    # that split batches, trip breakers and serve stale values.
+    workload = q2_workload(SyntheticConfig(n_events=700, id_domain=16, window_events=200))
+    config = EiresConfig(policy=GREEDY, cache_capacity=40, batch_window=50.0,
+                         batch_max_keys=8, fault_profile="burst")
+    return workload, config, 1
 
 
 class TestEachOutcomeOnce:
     """Each fetch outcome reaches the fetch plane once: a ticket is handed
-    over either by a blocking round or by ``deliver_due``, never by both."""
+    over either by a blocking round or by ``deliver_due``, never by both —
+    alone, for renamed subscribers of one shared session, and on a faulted,
+    batched plane."""
 
-    @pytest.mark.parametrize("make", [_q1_hybrid, _fig10b_hybrid], ids=["q1", "fig10b"])
+    @pytest.mark.parametrize(
+        "make", [_q1_hybrid, _fig10b_hybrid, _q1_three_subscribers, _q2_tight_burst],
+        ids=["q1", "fig10b", "q1-three-subscribers", "q2-tight-burst"],
+    )
     def test_no_ticket_is_handed_over_twice(self, make):
-        workload, config = make()
+        workload, config, subscribers = make()
         sink = MemorySink()
-        eires = EIRES(workload.query, workload.store, workload.latency_model,
-                      strategy="Hybrid", config=config, tracer=Tracer(sink))
-        transport = eires.transport
+        query = workload.query
+        builder = RuntimeBuilder(workload.store, workload.latency_model, config=config,
+                                 tracer=Tracer(sink))
+        for n in range(subscribers):
+            name = query.name if n == 0 else f"{query.name}-{n}"
+            builder.add_spec(QuerySpec(Query(query.pattern, query.conditions, query.window,
+                                             name=name), strategy="Hybrid"))
+        runtime = builder.build()
+        (session,) = runtime.sessions
+        transport = runtime.transport
         handed = []
         deliver_due = transport.deliver_due
 
@@ -244,8 +272,9 @@ class TestEachOutcomeOnce:
                 handed.extend(tickets)
                 return super().add_stall(start, end, tickets)
 
-        transport.deliver_due, eires.strategy.spans = delivering, Stalls()
-        eires.run(workload.stream)
+        transport.deliver_due, session.strategy.spans = delivering, Stalls()
+        results = runtime.run(workload.stream)
+        assert len(results) == subscribers
         repeated = [n for n in Counter(map(id, handed)).values() if n > 1]
         assert handed and not repeated
         completes = [r for r in sink.records if (r["cat"], r["name"]) == ("fetch", "complete")]
