@@ -9,15 +9,24 @@ qualitatively; these benches quantify each by disabling it:
   (``lazy_gate_enabled=False``);
 * **cost-based vs LRU cache under Hybrid** — the §7.2 observation that the
   cost model pays off precisely when combined with PFetch/LzEval.
+
+``python benchmarks/bench_ablations.py --smoke`` runs the three ablations on
+a 1 000-event stream into ``ablations_smoke.json`` (the bench regression
+gate's baseline is in ``results/baselines/``).
 """
 
 from __future__ import annotations
+
+import sys
 
 from repro import CACHE_COST, CACHE_LRU, EiresConfig, GREEDY
 from repro.bench.harness import ExperimentResult, run_strategy
 from repro.workloads.synthetic import SyntheticConfig, q1_workload
 
+from figure_smoke import smoke_main
+
 BASE = SyntheticConfig(n_events=3_000, id_domain=20, window_events=400)
+SMOKE = SyntheticConfig(n_events=1_000, id_domain=20, window_events=400)
 
 
 def _config(**kwargs) -> EiresConfig:
@@ -30,8 +39,8 @@ def _config(**kwargs) -> EiresConfig:
     )
 
 
-def ablate_lookahead() -> list[dict]:
-    workload = q1_workload(BASE)
+def ablate_lookahead(base: SyntheticConfig = BASE) -> list[dict]:
+    workload = q1_workload(base)
     rows = []
     for label, enabled in (("lookahead+offset", True), ("offset-only", False)):
         row = run_strategy(workload, "PFetch", _config(lookahead_enabled=enabled)).summary()
@@ -40,8 +49,8 @@ def ablate_lookahead() -> list[dict]:
     return rows
 
 
-def ablate_lazy_gate() -> list[dict]:
-    workload = q1_workload(BASE)
+def ablate_lazy_gate(base: SyntheticConfig = BASE) -> list[dict]:
+    workload = q1_workload(base)
     rows = []
     for label, enabled in (("gated", True), ("always-lazy", False)):
         row = run_strategy(workload, "LzEval", _config(lazy_gate_enabled=enabled)).summary()
@@ -50,8 +59,8 @@ def ablate_lazy_gate() -> list[dict]:
     return rows
 
 
-def ablate_cache_policy() -> list[dict]:
-    workload = q1_workload(BASE)
+def ablate_cache_policy(base: SyntheticConfig = BASE) -> list[dict]:
+    workload = q1_workload(base)
     rows = []
     for label, policy in (("cost-cache", CACHE_COST), ("lru-cache", CACHE_LRU)):
         row = run_strategy(workload, "Hybrid", _config(cache_policy=policy)).summary()
@@ -106,3 +115,11 @@ def test_ablation_cache_policy_under_hybrid(benchmark, report):
     # trail it elsewhere; we assert it stays within an order of magnitude
     # rather than ahead.
     assert by["cost-cache"]["p50"] <= by["lru-cache"]["p50"] * 10
+
+
+if __name__ == "__main__":
+    sys.exit(smoke_main("ablations", {
+        "prefetch_timing": lambda: ablate_lookahead(SMOKE),
+        "lazy_gate": lambda: ablate_lazy_gate(SMOKE),
+        "cache_policy": lambda: ablate_cache_policy(SMOKE),
+    }))

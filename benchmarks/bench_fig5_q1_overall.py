@@ -9,9 +9,16 @@ every baseline; under non-greedy selection BL3 beats BL1/BL2 (its one
 concurrent fetch round per match beats per-state stalls); under greedy
 selection caches matter enormously and BL3's postponement-induced partial
 matches make it the worst or near-worst baseline.
+
+``python benchmarks/bench_fig5_q1_overall.py --smoke`` runs every panel on
+a 1 500-event stream into ``fig5_q1_overall_smoke.json``, which the bench
+regression gate diffs against ``results/baselines/``.
 """
 
 from __future__ import annotations
+
+import sys
+from functools import partial
 
 import pytest
 
@@ -19,9 +26,12 @@ from repro import CACHE_COST, CACHE_LRU, EiresConfig, GREEDY, NON_GREEDY
 from repro.bench.harness import ALL_STRATEGIES, ExperimentResult, run_strategy
 from repro.workloads.synthetic import SyntheticConfig, q1_workload
 
+from figure_smoke import smoke_main
+
 # Calibrated in DESIGN.md: dense-enough per-ID substreams for the 8-step
 # sequence, tractable partial-match populations under greedy selection.
 Q1_BENCH = SyntheticConfig(n_events=6_000, id_domain=20, window_events=400)
+Q1_SMOKE = SyntheticConfig(n_events=1_500, id_domain=20, window_events=400)
 # The paper sizes the cache at 10% of the remote key range actually under
 # contention; our scaled streams touch ~3k distinct keys, so 100 entries
 # (about 3% of them, tighter than the paper's 10%) keeps the cache under
@@ -37,8 +47,8 @@ PANELS = [
 ]
 
 
-def run_panel(cache_policy: str, policy: str) -> list[dict]:
-    workload = q1_workload(Q1_BENCH)
+def run_panel(cache_policy: str, policy: str, base: SyntheticConfig = Q1_BENCH) -> list[dict]:
+    workload = q1_workload(base)
     config = EiresConfig(
         policy=policy,
         cache_policy=cache_policy,
@@ -69,3 +79,10 @@ def test_fig5_panel(benchmark, report, name, cache_policy, policy):
     # All strategies detect the same matches.
     counts = {row["matches"] for row in rows}
     assert len(counts) == 1
+
+
+if __name__ == "__main__":
+    sys.exit(smoke_main("fig5_q1_overall", {
+        name: partial(run_panel, cache_policy, policy, Q1_SMOKE)
+        for name, cache_policy, policy in PANELS
+    }))

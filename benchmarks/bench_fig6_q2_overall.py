@@ -5,9 +5,16 @@ reference per branch.  The paper's headline contrast with Q1: among the
 baselines, BL3 wins on Q1 but *loses* on Q2 — ignoring remote predicates on
 Q2's lightly-guarded branches inflates the partial-match population, and
 without a cache every completed candidate pays a fetch round.
+
+``python benchmarks/bench_fig6_q2_overall.py --smoke`` runs every panel on
+a 1 500-event stream into ``fig6_q2_overall_smoke.json`` (the bench
+regression gate's baseline is in ``results/baselines/``).
 """
 
 from __future__ import annotations
+
+import sys
+from functools import partial
 
 import pytest
 
@@ -15,7 +22,10 @@ from repro import CACHE_COST, CACHE_LRU, EiresConfig, GREEDY, NON_GREEDY
 from repro.bench.harness import ALL_STRATEGIES, ExperimentResult, run_strategy
 from repro.workloads.synthetic import SyntheticConfig, q2_workload
 
+from figure_smoke import smoke_main
+
 Q2_BENCH = SyntheticConfig(n_events=6_000, id_domain=40, window_events=400)
+Q2_SMOKE = SyntheticConfig(n_events=1_500, id_domain=40, window_events=400)
 CACHE_CAPACITY = 200  # scaled eviction pressure (Q2 touches two keys per root run)
 
 PANELS = [
@@ -26,8 +36,8 @@ PANELS = [
 ]
 
 
-def run_panel(cache_policy: str, policy: str) -> list[dict]:
-    workload = q2_workload(Q2_BENCH)
+def run_panel(cache_policy: str, policy: str, base: SyntheticConfig = Q2_BENCH) -> list[dict]:
+    workload = q2_workload(base)
     config = EiresConfig(
         policy=policy,
         cache_policy=cache_policy,
@@ -54,3 +64,10 @@ def test_fig6_panel(benchmark, report, name, cache_policy, policy):
         assert by["BL3"]["p50"] > by["BL2"]["p50"]
     counts = {row["matches"] for row in rows}
     assert len(counts) == 1
+
+
+if __name__ == "__main__":
+    sys.exit(smoke_main("fig6_q2_overall", {
+        name: partial(run_panel, cache_policy, policy, Q2_SMOKE)
+        for name, cache_policy, policy in PANELS
+    }))

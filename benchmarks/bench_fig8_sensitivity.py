@@ -10,18 +10,27 @@ Three sweeps over PFetch / LzEval / Hybrid:
 * **(c) transmission latency** 1–10 up to 1k–10k us — everyone degrades as
   fetches get slower; PFetch degrades fastest because prefetching must
   happen earlier and earlier, on staler predictions.
+
+``python benchmarks/bench_fig8_sensitivity.py --smoke`` runs the three
+sweeps on a 1 000-event stream into ``fig8_sensitivity_smoke.json`` (the bench
+regression gate's baseline is in ``results/baselines/``).
 """
 
 from __future__ import annotations
+
+import sys
 
 from repro import CACHE_COST, EiresConfig, GREEDY
 from repro.bench.harness import ExperimentResult, run_strategy
 from repro.workloads.synthetic import SyntheticConfig, q1_workload
 
+from figure_smoke import smoke_main
+
 EIRES_STRATEGIES = ("PFetch", "LzEval", "Hybrid")
 # Smaller stream than Fig. 5: each sweep point replays the workload three
 # times and greedy selection is expensive.
 BASE = SyntheticConfig(n_events=3_000, id_domain=20, window_events=400)
+SMOKE = SyntheticConfig(n_events=1_000, id_domain=20, window_events=400)
 
 NOISE_RATIOS = (0.1, 0.3, 0.5, 0.7, 0.9)
 # The paper sweeps 1k-5k entries against a key range its runs saturate; our
@@ -41,9 +50,9 @@ def _config(cache_capacity: int = 800, noise: float = 0.0) -> EiresConfig:
     )
 
 
-def sweep_noise() -> list[dict]:
+def sweep_noise(base: SyntheticConfig = BASE) -> list[dict]:
     rows = []
-    workload = q1_workload(BASE)
+    workload = q1_workload(base)
     for ratio in NOISE_RATIOS:
         for strategy in EIRES_STRATEGIES:
             row = run_strategy(workload, strategy, _config(noise=ratio)).summary()
@@ -52,9 +61,9 @@ def sweep_noise() -> list[dict]:
     return rows
 
 
-def sweep_cache_size() -> list[dict]:
+def sweep_cache_size(base: SyntheticConfig = BASE) -> list[dict]:
     rows = []
-    workload = q1_workload(BASE)
+    workload = q1_workload(base)
     for capacity in CACHE_SIZES:
         for strategy in EIRES_STRATEGIES:
             row = run_strategy(workload, strategy, _config(cache_capacity=capacity)).summary()
@@ -63,13 +72,13 @@ def sweep_cache_size() -> list[dict]:
     return rows
 
 
-def sweep_transmission_latency() -> list[dict]:
+def sweep_transmission_latency(base: SyntheticConfig = BASE) -> list[dict]:
     rows = []
     for low, high in LATENCY_RANGES:
         config = SyntheticConfig(
-            n_events=BASE.n_events,
-            id_domain=BASE.id_domain,
-            window_events=BASE.window_events,
+            n_events=base.n_events,
+            id_domain=base.id_domain,
+            window_events=base.window_events,
             latency_low_us=low,
             latency_high_us=high,
         )
@@ -128,3 +137,11 @@ def test_fig8c_transmission_latency(benchmark, report):
         fastest = by[("1-10", strategy)]["p95"]
         slowest = by[("1000-10000", strategy)]["p95"]
         assert slowest > fastest, f"{strategy}: latency sweep must show degradation"
+
+
+if __name__ == "__main__":
+    sys.exit(smoke_main("fig8_sensitivity", {
+        "fig8a": lambda: sweep_noise(SMOKE),
+        "fig8b": lambda: sweep_cache_size(SMOKE),
+        "fig8c": lambda: sweep_transmission_latency(SMOKE),
+    }))

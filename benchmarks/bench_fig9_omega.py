@@ -8,24 +8,33 @@ The paper reports optimal performance around ``omega_fetch = 0.7`` and
 emphasises the urgent demand without ignoring future usage works; the
 assertions below check the plateau property (no extreme beats the middle
 dramatically) rather than an exact optimum, which is noise-sensitive.
+
+``python benchmarks/bench_fig9_omega.py --smoke`` runs both sweeps on a
+1 000-event stream into ``fig9_omega_smoke.json`` (the bench regression gate's
+baseline is in ``results/baselines/``).
 """
 
 from __future__ import annotations
+
+import sys
 
 from repro import CACHE_COST, EiresConfig, GREEDY
 from repro.bench.harness import ExperimentResult, run_strategy
 from repro.workloads.synthetic import SyntheticConfig, q1_workload
 
+from figure_smoke import smoke_main
+
 OMEGAS = (0.1, 0.3, 0.5, 0.7, 0.9)
 BASE = SyntheticConfig(n_events=3_000, id_domain=20, window_events=400)
+SMOKE = SyntheticConfig(n_events=1_000, id_domain=20, window_events=400)
 # The weighting factor only matters while the cache is contended (Eq. 7's
 # admission gate and the cost-based eviction both compare utilities): size
 # the cache below the stream's working set, as in the other panels.
 CACHE_CAPACITY = 150
 
 
-def sweep(field: str, fixed: dict) -> list[dict]:
-    workload = q1_workload(BASE)
+def sweep(field: str, fixed: dict, base: SyntheticConfig = BASE) -> list[dict]:
+    workload = q1_workload(base)
     rows = []
     for omega in OMEGAS:
         config = EiresConfig(
@@ -75,3 +84,10 @@ def test_fig9b_omega_cache(benchmark, report):
         columns=("omega", "strategy", "matches", "p25", "p50", "p75", "p95"),
     )
     _assert_plateau(rows)
+
+
+if __name__ == "__main__":
+    sys.exit(smoke_main("fig9_omega", {
+        "fig9a": lambda: sweep("omega_fetch", {"omega_cache": 0.5}, SMOKE),
+        "fig9b": lambda: sweep("omega_cache", {"omega_fetch": 0.7}, SMOKE),
+    }))

@@ -23,18 +23,23 @@ from repro.obs.registry import CounterGroup, MetricsRegistry
 from repro.obs.trace import CAT_CACHE, NULL_TRACER, Tracer, trace_key
 from repro.remote.element import DataElement, DataKey
 
-__all__ = ["Cache", "CACHE_COUNTER_KEYS"]
+__all__ = ["Cache", "CACHE_COUNTER_KEYS", "check_capacity"]
 
 # Every counter a cache maintains (``cache.*``), in report order.
 CACHE_COUNTER_KEYS = ("hits", "misses", "insertions", "evictions", "rejected")
+
+
+def check_capacity(capacity: int) -> None:
+    """A cache's capacity rule, applied at construction and by the config."""
+    if capacity <= 0:
+        raise ValueError(f"capacity must be positive: {capacity}")
 
 
 class Cache(ABC):
     """Abstract bounded cache of remote data elements."""
 
     def __init__(self, capacity: int) -> None:
-        if capacity <= 0:
-            raise ValueError(f"cache capacity must be positive: {capacity}")
+        check_capacity(capacity)
         self.capacity = capacity
         self.stats = CounterGroup("cache", CACHE_COUNTER_KEYS)
         self.tracer: Tracer = NULL_TRACER

@@ -36,7 +36,7 @@ class HitHistory:
 
     def __init__(self, reset_after: float = 1_000_000.0) -> None:
         if reset_after <= 0:
-            raise ValueError(f"reset period must be positive: {reset_after}")
+            raise ValueError(f"reset_after must be positive: {reset_after}")
         self._reset_after = reset_after
         self._records: dict[tuple[int, int], _SiteRecord] = {}
 

@@ -5,18 +5,29 @@ paper's system parameters (selection policy, cache policy and capacity, the
 utility weighting factors ``omega_fetch``/``omega_cache`` of Eq. 5, the
 estimation-noise ratio of Fig. 8a) plus the cost-model constants of the
 virtual-time simulation.  The benchmark harness sweeps these fields to
-regenerate the sensitivity figures.
+regenerate the sensitivity figures.  Each value's rule is written once, by
+the component that uses it, and applied when the config is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
-from repro.engine.engine import GREEDY, NON_GREEDY
+from repro.cache.base import check_capacity
+from repro.cache.history import HitHistory
+from repro.engine.engine import GREEDY, check_policy
 from repro.engine.interface import CostModel
+from repro.obs.slo import SloSpec
+from repro.obs.trace import NULL_TRACER, Tracer
+from repro.remote.batching import BatchPolicy
 from repro.remote.faults import make_fault_model
-from repro.shedding.policy import SHED_NONE, SHED_POLICIES
+from repro.remote.monitor import BreakerBoard
+from repro.remote.retry import RetryPolicy
+from repro.shedding.detector import check_bounds
+from repro.shedding.policy import SHED_NONE, SHED_POLICIES, check_omega
 from repro.strategies.base import FAIL_CLOSED, FAIL_OPEN
+from repro.utility.noise import NoiseModel
 
 __all__ = ["EiresConfig", "CACHE_LRU", "CACHE_COST"]
 
@@ -102,95 +113,82 @@ class EiresConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
-        if self.policy not in (GREEDY, NON_GREEDY):
-            raise ValueError(
-                f"unknown selection policy {self.policy!r}; "
-                f"policy must be {GREEDY!r} or {NON_GREEDY!r}"
-            )
+        # In field order.  A component's rule is applied by building it (the
+        # builder reads the cached ones again) or, where that needs runtime
+        # objects, by its check; the rest are the rules no component owns.
+        check_policy(self.policy)
         if self.cache_policy not in (CACHE_LRU, CACHE_COST):
-            raise ValueError(
-                f"unknown cache policy {self.cache_policy!r}; "
-                f"cache_policy must be {CACHE_COST!r} or {CACHE_LRU!r}"
-            )
-        if self.cache_capacity <= 0:
-            raise ValueError(f"cache capacity must be positive: {self.cache_capacity}")
-        for name in ("omega_fetch", "omega_cache", "noise_ratio"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]: {value}")
+            raise ValueError(f"unknown cache policy {self.cache_policy!r}; "
+                             f"cache_policy must be {CACHE_COST!r} or {CACHE_LRU!r}")
+        self._owned("cache_", check_capacity, "capacity")
+        for name in ("omega_fetch", "omega_cache"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]: {getattr(self, name)}")
+        self.noise_model()
+        self.hit_history()
         try:
             make_fault_model(self.fault_profile)
         except ValueError as exc:
             raise ValueError(f"fault_profile {self.fault_profile!r}: {exc}") from None
+        self.retry_policy
+        self.breaker_board()
         if self.failure_mode not in (FAIL_OPEN, FAIL_CLOSED):
-            raise ValueError(
-                f"unknown failure mode {self.failure_mode!r}; "
-                f"failure_mode must be {FAIL_CLOSED!r} or {FAIL_OPEN!r}"
-            )
-        if self.retry_max_attempts < 1:
-            raise ValueError(f"retry_max_attempts must be >= 1: {self.retry_max_attempts}")
-        if not 0.0 < self.breaker_failure_threshold <= 1.0:
-            raise ValueError(
-                f"breaker_failure_threshold must be in (0, 1]: {self.breaker_failure_threshold}"
-            )
-        if self.batch_window < 0:
-            raise ValueError(f"batch_window must be non-negative: {self.batch_window}")
-        if self.batch_max_keys < 1:
-            raise ValueError(f"batch_max_keys must be >= 1: {self.batch_max_keys}")
-        if self.batch_fixed_latency < 0:
-            raise ValueError(
-                f"batch_fixed_latency must be non-negative: {self.batch_fixed_latency}"
-            )
-        if self.batch_per_key_latency < 0:
-            raise ValueError(
-                f"batch_per_key_latency must be non-negative: {self.batch_per_key_latency}"
-            )
+            raise ValueError(f"unknown failure mode {self.failure_mode!r}; "
+                             f"failure_mode must be {FAIL_CLOSED!r} or {FAIL_OPEN!r}")
+        self.batch_policy
         if self.shed_policy not in SHED_POLICIES:
-            raise ValueError(
-                f"unknown shedding policy {self.shed_policy!r}; shed_policy "
-                f"must be one of {sorted(SHED_POLICIES)}"
-            )
-        if self.latency_bound is not None and self.latency_bound <= 0:
-            raise ValueError(f"latency_bound must be positive: {self.latency_bound}")
-        if self.run_budget is not None and self.run_budget < 1:
-            raise ValueError(f"run_budget must be >= 1: {self.run_budget}")
-        if (
-            self.shed_policy != SHED_NONE
-            and self.latency_bound is None
-            and self.run_budget is None
-            and not self.slo_in_detector
-        ):
+            raise ValueError(f"unknown shedding policy {self.shed_policy!r}; shed_policy "
+                             f"must be one of {sorted(SHED_POLICIES)}")
+        check_bounds(self.latency_bound, self.run_budget)
+        if (self.shed_policy != SHED_NONE and self.latency_bound is None
+                and self.run_budget is None and not self.slo_in_detector):
             # SLO-consuming detectors may shed on burn rates alone; everything
             # else needs an explicit overload bound to ever trigger.
-            raise ValueError(
-                f"shed_policy={self.shed_policy!r} needs --latency-bound, "
-                f"--run-budget, and/or --slo-in-detector"
-            )
-        if not 0.0 <= self.omega_shed <= 1.0:
-            raise ValueError(f"omega_shed must be in [0, 1]: {self.omega_shed}")
+            raise ValueError(f"shed_policy={self.shed_policy!r} needs --latency-bound, "
+                             f"--run-budget, and/or --slo-in-detector")
         if self.shed_event_threshold < 0:
-            raise ValueError(
-                f"shed_event_threshold must be non-negative: {self.shed_event_threshold}"
-            )
-        if self.series_interval < 0:
+            raise ValueError(f"shed_event_threshold must be non-negative: "
+                             f"{self.shed_event_threshold}")
+        check_omega(self.omega_shed, "omega_shed")
+        if self.series_interval < 0:  # 0 = off
             raise ValueError(f"series_interval must be non-negative: {self.series_interval}")
-        if self.slo_latency_bound is not None and self.slo_latency_bound <= 0:
-            raise ValueError(f"slo_latency_bound must be positive: {self.slo_latency_bound}")
-        if self.slo_recall_floor is not None and not 0.0 <= self.slo_recall_floor <= 1.0:
-            raise ValueError(f"slo_recall_floor must be in [0, 1]: {self.slo_recall_floor}")
-        if self.slo_fetch_budget is not None and self.slo_fetch_budget <= 0:
-            raise ValueError(f"slo_fetch_budget must be positive: {self.slo_fetch_budget}")
-        if self.slo_in_detector and not self.has_slo:
+        if self.slo_spec.empty and self.slo_in_detector:
             raise ValueError("slo_in_detector needs at least one slo_* objective set")
 
-    @property
-    def has_slo(self) -> bool:
-        """Whether any SLO objective is declared (builds the SloPlane)."""
-        return (
-            self.slo_latency_bound is not None
-            or self.slo_recall_floor is not None
-            or self.slo_fetch_budget is not None
-        )
+    def _owned(self, prefix: str, build, *params: str, **fixed):
+        """``build`` given each parameter ``p`` of ``params`` from the field
+        ``prefix + p``; an owner's message starts with ``p``, and is raised
+        again naming the field."""
+        try:
+            return build(**{p: getattr(self, prefix + p) for p in params}, **fixed)
+        except ValueError as exc:
+            raise ValueError(f"{prefix}{exc}") from None
+
+    @cached_property
+    def retry_policy(self) -> RetryPolicy:
+        return self._owned("retry_", RetryPolicy,
+                           "max_attempts", "backoff_base", "attempt_timeout", "deadline")
+
+    @cached_property
+    def batch_policy(self) -> BatchPolicy:
+        return self._owned("batch_", BatchPolicy,
+                           "window", "max_keys", "fixed_latency", "per_key_latency")
+
+    @cached_property
+    def slo_spec(self) -> SloSpec:
+        """The ``slo_*`` objectives; empty when none is set."""
+        return self._owned("slo_", SloSpec, "latency_bound", "recall_floor", "fetch_budget")
+
+    def breaker_board(self, tracer: Tracer = NULL_TRACER) -> BreakerBoard:
+        return self._owned("breaker_", BreakerBoard, "failure_threshold", "cooldown",
+                           tracer=tracer)
+
+    def hit_history(self) -> HitHistory:
+        """A fresh per-session prefetch outcome history (§5.1)."""
+        return self._owned("history_", HitHistory, "reset_after")
+
+    def noise_model(self) -> NoiseModel:
+        return self._owned("noise_", NoiseModel, "ratio", seed=self.seed)
 
     def with_(self, **changes) -> "EiresConfig":
         """A copy with some fields replaced (sweep convenience)."""

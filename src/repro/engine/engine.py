@@ -62,7 +62,7 @@ from repro.obs.registry import CounterGroup
 from repro.query.ast import Window
 from repro.sim.clock import VirtualClock
 
-__all__ = ["Engine", "GREEDY", "NON_GREEDY"]
+__all__ = ["Engine", "GREEDY", "NON_GREEDY", "check_policy"]
 
 GREEDY = "greedy"
 NON_GREEDY = "non_greedy"
@@ -74,6 +74,14 @@ _NO_BINDINGS: Mapping[str, Event] = MappingProxyType({})
 EXPIRY_INTERVAL_EVENTS = 16
 
 _event_time = attrgetter("t")
+
+
+def check_policy(policy: str) -> None:
+    """The selection-policy rule, applied at construction and by the config."""
+    if policy not in (GREEDY, NON_GREEDY):
+        raise ValueError(f"unknown selection policy {policy!r}; "
+                         f"policy must be {GREEDY!r} or {NON_GREEDY!r}")
+
 
 _UNRESOLVED = "unresolved"
 _SATISFIED = "satisfied"
@@ -90,8 +98,7 @@ class Engine:
         cost_model: CostModel | None = None,
         policy: str = GREEDY,
     ) -> None:
-        if policy not in (GREEDY, NON_GREEDY):
-            raise ValueError(f"unknown selection policy {policy!r}")
+        check_policy(policy)
         self.automaton = automaton
         self.clock = clock
         self.cost_model = cost_model if cost_model is not None else CostModel()
@@ -381,8 +388,8 @@ class Engine:
         at its own time ``at``.  A pass builds the extension's environment
         once and from it the match (a final target) and the live run (a
         target with transitions) in place: no ``Run`` for a leaf final.
-        ``created_at``, ``detected_at`` and spans are ``at``, and the clock
-        is published only before a drop, whose trace record reads it.  That
+        ``detected_at`` and spans are ``at``, and the clock is published
+        only before a drop, whose trace record reads it.  That
         is what the per-run path shows them because nothing between two
         guards of such a bucket charges the clock: the transition has no
         remote predicates and no run carries an obligation.
@@ -420,7 +427,7 @@ class Engine:
                     span = spans.capture(last_event_t, at) if spans is not None else None
                     matches.append(MatchRecord(env, last_event_t, at, 0.0, span))
                 if live:
-                    new_runs.append(Run(target, env, run.first_t, run.first_seq, event.seq, (), at))
+                    new_runs.append(Run(target, env, run.first_t, run.first_seq, event.seq, ()))
                 if not consume:
                     continue
                 stats.runs_consumed += 1
@@ -509,7 +516,7 @@ class Engine:
                     continue
                 extension = Run(
                     transition.target, bound, run.first_t, run.first_seq, event.seq,
-                    run.obligations + obligations, clock.now,
+                    run.obligations + obligations,
                 )
                 if not obligations:
                     definite_extension = True
@@ -610,7 +617,7 @@ class Engine:
             if obligations is None:
                 continue
             # Run.start, without the call; nothing mutates ``env`` any more.
-            run = Run(transition.target, env, event.t, event.seq, event.seq, obligations, clock.now)
+            run = Run(transition.target, env, event.t, event.seq, event.seq, obligations)
             self._admit_extension(run, strategy, new_runs, matches)
 
     # -- extensions, finals, obligations ------------------------------------------

@@ -80,8 +80,7 @@ class Run:
 
     Runs are persistent-by-copy: extending one builds a new run with one
     more binding, leaving the original untouched (the greedy policy keeps
-    both alive).  ``created_at`` is the virtual time the run entered its
-    current state — the anchor for prefetch offset timing (Alg. 3 line 11).
+    both alive).
     """
 
     __slots__ = (
@@ -92,7 +91,6 @@ class Run:
         "first_seq",
         "last_seq",
         "obligations",
-        "created_at",
         "required_keys",
     )
 
@@ -106,7 +104,6 @@ class Run:
         first_seq: int,
         last_seq: int,
         obligations: tuple[Obligation, ...],
-        created_at: float,
     ) -> None:
         self.run_id = Run._next_id
         Run._next_id += 1
@@ -116,14 +113,13 @@ class Run:
         self.first_seq = first_seq
         self.last_seq = last_seq
         self.obligations = obligations
-        self.created_at = created_at
         # Concrete remote keys this run needs to process upcoming events
         # (the paper's D(p, k+1)); filled in by the strategy's utility
         # bookkeeping when the run is registered.
         self.required_keys: tuple = ()
 
     @classmethod
-    def start(cls, state: State, binding: str, event: Event, created_at: float) -> "Run":
+    def start(cls, state: State, binding: str, event: Event) -> "Run":
         """Create a fresh run from the first selected event."""
         return cls(
             state=state,
@@ -132,7 +128,6 @@ class Run:
             first_seq=event.seq,
             last_seq=event.seq,
             obligations=(),
-            created_at=created_at,
         )
 
     def add_obligations(self, extra: tuple[Obligation, ...]) -> None:

@@ -75,11 +75,11 @@ class SloSpec:
 
     def __post_init__(self) -> None:
         if self.latency_bound is not None and self.latency_bound <= 0:
-            raise ValueError(f"slo latency_bound must be positive: {self.latency_bound}")
+            raise ValueError(f"latency_bound must be positive: {self.latency_bound}")
         if self.recall_floor is not None and not 0.0 <= self.recall_floor <= 1.0:
-            raise ValueError(f"slo recall_floor must be in [0, 1]: {self.recall_floor}")
+            raise ValueError(f"recall_floor must be in [0, 1]: {self.recall_floor}")
         if self.fetch_budget is not None and self.fetch_budget <= 0:
-            raise ValueError(f"slo fetch_budget must be positive: {self.fetch_budget}")
+            raise ValueError(f"fetch_budget must be positive: {self.fetch_budget}")
 
     @property
     def empty(self) -> bool:

@@ -53,17 +53,13 @@ class BatchPolicy:
 
     def __post_init__(self) -> None:
         if self.window < 0:
-            raise ValueError(f"batch window must be non-negative: {self.window}")
+            raise ValueError(f"window must be non-negative: {self.window}")
         if self.max_keys < 1:
-            raise ValueError(f"batch max_keys must be >= 1: {self.max_keys}")
+            raise ValueError(f"max_keys must be >= 1: {self.max_keys}")
         if self.fixed_latency < 0:
-            raise ValueError(
-                f"batch fixed latency must be non-negative: {self.fixed_latency}"
-            )
+            raise ValueError(f"fixed_latency must be non-negative: {self.fixed_latency}")
         if self.per_key_latency < 0:
-            raise ValueError(
-                f"batch per-key latency must be non-negative: {self.per_key_latency}"
-            )
+            raise ValueError(f"per_key_latency must be non-negative: {self.per_key_latency}")
 
     @property
     def enabled(self) -> bool:

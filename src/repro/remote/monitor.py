@@ -116,7 +116,7 @@ class FailureWindow:
 
 def _check_breaker_knobs(failure_threshold: float, cooldown: float) -> None:
     if not 0.0 < failure_threshold <= 1.0:
-        raise ValueError(f"failure threshold must be in (0, 1]: {failure_threshold}")
+        raise ValueError(f"failure_threshold must be in (0, 1]: {failure_threshold}")
     if cooldown <= 0:
         raise ValueError(f"cooldown must be positive: {cooldown}")
 

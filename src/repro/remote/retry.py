@@ -42,13 +42,13 @@ class RetryPolicy:
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1: {self.max_attempts}")
         if self.backoff_base < 0:
-            raise ValueError(f"backoff base must be non-negative: {self.backoff_base}")
+            raise ValueError(f"backoff_base must be non-negative: {self.backoff_base}")
         if self.backoff_factor < 1.0:
-            raise ValueError(f"backoff factor must be >= 1: {self.backoff_factor}")
+            raise ValueError(f"backoff_factor must be >= 1: {self.backoff_factor}")
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError(f"jitter must be in [0, 1): {self.jitter}")
         if self.attempt_timeout <= 0:
-            raise ValueError(f"attempt timeout must be positive: {self.attempt_timeout}")
+            raise ValueError(f"attempt_timeout must be positive: {self.attempt_timeout}")
         if self.deadline <= 0:
             raise ValueError(f"deadline must be positive: {self.deadline}")
 

@@ -25,22 +25,19 @@ from typing import TYPE_CHECKING, Iterable
 
 from repro.cache.base import Cache
 from repro.cache.cost_based import CostBasedCache
-from repro.cache.history import HitHistory
 from repro.cache.lru import LRUCache
 from repro.engine.engine import Engine
 from repro.events.stream import Stream
 from repro.nfa.compiler import compile_query
 from repro.obs.registry import FanoutScope, MetricsRegistry
 from repro.obs.series import SeriesSampler
-from repro.obs.slo import SloPlane, SloSpec
+from repro.obs.slo import SloPlane
 from repro.obs.spans import SpanTracker
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.query.ast import Query
-from repro.remote.batching import BatchPolicy
 from repro.remote.element import DataKey
 from repro.remote.faults import make_fault_model
-from repro.remote.monitor import BreakerBoard, LatencyMonitor
-from repro.remote.retry import RetryPolicy
+from repro.remote.monitor import LatencyMonitor
 from repro.remote.store import RemoteStore
 from repro.remote.transport import LatencyModel, Transport
 from repro.runtime.dispatch import RunResult, dispatch
@@ -61,12 +58,6 @@ if TYPE_CHECKING:  # imported lazily at runtime (layering: runtime < core)
     from repro.core.config import EiresConfig
 
 __all__ = ["RuntimeBuilder", "Runtime"]
-
-
-def _default_config() -> "EiresConfig":
-    from repro.core.config import EiresConfig
-
-    return EiresConfig()
 
 
 class RuntimeBuilder:
@@ -92,7 +83,11 @@ class RuntimeBuilder:
     ) -> None:
         self.store = store
         self.latency_model = latency_model
-        self.config = config if config is not None else _default_config()
+        if config is None:
+            from repro.core.config import EiresConfig
+
+            config = EiresConfig()
+        self.config = config
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._specs: list[QuerySpec] = []
 
@@ -113,12 +108,13 @@ class RuntimeBuilder:
         """Assemble the substrate and one session per equivalence class of
         specs (:meth:`~repro.runtime.session.QuerySpec.share_key`).
 
-        The construction order — clock, metrics, RNG tree, monitor, fault
-        model, retry policy, breakers, transport — is load-bearing: the RNG
-        spawns happen in a fixed sequence so every build draws the same
-        random streams.
+        The construction order — clock, metrics, RNG tree, monitor,
+        transport — is load-bearing: the RNG spawns happen in a fixed
+        sequence so every build draws the same random streams.  The
+        transport's retry, breaker and batching knobs come built (and
+        checked) from the config.
         """
-        from repro.core.config import CACHE_COST, CACHE_LRU
+        from repro.core.config import CACHE_LRU
 
         if not self._specs:
             raise ValueError("at least one query is required")
@@ -135,32 +131,16 @@ class RuntimeBuilder:
         # The fault rng is a *separate* stream spawned after the transport's:
         # with fault_profile="none" no fault draws happen at all, so latency
         # samples are byte-identical to a build without the fault machinery.
-        fault_model = make_fault_model(config.fault_profile)
-        retry_policy = RetryPolicy(
-            max_attempts=config.retry_max_attempts,
-            backoff_base=config.retry_backoff_base,
-            attempt_timeout=config.retry_attempt_timeout,
-            deadline=config.retry_deadline,
-        )
         transport = Transport(
             self.store,
             self.latency_model,
             spawn(rng, "transport"),
             monitor,
-            fault_model=fault_model,
+            fault_model=make_fault_model(config.fault_profile),
             fault_rng=spawn(rng, "faults"),
-            retry_policy=retry_policy,
-            breakers=BreakerBoard(
-                failure_threshold=config.breaker_failure_threshold,
-                cooldown=config.breaker_cooldown,
-                tracer=tracer,
-            ),
-            batch_policy=BatchPolicy(
-                window=config.batch_window,
-                max_keys=config.batch_max_keys,
-                fixed_latency=config.batch_fixed_latency,
-                per_key_latency=config.batch_per_key_latency,
-            ),
+            retry_policy=config.retry_policy,
+            breakers=config.breaker_board(tracer),
+            batch_policy=config.batch_policy,
         )
 
         runtime = Runtime(
@@ -197,30 +177,20 @@ class RuntimeBuilder:
         if any(strategy.uses_cache for strategy in strategies):
             if config.cache_policy == CACHE_LRU:
                 runtime.cache = LRUCache(config.cache_capacity)
-            elif config.cache_policy == CACHE_COST:
+            else:  # CACHE_COST, the only other policy the config accepts
                 runtime.cache = CostBasedCache(
                     config.cache_capacity, utility_fn=runtime.shared_utility
                 )
-            else:
-                raise ValueError(f"unknown cache policy {config.cache_policy!r}")
             runtime.cache.bind_observability(metrics, tracer)
             # Every delivered async response enters it, whichever session
             # asked, a cacheless one included.
             transport.cache = runtime.cache
 
-        noise = NoiseModel(config.noise_ratio, seed=config.seed)
-        runtime.noise = noise
-        if config.has_slo:
+        runtime.noise = config.noise_model()
+        if not config.slo_spec.empty:
             # Built before the sessions so an slo_in_detector build can hand
             # the plane to each session's OverloadDetector.
-            runtime.slo = SloPlane(
-                SloSpec(
-                    latency_bound=config.slo_latency_bound,
-                    recall_floor=config.slo_recall_floor,
-                    fetch_budget=config.slo_fetch_budget,
-                ),
-                metrics,
-            )
+            runtime.slo = SloPlane(config.slo_spec, metrics)
         scope_sessions = len(specs) > 1
         for members, strategy in zip(classes, strategies):
             runtime.sessions.append(
@@ -276,7 +246,7 @@ class RuntimeBuilder:
                 utility=utility,
                 rates=rates,
                 scheduler=FutureScheduler(),  # per query: payloads are site-specific
-                history=HitHistory(reset_after=config.history_reset_after),
+                history=config.hit_history(),
                 noise=runtime.noise,
                 omega_fetch=config.omega_fetch,
                 ell_pm=config.cost_model.per_guard_cost,

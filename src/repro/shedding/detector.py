@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["Overload", "OverloadDetector"]
+__all__ = ["Overload", "OverloadDetector", "check_bounds"]
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,14 @@ class Overload:
         return self.latency_exceeded and self.budget_exceeded
 
 
+def check_bounds(latency_bound: float | None, run_budget: int | None) -> None:
+    """The overload bounds' rules, applied at construction and by the config."""
+    if latency_bound is not None and latency_bound <= 0:
+        raise ValueError(f"latency_bound must be positive: {latency_bound}")
+    if run_budget is not None and run_budget < 1:
+        raise ValueError(f"run_budget must be >= 1: {run_budget}")
+
+
 class OverloadDetector:
     """Samples (queueing lag, active runs) against the configured bounds.
 
@@ -74,10 +82,7 @@ class OverloadDetector:
         run_budget: int | None = None,
         slo=None,
     ) -> None:
-        if latency_bound is not None and latency_bound <= 0:
-            raise ValueError(f"latency_bound must be positive: {latency_bound}")
-        if run_budget is not None and run_budget < 1:
-            raise ValueError(f"run_budget must be >= 1: {run_budget}")
+        check_bounds(latency_bound, run_budget)
         if latency_bound is None and run_budget is None and slo is None:
             raise ValueError("an overload detector needs at least one bound")
         self.latency_bound = latency_bound

@@ -45,6 +45,7 @@ __all__ = [
     "EventShedding",
     "RunShedding",
     "make_shedding_policy",
+    "check_omega",
     "partial_match_utility",
     "event_utility",
 ]
@@ -158,14 +159,20 @@ class EventShedding(SheddingPolicy):
         )
 
 
+def check_omega(omega: float, name: str = "omega") -> None:
+    """Run shedding's ``omega`` rule, applied at construction and by the
+    config (which reports it under its field's ``name``)."""
+    if not 0.0 <= omega <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1]: {omega}")
+
+
 class RunShedding(SheddingPolicy):
     """pSPICE-style partial-match eviction, utility-scored per Eq. 5."""
 
     name = SHED_RUNS
 
     def __init__(self, automaton, omega: float, run_budget: int | None = None) -> None:
-        if not 0.0 <= omega <= 1.0:
-            raise ValueError(f"omega must be in [0, 1]: {omega}")
+        check_omega(omega)
         self.automaton = automaton
         self.omega = omega
         self.run_budget = run_budget

@@ -98,7 +98,9 @@ class FetchPlane:
         fail is taken over so its retry chain completes within the stall.
         Returns the fetched values; with a cache attached they are also
         inserted (tier T1 — their use is certain), while BL1 keeps nothing
-        beyond the returned snapshot.
+        beyond the returned snapshot.  A cacheless session that joins a
+        fetch another session has in flight consumes its only response, so
+        it puts each joined success into the runtime's cache instead.
 
         A key whose fetch terminally fails (retries exhausted) is served
         from the transport's last-known table when any session fetched it
@@ -110,6 +112,11 @@ class FetchPlane:
         now = ctx.clock.now
         latest = now
         tickets = []
+        cache = ctx.cache
+        shared = transport.cache if cache is None else None
+        joined = () if shared is None else {
+            key for key in keys if transport.in_flight(key) is not None
+        }
         for key in keys:
             ticket = transport.submit(FetchRequest(key, at=now, mode=MODE_BLOCKING))
             tickets.append(ticket)
@@ -131,13 +138,14 @@ class FetchPlane:
             )
         ctx.clock.advance_to(latest)
         values: dict[DataKey, Any] = {}
-        cache = ctx.cache
         last_known = transport.last_known
         for ticket in tickets:
             if ticket.ok:
                 values[ticket.key] = ticket.element.value
                 if cache is not None:
                     cache.put(ticket.element, ctx.clock.now, certain=True)
+                elif ticket.key in joined:
+                    shared.put(ticket.element, ctx.clock.now, certain=True)
                 continue
             # Terminal failure, counted by the transport.
             if self._in_blocking_round:

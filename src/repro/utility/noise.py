@@ -34,7 +34,7 @@ class NoiseModel:
 
     def __init__(self, ratio: float, seed: int = 17) -> None:
         if not 0.0 <= ratio <= 1.0:
-            raise ValueError(f"noise ratio must be in [0, 1]: {ratio}")
+            raise ValueError(f"ratio must be in [0, 1]: {ratio}")
         self.ratio = ratio
         self.active = ratio > 0.0
         self._seed = seed

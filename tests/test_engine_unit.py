@@ -37,7 +37,7 @@ class TestRunStructure:
     def test_start_and_extend(self):
         automaton = self._automaton()
         first = Event(5.0, {"type": "A"}, seq=0)
-        run = Run.start(automaton.states[1], "a", first, created_at=5.0)
+        run = Run.start(automaton.states[1], "a", first)
         assert run.first_t == 5.0
         assert run.env["a"] is first
 
@@ -45,7 +45,7 @@ class TestRunStructure:
         transition = automaton.states[1].transitions[0]
         extended = Run(
             transition.target, {**run.env, "b": second}, run.first_t, run.first_seq, second.seq,
-            run.obligations, created_at=9.5,
+            run.obligations,
         )
         assert extended.state.is_final
         assert extended.env["b"] is second
@@ -59,7 +59,7 @@ class TestRunStructure:
 
     def test_add_obligations(self):
         automaton = self._automaton()
-        run = Run.start(automaton.states[1], "a", Event(1.0, {"type": "A"}, seq=0), 1.0)
+        run = Run.start(automaton.states[1], "a", Event(1.0, {"type": "A"}, seq=0))
         predicate = Comparison("=", Const(1), Const(1))
         run.add_obligations((Obligation((predicate,), False, 0.0, env={}),))
         assert run.obligations

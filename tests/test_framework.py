@@ -26,7 +26,7 @@ from repro.obs.slo import SloPlane
 from repro.obs.trace import Tracer
 from repro.remote.monitor import BreakerBoard, CircuitBreaker, LatencyMonitor
 from repro.remote.transport import FixedLatency
-from repro.runtime.builder import Runtime
+from repro.runtime.builder import Runtime, RuntimeBuilder
 from repro.runtime.dispatch import dispatch
 from repro.runtime.session import QuerySession
 from repro.serving.fleet import Fleet
@@ -78,9 +78,10 @@ _LEDGER_TEXT = (REPO_ROOT / "docs" / "architecture.md").read_text().split(
 _FIELD_TABLE, _CONSTANT_TABLE = _LEDGER_TEXT.split("#### Constants in the component", 1)
 
 
-def _ledger() -> list[tuple[str, str]]:
-    """The (field, fate) rows of docs/architecture.md's configuration ledger."""
-    return re.findall(r"^\| `(\w+)` \| (.+?) \|$", _FIELD_TABLE, flags=re.MULTILINE)
+def _ledger() -> list[tuple[str, str, str]]:
+    """The (field, fate, rule owner) rows of docs/architecture.md's
+    configuration ledger."""
+    return re.findall(r"^\| `(\w+)` \| (.+?) \| (.+?) \|$", _FIELD_TABLE, flags=re.MULTILINE)
 
 
 def _constants() -> list[tuple[str, str, str]]:
@@ -131,19 +132,49 @@ def _sets_field(path: Path, field: str) -> bool:
 _LEDGER = _ledger()
 
 
+# One out-of-range value per EiresConfig field with a range rule.
+_OUT_OF_RANGE = {
+    "cache_capacity": 0, "omega_fetch": 1.2, "omega_cache": -0.1, "noise_ratio": 2.0,
+    "history_reset_after": -1.0, "retry_max_attempts": 0, "retry_backoff_base": -5.0,
+    "retry_attempt_timeout": 0.0, "retry_deadline": -1.0, "breaker_failure_threshold": 0.0,
+    "breaker_cooldown": 0.0, "batch_window": -1.0, "batch_max_keys": 0,
+    "batch_fixed_latency": -1.0, "batch_per_key_latency": -1.0, "latency_bound": 0.0,
+    "run_budget": 0, "shed_event_threshold": -1.0, "omega_shed": 1.5, "series_interval": -1.0,
+    "slo_latency_bound": 0.0, "slo_recall_floor": 1.5, "slo_fetch_budget": 0.0,
+}
+
+
+class TestConfigRules:
+    """Every range rule fails at ``EiresConfig(...)``, naming its field: the
+    rule is the owning component's, applied when the config is built."""
+
+    @pytest.mark.parametrize("name,value", _OUT_OF_RANGE.items(), ids=list(_OUT_OF_RANGE))
+    def test_out_of_range_value_names_its_field(self, name, value):
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            EiresConfig(**{name: value})
+
+    def test_the_builder_takes_the_checked_components(self):
+        query, store = make_abc_scenario()
+        config = EiresConfig(batch_window=20.0, batch_max_keys=4, slo_recall_floor=0.9)
+        runtime = RuntimeBuilder(store, FixedLatency(10.0), config=config).add_query(query).build()
+        assert runtime.transport.batch_policy is config.batch_policy
+        assert runtime.slo.spec is config.slo_spec
+
+
 class TestConfigLedger:
     """Every EiresConfig field has one fate in the ledger, and it holds."""
 
     def test_ledger_lists_every_field_once(self):
-        names = [name for name, _ in _LEDGER]
+        names = [name for name, _, _ in _LEDGER]
         assert len(names) == len(set(names)), names
         assert set(names) == {field.name for field in dataclasses.fields(EiresConfig)}
 
     def test_flag_fate_is_exactly_the_cli_flag_table(self):
-        flagged = {name for name, fate in _LEDGER if fate == "flag"}
+        flagged = {name for name, fate, _ in _LEDGER if fate == "flag"}
         assert flagged == set(CONFIG_FLAGS)
 
-    @pytest.mark.parametrize("name,fate", _LEDGER, ids=[name for name, _ in _LEDGER])
+    @pytest.mark.parametrize("name,fate", [row[:2] for row in _LEDGER],
+                             ids=[name for name, _, _ in _LEDGER])
     def test_fate_holds(self, name, fate):
         kind, _, detail = fate.partition(": ")
         if kind == "varied":
@@ -157,6 +188,12 @@ class TestConfigLedger:
             assert detail, f"{name}: pending on no item"
         else:
             assert fate == "flag", f"{name}: unknown fate {fate!r}"
+
+    def test_every_rule_owner_exists(self):
+        owners = {owner.strip("`") for _, _, owner in _LEDGER} - {"config", "—"}
+        for owner in owners:
+            module, _, name = owner.rpartition(".")
+            assert callable(getattr(importlib.import_module(module), name, None)), owner
 
     @pytest.mark.parametrize("option,owners", _RETIRED_OPTIONS,
                              ids=[option for option, _ in _RETIRED_OPTIONS])

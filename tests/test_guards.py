@@ -315,7 +315,7 @@ class TestBucketLoop:
         automaton = compile_query(parse_query("SEQ(A a, B b) WHERE a.v < b.v WITHIN 5 EVENTS", name="t"))
         transition = automaton.states[1].transitions[0]
         runs = [
-            Run.start(automaton.states[1], "a", Event(1.0, {"v": v}, seq=seq), created_at=0.0)
+            Run.start(automaton.states[1], "a", Event(1.0, {"v": v}, seq=seq))
             for v, seq in ((1, 9), (7, 8), (2, 1), (3, 5))
         ]
         event = Event(9.0, {"v": 5}, seq=10)
@@ -335,7 +335,7 @@ class TestBucketLoop:
         automaton = compile_query(parse_query("SEQ(A a, B b) WITHIN 5 EVENTS", name="t"))
         transition = automaton.states[1].transitions[0]
         free, bound = (
-            Run.start(automaton.states[1], "a", Event(1.0, {}, seq=9), created_at=0.0)
+            Run.start(automaton.states[1], "a", Event(1.0, {}, seq=9))
             for _ in range(2)
         )
         predicate = Comparison("=", Const(1), Const(1))
@@ -351,7 +351,7 @@ class TestBucketLoop:
 
     def test_errors_propagate_for_the_engine_to_restep(self):
         loop = compile_bucket_loop([Comparison("<", Attr("a", "v"), Attr("b", "v9"))], "b", "count")
-        run = Run.start(None, "a", Event(1.0, {"v": 1}, seq=0), created_at=0.0)
+        run = Run.start(None, "a", Event(1.0, {"v": 1}, seq=0))
         with pytest.raises(KeyError) as excinfo:
             loop([run], Event(2.0, {"v": 2}, seq=1), 0.0, 0.05, 5, 0.0, 0.0)
         assert excinfo.value.args == ("v9",)  # bare: the per-run path words it
@@ -425,7 +425,7 @@ class TestBucketLoop:
             "b",
             "count",
         )
-        runs = [Run.start(None, "a", Event(1.0, {}, seq=seq), created_at=0.0) for seq in (6, 7, 8)]
+        runs = [Run.start(None, "a", Event(1.0, {}, seq=seq)) for seq in (6, 7, 8)]
         outcomes = loop(runs, Event(2.0, {"w": 4}, seq=9), 0.0, 0.05, 5, 0.0, 0.0)[4]
         assert [passed for _, _, passed in outcomes] == [True] * 3
         # A captured function keeps its call per run.

@@ -8,7 +8,7 @@ from repro.obs.trace import MemorySink, Tracer
 from repro.query.ast import Query
 from repro.query.parser import parse_query
 from repro.remote.store import RemoteStore
-from repro.remote.transport import FixedLatency
+from repro.remote.transport import MODE_BLOCKING, FixedLatency
 from repro.runtime import QuerySpec, RuntimeBuilder
 from repro.workloads.synthetic import SyntheticConfig, q1_workload, q2_workload
 
@@ -115,7 +115,7 @@ class TestSharing:
         ab_runtime = runtime.sessions[0]
         assert ab_runtime.spec.priority == 3.0
         a_state = ab_runtime.automaton.states[1]
-        run = Run.start(a_state, "a", Event(1.0, {"type": "A", "id": 1, "v": 7}, seq=0), 1.0)
+        run = Run.start(a_state, "a", Event(1.0, {"type": "A", "id": 1, "v": 7}, seq=0))
         ab_runtime.utility.on_runs_created((run,))
         weighted = runtime.shared_utility(("v", 7))
         single = ab_runtime.utility.value(("v", 7), runtime.config.omega_cache)
@@ -258,3 +258,35 @@ class TestOneOwnerPerResponse:
             watch(session.strategy)
         runtime.run(workload.stream)
         assert borrowed["BL2"] and borrowed["BL2"] <= fetched["BL1"]
+
+    @pytest.mark.parametrize("eires", ["PFetch", "LzEval", "Hybrid"])
+    @pytest.mark.parametrize("cacheless", ["BL1", "BL3"])
+    def test_a_blocking_join_hands_its_response_to_the_cache(self, cacheless, eires):
+        # A cacheless session that blocks on a key another session has in
+        # flight consumes the only response: its round puts it, in T1.  (The
+        # small Q1 stream makes no such join.)
+        workload = _small(q2_workload)
+        runtime = _mixed_runtime(workload, eires, cacheless)
+        transport, cache = runtime.transport, runtime.cache
+        joined, lost = [], []
+        submit = transport.submit
+
+        def submitting(request):
+            pending = transport.in_flight(request.key)
+            ticket = submit(request)
+            if request.mode == MODE_BLOCKING and pending is not None and ticket.ok:
+                joined.append(ticket.key)
+            return ticket
+
+        strategy = runtime.session("qb").strategy
+        block_for = strategy._block_for
+
+        def blocking(keys):
+            start = len(joined)
+            values = block_for(keys)
+            lost.extend(key for key in joined[start:] if key not in cache)
+            return values
+
+        transport.submit, strategy._block_for = submitting, blocking
+        runtime.run(workload.stream)
+        assert joined and lost == []

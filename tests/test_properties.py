@@ -558,7 +558,7 @@ def _bucket_engine(predicates, parents, window, policy, final, start, guard_cost
     for payload, age in parents:
         # Age 5 sits exactly on the window's edge; older runs have expired.
         first = Event(_NOW_T - 10.0 * age, payload, seq=_NOW_SEQ - age)
-        runs.append(Run.start(automaton.states[1], "a", first, created_at=start))
+        runs.append(Run.start(automaton.states[1], "a", first))
     if runs:
         engine._add_runs(runs, None, strategy)
     return engine, strategy, tally, runs
@@ -573,7 +573,7 @@ def _bucket_observables(engine, strategy, tally, runs, outcome):
             return position[id(run)]
         parent = next(i for i, r in enumerate(runs) if r.env["a"] is run.env["a"])
         return ("extension of", parent, run.state.index, run.first_seq, run.last_seq,
-                run.created_at, run.obligations)
+                run.obligations)
 
     if isinstance(outcome, list):
         outcome = [
@@ -733,8 +733,7 @@ def _step_observables(engine, strategy, outcomes):
 
     def name(run):
         bound = tuple(sorted((binding, event.seq) for binding, event in run.env.items()))
-        return (run.state.index, bound, run.first_seq, run.last_seq, run.created_at,
-                run.obligations)
+        return (run.state.index, bound, run.first_seq, run.last_seq, run.obligations)
 
     transitions = engine.automaton.transitions
     return {

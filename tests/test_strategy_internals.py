@@ -151,7 +151,7 @@ class TestBlockingRounds:
         automaton = eires.automaton
         a_event = Event(1.0, {"type": "A", "id": 1, "v": 1}, seq=0)
         b_event = Event(2.0, {"type": "B", "id": 1, "v": 2}, seq=1)
-        run = Run.start(automaton.states[1], "a", a_event, 1.0)
+        run = Run.start(automaton.states[1], "a", a_event)
         predicate = automaton.transitions[1].remote_predicates[0]
         env = {"a": a_event, "b": b_event}
         run.obligations = (
@@ -172,7 +172,7 @@ class TestResolvePredicate:
         b_event = Event(2.0, {"type": "B", "id": 1, "v": 2}, seq=1)
         from repro.nfa.run import Run
 
-        run = Run.start(eires.automaton.states[1], "a", a_event, 1.0)
+        run = Run.start(eires.automaton.states[1], "a", a_event)
         return run, {"a": a_event, "b": b_event}
 
     def test_bl2_blocks_and_answers(self):

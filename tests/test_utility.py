@@ -29,7 +29,7 @@ def build_automaton():
     )
 
 
-def run_at(automaton, state_index, attrs, created_at=0.0):
+def run_at(automaton, state_index, attrs):
     state = automaton.states[state_index]
     env = {}
     event = None
@@ -43,7 +43,6 @@ def run_at(automaton, state_index, attrs, created_at=0.0):
         first_seq=0,
         last_seq=len(env) - 1,
         obligations=(),
-        created_at=created_at,
     )
 
 
